@@ -8,6 +8,7 @@ manifold file).  Exit codes: 0 success, 1 check failure, 2 usage/parse error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -123,7 +124,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_eval(args) -> int:
     spec, _ = _load_spec(args)
-    point = np.array([float(v) for v in args.point.split(",")])
+    try:
+        point = np.array([float(v) for v in args.point.split(",")])
+    except ValueError:
+        raise ValidationError(f"--point needs comma-separated numbers, got {args.point!r}") from None
     if point.shape != (spec.n,):
         raise ValidationError(f"--point needs {spec.n} coordinates")
     pi = _load_pi(args.pi, spec) or OneFormData.zero(spec.ell, spec.n)
@@ -203,11 +207,23 @@ def _cmd_parse(args) -> int:
     return 0
 
 
+def _attach_negative_point(argv) -> list[str]:
+    """Rewrite ``--point -0.5,...`` as ``--point=-0.5,...``: argparse takes a
+    value that starts with '-' and is not a plain number for an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--point" and re.match(r"-\.?\d", arg):
+            out[-1] = f"--point={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def cli_main(argv) -> int:
     """Run the CLI on an argument list; returns the exit code."""
     parser = _build_argparser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_point(argv))
     except SystemExit as exc:       # argparse exits 2 on usage errors
         return int(exc.code or 0)
     try:

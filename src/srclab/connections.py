@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .jets import ConstField, ExprField, Jet, ScalarField
-from .manifold import FramePointData, ManifoldSpec, _frame_data
+from .manifold import FramePointData, ManifoldSpec, _frame_at
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ class _RaisedComponent(ScalarField):
 
     def jet(self, point, order):
         self._guard(order)
-        data = _frame_data(self.spec, np.asarray(point, dtype=float))
+        data = _frame_at(self.spec, np.asarray(point, dtype=float))
         piv, pig = self.pi.jets(point)
         vals = data.ginv @ piv
         if order == 0:
@@ -167,7 +167,7 @@ class ConnectionField:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        data = _frame_data(self.spec, p)
+        data = _frame_at(self.spec, p)
         if self.kind == "subriemannian":
             jets = _koszul_jets(data)
         else:
@@ -183,7 +183,7 @@ class ConnectionField:
     def frame_derivatives(self, point) -> np.ndarray:
         """D[i, j, k, h] = e_i(coeff[j, k, h]) for horizontal e_i."""
         p = np.asarray(point, dtype=float)
-        data = _frame_data(self.spec, p)
+        data = _frame_at(self.spec, p)
         grads = self.coefficient_jets(p).grads
         return np.einsum("mi,jkhm->ijkh", data.Ev[:, : self.ell], grads)
 
@@ -212,7 +212,7 @@ def semi_connection(spec: ManifoldSpec, pi: OneFormData) -> ConnectionField:
 
 def torsion(conn: ConnectionField, point) -> np.ndarray:
     """T[i, j, k] = coeff[i,j,k] - coeff[j,i,k] - Omega[i,j,k]."""
-    data = _frame_data(conn.spec, np.asarray(point, dtype=float))
+    data = _frame_at(conn.spec, np.asarray(point, dtype=float))
     co = conn.coefficients(point)
     return co - co.transpose(1, 0, 2) - data.Om
 
@@ -220,7 +220,7 @@ def torsion(conn: ConnectionField, point) -> np.ndarray:
 def nabla_oneform(spec: ManifoldSpec, pi: OneFormData, point) -> np.ndarray:
     """Koszul covariant derivative of pi: e_i(pi_j) - {_ij^k} pi_k."""
     p = np.asarray(point, dtype=float)
-    data = _frame_data(spec, p)
+    data = _frame_at(spec, p)
     piv, pig = pi.jets(p)
     co = _koszul_jets(data).values
     fd_pi = np.einsum("mi,jm->ij", data.Ev[:, : spec.ell], pig)
@@ -232,7 +232,7 @@ def oneform_derivative(conn: ConnectionField, point) -> np.ndarray:
     if conn.oneform is None:
         raise DimensionMismatch("connection carries no one-form")
     p = np.asarray(point, dtype=float)
-    data = _frame_data(conn.spec, p)
+    data = _frame_at(conn.spec, p)
     piv, pig = conn.oneform.jets(p)
     co = conn.coefficients(p)
     fd_pi = np.einsum("mi,jm->ij", data.Ev[:, : conn.ell], pig)
@@ -242,7 +242,7 @@ def oneform_derivative(conn: ConnectionField, point) -> np.ndarray:
 def covariant_derivative_T(conn: ConnectionField, point) -> np.ndarray:
     """(D_i T)_jk^h for the connection's own torsion, index order [i][j][k][h]."""
     p = np.asarray(point, dtype=float)
-    data = _frame_data(conn.spec, p)
+    data = _frame_at(conn.spec, p)
     jets = conn.coefficient_jets(p)
     Tv = jets.values - jets.values.transpose(1, 0, 2) - data.Om
     Tg = jets.grads - jets.grads.transpose(1, 0, 2, 3) - data.Om_g

@@ -25,7 +25,7 @@ import numpy as np
 
 from .connections import ConnectionField, OneFormData, nabla_oneform
 from .errors import RankTooSmall
-from .manifold import ManifoldSpec, _frame_data
+from .manifold import ManifoldSpec, _frame_at
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class CurvatureBundle:
 def curvature_components_raw(conn: ConnectionField, point) -> np.ndarray:
     """Curvature tensor straight from the coordinate formula, no mirroring."""
     p = np.asarray(point, dtype=float)
-    data = _frame_data(conn.spec, p)
+    data = _frame_at(conn.spec, p)
     co = conn.coefficients(p)
     dco = conn.frame_derivatives(p)
     curv = (dco - dco.transpose(1, 0, 2, 3)
@@ -67,7 +67,7 @@ def curvature_components_raw(conn: ConnectionField, point) -> np.ndarray:
 def schouten_curvature(conn: ConnectionField, point) -> CurvatureBundle:
     """Curvature bundle of a connection: tensor, Ricci trace, scalar, lowered."""
     p = np.asarray(point, dtype=float)
-    data = _frame_data(conn.spec, p)
+    data = _frame_at(conn.spec, p)
     ell = conn.ell
     curv = curvature_components_raw(conn, p)
     for i in range(ell):            # exact antisymmetry in (i, j) by construction
@@ -93,7 +93,7 @@ class CharacteristicTensor:
 
 def characteristic_tensor(spec: ManifoldSpec, pi: OneFormData, point) -> CharacteristicTensor:
     p = np.asarray(point, dtype=float)
-    data = _frame_data(spec, p)
+    data = _frame_at(spec, p)
     piv = pi.values(p)
     piu = data.ginv @ piv
     pi2 = float(piv @ piu)
@@ -116,7 +116,7 @@ def s_tensor(bundle: CurvatureBundle, spec: ManifoldSpec, point) -> np.ndarray:
     """
     ell = spec.ell
     _require_rank(ell, 3, "s_tensor")
-    data = _frame_data(spec, np.asarray(point, dtype=float))
+    data = _frame_at(spec, np.asarray(point, dtype=float))
     gv, eye = data.gv, np.eye(ell)
     ric = bundle.ricci
     ric_up = ric @ data.ginv
@@ -132,7 +132,7 @@ def conformal_tensor(bundle: CurvatureBundle, spec: ManifoldSpec, point) -> np.n
     """Weyl-type conformal tensor; consumes both Ricci-type contractions."""
     ell = spec.ell
     _require_rank(ell, 3, "conformal_tensor")
-    data = _frame_data(spec, np.asarray(point, dtype=float))
+    data = _frame_at(spec, np.asarray(point, dtype=float))
     gv, eye = data.gv, np.eye(ell)
     ric2 = bundle.second_contraction()
     A = bundle.ricci - ric2 / ell - bundle.scalar / (2 * (ell - 1)) * gv
@@ -158,7 +158,7 @@ def curvature_relation_terms(ct: CharacteristicTensor, spec: ManifoldSpec, point
 
     Added to the torsion-free curvature this yields the transformed one.
     """
-    data = _frame_data(spec, np.asarray(point, dtype=float))
+    data = _frame_at(spec, np.asarray(point, dtype=float))
     eye = np.eye(spec.ell)
     return (np.einsum("ik,jh->ijkh", ct.pi_lower, eye)
             - np.einsum("jk,ih->ijkh", ct.pi_lower, eye)
@@ -180,7 +180,7 @@ def conformal_difference_formula(ct: CharacteristicTensor, spec: ManifoldSpec,
     """
     ell = spec.ell
     _require_rank(ell, 3, "conformal_difference_formula")
-    data = _frame_data(spec, np.asarray(point, dtype=float))
+    data = _frame_at(spec, np.asarray(point, dtype=float))
     gv, eye = data.gv, np.eye(ell)
     return (-(np.einsum("ik,jh->ijkh", ct.pi_lower, eye)
               - np.einsum("jk,ih->ijkh", ct.pi_lower, eye)
@@ -201,7 +201,7 @@ def projective_difference_formula(ct: CharacteristicTensor, spec: ManifoldSpec,
     - alpha/(ell-1) (delta_j^h g_ik - delta_i^h g_jk).
     """
     ell = spec.ell
-    data = _frame_data(spec, np.asarray(point, dtype=float))
+    data = _frame_at(spec, np.asarray(point, dtype=float))
     gv, eye = data.gv, np.eye(ell)
     return ((np.einsum("ik,jh->ijkh", ct.pi_lower, eye)
              - np.einsum("jk,ih->ijkh", ct.pi_lower, eye)) / (ell - 1)
@@ -217,5 +217,5 @@ def flatness_characteristic_form(bundle: CurvatureBundle, spec: ManifoldSpec,
     characteristic tensor forced by a flat transformed connection."""
     ell = spec.ell
     _require_rank(ell, 3, "flatness_characteristic_form")
-    data = _frame_data(spec, np.asarray(point, dtype=float))
+    data = _frame_at(spec, np.asarray(point, dtype=float))
     return (bundle.ricci - bundle.scalar / (2 * (ell - 1)) * data.gv) / (2 - ell)

@@ -15,21 +15,35 @@ Index conventions used throughout the package:
 The projection onto V0 splits along the user-supplied frame (coefficients
 in the frame after inverting E), not metric-orthogonally; the engine never
 builds an ambient metric.
+
+Frame data is computed in batches: each spec compiles its frame and metric
+expressions once (:class:`~srclab.jets.JetProgram`), and :func:`_frame_data`
+turns the jets at a (P, n) point array into frame matrices, inverses, Gram
+matrices and structure constants with a leading point axis, recording an
+error per point rather than failing the batch.  The per-point layers read
+one point at a time from the spec's memo, which the sample loops fill
+FRAME_CHUNK points per batch (:func:`with_frame_data`); a point missing
+from it is computed as a batch of one.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, MetricNotSPD, SingularFrame, ValidationError
-from .jets import (Expression, ScalarField, VectorField, coordinate_indices,
-                   directional_derivative, jet_eval)
+from .errors import (DimensionMismatch, DomainError, MetricNotSPD, SingularFrame,
+                     SrclabError, ValidationError)
+from .jets import (Expression, JetProgram, ScalarField, VectorField, coordinate_indices,
+                   directional_derivative)
 
 DEFAULT_BOX = (-1.0, 1.0)
 SINGULAR_DET_FACTOR = 1e-12
 CONDITION_WARN = 1e8
 CONDITION_FAIL = 1e12
+FRAME_CHUNK = 64          # points per batched frame pass; bounds its transient memory
+MEMO_LIMIT = 8192         # per-point frame data entries a spec keeps
 
 
 @dataclass(frozen=True)
@@ -115,6 +129,16 @@ class ManifoldSpec:
         if self.oneform is not None:
             yield from self.oneform
 
+    @cached_property
+    def _jet_program(self) -> JetProgram:
+        """Frame components, field by field, then the metric row by row (its
+        mirrored entries share one op); Hessians for the horizontal fields and
+        the metric only."""
+        frame = [c for vf in self.hframe + self.vframe for c in vf.components]
+        metric = [e for row in self.metric for e in row]
+        hessians = [*range(self.ell * self.n), *range(len(frame), len(frame) + len(metric))]
+        return JetProgram(frame + metric, self.n, hessians)
+
     def frame_fields(self) -> tuple[VectorField, ...]:
         return tuple(vf.as_field() for vf in self.hframe + self.vframe)
 
@@ -180,13 +204,10 @@ class FramePointData:
 
     point: np.ndarray
     Ev: np.ndarray
-    Eg: np.ndarray
-    Eh: np.ndarray
     Einv: np.ndarray
     cond: float
     gv: np.ndarray
     gg: np.ndarray
-    gh: np.ndarray
     ginv: np.ndarray
     ginv_g: np.ndarray
     Om: np.ndarray
@@ -215,93 +236,147 @@ def _mirror_pair_antisym(arr, arr_g, ell):
                 arr_g[..., j, i, :] = -arr_g[..., i, j, :]
 
 
-def _frame_data(spec: ManifoldSpec, point) -> FramePointData:
+def _cholesky_fails(g: np.ndarray) -> np.ndarray:
+    """Mask of the Gram matrices in a stack that Cholesky rejects."""
+    try:
+        np.linalg.cholesky(g)
+        return np.zeros(len(g), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(g) == 1:
+            return np.ones(1, dtype=bool)
+        return np.concatenate([_cholesky_fails(gi[None]) for gi in g])
+
+
+def _frame_data(spec: ManifoldSpec, points) -> list[FramePointData | SrclabError]:
+    """Frame data at every row of a (P, n) point array, in one batched pass.
+
+    Each entry is the point's FramePointData or the error that rules it out,
+    tested in this order: frame expression, determinant, condition number,
+    metric expression, Cholesky.
+    """
+    pts = np.asarray(points, dtype=float)
+    n, ell = spec.n, spec.ell
+    if pts.ndim != 2 or pts.shape[1] != n:
+        raise DimensionMismatch(f"point must have {n} coordinates")
+    P, nf = len(pts), n * n
+    jets = spec._jet_program.run(pts)
+    errors: dict[int, SrclabError] = {}
+    bad = np.zeros(P, dtype=bool)
+
+    def rule_out(mask, make_error):
+        if mask.any():
+            for i in np.flatnonzero(mask & ~bad):
+                errors[i] = make_error(i)
+            bad[mask] = True
+
+    def usable(stack):
+        """The stack with ruled-out points set to the identity, so LAPACK
+        sees only valid matrices."""
+        return np.where(bad[:, None, None], np.eye(stack.shape[-1]), stack) \
+            if bad.any() else stack
+
+    failing = np.zeros((2, P), dtype=bool)         # frame, metric expression errors
+    for i, (k, _) in jets.errors.items():
+        failing[int(k >= nf), i] = True
+
+    def expression_error(i):
+        return DomainError(jets.errors[i][1])
+
+    # E[p, m, a]: program output a*n + m is component m of frame field a
+    Ev = np.ascontiguousarray(jets.values[:, :nf].reshape(P, n, n).transpose(0, 2, 1))
+    Eg = jets.grads[:, :nf].reshape(P, n, n, n).transpose(0, 2, 1, 3)
+    Eh = jets.hessians[:, :ell * n].reshape(P, ell, n, n, n).transpose(0, 2, 1, 3, 4)
+    rule_out(failing[0], expression_error)
+    col_scale = np.prod(np.maximum(np.linalg.norm(usable(Ev), axis=1), 1e-300), axis=-1)
+    det = np.linalg.det(usable(Ev))
+    rule_out(~(np.abs(det) > SINGULAR_DET_FACTOR * col_scale), lambda i: SingularFrame(
+        f"frame determinant {det[i]:.3e} below threshold at {pts[i].tolist()}"))
+    cond = np.linalg.cond(usable(Ev))
+    rule_out(cond > CONDITION_FAIL, lambda i: SingularFrame(
+        f"frame condition number {cond[i]:.3e} at {pts[i].tolist()}"))
+    Einv = np.linalg.inv(usable(Ev))
+
+    gv = jets.values[:, nf:].reshape(P, ell, ell)
+    gg = jets.grads[:, nf:].reshape(P, ell, ell, n)
+    gh = jets.hessians[:, ell * n:].reshape(P, ell, ell, n, n)
+    rule_out(failing[1], expression_error)
+    not_finite = ~np.isfinite(gv).all(axis=(1, 2))          # an entry overflowed
+    rule_out(not_finite | _cholesky_fails(usable(gv)), lambda i: MetricNotSPD(
+        f"Gram matrix not positive definite at {pts[i].tolist()}"))
+    ginv = np.linalg.inv(usable(gv))
+    ginv_g = -np.einsum("pia,pabr,pbj->pijr", ginv, gg, ginv)
+
+    # horizontal-horizontal brackets and their derivatives
+    Eh_v, Eh_g = Ev[:, :, :ell], Eg[:, :, :ell, :]
+    br = np.einsum("pqa,pmbq->pmab", Eh_v, Eh_g) - np.einsum("pqb,pmaq->pmab", Eh_v, Eh_g)
+    br_g = (np.einsum("pqar,pmbq->pmabr", Eh_g, Eh_g)
+            + np.einsum("pqa,pmbqr->pmabr", Eh_v, Eh)
+            - np.einsum("pqbr,pmaq->pmabr", Eh_g, Eh_g)
+            - np.einsum("pqb,pmaqr->pmabr", Eh_v, Eh))
+    c = np.einsum("pmq,pqab->pmab", Einv, br)
+    c_g = np.einsum("pmq,pqabr->pmabr", Einv,
+                    br_g - np.einsum("pmqr,pqab->pmabr", Eg, c))
+    Om = np.ascontiguousarray(c[:, :ell].transpose(0, 2, 3, 1))
+    Om_g = np.ascontiguousarray(c_g[:, :ell].transpose(0, 2, 3, 1, 4))
+    Mc = np.ascontiguousarray(c[:, ell:].transpose(0, 2, 3, 1))
+    Mc_g = np.ascontiguousarray(c_g[:, ell:].transpose(0, 2, 3, 1, 4))
+    _mirror_pair_antisym(Om.transpose(0, 3, 1, 2), Om_g.transpose(0, 3, 1, 2, 4), ell)
+    _mirror_pair_antisym(Mc.transpose(0, 3, 1, 2), Mc_g.transpose(0, 3, 1, 2, 4), ell)
+
+    # vertical-horizontal brackets: Lambda only needs values
+    brv = np.einsum("pqb,pmkq->pmbk", Ev[:, :, ell:], Eh_g) \
+        - np.einsum("pqk,pmbq->pmbk", Eh_v, Eg[:, :, ell:, :])
+    cv = np.einsum("pmq,pqbk->pmbk", Einv, brv)
+    Lam = np.ascontiguousarray(cv[:, :ell].transpose(0, 2, 3, 1))
+
+    fdg = np.einsum("pmk,pijm->pkij", Eh_v, gg)
+    fdg_g = np.einsum("pmkr,pijm->pkijr", Eh_g, gg) + np.einsum("pmk,pijmr->pkijr", Eh_v, gh)
+
+    out: list[FramePointData | SrclabError] = []
+    for i, p in enumerate(pts):
+        if i in errors:
+            out.append(errors[i])
+            continue
+        warn = ((f"frame condition number {cond[i]:.3e} at {p.tolist()}",)
+                if cond[i] > CONDITION_WARN else ())
+        out.append(FramePointData(p, Ev[i], Einv[i], float(cond[i]), gv[i], gg[i],
+                                  ginv[i], ginv_g[i], Om[i], Om_g[i], Mc[i], Mc_g[i],
+                                  Lam[i], fdg[i], fdg_g[i], warn))
+    return out
+
+
+def _remember(spec: ManifoldSpec, points, results) -> None:
+    if len(spec._cache) + len(results) > MEMO_LIMIT:
+        spec._cache.clear()
+    for p, res in zip(points, results):
+        spec._cache[p.tobytes()] = res
+
+
+def _frame_at(spec: ManifoldSpec, point) -> FramePointData:
+    """Frame data at one point: the memo entry, or a batch of one."""
     p = np.asarray(point, dtype=float)
     if p.shape != (spec.n,):
         raise DimensionMismatch(f"point must have {spec.n} coordinates")
-    key = p.tobytes()
-    cached = spec._cache.get(key)
-    if cached is not None:
-        return cached
+    hit = spec._cache.get(p.tobytes())
+    if hit is None:
+        [hit] = _frame_data(spec, p[None])
+        _remember(spec, [p], [hit])
+    if isinstance(hit, SrclabError):
+        raise copy.copy(hit)        # raised copies keep tracebacks out of the memo
+    return hit
 
-    n, ell = spec.n, spec.ell
-    nv = n - ell
-    warnings: list[str] = []
 
-    frame = spec.hframe + spec.vframe
-    Ev = np.empty((n, n))
-    Eg = np.empty((n, n, n))
-    Eh = np.empty((n, n, n, n))
-    for a, vf in enumerate(frame):
-        for m, expr in enumerate(vf.components):
-            j = jet_eval(expr, p, 2)
-            Ev[m, a] = j.value
-            Eg[m, a] = j.grad
-            Eh[m, a] = j.hess
-
-    col_scale = np.prod(np.maximum(np.linalg.norm(Ev, axis=0), 1e-300))
-    det = np.linalg.det(Ev)
-    if abs(det) <= SINGULAR_DET_FACTOR * col_scale:
-        raise SingularFrame(f"frame determinant {det:.3e} below threshold at {p.tolist()}")
-    cond = float(np.linalg.cond(Ev))
-    if cond > CONDITION_FAIL:
-        raise SingularFrame(f"frame condition number {cond:.3e} at {p.tolist()}")
-    if cond > CONDITION_WARN:
-        warnings.append(f"frame condition number {cond:.3e} at {p.tolist()}")
-    Einv = np.linalg.inv(Ev)
-
-    gv = np.empty((ell, ell))
-    gg = np.empty((ell, ell, n))
-    gh = np.empty((ell, ell, n, n))
-    for i in range(ell):
-        for j in range(i, ell):
-            jt = jet_eval(spec.metric[i][j], p, 2)
-            gv[i, j] = gv[j, i] = jt.value
-            gg[i, j] = gg[j, i] = jt.grad
-            gh[i, j] = gh[j, i] = jt.hess
-    try:
-        np.linalg.cholesky(gv)
-    except np.linalg.LinAlgError:
-        raise MetricNotSPD(f"Gram matrix not positive definite at {p.tolist()}") from None
-    ginv = np.linalg.inv(gv)
-    ginv_g = -np.einsum("ia,abr,bj->ijr", ginv, gg, ginv)
-
-    # horizontal-horizontal brackets and their derivatives
-    br = np.einsum("qa,mbq->mab", Ev[:, :ell], Eg[:, :ell, :]) \
-        - np.einsum("qb,maq->mab", Ev[:, :ell], Eg[:, :ell, :])
-    br_g = (np.einsum("qar,mbq->mabr", Eg[:, :ell, :], Eg[:, :ell, :])
-            + np.einsum("qa,mbqr->mabr", Ev[:, :ell], Eh[:, :ell, :, :])
-            - np.einsum("qbr,maq->mabr", Eg[:, :ell, :], Eg[:, :ell, :])
-            - np.einsum("qb,maqr->mabr", Ev[:, :ell], Eh[:, :ell, :, :]))
-    c = np.einsum("mq,qab->mab", Einv, br)
-    c_g = np.einsum("mq,qabr->mabr", Einv,
-                    br_g - np.einsum("mqr,qab->mabr", Eg, c))
-    Om = np.ascontiguousarray(c[:ell].transpose(1, 2, 0))
-    Om_g = np.ascontiguousarray(c_g[:ell].transpose(1, 2, 0, 3))
-    Mc = np.ascontiguousarray(c[ell:].transpose(1, 2, 0))
-    Mc_g = np.ascontiguousarray(c_g[ell:].transpose(1, 2, 0, 3))
-    _mirror_pair_antisym(Om.transpose(2, 0, 1), Om_g.transpose(2, 0, 1, 3), ell)
-    _mirror_pair_antisym(Mc.transpose(2, 0, 1), Mc_g.transpose(2, 0, 1, 3), ell)
-
-    # vertical-horizontal brackets: Lambda only needs values
-    if nv:
-        brv = np.einsum("qb,mkq->mbk", Ev[:, ell:], Eg[:, :ell, :]) \
-            - np.einsum("qk,mbq->mbk", Ev[:, :ell], Eg[:, ell:, :])
-        cv = np.einsum("mq,qbk->mbk", Einv, brv)
-        Lam = np.ascontiguousarray(cv[:ell].transpose(1, 2, 0))
-    else:
-        Lam = np.zeros((0, ell, ell))
-
-    fdg = np.einsum("mk,ijm->kij", Ev[:, :ell], gg)
-    fdg_g = np.einsum("mkr,ijm->kijr", Eg[:, :ell, :], gg) \
-        + np.einsum("mk,ijmr->kijr", Ev[:, :ell], gh)
-
-    data = FramePointData(p, Ev, Eg, Eh, Einv, cond, gv, gg, gh, ginv, ginv_g,
-                          Om, Om_g, Mc, Mc_g, Lam, fdg, fdg_g, tuple(warnings))
-    if len(spec._cache) > 8192:
-        spec._cache.clear()
-    spec._cache[key] = data
-    return data
+def with_frame_data(spec: ManifoldSpec, points):
+    """Yield the rows of ``points`` after batching the frame data the memo
+    lacks for them, FRAME_CHUNK points per pass, so the per-point layers
+    find it there."""
+    pts = np.asarray(points, dtype=float)
+    for start in range(0, len(pts), FRAME_CHUNK):
+        chunk = pts[start:start + FRAME_CHUNK]
+        missing = chunk[[p.tobytes() not in spec._cache for p in chunk]]
+        if len(missing):
+            _remember(spec, missing, _frame_data(spec, missing))
+        yield from chunk
 
 
 def snapshot(spec: ManifoldSpec, point) -> FrameSnapshot:
@@ -310,12 +385,12 @@ def snapshot(spec: ManifoldSpec, point) -> FrameSnapshot:
     Omega/Mcoef come from solving E c = [e_i, e_j](point) (first ell entries
     horizontal), Lambda from the solves for [e_alpha, e_k].
     """
-    return _frame_data(spec, point).snapshot()
+    return _frame_at(spec, point).snapshot()
 
 
 def project_h(spec: ManifoldSpec, point, v) -> np.ndarray:
     """Horizontal coefficients of v in the frame splitting (along V1)."""
-    data = _frame_data(spec, point)
+    data = _frame_at(spec, point)
     vv = np.asarray(v, dtype=float)
     if vv.shape != (spec.n,):
         raise DimensionMismatch(f"vector must have {spec.n} components")

@@ -33,7 +33,7 @@ from .curvature import (CurvatureBundle, characteristic_tensor,
                         flatness_characteristic_form, projective_difference_formula,
                         projective_tensor, s_tensor, schouten_curvature)
 from .errors import RankTooSmall, SrclabError
-from .manifold import ManifoldSpec, _frame_data, sample_points
+from .manifold import ManifoldSpec, _frame_at, sample_points, with_frame_data
 
 QUALIFIER_TOL = 1e-12     # hypothesis detection (alpha = 0, proportionality, M = 0)
 HYPOTHESIS_REL = 1e-9     # "R vanishes" / "R equals K" qualifiers
@@ -140,7 +140,7 @@ class _PointEval:
 
     @cached_property
     def data(self):
-        return _frame_data(self.spec, self.point)
+        return _frame_at(self.spec, self.point)
 
     @cached_property
     def co_nab(self):
@@ -488,7 +488,7 @@ def run_suite(spec: ManifoldSpec, pi: OneFormData | None = None,
     warnings: list[str] = []
 
     flagged_carnot = "carnot" in config.flags
-    for point in pts:
+    for point in with_frame_data(spec, pts):
         pe = _PointEval(spec, pi_data, nab, D, point)
         point_warn = None
         for check in CHECKS:
@@ -560,7 +560,7 @@ def check_group_manifold(spec: ManifoldSpec, pi: OneFormData | None = None,
     max_curv = 0.0
     max_dt = 0.0
     errors: list[str] = []
-    for point in pts:
+    for point in with_frame_data(spec, pts):
         try:
             bundle = schouten_curvature(conn, point)
             dt = covariant_derivative_T(conn, point)
@@ -597,7 +597,7 @@ def check_flatness_criterion(spec: ManifoldSpec, pi: OneFormData | None = None,
     D = semi_connection(spec, pi_data)
     rows = []
     ok = True
-    for point in sample_points(spec, config.points, config.seed):
+    for point in with_frame_data(spec, sample_points(spec, config.points, config.seed)):
         Rb = schouten_curvature(D, point)
         Kb = schouten_curvature(nab, point)
         ct = characteristic_tensor(spec, pi_data, point)

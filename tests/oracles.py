@@ -234,30 +234,34 @@ def sym_manifold(name: str) -> SymManifold:
     raise KeyError(name)
 
 
+# One-form components per (entry, variant), as functions of the coordinates,
+# so each entry indexes only the coordinates it has.
+_PI_TABLE = {
+    ("heisenberg1", "const"): lambda c: [1, 0],
+    ("heisenberg1", "trig"): lambda c: [sp.sin(c[0]), sp.cos(c[1])],
+    ("heisenberg2", "const"): lambda c: [1, 0, 0, 0],
+    ("heisenberg2", "linear"): lambda c: [c[1], c[0], c[2], 0],
+    ("heisenberg2", "trig"): lambda c: [sp.sin(c[0]), sp.cos(c[1]), sp.sin(c[2]),
+                                        sp.cos(c[3])],
+    ("free-step2-l3", "const"): lambda c: [1, 0, 0],
+    ("free-step2-l3", "linear"): lambda c: [c[1], c[0], c[2]],
+    ("free-step2-l3", "trig"): lambda c: [sp.sin(c[0]), sp.cos(c[1]), sp.sin(c[2])],
+    ("free-step2-l3", "alpha-zero"): lambda c: [2 / (c[0] + 4), 0, 0],
+    ("free-step2-l3", "proportional"): lambda c: [1 / (4 - c[0]), 0, 0],
+    ("flat3", "const"): lambda c: [1, 0],
+    ("flat3", "linear"): lambda c: [c[1], c[0]],
+    ("curved-metric-l3", "const"): lambda c: [1, 0, 0],
+    ("curved-metric-l3", "linear"): lambda c: [c[1], c[0], c[2]],
+    ("curved-metric-l3", "trig"): lambda c: [sp.sin(c[0]), sp.cos(c[1]), sp.sin(c[2])],
+    ("involutive-l3", "const"): lambda c: [1, 0, 0],
+    ("involutive-l3", "linear"): lambda c: [c[1], c[0], c[2]],
+    ("involutive-l3", "trig"): lambda c: [sp.sin(c[0]), sp.cos(c[1]), sp.sin(c[2])],
+}
+
+
 def sym_pi(name: str, variant: str):
-    m = sym_manifold(name)
-    c = m.coords
-    table = {
-        ("heisenberg1", "const"): [1, 0],
-        ("heisenberg1", "trig"): [sp.sin(c[0]), sp.cos(c[1])],
-        ("heisenberg2", "const"): [1, 0, 0, 0],
-        ("heisenberg2", "linear"): [c[1], c[0], c[2], 0],
-        ("heisenberg2", "trig"): [sp.sin(c[0]), sp.cos(c[1]), sp.sin(c[2]), sp.cos(c[3])],
-        ("free-step2-l3", "const"): [1, 0, 0],
-        ("free-step2-l3", "linear"): [c[1], c[0], c[2]],
-        ("free-step2-l3", "trig"): [sp.sin(c[0]), sp.cos(c[1]), sp.sin(c[2])],
-        ("free-step2-l3", "alpha-zero"): [2 / (c[0] + 4), 0, 0],
-        ("free-step2-l3", "proportional"): [1 / (4 - c[0]), 0, 0],
-        ("flat3", "const"): [1, 0],
-        ("flat3", "linear"): [c[1], c[0]],
-        ("curved-metric-l3", "const"): [1, 0, 0],
-        ("curved-metric-l3", "linear"): [c[1], c[0], c[2]],
-        ("curved-metric-l3", "trig"): [sp.sin(c[0]), sp.cos(c[1]), sp.sin(c[2])],
-        ("involutive-l3", "const"): [1, 0, 0],
-        ("involutive-l3", "linear"): [c[1], c[0], c[2]],
-        ("involutive-l3", "trig"): [sp.sin(c[0]), sp.cos(c[1]), sp.sin(c[2])],
-    }
-    return [sp.sympify(e) for e in table[(name, variant)]]
+    coords = sym_manifold(name).coords
+    return [sp.sympify(e) for e in _PI_TABLE[(name, variant)](coords)]
 
 
 def _to_array(obj, subs):

@@ -26,7 +26,7 @@ from srclab.curvature import (characteristic_tensor, conformal_difference_formul
                               projective_tensor, s_tensor, schouten_curvature)
 from srclab.errors import ParseError, ValidationError
 from srclab.jets import ExprField, fd_crosscheck
-from srclab.manifold import _frame_data, sample_points
+from srclab.manifold import _frame_at, sample_points
 from srclab.parser import parse_document, parse_manifold, serialize_document
 from srclab.verifier import SuiteConfig, run_suite
 
@@ -52,7 +52,7 @@ def test_a01_connection_contract():
         spec = builtin(name).spec
         conn = koszul_connection(spec)
         for p in sample_points(spec, 100, SEED):
-            data = _frame_data(spec, p)
+            data = _frame_at(spec, p)
             co = conn.coefficients(p)
             met = (data.fdg - np.einsum("kie,ej->kij", co, data.gv)
                    - np.einsum("kje,ei->kij", co, data.gv))
@@ -212,7 +212,7 @@ def test_a07_bianchi_and_symmetry_suite():
             ric, ric2 = Kb.ricci, Kb.second_contraction()
             worst = max(worst, abs(ric2 + ric2.T).max() / scale,
                         abs(ric2 - (ric - ric.T)).max() / scale)
-            if abs(_frame_data(spec, p).Mc).max(initial=0.0) <= 1e-12:
+            if abs(_frame_at(spec, p).Mc).max(initial=0.0) <= 1e-12:
                 worst = max(worst, abs(lw + lw.transpose(0, 1, 3, 2)).max() / scale)
     _report(f"A07 Bianchi/symmetry suite: {'PASS' if worst <= 1e-9 else 'FAIL'} "
             f"(worst rel {worst:.2e})")

@@ -135,6 +135,18 @@ def test_eval_alpha(capsys):
     assert abs(float(capsys.readouterr().out.strip()) - 1.0) <= 1e-14
 
 
+def test_eval_negative_first_coordinate(capsys):
+    args = ["eval", "--builtin", "heisenberg1", "--tensor", "E"]
+    assert cli_main(args + ["--point", "-0.5,0.1,0.2"]) == 0
+    spaced = capsys.readouterr().out
+    assert cli_main(args + ["--point=-0.5,0.1,0.2"]) == 0
+    assert spaced == capsys.readouterr().out
+    assert "-0.05" in spaced                   # X1 = dx - (y/2) dz at y = 0.1
+    assert cli_main(args + ["--point", "-x,0.1,0.2"]) == 2     # an option, not a point
+    assert cli_main(args + ["--point", "-0.5,oops,0.2"]) == 2
+    capsys.readouterr()
+
+
 def test_catalog_and_checks_listings(capsys):
     assert cli_main(["catalog"]) == 0
     out = capsys.readouterr().out

@@ -7,7 +7,7 @@ from srclab.connections import (OneFormData, covariant_derivative_T,
                                 oneform_derivative, semi_connection, torsion)
 from srclab.errors import DimensionMismatch, OrderExhausted
 from srclab.jets import directional_derivative
-from srclab.manifold import _frame_data, sample_points
+from srclab.manifold import _frame_at, sample_points
 from srclab.parser import parse_manifold
 
 RNG_SEED = 77
@@ -29,7 +29,7 @@ metric rows
 
 
 def metricity_residual(spec, conn, point):
-    data = _frame_data(spec, point)
+    data = _frame_at(spec, point)
     co = conn.coefficients(point)
     resid = (data.fdg - np.einsum("kie,ej->kij", co, data.gv)
              - np.einsum("kje,ei->kij", co, data.gv))
@@ -156,7 +156,7 @@ def test_uniqueness_probe():
         spec = builtin(name).spec
         conn = koszul_connection(spec)
         p = sample_points(spec, 1, RNG_SEED)[0]
-        data = _frame_data(spec, p)
+        data = _frame_at(spec, p)
         co = conn.coefficients(p)
         ell = spec.ell
         for i in range(ell):
@@ -193,7 +193,7 @@ def test_raised_oneform_invariant():
     pi = entry.oneform("linear")
     raised = pi.raised(spec)
     for p in sample_points(spec, 10, RNG_SEED):
-        data = _frame_data(spec, p)
+        data = _frame_at(spec, p)
         piu = np.array([f.jet(p, 0).value for f in raised])
         assert abs(data.gv @ piu - pi.values(p)).max() <= 1e-12
 

@@ -1,12 +1,13 @@
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from srclab.errors import DimensionMismatch, DomainError, OrderExhausted
-from srclab.jets import (Add, Call, Const, Coord, Div, ExprField, Jet, Mul, Neg,
-                         Pow, Sub, VectorField, directional_derivative,
+from srclab.jets import (Add, Call, Const, Coord, Div, ExprField, Jet, JetProgram, Mul,
+                         Neg, Pow, Sub, VectorField, _operands, directional_derivative,
                          fd_crosscheck, jet_eval)
 
 
@@ -147,22 +148,28 @@ def test_fd_crosscheck_examples():
 
 # -- property tests ---------------------------------------------------------
 
-def _exprs(n: int):
+def _exprs(n: int, partial: bool = False):
+    """Random expressions on R^n; ``partial`` adds the operations with a
+    restricted domain (division, negative powers, exp/log/sqrt)."""
     atoms = st.one_of(
         st.integers(-3, 3).map(lambda v: Const(float(v))),
         st.fractions(-2, 2).map(lambda v: Const(float(v))),
         st.integers(0, n - 1).map(Coord),
     )
+    functions = ["sin", "cos"] + (["exp", "log", "sqrt"] if partial else [])
 
     def extend(children):
-        return st.one_of(
+        ops = [
             st.tuples(children, children).map(lambda t: Add(*t)),
             st.tuples(children, children).map(lambda t: Sub(*t)),
             st.tuples(children, children).map(lambda t: Mul(*t)),
             children.map(Neg),
-            st.tuples(children, st.integers(0, 3)).map(lambda t: Pow(*t)),
-            st.tuples(st.sampled_from(["sin", "cos"]), children).map(lambda t: Call(*t)),
-        )
+            st.tuples(children, st.integers(-3 if partial else 0, 3)).map(lambda t: Pow(*t)),
+            st.tuples(st.sampled_from(functions), children).map(lambda t: Call(*t)),
+        ]
+        if partial:
+            ops.append(st.tuples(children, children).map(lambda t: Div(*t)))
+        return st.one_of(*ops)
 
     return st.recursive(atoms, extend, max_leaves=12)
 
@@ -224,3 +231,123 @@ def test_chain_consistency_every_catalog_expression():
                                                  directions[idx % len(directions)],
                                                  1e-5))
     assert worst <= 1e-6
+
+
+# -- compiled programs against the reference evaluator ----------------------
+
+JET_TOL = 1e-14          # relative to max(1, |reference|), fixed before measuring
+
+
+def _free_step2_rank4_text(seed: int) -> str:
+    """A rank-4 free step-2 manifold (dim 10): X_i = dx_i + sum_b f_ib dz_b with
+    polynomial-plus-trig f_ib, metric L L^T + I, a trig-plus-polynomial one-form."""
+    rng = random.Random(seed)
+    xs = [f"x{i}" for i in range(1, 5)]
+    zs = [f"z{i}{j}" for i in range(1, 5) for j in range(i + 1, 5)]
+    coords = xs + zs
+
+    def poly(degrees):
+        terms = ["*".join([repr(rng.randint(1, 16) / 32)]
+                          + [rng.choice(coords) for _ in range(d)]) for d in degrees]
+        return "".join(f" {rng.choice('+-')} {t}" for t in terms).lstrip(" +")
+
+    lines = ["manifold free-step2-r4", "dim 10", "hdim 4", "coords " + " ".join(coords),
+             "hframe"]
+    for x in xs:
+        coeffs = [f"({poly((1, 1, 2, 2, 3))} + 0.25*{rng.choice(('sin', 'cos'))}"
+                  f"({rng.choice(coords)})) d{z}" for z in zs]
+        lines.append(f"  X{x[1:]} = d{x} + " + " + ".join(coeffs))
+    lines += ["vframe"] + [f"  Z{z[1:]} = d{z}" for z in zs]
+    L = {(i, k): poly((0, 1, 2)) for i in range(4) for k in range(i + 1)}
+    g = {(i, j): " + ".join(f"({L[i, k]})*({L[j, k]})" for k in range(j + 1))
+         + (" + 1" if i == j else "") for i in range(4) for j in range(i + 1)}
+    rows = [[g[max(i, j), min(i, j)] for j in range(4)] for i in range(4)]
+    lines += ["metric rows"] + ["  " + ", ".join(row) for row in rows]
+    lines.append("oneform " + ", ".join(f"sin({rng.choice(xs)}) + {poly((1, 2))}"
+                                         for _ in range(4)))
+    return "\n".join(lines) + "\n"
+
+
+def _spec_expressions(spec):
+    exprs = [e for vf in spec.hframe + spec.vframe for e in vf.components]
+    return exprs + [e for row in spec.metric for e in row]
+
+
+def _compiled_cases():
+    from srclab.catalog import builtin, catalog_names
+    from srclab.parser import parse_manifold, parse_scalar_expression
+
+    for name in catalog_names():
+        entry = builtin(name)
+        exprs = _spec_expressions(entry.spec)
+        for variant in entry.pi_variants:
+            exprs += [parse_scalar_expression(t, entry.spec.coords)
+                      for t in variant.expressions]
+        yield name, entry.spec, exprs
+    spec = parse_manifold(_free_step2_rank4_text(11))
+    yield spec.name, spec, _spec_expressions(spec) + list(spec.oneform)
+
+
+COMPILED_CASES = list(_compiled_cases())
+
+
+@pytest.mark.parametrize("name,spec,exprs", COMPILED_CASES,
+                         ids=[case[0] for case in COMPILED_CASES])
+def test_compiled_program_matches_jet_eval(name, spec, exprs):
+    from srclab.manifold import sample_points
+
+    program = JetProgram(exprs, spec.n, hessians=range(len(exprs)))
+    points = sample_points(spec, 200, 31)
+    batch = program.run(points)
+    assert batch.errors == {}
+    for i, p in enumerate(points):
+        for k, expr in enumerate(exprs):
+            ref = jet_eval(expr, p, 2)
+            for got, want in ((batch.values[i, k], ref.value), (batch.grads[i, k], ref.grad),
+                              (batch.hessians[i, k], ref.hess)):
+                scale = max(1.0, float(np.abs(want).max()))
+                assert np.abs(got - want).max() <= JET_TOL * scale, (name, k, i)
+    nodes = 0
+    stack = list(exprs)
+    while stack:
+        nodes += 1
+        stack.extend(_operands(stack.pop()))
+    assert len(program.ops) < nodes         # shared subtrees and folded constants
+
+
+def test_compiled_program_hessians_only_where_asked():
+    x, y = Coord(0), Coord(1)
+    exprs = [Mul(x, y), Call("sin", x), Const(2.0), Mul(x, y)]
+    program = JetProgram(exprs, 2, hessians=[3, 2])
+    batch = program.run(np.array([[0.5, -0.25], [0.1, 0.2]]))
+    assert batch.hessians.shape == (2, 2, 2, 2)
+    assert batch.hessians[:, 0].tolist() == [[[0.0, 1.0], [1.0, 0.0]]] * 2
+    assert not batch.hessians[:, 1].any()
+    assert batch.values[:, 2].tolist() == [2.0, 2.0]
+    assert len(program.ops) == 4            # x, y, x*y (shared), sin x
+
+
+def test_compiled_program_rejects_what_jet_eval_rejects():
+    with pytest.raises(DimensionMismatch):
+        JetProgram([Coord(3)], 2)
+    with pytest.raises(KeyError):
+        JetProgram([Call("tan", Coord(0))], 1)
+    with pytest.raises(DimensionMismatch):
+        JetProgram([Coord(0)], 2).run(np.zeros((3, 3)))
+
+
+dyadic2 = st.tuples(*[st.integers(-16, 16).map(lambda k: k / 16)] * 2)
+
+
+@given(_exprs(2, partial=True), st.lists(dyadic2, min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_compiled_domain_errors_match_jet_eval(expr, points):
+    want = {}
+    for i, p in enumerate(points):
+        try:
+            jet_eval(expr, p, 2)
+        except DomainError as exc:
+            want[i] = (0, str(exc))
+        except OverflowError:
+            assume(False)
+    assert JetProgram([expr], 2).run(np.array(points)).errors == want

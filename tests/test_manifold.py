@@ -1,11 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from srclab.catalog import builtin, catalog_names
-from srclab.errors import MetricNotSPD, SingularFrame, ValidationError
+from srclab.errors import DomainError, MetricNotSPD, SingularFrame, ValidationError
 from srclab.jets import Const, Coord, Mul
-from srclab.manifold import (ManifoldSpec, VectorFieldSpec, lie_bracket,
-                             project_h, sample_points, snapshot)
+from srclab.manifold import (FramePointData, ManifoldSpec, VectorFieldSpec, _frame_data,
+                             lie_bracket, project_h, sample_points, snapshot)
 from srclab.parser import parse_manifold
 
 RNG_SEED = 1234
@@ -143,6 +145,49 @@ metric identity
     with pytest.raises(SingularFrame):
         snapshot(spec, np.array([0.0, 0.2, 0.3]))
     snapshot(spec, np.array([0.5, 0.2, 0.3]))
+    # in one batch the singular point is marked alone
+    bad, good = _frame_data(spec, np.array([[0.0, 0.2, 0.3], [0.5, 0.2, 0.3]]))
+    assert isinstance(bad, SingularFrame)
+    assert isinstance(good, FramePointData)
+
+
+def test_batch_errors_per_point_in_precedence_order():
+    """Frame expression, then determinant, then condition number, then metric
+    expression, then Cholesky: each point reports the first that applies."""
+    text = """\
+manifold precedence
+dim 3
+hdim 2
+coords x y z
+hframe
+  X1 = x*sqrt(y) dx
+  X2 = dy
+vframe
+  Z = dz
+metric rows
+  x + sqrt(z), 0
+  0, 1
+"""
+    spec = parse_manifold(text)
+    want = [
+        ((0, -1, -1), DomainError("sqrt of negative value -1.0")),
+        ((0, 1, -1), SingularFrame(
+            "frame determinant 0.000e+00 below threshold at [0.0, 1.0, -1.0]")),
+        ((1e-13, 1, -1), SingularFrame(
+            "frame condition number 1.000e+13 at [1e-13, 1.0, -1.0]")),
+        ((-1, 1, -0.25), DomainError("sqrt of negative value -0.25")),
+        ((-1, 1, 0.25), MetricNotSPD(
+            "Gram matrix not positive definite at [-1.0, 1.0, 0.25]")),
+        ((1, 1, 0.25), None),
+    ]
+    points = np.array([p for p, _ in want], dtype=float)
+    for got, (p, err) in zip(_frame_data(spec, points), want):
+        if err is None:
+            assert isinstance(got, FramePointData)
+            continue
+        assert (type(got), str(got)) == (type(err), str(err)), p
+        with pytest.raises(type(err), match=re.escape(str(err))):
+            snapshot(spec, np.array(p, dtype=float))
 
 
 def test_metric_not_spd_raises():
@@ -164,6 +209,9 @@ metric rows
     with pytest.raises(MetricNotSPD):
         snapshot(spec, np.array([-0.5, 0.0, 0.0]))
     snapshot(spec, np.array([0.5, 0.0, 0.0]))
+    overflowing = parse_manifold(text.replace("  x, 0", "  exp(1000*x), 0"))
+    with pytest.raises(MetricNotSPD):
+        snapshot(overflowing, np.array([0.9, 0.0, 0.0]))
 
 
 def test_manifold_validation():

@@ -131,8 +131,16 @@ def test_involutive_check_counts_points():
 
 
 def test_evaluation_errors_mark_checks_failed_without_aborting():
-    text = """\
-manifold sqrt-domain
+    """An error at a sample marks every check there failed and skips only that
+    point: 4 of the 10 samples have x < 0."""
+    cases = {
+        "1 + sqrt(x), 0": "C01: DomainError: sqrt of negative value -0.9669447289429418",
+        "x, 0": "C01: MetricNotSPD: Gram matrix not positive definite at "
+                "[-0.9669447289429418, 0.6265404784005448, 0.8255111545554434]",
+    }
+    for metric_row, first_warning in cases.items():
+        spec = parse_manifold(f"""\
+manifold per-point-errors
 dim 3
 hdim 2
 coords x y z
@@ -142,14 +150,17 @@ hframe
 vframe
   Z = dz
 metric rows
-  1 + sqrt(x), 0
+  {metric_row}
   0, 1
-"""
-    spec = parse_manifold(text)       # sqrt(x) raises on negative samples
-    report = run_suite(spec, None, SuiteConfig(points=10, seed=0))
-    assert any(not r.passed and not r.skipped for r in report.checks)
-    assert report.warnings
-    assert not report.passed()
+""")
+        report = run_suite(spec, None, SuiteConfig(points=10, seed=0))
+        assert {r.id for r in report.checks if r.skipped} == {"C12", "C13", "C15"}
+        for r in report.checks:
+            if not r.skipped:
+                assert r.points_evaluated == 6 and not r.passed, (metric_row, r.id)
+        assert len(report.warnings) == 15
+        assert report.warnings[0] == first_warning
+        assert not report.passed()
 
 
 def test_group_manifold_verdicts():
