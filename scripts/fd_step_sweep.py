@@ -14,8 +14,9 @@ import argparse
 import numpy as np
 
 from srclab.catalog import builtin
-from srclab.jets import ExprField, fd_crosscheck
+from srclab.jets import fd_crosscheck
 from srclab.manifold import sample_points
+from srclab.parser import parse_scalar_expression
 
 STEPS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-10)
 
@@ -28,7 +29,6 @@ def main():
 
     entry = builtin(args.builtin)
     spec = entry.spec
-    from srclab.parser import parse_scalar_expression
     exprs = [e for row in spec.metric for e in row]
     exprs += [e for vf in spec.hframe for e in vf.components]
     for variant in entry.pi_variants:
@@ -40,9 +40,8 @@ def main():
     for step in STEPS:
         worst = 0.0
         for expr in exprs:
-            field = ExprField(expr, spec.n)
             for frame in spec.hframe:
-                worst = max(worst, fd_crosscheck(field, point, frame.as_field(), step))
+                worst = max(worst, fd_crosscheck(expr, point, frame.components, step))
         print(f"{step:8.0e}  {worst:.3e}")
 
 

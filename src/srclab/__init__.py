@@ -14,13 +14,12 @@ from .curvature import (CharacteristicTensor, CurvatureBundle,
                         conformal_tensor, curvature_relation_terms,
                         projective_difference_formula, projective_tensor,
                         s_tensor, schouten_curvature)
-from .errors import (DimensionMismatch, DomainError, MetricNotSPD, OrderExhausted,
-                     ParseError, RankTooSmall, SingularFrame, SrclabError,
-                     UnknownEntry, ValidationError)
-from .jets import (Expression, ExprField, Jet, ScalarField, VectorField,
-                   directional_derivative, fd_crosscheck, jet_eval)
-from .manifold import (FrameSnapshot, ManifoldSpec, VectorFieldSpec, lie_bracket,
-                       project_h, sample_points, snapshot)
+from .errors import (DimensionMismatch, DomainError, MetricNotSPD, ParseError,
+                     RankTooSmall, SingularFrame, SrclabError, UnknownEntry,
+                     ValidationError)
+from .jets import Expression, Jet, fd_crosscheck, jet_eval
+from .manifold import (FrameSnapshot, ManifoldSpec, VectorFieldSpec, project_h,
+                       sample_points, snapshot)
 from .parser import (SpecDocument, parse_document, parse_manifold,
                      parse_scalar_expression, serialize_document,
                      serialize_manifold)

@@ -21,7 +21,7 @@ from .connections import (OneFormData, koszul_connection, semi_connection,
                           torsion)
 from .curvature import (characteristic_tensor, conformal_tensor,
                         projective_tensor, s_tensor, schouten_curvature)
-from .errors import ParseError, SrclabError, ValidationError
+from .errors import DomainError, ParseError, SrclabError, ValidationError
 from .manifold import snapshot
 from .parser import parse_manifold, parse_scalar_expression
 from .verifier import CHECKS, SuiteConfig, run_suite
@@ -74,13 +74,24 @@ def _load_spec(args):
     return parse_manifold(text), frozenset()
 
 
+def _numbers(text: str, what: str) -> np.ndarray:
+    """Comma-separated finite numbers, else a ValidationError naming ``what``."""
+    try:
+        values = np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        raise ValidationError(f"{what} needs comma-separated numbers, got {text!r}") from None
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{what} needs finite numbers, got {text!r}")
+    return values
+
+
 def _load_pi(arg: str | None, spec) -> OneFormData | None:
     if arg is None:
         if spec.oneform is not None:     # the file's bundled one-form is the default
             return OneFormData.from_expressions(spec.oneform, spec.n)
         return None
     if arg.startswith("const:"):
-        values = [float(v) for v in arg[len("const:"):].split(",")]
+        values = _numbers(arg[len("const:"):], "--pi const")
         if len(values) != spec.ell:
             raise ValidationError(
                 f"--pi const needs {spec.ell} components, got {len(values)}")
@@ -124,10 +135,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_eval(args) -> int:
     spec, _ = _load_spec(args)
-    try:
-        point = np.array([float(v) for v in args.point.split(",")])
-    except ValueError:
-        raise ValidationError(f"--point needs comma-separated numbers, got {args.point!r}") from None
+    point = _numbers(args.point, "--point")
     if point.shape != (spec.n,):
         raise ValidationError(f"--point needs {spec.n} coordinates")
     pi = _load_pi(args.pi, spec) or OneFormData.zero(spec.ell, spec.n)
@@ -164,6 +172,8 @@ def _cmd_eval(args) -> int:
         value = characteristic_tensor(spec, pi, point).pi_lower
     else:
         value = characteristic_tensor(spec, pi, point).alpha
+    if not np.isfinite(value).all():
+        raise DomainError(f"{name} is not finite at {point.tolist()}")
     if isinstance(value, float):
         print(f"{value:.17g}")
     else:

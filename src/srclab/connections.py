@@ -13,9 +13,12 @@ solving, pointwise,
 which keeps the connection metric and turns the torsion into
 T_ij^k = delta_i^k pi_j - delta_j^k pi_i.
 
-Coefficients are exposed both as cached pointwise tensors (with coordinate
-gradients, so curvature can take frame derivatives) and as lazily evaluated
-scalar fields supporting order-1 jets.
+Coefficients are pointwise tensors with coordinate gradients, so curvature
+can take frame derivatives.  The Koszul coefficients are computed once per
+point and kept with the point's frame data (``FramePointData.koszul``); the
+semi-symmetric ones add the one-form terms to them.  A one-form's
+components are expressions, compiled once into a
+:class:`~srclab.jets.JetProgram`.
 """
 from __future__ import annotations
 
@@ -25,128 +28,88 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .jets import ConstField, ExprField, Jet, ScalarField
-from .manifold import FramePointData, ManifoldSpec, _frame_at
+from .errors import DimensionMismatch, DomainError
+from .jets import Const, Expression, JetProgram
+from .manifold import CoefficientJets, FramePointData, ManifoldSpec, _frame_at, _memo_at
+
+
+class OneFormComponent(NamedTuple):
+    """One component pi_i as an expression on R^n."""
+
+    expr: Expression
+    n: int
 
 
 @dataclass(frozen=True)
 class OneFormData:
-    """Horizontal coframe components pi_i of a one-form, as scalar fields."""
+    """Horizontal coframe components pi_i of a one-form, as expressions on R^n.
 
-    components: tuple[ScalarField, ...]
+    Their jets are kept per point in ``_cache``, like the spec's frame data,
+    and ``with_frame_data`` can fill it in batches through ``_batch``.
+    """
+
+    exprs: tuple[Expression, ...]
+    n: int
+    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def ell(self) -> int:
-        return len(self.components)
+        return len(self.exprs)
 
     @property
-    def n(self) -> int:
-        return self.components[0].n
+    def components(self) -> tuple[OneFormComponent, ...]:
+        """The components as (expr, n) records, the form perfbench/inputs.py reads."""
+        return tuple(OneFormComponent(e, self.n) for e in self.exprs)
 
     @classmethod
     def from_expressions(cls, exprs, n: int) -> "OneFormData":
-        return cls(tuple(ExprField(e, n) for e in exprs))
+        return cls(tuple(exprs), n)
 
     @classmethod
     def constant(cls, values, n: int) -> "OneFormData":
-        return cls(tuple(ConstField(v, n) for v in values))
+        return cls(tuple(Const(float(v)) for v in values), n)
 
     @classmethod
     def zero(cls, ell: int, n: int) -> "OneFormData":
         return cls.constant([0.0] * ell, n)
 
-    def values(self, point) -> np.ndarray:
-        return np.array([c.jet(point, 0).value for c in self.components])
+    @cached_property
+    def _jet_program(self) -> JetProgram:
+        return JetProgram(self.exprs, self.n)
+
+    def _batch(self, points) -> list:
+        """(values, grads) at every row of ``points`` from one run, or the
+        DomainError of a row where a component leaves its domain or is not finite."""
+        batch = self._jet_program.run(points)
+        finite = np.isfinite(batch.values).all(axis=1) & np.isfinite(batch.grads).all(axis=(1, 2))
+        return [DomainError(batch.errors[i][1]) if i in batch.errors
+                else (batch.values[i], batch.grads[i]) if finite[i]
+                else DomainError(f"one-form not finite at {p.tolist()}")
+                for i, p in enumerate(points)]
 
     def jets(self, point):
-        js = [c.jet(point, 1) for c in self.components]
-        return (np.array([j.value for j in js]),
-                np.stack([j.grad for j in js]))
+        """Values (ell,) and coordinate gradients (ell, n) at one point."""
+        return _memo_at(self._cache, np.asarray(point, dtype=float), self._batch)
 
-    def is_zero(self) -> bool:
-        return all(isinstance(c, ConstField) and c.const == 0.0 for c in self.components)
-
-    def raised(self, spec: ManifoldSpec) -> tuple[ScalarField, ...]:
-        """pi^i = g^{ij} pi_j as lazily evaluated fields (order <= 1)."""
-        return tuple(_RaisedComponent(spec, self, i) for i in range(self.ell))
-
-
-class _RaisedComponent(ScalarField):
-    def __init__(self, spec, pi, index):
-        self.spec = spec
-        self.pi = pi
-        self.index = index
-        self.n = spec.n
-        self.max_order = 1
-
-    def jet(self, point, order):
-        self._guard(order)
-        data = _frame_at(self.spec, np.asarray(point, dtype=float))
-        piv, pig = self.pi.jets(point)
-        vals = data.ginv @ piv
-        if order == 0:
-            return Jet(self.n, 0, vals[self.index])
-        grads = np.einsum("ier,e->ir", data.ginv_g, piv) + data.ginv @ pig
-        return Jet(self.n, 1, vals[self.index], grads[self.index])
-
-
-class CoefficientJets(NamedTuple):
-    values: np.ndarray   # (ell, ell, ell): coeff[i, j, k] along e_k of D_{e_i} e_j
-    grads: np.ndarray    # (ell, ell, ell, n): coordinate derivatives
-
-
-def _koszul_jets(data: FramePointData) -> CoefficientJets:
-    fdg, fdg_g, gv, gg, Om, Om_g = data.fdg, data.fdg_g, data.gv, data.gg, data.Om, data.Om_g
-    B = (fdg + fdg.transpose(1, 0, 2) - fdg.transpose(2, 1, 0)
-         + np.einsum("ije,ek->ijk", Om, gv)
-         - np.einsum("ike,ej->ijk", Om, gv)
-         - np.einsum("jke,ei->ijk", Om, gv))
-    B_g = (fdg_g + fdg_g.transpose(1, 0, 2, 3) - fdg_g.transpose(2, 1, 0, 3)
-           + np.einsum("ijer,ek->ijkr", Om_g, gv) + np.einsum("ije,ekr->ijkr", Om, gg)
-           - np.einsum("iker,ej->ijkr", Om_g, gv) - np.einsum("ike,ejr->ijkr", Om, gg)
-           - np.einsum("jker,ei->ijkr", Om_g, gv) - np.einsum("jke,eir->ijkr", Om, gg))
-    values = 0.5 * np.einsum("ijk,kh->ijh", B, data.ginv)
-    grads = 0.5 * (np.einsum("ijkr,kh->ijhr", B_g, data.ginv)
-                   + np.einsum("ijk,khr->ijhr", B, data.ginv_g))
-    return CoefficientJets(values, grads)
+    def values(self, point) -> np.ndarray:
+        return self.jets(point)[0]
 
 
 def _semi_jets(data: FramePointData, pi: OneFormData, point) -> CoefficientJets:
-    base = _koszul_jets(data)
-    ell = data.gv.shape[0]
     piv, pig = pi.jets(point)
     piu = data.ginv @ piv
     piu_g = np.einsum("ker,e->kr", data.ginv_g, piv) + data.ginv @ pig
-    eye = np.eye(ell)
+    eye = np.eye(len(piv))
     A = np.einsum("ik,j->ijk", eye, piv) - np.einsum("ij,k->ijk", data.gv, piu)
     A_g = (np.einsum("ik,jr->ijkr", eye, pig)
            - np.einsum("ijr,k->ijkr", data.gg, piu)
            - np.einsum("ij,kr->ijkr", data.gv, piu_g))
-    return CoefficientJets(base.values + A, base.grads + A_g)
-
-
-class _CoefficientField(ScalarField):
-    """Single connection coefficient as an evaluable field (order <= 1)."""
-
-    def __init__(self, conn, i, j, k):
-        self.conn = conn
-        self.ijk = (i, j, k)
-        self.n = conn.spec.n
-        self.max_order = 1
-
-    def jet(self, point, order):
-        self._guard(order)
-        jets = self.conn.coefficient_jets(point)
-        i, j, k = self.ijk
-        if order == 0:
-            return Jet(self.n, 0, jets.values[i, j, k])
-        return Jet(self.n, 1, jets.values[i, j, k], jets.grads[i, j, k])
+    return CoefficientJets(data.koszul.values + A, data.koszul.grads + A_g)
 
 
 @dataclass(frozen=True, eq=False)
 class ConnectionField:
-    """A nonholonomic connection with lazily evaluated coefficients.
+    """A nonholonomic connection, evaluated point by point.
 
     kind 'subriemannian': the Koszul connection (metric, torsion-free).
     kind 'semisubriemannian': the transformed connection D with one-form pi.
@@ -157,25 +120,18 @@ class ConnectionField:
     oneform: OneFormData | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def ell(self) -> int:
-        return self.spec.ell
-
     def coefficient_jets(self, point) -> CoefficientJets:
         p = np.asarray(point, dtype=float)
+        if self.kind == "subriemannian":
+            return _frame_at(self.spec, p).koszul
         key = p.tobytes()
         hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        data = _frame_at(self.spec, p)
-        if self.kind == "subriemannian":
-            jets = _koszul_jets(data)
-        else:
-            jets = _semi_jets(data, self.oneform, p)
-        if len(self._cache) > 8192:
-            self._cache.clear()
-        self._cache[key] = jets
-        return jets
+        if hit is None:
+            hit = _semi_jets(_frame_at(self.spec, p), self.oneform, p)
+            if len(self._cache) > 8192:
+                self._cache.clear()
+            self._cache[key] = hit
+        return hit
 
     def coefficients(self, point) -> np.ndarray:
         return self.coefficient_jets(point).values
@@ -185,15 +141,7 @@ class ConnectionField:
         p = np.asarray(point, dtype=float)
         data = _frame_at(self.spec, p)
         grads = self.coefficient_jets(p).grads
-        return np.einsum("mi,jkhm->ijkh", data.Ev[:, : self.ell], grads)
-
-    @cached_property
-    def coeff(self):
-        ell = self.ell
-        return tuple(tuple(tuple(_CoefficientField(self, i, j, k)
-                                 for k in range(ell))
-                           for j in range(ell))
-                     for i in range(ell))
+        return np.einsum("mi,jkhm->ijkh", data.Ev[:, : self.spec.ell], grads)
 
 
 def koszul_connection(spec: ManifoldSpec) -> ConnectionField:
@@ -217,14 +165,18 @@ def torsion(conn: ConnectionField, point) -> np.ndarray:
     return co - co.transpose(1, 0, 2) - data.Om
 
 
+def _covariant_oneform(data: FramePointData, co, pi: OneFormData, point) -> np.ndarray:
+    """e_i(pi_j) - co[i, j, k] pi_k for connection coefficients co."""
+    piv, pig = pi.jets(point)
+    fd_pi = np.einsum("mi,jm->ij", data.Ev[:, : len(co)], pig)
+    return fd_pi - np.einsum("ijk,k->ij", co, piv)
+
+
 def nabla_oneform(spec: ManifoldSpec, pi: OneFormData, point) -> np.ndarray:
     """Koszul covariant derivative of pi: e_i(pi_j) - {_ij^k} pi_k."""
     p = np.asarray(point, dtype=float)
     data = _frame_at(spec, p)
-    piv, pig = pi.jets(p)
-    co = _koszul_jets(data).values
-    fd_pi = np.einsum("mi,jm->ij", data.Ev[:, : spec.ell], pig)
-    return fd_pi - np.einsum("ijk,k->ij", co, piv)
+    return _covariant_oneform(data, data.koszul.values, pi, p)
 
 
 def oneform_derivative(conn: ConnectionField, point) -> np.ndarray:
@@ -233,21 +185,17 @@ def oneform_derivative(conn: ConnectionField, point) -> np.ndarray:
         raise DimensionMismatch("connection carries no one-form")
     p = np.asarray(point, dtype=float)
     data = _frame_at(conn.spec, p)
-    piv, pig = conn.oneform.jets(p)
-    co = conn.coefficients(p)
-    fd_pi = np.einsum("mi,jm->ij", data.Ev[:, : conn.ell], pig)
-    return fd_pi - np.einsum("ijk,k->ij", co, piv)
+    return _covariant_oneform(data, conn.coefficients(p), conn.oneform, p)
 
 
 def covariant_derivative_T(conn: ConnectionField, point) -> np.ndarray:
     """(D_i T)_jk^h for the connection's own torsion, index order [i][j][k][h]."""
     p = np.asarray(point, dtype=float)
     data = _frame_at(conn.spec, p)
-    jets = conn.coefficient_jets(p)
-    Tv = jets.values - jets.values.transpose(1, 0, 2) - data.Om
-    Tg = jets.grads - jets.grads.transpose(1, 0, 2, 3) - data.Om_g
-    eT = np.einsum("mi,jkhm->ijkh", data.Ev[:, : conn.ell], Tg)
-    co = jets.values
+    co, co_g = conn.coefficient_jets(p)
+    Tv = co - co.transpose(1, 0, 2) - data.Om
+    Tg = co_g - co_g.transpose(1, 0, 2, 3) - data.Om_g
+    eT = np.einsum("mi,jkhm->ijkh", data.Ev[:, : conn.spec.ell], Tg)
     return (eT
             + np.einsum("ieh,jke->ijkh", co, Tv)
             - np.einsum("ije,ekh->ijkh", co, Tv)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .connections import ConnectionField, OneFormData, nabla_oneform
 from .errors import RankTooSmall
-from .manifold import ManifoldSpec, _frame_at
+from .manifold import ManifoldSpec, _frame_at, _mirror_pair_antisym
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,6 @@ class CurvatureBundle:
     lowered: np.ndarray    # curv[i, j, k, e] g[e, h]
     bianchi_residual: float
 
-    @property
-    def ell(self) -> int:
-        return self.curv.shape[0]
-
     def second_contraction(self) -> np.ndarray:
         """ric2[i, k] = curv[i, k, e, e]; antisymmetric only for torsion-free kinds."""
         return np.einsum("ikee->ik", self.curv)
@@ -55,25 +51,20 @@ def curvature_components_raw(conn: ConnectionField, point) -> np.ndarray:
     data = _frame_at(conn.spec, p)
     co = conn.coefficients(p)
     dco = conn.frame_derivatives(p)
-    curv = (dco - dco.transpose(1, 0, 2, 3)
+    return (dco - dco.transpose(1, 0, 2, 3)
             + np.einsum("jke,ieh->ijkh", co, co)
             - np.einsum("ike,jeh->ijkh", co, co)
-            - np.einsum("ije,ekh->ijkh", data.Om, co))
-    if data.Lam.shape[0]:
-        curv = curv - np.einsum("ijb,bkh->ijkh", data.Mc, data.Lam)
-    return curv
+            - np.einsum("ije,ekh->ijkh", data.Om, co)
+            - np.einsum("ijb,bkh->ijkh", data.Mc, data.Lam))
 
 
 def schouten_curvature(conn: ConnectionField, point) -> CurvatureBundle:
     """Curvature bundle of a connection: tensor, Ricci trace, scalar, lowered."""
     p = np.asarray(point, dtype=float)
     data = _frame_at(conn.spec, p)
-    ell = conn.ell
+    ell = conn.spec.ell
     curv = curvature_components_raw(conn, p)
-    for i in range(ell):            # exact antisymmetry in (i, j) by construction
-        curv[i, i] = 0.0
-        for j in range(i + 1, ell):
-            curv[j, i] = -curv[i, j]
+    _mirror_pair_antisym(curv.transpose(2, 3, 0, 1), None, ell)    # exact in (i, j)
     ricci = np.einsum("ieke->ik", curv)
     scalar = float(np.einsum("ik,ik->", data.ginv, ricci))
     lowered = np.einsum("ijke,eh->ijkh", curv, data.gv)
@@ -107,6 +98,18 @@ def _require_rank(ell: int, minimum: int, what: str):
         raise RankTooSmall(f"{what} needs horizontal rank >= {minimum}, got {ell}")
 
 
+def delta_g(A, gv=None, B=None) -> np.ndarray:
+    """delta_j^h A_ik - delta_i^h A_jk, plus g_ik B_j^h - g_jk B_i^h when B is given.
+
+    The pattern every tensor below is assembled from; ``delta_g(g)`` is
+    delta_j^h g_ik - delta_i^h g_jk.
+    """
+    t = np.einsum("ik,jh->ijkh", A, np.eye(len(A)))
+    if B is not None:
+        t = t + np.einsum("ik,jh->ijkh", gv, B)
+    return t - t.transpose(1, 0, 2, 3)
+
+
 def s_tensor(bundle: CurvatureBundle, spec: ManifoldSpec, point) -> np.ndarray:
     """The curvature/Ricci/scalar combination invariant under the transformation.
 
@@ -117,15 +120,9 @@ def s_tensor(bundle: CurvatureBundle, spec: ManifoldSpec, point) -> np.ndarray:
     ell = spec.ell
     _require_rank(ell, 3, "s_tensor")
     data = _frame_at(spec, np.asarray(point, dtype=float))
-    gv, eye = data.gv, np.eye(ell)
-    ric = bundle.ricci
-    ric_up = ric @ data.ginv
-    return (bundle.curv
-            - (np.einsum("ik,jh->ijkh", ric, eye) - np.einsum("jk,ih->ijkh", ric, eye)
-               + np.einsum("ik,jh->ijkh", gv, ric_up) - np.einsum("jk,ih->ijkh", gv, ric_up)
-               ) / (ell - 2)
-            + bundle.scalar / ((ell - 1) * (ell - 2))
-            * (np.einsum("ik,jh->ijkh", gv, eye) - np.einsum("jk,ih->ijkh", gv, eye)))
+    gv, ric = data.gv, bundle.ricci
+    return (bundle.curv - delta_g(ric, gv, ric @ data.ginv) / (ell - 2)
+            + bundle.scalar / ((ell - 1) * (ell - 2)) * delta_g(gv))
 
 
 def conformal_tensor(bundle: CurvatureBundle, spec: ManifoldSpec, point) -> np.ndarray:
@@ -133,24 +130,16 @@ def conformal_tensor(bundle: CurvatureBundle, spec: ManifoldSpec, point) -> np.n
     ell = spec.ell
     _require_rank(ell, 3, "conformal_tensor")
     data = _frame_at(spec, np.asarray(point, dtype=float))
-    gv, eye = data.gv, np.eye(ell)
+    gv = data.gv
     ric2 = bundle.second_contraction()
     A = bundle.ricci - ric2 / ell - bundle.scalar / (2 * (ell - 1)) * gv
-    A_up = A @ data.ginv
-    return (bundle.curv
-            - (np.einsum("ik,jh->ijkh", A, eye) - np.einsum("jk,ih->ijkh", A, eye)
-               + np.einsum("ik,jh->ijkh", gv, A_up) - np.einsum("jk,ih->ijkh", gv, A_up)
-               ) / (ell - 2)
-            + np.einsum("ij,kh->ijkh", ric2, eye) / ell)
+    return (bundle.curv - delta_g(A, gv, A @ data.ginv) / (ell - 2)
+            + np.einsum("ij,kh->ijkh", ric2, np.eye(ell)) / ell)
 
 
 def projective_tensor(bundle: CurvatureBundle, spec: ManifoldSpec, point) -> np.ndarray:
     """W^h_ijk = curv - (1/(ell-1))(delta_j^h ric_ik - delta_i^h ric_jk)."""
-    ell = spec.ell
-    eye = np.eye(ell)
-    ric = bundle.ricci
-    return bundle.curv - (np.einsum("ik,jh->ijkh", ric, eye)
-                          - np.einsum("jk,ih->ijkh", ric, eye)) / (ell - 1)
+    return bundle.curv - delta_g(bundle.ricci) / (spec.ell - 1)
 
 
 def curvature_relation_terms(ct: CharacteristicTensor, spec: ManifoldSpec, point) -> np.ndarray:
@@ -159,11 +148,7 @@ def curvature_relation_terms(ct: CharacteristicTensor, spec: ManifoldSpec, point
     Added to the torsion-free curvature this yields the transformed one.
     """
     data = _frame_at(spec, np.asarray(point, dtype=float))
-    eye = np.eye(spec.ell)
-    return (np.einsum("ik,jh->ijkh", ct.pi_lower, eye)
-            - np.einsum("jk,ih->ijkh", ct.pi_lower, eye)
-            + np.einsum("ik,jh->ijkh", data.gv, ct.pi_mixed)
-            - np.einsum("jk,ih->ijkh", data.gv, ct.pi_mixed))
+    return delta_g(ct.pi_lower, data.gv, ct.pi_mixed)
 
 
 def conformal_difference_formula(ct: CharacteristicTensor, spec: ManifoldSpec,
@@ -181,15 +166,11 @@ def conformal_difference_formula(ct: CharacteristicTensor, spec: ManifoldSpec,
     ell = spec.ell
     _require_rank(ell, 3, "conformal_difference_formula")
     data = _frame_at(spec, np.asarray(point, dtype=float))
-    gv, eye = data.gv, np.eye(ell)
-    return (-(np.einsum("ik,jh->ijkh", ct.pi_lower, eye)
-              - np.einsum("jk,ih->ijkh", ct.pi_lower, eye)
-              + np.einsum("ik,jh->ijkh", gv, ct.pi_mixed)
-              - np.einsum("jk,ih->ijkh", gv, ct.pi_mixed)) / ell
-            - 2 * ct.alpha / (ell * (ell - 2))
-            * (np.einsum("ik,jh->ijkh", gv, eye) - np.einsum("jk,ih->ijkh", gv, eye))
-            - (ell - 2) / ell * np.einsum("ij,kh->ijkh", ct.pi_lower, eye)
-            - ct.alpha / ell * np.einsum("ij,kh->ijkh", gv, eye))
+    gv = data.gv
+    return (-delta_g(ct.pi_lower, gv, ct.pi_mixed) / ell
+            - 2 * ct.alpha / (ell * (ell - 2)) * delta_g(gv)
+            - np.einsum("ij,kh->ijkh", (ell - 2) * ct.pi_lower + ct.alpha * gv,
+                        np.eye(ell)) / ell)
 
 
 def projective_difference_formula(ct: CharacteristicTensor, spec: ManifoldSpec,
@@ -200,15 +181,8 @@ def projective_difference_formula(ct: CharacteristicTensor, spec: ManifoldSpec,
     + (g_ik pi_j^h - g_jk pi_i^h)
     - alpha/(ell-1) (delta_j^h g_ik - delta_i^h g_jk).
     """
-    ell = spec.ell
-    data = _frame_at(spec, np.asarray(point, dtype=float))
-    gv, eye = data.gv, np.eye(ell)
-    return ((np.einsum("ik,jh->ijkh", ct.pi_lower, eye)
-             - np.einsum("jk,ih->ijkh", ct.pi_lower, eye)) / (ell - 1)
-            + np.einsum("ik,jh->ijkh", gv, ct.pi_mixed)
-            - np.einsum("jk,ih->ijkh", gv, ct.pi_mixed)
-            - ct.alpha / (ell - 1)
-            * (np.einsum("ik,jh->ijkh", gv, eye) - np.einsum("jk,ih->ijkh", gv, eye)))
+    gv = _frame_at(spec, np.asarray(point, dtype=float)).gv
+    return delta_g((ct.pi_lower - ct.alpha * gv) / (spec.ell - 1), gv, ct.pi_mixed)
 
 
 def flatness_characteristic_form(bundle: CurvatureBundle, spec: ManifoldSpec,

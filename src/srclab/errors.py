@@ -13,10 +13,6 @@ class DimensionMismatch(SrclabError):
     """Operands disagree in ambient dimension or jet order."""
 
 
-class OrderExhausted(SrclabError):
-    """A derived field was asked for more derivative orders than its inputs carry."""
-
-
 class SingularFrame(SrclabError):
     """Frame matrix not invertible at the evaluation point."""
 

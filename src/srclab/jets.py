@@ -1,4 +1,4 @@
-"""Truncated Taylor-jet arithmetic (orders 0..2) and evaluable scalar fields.
+"""Truncated Taylor-jet arithmetic (orders 0..2) on expression trees.
 
 A ``Jet`` carries the value, gradient and symmetric Hessian of a scalar
 quantity at one point of R^n.  Propagating jets through an expression tree
@@ -8,12 +8,8 @@ as cross-checks (:func:`fd_crosscheck`).
 :class:`JetProgram` compiles a list of expressions once into a flat op list
 (shared subtrees once, constants folded) and evaluates it on a whole (P, n)
 array of points, the same arithmetic with a leading point axis; frame data
-is built from it.  :func:`jet_eval`, the one-point recursive walk, is the
-reference the tests hold the compiled programs to.
-
-Scalar fields are anything with ``.jet(point, order)``; expression-backed
-fields support order 2, and each directional derivative consumes one order
-(asking for more raises :class:`OrderExhausted`).
+and one-forms are evaluated through it.  :func:`jet_eval`, the one-point
+recursive walk, is the reference the tests hold the compiled programs to.
 """
 from __future__ import annotations
 
@@ -23,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, OrderExhausted
+from .errors import DimensionMismatch, DomainError
 
 MAX_ORDER = 2
 
@@ -66,12 +62,6 @@ class Jet:
         if order >= 2:
             hess = np.zeros((n, n))
         return Jet(n, order, value, grad, hess)
-
-    def truncated(self, order):
-        """Drop derivative data above ``order`` (no recomputation)."""
-        if order > self.order:
-            raise OrderExhausted(f"jet holds order {self.order}, asked for {order}")
-        return Jet(self.n, order, self.value, self.grad, self.hess)
 
     def _check(self, other):
         if self.n != other.n:
@@ -509,6 +499,7 @@ class JetProgram:
                          for j, (code, x, y, owner) in enumerate(ops))
         self._const_values = np.array([r if isinstance(r, float) else 0.0 for r in refs])
         self._n_hess = len(hessians)
+        self._eye = np.eye(n)
 
     def run(self, points) -> JetBatch:
         """Values, gradients and the requested Hessians at every row of ``points``."""
@@ -519,7 +510,6 @@ class JetProgram:
         values = np.repeat(self._const_values[None], P, axis=0)
         grads = np.zeros((P, len(self._const_values), n))
         hess = np.zeros((P, self._n_hess, n, n))
-        eye = np.eye(n)
         failed = np.zeros(P, dtype=bool)
         errors: dict = {}
 
@@ -537,7 +527,7 @@ class JetProgram:
             for j, (code, x, y, owner, need_h, writes, hwrites, frees) in enumerate(self.ops):
                 h = None
                 if code == "coord":
-                    v, g = pts[:, x], np.broadcast_to(eye[x], (P, n))
+                    v, g = pts[:, x], self._eye[x:x + 1]     # (1, n), broadcast by its users
                 elif code == "const":
                     v, g = np.full(P, x), np.zeros((P, n))
                 elif code == "affine":
@@ -602,117 +592,17 @@ class JetProgram:
         return JetBatch(values, grads, hess, errors)
 
 
-# --------------------------------------------------------------------------
-# Scalar and vector fields
-# --------------------------------------------------------------------------
+def fd_crosscheck(expr: Expression, point, direction_exprs, step: float) -> float:
+    """|X(f) from the jet - central difference of f along X| / max(1, |X(f)|).
 
-class ScalarField:
-    """Evaluable scalar field: ``jet(point, order)`` for order <= max_order."""
-
-    n: int
-    max_order: int
-
-    def jet(self, point, order: int) -> Jet:
-        raise NotImplementedError
-
-    def value(self, point) -> float:
-        return self.jet(point, 0).value
-
-    def _guard(self, order):
-        if order > self.max_order:
-            raise OrderExhausted(
-                f"field supports jets up to order {self.max_order}, asked for {order}")
-
-
-class ExprField(ScalarField):
-    """Scalar field backed by an expression tree (full order-2 jets)."""
-
-    def __init__(self, expr: Expression, n: int):
-        self.expr = expr
-        self.n = n
-        self.max_order = MAX_ORDER
-
-    def jet(self, point, order):
-        self._guard(order)
-        return jet_eval(self.expr, point, order)
-
-    def __repr__(self):
-        return f"ExprField({self.expr!r}, n={self.n})"
-
-
-class ConstField(ScalarField):
-    def __init__(self, value: float, n: int):
-        self.const = float(value)
-        self.n = n
-        self.max_order = MAX_ORDER
-
-    def jet(self, point, order):
-        return Jet.constant(self.const, self.n, order)
-
-
-class VectorField:
-    """Tuple of scalar component fields X^k, so X = sum_k X^k d/dx_k."""
-
-    def __init__(self, components):
-        comps = tuple(components)
-        if not comps:
-            raise DimensionMismatch("vector field needs at least one component")
-        n = comps[0].n
-        if any(c.n != n for c in comps) or len(comps) != n:
-            raise DimensionMismatch("vector field needs exactly n components on R^n")
-        self.components = comps
-        self.n = n
-        self.max_order = min(c.max_order for c in comps)
-
-    @staticmethod
-    def from_expressions(exprs, n):
-        return VectorField(tuple(ExprField(e, n) for e in exprs))
-
-    def values(self, point):
-        return np.array([c.jet(point, 0).value for c in self.components])
-
-
-class DirectionalDerivativeField(ScalarField):
-    """X(f): contraction of f's next-order jet with X's components.
-
-    Evaluating at order k consumes f at order k+1 and the components at
-    order k, so the result supports one order less than its inputs.
+    ``direction_exprs`` are the coordinate components of X; both X and f are
+    evaluated with :func:`jet_eval`.
     """
-
-    def __init__(self, field: ScalarField, direction: VectorField):
-        if field.n != direction.n:
-            raise DimensionMismatch("field and direction live on different R^n")
-        self.field = field
-        self.direction = direction
-        self.n = field.n
-        self.max_order = min(field.max_order - 1, direction.max_order)
-
-    def jet(self, point, order):
-        self._guard(order)
-        fj = self.field.jet(point, order + 1)
-        comps = [c.jet(point, order) for c in self.direction.components]
-        vals = np.array([c.value for c in comps])
-        value = float(vals @ fj.grad)
-        grad = None
-        if order >= 1:
-            cgrads = np.stack([c.grad for c in comps])        # (n over m, n over a)
-            grad = cgrads.T @ fj.grad + fj.hess @ vals
-        return Jet(self.n, order, value, grad, None)
-
-
-def directional_derivative(field: ScalarField, direction: VectorField) -> ScalarField:
-    """Derivative of a scalar field along a vector field, as a new field."""
-    return DirectionalDerivativeField(field, direction)
-
-
-def fd_crosscheck(field: ScalarField, point, direction: VectorField, step: float) -> float:
-    """|jet directional derivative - central difference| / max(1, |jet value|)."""
     if step <= 0:
         raise DomainError("finite-difference step must be positive")
     p = np.asarray(point, dtype=float)
-    d = direction.values(p)
-    dd = directional_derivative(field, direction).jet(p, 0).value
-    fplus = field.jet(p + step * d, 0).value
-    fminus = field.jet(p - step * d, 0).value
-    fd = (fplus - fminus) / (2.0 * step)
+    d = np.array([jet_eval(c, p, 0).value for c in direction_exprs])
+    dd = float(d @ jet_eval(expr, p, 1).grad)
+    fd = (jet_eval(expr, p + step * d, 0).value
+          - jet_eval(expr, p - step * d, 0).value) / (2.0 * step)
     return abs(dd - fd) / max(1.0, abs(dd))

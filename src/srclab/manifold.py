@@ -23,20 +23,22 @@ matrices and structure constants with a leading point axis, recording an
 error per point rather than failing the batch.  The per-point layers read
 one point at a time from the spec's memo, which the sample loops fill
 FRAME_CHUNK points per batch (:func:`with_frame_data`); a point missing
-from it is computed as a batch of one.
+from it is computed as a batch of one.  Brackets exist only as these
+structure constants; the Koszul coefficient jets are derived from a
+point's entry on first use and kept with it.
 """
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (DimensionMismatch, DomainError, MetricNotSPD, SingularFrame,
                      SrclabError, ValidationError)
-from .jets import (Expression, JetProgram, ScalarField, VectorField, coordinate_indices,
-                   directional_derivative)
+from .jets import Expression, JetProgram, coordinate_indices
 
 DEFAULT_BOX = (-1.0, 1.0)
 SINGULAR_DET_FACTOR = 1e-12
@@ -55,9 +57,6 @@ class VectorFieldSpec:
     @property
     def n(self) -> int:
         return len(self.components)
-
-    def as_field(self) -> VectorField:
-        return VectorField.from_expressions(self.components, self.n)
 
 
 @dataclass(frozen=True)
@@ -139,9 +138,6 @@ class ManifoldSpec:
         hessians = [*range(self.ell * self.n), *range(len(frame), len(frame) + len(metric))]
         return JetProgram(frame + metric, self.n, hessians)
 
-    def frame_fields(self) -> tuple[VectorField, ...]:
-        return tuple(vf.as_field() for vf in self.hframe + self.vframe)
-
     def sample_box(self) -> np.ndarray:
         if self.box is None:
             return np.array([DEFAULT_BOX] * self.n)
@@ -154,30 +150,6 @@ def sample_points(spec: ManifoldSpec, count: int, seed: int) -> np.ndarray:
     u = rng.uniform(size=(count, spec.n))
     box = spec.sample_box()
     return box[:, 0] + u * (box[:, 1] - box[:, 0])
-
-
-class _BracketComponent(ScalarField):
-    def __init__(self, Xf, Yf, k):
-        self.n = Xf.n
-        self._xy = directional_derivative(Yf.components[k], Xf)
-        self._yx = directional_derivative(Xf.components[k], Yf)
-        self.max_order = min(self._xy.max_order, self._yx.max_order)
-
-    def jet(self, point, order):
-        return self._xy.jet(point, order) - self._yx.jet(point, order)
-
-
-def lie_bracket(X, Y) -> VectorField:
-    """[X, Y]^k = X(Y^k) - Y(X^k), assembled from directional derivatives.
-
-    Accepts VectorFieldSpec or any evaluable VectorField, so brackets nest
-    (each nesting consumes one jet order).
-    """
-    Xf = X.as_field() if isinstance(X, VectorFieldSpec) else X
-    Yf = Y.as_field() if isinstance(Y, VectorFieldSpec) else Y
-    if Xf.n != Yf.n:
-        raise DimensionMismatch("bracket operands live on different R^n")
-    return VectorField(tuple(_BracketComponent(Xf, Yf, k) for k in range(Xf.n)))
 
 
 # --------------------------------------------------------------------------
@@ -198,14 +170,19 @@ class FrameSnapshot:
     Lambda: np.ndarray       # (n-ell, ell, ell)
 
 
+class CoefficientJets(NamedTuple):
+    values: np.ndarray   # (ell, ell, ell): coeff[i, j, k] along e_k of D_{e_i} e_j
+    grads: np.ndarray    # (ell, ell, ell, n): coordinate derivatives
+
+
 @dataclass(frozen=True)
 class FramePointData:
-    """FrameSnapshot plus first derivatives of everything the connections need."""
+    """FrameSnapshot plus first derivatives of everything the connections need,
+    and the Koszul coefficient jets built from them."""
 
     point: np.ndarray
     Ev: np.ndarray
     Einv: np.ndarray
-    cond: float
     gv: np.ndarray
     gg: np.ndarray
     ginv: np.ndarray
@@ -213,7 +190,6 @@ class FramePointData:
     Om: np.ndarray
     Om_g: np.ndarray
     Mc: np.ndarray
-    Mc_g: np.ndarray
     Lam: np.ndarray
     fdg: np.ndarray          # fdg[k, i, j] = e_k(g_ij), k horizontal
     fdg_g: np.ndarray
@@ -222,6 +198,25 @@ class FramePointData:
     def snapshot(self) -> FrameSnapshot:
         return FrameSnapshot(self.point, self.Ev, self.Einv, self.gv, self.ginv,
                              self.Om, self.Mc, self.Lam)
+
+    @cached_property
+    def koszul(self) -> CoefficientJets:
+        """Koszul coefficients and their derivatives (see ``connections``),
+        computed on first use and kept with the point, so every connection and
+        one-form derivative at the point shares them."""
+        fdg, fdg_g, gv, gg, Om, Om_g = self.fdg, self.fdg_g, self.gv, self.gg, self.Om, self.Om_g
+        B = (fdg + fdg.transpose(1, 0, 2) - fdg.transpose(2, 1, 0)
+             + np.einsum("ije,ek->ijk", Om, gv)
+             - np.einsum("ike,ej->ijk", Om, gv)
+             - np.einsum("jke,ei->ijk", Om, gv))
+        B_g = (fdg_g + fdg_g.transpose(1, 0, 2, 3) - fdg_g.transpose(2, 1, 0, 3)
+               + np.einsum("ijer,ek->ijkr", Om_g, gv) + np.einsum("ije,ekr->ijkr", Om, gg)
+               - np.einsum("iker,ej->ijkr", Om_g, gv) - np.einsum("ike,ejr->ijkr", Om, gg)
+               - np.einsum("jker,ei->ijkr", Om_g, gv) - np.einsum("jke,eir->ijkr", Om, gg))
+        values = 0.5 * np.einsum("ijk,kh->ijh", B, self.ginv)
+        grads = 0.5 * (np.einsum("ijkr,kh->ijhr", B_g, self.ginv)
+                       + np.einsum("ijk,khr->ijhr", B, self.ginv_g))
+        return CoefficientJets(values, grads)
 
 
 def _mirror_pair_antisym(arr, arr_g, ell):
@@ -314,20 +309,19 @@ def _frame_data(spec: ManifoldSpec, points) -> list[FramePointData | SrclabError
             - np.einsum("pqbr,pmaq->pmabr", Eh_g, Eh_g)
             - np.einsum("pqb,pmaqr->pmabr", Eh_v, Eh))
     c = np.einsum("pmq,pqab->pmab", Einv, br)
-    c_g = np.einsum("pmq,pqabr->pmabr", Einv,
+    c_g = np.einsum("pmq,pqabr->pmabr", Einv[:, :ell],       # horizontal rows: Omega only
                     br_g - np.einsum("pmqr,pqab->pmabr", Eg, c))
     Om = np.ascontiguousarray(c[:, :ell].transpose(0, 2, 3, 1))
-    Om_g = np.ascontiguousarray(c_g[:, :ell].transpose(0, 2, 3, 1, 4))
+    Om_g = np.ascontiguousarray(c_g.transpose(0, 2, 3, 1, 4))
     Mc = np.ascontiguousarray(c[:, ell:].transpose(0, 2, 3, 1))
-    Mc_g = np.ascontiguousarray(c_g[:, ell:].transpose(0, 2, 3, 1, 4))
     _mirror_pair_antisym(Om.transpose(0, 3, 1, 2), Om_g.transpose(0, 3, 1, 2, 4), ell)
-    _mirror_pair_antisym(Mc.transpose(0, 3, 1, 2), Mc_g.transpose(0, 3, 1, 2, 4), ell)
+    _mirror_pair_antisym(Mc.transpose(0, 3, 1, 2), None, ell)
 
     # vertical-horizontal brackets: Lambda only needs values
     brv = np.einsum("pqb,pmkq->pmbk", Ev[:, :, ell:], Eh_g) \
         - np.einsum("pqk,pmbq->pmbk", Eh_v, Eg[:, :, ell:, :])
-    cv = np.einsum("pmq,pqbk->pmbk", Einv, brv)
-    Lam = np.ascontiguousarray(cv[:, :ell].transpose(0, 2, 3, 1))
+    cv = np.einsum("pmq,pqbk->pmbk", Einv[:, :ell], brv)
+    Lam = np.ascontiguousarray(cv.transpose(0, 2, 3, 1))
 
     fdg = np.einsum("pmk,pijm->pkij", Eh_v, gg)
     fdg_g = np.einsum("pmkr,pijm->pkijr", Eh_g, gg) + np.einsum("pmk,pijmr->pkijr", Eh_v, gh)
@@ -339,17 +333,30 @@ def _frame_data(spec: ManifoldSpec, points) -> list[FramePointData | SrclabError
             continue
         warn = ((f"frame condition number {cond[i]:.3e} at {p.tolist()}",)
                 if cond[i] > CONDITION_WARN else ())
-        out.append(FramePointData(p, Ev[i], Einv[i], float(cond[i]), gv[i], gg[i],
-                                  ginv[i], ginv_g[i], Om[i], Om_g[i], Mc[i], Mc_g[i],
-                                  Lam[i], fdg[i], fdg_g[i], warn))
+        out.append(FramePointData(p, Ev[i], Einv[i], gv[i], gg[i], ginv[i], ginv_g[i],
+                                  Om[i], Om_g[i], Mc[i], Lam[i], fdg[i], fdg_g[i], warn))
     return out
 
 
-def _remember(spec: ManifoldSpec, points, results) -> None:
-    if len(spec._cache) + len(results) > MEMO_LIMIT:
-        spec._cache.clear()
+def _remember(memo: dict, points, compute) -> list:
+    """``compute(points)``, a result or SrclabError per row, kept in ``memo``
+    under each point's bytes."""
+    results = compute(points)
+    if len(memo) + len(results) > MEMO_LIMIT:
+        memo.clear()
     for p, res in zip(points, results):
-        spec._cache[p.tobytes()] = res
+        memo[p.tobytes()] = res
+    return results
+
+
+def _memo_at(memo: dict, point, compute):
+    """One point's memo entry, or a batch of one; a recorded error is raised."""
+    hit = memo.get(point.tobytes())
+    if hit is None:
+        [hit] = _remember(memo, point[None], compute)
+    if isinstance(hit, SrclabError):
+        raise copy.copy(hit)        # raised copies keep tracebacks out of the memo
+    return hit
 
 
 def _frame_at(spec: ManifoldSpec, point) -> FramePointData:
@@ -357,25 +364,22 @@ def _frame_at(spec: ManifoldSpec, point) -> FramePointData:
     p = np.asarray(point, dtype=float)
     if p.shape != (spec.n,):
         raise DimensionMismatch(f"point must have {spec.n} coordinates")
-    hit = spec._cache.get(p.tobytes())
-    if hit is None:
-        [hit] = _frame_data(spec, p[None])
-        _remember(spec, [p], [hit])
-    if isinstance(hit, SrclabError):
-        raise copy.copy(hit)        # raised copies keep tracebacks out of the memo
-    return hit
+    return _memo_at(spec._cache, p, lambda pts: _frame_data(spec, pts))
 
 
-def with_frame_data(spec: ManifoldSpec, points):
-    """Yield the rows of ``points`` after batching the frame data the memo
-    lacks for them, FRAME_CHUNK points per pass, so the per-point layers
-    find it there."""
+def with_frame_data(spec: ManifoldSpec, points, *memos):
+    """Yield the rows of ``points`` after batching, FRAME_CHUNK points per
+    pass, the frame data the spec's memo lacks for them and whatever the
+    extra ``(memo, compute)`` pairs lack, so the per-point layers find it
+    there."""
     pts = np.asarray(points, dtype=float)
+    memos = ((spec._cache, lambda chunk: _frame_data(spec, chunk)), *memos)
     for start in range(0, len(pts), FRAME_CHUNK):
         chunk = pts[start:start + FRAME_CHUNK]
-        missing = chunk[[p.tobytes() not in spec._cache for p in chunk]]
-        if len(missing):
-            _remember(spec, missing, _frame_data(spec, missing))
+        for memo, compute in memos:
+            missing = chunk[[p.tobytes() not in memo for p in chunk]]
+            if len(missing):
+                _remember(memo, missing, compute)
         yield from chunk
 
 

@@ -20,6 +20,7 @@ it (see C12/C15 for the consistent invariance statements).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,10 +30,10 @@ from .connections import (OneFormData, covariant_derivative_T, koszul_connection
                           oneform_derivative, semi_connection, torsion)
 from .curvature import (CurvatureBundle, characteristic_tensor,
                         conformal_difference_formula, conformal_tensor,
-                        curvature_components_raw, curvature_relation_terms,
+                        curvature_components_raw, curvature_relation_terms, delta_g,
                         flatness_characteristic_form, projective_difference_formula,
                         projective_tensor, s_tensor, schouten_curvature)
-from .errors import RankTooSmall, SrclabError
+from .errors import DomainError, RankTooSmall, SrclabError, ValidationError
 from .manifold import ManifoldSpec, _frame_at, sample_points, with_frame_data
 
 QUALIFIER_TOL = 1e-12     # hypothesis detection (alpha = 0, proportionality, M = 0)
@@ -45,6 +46,10 @@ class SuiteConfig:
     seed: int = 0
     tol: float | None = None            # overrides every check tolerance when set
     flags: frozenset[str] = frozenset()
+
+    def __post_init__(self):
+        if self.points < 1:
+            raise ValidationError(f"need at least 1 sample point, got {self.points}")
 
 
 @dataclass(frozen=True)
@@ -118,37 +123,36 @@ class Report:
 
 
 def _res(diff, *operands):
-    """(abs, denom): sup-norm of the residual and the normalization."""
-    a = float(np.abs(diff).max()) if np.ndim(diff) else abs(float(diff))
-    denom = 1.0
-    for op in operands:
-        m = float(np.abs(op).max()) if np.ndim(op) else abs(float(op))
-        denom = max(denom, m)
-    return a, denom
+    """(abs, denom): sup-norm of the residual and the normalization, max(1,
+    largest operand sup-norm); (nan, nan) if any of them is not finite."""
+    sizes = [float(np.abs(x).max()) for x in (diff, *operands)]
+    if not all(map(math.isfinite, sizes)):
+        return math.nan, math.nan
+    return sizes[0], max([1.0, *sizes[1:]])
+
+
+def _worst(*parts):
+    """Componentwise max of (abs, denom) pairs, keeping NaN."""
+    if any(math.isnan(a) for a, _ in parts):
+        return math.nan, math.nan
+    return max(a for a, _ in parts), max(d for _, d in parts)
 
 
 class _PointEval:
     """Lazy per-point evaluation shared by all checks."""
 
-    def __init__(self, spec, pi, nab, D, point):
+    def __init__(self, spec, pi, nab, D, point, carnot=False):
         self.spec = spec
         self.pi = pi
         self.nab = nab
         self.D = D
         self.point = point
         self.ell = spec.ell
+        self.carnot = carnot        # flagged left-invariant graded frame
 
     @cached_property
     def data(self):
         return _frame_at(self.spec, self.point)
-
-    @cached_property
-    def co_nab(self):
-        return self.nab.coefficients(self.point)
-
-    @cached_property
-    def co_D(self):
-        return self.D.coefficients(self.point)
 
     @cached_property
     def Kb(self) -> CurvatureBundle:
@@ -159,32 +163,12 @@ class _PointEval:
         return schouten_curvature(self.D, self.point)
 
     @cached_property
-    def rawK(self):
-        return curvature_components_raw(self.nab, self.point)
-
-    @cached_property
-    def rawR(self):
-        return curvature_components_raw(self.D, self.point)
-
-    @cached_property
     def ct(self):
         return characteristic_tensor(self.spec, self.pi, self.point)
 
     @cached_property
-    def piv(self):
-        return self.pi.values(self.point)
-
-    @cached_property
-    def pi_norm2(self):
-        return float(self.piv @ (self.data.ginv @ self.piv))
-
-    @cached_property
     def S_nab(self):
         return s_tensor(self.Kb, self.spec, self.point)
-
-    @cached_property
-    def S_D(self):
-        return s_tensor(self.Rb, self.spec, self.point)
 
     @cached_property
     def C_nab(self):
@@ -203,10 +187,6 @@ class _PointEval:
         return projective_tensor(self.Rb, self.spec, self.point)
 
     @cached_property
-    def torsion_D(self):
-        return torsion(self.D, self.point)
-
-    @cached_property
     def DT_D(self):
         return covariant_derivative_T(self.D, self.point)
 
@@ -214,64 +194,53 @@ class _PointEval:
     def DT_nab(self):
         return covariant_derivative_T(self.nab, self.point)
 
-    @cached_property
-    def dpi_D(self):
-        return oneform_derivative(self.D, self.point)
-
 
 # --------------------------------------------------------------------------
 # The check table
 # --------------------------------------------------------------------------
 
-def _c01(pe):
+def _metricity(pe, co):
+    """e_k(g_ij) - co[k,i,e] g_ej - co[k,j,e] g_ie."""
     d = pe.data
-    resid = (d.fdg - np.einsum("kie,ej->kij", pe.co_nab, d.gv)
-             - np.einsum("kje,ei->kij", pe.co_nab, d.gv))
-    return _res(resid, d.fdg, pe.co_nab, d.gv)
+    t = np.einsum("kie,ej->kij", co, d.gv)
+    return _res(d.fdg - t - t.transpose(0, 2, 1), d.fdg, co, d.gv)
+
+
+def _c01(pe):
+    return _metricity(pe, pe.nab.coefficients(pe.point))
 
 
 def _c02(pe):
-    resid = pe.co_nab - pe.co_nab.transpose(1, 0, 2) - pe.data.Om
-    return _res(resid, pe.co_nab, pe.data.Om)
+    return _res(torsion(pe.nab, pe.point), pe.nab.coefficients(pe.point), pe.data.Om)
 
 
 def _c03(pe):
-    d = pe.data
-    resid = (d.fdg - np.einsum("kie,ej->kij", pe.co_D, d.gv)
-             - np.einsum("kje,ei->kij", pe.co_D, d.gv))
-    return _res(resid, d.fdg, pe.co_D, d.gv)
+    return _metricity(pe, pe.D.coefficients(pe.point))
 
 
 def _c04(pe):
-    eye = np.eye(pe.ell)
-    want = np.einsum("ik,j->ijk", eye, pe.piv) - np.einsum("jk,i->ijk", eye, pe.piv)
-    return _res(pe.torsion_D - want, pe.torsion_D, pe.piv)
+    eye, piv = np.eye(pe.ell), pe.pi.values(pe.point)
+    want = np.einsum("ik,j->ijk", eye, piv) - np.einsum("jk,i->ijk", eye, piv)
+    tor = torsion(pe.D, pe.point)
+    return _res(tor - want, tor, piv)
 
 
 def _c05(pe):
-    rk = pe.rawK + pe.rawK.transpose(1, 0, 2, 3)
-    rr = pe.rawR + pe.rawR.transpose(1, 0, 2, 3)
-    a1, d1 = _res(rk, pe.rawK)
-    a2, d2 = _res(rr, pe.rawR)
-    return max(a1, a2), max(d1, d2)
+    rawK, rawR = (curvature_components_raw(c, pe.point) for c in (pe.nab, pe.D))
+    return _worst(_res(rawK + rawK.transpose(1, 0, 2, 3), rawK),
+                  _res(rawR + rawR.transpose(1, 0, 2, 3), rawR))
 
 
 def _c06(pe):
-    cv = pe.Kb.curv
     lw = pe.Kb.lowered
-    cyc = cv + cv.transpose(1, 2, 0, 3) + cv.transpose(2, 0, 1, 3)
     cycl = lw + lw.transpose(1, 2, 0, 3) + lw.transpose(2, 0, 1, 3)
-    a1, d1 = _res(cyc, cv)
-    a2, d2 = _res(cycl, lw)
-    return max(a1, a2), max(d1, d2)
+    return _worst(_res(pe.Kb.bianchi_residual, pe.Kb.curv), _res(cycl, lw))
 
 
 def _c07(pe):
     ric = pe.Kb.ricci
     ric2 = pe.Kb.second_contraction()
-    a1, d1 = _res(ric2 + ric2.T, ric2, ric)
-    a2, d2 = _res(ric2 - (ric - ric.T), ric2, ric)
-    return max(a1, a2), max(d1, d2)
+    return _worst(_res(ric2 + ric2.T, ric2, ric), _res(ric2 - (ric - ric.T), ric2, ric))
 
 
 def _c08(pe):
@@ -297,7 +266,8 @@ def _c11(pe):
 
 
 def _c12(pe):
-    return _res(pe.S_D - pe.S_nab, pe.S_D, pe.S_nab)
+    S_D = s_tensor(pe.Rb, pe.spec, pe.point)
+    return _res(S_D - pe.S_nab, S_D, pe.S_nab)
 
 
 def _c13(pe):
@@ -326,6 +296,8 @@ def _c16(pe):
 def _c17(pe):
     parts = []
     a_rk, d_rk = _res(pe.Rb.curv - pe.Kb.curv, pe.Rb.curv, pe.Kb.curv)
+    if not math.isfinite(a_rk / d_rk):          # the hypotheses cannot be decided
+        return a_rk, d_rk
     if a_rk / d_rk <= HYPOTHESIS_REL:                   # equal curvature tensors
         parts.append((abs(pe.ct.alpha), 1.0))
     if pe.ell >= 3:
@@ -336,33 +308,27 @@ def _c17(pe):
             parts.append(_res(pe.ct.pi_lower - want, pe.ct.pi_lower, want))
     if not parts:
         return None
-    return max(p[0] for p in parts), max(p[1] for p in parts)
+    return _worst(*parts)
 
 
 def _c18(pe):
-    eye = np.eye(pe.ell)
-    want = (np.einsum("ik,jh->ijkh", pe.dpi_D, eye)
-            - np.einsum("ij,kh->ijkh", pe.dpi_D, eye))
+    t = np.einsum("ik,jh->ijkh", oneform_derivative(pe.D, pe.point), np.eye(pe.ell))
+    want = t - t.transpose(0, 2, 1, 3)
     parts = [_res(pe.DT_D - want, pe.DT_D, want)]
     a_r, d_r = _res(pe.Rb.curv, pe.Rb.curv)
     a_t, d_t = _res(pe.DT_D, pe.DT_D)
     if a_r / d_r <= HYPOTHESIS_REL and a_t / d_t <= HYPOTHESIS_REL:
         # flat + parallel torsion: characteristic tensor and constant curvature
-        p2 = pe.pi_norm2
+        piv = pe.pi.values(pe.point)
+        p2 = float(piv @ (pe.data.ginv @ piv))
         parts.append(_res(pe.ct.pi_lower + 0.5 * pe.data.gv * p2,
                           pe.ct.pi_lower, pe.data.gv))
-        const_form = p2 * (np.einsum("ik,jh->ijkh", pe.data.gv, eye)
-                           - np.einsum("jk,ih->ijkh", pe.data.gv, eye))
+        const_form = p2 * delta_g(pe.data.gv)
         parts.append(_res(pe.Kb.curv - const_form, pe.Kb.curv, const_form))
         parts.append(_res(pe.W_nab, pe.W_nab))
-    return max(p[0] for p in parts), max(p[1] for p in parts)
-
-
-def _c18_flagged(pe):
-    # left-invariant graded frame expectation: flat, parallel-torsion Koszul connection
-    a1, d1 = _res(pe.Kb.curv, pe.Kb.curv)
-    a2, d2 = _res(pe.DT_nab, pe.DT_nab)
-    return max(a1, a2), max(d1, d2)
+    if pe.carnot:       # expected there: a flat, parallel-torsion Koszul connection
+        parts += [_res(pe.Kb.curv, pe.Kb.curv), _res(pe.DT_nab, pe.DT_nab)]
+    return _worst(*parts)
 
 
 @dataclass(frozen=True)
@@ -460,10 +426,26 @@ class _Outcome:
         self.count = 0
         self.errors: list[str] = []
 
-    def update(self, abs_res, denom):
+    def update(self, result, point):
+        """Fold in one point's (abs, denom); a non-finite one is an error there."""
+        abs_res, denom = result
+        if not (math.isfinite(abs_res) and math.isfinite(denom)):
+            self.errors.append(f"non-finite residual or operand scale at {point.tolist()}")
+            return
         self.max_abs = max(self.max_abs, abs_res)
         self.max_rel = max(self.max_rel, abs_res / denom)
         self.count += 1
+
+
+def _point_evals(spec: ManifoldSpec, pi: OneFormData | None, config: SuiteConfig):
+    """The per-point evaluations at the config's sample points; ``pi`` absent
+    means the zero one-form."""
+    pi = pi if pi is not None else OneFormData.zero(spec.ell, spec.n)
+    nab = koszul_connection(spec)
+    D = semi_connection(spec, pi)
+    for point in with_frame_data(spec, sample_points(spec, config.points, config.seed),
+                                 (pi._cache, pi._batch)):
+        yield _PointEval(spec, pi, nab, D, point, "carnot" in config.flags)
 
 
 def run_suite(spec: ManifoldSpec, pi: OneFormData | None = None,
@@ -471,41 +453,27 @@ def run_suite(spec: ManifoldSpec, pi: OneFormData | None = None,
     """Run every check at seeded sample points and aggregate a Report.
 
     With ``pi`` absent the pi-dependent checks run with the zero one-form.
-    Evaluation errors mark the affected check failed (with the error in the
-    report warnings) and never abort the suite.
+    Evaluation errors and non-finite residuals mark the affected check
+    failed (with the first one in the report warnings) and never abort the
+    suite.
     """
     config = config or SuiteConfig()
-    pi_data = pi if pi is not None else OneFormData.zero(spec.ell, spec.n)
-    nab = koszul_connection(spec)
-    D = semi_connection(spec, pi_data)
-    pts = sample_points(spec, config.points, config.seed)
-
-    skipped: dict[str, str] = {}
-    for check in CHECKS:
-        if spec.ell < check.meta.required_rank:
-            skipped[check.meta.id] = "RankTooSmall"
+    skipped = {c.meta.id: "RankTooSmall" for c in CHECKS if spec.ell < c.meta.required_rank}
     outcomes = {check.meta.id: _Outcome() for check in CHECKS}
     warnings: list[str] = []
 
-    flagged_carnot = "carnot" in config.flags
-    for point in with_frame_data(spec, pts):
-        pe = _PointEval(spec, pi_data, nab, D, point)
-        point_warn = None
+    for pe in _point_evals(spec, pi, config):
         for check in CHECKS:
             if check.meta.id in skipped:
                 continue
             out = outcomes[check.meta.id]
             try:
                 result = check.fn(pe)
-                if check.meta.id == "C18" and flagged_carnot:
-                    extra = _c18_flagged(pe)
-                    result = ((max(result[0], extra[0]), max(result[1], extra[1]))
-                              if result else extra)
             except (SrclabError, np.linalg.LinAlgError) as exc:
                 out.errors.append(f"{type(exc).__name__}: {exc}")
                 continue
             if result is not None:
-                out.update(*result)
+                out.update(result, pe.point)
         try:
             point_warn = pe.data.warnings
         except (SrclabError, np.linalg.LinAlgError):
@@ -516,26 +484,21 @@ def run_suite(spec: ManifoldSpec, pi: OneFormData | None = None,
 
     records = []
     for check in CHECKS:
-        meta = check.meta
+        meta, out = check.meta, outcomes[check.meta.id]
         tol = config.tol if config.tol is not None else meta.tolerance
         if meta.id in skipped:
-            records.append(CheckRecord(meta.id, meta.description, meta.paper_ref,
-                                       0.0, 0.0, 0, tol, False, skipped[meta.id]))
-            continue
-        out = outcomes[meta.id]
-        if out.errors:
+            fields = (0.0, 0.0, 0, tol, False, skipped[meta.id])
+        elif out.errors:
             warnings.append(f"{meta.id}: {out.errors[0]}")
-            records.append(CheckRecord(meta.id, meta.description, meta.paper_ref,
-                                       float("inf"), float("inf"), out.count, tol, False))
-            continue
-        records.append(CheckRecord(meta.id, meta.description, meta.paper_ref,
-                                   out.max_abs, out.max_rel, out.count, tol,
-                                   out.max_rel <= tol))
+            fields = (float("inf"), float("inf"), out.count, tol, False)
+        else:
+            fields = (out.max_abs, out.max_rel, out.count, tol, out.max_rel <= tol)
+        records.append(CheckRecord(meta.id, meta.description, meta.paper_ref, *fields))
     return Report(spec.name, config.seed, config.points, tuple(records), tuple(warnings))
 
 
 # --------------------------------------------------------------------------
-# Standalone structured checks
+# Standalone structured checks: views over the suite's per-point evaluation
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -551,24 +514,23 @@ def check_group_manifold(spec: ManifoldSpec, pi: OneFormData | None = None,
 
     pi absent designates the Koszul connection, otherwise the transformed one.
     Numerical zero at every sample is evidence, not proof, hence the verdict
-    wording "holds at samples".
+    wording "holds at samples".  An evaluation error or a non-finite value
+    at a sample makes the verdict "inconclusive".
     """
     config = config or SuiteConfig()
-    conn = (koszul_connection(spec) if pi is None
-            else semi_connection(spec, pi))
-    pts = sample_points(spec, config.points, config.seed)
-    max_curv = 0.0
-    max_dt = 0.0
+    max_curv = max_dt = 0.0
     errors: list[str] = []
-    for point in with_frame_data(spec, pts):
+    for pe in _point_evals(spec, pi, config):
         try:
-            bundle = schouten_curvature(conn, point)
-            dt = covariant_derivative_T(conn, point)
+            curv, dt = (pe.Kb.curv, pe.DT_nab) if pi is None else (pe.Rb.curv, pe.DT_D)
+            sizes = float(np.abs(curv).max()), float(np.abs(dt).max())
+            if not all(map(math.isfinite, sizes)):
+                raise DomainError(f"curvature or torsion derivative not finite at "
+                                  f"{pe.point.tolist()}")
         except (SrclabError, np.linalg.LinAlgError) as exc:
             errors.append(f"{type(exc).__name__}: {exc}")
             continue
-        max_curv = max(max_curv, float(np.abs(bundle.curv).max()))
-        max_dt = max(max_dt, float(np.abs(dt).max()))
+        max_curv, max_dt = max(max_curv, sizes[0]), max(max_dt, sizes[1])
     evidence = {"max_curvature": max_curv, "max_torsion_derivative": max_dt,
                 "points": config.points, "errors": errors}
     if errors:
@@ -592,22 +554,13 @@ def check_flatness_criterion(spec: ManifoldSpec, pi: OneFormData | None = None,
     if spec.ell < 3:
         raise RankTooSmall(f"flatness criterion needs rank >= 3, got {spec.ell}")
     config = config or SuiteConfig()
-    pi_data = pi if pi is not None else OneFormData.zero(spec.ell, spec.n)
-    nab = koszul_connection(spec)
-    D = semi_connection(spec, pi_data)
     rows = []
-    ok = True
-    for point in with_frame_data(spec, sample_points(spec, config.points, config.seed)):
-        Rb = schouten_curvature(D, point)
-        Kb = schouten_curvature(nab, point)
-        ct = characteristic_tensor(spec, pi_data, point)
-        r_zero = float(np.abs(Rb.curv).max()) <= tolerance
-        s_zero = float(np.abs(s_tensor(Kb, spec, point)).max()) \
-            <= tolerance * max(1.0, float(np.abs(Kb.curv).max()))
-        want = flatness_characteristic_form(Kb, spec, point)
-        pi_match = float(np.abs(ct.pi_lower - want).max()) \
+    for pe in _point_evals(spec, pi, config):
+        r_zero = float(np.abs(pe.Rb.curv).max()) <= tolerance
+        s_zero = float(np.abs(pe.S_nab).max()) \
+            <= tolerance * max(1.0, float(np.abs(pe.Kb.curv).max()))
+        want = flatness_characteristic_form(pe.Kb, spec, pe.point)
+        pi_match = float(np.abs(pe.ct.pi_lower - want).max()) \
             <= tolerance * max(1.0, float(np.abs(want).max()))
         rows.append((r_zero, s_zero, pi_match))
-        if r_zero and not (s_zero and pi_match):
-            ok = False
-    return FlatnessResult(tuple(rows), ok)
+    return FlatnessResult(tuple(rows), all(s and m for r, s, m in rows if r))

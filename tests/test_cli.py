@@ -179,6 +179,28 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert cli_main(["verify", "--builtin", "heisenberg2", "--points", "2",
                      "--pi", "const:1,0"]) == 2           # wrong pi length
     assert cli_main(["verify", "--spec", str(tmp_path / "missing.txt")]) == 2
+    for pi in ("const:a,b,c,d", "const:nan,0,0,0", "const:1,inf,0,0"):
+        assert cli_main(["verify", "--builtin", "heisenberg2", "--points", "2",
+                         "--pi", pi]) == 2             # non-numeric / non-finite pi
+    for point in ("0,0,0,0,nan", "0,0,inf,0,0"):
+        assert cli_main(["eval", "--builtin", "heisenberg2", "--tensor", "K",
+                         "--point", point]) == 2       # non-finite point
+    for points in ("0", "-3"):
+        assert cli_main(["verify", "--builtin", "heisenberg2",
+                         "--points", points]) == 2     # no sample points
+    capsys.readouterr()
+
+
+def test_eval_overflowing_oneform_exits_two(capsys, tmp_path):
+    """exp(1000 x1) overflows at x1 = 0.9: the one-form is rejected there
+    (exit 2) and evaluates at x1 = -0.9."""
+    pi_file = tmp_path / "overflow.pi"
+    pi_file.write_text("exp(1000*x1)\n0\n0\n0\n", encoding="utf-8")
+    argv = ["eval", "--builtin", "heisenberg2", "--pi", f"file:{pi_file}",
+            "--tensor", "alpha", "--point"]
+    assert cli_main(argv + ["0.9,0,0,0,0"]) == 2
+    assert "not finite" in capsys.readouterr().err
+    assert cli_main(argv + ["-0.9,0,0,0,0"]) == 0
     capsys.readouterr()
 
 

@@ -116,6 +116,10 @@ def test_against_symbolic_oracle(name, variant):
         want = np.asarray(want, dtype=float)
         assert abs(got - want).max() <= 1e-12 * max(1.0, abs(want).max())
 
+    snap = snapshot(spec, p)
+    close(snap.Omega, oracle["Om"])
+    close(snap.Mcoef, oracle["Mc"])
+    close(snap.Lambda, oracle["Lam"])
     close(nab.coefficients(p), oracle["coeff"])
     close(D.coefficients(p), oracle["Gamma"])
     close(Kb.curv, oracle["K"])

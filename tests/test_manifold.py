@@ -2,12 +2,15 @@ import re
 
 import numpy as np
 import pytest
+from sympy import Rational as Q
+
+from oracles import _bracket, _to_array, sym_manifold
 
 from srclab.catalog import builtin, catalog_names
 from srclab.errors import DomainError, MetricNotSPD, SingularFrame, ValidationError
-from srclab.jets import Const, Coord, Mul
+from srclab.jets import Const, Coord, Mul, jet_eval
 from srclab.manifold import (FramePointData, ManifoldSpec, VectorFieldSpec, _frame_data,
-                             lie_bracket, project_h, sample_points, snapshot)
+                             project_h, sample_points, snapshot)
 from srclab.parser import parse_manifold
 
 RNG_SEED = 1234
@@ -70,40 +73,53 @@ def test_involutive_has_horizontal_bracket_but_no_vertical():
 
 
 def test_bracket_examples():
-    spec = spec_of("heisenberg1")
-    X1, X2 = spec.hframe
+    # heisenberg1: [X1, X2] = Z = dz, [X1, X1] = 0; flat3: [dx, dy] = 0
     p = np.array([0.5, -0.1, 0.7])
-    assert np.allclose(lie_bracket(X1, X2).values(p), [0.0, 0.0, 1.0])
-    assert abs(lie_bracket(X1, X1).values(p)).max() == 0.0
-    dx = VectorFieldSpec((Const(1.0), Const(0.0), Const(0.0)))
-    dy = VectorFieldSpec((Const(0.0), Const(1.0), Const(0.0)))
-    assert abs(lie_bracket(dx, dy).values(p)).max() == 0.0
+    snap = snapshot(spec_of("heisenberg1"), p)
+    assert np.allclose(snap.E[:, :2] @ snap.Omega[0, 1] + snap.E[:, 2:] @ snap.Mcoef[0, 1],
+                       [0.0, 0.0, 1.0])
+    assert abs(snap.Omega[0, 0]).max() == 0.0 and abs(snap.Mcoef[0, 0]).max() == 0.0
+    flat = snapshot(spec_of("flat3"), p)
+    assert abs(flat.Omega).max() == 0.0 and abs(flat.Mcoef).max() == 0.0
 
 
 @pytest.mark.parametrize("name", ["curved-metric-l3", "involutive-l3", "heisenberg2"])
 def test_jacobi_identity(name):
+    """Brackets rebuilt from snapshot().Omega/Mcoef satisfy the Jacobi identity
+    on horizontal triples: [V, Z] = DZ V - DV Z for V = [X, Y], with DZ from
+    jets and DV Z a central difference (step 1e-5) of V along Z."""
     spec = spec_of(name)
-    fields = spec.hframe + spec.vframe
+    ell = spec.ell
+
+    def bracket(i, j, p):
+        snap = snapshot(spec, p)
+        return snap.E[:, :ell] @ snap.Omega[i, j] + snap.E[:, ell:] @ snap.Mcoef[i, j]
+
+    def nested(i, j, k, p):                 # [[e_i, e_j], e_k] at p
+        Z = spec.hframe[k].components
+        z = np.array([jet_eval(c, p, 0).value for c in Z])
+        DZ = np.stack([jet_eval(c, p, 1).grad for c in Z])
+        DV_z = (bracket(i, j, p + 1e-5 * z) - bracket(i, j, p - 1e-5 * z)) / 2e-5
+        return DZ @ bracket(i, j, p) - DV_z
+
     rng = np.random.default_rng(RNG_SEED)
-    triples = [tuple(rng.integers(0, len(fields), 3)) for _ in range(4)]
+    triples = [tuple(rng.integers(0, ell, 3)) for _ in range(4)]
     for p in sample_points(spec, 5, RNG_SEED):
-        for (a, b, c) in triples:
-            X, Y, Z = fields[a], fields[b], fields[c]
-            total = (lie_bracket(lie_bracket(X, Y), Z).values(p)
-                     + lie_bracket(lie_bracket(Y, Z), X).values(p)
-                     + lie_bracket(lie_bracket(Z, X), Y).values(p))
-            scale = max(1.0, abs(lie_bracket(X, Y).values(p)).max())
+        for (i, j, k) in triples:
+            total = nested(i, j, k, p) + nested(j, k, i, p) + nested(k, i, j, p)
+            scale = max(1.0, abs(bracket(i, j, p)).max())
             assert abs(total).max() <= 1e-9 * scale
 
 
 @pytest.mark.parametrize("name", catalog_names())
 def test_snapshot_reconstructs_brackets(name):
-    spec = spec_of(name)
+    spec, sym = spec_of(name), sym_manifold(name)
     for p in sample_points(spec, 20, RNG_SEED):
         snap = snapshot(spec, p)
+        subs = dict(zip(sym.coords, (Q(float(x)) for x in p)))      # exact binary values
         for i in range(spec.ell):
             for j in range(i + 1, spec.ell):
-                direct = lie_bracket(spec.hframe[i], spec.hframe[j]).values(p)
+                direct = _to_array(_bracket(sym.coords, sym.hframe[i], sym.hframe[j]), subs)
                 rebuilt = (snap.E[:, : spec.ell] @ snap.Omega[i, j]
                            + snap.E[:, spec.ell:] @ snap.Mcoef[i, j])
                 assert abs(rebuilt - direct).max() <= 1e-10 * max(1.0, abs(direct).max())
@@ -261,9 +277,9 @@ def test_frame_matrix_columns_are_frame_fields():
     p = sample_points(spec, 1, 5)[0]
     snap = snapshot(spec, p)
     for a, vf in enumerate(spec.hframe + spec.vframe):
-        assert np.allclose(snap.E[:, a], vf.as_field().values(p))
+        assert np.allclose(snap.E[:, a], [jet_eval(c, p, 0).value for c in vf.components])
 
 
 def test_mul_expression_frame_component():
     vf = VectorFieldSpec((Mul(Const(2.0), Coord(1)), Const(1.0)))
-    assert vf.as_field().values(np.array([0.0, 3.0])).tolist() == [6.0, 1.0]
+    assert [jet_eval(c, [0.0, 3.0], 0).value for c in vf.components] == [6.0, 1.0]

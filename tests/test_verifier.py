@@ -1,11 +1,12 @@
 import pytest
 
 from srclab.catalog import builtin, catalog_names
-from srclab.errors import RankTooSmall
+from srclab.connections import OneFormData
+from srclab.errors import RankTooSmall, ValidationError
 from srclab.verifier import (CHECKS, CHECK_IDS, SuiteConfig,
                              check_flatness_criterion, check_group_manifold,
                              run_suite)
-from srclab.parser import parse_manifold
+from srclab.parser import parse_manifold, parse_scalar_expression
 
 
 def test_check_table_shape():
@@ -161,6 +162,50 @@ metric rows
         assert len(report.warnings) == 15
         assert report.warnings[0] == first_warning
         assert not report.passed()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy reports the overflow too
+def test_non_finite_residuals_fail_their_checks():
+    """pi = (1e200, 0, 0, 0) overflows the curvature of the transformed
+    connection: every residual built from it is NaN and fails, C03/C04 stay
+    finite and pass, and C01/C02 do not see the one-form at all."""
+    spec = builtin("heisenberg2").spec
+    cfg = SuiteConfig(points=6, seed=3)
+    huge = run_suite(spec, OneFormData.constant([1e200, 0.0, 0.0, 0.0], spec.n), cfg)
+    plain = run_suite(spec, None, cfg)
+    failed = {r.id for r in huge.checks if not r.passed}
+    assert failed == {"C05", *(f"C{i:02d}" for i in range(9, 19))}
+    assert huge.checks[:2] == plain.checks[:2]
+    for r in huge.checks:
+        if r.id in failed:
+            assert r.points_evaluated == 0 and r.max_rel_residual == float("inf")
+    assert len(huge.warnings) == len(failed)
+    assert all("non-finite residual" in w for w in huge.warnings)
+    assert not huge.passed()
+    huge_pi = OneFormData.constant([1e200, 0.0, 0.0, 0.0], spec.n)
+    assert check_group_manifold(spec, huge_pi, cfg).verdict == "inconclusive"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy reports the overflow too
+def test_overflowing_oneform_marks_checks_failed_without_aborting():
+    """exp(1000 x1) overflows where x1 > 0.71: those points are a DomainError
+    for every check that reads the one-form; C01/C02 pass everywhere."""
+    spec = builtin("heisenberg2").spec
+    pi = OneFormData.from_expressions(
+        [parse_scalar_expression(t, spec.coords) for t in ("exp(1000*x1)", "0", "0", "0")],
+        spec.n)
+    report = run_suite(spec, pi, SuiteConfig(points=10, seed=0))
+    assert report.record("C01").passed and report.record("C01").points_evaluated == 10
+    assert report.record("C02").passed and report.record("C02").points_evaluated == 10
+    for cid in ("C03", "C04", "C09", "C13", "C18"):
+        assert not report.record(cid).passed
+    assert report.warnings[0].startswith("C03: DomainError: one-form not finite at ")
+
+
+def test_points_below_one_rejected():
+    for points in (0, -3):
+        with pytest.raises(ValidationError):
+            SuiteConfig(points=points)
 
 
 def test_group_manifold_verdicts():
