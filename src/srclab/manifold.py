@@ -16,22 +16,22 @@ The projection onto V0 splits along the user-supplied frame (coefficients
 in the frame after inverting E), not metric-orthogonally; the engine never
 builds an ambient metric.
 
-Frame data is computed in batches: each spec compiles its frame and metric
-expressions once (:class:`~srclab.jets.JetProgram`), and :func:`_frame_data`
-turns the jets at a (P, n) point array into frame matrices, inverses, Gram
-matrices and structure constants with a leading point axis, recording an
-error per point rather than failing the batch.  The per-point layers read
-one point at a time from the spec's memo, which the sample loops fill
-FRAME_CHUNK points per batch (:func:`with_frame_data`); a point missing
-from it is computed as a batch of one.  Brackets exist only as these
-structure constants; the Koszul coefficient jets are derived from a
-point's entry on first use and kept with it.
+Frame data is computed for a stack of points at once: each spec compiles
+its frame and metric expressions once (:class:`~srclab.jets.JetProgram`),
+and :func:`_frame_data` turns the jets at a (P, n) point array into a
+:class:`FrameData` whose arrays carry a leading point axis (frame matrices,
+inverses, Gram matrices, structure constants and their derivatives, and on
+first use the Koszul coefficient jets), recording an error per point rather
+than failing the stack.  The sample loops evaluate FRAME_CHUNK points per
+stack; a single point is a stack of one.  Contractions are stacked matrix
+products (:func:`contract`).  Brackets exist only as these structure
+constants.
 """
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -44,8 +44,7 @@ DEFAULT_BOX = (-1.0, 1.0)
 SINGULAR_DET_FACTOR = 1e-12
 CONDITION_WARN = 1e8
 CONDITION_FAIL = 1e12
-FRAME_CHUNK = 64          # points per batched frame pass; bounds its transient memory
-MEMO_LIMIT = 8192         # per-point frame data entries a spec keeps
+FRAME_CHUNK = 64          # points per batched pass; bounds its transient memory
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,6 @@ class ManifoldSpec:
     metric: tuple[tuple[Expression, ...], ...]
     oneform: tuple[Expression, ...] | None = None
     box: tuple[tuple[float, float], ...] | None = None
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -153,8 +151,16 @@ def sample_points(spec: ManifoldSpec, count: int, seed: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Pointwise frame data
+# Frame data on a stack of points
 # --------------------------------------------------------------------------
+
+def contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[p, *A, *B] = sum_e a[p, *A, e] b[p, e, *B] as one stacked matrix
+    product: a's last axis against b's first axis after the point axis."""
+    P, k = a.shape[0], a.shape[-1]
+    out = np.matmul(a.reshape(P, -1, k), b.reshape(P, k, -1))
+    return out.reshape(a.shape[:-1] + b.shape[2:])
+
 
 @dataclass(frozen=True)
 class FrameSnapshot:
@@ -171,14 +177,14 @@ class FrameSnapshot:
 
 
 class CoefficientJets(NamedTuple):
-    values: np.ndarray   # (ell, ell, ell): coeff[i, j, k] along e_k of D_{e_i} e_j
-    grads: np.ndarray    # (ell, ell, ell, n): coordinate derivatives
+    values: np.ndarray   # (..., ell, ell, ell): coeff[i, j, k] along e_k of D_{e_i} e_j
+    grads: np.ndarray    # (..., ell, ell, ell, n): coordinate derivatives
 
 
 @dataclass(frozen=True)
 class FramePointData:
-    """FrameSnapshot plus first derivatives of everything the connections need,
-    and the Koszul coefficient jets built from them."""
+    """One point's row of a FrameData: the snapshot plus the first
+    derivatives the connections need."""
 
     point: np.ndarray
     Ev: np.ndarray
@@ -193,42 +199,61 @@ class FramePointData:
     Lam: np.ndarray
     fdg: np.ndarray          # fdg[k, i, j] = e_k(g_ij), k horizontal
     fdg_g: np.ndarray
-    warnings: tuple[str, ...]
 
     def snapshot(self) -> FrameSnapshot:
         return FrameSnapshot(self.point, self.Ev, self.Einv, self.gv, self.ginv,
                              self.Om, self.Mc, self.Lam)
 
+
+@dataclass(frozen=True, eq=False)
+class FrameData(FramePointData):
+    """Frame data at a stack of points: every array of FramePointData with a
+    leading point axis p.  Rows of points in ``errors`` hold meaningless
+    values; ``warnings`` maps a usable point to its condition-number warning."""
+
+    errors: dict[int, SrclabError]
+    warnings: dict[int, str]
+
+    def check(self, i: int) -> None:
+        """Raise the error that rules out point ``i``, if any."""
+        if i in self.errors:
+            raise self.errors[i]
+
+    def at(self, i: int) -> FramePointData:
+        """Point ``i``'s row; its error is raised."""
+        self.check(i)
+        return FramePointData(*(getattr(self, f.name)[i] for f in fields(FramePointData)))
+
     @cached_property
     def koszul(self) -> CoefficientJets:
         """Koszul coefficients and their derivatives (see ``connections``),
-        computed on first use and kept with the point, so every connection and
-        one-form derivative at the point shares them."""
+        computed on first use and shared by every connection and one-form
+        derivative on these points."""
         fdg, fdg_g, gv, gg, Om, Om_g = self.fdg, self.fdg_g, self.gv, self.gg, self.Om, self.Om_g
-        B = (fdg + fdg.transpose(1, 0, 2) - fdg.transpose(2, 1, 0)
-             + np.einsum("ije,ek->ijk", Om, gv)
-             - np.einsum("ike,ej->ijk", Om, gv)
-             - np.einsum("jke,ei->ijk", Om, gv))
-        B_g = (fdg_g + fdg_g.transpose(1, 0, 2, 3) - fdg_g.transpose(2, 1, 0, 3)
-               + np.einsum("ijer,ek->ijkr", Om_g, gv) + np.einsum("ije,ekr->ijkr", Om, gg)
-               - np.einsum("iker,ej->ijkr", Om_g, gv) - np.einsum("ike,ejr->ijkr", Om, gg)
-               - np.einsum("jker,ei->ijkr", Om_g, gv) - np.einsum("jke,eir->ijkr", Om, gg))
-        values = 0.5 * np.einsum("ijk,kh->ijh", B, self.ginv)
-        grads = 0.5 * (np.einsum("ijkr,kh->ijhr", B_g, self.ginv)
-                       + np.einsum("ijk,khr->ijhr", B, self.ginv_g))
+        OG = contract(Om, gv)                              # Omega_ij^e g_ek
+        OG_g = (contract(Om_g.transpose(0, 1, 2, 4, 3), gv).transpose(0, 1, 2, 4, 3)
+                + contract(Om, gg))
+        B = (fdg + fdg.transpose(0, 2, 1, 3) - fdg.transpose(0, 3, 2, 1)
+             + OG - OG.transpose(0, 1, 3, 2) - OG.transpose(0, 3, 1, 2))
+        B_g = (fdg_g + fdg_g.transpose(0, 2, 1, 3, 4) - fdg_g.transpose(0, 3, 2, 1, 4)
+               + OG_g - OG_g.transpose(0, 1, 3, 2, 4) - OG_g.transpose(0, 3, 1, 2, 4))
+        values = 0.5 * contract(B, self.ginv)
+        grads = 0.5 * (contract(B_g.transpose(0, 1, 2, 4, 3), self.ginv).transpose(0, 1, 2, 4, 3)
+                       + contract(B, self.ginv_g))
         return CoefficientJets(values, grads)
 
 
-def _mirror_pair_antisym(arr, arr_g, ell):
-    """Overwrite (j, i) slices with the exact negation of (i, j), zero the diagonal."""
-    for i in range(ell):
-        arr[..., i, i] = 0.0
-        if arr_g is not None:
-            arr_g[..., i, i, :] = 0.0
-        for j in range(i + 1, ell):
-            arr[..., j, i] = -arr[..., i, j]
-            if arr_g is not None:
-                arr_g[..., j, i, :] = -arr_g[..., i, j, :]
+def _mirror_pair_antisym(arr, arr_g=None):
+    """Overwrite the (j, i) slices of the last two axes of ``arr`` (of the
+    two before the last of ``arr_g``) with the exact negation of (i, j),
+    i < j, and zero the diagonal."""
+    d = list(range(arr.shape[-1]))
+    iu, ju = map(list, zip(*combinations(d, 2)))
+    arr[..., d, d] = 0.0
+    arr[..., ju, iu] = -arr[..., iu, ju]
+    if arr_g is not None:
+        arr_g[..., d, d, :] = 0.0
+        arr_g[..., ju, iu, :] = -arr_g[..., iu, ju, :]
 
 
 def _cholesky_fails(g: np.ndarray) -> np.ndarray:
@@ -242,12 +267,11 @@ def _cholesky_fails(g: np.ndarray) -> np.ndarray:
         return np.concatenate([_cholesky_fails(gi[None]) for gi in g])
 
 
-def _frame_data(spec: ManifoldSpec, points) -> list[FramePointData | SrclabError]:
+def _frame_data(spec: ManifoldSpec, points) -> FrameData:
     """Frame data at every row of a (P, n) point array, in one batched pass.
 
-    Each entry is the point's FramePointData or the error that rules it out,
-    tested in this order: frame expression, determinant, condition number,
-    metric expression, Cholesky.
+    A point is ruled out by the first of these that applies: frame
+    expression, determinant, condition number, metric expression, Cholesky.
     """
     pts = np.asarray(points, dtype=float)
     n, ell = spec.n, spec.ell
@@ -261,7 +285,7 @@ def _frame_data(spec: ManifoldSpec, points) -> list[FramePointData | SrclabError
     def rule_out(mask, make_error):
         if mask.any():
             for i in np.flatnonzero(mask & ~bad):
-                errors[i] = make_error(i)
+                errors[int(i)] = make_error(i)
             bad[mask] = True
 
     def usable(stack):
@@ -277,110 +301,73 @@ def _frame_data(spec: ManifoldSpec, points) -> list[FramePointData | SrclabError
     def expression_error(i):
         return DomainError(jets.errors[i][1])
 
-    # E[p, m, a]: program output a*n + m is component m of frame field a
-    Ev = np.ascontiguousarray(jets.values[:, :nf].reshape(P, n, n).transpose(0, 2, 1))
-    Eg = jets.grads[:, :nf].reshape(P, n, n, n).transpose(0, 2, 1, 3)
-    Eh = jets.hessians[:, :ell * n].reshape(P, ell, n, n, n).transpose(0, 2, 1, 3, 4)
-    rule_out(failing[0], expression_error)
-    col_scale = np.prod(np.maximum(np.linalg.norm(usable(Ev), axis=1), 1e-300), axis=-1)
-    det = np.linalg.det(usable(Ev))
-    rule_out(~(np.abs(det) > SINGULAR_DET_FACTOR * col_scale), lambda i: SingularFrame(
-        f"frame determinant {det[i]:.3e} below threshold at {pts[i].tolist()}"))
-    cond = np.linalg.cond(usable(Ev))
-    rule_out(cond > CONDITION_FAIL, lambda i: SingularFrame(
-        f"frame condition number {cond[i]:.3e} at {pts[i].tolist()}"))
-    Einv = np.linalg.inv(usable(Ev))
+    # rows of ruled-out points may overflow or turn NaN; they are never read
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # program output a*n + m is component m of frame field a: Ev[p, m, a] = E[m, a],
+        # G[p, a, m, r] = d_r E[m, a], H[p, a, m, q, r] (horizontal a only)
+        Ev = np.ascontiguousarray(jets.values[:, :nf].reshape(P, n, n).transpose(0, 2, 1))
+        G = jets.grads[:, :nf].reshape(P, n, n, n)
+        H = jets.hessians[:, :ell * n].reshape(P, ell, n, n, n)
+        rule_out(failing[0], expression_error)
+        col_scale = np.prod(np.maximum(np.linalg.norm(usable(Ev), axis=1), 1e-300), axis=-1)
+        det = np.linalg.det(usable(Ev))
+        rule_out(~(np.abs(det) > SINGULAR_DET_FACTOR * col_scale), lambda i: SingularFrame(
+            f"frame determinant {det[i]:.3e} below threshold at {pts[i].tolist()}"))
+        cond = np.linalg.cond(usable(Ev))
+        rule_out(cond > CONDITION_FAIL, lambda i: SingularFrame(
+            f"frame condition number {cond[i]:.3e} at {pts[i].tolist()}"))
+        Einv = np.linalg.inv(usable(Ev))
 
-    gv = jets.values[:, nf:].reshape(P, ell, ell)
-    gg = jets.grads[:, nf:].reshape(P, ell, ell, n)
-    gh = jets.hessians[:, ell * n:].reshape(P, ell, ell, n, n)
-    rule_out(failing[1], expression_error)
-    not_finite = ~np.isfinite(gv).all(axis=(1, 2))          # an entry overflowed
-    rule_out(not_finite | _cholesky_fails(usable(gv)), lambda i: MetricNotSPD(
-        f"Gram matrix not positive definite at {pts[i].tolist()}"))
-    ginv = np.linalg.inv(usable(gv))
-    ginv_g = -np.einsum("pia,pabr,pbj->pijr", ginv, gg, ginv)
+        gv = jets.values[:, nf:].reshape(P, ell, ell)
+        gg = jets.grads[:, nf:].reshape(P, ell, ell, n)
+        gh = jets.hessians[:, ell * n:].reshape(P, ell, ell, n, n)
+        rule_out(failing[1], expression_error)
+        not_finite = ~np.isfinite(gv).all(axis=(1, 2))          # an entry overflowed
+        rule_out(not_finite | _cholesky_fails(usable(gv)), lambda i: MetricNotSPD(
+            f"Gram matrix not positive definite at {pts[i].tolist()}"))
+        ginv = np.linalg.inv(usable(gv))
+        ginv_g = -(ginv[:, None] @ gg.transpose(0, 3, 1, 2) @ ginv[:, None]).transpose(0, 2, 3, 1)
 
-    # horizontal-horizontal brackets and their derivatives
-    Eh_v, Eh_g = Ev[:, :, :ell], Eg[:, :, :ell, :]
-    br = np.einsum("pqa,pmbq->pmab", Eh_v, Eh_g) - np.einsum("pqb,pmaq->pmab", Eh_v, Eh_g)
-    br_g = (np.einsum("pqar,pmbq->pmabr", Eh_g, Eh_g)
-            + np.einsum("pqa,pmbqr->pmabr", Eh_v, Eh)
-            - np.einsum("pqbr,pmaq->pmabr", Eh_g, Eh_g)
-            - np.einsum("pqb,pmaqr->pmabr", Eh_v, Eh))
-    c = np.einsum("pmq,pqab->pmab", Einv, br)
-    c_g = np.einsum("pmq,pqabr->pmabr", Einv[:, :ell],       # horizontal rows: Omega only
-                    br_g - np.einsum("pmqr,pqab->pmabr", Eg, c))
-    Om = np.ascontiguousarray(c[:, :ell].transpose(0, 2, 3, 1))
-    Om_g = np.ascontiguousarray(c_g.transpose(0, 2, 3, 1, 4))
-    Mc = np.ascontiguousarray(c[:, ell:].transpose(0, 2, 3, 1))
-    _mirror_pair_antisym(Om.transpose(0, 3, 1, 2), Om_g.transpose(0, 3, 1, 2, 4), ell)
-    _mirror_pair_antisym(Mc.transpose(0, 3, 1, 2), None, ell)
+        # structure constants of every frame pair: E c[a, b] = [e_a, e_b], where
+        # J[p, b, m, a] = e_a(E[m, b]) and [e_a, e_b]^m = J[b, m, a] - J[a, m, b]
+        Eh = Ev[:, :, :ell]
+        J = contract(G, Ev)
+        br = J.transpose(0, 3, 1, 2) - J.transpose(0, 1, 3, 2)           # br[p, a, b, m]
+        c = contract(br, Einv.transpose(0, 2, 1))                         # c[p, a, b, s]
+        Om = c[:, :ell, :ell, :ell].copy()
+        Mc = c[:, :ell, :ell, ell:].copy()
+        Lam = np.ascontiguousarray(c[:, ell:, :ell, :ell])
+        # their horizontal derivatives: E d_r c = d_r br - (d_r E) c, H symmetric in (q, r)
+        Gh_t = G[:, :ell].transpose(0, 2, 1, 3)                          # [p, q, a, r]
+        J_g = contract(H, Eh).transpose(0, 1, 2, 4, 3) + contract(G[:, :ell], Gh_t)
+        br_g = J_g.transpose(0, 3, 1, 2, 4) - J_g.transpose(0, 1, 3, 2, 4)  # [p, a, b, m, r]
+        rhs = br_g - contract(c[:, :ell, :ell], G)
+        Om_g = contract(rhs.transpose(0, 1, 2, 4, 3),
+                        Einv[:, :ell].transpose(0, 2, 1)).transpose(0, 1, 2, 4, 3)
+        _mirror_pair_antisym(Om.transpose(0, 3, 1, 2), Om_g.transpose(0, 3, 1, 2, 4))
+        _mirror_pair_antisym(Mc.transpose(0, 3, 1, 2))
 
-    # vertical-horizontal brackets: Lambda only needs values
-    brv = np.einsum("pqb,pmkq->pmbk", Ev[:, :, ell:], Eh_g) \
-        - np.einsum("pqk,pmbq->pmbk", Eh_v, Eg[:, :, ell:, :])
-    cv = np.einsum("pmq,pqbk->pmbk", Einv[:, :ell], brv)
-    Lam = np.ascontiguousarray(cv.transpose(0, 2, 3, 1))
+        fdg = contract(gg, Eh).transpose(0, 3, 1, 2)
+        fdg_g = (contract(gg, Gh_t)
+                 + contract(gh, Eh).transpose(0, 1, 2, 4, 3)).transpose(0, 3, 1, 2, 4)
 
-    fdg = np.einsum("pmk,pijm->pkij", Eh_v, gg)
-    fdg_g = np.einsum("pmkr,pijm->pkijr", Eh_g, gg) + np.einsum("pmk,pijmr->pkijr", Eh_v, gh)
-
-    out: list[FramePointData | SrclabError] = []
-    for i, p in enumerate(pts):
-        if i in errors:
-            out.append(errors[i])
-            continue
-        warn = ((f"frame condition number {cond[i]:.3e} at {p.tolist()}",)
-                if cond[i] > CONDITION_WARN else ())
-        out.append(FramePointData(p, Ev[i], Einv[i], gv[i], gg[i], ginv[i], ginv_g[i],
-                                  Om[i], Om_g[i], Mc[i], Lam[i], fdg[i], fdg_g[i], warn))
-    return out
+    warnings = {i: f"frame condition number {cond[i]:.3e} at {pts[i].tolist()}"
+                for i in map(int, np.flatnonzero(cond > CONDITION_WARN)) if i not in errors}
+    return FrameData(pts, Ev, Einv, gv, gg, ginv, ginv_g, Om, Om_g, Mc, Lam, fdg, fdg_g,
+                     errors, warnings)
 
 
-def _remember(memo: dict, points, compute) -> list:
-    """``compute(points)``, a result or SrclabError per row, kept in ``memo``
-    under each point's bytes."""
-    results = compute(points)
-    if len(memo) + len(results) > MEMO_LIMIT:
-        memo.clear()
-    for p, res in zip(points, results):
-        memo[p.tobytes()] = res
-    return results
-
-
-def _memo_at(memo: dict, point, compute):
-    """One point's memo entry, or a batch of one; a recorded error is raised."""
-    hit = memo.get(point.tobytes())
-    if hit is None:
-        [hit] = _remember(memo, point[None], compute)
-    if isinstance(hit, SrclabError):
-        raise copy.copy(hit)        # raised copies keep tracebacks out of the memo
-    return hit
-
-
-def _frame_at(spec: ManifoldSpec, point) -> FramePointData:
-    """Frame data at one point: the memo entry, or a batch of one."""
+def one_point(spec: ManifoldSpec, point) -> np.ndarray:
+    """A point as a (1, n) stack, after checking its coordinate count."""
     p = np.asarray(point, dtype=float)
     if p.shape != (spec.n,):
         raise DimensionMismatch(f"point must have {spec.n} coordinates")
-    return _memo_at(spec._cache, p, lambda pts: _frame_data(spec, pts))
+    return p[None]
 
 
-def with_frame_data(spec: ManifoldSpec, points, *memos):
-    """Yield the rows of ``points`` after batching, FRAME_CHUNK points per
-    pass, the frame data the spec's memo lacks for them and whatever the
-    extra ``(memo, compute)`` pairs lack, so the per-point layers find it
-    there."""
-    pts = np.asarray(points, dtype=float)
-    memos = ((spec._cache, lambda chunk: _frame_data(spec, chunk)), *memos)
-    for start in range(0, len(pts), FRAME_CHUNK):
-        chunk = pts[start:start + FRAME_CHUNK]
-        for memo, compute in memos:
-            missing = chunk[[p.tobytes() not in memo for p in chunk]]
-            if len(missing):
-                _remember(memo, missing, compute)
-        yield from chunk
+def _frame_at(spec: ManifoldSpec, point) -> FramePointData:
+    """Frame data at one point: a stack of one."""
+    return _frame_data(spec, one_point(spec, point)).at(0)
 
 
 def snapshot(spec: ManifoldSpec, point) -> FrameSnapshot:

@@ -5,6 +5,14 @@ Every identity the engine is built around is run as a numbered check
 max(1, largest operand sup-norm) and aggregated by max, so adding points can
 only raise residuals (a failing check never flips to passing).
 
+The sample points are evaluated FRAME_CHUNK at a time: one batched pass
+(:class:`_Pass`) computes every tensor the checks read with a leading point
+axis, each check turns it into per-point (abs, denom) arrays and, if it is
+conditional, a mask of the qualifying points, and :class:`_Outcome` reduces
+them over the points.  A point where a layer a check reads failed (its
+frame data, or the one-form for the checks that read it) or where the
+check's values are not finite counts as an error for that check only.
+
 Checks that are only claimed under a hypothesis (an involutive horizontal
 bundle, a vanishing characteristic trace, a flat transformed connection, a
 left-invariant graded frame) evaluate their assertion at the qualifying
@@ -20,21 +28,17 @@ it (see C12/C15 for the consistent invariance statements).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .connections import (OneFormData, covariant_derivative_T, koszul_connection,
-                          oneform_derivative, semi_connection, torsion)
-from .curvature import (CurvatureBundle, characteristic_tensor,
-                        conformal_difference_formula, conformal_tensor,
-                        curvature_components_raw, curvature_relation_terms, delta_g,
-                        flatness_characteristic_form, projective_difference_formula,
-                        projective_tensor, s_tensor, schouten_curvature)
-from .errors import DomainError, RankTooSmall, SrclabError, ValidationError
-from .manifold import ManifoldSpec, _frame_at, sample_points, with_frame_data
+from .connections import ConnectionField, OneFormData, koszul_connection, semi_connection
+from .curvature import (characteristic, conformal_difference_formula, conformal_tensor,
+                        curvature_bundle, curvature_raw, curvature_relation_terms, delta_g,
+                        delta_k, flatness_characteristic_form, projective_difference_formula,
+                        projective_tensor, s_tensor)
+from .errors import RankTooSmall, ValidationError
+from .manifold import FRAME_CHUNK, ManifoldSpec, _frame_data, contract, sample_points
 
 QUALIFIER_TOL = 1e-12     # hypothesis detection (alpha = 0, proportionality, M = 0)
 HYPOTHESIS_REL = 1e-9     # "R vanishes" / "R equals K" qualifiers
@@ -122,212 +126,224 @@ class Report:
         }
 
 
+def _sup(x) -> np.ndarray:
+    """Per-point sup-norm of a stack, or the magnitude of per-point scalars."""
+    return np.abs(x).reshape(len(x), -1).max(axis=1)
+
+
 def _res(diff, *operands):
-    """(abs, denom): sup-norm of the residual and the normalization, max(1,
-    largest operand sup-norm); (nan, nan) if any of them is not finite."""
-    sizes = [float(np.abs(x).max()) for x in (diff, *operands)]
-    if not all(map(math.isfinite, sizes)):
-        return math.nan, math.nan
-    return sizes[0], max([1.0, *sizes[1:]])
+    """Per point (abs, denom): sup-norm of the residual and the normalization,
+    max(1, largest operand sup-norm).  A non-finite value anywhere makes one
+    of the two non-finite, which fails the point."""
+    P = len(diff)
+    ops = np.concatenate([np.reshape(x, (P, -1)) for x in operands], axis=1)
+    return _sup(diff), np.maximum(np.abs(ops).max(axis=1), 1.0)
+
+
+def _rel(result) -> np.ndarray:
+    """abs / denom of a result, NaN where either is not finite, so no
+    hypothesis on it holds."""
+    a, d = result
+    return np.where(np.isfinite(a + d), a / d, np.nan)
+
+
+def _gate(result, mask):
+    """A result that counts only where ``mask`` holds: (0, 1) elsewhere,
+    which no max over results notices."""
+    return np.where(mask, result[0], 0.0), np.where(mask, result[1], 1.0)
 
 
 def _worst(*parts):
-    """Componentwise max of (abs, denom) pairs, keeping NaN."""
-    if any(math.isnan(a) for a, _ in parts):
-        return math.nan, math.nan
-    return max(a for a, _ in parts), max(d for _, d in parts)
+    """Pointwise max of (abs, denom) results; NaN and inf propagate."""
+    return np.maximum.reduce([a for a, _ in parts]), np.maximum.reduce([d for _, d in parts])
 
 
-class _PointEval:
-    """Lazy per-point evaluation shared by all checks."""
+def _messages(errors) -> dict[int, str]:
+    return {i: f"{type(exc).__name__}: {exc}" for i, exc in errors.items()}
 
-    def __init__(self, spec, pi, nab, D, point, carnot=False):
-        self.spec = spec
-        self.pi = pi
-        self.nab = nab
-        self.D = D
-        self.point = point
-        self.ell = spec.ell
-        self.carnot = carnot        # flagged left-invariant graded frame
 
-    @cached_property
-    def data(self):
-        return _frame_at(self.spec, self.point)
+class _Pass:
+    """Every tensor the checks read, on one chunk of sample points (leading
+    axis p), computed in one batched pass."""
 
-    @cached_property
-    def Kb(self) -> CurvatureBundle:
-        return schouten_curvature(self.nab, self.point)
+    def __init__(self, spec: ManifoldSpec, nab: ConnectionField, D: ConnectionField,
+                 points: np.ndarray, carnot: bool):
+        self.spec, self.ell, self.points, self.carnot = spec, spec.ell, points, carnot
+        self.frame = frame = _frame_data(spec, points)
+        self.pij = pij = D.oneform.batch(points)
+        self.errors = {"frame": _messages(frame.errors), "pi": _messages(pij.errors)}
+        self.nab, self.D = nab.batch(frame), D.batch(frame, pij)
+        self.rawK, self.rawR = curvature_raw(self.nab), curvature_raw(self.D)
+        self.Kb = curvature_bundle(self.nab, self.rawK)
+        self.Rb = curvature_bundle(self.D, self.rawR)
+        self.ct = characteristic(frame, pij)
+        self.W_nab = projective_tensor(self.Kb, spec, points)
+        self.W_D = projective_tensor(self.Rb, spec, points)
+        self.DT_D = self.D.covariant_T()
+        if self.ell >= 3:
+            self.S_nab = s_tensor(self.Kb, spec, points)
+            self.C_nab = conformal_tensor(self.Kb, spec, points)
+            self.C_D = conformal_tensor(self.Rb, spec, points)
 
-    @cached_property
-    def Rb(self) -> CurvatureBundle:
-        return schouten_curvature(self.D, self.point)
+    def failures(self, reads) -> dict[int, str]:
+        """The error message of each point where a layer in ``reads`` failed;
+        where several did, the first in ``reads``."""
+        out: dict[int, str] = {}
+        for layer in reversed(reads):
+            out.update(self.errors[layer])
+        return out
 
-    @cached_property
-    def ct(self):
-        return characteristic_tensor(self.spec, self.pi, self.point)
 
-    @cached_property
-    def S_nab(self):
-        return s_tensor(self.Kb, self.spec, self.point)
+def _passes(spec: ManifoldSpec, pi: OneFormData | None, config: SuiteConfig):
+    """The batched passes over the config's sample points; ``pi`` absent
+    means the zero one-form."""
+    pi = pi if pi is not None else OneFormData.zero(spec.ell, spec.n)
+    nab, D = koszul_connection(spec), semi_connection(spec, pi)
+    points = sample_points(spec, config.points, config.seed)
+    for start in range(0, len(points), FRAME_CHUNK):
+        yield _Pass(spec, nab, D, points[start:start + FRAME_CHUNK], "carnot" in config.flags)
 
-    @cached_property
-    def C_nab(self):
-        return conformal_tensor(self.Kb, self.spec, self.point)
 
-    @cached_property
-    def C_D(self):
-        return conformal_tensor(self.Rb, self.spec, self.point)
-
-    @cached_property
-    def W_nab(self):
-        return projective_tensor(self.Kb, self.spec, self.point)
-
-    @cached_property
-    def W_D(self):
-        return projective_tensor(self.Rb, self.spec, self.point)
-
-    @cached_property
-    def DT_D(self):
-        return covariant_derivative_T(self.D, self.point)
-
-    @cached_property
-    def DT_nab(self):
-        return covariant_derivative_T(self.nab, self.point)
+def _quiet():
+    """Silence numpy's floating-point warnings: the checks report non-finite
+    values at their points themselves."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 # --------------------------------------------------------------------------
 # The check table
 # --------------------------------------------------------------------------
 
-def _metricity(pe, co):
+FRAME, FRAME_PI, PI_FRAME = ("frame",), ("frame", "pi"), ("pi", "frame")
+
+
+def _metricity(ev, co):
     """e_k(g_ij) - co[k,i,e] g_ej - co[k,j,e] g_ie."""
-    d = pe.data
-    t = np.einsum("kie,ej->kij", co, d.gv)
-    return _res(d.fdg - t - t.transpose(0, 2, 1), d.fdg, co, d.gv)
+    f = ev.frame
+    t = contract(co, f.gv)
+    return _res(f.fdg - t - t.transpose(0, 1, 3, 2), f.fdg, co, f.gv)
 
 
-def _c01(pe):
-    return _metricity(pe, pe.nab.coefficients(pe.point))
+def _c01(ev):
+    return _metricity(ev, ev.nab.jets.values)
 
 
-def _c02(pe):
-    return _res(torsion(pe.nab, pe.point), pe.nab.coefficients(pe.point), pe.data.Om)
+def _c02(ev):
+    return _res(ev.nab.torsion(), ev.nab.jets.values, ev.frame.Om)
 
 
-def _c03(pe):
-    return _metricity(pe, pe.D.coefficients(pe.point))
+def _c03(ev):
+    return _metricity(ev, ev.D.jets.values)
 
 
-def _c04(pe):
-    eye, piv = np.eye(pe.ell), pe.pi.values(pe.point)
-    want = np.einsum("ik,j->ijk", eye, piv) - np.einsum("jk,i->ijk", eye, piv)
-    tor = torsion(pe.D, pe.point)
+def _c04(ev):
+    piv = ev.pij.values
+    t = np.eye(ev.ell)[:, None, :] * piv[:, None, :, None]       # delta_i^k pi_j
+    want = t - t.transpose(0, 2, 1, 3)
+    tor = ev.D.torsion()
     return _res(tor - want, tor, piv)
 
 
-def _c05(pe):
-    rawK, rawR = (curvature_components_raw(c, pe.point) for c in (pe.nab, pe.D))
-    return _worst(_res(rawK + rawK.transpose(1, 0, 2, 3), rawK),
-                  _res(rawR + rawR.transpose(1, 0, 2, 3), rawR))
+def _c05(ev):
+    rawK, rawR = ev.rawK, ev.rawR
+    return _worst(_res(rawK + rawK.transpose(0, 2, 1, 3, 4), rawK),
+                  _res(rawR + rawR.transpose(0, 2, 1, 3, 4), rawR))
 
 
-def _c06(pe):
-    lw = pe.Kb.lowered
-    cycl = lw + lw.transpose(1, 2, 0, 3) + lw.transpose(2, 0, 1, 3)
-    return _worst(_res(pe.Kb.bianchi_residual, pe.Kb.curv), _res(cycl, lw))
+def _c06(ev):
+    lw = ev.Kb.lowered
+    cycl = lw + lw.transpose(0, 2, 3, 1, 4) + lw.transpose(0, 3, 1, 2, 4)
+    return _worst(_res(ev.Kb.bianchi_residual, ev.Kb.curv), _res(cycl, lw))
 
 
-def _c07(pe):
-    ric = pe.Kb.ricci
-    ric2 = pe.Kb.second_contraction()
-    return _worst(_res(ric2 + ric2.T, ric2, ric), _res(ric2 - (ric - ric.T), ric2, ric))
+def _c07(ev):
+    ric = ev.Kb.ricci
+    ric2 = ev.Kb.second_contraction()
+    return _worst(_res(ric2 + ric2.transpose(0, 2, 1), ric2, ric),
+                  _res(ric2 - (ric - ric.transpose(0, 2, 1)), ric2, ric))
 
 
-def _c08(pe):
-    if float(np.abs(pe.data.Mc).max(initial=0.0)) > QUALIFIER_TOL:
-        return None                      # vertical bracket part present
-    lw = pe.Kb.lowered
-    return _res(lw + lw.transpose(0, 1, 3, 2), lw)
+def _c08(ev):
+    lw = ev.Kb.lowered
+    involutive = ~(_sup(ev.frame.Mc) > QUALIFIER_TOL)       # no vertical bracket part
+    return (*_res(lw + lw.transpose(0, 1, 2, 4, 3), lw), involutive)
 
 
-def _c09(pe):
-    want = curvature_relation_terms(pe.ct, pe.spec, pe.point)
-    return _res(pe.Rb.curv - pe.Kb.curv - want, pe.Rb.curv, pe.Kb.curv, want)
+def _c09(ev):
+    want = curvature_relation_terms(ev.ct, ev.spec, ev.points)
+    return _res(ev.Rb.curv - ev.Kb.curv - want, ev.Rb.curv, ev.Kb.curv, want)
 
 
-def _c10(pe):
-    want = (pe.ell - 2) * pe.ct.pi_lower + pe.ct.alpha * pe.data.gv
-    return _res(pe.Rb.ricci - pe.Kb.ricci - want, pe.Rb.ricci, pe.Kb.ricci, want)
+def _c10(ev):
+    want = (ev.ell - 2) * ev.ct.pi_lower + ev.ct.alpha[:, None, None] * ev.frame.gv
+    return _res(ev.Rb.ricci - ev.Kb.ricci - want, ev.Rb.ricci, ev.Kb.ricci, want)
 
 
-def _c11(pe):
-    diff = pe.Rb.scalar - pe.Kb.scalar - 2 * (pe.ell - 1) * pe.ct.alpha
-    return _res(diff, pe.Rb.scalar, pe.Kb.scalar, pe.ct.alpha)
+def _c11(ev):
+    diff = ev.Rb.scalar - ev.Kb.scalar - 2 * (ev.ell - 1) * ev.ct.alpha
+    return _res(diff, ev.Rb.scalar, ev.Kb.scalar, ev.ct.alpha)
 
 
-def _c12(pe):
-    S_D = s_tensor(pe.Rb, pe.spec, pe.point)
-    return _res(S_D - pe.S_nab, S_D, pe.S_nab)
+def _c12(ev):
+    S_D = s_tensor(ev.Rb, ev.spec, ev.points)
+    return _res(S_D - ev.S_nab, S_D, ev.S_nab)
 
 
-def _c13(pe):
-    want = conformal_difference_formula(pe.ct, pe.spec, pe.point)
-    return _res(pe.C_D - pe.C_nab - want, pe.C_D, pe.C_nab, want)
+def _c13(ev):
+    want = conformal_difference_formula(ev.ct, ev.spec, ev.points)
+    return _res(ev.C_D - ev.C_nab - want, ev.C_D, ev.C_nab, want)
 
 
-def _c14(pe):
-    want = projective_difference_formula(pe.ct, pe.spec, pe.point)
-    return _res(pe.W_D - pe.W_nab - want, pe.W_D, pe.W_nab, want)
+def _c14(ev):
+    want = projective_difference_formula(ev.ct, ev.spec, ev.points)
+    return _res(ev.W_D - ev.W_nab - want, ev.W_D, ev.W_nab, want)
 
 
-def _c15(pe):
-    if abs(pe.ct.alpha) > QUALIFIER_TOL:
-        return None
-    return _res(pe.C_D - pe.C_nab, pe.C_D, pe.C_nab)
+def _c15(ev):
+    return (*_res(ev.C_D - ev.C_nab, ev.C_D, ev.C_nab),
+            ~(np.abs(ev.ct.alpha) > QUALIFIER_TOL))
 
 
-def _c16(pe):
-    prop = pe.ct.pi_lower - (pe.ct.alpha / pe.ell) * pe.data.gv
-    if float(np.abs(prop).max()) > QUALIFIER_TOL:
-        return None
-    return _res(pe.W_D - pe.W_nab, pe.W_D, pe.W_nab)
+def _c16(ev):
+    prop = ev.ct.pi_lower - (ev.ct.alpha / ev.ell)[:, None, None] * ev.frame.gv
+    return (*_res(ev.W_D - ev.W_nab, ev.W_D, ev.W_nab), ~(_sup(prop) > QUALIFIER_TOL))
 
 
-def _c17(pe):
-    parts = []
-    a_rk, d_rk = _res(pe.Rb.curv - pe.Kb.curv, pe.Rb.curv, pe.Kb.curv)
-    if not math.isfinite(a_rk / d_rk):          # the hypotheses cannot be decided
-        return a_rk, d_rk
-    if a_rk / d_rk <= HYPOTHESIS_REL:                   # equal curvature tensors
-        parts.append((abs(pe.ct.alpha), 1.0))
-    if pe.ell >= 3:
-        a_r, d_r = _res(pe.Rb.curv, pe.Rb.curv)
-        if a_r / d_r <= HYPOTHESIS_REL:                 # flat transformed connection
-            parts.append(_res(pe.S_nab, pe.S_nab))
-            want = flatness_characteristic_form(pe.Kb, pe.spec, pe.point)
-            parts.append(_res(pe.ct.pi_lower - want, pe.ct.pi_lower, want))
-    if not parts:
-        return None
-    return _worst(*parts)
+def _c17(ev):
+    R, K, ct = ev.Rb.curv, ev.Kb.curv, ev.ct
+    rk = _res(R - K, R, K)
+    undecided = np.isnan(_rel(rk))                 # the hypotheses cannot be decided
+    equal = _rel(rk) <= HYPOTHESIS_REL             # equal curvature tensors
+    parts = [_gate((np.abs(ct.alpha), np.ones(len(R))), equal)]
+    qualifies = undecided | equal
+    if ev.ell >= 3:
+        flat = _rel(_res(R, R)) <= HYPOTHESIS_REL  # flat transformed connection
+        want = flatness_characteristic_form(ev.Kb, ev.spec, ev.points)
+        parts += [_gate(_res(ev.S_nab, ev.S_nab), flat),
+                  _gate(_res(ct.pi_lower - want, ct.pi_lower, want), flat)]
+        qualifies = qualifies | flat
+    abs_res, denom = _worst(*parts)
+    return np.where(undecided, rk[0], abs_res), np.where(undecided, rk[1], denom), qualifies
 
 
-def _c18(pe):
-    t = np.einsum("ik,jh->ijkh", oneform_derivative(pe.D, pe.point), np.eye(pe.ell))
-    want = t - t.transpose(0, 2, 1, 3)
-    parts = [_res(pe.DT_D - want, pe.DT_D, want)]
-    a_r, d_r = _res(pe.Rb.curv, pe.Rb.curv)
-    a_t, d_t = _res(pe.DT_D, pe.DT_D)
-    if a_r / d_r <= HYPOTHESIS_REL and a_t / d_t <= HYPOTHESIS_REL:
-        # flat + parallel torsion: characteristic tensor and constant curvature
-        piv = pe.pi.values(pe.point)
-        p2 = float(piv @ (pe.data.ginv @ piv))
-        parts.append(_res(pe.ct.pi_lower + 0.5 * pe.data.gv * p2,
-                          pe.ct.pi_lower, pe.data.gv))
-        const_form = p2 * delta_g(pe.data.gv)
-        parts.append(_res(pe.Kb.curv - const_form, pe.Kb.curv, const_form))
-        parts.append(_res(pe.W_nab, pe.W_nab))
-    if pe.carnot:       # expected there: a flat, parallel-torsion Koszul connection
-        parts += [_res(pe.Kb.curv, pe.Kb.curv), _res(pe.DT_nab, pe.DT_nab)]
+def _c18(ev):
+    gv, K, DT = ev.frame.gv, ev.Kb.curv, ev.DT_D
+    t = delta_k(ev.D.oneform_derivative())                 # (D_i pi_j) delta_k^h
+    want = t.transpose(0, 1, 3, 2, 4) - t
+    parts = [_res(DT - want, DT, want)]
+    # flat + parallel torsion: characteristic tensor and constant curvature
+    flat_parallel = ((_rel(_res(ev.Rb.curv, ev.Rb.curv)) <= HYPOTHESIS_REL)
+                     & (_rel(_res(DT, DT)) <= HYPOTHESIS_REL))
+    piv = ev.pij.values
+    p2 = (piv * contract(ev.frame.ginv, piv)).sum(axis=1)
+    const_form = p2[:, None, None, None, None] * delta_g(gv)
+    parts += [_gate(r, flat_parallel) for r in (
+        _res(ev.ct.pi_lower + 0.5 * gv * p2[:, None, None], ev.ct.pi_lower, gv),
+        _res(K - const_form, K, const_form),
+        _res(ev.W_nab, ev.W_nab))]
+    if ev.carnot:       # expected there: a flat, parallel-torsion Koszul connection
+        DT_nab = ev.nab.covariant_T()
+        parts += [_res(K, K), _res(DT_nab, DT_nab)]
     return _worst(*parts)
 
 
@@ -335,6 +351,7 @@ def _c18(pe):
 class _Check:
     meta: CheckSpec
     fn: object
+    reads: tuple[str, ...] = FRAME      # layers whose errors fail the check, first first
 
 
 CHECKS: tuple[_Check, ...] = (
@@ -346,15 +363,15 @@ CHECKS: tuple[_Check, ...] = (
         "{_ij^k} - {_ji^k} = Omega_ij^k", tolerance=1e-10), _c02),
     _Check(CheckSpec(
         "C03", "metric compatibility of the semi-symmetric connection",
-        "e_k(g_ij) = Gamma_ki^e g_ej + Gamma_kj^e g_ie", needs_pi=True), _c03),
+        "e_k(g_ij) = Gamma_ki^e g_ej + Gamma_kj^e g_ie", needs_pi=True), _c03, FRAME_PI),
     _Check(CheckSpec(
         "C04", "semi-symmetric form of the transformed torsion",
         "T_ij^k = delta_i^k pi_j - delta_j^k pi_i (corrected reading of the "
         "defining display, forced by the transformation rule)",
-        needs_pi=True, tolerance=1e-10), _c04),
+        needs_pi=True, tolerance=1e-10), _c04, PI_FRAME),
     _Check(CheckSpec(
         "C05", "curvature antisymmetry in the first index pair, recomputed unmirrored",
-        "K^h_ijk = -K^h_jik and R^h_ijk = -R^h_jik", tolerance=1e-10), _c05),
+        "K^h_ijk = -K^h_jik and R^h_ijk = -R^h_jik", tolerance=1e-10), _c05, FRAME_PI),
     _Check(CheckSpec(
         "C06", "first Bianchi identity of the horizontal connection, mixed and lowered",
         "K^h_ijk + K^h_jki + K^h_kij = 0;  K(X,Y,Z,W) + K(Y,Z,X,W) + K(Z,X,Y,W) = 0"),
@@ -368,17 +385,17 @@ CHECKS: tuple[_Check, ...] = (
     _Check(CheckSpec(
         "C09", "curvature change under the semi-symmetric transformation",
         "R^h_ijk = K^h_ijk + delta_j^h pi_ik - delta_i^h pi_jk + pi_j^h g_ik - pi_i^h g_jk",
-        needs_pi=True), _c09),
+        needs_pi=True), _c09, FRAME_PI),
     _Check(CheckSpec(
         "C10", "Ricci-trace change under the transformation",
-        "R^e_iek = K^e_iek + (ell-2) pi_ik + alpha g_ik", needs_pi=True), _c10),
+        "R^e_iek = K^e_iek + (ell-2) pi_ik + alpha g_ik", needs_pi=True), _c10, FRAME_PI),
     _Check(CheckSpec(
         "C11", "scalar-curvature change under the transformation",
-        "R = K + 2(ell-1) alpha", needs_pi=True), _c11),
+        "R = K + 2(ell-1) alpha", needs_pi=True), _c11, FRAME_PI),
     _Check(CheckSpec(
         "C12", "invariance of the S-tensor under the transformation",
         "S^h_ijk built from either connection agrees (curv - Ricci/scalar combination)",
-        required_rank=3, needs_pi=True), _c12),
+        required_rank=3, needs_pi=True), _c12, FRAME_PI),
     _Check(CheckSpec(
         "C13", "tabulated closed form for the conformal-tensor change "
         "(inconsistent with the definitional displays: the measured change is zero, "
@@ -386,66 +403,63 @@ CHECKS: tuple[_Check, ...] = (
         "Cbar - C = -(1/ell)(delta_j^h pi_ik - delta_i^h pi_jk + g_ik pi_j^h - g_jk pi_i^h) "
         "- 2 alpha/(ell(ell-2)) (delta_j^h g_ik - delta_i^h g_jk) "
         "- ((ell-2)/ell) delta_k^h pi_ij - (alpha/ell) delta_k^h g_ij",
-        required_rank=3, needs_pi=True), _c13),
+        required_rank=3, needs_pi=True), _c13, FRAME_PI),
     _Check(CheckSpec(
         "C14", "closed form for the projective-tensor change",
         "Wbar - W = (1/(ell-1))(delta_j^h pi_ik - delta_i^h pi_jk) "
         "+ (g_ik pi_j^h - g_jk pi_i^h) - alpha/(ell-1)(delta_j^h g_ik - delta_i^h g_jk)",
-        needs_pi=True), _c14),
+        needs_pi=True), _c14, FRAME_PI),
     _Check(CheckSpec(
         "C15", "equal conformal tensors where the characteristic trace vanishes",
-        "alpha = 0  =>  Cbar = C", required_rank=3, needs_pi=True), _c15),
+        "alpha = 0  =>  Cbar = C", required_rank=3, needs_pi=True), _c15, FRAME_PI),
     _Check(CheckSpec(
         "C16", "equal projective tensors where the characteristic tensor is "
         "metric-proportional",
-        "pi_ik = (alpha/ell) g_ik  =>  Wbar = W", needs_pi=True), _c16),
+        "pi_ik = (alpha/ell) g_ik  =>  Wbar = W", needs_pi=True), _c16, FRAME_PI),
     _Check(CheckSpec(
         "C17", "flatness consequences: equal curvatures force alpha = 0; a flat "
         "transformed connection forces S = 0 and pins the characteristic tensor",
         "R^h_ijk = K^h_ijk => alpha = 0;  R^h_ijk = 0 => S^h_ijk = 0 and "
         "pi_ik = (1/(2-ell))(K^e_iek - K g_ik / (2(ell-1)))",
-        needs_pi=True, tolerance=1e-8), _c17),
+        needs_pi=True, tolerance=1e-8), _c17, FRAME_PI),
     _Check(CheckSpec(
         "C18", "parallel torsion and group-manifold consequences",
         "(D_i T)_jk^h = (D_i pi_k) delta_j^h - (D_i pi_j) delta_k^h;  flat D with "
         "parallel torsion => pi_ij = -(1/2) g_ij pi_e pi^e, "
         "K^h_ijk = pi_e pi^e (delta_j^h g_ik - delta_i^h g_jk), W = 0;  "
         "on flagged left-invariant graded frames K = 0 and (nabla T) = 0",
-        needs_pi=True), _c18),
+        needs_pi=True), _c18, FRAME_PI),
 )
 
 CHECK_IDS = tuple(c.meta.id for c in CHECKS)
 
 
 class _Outcome:
-    __slots__ = ("max_abs", "max_rel", "count", "errors")
+    __slots__ = ("max_abs", "max_rel", "count", "error")
 
     def __init__(self):
         self.max_abs = 0.0
         self.max_rel = 0.0
         self.count = 0
-        self.errors: list[str] = []
+        self.error: str | None = None       # the first, in point order
 
-    def update(self, result, point):
-        """Fold in one point's (abs, denom); a non-finite one is an error there."""
-        abs_res, denom = result
-        if not (math.isfinite(abs_res) and math.isfinite(denom)):
-            self.errors.append(f"non-finite residual or operand scale at {point.tolist()}")
-            return
-        self.max_abs = max(self.max_abs, abs_res)
-        self.max_rel = max(self.max_rel, abs_res / denom)
-        self.count += 1
-
-
-def _point_evals(spec: ManifoldSpec, pi: OneFormData | None, config: SuiteConfig):
-    """The per-point evaluations at the config's sample points; ``pi`` absent
-    means the zero one-form."""
-    pi = pi if pi is not None else OneFormData.zero(spec.ell, spec.n)
-    nab = koszul_connection(spec)
-    D = semi_connection(spec, pi)
-    for point in with_frame_data(spec, sample_points(spec, config.points, config.seed),
-                                 (pi._cache, pi._batch)):
-        yield _PointEval(spec, pi, nab, D, point, "carnot" in config.flags)
+    def update(self, result, failed: dict[int, str], points):
+        """Fold in one pass: per-point (abs, denom[, qualifies]) and the error
+        message of each point where a layer the check reads failed.  A
+        non-finite residual or operand scale is an error at its point."""
+        abs_res, denom, *qualifies = result
+        evaluated = qualifies[0].copy() if qualifies else np.ones(len(points), dtype=bool)
+        if failed:
+            evaluated[list(failed)] = False
+        good = evaluated & np.isfinite(abs_res + denom)
+        if self.error is None and (failed or good.sum() != evaluated.sum()):
+            i = min([*failed, *np.flatnonzero(evaluated & ~good).tolist()])
+            self.error = failed.get(i) or \
+                f"non-finite residual or operand scale at {points[i].tolist()}"
+        if good.any():
+            self.count += int(good.sum())
+            self.max_abs = max(self.max_abs, float(abs_res[good].max()))
+            self.max_rel = max(self.max_rel, float((abs_res[good] / denom[good]).max()))
 
 
 def run_suite(spec: ManifoldSpec, pi: OneFormData | None = None,
@@ -462,25 +476,15 @@ def run_suite(spec: ManifoldSpec, pi: OneFormData | None = None,
     outcomes = {check.meta.id: _Outcome() for check in CHECKS}
     warnings: list[str] = []
 
-    for pe in _point_evals(spec, pi, config):
-        for check in CHECKS:
-            if check.meta.id in skipped:
-                continue
-            out = outcomes[check.meta.id]
-            try:
-                result = check.fn(pe)
-            except (SrclabError, np.linalg.LinAlgError) as exc:
-                out.errors.append(f"{type(exc).__name__}: {exc}")
-                continue
-            if result is not None:
-                out.update(result, pe.point)
-        try:
-            point_warn = pe.data.warnings
-        except (SrclabError, np.linalg.LinAlgError):
-            point_warn = ()
-        for w in point_warn:
-            if w not in warnings:
-                warnings.append(w)
+    with _quiet():
+        for ev in _passes(spec, pi, config):
+            for check in CHECKS:
+                if check.meta.id not in skipped:
+                    outcomes[check.meta.id].update(check.fn(ev), ev.failures(check.reads),
+                                                   ev.points)
+            for w in ev.frame.warnings.values():
+                if w not in warnings:
+                    warnings.append(w)
 
     records = []
     for check in CHECKS:
@@ -488,8 +492,8 @@ def run_suite(spec: ManifoldSpec, pi: OneFormData | None = None,
         tol = config.tol if config.tol is not None else meta.tolerance
         if meta.id in skipped:
             fields = (0.0, 0.0, 0, tol, False, skipped[meta.id])
-        elif out.errors:
-            warnings.append(f"{meta.id}: {out.errors[0]}")
+        elif out.error is not None:
+            warnings.append(f"{meta.id}: {out.error}")
             fields = (float("inf"), float("inf"), out.count, tol, False)
         else:
             fields = (out.max_abs, out.max_rel, out.count, tol, out.max_rel <= tol)
@@ -498,8 +502,20 @@ def run_suite(spec: ManifoldSpec, pi: OneFormData | None = None,
 
 
 # --------------------------------------------------------------------------
-# Standalone structured checks: views over the suite's per-point evaluation
+# Standalone structured checks: views over the suite's batched passes
 # --------------------------------------------------------------------------
+
+def _point_errors(ev: _Pass, reads, finite, what: str):
+    """The messages of the points of a pass that fail, in point order (the
+    error of a layer in ``reads``, else ``what`` not being finite), and the
+    mask of the points that do not."""
+    failed = ev.failures(reads)
+    bad = sorted({*failed, *np.flatnonzero(~finite).tolist()})
+    good = np.ones(len(ev.points), dtype=bool)
+    good[bad] = False
+    return [failed.get(i) or f"DomainError: {what} not finite at {ev.points[i].tolist()}"
+            for i in bad], good
+
 
 @dataclass(frozen=True)
 class GroupManifoldResult:
@@ -518,19 +534,19 @@ def check_group_manifold(spec: ManifoldSpec, pi: OneFormData | None = None,
     at a sample makes the verdict "inconclusive".
     """
     config = config or SuiteConfig()
+    reads = FRAME if pi is None else FRAME_PI
     max_curv = max_dt = 0.0
     errors: list[str] = []
-    for pe in _point_evals(spec, pi, config):
-        try:
-            curv, dt = (pe.Kb.curv, pe.DT_nab) if pi is None else (pe.Rb.curv, pe.DT_D)
-            sizes = float(np.abs(curv).max()), float(np.abs(dt).max())
-            if not all(map(math.isfinite, sizes)):
-                raise DomainError(f"curvature or torsion derivative not finite at "
-                                  f"{pe.point.tolist()}")
-        except (SrclabError, np.linalg.LinAlgError) as exc:
-            errors.append(f"{type(exc).__name__}: {exc}")
-            continue
-        max_curv, max_dt = max(max_curv, sizes[0]), max(max_dt, sizes[1])
+    with _quiet():
+        for ev in _passes(spec, pi, config):
+            curv, dt = (ev.Kb.curv, ev.nab.covariant_T()) if pi is None else (ev.Rb.curv, ev.DT_D)
+            size_c, size_d = _sup(curv), _sup(dt)
+            messages, good = _point_errors(ev, reads, np.isfinite(size_c + size_d),
+                                           "curvature or torsion derivative")
+            errors += messages
+            if good.any():
+                max_curv = max(max_curv, float(size_c[good].max()))
+                max_dt = max(max_dt, float(size_d[good].max()))
     evidence = {"max_curvature": max_curv, "max_torsion_derivative": max_dt,
                 "points": config.points, "errors": errors}
     if errors:
@@ -544,23 +560,33 @@ def check_group_manifold(spec: ManifoldSpec, pi: OneFormData | None = None,
 class FlatnessResult:
     per_point: tuple[tuple[bool, bool, bool], ...]   # (R_zero, S_zero, pi_matches)
     implication_holds: bool
+    errors: tuple[str, ...] = ()                     # points left out of per_point
 
 
 def check_flatness_criterion(spec: ManifoldSpec, pi: OneFormData | None = None,
                              config: SuiteConfig | None = None,
                              tolerance: float = 1e-9) -> FlatnessResult:
     """Per point: is R zero, is S zero, does pi_ik match the forced form;
-    the verdict asserts R_zero => (S_zero and pi_matches) at every sample."""
+    the verdict asserts R_zero => (S_zero and pi_matches) at every sample.
+
+    A point where the frame or the one-form fails, or where a tensor read is
+    not finite, gives an error (in ``check_group_manifold``'s form) instead
+    of a row, and any error makes the verdict False.
+    """
     if spec.ell < 3:
         raise RankTooSmall(f"flatness criterion needs rank >= 3, got {spec.ell}")
     config = config or SuiteConfig()
-    rows = []
-    for pe in _point_evals(spec, pi, config):
-        r_zero = float(np.abs(pe.Rb.curv).max()) <= tolerance
-        s_zero = float(np.abs(pe.S_nab).max()) \
-            <= tolerance * max(1.0, float(np.abs(pe.Kb.curv).max()))
-        want = flatness_characteristic_form(pe.Kb, spec, pe.point)
-        pi_match = float(np.abs(pe.ct.pi_lower - want).max()) \
-            <= tolerance * max(1.0, float(np.abs(want).max()))
-        rows.append((r_zero, s_zero, pi_match))
-    return FlatnessResult(tuple(rows), all(s and m for r, s, m in rows if r))
+    rows: list[tuple[bool, bool, bool]] = []
+    errors: list[str] = []
+    with _quiet():
+        for ev in _passes(spec, pi, config):
+            want = flatness_characteristic_form(ev.Kb, spec, ev.points)
+            r, s, k = _sup(ev.Rb.curv), _sup(ev.S_nab), _sup(ev.Kb.curv)
+            d, w = _sup(ev.ct.pi_lower - want), _sup(want)
+            messages, good = _point_errors(ev, FRAME_PI, np.isfinite(r + s + k + d + w),
+                                           "curvature or characteristic tensor")
+            errors += messages
+            rows += [(bool(r[i] <= tolerance), bool(s[i] <= tolerance * max(1.0, k[i])),
+                      bool(d[i] <= tolerance * max(1.0, w[i]))) for i in np.flatnonzero(good)]
+    holds = not errors and all(s and m for r, s, m in rows if r)
+    return FlatnessResult(tuple(rows), holds, tuple(errors))

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 from jsonschema import validate
 
@@ -214,3 +218,28 @@ def test_eval_rank_guarded_tensor_exits_two(capsys):
                    "--point", "0.1,0.2,0.3"])
     assert rc == 2
     assert "rank" in capsys.readouterr().err
+
+
+def test_verify_overflow_prints_no_numpy_warnings():
+    """pi = (1e200, 0, 0, 0) overflows the transformed curvature; the report
+    names those points, and numpy's own RuntimeWarnings stay off stderr."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from srclab.cli import main; main()", "verify",
+         "--builtin", "heisenberg2", "--pi", "const:1e200,0,0,0", "--points", "5"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "RuntimeWarning" not in proc.stderr
+    failing = ["C05", *(f"C{i:02d}" for i in range(9, 19))]
+    rows = [re.match(r"(C\d\d)  (PASS|FAIL)  rel (\S+) \(tol [^,]+, (\d+) pts\)", ln).groups()
+            for ln in proc.stdout.splitlines()]
+    assert rows == [(cid, "FAIL", "inf", "0") if cid in failing
+                    else (cid, "PASS", "0.000e+00", "0" if cid == "C08" else "5")
+                    for cid in (f"C{i:02d}" for i in range(1, 19))]
+    point = ("[0.2739233746429086, -0.4604265724722594, -0.9180529521276106, "
+             "-0.9669447289429418, 0.6265404784005448]")
+    assert proc.stderr.splitlines() == [
+        f"warning: {cid}: non-finite residual or operand scale at {point}" for cid in failing]

@@ -162,9 +162,10 @@ metric identity
         snapshot(spec, np.array([0.0, 0.2, 0.3]))
     snapshot(spec, np.array([0.5, 0.2, 0.3]))
     # in one batch the singular point is marked alone
-    bad, good = _frame_data(spec, np.array([[0.0, 0.2, 0.3], [0.5, 0.2, 0.3]]))
-    assert isinstance(bad, SingularFrame)
-    assert isinstance(good, FramePointData)
+    batch = _frame_data(spec, np.array([[0.0, 0.2, 0.3], [0.5, 0.2, 0.3]]))
+    assert isinstance(batch.errors[0], SingularFrame)
+    assert 1 not in batch.errors
+    assert isinstance(batch.at(1), FramePointData)
 
 
 def test_batch_errors_per_point_in_precedence_order():
@@ -197,10 +198,12 @@ metric rows
         ((1, 1, 0.25), None),
     ]
     points = np.array([p for p, _ in want], dtype=float)
-    for got, (p, err) in zip(_frame_data(spec, points), want):
+    batch = _frame_data(spec, points)
+    for i, (p, err) in enumerate(want):
         if err is None:
-            assert isinstance(got, FramePointData)
+            assert isinstance(batch.at(i), FramePointData)
             continue
+        got = batch.errors[i]
         assert (type(got), str(got)) == (type(err), str(err)), p
         with pytest.raises(type(err), match=re.escape(str(err))):
             snapshot(spec, np.array(p, dtype=float))

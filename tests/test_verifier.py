@@ -1,9 +1,19 @@
+import os
+import sys
+
+import numpy as np
 import pytest
 
+import srclab
 from srclab.catalog import builtin, catalog_names
-from srclab.connections import OneFormData
+from srclab.connections import (OneFormData, covariant_derivative_T, koszul_connection,
+                                semi_connection, torsion)
+from srclab.curvature import (characteristic_tensor, conformal_difference_formula,
+                              conformal_tensor, projective_difference_formula,
+                              projective_tensor, s_tensor, schouten_curvature)
+from srclab.manifold import FRAME_CHUNK
 from srclab.errors import RankTooSmall, ValidationError
-from srclab.verifier import (CHECKS, CHECK_IDS, SuiteConfig,
+from srclab.verifier import (CHECKS, CHECK_IDS, SuiteConfig, _passes,
                              check_flatness_criterion, check_group_manifold,
                              run_suite)
 from srclab.parser import parse_manifold, parse_scalar_expression
@@ -164,7 +174,7 @@ metric rows
         assert not report.passed()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy reports the overflow too
+@pytest.mark.filterwarnings("error::RuntimeWarning")    # the suite silences numpy's own
 def test_non_finite_residuals_fail_their_checks():
     """pi = (1e200, 0, 0, 0) overflows the curvature of the transformed
     connection: every residual built from it is NaN and fails, C03/C04 stay
@@ -186,7 +196,7 @@ def test_non_finite_residuals_fail_their_checks():
     assert check_group_manifold(spec, huge_pi, cfg).verdict == "inconclusive"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy reports the overflow too
+@pytest.mark.filterwarnings("error::RuntimeWarning")    # the suite silences numpy's own
 def test_overflowing_oneform_marks_checks_failed_without_aborting():
     """exp(1000 x1) overflows where x1 > 0.71: those points are a DomainError
     for every check that reads the one-form; C01/C02 pass everywhere."""
@@ -310,13 +320,167 @@ def test_concurrent_evaluation_matches_serial():
     from srclab.curvature import schouten_curvature
     from srclab.manifold import sample_points
 
-    spec = builtin("curved-metric-l3").spec
-    conn = koszul_connection(spec)
-    pts = sample_points(spec, 24, 6)
-    serial = [schouten_curvature(conn, p).curv for p in pts]
-    spec._cache.clear()
-    conn._cache.clear()
+    entry = builtin("curved-metric-l3")
+    pts = sample_points(entry.spec, 24, 6)
+    serial = [schouten_curvature(koszul_connection(entry.spec), p).curv for p in pts]
+    conn = koszul_connection(parse_manifold(entry.source))   # compiled under the threads
     with ThreadPoolExecutor(max_workers=8) as pool:
         parallel = list(pool.map(lambda p: schouten_curvature(conn, p).curv, pts))
     for a, b in zip(serial, parallel):
         assert (a == b).all()
+
+
+def test_flatness_criterion_reports_errors_instead_of_aborting():
+    """A point outside the one-form's domain and a non-finite curvature are
+    errors, left out of the rows, and they make the verdict False."""
+    fs = builtin("free-step2-l3").spec
+    sqrt_pi = OneFormData.from_expressions(
+        [parse_scalar_expression(t, fs.coords) for t in ("sqrt(x1)", "0", "0")], fs.n)
+    res = check_flatness_criterion(fs, sqrt_pi, SuiteConfig(points=5, seed=0))
+    assert res.errors == ("DomainError: sqrt of negative value -0.40057621892523043",)
+    assert len(res.per_point) == 4 and not res.implication_holds
+    h2 = builtin("heisenberg2").spec
+    huge = check_flatness_criterion(h2, OneFormData.constant([1e200, 0.0, 0.0, 0.0], h2.n),
+                                    SuiteConfig(points=3, seed=0))
+    assert huge.per_point == () and not huge.implication_holds
+    assert len(huge.errors) == 3
+    assert all(e.startswith("DomainError: curvature or characteristic tensor not finite at ")
+               for e in huge.errors)
+    clean = check_flatness_criterion(h2, None, SuiteConfig(points=3, seed=0))
+    assert clean.errors == () and len(clean.per_point) == 3 and clean.implication_holds
+
+
+MIXED = """\
+manifold mixed
+dim 4
+hdim 3
+coords x y z w
+hframe
+  X1 = (x + 0.5 + sqrt((x + 0.5)*(x + 0.5))) dx
+  X2 = dy + x dw
+  X3 = (0.000000001 + 0.8 - y + sqrt((0.8 - y)*(0.8 - y))) dz
+vframe
+  W = dw
+metric rows
+  1 + y*y, 0, 0
+  0, 1, 0
+  0, 0, 2
+"""
+
+
+def test_mixed_frame_and_oneform_errors_pinned():
+    """X1 vanishes where x <= -0.5 (SingularFrame), X3 is 1e-9 dz where
+    y >= 0.8 (condition-number warnings), and the one-form leaves its domain
+    where z <= -0.6 or x < -0.7, the latter inside the singular region.  Every
+    figure below is the one the per-point evaluation gave: a frame error fails
+    every check, a one-form error every check that reads the one-form, C04
+    names the one-form's error first, and 100 points span two passes."""
+    spec = parse_manifold(MIXED)
+    pi = OneFormData.from_expressions(
+        [parse_scalar_expression(t, spec.coords) for t in ("log(z + 0.6)", "sqrt(x + 0.7)", "y")],
+        spec.n)
+    config = SuiteConfig(points=100, seed=3)
+    assert config.points > FRAME_CHUNK
+    report = run_suite(spec, pi, config)
+    frame_only = {"C01", "C02", "C06", "C07", "C08"}
+    for r in report.checks:
+        assert not r.passed and not r.skipped, r.id
+        assert r.max_abs_residual == r.max_rel_residual == float("inf"), r.id
+        want = 0 if r.id in ("C08", "C15", "C16", "C17") else 75 if r.id in frame_only else 62
+        assert r.points_evaluated == want, r.id
+    singular = ("SingularFrame: frame determinant 0.000e+00 below threshold at "
+                "[-0.8287016657127513, -0.5263789868078006, 0.6025489304127938, "
+                "0.16432407212873557]")
+    assert report.warnings == (
+        "frame condition number 1.642e+09 at [0.3210001348557896, 0.862927709482709, "
+        "-0.5856176638379975, 0.26018039957068595]",
+        "frame condition number 1.187e+09 at [0.09349481589142927, 0.8428549240675633, "
+        "0.12584412975947346, 0.4878204147010943]",
+        "frame condition number 1.260e+09 at [0.12983569006695017, 0.9296310991736529, "
+        "-0.9977031725122052, -0.3192670678964682]",
+        "frame condition number 2.505e+09 at [0.7525798244877075, 0.9248887626999003, "
+        "-0.7286447871405848, -0.7692449746119772]",
+        "frame condition number 1.075e+09 at [-0.1451683311447849, 0.884048838249373, "
+        "-0.7613479997414854, 0.8880491440250753]",
+        "frame condition number 2.847e+09 at [0.923620772478565, 0.9161340206568054, "
+        "-0.16669390546189033, -0.06087301310886706]",
+        *(f"{cid}: DomainError: sqrt of negative value -0.12870166571275132" if cid == "C04"
+          else f"{cid}: {singular}" for cid in CHECK_IDS))
+    koszul = check_group_manifold(spec, None, config)
+    transformed = check_group_manifold(spec, pi, config)
+    assert (koszul.verdict, len(koszul.evidence["errors"])) == ("inconclusive", 25)
+    assert (transformed.verdict, len(transformed.evidence["errors"])) == ("inconclusive", 38)
+    assert koszul.evidence["errors"][0] == transformed.evidence["errors"][0] == singular
+
+
+def test_batched_pass_matches_point_functions():
+    """Row i of one batched pass equals the public per-point functions at
+    point i, for every catalog pair at 20 seeded points."""
+    for name in catalog_names():
+        entry = builtin(name)
+        spec = entry.spec
+        for variant in (None, *(v.name for v in entry.pi_variants)):
+            pi = entry.oneform(variant) or OneFormData.zero(spec.ell, spec.n)
+            nab, D = koszul_connection(spec), semi_connection(spec, pi)
+            [ev] = _passes(spec, pi, SuiteConfig(points=20, seed=7, flags=entry.flags))
+            for i, p in enumerate(ev.points):
+                Kb, Rb = schouten_curvature(nab, p), schouten_curvature(D, p)
+                ct = characteristic_tensor(spec, pi, p)
+                pairs = [
+                    (ev.nab.jets.values[i], nab.coefficients(p)),
+                    (ev.nab.jets.grads[i], nab.coefficient_jets(p).grads),
+                    (ev.D.jets.values[i], D.coefficients(p)),
+                    (ev.D.jets.grads[i], D.coefficient_jets(p).grads),
+                    (ev.nab.torsion()[i], torsion(nab, p)),
+                    (ev.D.torsion()[i], torsion(D, p)),
+                    (ev.nab.covariant_T()[i], covariant_derivative_T(nab, p)),
+                    (ev.DT_D[i], covariant_derivative_T(D, p)),
+                    (ev.ct.pi_lower[i], ct.pi_lower), (ev.ct.pi_mixed[i], ct.pi_mixed),
+                    (ev.ct.alpha[i], ct.alpha),
+                    (projective_difference_formula(ev.ct, spec, ev.points)[i],
+                     projective_difference_formula(ct, spec, p)),
+                ]
+                for batch, ref in ((ev.Kb, Kb), (ev.Rb, Rb)):
+                    pairs += [(batch.curv[i], ref.curv), (batch.ricci[i], ref.ricci),
+                              (batch.scalar[i], ref.scalar)]
+                pairs += [(ev.W_nab[i], projective_tensor(Kb, spec, p)),
+                          (ev.W_D[i], projective_tensor(Rb, spec, p))]
+                if spec.ell >= 3:
+                    pairs += [(ev.S_nab[i], s_tensor(Kb, spec, p)),
+                              (s_tensor(ev.Rb, spec, ev.points)[i], s_tensor(Rb, spec, p)),
+                              (ev.C_nab[i], conformal_tensor(Kb, spec, p)),
+                              (ev.C_D[i], conformal_tensor(Rb, spec, p)),
+                              (conformal_difference_formula(ev.ct, spec, ev.points)[i],
+                               conformal_difference_formula(ct, spec, p))]
+                for k, (got, ref) in enumerate(pairs):
+                    bound = 1e-13 * max(1.0, float(np.abs(ref).max()))
+                    assert float(np.abs(got - ref).max()) <= bound, (name, variant, i, k)
+
+
+def test_run_suite_calls_do_not_grow_with_points():
+    """Python-level calls into srclab made by run_suite: FRAME_CHUNK points
+    cost at most 1.1 times what one point costs, so no per-point loop is
+    left in the evaluation."""
+    entry = builtin("heisenberg2")
+    pi = entry.oneform("trig")
+    package = os.path.dirname(srclab.__file__) + os.sep
+
+    def srclab_calls(points):
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                count += 1
+
+        config = SuiteConfig(points=points, seed=2, flags=entry.flags)
+        sys.setprofile(profile)
+        try:
+            run_suite(entry.spec, pi, config)
+        finally:
+            sys.setprofile(None)
+        return count
+
+    srclab_calls(1)                  # compile the one-form outside the count
+    one, chunk = srclab_calls(1), srclab_calls(FRAME_CHUNK)
+    assert chunk <= 1.1 * one, (one, chunk)
