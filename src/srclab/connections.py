@@ -127,7 +127,8 @@ def frame_derivative(frame: FrameData, grads: np.ndarray) -> np.ndarray:
     """out[p, i, ...] = e_i(T[p, ...]) for horizontal e_i, from coordinate
     gradients ``grads[p, ..., r]``."""
     ell = frame.gv.shape[-1]
-    return np.moveaxis(contract(grads, frame.Ev[:, :, :ell]), -1, 1)
+    out = contract(grads, frame.Ev[:, :, :ell])
+    return out.transpose((0, out.ndim - 1) + tuple(range(1, out.ndim - 1)))
 
 
 def covariant_oneform(frame: FrameData, co: np.ndarray, pij: OneFormJets) -> np.ndarray:
@@ -149,21 +150,16 @@ class ConnectionBatch:
         """D[p, i, j, k, h] = e_i(coeff[j, k, h]) for horizontal e_i."""
         return frame_derivative(self.frame, self.jets.grads)
 
+    @cached_property
     def torsion(self) -> np.ndarray:
-        """T[p, i, j, k] = coeff[i,j,k] - coeff[j,i,k] - Omega[i,j,k]."""
+        """T[p, i, j, k] = coeff[i,j,k] - coeff[j,i,k] - Omega[i,j,k], built once."""
         co = self.jets.values
         return co - co.transpose(0, 2, 1, 3) - self.frame.Om
-
-    def oneform_derivative(self) -> np.ndarray:
-        """(D_i pi)_j = e_i(pi_j) - Gamma_ij^e pi_e for the connection's own pi."""
-        if self.pi is None:
-            raise DimensionMismatch("connection carries no one-form")
-        return covariant_oneform(self.frame, self.jets.values, self.pi)
 
     def covariant_T(self) -> np.ndarray:
         """(D_i T)_jk^h for the connection's own torsion, index order [p][i][j][k][h]."""
         co, co_g = self.jets
-        Tv = self.torsion()
+        Tv = self.torsion
         Tg = co_g - co_g.transpose(0, 2, 1, 3, 4) - self.frame.Om_g
         return (frame_derivative(self.frame, Tg)
                 + contract(Tv, co.transpose(0, 2, 1, 3)).transpose(0, 3, 1, 2, 4)
@@ -235,7 +231,7 @@ def semi_connection(spec: ManifoldSpec, pi: OneFormData) -> ConnectionField:
 
 def torsion(conn: ConnectionField, point) -> np.ndarray:
     """T[i, j, k] = coeff[i,j,k] - coeff[j,i,k] - Omega[i,j,k]."""
-    return conn.at(point).torsion()[0]
+    return conn.at(point).torsion[0]
 
 
 def nabla_oneform(spec: ManifoldSpec, pi: OneFormData, point) -> np.ndarray:
@@ -248,7 +244,8 @@ def oneform_derivative(conn: ConnectionField, point) -> np.ndarray:
     """(D_i pi)_j = e_i(pi_j) - Gamma_ij^e pi_e for the connection's own pi."""
     if conn.oneform is None:
         raise DimensionMismatch("connection carries no one-form")
-    return conn.at(point).oneform_derivative()[0]
+    cb = conn.at(point)
+    return covariant_oneform(cb.frame, cb.jets.values, cb.pi)[0]
 
 
 def covariant_derivative_T(conn: ConnectionField, point) -> np.ndarray:

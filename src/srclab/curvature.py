@@ -26,6 +26,7 @@ metric their bundle or characteristic tensor carries.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -58,10 +59,14 @@ class CurvatureBundle:
     curv: np.ndarray       # (ell,)*4, index order [i][j][k][h]
     ricci: np.ndarray      # (ell, ell): curv[i, e, k, e]
     scalar: float          # g^{ik} ricci[i, k]
-    lowered: np.ndarray    # curv[i, j, k, e] g[e, h]
-    bianchi_residual: float
     g: np.ndarray          # the metric and its inverse at the point
     ginv: np.ndarray
+    # built on first use: curv[i, j, k, e] g[e, h], and the sup-norm of K_ijk + K_kij + K_jki
+    lowered = cached_property(lambda b: (b.curv.reshape(b.g.shape[:-2] + (-1, b.g.shape[-1]))
+                                         @ b.g).reshape(b.curv.shape))
+    bianchi_residual = cached_property(lambda b: np.abs(
+        b.curv + np.moveaxis(b.curv, -4, -2) + np.moveaxis(b.curv, -2, -4)
+    ).max(axis=(-4, -3, -2, -1)))
 
     def second_contraction(self) -> np.ndarray:
         """ric2[i, k] = curv[i, k, e, e]; antisymmetric only for torsion-free kinds."""
@@ -78,7 +83,7 @@ def curvature_raw(cb: ConnectionBatch) -> np.ndarray:
             + Q.transpose(0, 3, 1, 2, 4)
             - Q.transpose(0, 1, 3, 2, 4)
             - contract(frame.Om, co)
-            - contract(frame.Mc, frame.Lam))
+            - frame.bracket_curvature)
 
 
 def curvature_bundle(cb: ConnectionBatch, raw: np.ndarray) -> CurvatureBundle:
@@ -89,10 +94,7 @@ def curvature_bundle(cb: ConnectionBatch, raw: np.ndarray) -> CurvatureBundle:
     _mirror_pair_antisym(curv.transpose(0, 3, 4, 1, 2))
     ricci = np.trace(curv, axis1=2, axis2=4)
     scalar = (frame.ginv * ricci).sum(axis=(1, 2))
-    lowered = contract(curv, frame.gv)
-    cyc = curv + curv.transpose(0, 2, 3, 1, 4) + curv.transpose(0, 3, 1, 2, 4)
-    return CurvatureBundle(cb.kind, frame.point, curv, ricci, scalar, lowered,
-                           np.abs(cyc).max(axis=(1, 2, 3, 4)), frame.gv, frame.ginv)
+    return CurvatureBundle(cb.kind, frame.point, curv, ricci, scalar, frame.gv, frame.ginv)
 
 
 def curvature_components_raw(conn: ConnectionField, point) -> np.ndarray:
@@ -115,6 +117,8 @@ class CharacteristicTensor:
     pi_mixed: np.ndarray   # (ell, ell): pi_lower g^{-1}
     alpha: float           # trace of pi_mixed
     g: np.ndarray
+    # g_ik pi_j^h - g_jk pi_i^h, built on first use and shared by the curvature-change formulas
+    gpi = cached_property(lambda ct: delta_g(None, ct.g, ct.pi_mixed))
 
 
 def characteristic(frame: FrameData, pij: OneFormJets) -> CharacteristicTensor:
@@ -136,30 +140,30 @@ def _require_rank(ell: int, minimum: int, what: str):
         raise RankTooSmall(f"{what} needs horizontal rank >= {minimum}, got {ell}")
 
 
-def delta_g(A, gv=None, B=None) -> np.ndarray:
-    """delta_j^h A_ik - delta_i^h A_jk, plus g_ik B_j^h - g_jk B_i^h when B is given.
-
-    The pattern every tensor below is assembled from; ``delta_g(g)`` is
-    delta_j^h g_ik - delta_i^h g_jk.  Leading axes broadcast.
-    """
-    ell = A.shape[-1]
-    lead = A.shape[:-2]
-    # t[..., (i, k), (j, h)] = A_ik delta_j^h + g_ik B_j^h
-    if B is None:
-        t = np.zeros(lead + (ell * ell, ell * ell))
-    else:
-        t = gv.reshape(lead + (ell * ell, 1)) * B.reshape(lead + (1, ell * ell))
-    t[..., ::ell + 1] += A.reshape(lead + (ell * ell, 1))
-    t = t.reshape(lead + (ell,) * 4)
-    return np.swapaxes(t - np.swapaxes(t, -4, -2), -3, -2)
+def _diagonal(T: np.ndarray, axis1: int, axis2: int) -> np.ndarray:
+    """Writable view of a C-contiguous T where two axes (from the end) agree."""
+    shape, strides = list(T.shape), list(T.strides)
+    strides[axis1] += strides[axis2]
+    del shape[axis2], strides[axis2]
+    return np.ndarray(shape, T.dtype, T, 0, strides)
 
 
-def delta_k(A) -> np.ndarray:
-    """A_ij delta_k^h."""
-    ell = A.shape[-1]
-    t = np.zeros(A.shape + (ell * ell,))
-    t[..., ::ell + 1] = A[..., None]
-    return t.reshape(A.shape + (ell, ell))
+def delta_g(A, gv=None, B=None, out=None) -> np.ndarray:
+    """delta_j^h A_ik - delta_i^h A_jk (none if A is None), plus g_ik B_j^h -
+    g_jk B_i^h when B is given, or added into ``out`` in place when that is.
+
+    The pattern every tensor below is assembled from; linear in (A, B), so a
+    sum of such terms is one call on the summed coefficients.  Leading axes
+    broadcast."""
+    if B is not None:
+        t = gv[..., :, None, :, None] * B[..., None, :, None, :]      # g_ik B_j^h
+        out = t - np.swapaxes(t, -4, -3)
+    elif out is None:
+        out = np.zeros(A.shape[:-2] + (A.shape[-1],) * 4)
+    if A is not None:
+        _diagonal(out, -3, -1)[...] += A[..., :, None, :]
+        _diagonal(out, -4, -1)[...] -= A[..., None, :, :]
+    return out
 
 
 def s_tensor(bundle: CurvatureBundle, spec: ManifoldSpec, point) -> np.ndarray:
@@ -172,8 +176,8 @@ def s_tensor(bundle: CurvatureBundle, spec: ManifoldSpec, point) -> np.ndarray:
     ell = spec.ell
     _require_rank(ell, 3, "s_tensor")
     gv, ric = bundle.g, bundle.ricci
-    return (bundle.curv - delta_g(ric, gv, ric @ bundle.ginv) / (ell - 2)
-            + _scalar(bundle.scalar, 4) / ((ell - 1) * (ell - 2)) * delta_g(gv))
+    A = (ric - _scalar(bundle.scalar, 2) / (ell - 1) * gv) / (ell - 2)
+    return bundle.curv - delta_g(A, gv, ric @ bundle.ginv / (ell - 2))
 
 
 def conformal_tensor(bundle: CurvatureBundle, spec: ManifoldSpec, point) -> np.ndarray:
@@ -182,14 +186,15 @@ def conformal_tensor(bundle: CurvatureBundle, spec: ManifoldSpec, point) -> np.n
     _require_rank(ell, 3, "conformal_tensor")
     gv = bundle.g
     ric2 = bundle.second_contraction()
-    A = bundle.ricci - ric2 / ell - _scalar(bundle.scalar, 2) / (2 * (ell - 1)) * gv
-    return (bundle.curv - delta_g(A, gv, A @ bundle.ginv) / (ell - 2)
-            + delta_k(ric2) / ell)
+    A = (bundle.ricci - ric2 / ell - _scalar(bundle.scalar, 2) / (2 * (ell - 1)) * gv) / (ell - 2)
+    out = delta_g(A, gv, A @ bundle.ginv)
+    _diagonal(out, -2, -1)[...] -= ric2[..., None] / ell            # delta_k^h ric2_ij
+    return bundle.curv - out
 
 
 def projective_tensor(bundle: CurvatureBundle, spec: ManifoldSpec, point) -> np.ndarray:
     """W^h_ijk = curv - (1/(ell-1))(delta_j^h ric_ik - delta_i^h ric_jk)."""
-    return bundle.curv - delta_g(bundle.ricci) / (spec.ell - 1)
+    return delta_g(bundle.ricci / (1 - spec.ell), out=bundle.curv.copy())
 
 
 def curvature_relation_terms(ct: CharacteristicTensor, spec: ManifoldSpec, point) -> np.ndarray:
@@ -197,7 +202,7 @@ def curvature_relation_terms(ct: CharacteristicTensor, spec: ManifoldSpec, point
 
     Added to the torsion-free curvature this yields the transformed one.
     """
-    return delta_g(ct.pi_lower, ct.g, ct.pi_mixed)
+    return delta_g(ct.pi_lower, out=ct.gpi.copy())
 
 
 def conformal_difference_formula(ct: CharacteristicTensor, spec: ManifoldSpec,
@@ -214,10 +219,10 @@ def conformal_difference_formula(ct: CharacteristicTensor, spec: ManifoldSpec,
     """
     ell = spec.ell
     _require_rank(ell, 3, "conformal_difference_formula")
-    gv = ct.g
-    return (-delta_g(ct.pi_lower, gv, ct.pi_mixed) / ell
-            - 2 * _scalar(ct.alpha, 4) / (ell * (ell - 2)) * delta_g(gv)
-            - delta_k((ell - 2) * ct.pi_lower + _scalar(ct.alpha, 2) * gv) / ell)
+    alpha_g = _scalar(ct.alpha, 2) * ct.g
+    out = delta_g(-(ct.pi_lower + 2 / (ell - 2) * alpha_g) / ell, out=ct.gpi * (-1 / ell))
+    _diagonal(out, -2, -1)[...] -= ((ell - 2) * ct.pi_lower + alpha_g)[..., None] / ell
+    return out
 
 
 def projective_difference_formula(ct: CharacteristicTensor, spec: ManifoldSpec,
@@ -228,8 +233,8 @@ def projective_difference_formula(ct: CharacteristicTensor, spec: ManifoldSpec,
     + (g_ik pi_j^h - g_jk pi_i^h)
     - alpha/(ell-1) (delta_j^h g_ik - delta_i^h g_jk).
     """
-    gv = ct.g
-    return delta_g((ct.pi_lower - _scalar(ct.alpha, 2) * gv) / (spec.ell - 1), gv, ct.pi_mixed)
+    A = (ct.pi_lower - _scalar(ct.alpha, 2) * ct.g) / (spec.ell - 1)
+    return delta_g(A, out=ct.gpi.copy())
 
 
 def flatness_characteristic_form(bundle: CurvatureBundle, spec: ManifoldSpec,

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -44,7 +43,7 @@ DEFAULT_BOX = (-1.0, 1.0)
 SINGULAR_DET_FACTOR = 1e-12
 CONDITION_WARN = 1e8
 CONDITION_FAIL = 1e12
-FRAME_CHUNK = 64          # points per batched pass; bounds its transient memory
+FRAME_CHUNK = 64          # points per batched pass (up to 1.5x); bounds its transient memory
 
 
 @dataclass(frozen=True)
@@ -224,6 +223,8 @@ class FrameData(FramePointData):
         self.check(i)
         return FramePointData(*(getattr(self, f.name)[i] for f in fields(FramePointData)))
 
+    bracket_curvature = cached_property(lambda f: contract(f.Mc, f.Lam))   # M_ij^b Lambda_bk^h
+
     @cached_property
     def koszul(self) -> CoefficientJets:
         """Koszul coefficients and their derivatives (see ``connections``),
@@ -247,8 +248,8 @@ def _mirror_pair_antisym(arr, arr_g=None):
     """Overwrite the (j, i) slices of the last two axes of ``arr`` (of the
     two before the last of ``arr_g``) with the exact negation of (i, j),
     i < j, and zero the diagonal."""
-    d = list(range(arr.shape[-1]))
-    iu, ju = map(list, zip(*combinations(d, 2)))
+    d = np.arange(arr.shape[-1])
+    iu, ju = np.nonzero(d[:, None] < d)
     arr[..., d, d] = 0.0
     arr[..., ju, iu] = -arr[..., iu, ju]
     if arr_g is not None:
@@ -313,7 +314,10 @@ def _frame_data(spec: ManifoldSpec, points) -> FrameData:
         det = np.linalg.det(usable(Ev))
         rule_out(~(np.abs(det) > SINGULAR_DET_FACTOR * col_scale), lambda i: SingularFrame(
             f"frame determinant {det[i]:.3e} below threshold at {pts[i].tolist()}"))
-        cond = np.linalg.cond(usable(Ev))
+        cond = np.ones(P)       # the SVD only where cond <= |E|_F^n / |det E| may warn
+        svd = ~bad & ~(np.linalg.norm(Ev, axis=(1, 2)) ** n < 0.5 * CONDITION_WARN * np.abs(det))
+        if svd.any():
+            cond[svd] = np.linalg.cond(Ev[svd])
         rule_out(cond > CONDITION_FAIL, lambda i: SingularFrame(
             f"frame condition number {cond[i]:.3e} at {pts[i].tolist()}"))
         Einv = np.linalg.inv(usable(Ev))

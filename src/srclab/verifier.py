@@ -5,13 +5,13 @@ Every identity the engine is built around is run as a numbered check
 max(1, largest operand sup-norm) and aggregated by max, so adding points can
 only raise residuals (a failing check never flips to passing).
 
-The sample points are evaluated FRAME_CHUNK at a time: one batched pass
-(:class:`_Pass`) computes every tensor the checks read with a leading point
-axis, each check turns it into per-point (abs, denom) arrays and, if it is
-conditional, a mask of the qualifying points, and :class:`_Outcome` reduces
-them over the points.  A point where a layer a check reads failed (its
-frame data, or the one-form for the checks that read it) or where the
-check's values are not finite counts as an error for that check only.
+A :class:`_Pass` builds each tensor the checks read on first use, with a
+leading point axis, and its per-point sup-norm once; the curvature-change
+formulas share the block g_ik pi_j^h - g_jk pi_i^h.  The checks' rows form
+one (checks, points) table, reduced once per pass by :class:`_Table`, which
+also gives each check's worst point.  A point where a layer a check reads
+failed (its frame data, or the one-form for the checks that read it) or
+where the check's values are not finite counts as an error for that check.
 
 Checks that are only claimed under a hypothesis (an involutive horizontal
 bundle, a vanishing characteristic trace, a flat transformed connection, a
@@ -29,13 +29,16 @@ it (see C12/C15 for the consistent invariance statements).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial, reduce
+from operator import attrgetter
 
 import numpy as np
 
-from .connections import ConnectionField, OneFormData, koszul_connection, semi_connection
-from .curvature import (characteristic, conformal_difference_formula, conformal_tensor,
+from .connections import (ConnectionField, OneFormData, covariant_oneform, koszul_connection,
+                          semi_connection)
+from .curvature import (_diagonal, characteristic, conformal_difference_formula, conformal_tensor,
                         curvature_bundle, curvature_raw, curvature_relation_terms, delta_g,
-                        delta_k, flatness_characteristic_form, projective_difference_formula,
+                        flatness_characteristic_form, projective_difference_formula,
                         projective_tensor, s_tensor)
 from .errors import RankTooSmall, ValidationError
 from .manifold import FRAME_CHUNK, ManifoldSpec, _frame_data, contract, sample_points
@@ -77,6 +80,7 @@ class CheckRecord:
     tolerance: float
     passed: bool
     skipped_reason: str | None = None
+    worst_point: tuple[float, ...] | None = None     # where max_rel_residual occurred
 
     @property
     def skipped(self) -> bool:
@@ -126,20 +130,6 @@ class Report:
         }
 
 
-def _sup(x) -> np.ndarray:
-    """Per-point sup-norm of a stack, or the magnitude of per-point scalars."""
-    return np.abs(x).reshape(len(x), -1).max(axis=1)
-
-
-def _res(diff, *operands):
-    """Per point (abs, denom): sup-norm of the residual and the normalization,
-    max(1, largest operand sup-norm).  A non-finite value anywhere makes one
-    of the two non-finite, which fails the point."""
-    P = len(diff)
-    ops = np.concatenate([np.reshape(x, (P, -1)) for x in operands], axis=1)
-    return _sup(diff), np.maximum(np.abs(ops).max(axis=1), 1.0)
-
-
 def _rel(result) -> np.ndarray:
     """abs / denom of a result, NaN where either is not finite, so no
     hypothesis on it holds."""
@@ -155,53 +145,72 @@ def _gate(result, mask):
 
 def _worst(*parts):
     """Pointwise max of (abs, denom) results; NaN and inf propagate."""
-    return np.maximum.reduce([a for a, _ in parts]), np.maximum.reduce([d for _, d in parts])
-
-
-def _messages(errors) -> dict[int, str]:
-    return {i: f"{type(exc).__name__}: {exc}" for i, exc in errors.items()}
+    return tuple(np.maximum.reduce(np.array(parts), axis=0))
 
 
 class _Pass:
-    """Every tensor the checks read, on one chunk of sample points (leading
-    axis p), computed in one batched pass."""
+    """Every tensor the checks read on one pass of sample points (axis p), built on first use."""
 
     def __init__(self, spec: ManifoldSpec, nab: ConnectionField, D: ConnectionField,
                  points: np.ndarray, carnot: bool):
         self.spec, self.ell, self.points, self.carnot = spec, spec.ell, points, carnot
-        self.frame = frame = _frame_data(spec, points)
-        self.pij = pij = D.oneform.batch(points)
-        self.errors = {"frame": _messages(frame.errors), "pi": _messages(pij.errors)}
-        self.nab, self.D = nab.batch(frame), D.batch(frame, pij)
-        self.rawK, self.rawR = curvature_raw(self.nab), curvature_raw(self.D)
-        self.Kb = curvature_bundle(self.nab, self.rawK)
-        self.Rb = curvature_bundle(self.D, self.rawR)
-        self.ct = characteristic(frame, pij)
-        self.W_nab = projective_tensor(self.Kb, spec, points)
-        self.W_D = projective_tensor(self.Rb, spec, points)
-        self.DT_D = self.D.covariant_T()
-        if self.ell >= 3:
-            self.S_nab = s_tensor(self.Kb, spec, points)
-            self.C_nab = conformal_tensor(self.Kb, spec, points)
-            self.C_D = conformal_tensor(self.Rb, spec, points)
+        self.fields = nab, D
+        self._sups: dict[str, np.ndarray] = {}
+
+    def sup(self, x) -> np.ndarray:
+        """Per-point sup-norm of a stack (or magnitude of per-point scalars); a
+        tensor named by its attribute path, such as "Kb.curv", gets it once."""
+        if isinstance(x, str) and x in self._sups:
+            return self._sups[x]
+        value = attrgetter(x)(self) if isinstance(x, str) else x
+        size = np.maximum.reduce(np.abs(value).reshape(len(value), -1), axis=1)
+        if isinstance(x, str):
+            self._sups[x] = size
+        return size
+
+    def res(self, diff, *operands):
+        """Per point (abs, denom): sup-norm of the residual and max(1, largest
+        operand sup-norm); a non-finite value anywhere fails the point."""
+        return self.sup(diff), reduce(np.maximum, map(self.sup, operands), 1.0)
 
     def failures(self, reads) -> dict[int, str]:
-        """The error message of each point where a layer in ``reads`` failed;
-        where several did, the first in ``reads``."""
+        """Per point where a layer in ``reads`` failed, the first such layer's message."""
         out: dict[int, str] = {}
         for layer in reversed(reads):
-            out.update(self.errors[layer])
+            errors = self.frame.errors if layer == "frame" else self.pij.errors
+            out.update({i: f"{type(exc).__name__}: {exc}" for i, exc in errors.items()})
         return out
+
+    frame = cached_property(lambda ev: _frame_data(ev.spec, ev.points))
+    pij = cached_property(lambda ev: ev.fields[1].oneform.batch(ev.points))
+    nab = cached_property(lambda ev: ev.fields[0].batch(ev.frame))
+    D = cached_property(lambda ev: ev.fields[1].batch(ev.frame, ev.pij))
+    rawK = cached_property(lambda ev: curvature_raw(ev.nab))
+    rawR = cached_property(lambda ev: curvature_raw(ev.D))
+    Kb = cached_property(lambda ev: curvature_bundle(ev.nab, ev.rawK))
+    Rb = cached_property(lambda ev: curvature_bundle(ev.D, ev.rawR))
+    ct = cached_property(lambda ev: characteristic(ev.frame, ev.pij))
+    DT_nab = cached_property(lambda ev: ev.nab.covariant_T())
+    DT_D = cached_property(lambda ev: ev.D.covariant_T())
+    W_nab = cached_property(lambda ev: projective_tensor(ev.Kb, ev.spec, ev.points))
+    W_D = cached_property(lambda ev: projective_tensor(ev.Rb, ev.spec, ev.points))
+    S_nab = cached_property(lambda ev: s_tensor(ev.Kb, ev.spec, ev.points))
+    S_D = cached_property(lambda ev: s_tensor(ev.Rb, ev.spec, ev.points))
+    C_nab = cached_property(lambda ev: conformal_tensor(ev.Kb, ev.spec, ev.points))
+    C_D = cached_property(lambda ev: conformal_tensor(ev.Rb, ev.spec, ev.points))
+    dK = cached_property(lambda ev: ev.Rb.curv - ev.Kb.curv)    # each read by two checks
+    dW = cached_property(lambda ev: ev.W_D - ev.W_nab)
+    dC = cached_property(lambda ev: ev.C_D - ev.C_nab)
 
 
 def _passes(spec: ManifoldSpec, pi: OneFormData | None, config: SuiteConfig):
-    """The batched passes over the config's sample points; ``pi`` absent
-    means the zero one-form."""
+    """The passes over the config's sample points, round(P / FRAME_CHUNK) of
+    near-equal size (no small remainder); ``pi`` absent means the zero one-form."""
     pi = pi if pi is not None else OneFormData.zero(spec.ell, spec.n)
     nab, D = koszul_connection(spec), semi_connection(spec, pi)
     points = sample_points(spec, config.points, config.seed)
-    for start in range(0, len(points), FRAME_CHUNK):
-        yield _Pass(spec, nab, D, points[start:start + FRAME_CHUNK], "carnot" in config.flags)
+    for chunk in np.array_split(points, max(1, round(len(points) / FRAME_CHUNK))):
+        yield _Pass(spec, nab, D, chunk, "carnot" in config.flags)
 
 
 def _quiet():
@@ -215,135 +224,123 @@ def _quiet():
 # --------------------------------------------------------------------------
 
 FRAME, FRAME_PI, PI_FRAME = ("frame",), ("frame", "pi"), ("pi", "frame")
+_READS = (FRAME, FRAME_PI, PI_FRAME)
 
 
-def _metricity(ev, co):
-    """e_k(g_ij) - co[k,i,e] g_ej - co[k,j,e] g_ie."""
-    f = ev.frame
-    t = contract(co, f.gv)
-    return _res(f.fdg - t - t.transpose(0, 1, 3, 2), f.fdg, co, f.gv)
+def _metricity(ev, conn: str):
+    """e_k(g_ij) - co[k,i,e] g_ej - co[k,j,e] g_ie for the coefficients co of ``conn``."""
+    t = contract(getattr(ev, conn).jets.values, ev.frame.gv)
+    return ev.res(ev.frame.fdg - t - t.transpose(0, 1, 3, 2),
+                  "frame.fdg", f"{conn}.jets.values", "frame.gv")
 
 
-def _c01(ev):
-    return _metricity(ev, ev.nab.jets.values)
+_c01, _c03 = partial(_metricity, conn="nab"), partial(_metricity, conn="D")
 
 
 def _c02(ev):
-    return _res(ev.nab.torsion(), ev.nab.jets.values, ev.frame.Om)
-
-
-def _c03(ev):
-    return _metricity(ev, ev.D.jets.values)
+    return ev.res("nab.torsion", "nab.jets.values", "frame.Om")
 
 
 def _c04(ev):
-    piv = ev.pij.values
-    t = np.eye(ev.ell)[:, None, :] * piv[:, None, :, None]       # delta_i^k pi_j
-    want = t - t.transpose(0, 2, 1, 3)
-    tor = ev.D.torsion()
-    return _res(tor - want, tor, piv)
+    t = np.eye(ev.ell)[:, None, :] * ev.pij.values[:, None, :, None]       # delta_i^k pi_j
+    return ev.res(ev.D.torsion - (t - t.transpose(0, 2, 1, 3)), "D.torsion", "pij.values")
 
 
 def _c05(ev):
     rawK, rawR = ev.rawK, ev.rawR
-    return _worst(_res(rawK + rawK.transpose(0, 2, 1, 3, 4), rawK),
-                  _res(rawR + rawR.transpose(0, 2, 1, 3, 4), rawR))
+    return _worst(ev.res(rawK + rawK.transpose(0, 2, 1, 3, 4), "rawK"),
+                  ev.res(rawR + rawR.transpose(0, 2, 1, 3, 4), "rawR"))
 
 
 def _c06(ev):
     lw = ev.Kb.lowered
     cycl = lw + lw.transpose(0, 2, 3, 1, 4) + lw.transpose(0, 3, 1, 2, 4)
-    return _worst(_res(ev.Kb.bianchi_residual, ev.Kb.curv), _res(cycl, lw))
+    return _worst(ev.res("Kb.bianchi_residual", "Kb.curv"), ev.res(cycl, "Kb.lowered"))
 
 
 def _c07(ev):
-    ric = ev.Kb.ricci
-    ric2 = ev.Kb.second_contraction()
-    return _worst(_res(ric2 + ric2.transpose(0, 2, 1), ric2, ric),
-                  _res(ric2 - (ric - ric.transpose(0, 2, 1)), ric2, ric))
+    ric, ric2 = ev.Kb.ricci, ev.Kb.second_contraction()
+    return _worst(ev.res(ric2 + ric2.transpose(0, 2, 1), ric2, "Kb.ricci"),
+                  ev.res(ric2 - (ric - ric.transpose(0, 2, 1)), ric2, "Kb.ricci"))
 
 
 def _c08(ev):
     lw = ev.Kb.lowered
-    involutive = ~(_sup(ev.frame.Mc) > QUALIFIER_TOL)       # no vertical bracket part
-    return (*_res(lw + lw.transpose(0, 1, 2, 4, 3), lw), involutive)
+    involutive = ~(ev.sup("frame.Mc") > QUALIFIER_TOL)       # no vertical bracket part
+    return (*ev.res(lw + lw.transpose(0, 1, 2, 4, 3), "Kb.lowered"), involutive)
 
 
 def _c09(ev):
     want = curvature_relation_terms(ev.ct, ev.spec, ev.points)
-    return _res(ev.Rb.curv - ev.Kb.curv - want, ev.Rb.curv, ev.Kb.curv, want)
+    return ev.res(ev.dK - want, "Rb.curv", "Kb.curv", want)
 
 
 def _c10(ev):
     want = (ev.ell - 2) * ev.ct.pi_lower + ev.ct.alpha[:, None, None] * ev.frame.gv
-    return _res(ev.Rb.ricci - ev.Kb.ricci - want, ev.Rb.ricci, ev.Kb.ricci, want)
+    return ev.res(ev.Rb.ricci - ev.Kb.ricci - want, "Rb.ricci", "Kb.ricci", want)
 
 
 def _c11(ev):
     diff = ev.Rb.scalar - ev.Kb.scalar - 2 * (ev.ell - 1) * ev.ct.alpha
-    return _res(diff, ev.Rb.scalar, ev.Kb.scalar, ev.ct.alpha)
+    return ev.res(diff, "Rb.scalar", "Kb.scalar", "ct.alpha")
 
 
 def _c12(ev):
-    S_D = s_tensor(ev.Rb, ev.spec, ev.points)
-    return _res(S_D - ev.S_nab, S_D, ev.S_nab)
+    return ev.res(ev.S_D - ev.S_nab, "S_D", "S_nab")
 
 
 def _c13(ev):
     want = conformal_difference_formula(ev.ct, ev.spec, ev.points)
-    return _res(ev.C_D - ev.C_nab - want, ev.C_D, ev.C_nab, want)
+    return ev.res(ev.dC - want, "C_D", "C_nab", want)
 
 
 def _c14(ev):
     want = projective_difference_formula(ev.ct, ev.spec, ev.points)
-    return _res(ev.W_D - ev.W_nab - want, ev.W_D, ev.W_nab, want)
+    return ev.res(ev.dW - want, "W_D", "W_nab", want)
 
 
 def _c15(ev):
-    return (*_res(ev.C_D - ev.C_nab, ev.C_D, ev.C_nab),
-            ~(np.abs(ev.ct.alpha) > QUALIFIER_TOL))
+    return (*ev.res("dC", "C_D", "C_nab"), ~(ev.sup("ct.alpha") > QUALIFIER_TOL))
 
 
 def _c16(ev):
     prop = ev.ct.pi_lower - (ev.ct.alpha / ev.ell)[:, None, None] * ev.frame.gv
-    return (*_res(ev.W_D - ev.W_nab, ev.W_D, ev.W_nab), ~(_sup(prop) > QUALIFIER_TOL))
+    return (*ev.res("dW", "W_D", "W_nab"), ~(ev.sup(prop) > QUALIFIER_TOL))
 
 
 def _c17(ev):
-    R, K, ct = ev.Rb.curv, ev.Kb.curv, ev.ct
-    rk = _res(R - K, R, K)
+    rk = ev.res("dK", "Rb.curv", "Kb.curv")
     undecided = np.isnan(_rel(rk))                 # the hypotheses cannot be decided
     equal = _rel(rk) <= HYPOTHESIS_REL             # equal curvature tensors
-    parts = [_gate((np.abs(ct.alpha), np.ones(len(R))), equal)]
+    parts = [_gate((ev.sup("ct.alpha"), np.ones(len(ev.points))), equal)]
     qualifies = undecided | equal
     if ev.ell >= 3:
-        flat = _rel(_res(R, R)) <= HYPOTHESIS_REL  # flat transformed connection
+        flat = _rel(ev.res("Rb.curv", "Rb.curv")) <= HYPOTHESIS_REL   # flat transformed connection
         want = flatness_characteristic_form(ev.Kb, ev.spec, ev.points)
-        parts += [_gate(_res(ev.S_nab, ev.S_nab), flat),
-                  _gate(_res(ct.pi_lower - want, ct.pi_lower, want), flat)]
+        parts += [_gate(ev.res("S_nab", "S_nab"), flat),
+                  _gate(ev.res(ev.ct.pi_lower - want, "ct.pi_lower", want), flat)]
         qualifies = qualifies | flat
     abs_res, denom = _worst(*parts)
     return np.where(undecided, rk[0], abs_res), np.where(undecided, rk[1], denom), qualifies
 
 
 def _c18(ev):
-    gv, K, DT = ev.frame.gv, ev.Kb.curv, ev.DT_D
-    t = delta_k(ev.D.oneform_derivative())                 # (D_i pi_j) delta_k^h
-    want = t.transpose(0, 1, 3, 2, 4) - t
-    parts = [_res(DT - want, DT, want)]
+    # DT - (D_i pi_k) delta_j^h + (D_i pi_j) delta_k^h, on two diagonals of DT; the
+    # entries of that delta tensor (and of delta_g(A) below) are those of D pi (of A)
+    Dpi, diff = covariant_oneform(ev.frame, ev.D.jets.values, ev.pij), ev.DT_D.copy()
+    _diagonal(diff, -3, -1)[...] -= Dpi[:, :, None, :]
+    _diagonal(diff, -2, -1)[...] += Dpi[..., None]
+    parts = [ev.res(diff, "DT_D", Dpi)]
     # flat + parallel torsion: characteristic tensor and constant curvature
-    flat_parallel = ((_rel(_res(ev.Rb.curv, ev.Rb.curv)) <= HYPOTHESIS_REL)
-                     & (_rel(_res(DT, DT)) <= HYPOTHESIS_REL))
-    piv = ev.pij.values
-    p2 = (piv * contract(ev.frame.ginv, piv)).sum(axis=1)
-    const_form = p2[:, None, None, None, None] * delta_g(gv)
+    flat_parallel = ((_rel(ev.res("Rb.curv", "Rb.curv")) <= HYPOTHESIS_REL)
+                     & (_rel(ev.res("DT_D", "DT_D")) <= HYPOTHESIS_REL))
+    piv = ev.pij.values                   # A = pi_e pi^e g: K = delta_g(A) for constant curvature
+    A = (piv * contract(ev.frame.ginv, piv)).sum(axis=1)[:, None, None] * ev.frame.gv
     parts += [_gate(r, flat_parallel) for r in (
-        _res(ev.ct.pi_lower + 0.5 * gv * p2[:, None, None], ev.ct.pi_lower, gv),
-        _res(K - const_form, K, const_form),
-        _res(ev.W_nab, ev.W_nab))]
+        ev.res(ev.ct.pi_lower + 0.5 * A, "ct.pi_lower", "frame.gv"),
+        ev.res(delta_g(-A, out=ev.Kb.curv.copy()), "Kb.curv", A), ev.res("W_nab", "W_nab"))]
     if ev.carnot:       # expected there: a flat, parallel-torsion Koszul connection
-        DT_nab = ev.nab.covariant_T()
-        parts += [_res(K, K), _res(DT_nab, DT_nab)]
+        parts += [ev.res("Kb.curv", "Kb.curv"), ev.res("DT_nab", "DT_nab")]
     return _worst(*parts)
 
 
@@ -434,32 +431,34 @@ CHECKS: tuple[_Check, ...] = (
 CHECK_IDS = tuple(c.meta.id for c in CHECKS)
 
 
-class _Outcome:
-    __slots__ = ("max_abs", "max_rel", "count", "error")
+class _Table:
+    """Per check over the passes: largest residuals, worst point, points evaluated, first error."""
 
-    def __init__(self):
-        self.max_abs = 0.0
-        self.max_rel = 0.0
-        self.count = 0
-        self.error: str | None = None       # the first, in point order
+    def __init__(self, checks, n: int):
+        self.reads = np.array([_READS.index(c.reads) for c in checks])
+        self.max_abs, self.max_rel = np.zeros(len(checks)), np.full(len(checks), -1.0)
+        self.count, self.worst = np.zeros(len(checks), dtype=int), np.zeros((len(checks), n))
+        self.error: list[str | None] = [None] * len(checks)
 
-    def update(self, result, failed: dict[int, str], points):
-        """Fold in one pass: per-point (abs, denom[, qualifies]) and the error
-        message of each point where a layer the check reads failed.  A
-        non-finite residual or operand scale is an error at its point."""
-        abs_res, denom, *qualifies = result
-        evaluated = qualifies[0].copy() if qualifies else np.ones(len(points), dtype=bool)
-        if failed:
-            evaluated[list(failed)] = False
-        good = evaluated & np.isfinite(abs_res + denom)
-        if self.error is None and (failed or good.sum() != evaluated.sum()):
-            i = min([*failed, *np.flatnonzero(evaluated & ~good).tolist()])
-            self.error = failed.get(i) or \
-                f"non-finite residual or operand scale at {points[i].tolist()}"
-        if good.any():
-            self.count += int(good.sum())
-            self.max_abs = max(self.max_abs, float(abs_res[good].max()))
-            self.max_rel = max(self.max_rel, float((abs_res[good] / denom[good]).max()))
+    def fold(self, ev: _Pass, rows) -> None:
+        """Fold in one pass's (checks, points) table of (abs, denom[, qualifies]) rows."""
+        abs_res, denom = np.array([r[:2] for r in rows]).swapaxes(0, 1)
+        failures = [ev.failures(reads) for reads in _READS]
+        failed = np.array([[i in f for i in range(len(ev.points))] for f in failures])[self.reads]
+        everywhere = np.ones(len(ev.points), dtype=bool)
+        evaluated = ~failed & np.array([r[2] if len(r) > 2 else everywhere for r in rows])
+        finite = np.isfinite(abs_res + denom)
+        good, bad = evaluated & finite, failed | evaluated & ~finite
+        rel = np.where(good, abs_res / denom, -1.0)          # -1: not evaluated there
+        better = (best := rel.max(axis=1)) > self.max_rel     # ties keep the earlier point
+        self.max_rel[better] = best[better]
+        self.worst[better] = ev.points[rel.argmax(axis=1)[better]]
+        self.max_abs = np.maximum(self.max_abs, np.where(good, abs_res, 0.0).max(axis=1))
+        self.count += good.sum(axis=1)
+        for c in np.flatnonzero(bad.any(axis=1)):
+            i = int(bad[c].argmax())
+            self.error[c] = self.error[c] or failures[self.reads[c]].get(i) or \
+                f"non-finite residual or operand scale at {ev.points[i].tolist()}"
 
 
 def run_suite(spec: ManifoldSpec, pi: OneFormData | None = None,
@@ -472,32 +471,27 @@ def run_suite(spec: ManifoldSpec, pi: OneFormData | None = None,
     suite.
     """
     config = config or SuiteConfig()
-    skipped = {c.meta.id: "RankTooSmall" for c in CHECKS if spec.ell < c.meta.required_rank}
-    outcomes = {check.meta.id: _Outcome() for check in CHECKS}
-    warnings: list[str] = []
-
+    active = [check for check in CHECKS if spec.ell >= check.meta.required_rank]
+    table, warnings = _Table(active, spec.n), []
     with _quiet():
         for ev in _passes(spec, pi, config):
-            for check in CHECKS:
-                if check.meta.id not in skipped:
-                    outcomes[check.meta.id].update(check.fn(ev), ev.failures(check.reads),
-                                                   ev.points)
-            for w in ev.frame.warnings.values():
-                if w not in warnings:
-                    warnings.append(w)
+            table.fold(ev, [check.fn(ev) for check in active])
+            warnings.extend(w for w in ev.frame.warnings.values() if w not in warnings)
 
-    records = []
+    records, rows = [], iter(range(len(active)))
     for check in CHECKS:
-        meta, out = check.meta, outcomes[check.meta.id]
+        meta = check.meta
         tol = config.tol if config.tol is not None else meta.tolerance
-        if meta.id in skipped:
-            fields = (0.0, 0.0, 0, tol, False, skipped[meta.id])
-        elif out.error is not None:
-            warnings.append(f"{meta.id}: {out.error}")
-            fields = (float("inf"), float("inf"), out.count, tol, False)
+        if spec.ell < meta.required_rank:
+            fields = (0.0, 0.0, 0, tol, False, "RankTooSmall")
+        elif table.error[c := next(rows)] is not None:
+            warnings.append(f"{meta.id}: {table.error[c]}")
+            fields = (float("inf"), float("inf"), int(table.count[c]), tol, False)
         else:
-            fields = (out.max_abs, out.max_rel, out.count, tol, out.max_rel <= tol)
-        records.append(CheckRecord(meta.id, meta.description, meta.paper_ref, *fields))
+            max_rel = max(float(table.max_rel[c]), 0.0)
+            fields = (float(table.max_abs[c]), max_rel, int(table.count[c]), tol, max_rel <= tol)
+        records.append(CheckRecord(meta.id, meta.description, meta.paper_ref, *fields,
+                                   worst_point=tuple(table.worst[c]) if fields[2] else None))
     return Report(spec.name, config.seed, config.points, tuple(records), tuple(warnings))
 
 
@@ -539,8 +533,8 @@ def check_group_manifold(spec: ManifoldSpec, pi: OneFormData | None = None,
     errors: list[str] = []
     with _quiet():
         for ev in _passes(spec, pi, config):
-            curv, dt = (ev.Kb.curv, ev.nab.covariant_T()) if pi is None else (ev.Rb.curv, ev.DT_D)
-            size_c, size_d = _sup(curv), _sup(dt)
+            size_c, size_d = map(ev.sup, ("Kb.curv", "DT_nab") if pi is None
+                                 else ("Rb.curv", "DT_D"))
             messages, good = _point_errors(ev, reads, np.isfinite(size_c + size_d),
                                            "curvature or torsion derivative")
             errors += messages
@@ -581,8 +575,8 @@ def check_flatness_criterion(spec: ManifoldSpec, pi: OneFormData | None = None,
     with _quiet():
         for ev in _passes(spec, pi, config):
             want = flatness_characteristic_form(ev.Kb, spec, ev.points)
-            r, s, k = _sup(ev.Rb.curv), _sup(ev.S_nab), _sup(ev.Kb.curv)
-            d, w = _sup(ev.ct.pi_lower - want), _sup(want)
+            r, s, k = ev.sup("Rb.curv"), ev.sup("S_nab"), ev.sup("Kb.curv")
+            d, w = ev.sup(ev.ct.pi_lower - want), ev.sup(want)
             messages, good = _point_errors(ev, FRAME_PI, np.isfinite(r + s + k + d + w),
                                            "curvature or characteristic tensor")
             errors += messages

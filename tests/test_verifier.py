@@ -1,17 +1,19 @@
 import os
 import sys
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 import srclab
+from srclab import verifier
 from srclab.catalog import builtin, catalog_names
 from srclab.connections import (OneFormData, covariant_derivative_T, koszul_connection,
                                 semi_connection, torsion)
 from srclab.curvature import (characteristic_tensor, conformal_difference_formula,
                               conformal_tensor, projective_difference_formula,
                               projective_tensor, s_tensor, schouten_curvature)
-from srclab.manifold import FRAME_CHUNK
+from srclab.manifold import FRAME_CHUNK, sample_points
 from srclab.errors import RankTooSmall, ValidationError
 from srclab.verifier import (CHECKS, CHECK_IDS, SuiteConfig, _passes,
                              check_flatness_criterion, check_group_manifold,
@@ -431,8 +433,8 @@ def test_batched_pass_matches_point_functions():
                     (ev.nab.jets.grads[i], nab.coefficient_jets(p).grads),
                     (ev.D.jets.values[i], D.coefficients(p)),
                     (ev.D.jets.grads[i], D.coefficient_jets(p).grads),
-                    (ev.nab.torsion()[i], torsion(nab, p)),
-                    (ev.D.torsion()[i], torsion(D, p)),
+                    (ev.nab.torsion[i], torsion(nab, p)),
+                    (ev.D.torsion[i], torsion(D, p)),
                     (ev.nab.covariant_T()[i], covariant_derivative_T(nab, p)),
                     (ev.DT_D[i], covariant_derivative_T(D, p)),
                     (ev.ct.pi_lower[i], ct.pi_lower), (ev.ct.pi_mixed[i], ct.pi_mixed),
@@ -484,3 +486,78 @@ def test_run_suite_calls_do_not_grow_with_points():
     srclab_calls(1)                  # compile the one-form outside the count
     one, chunk = srclab_calls(1), srclab_calls(FRAME_CHUNK)
     assert chunk <= 1.1 * one, (one, chunk)
+    # 369 with the folded check table, pinned with 10% room, and below the 407
+    # recorded for the per-check reduction it replaced
+    assert one < 407 and one <= 1.1 * 369, one
+
+
+def test_passes_never_leave_a_small_remainder():
+    """The points split into round(P / FRAME_CHUNK) passes of near-equal
+    size, at least one, in sample order."""
+    spec = builtin("heisenberg2").spec
+    for points, sizes in ((1, [1]), (63, [63]), (65, [65]), (100, [50, 50]),
+                          (200, [67, 67, 66]), (230, [58, 58, 57, 57])):
+        passes = list(_passes(spec, None, SuiteConfig(points=points, seed=1)))
+        assert [len(ev.points) for ev in passes] == sizes
+        assert np.array_equal(np.concatenate([ev.points for ev in passes]),
+                              sample_points(spec, points, 1))
+
+
+def test_worst_point_is_the_argmax_sample_point():
+    """An evaluated check's worst_point is the first sample point, in point
+    order, where its relative residual is largest, across passes; a skipped
+    check or one that evaluated no point has None.  The JSON report does not
+    carry it."""
+    for name, variant in (("curved-metric-l3", "trig"), ("heisenberg1", "const")):
+        entry = builtin(name)
+        pi = entry.oneform(variant)
+        config = SuiteConfig(points=100, seed=4, flags=entry.flags)
+        report = run_suite(entry.spec, pi, config)
+        rel = {check.meta.id: [] for check in CHECKS}
+        for ev in _passes(entry.spec, pi, config):
+            for check in CHECKS:
+                if entry.spec.ell >= check.meta.required_rank:
+                    abs_res, denom, *qualifies = check.fn(ev)
+                    rel[check.meta.id] += np.where(*qualifies, abs_res / denom, -1.0).tolist() \
+                        if qualifies else (abs_res / denom).tolist()
+        points = sample_points(entry.spec, 100, 4)
+        for r in report.checks:
+            if r.skipped or r.points_evaluated == 0:
+                assert r.worst_point is None, r.id
+                continue
+            i = int(np.argmax(rel[r.id]))
+            assert r.worst_point == tuple(points[i].tolist()), r.id
+            assert rel[r.id][i] == r.max_rel_residual, r.id
+        assert {r.skipped for r in report.checks} == ({False, True} if entry.spec.ell == 2
+                                                      else {False})
+        assert all("worst_point" not in c for c in report.to_json_dict("t")["checks"])
+
+
+def test_standalone_checks_build_only_the_layers_they_read(monkeypatch):
+    """check_group_manifold builds the curvature and torsion derivative of
+    the designated connection only, check_flatness_criterion what its rows
+    read; the suite builds every layer."""
+    layers = {name for name, value in vars(verifier._Pass).items()
+              if isinstance(value, cached_property)}
+    built = []
+
+    def recording(*args):
+        for ev in passes(*args):
+            built.append(ev)
+            yield ev
+
+    passes = verifier._passes
+    monkeypatch.setattr(verifier, "_passes", recording)
+    entry = builtin("free-step2-l3")
+    spec, pi, config = entry.spec, entry.oneform("trig"), SuiteConfig(points=10, flags=entry.flags)
+    for run, want in (
+            (lambda: verifier.check_group_manifold(spec, None, config),
+             {"frame", "nab", "rawK", "Kb", "DT_nab"}),
+            (lambda: verifier.check_group_manifold(spec, pi, config),
+             {"frame", "pij", "D", "rawR", "Rb", "DT_D"}),
+            (lambda: verifier.check_flatness_criterion(spec, pi, config),
+             {"frame", "pij", "nab", "D", "rawK", "rawR", "Kb", "Rb", "ct", "S_nab"}),
+            (lambda: verifier.run_suite(spec, pi, config), layers)):
+        built.clear()
+        run()
+        assert {name for ev in built for name in vars(ev) if name in layers} == want
