@@ -11,6 +11,7 @@ import argparse
 import re
 import sys
 from datetime import datetime, timezone
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ _TENSORS = ("g", "ginv", "E", "Omega", "M", "Lambda", "coeff", "Gamma",
             "S", "Sbar", "C", "Cbar", "W", "Wbar", "pi-char", "alpha")
 
 
+@cache         # built once per process: argparse keeps no state between parse_args calls
 def _build_argparser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="srclab",
                                   description="sub-Riemannian tensor calculus and "

@@ -26,7 +26,7 @@ components are expressions, compiled once into a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -81,7 +81,9 @@ class OneFormData:
         return cls(tuple(Const(float(v)) for v in values), n)
 
     @classmethod
+    @cache
     def zero(cls, ell: int, n: int) -> "OneFormData":
+        """The zero one-form, one shared instance (and compiled program) per shape."""
         return cls.constant([0.0] * ell, n)
 
     @cached_property

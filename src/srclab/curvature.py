@@ -91,7 +91,7 @@ def curvature_bundle(cb: ConnectionBatch, raw: np.ndarray) -> CurvatureBundle:
     exactly antisymmetric in (i, j), Ricci trace, scalar, lowered."""
     frame = cb.frame
     curv = raw.copy()
-    _mirror_pair_antisym(curv.transpose(0, 3, 4, 1, 2))
+    _mirror_pair_antisym(curv)
     ricci = np.trace(curv, axis1=2, axis2=4)
     scalar = (frame.ginv * ricci).sum(axis=(1, 2))
     return CurvatureBundle(cb.kind, frame.point, curv, ricci, scalar, frame.gv, frame.ginv)

@@ -22,15 +22,16 @@ and :func:`_frame_data` turns the jets at a (P, n) point array into a
 :class:`FrameData` whose arrays carry a leading point axis (frame matrices,
 inverses, Gram matrices, structure constants and their derivatives, and on
 first use the Koszul coefficient jets), recording an error per point rather
-than failing the stack.  The sample loops evaluate FRAME_CHUNK points per
-stack; a single point is a stack of one.  Contractions are stacked matrix
-products (:func:`contract`).  Brackets exist only as these structure
-constants.
+than failing the stack.  The sample loops size each stack by the spec's
+per-point footprint: PASS_ENTRIES // entries_per_point(n, ell) points, and
+never fewer than FRAME_CHUNK; a single point is a stack of one.
+Contractions are stacked matrix products (:func:`contract`).  Brackets exist
+only as these structure constants.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -43,7 +44,20 @@ DEFAULT_BOX = (-1.0, 1.0)
 SINGULAR_DET_FACTOR = 1e-12
 CONDITION_WARN = 1e8
 CONDITION_FAIL = 1e12
-FRAME_CHUNK = 64          # points per batched pass (up to 1.5x); bounds its transient memory
+FRAME_CHUNK = 64          # fewest points per batched pass; see PASS_ENTRIES
+
+
+def entries_per_point(n: int, ell: int) -> int:
+    """Estimated float64 entries one sample point adds to a batched pass.
+    ell^4 n + ell n^3 grows with the largest layer shapes and stays within 2x
+    of proportional to the traced per-point peak, 5 to 145 KB from
+    (n, ell) = (3, 2) to (10, 4)."""
+    return ell ** 4 * n + ell * n ** 3
+
+
+# a pass's budget in entries_per_point units (up to 1.5x, the split's rounding):
+# heisenberg2 (n = 5, ell = 4), the catalog's largest footprint, keeps FRAME_CHUNK
+PASS_ENTRIES = FRAME_CHUNK * entries_per_point(5, 4)
 
 
 @dataclass(frozen=True)
@@ -244,17 +258,23 @@ class FrameData(FramePointData):
         return CoefficientJets(values, grads)
 
 
-def _mirror_pair_antisym(arr, arr_g=None):
-    """Overwrite the (j, i) slices of the last two axes of ``arr`` (of the
-    two before the last of ``arr_g``) with the exact negation of (i, j),
-    i < j, and zero the diagonal."""
-    d = np.arange(arr.shape[-1])
-    iu, ju = np.nonzero(d[:, None] < d)
-    arr[..., d, d] = 0.0
-    arr[..., ju, iu] = -arr[..., iu, ju]
-    if arr_g is not None:
-        arr_g[..., d, d, :] = 0.0
-        arr_g[..., ju, iu, :] = -arr_g[..., iu, ju, :]
+@cache
+def _pair_slots(m: int):
+    """Flat slots i * m + j, i < j, of an m x m block, and their mirrors j * m + i."""
+    i, j = np.triu_indices(m, 1)
+    return i * m + j, j * m + i
+
+
+def _mirror_pair_antisym(*arrays):
+    """In each array, overwrite the (j, i) slices of axes 1 and 2 with the
+    exact negation of (i, j), i < j, and zero the diagonal; those two axes
+    must merge into one without a copy, as they do in a C-order block."""
+    for arr in arrays:
+        P, m = arr.shape[:2]
+        flat = arr.reshape(P, m * m, *arr.shape[3:], copy=False)   # a view, written through
+        upper, lower = _pair_slots(m)
+        flat[:, ::m + 1] = 0.0                                     # the diagonal
+        flat[:, lower] = -flat[:, upper]
 
 
 def _cholesky_fails(g: np.ndarray) -> np.ndarray:
@@ -342,18 +362,16 @@ def _frame_data(spec: ManifoldSpec, points) -> FrameData:
         Mc = c[:, :ell, :ell, ell:].copy()
         Lam = np.ascontiguousarray(c[:, ell:, :ell, :ell])
         # their horizontal derivatives: E d_r c = d_r br - (d_r E) c, H symmetric in (q, r)
-        Gh_t = G[:, :ell].transpose(0, 2, 1, 3)                          # [p, q, a, r]
-        J_g = contract(H, Eh).transpose(0, 1, 2, 4, 3) + contract(G[:, :ell], Gh_t)
-        br_g = J_g.transpose(0, 3, 1, 2, 4) - J_g.transpose(0, 1, 3, 2, 4)  # [p, a, b, m, r]
+        Gh_t = np.ascontiguousarray(G[:, :ell].transpose(0, 2, 3, 1))    # [p, q, r, a]
+        J_g = contract(H, Eh) + contract(G[:, :ell], Gh_t)                # [p, b, m, r, a]
+        br_g = J_g.transpose(0, 4, 1, 2, 3) - J_g.transpose(0, 1, 4, 2, 3)  # [p, a, b, m, r]
         rhs = br_g - contract(c[:, :ell, :ell], G)
         Om_g = contract(rhs.transpose(0, 1, 2, 4, 3),
                         Einv[:, :ell].transpose(0, 2, 1)).transpose(0, 1, 2, 4, 3)
-        _mirror_pair_antisym(Om.transpose(0, 3, 1, 2), Om_g.transpose(0, 3, 1, 2, 4))
-        _mirror_pair_antisym(Mc.transpose(0, 3, 1, 2))
+        _mirror_pair_antisym(Om, Om_g, Mc)
 
         fdg = contract(gg, Eh).transpose(0, 3, 1, 2)
-        fdg_g = (contract(gg, Gh_t)
-                 + contract(gh, Eh).transpose(0, 1, 2, 4, 3)).transpose(0, 3, 1, 2, 4)
+        fdg_g = (contract(gg, Gh_t) + contract(gh, Eh)).transpose(0, 4, 1, 2, 3)
 
     warnings = {i: f"frame condition number {cond[i]:.3e} at {pts[i].tolist()}"
                 for i in map(int, np.flatnonzero(cond > CONDITION_WARN)) if i not in errors}

@@ -41,7 +41,8 @@ from .curvature import (_diagonal, characteristic, conformal_difference_formula,
                         flatness_characteristic_form, projective_difference_formula,
                         projective_tensor, s_tensor)
 from .errors import RankTooSmall, ValidationError
-from .manifold import FRAME_CHUNK, ManifoldSpec, _frame_data, contract, sample_points
+from .manifold import (FRAME_CHUNK, PASS_ENTRIES, ManifoldSpec, _frame_data, contract,
+                       entries_per_point, sample_points)
 
 QUALIFIER_TOL = 1e-12     # hypothesis detection (alpha = 0, proportionality, M = 0)
 HYPOTHESIS_REL = 1e-9     # "R vanishes" / "R equals K" qualifiers
@@ -204,12 +205,15 @@ class _Pass:
 
 
 def _passes(spec: ManifoldSpec, pi: OneFormData | None, config: SuiteConfig):
-    """The passes over the config's sample points, round(P / FRAME_CHUNK) of
-    near-equal size (no small remainder); ``pi`` absent means the zero one-form."""
+    """The passes over the config's sample points, round(P / size) of
+    near-equal size (no small remainder), where size is the spec's
+    PASS_ENTRIES // entries_per_point(n, ell) points, and at least
+    FRAME_CHUNK; ``pi`` absent means the zero one-form."""
     pi = pi if pi is not None else OneFormData.zero(spec.ell, spec.n)
     nab, D = koszul_connection(spec), semi_connection(spec, pi)
     points = sample_points(spec, config.points, config.seed)
-    for chunk in np.array_split(points, max(1, round(len(points) / FRAME_CHUNK))):
+    size = max(FRAME_CHUNK, PASS_ENTRIES // entries_per_point(spec.n, spec.ell))
+    for chunk in np.array_split(points, max(1, round(len(points) / size))):
         yield _Pass(spec, nab, D, chunk, "carnot" in config.flags)
 
 

@@ -243,3 +243,39 @@ def test_verify_overflow_prints_no_numpy_warnings():
              "-0.9669447289429418, 0.6265404784005448]")
     assert proc.stderr.splitlines() == [
         f"warning: {cid}: non-finite residual or operand scale at {point}" for cid in failing]
+
+
+def test_cached_parser_matches_fresh_parsers(capsys, monkeypatch, tmp_path):
+    """One parser serves every cli_main call of a process: after usage errors
+    it parses eval, verify, checks and parse requests to the same stdout,
+    stderr and exit codes as a parser built afresh for each call."""
+    from srclab import cli
+    spec_file = tmp_path / "h2.txt"
+    spec_file.write_text(builtin("heisenberg2").source, encoding="utf-8")
+    requests = [
+        ["verify"],                                                   # missing --builtin/--spec
+        ["eval", "--builtin", "heisenberg1", "--tensor", "nope", "--point", "0,0,0"],
+        ["frobnicate"],
+        ["eval", "--builtin", "heisenberg1", "--tensor", "K", "--point", "-0.5,0.1,0.2"],
+        ["eval", "--builtin", "heisenberg2", "--pi", "const:1,0,0,0", "--tensor", "alpha",
+         "--point", "0.1,0.2,0.3,0.4,0.5"],
+        ["verify", "--builtin", "heisenberg2", "--pi", "const:1,0,0,0", "--points", "3"],
+        ["verify", "--spec", str(spec_file), "--seed", "4"],            # default --points
+        ["checks"],
+        ["parse", str(spec_file)],
+        ["verify", "--builtin", "heisenberg1", "--spec", str(spec_file)],   # both: usage error
+    ]
+
+    def outcomes():
+        out = []
+        for argv in requests:
+            rc = cli_main(argv)
+            out.append((rc, *capsys.readouterr()))
+        return out
+
+    cli._build_argparser.cache_clear()
+    cached = outcomes()
+    assert cli._build_argparser.cache_info().misses == 1
+    monkeypatch.setattr(cli, "_build_argparser", cli._build_argparser.__wrapped__)
+    assert cached == outcomes()
+    assert [rc for rc, _, _ in cached] == [2, 2, 2, 0, 0, 1, 0, 0, 0, 2]

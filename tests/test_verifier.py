@@ -1,5 +1,6 @@
 import os
 import sys
+import tracemalloc
 from functools import cached_property
 
 import numpy as np
@@ -413,6 +414,56 @@ def test_mixed_frame_and_oneform_errors_pinned():
     assert (koszul.verdict, len(koszul.evidence["errors"])) == ("inconclusive", 25)
     assert (transformed.verdict, len(transformed.evidence["errors"])) == ("inconclusive", 38)
     assert koszul.evidence["errors"][0] == transformed.evidence["errors"][0] == singular
+
+
+def test_pass_boundaries_do_not_change_reports(monkeypatch):
+    """No arithmetic crosses sample points, so splitting 100 points into 1, 2
+    or 3 passes gives the same report: statuses, points evaluated, residuals
+    to the bit, first errors, warnings and worst points.  MIXED has frame
+    errors, one-form errors and condition warnings in every pass."""
+    cases = {name: (builtin(name).spec, builtin(name).oneform(variant), builtin(name).flags)
+             for name, variant in (("heisenberg1", "trig"), ("curved-metric-l3", "trig"))}
+    mixed = parse_manifold(MIXED)
+    cases["mixed"] = (mixed, OneFormData.from_expressions(
+        [parse_scalar_expression(t, mixed.coords) for t in ("log(z + 0.6)", "sqrt(x + 0.7)", "y")],
+        mixed.n), frozenset())
+    monkeypatch.setattr(verifier, "PASS_ENTRIES", 0)           # passes of FRAME_CHUNK points
+    for name, (spec, pi, flags) in cases.items():
+        config = SuiteConfig(points=100, seed=3, flags=flags)
+        reports = []
+        for passes in (1, 2, 3):
+            monkeypatch.setattr(verifier, "FRAME_CHUNK", 100 // passes)
+            assert len(list(_passes(spec, pi, config))) == passes
+            reports.append(run_suite(spec, pi, config))
+        one = reports[0]
+        assert bool(one.warnings) == (name == "mixed")
+        for report in reports[1:]:
+            assert report.warnings == one.warnings, name
+            for got, want in zip(report.checks, one.checks, strict=True):
+                assert repr(got) == repr(want), (name, want.id)
+
+
+def test_pass_plan_follows_the_per_point_footprint():
+    """A pass holds PASS_ENTRIES // entries_per_point(n, ell) points, and at
+    least FRAME_CHUNK: the small catalog specs run 200 points in one pass,
+    free-step2-l3 in two, and heisenberg2, the largest footprint, keeps
+    round(P / FRAME_CHUNK) passes.  No entry's traced peak at 200 points
+    exceeds 1.1 times heisenberg2's."""
+    sizes = {"heisenberg1": [200], "flat3": [200], "curved-metric-l3": [200],
+             "involutive-l3": [200], "free-step2-l3": [100, 100], "heisenberg2": [67, 67, 66]}
+    peaks = {}
+    for name in catalog_names():
+        entry = builtin(name)
+        config = SuiteConfig(points=200, seed=1, flags=entry.flags)
+        assert [len(ev.points) for ev in _passes(entry.spec, None, config)] == sizes[name], name
+        run_suite(entry.spec, None, config)                      # compile outside the trace
+        tracemalloc.start()
+        try:
+            run_suite(entry.spec, None, config)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) <= 1.1 * peaks["heisenberg2"], peaks
 
 
 def test_batched_pass_matches_point_functions():
