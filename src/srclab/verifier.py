@@ -25,11 +25,16 @@ under the semi-symmetric transformation.  Direct evaluation shows the actual
 change vanishes identically, so C13 fails whenever the one-form is nonzero;
 the check is kept verbatim so reports state the discrepancy rather than hide
 it (see C12/C15 for the consistent invariance statements).
+
+The first batched pass in a process (never the import) fixes glibc's malloc
+thresholds, so each pass reuses the heap pages the last one freed (_keep_freed_heap).
 """
 from __future__ import annotations
 
+import ctypes
+import os
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cache, cached_property, partial, reduce
 from operator import attrgetter
 
 import numpy as np
@@ -204,11 +209,33 @@ class _Pass:
     dC = cached_property(lambda ev: ev.C_D - ev.C_nab)
 
 
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3      # mallopt parameters of glibc's <malloc.h>
+MMAP_THRESHOLD = 32 << 20   # glibc's 64-bit cap on its dynamic one; trim at twice it, its own ratio
+
+
+@cache
+def _keep_freed_heap() -> bool:
+    """Fix glibc's mmap and trim thresholds once per process, so what a pass
+    frees stays in the heap for the next; glibc's dynamic rule trims it each pass.
+    Either one alone turns that rule off and faults more, so the trim is set
+    only once the mmap threshold is accepted.  True if both; False without glibc."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return False
+    except (ValueError, OSError):           # the name is unknown or unsupported here
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return bool(mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+                and mallopt(M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD))
+
+
 def _passes(spec: ManifoldSpec, pi: OneFormData | None, config: SuiteConfig):
     """The passes over the config's sample points, round(P / size) of
     near-equal size (no small remainder), where size is the spec's
     PASS_ENTRIES // entries_per_point(n, ell) points, and at least
     FRAME_CHUNK; ``pi`` absent means the zero one-form."""
+    _keep_freed_heap()
     pi = pi if pi is not None else OneFormData.zero(spec.ell, spec.n)
     nab, D = koszul_connection(spec), semi_connection(spec, pi)
     points = sample_points(spec, config.points, config.seed)
@@ -448,7 +475,10 @@ class _Table:
         """Fold in one pass's (checks, points) table of (abs, denom[, qualifies]) rows."""
         abs_res, denom = np.array([r[:2] for r in rows]).swapaxes(0, 1)
         failures = [ev.failures(reads) for reads in _READS]
-        failed = np.array([[i in f for i in range(len(ev.points))] for f in failures])[self.reads]
+        failed = np.zeros((len(failures), len(ev.points)), dtype=bool)
+        for r, f in enumerate(failures):
+            failed[r, list(f)] = True
+        failed = failed[self.reads]
         everywhere = np.ones(len(ev.points), dtype=bool)
         evaluated = ~failed & np.array([r[2] if len(r) > 2 else everywhere for r in rows])
         finite = np.isfinite(abs_res + denom)

@@ -1,7 +1,7 @@
 import os
 import sys
 import tracemalloc
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import pytest
@@ -376,8 +376,9 @@ def test_mixed_frame_and_oneform_errors_pinned():
     y >= 0.8 (condition-number warnings), and the one-form leaves its domain
     where z <= -0.6 or x < -0.7, the latter inside the singular region.  Every
     figure below is the one the per-point evaluation gave: a frame error fails
-    every check, a one-form error every check that reads the one-form, C04
-    names the one-form's error first, and 100 points span two passes."""
+    every check, a one-form error every check that reads the one-form, and C04
+    names the one-form's error first.  The 100 points run in one pass;
+    test_pass_boundaries_do_not_change_reports splits them into several."""
     spec = parse_manifold(MIXED)
     pi = OneFormData.from_expressions(
         [parse_scalar_expression(t, spec.coords) for t in ("log(z + 0.6)", "sqrt(x + 0.7)", "y")],
@@ -540,6 +541,30 @@ def test_run_suite_calls_do_not_grow_with_points():
     # 369 with the folded check table, pinned with 10% room, and below the 407
     # recorded for the per-check reduction it replaced
     assert one < 407 and one <= 1.1 * 369, one
+
+
+def test_warm_passes_reuse_freed_heap_pages():
+    """A warm call's passes reuse the heap pages earlier passes freed: fewer
+    than 100 minor page faults for a heisenberg2/trig suite at 200 points
+    (about 1,800 under glibc's dynamic thresholds, which trim the heap after
+    every pass) and for a group-manifold check of the same spec."""
+    resource = pytest.importorskip("resource")
+
+    def faults(run, seed):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run(SuiteConfig(points=200, seed=seed, flags=entry.flags))
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    entry = builtin("heisenberg2")
+    pi = entry.oneform("trig")
+    counts = {}
+    for run in (partial(run_suite, entry.spec, pi), partial(check_group_manifold, entry.spec, pi)):
+        faults(run, 1)                                      # warm-up: compile, grow the heap
+        counts[run.func.__name__] = faults(run, 2)
+    # asked only now, so that the passes, not this test, set the thresholds
+    if not verifier._keep_freed_heap():
+        pytest.skip("sets glibc's malloc thresholds only")
+    assert max(counts.values()) < 100, counts
 
 
 def test_passes_never_leave_a_small_remainder():
