@@ -27,7 +27,8 @@ the check is kept verbatim so reports state the discrepancy rather than hide
 it (see C12/C15 for the consistent invariance statements).
 
 The first batched pass in a process (never the import) fixes glibc's malloc
-thresholds, so each pass reuses the heap pages the last one freed (_keep_freed_heap).
+thresholds for the rest of the process and all of its allocations, so each
+pass reuses the heap pages the last one freed (_keep_freed_heap).
 """
 from __future__ import annotations
 
@@ -222,7 +223,7 @@ def _keep_freed_heap() -> bool:
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):
             return False
-    except (ValueError, OSError):           # the name is unknown or unsupported here
+    except (AttributeError, ValueError, OSError):   # no confstr (not Unix), or no such name
         return False
     mallopt = ctypes.CDLL(None).mallopt
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
@@ -475,10 +476,7 @@ class _Table:
         """Fold in one pass's (checks, points) table of (abs, denom[, qualifies]) rows."""
         abs_res, denom = np.array([r[:2] for r in rows]).swapaxes(0, 1)
         failures = [ev.failures(reads) for reads in _READS]
-        failed = np.zeros((len(failures), len(ev.points)), dtype=bool)
-        for r, f in enumerate(failures):
-            failed[r, list(f)] = True
-        failed = failed[self.reads]
+        failed = np.array([[i in f for i in range(len(ev.points))] for f in failures])[self.reads]
         everywhere = np.ones(len(ev.points), dtype=bool)
         evaluated = ~failed & np.array([r[2] if len(r) > 2 else everywhere for r in rows])
         finite = np.isfinite(abs_res + denom)

@@ -567,6 +567,20 @@ def test_warm_passes_reuse_freed_heap_pages():
     assert max(counts.values()) < 100, counts
 
 
+def test_no_confstr_sets_nothing_and_suite_runs(monkeypatch):
+    """Where os.confstr does not exist (not Unix), no threshold is set and the
+    passes run as before."""
+    monkeypatch.delattr(os, "confstr")
+    verifier._keep_freed_heap.cache_clear()
+    try:
+        assert verifier._keep_freed_heap() is False
+        entry = builtin("heisenberg2")
+        report = run_suite(entry.spec, None, SuiteConfig(points=1, seed=1, flags=entry.flags))
+        assert report.passed()
+    finally:
+        verifier._keep_freed_heap.cache_clear()     # the next pass asks again, with confstr back
+
+
 def test_passes_never_leave_a_small_remainder():
     """The points split into round(P / FRAME_CHUNK) passes of near-equal
     size, at least one, in sample order."""
