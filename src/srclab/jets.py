@@ -8,13 +8,14 @@ as cross-checks (:func:`fd_crosscheck`).
 :class:`JetProgram` compiles a list of expressions once into a flat op list
 (shared subtrees once, constants folded) and evaluates it on a whole (P, n)
 array of points, the same arithmetic with a leading point axis; frame data
-and one-forms are evaluated through it.  :func:`jet_eval`, the one-point
-recursive walk, is the reference the tests hold the compiled programs to.
+and one-forms are evaluated through it.  :func:`jet_eval`, a walk of one
+tree at one point, is the reference the tests hold the compiled programs to.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -190,66 +191,106 @@ def sqrt(j: Jet) -> Jet:
 # Expression trees
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Expression:
-    """Base node; subclasses form the closed expression language."""
+    """Base node; subclasses form the closed expression language.
+
+    A node's hash is stored at construction (:func:`_node`), so hashing never
+    walks the tree, and ``==`` walks both trees with a queue, never recursing.
+    A pickle holds only the fields: loading rehashes under its own hash seed.
+    """
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = [(self, other)]
+        for a, b in pairs:
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            for x, y in zip(a.__dict__.values(), b.__dict__.values()):
+                if isinstance(x, Expression):
+                    pairs.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """``cls`` as a frozen dataclass whose ``__init__`` also stores the hash of
+    (class, fields), each operand entering by its stored hash; generated like
+    the dataclass methods, so building a node stays one plain call."""
+    cls = dataclass(frozen=True, eq=False, init=False)(cls)
+    names = [f.name for f in fields(cls)]
+    keys = [f"{f.name}._hash" if f.type == "Expression" else f.name for f in fields(cls)]
+    namespace = {"cls": cls}
+    exec(f"def __init__(self, {', '.join(names)}):\n"
+         f"    self.__dict__.update({', '.join(f'{n}={n}' for n in names)},"
+         f" _hash=hash((cls, {', '.join(keys)})))", namespace)
+    cls.__init__ = namespace["__init__"]
+    return cls
+
+
+@_node
 class Const(Expression):
     value: float
 
 
-@dataclass(frozen=True)
+@_node
 class Coord(Expression):
     index: int
 
 
-@dataclass(frozen=True)
+@_node
 class Add(Expression):
     left: Expression
     right: Expression
 
 
-@dataclass(frozen=True)
+@_node
 class Sub(Expression):
     left: Expression
     right: Expression
 
 
-@dataclass(frozen=True)
+@_node
 class Mul(Expression):
     left: Expression
     right: Expression
 
 
-@dataclass(frozen=True)
+@_node
 class Div(Expression):
     left: Expression
     right: Expression
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Expression):
     arg: Expression
 
 
-@dataclass(frozen=True)
+@_node
 class Pow(Expression):
     base: Expression
     exponent: int
 
 
-@dataclass(frozen=True)
+@_node
 class Call(Expression):
     fn: str
     arg: Expression
 
 
 FUNCTIONS = {"sin": sin, "cos": cos, "exp": exp, "log": log, "sqrt": sqrt}
-
-ZERO = Const(0.0)
-ONE = Const(1.0)
+_BINARY_JETS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
 
 
 def _operands(node: Expression) -> tuple[Expression, ...]:
@@ -263,24 +304,40 @@ def _operands(node: Expression) -> tuple[Expression, ...]:
     return ()
 
 
-def coordinate_indices(expr: Expression) -> set[int]:
-    """All coordinate indices referenced by the expression."""
+def coordinate_indices(*exprs: Expression) -> set[int]:
+    """All coordinate indices referenced by the expressions; each node object
+    is visited once, so subtrees the parser shares are walked once."""
     out: set[int] = set()
-    stack = [expr]
+    seen, stack = set(), list(exprs)
     while stack:
         node = stack.pop()
-        if isinstance(node, Coord):
-            out.add(node.index)
-        stack.extend(_operands(node))
+        if id(node) not in seen:
+            seen.add(id(node))
+            if isinstance(node, Coord):
+                out.add(node.index)
+            stack.extend(_operands(node))
     return out
+
+
+def _apply(node: Expression, args: list[Jet]) -> Jet:
+    """The jet of an operator node from the jets of its operands."""
+    if type(node) in _BINARY_JETS:
+        return _BINARY_JETS[type(node)](*args)
+    if isinstance(node, Neg):
+        return -args[0]
+    if isinstance(node, Pow):
+        return args[0] ** node.exponent
+    if isinstance(node, Call):
+        return FUNCTIONS[node.fn](args[0])
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 def jet_eval(expr: Expression, point, order: int) -> Jet:
     """Evaluate an expression tree to a jet at ``point``.
 
-    This is the reference evaluator: one point, one recursive walk.  The
-    package evaluates frames and metrics through :class:`JetProgram`, which
-    the tests hold to this function.
+    This is the reference evaluator: one point, one walk over the tree, with
+    an explicit stack.  The package evaluates frames and metrics through
+    :class:`JetProgram`, which the tests hold to this function.
 
     Raises DomainError for division by zero / log of non-positive /
     sqrt of negative, DimensionMismatch for out-of-range coordinates.
@@ -291,32 +348,24 @@ def jet_eval(expr: Expression, point, order: int) -> Jet:
     if order not in (0, 1, 2):
         raise DimensionMismatch(f"order must be 0, 1 or 2, got {order}")
     n = p.shape[0]
-
-    def rec(node):
-        if isinstance(node, Const):
-            return Jet.constant(node.value, n, order)
-        if isinstance(node, Coord):
+    jets: dict[int, Jet] = {}           # id(node) -> its jet
+    stack = [(expr, False)]             # (node, operands done), operands pushed right to left
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            jets[id(node)] = _apply(node, [jets[id(arg)] for arg in _operands(node)])
+        elif id(node) in jets:          # a subtree shared by identity
+            continue
+        elif isinstance(node, Const):
+            jets[id(node)] = Jet.constant(node.value, n, order)
+        elif isinstance(node, Coord):
             if not 0 <= node.index < n:
                 raise DimensionMismatch(
                     f"coordinate index {node.index} out of range for dimension {n}")
-            return Jet.coordinate(p[node.index], node.index, n, order)
-        if isinstance(node, Add):
-            return rec(node.left) + rec(node.right)
-        if isinstance(node, Sub):
-            return rec(node.left) - rec(node.right)
-        if isinstance(node, Mul):
-            return rec(node.left) * rec(node.right)
-        if isinstance(node, Div):
-            return rec(node.left) / rec(node.right)
-        if isinstance(node, Neg):
-            return -rec(node.arg)
-        if isinstance(node, Pow):
-            return rec(node.base) ** node.exponent
-        if isinstance(node, Call):
-            return FUNCTIONS[node.fn](rec(node.arg))
-        raise TypeError(f"not an expression node: {node!r}")
-
-    return rec(expr)
+            jets[id(node)] = Jet.coordinate(p[node.index], node.index, n, order)
+        else:
+            stack += [(node, True)] + [(arg, False) for arg in reversed(_operands(node))]
+    return jets[id(expr)]
 
 
 # --------------------------------------------------------------------------
@@ -386,22 +435,30 @@ class _Compiler:
         self.ops: list[tuple] = []      # (code, x, y, owning expression index)
         self.owner = 0
         self._keys: dict = {}
-        self._memo: dict = {}
+        self._refs: dict = {}           # id(node) -> reference; the caller keeps the nodes alive
 
-    def ref(self, node: Expression):
-        if isinstance(node, Const):
-            return float(node.value)
-        ref = self._memo.get(node)
-        if ref is None:
-            if isinstance(node, Coord):
+    def ref(self, expr: Expression):
+        """Operand reference of ``expr``, walked as :func:`jet_eval` walks; a
+        node object compiled before is not walked again."""
+        refs = self._refs
+        stack = [(expr, False)]
+        while stack:
+            node, ready = stack.pop()
+            if ready:
+                refs[id(node)] = self._combine(node, [refs[id(arg)] for arg in _operands(node)])
+            elif id(node) in refs:
+                continue
+            elif isinstance(node, Const):
+                refs[id(node)] = float(node.value)
+            elif isinstance(node, Coord):
                 if not 0 <= node.index < self.n:
                     raise DimensionMismatch(
                         f"coordinate index {node.index} out of range for dimension {self.n}")
-                ref = self._emit("coord", node.index)
+                refs[id(node)] = self._emit("coord", node.index)
             else:
-                ref = self._combine(node, [self.ref(arg) for arg in _operands(node)])
-            self._memo[node] = ref
-        return ref
+                stack.append((node, True))
+                stack += [(arg, False) for arg in reversed(_operands(node)) if id(arg) not in refs]
+        return refs[id(expr)]
 
     def _emit(self, code, x, y=None) -> int:
         key = (code, x, y)
@@ -416,9 +473,9 @@ class _Compiler:
         return x if (a, c) == (1.0, 0.0) else self._emit("affine", x, (a, c))
 
     def _combine(self, node, args):
-        if all(isinstance(a, float) for a in args):    # a subtree of constants
+        if int not in map(type, args):             # a subtree of constants: no op slots
             try:
-                return jet_eval(node, (), MAX_ORDER).value
+                return _apply(node, [Jet.constant(a, 0, MAX_ORDER) for a in args]).value
             except DomainError:                    # fails at every point: keep the op
                 args = [self._emit("const", a) for a in args]
         if isinstance(node, Pow):
@@ -451,9 +508,9 @@ class JetProgram:
     """A list of expressions on R^n compiled once into a flat op list.
 
     Ops are kept in first-occurrence post-order, so every operand precedes
-    its use.  Equal subtrees become one op (expressions hash by value),
-    constant subtrees are folded, and a constant operand turns ``+ c``,
-    ``* c`` and ``/ c`` into one affine op.  :meth:`run` evaluates the list
+    its use.  Equal subtrees become one op (an op is keyed by its code and
+    operands), constant subtrees are folded, and a constant operand turns
+    ``+ c``, ``* c`` and ``/ c`` into one affine op.  :meth:`run` evaluates the list
     on a (P, n) point array with one vectorized step per op, carrying values,
     gradients and, only where an output in ``hessians`` needs them, Hessians;
     each intermediate is dropped after its last use.  The arithmetic is the
@@ -466,7 +523,7 @@ class JetProgram:
     """
 
     def __init__(self, exprs, n: int, hessians=()):
-        comp = _Compiler(n)
+        comp, exprs = _Compiler(n), list(exprs)     # a list keeps the id-keyed nodes alive
         refs = []
         for k, expr in enumerate(exprs):
             comp.owner = k

@@ -126,10 +126,9 @@ class ManifoldSpec:
             for lo, hi in self.box:
                 if not lo < hi:
                     raise ValidationError("sampling box bounds must satisfy lo < hi")
-        for expr in self._all_expressions():
-            bad = {k for k in coordinate_indices(expr) if k >= n}
-            if bad:
-                raise ValidationError(f"expression uses coordinate index {max(bad)} >= dim {n}")
+        top = max(coordinate_indices(*self._all_expressions()), default=-1)
+        if top >= n:
+            raise ValidationError(f"expression uses coordinate index {top} >= dim {n}")
 
     def _all_expressions(self):
         for vf in self.hframe + self.vframe:

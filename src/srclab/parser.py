@@ -1,4 +1,4 @@
-"""Manifold source format: tokenizer, recursive-descent parser, serializer.
+"""Manifold source format: tokenizer, operator-precedence parser, serializer.
 
 Line-oriented grammar (``#`` starts a comment, blank lines ignored, sections
 in this order)::
@@ -38,178 +38,192 @@ from .jets import (Add, Call, Const, Coord, Div, Expression, Mul, Neg, Pow,
 from .manifold import ManifoldSpec, VectorFieldSpec
 
 _TOKEN_RE = re.compile(r"""
-    (?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op>[+\-*/^(),=])
-  | (?P<ws>\s+)
-  | (?P<bad>.)
+    (\s*)                                   # whitespace before the token
+    (?: (\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)    # number
+      | ([A-Za-z_][A-Za-z_0-9]*)            # name
+      | ([+\-*/^(),=])                      # operator
+      | (\S) )                              # any other character is an error
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str       # num | name | op | end
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str, line: int, col_offset: int = 0) -> list[_Token]:
-    out = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        col = m.start() + 1 + col_offset
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", line, col)
-        out.append(_Token(kind, m.group(), line, col))
-    out.append(_Token("end", "", line, len(text) + 1 + col_offset))
+def _tokenize(text: str, line: int, col_offset: int = 0) -> list[tuple]:
+    """(kind, text, line, col) tokens of one line from one scan; the kind is
+    num, name, end or, for an operator, the operator itself.  Columns come
+    from a running offset into the line."""
+    out, col = [], col_offset + 1
+    for ws, num, name, op, bad in _TOKEN_RE.findall(text):
+        col += len(ws)
+        if bad:
+            raise ParseError(f"unexpected character {bad!r}", line, col)
+        tok = num or name or op
+        out.append(("num" if num else "name" if name else op, tok, line, col))
+        col += len(tok)
+    out.append(("end", "", line, len(text) + 1 + col_offset))
     return out
 
 
 class _ExprParser:
-    """Recursive descent over one token stream; knows the coordinate names."""
+    """Parser of one token stream; knows the coordinate names.  Nothing in it
+    recurses, so expressions of any length or nesting parse."""
 
-    def __init__(self, tokens: list[_Token], coords: tuple[str, ...]):
+    def __init__(self, tokens: list[tuple], coords: tuple[str, ...], nodes=None):
         self.tokens = tokens
         self.pos = 0
         self.coords = coords
+        self.nodes = {} if nodes is None else nodes
 
-    def peek(self) -> _Token:
+    def make(self, cls, *fields) -> Expression:
+        """``cls(*fields)``, or the equal node made before with the same table
+        (hash-consing): equal subtrees are one object, so comparing or
+        compiling them again costs O(1)."""
+        key = (cls, *fields)
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = cls(*fields)
+        return node
+
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect_op(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == text:
-            return self.next()
-        raise ParseError(f"expected {text!r}, found {tok.text!r}" if tok.kind != "end"
-                         else f"expected {text!r}, found end of input", tok.line, tok.col)
+    def accept(self, ops: str) -> str:
+        """The next token, consumed, if it is one of the operators ``ops``;
+        else '' and nothing is consumed."""
+        kind = self.tokens[self.pos][0]
+        if kind in ops:
+            self.pos += 1
+            return kind
+        return ""
+
+    def expect_op(self, text: str):
+        if not self.accept(text):
+            self.fail(f"expected {text!r}")
 
     def at_end(self) -> bool:
-        return self.peek().kind == "end"
+        return self.peek()[0] == "end"
 
     def fail(self, message: str):
-        tok = self.peek()
-        found = "end of input" if tok.kind == "end" else repr(tok.text)
-        raise ParseError(f"{message}, found {found}", tok.line, tok.col)
+        kind, text, line, col = self.peek()
+        found = "end of input" if kind == "end" else repr(text)
+        raise ParseError(f"{message}, found {found}", line, col)
 
     # scalar grammar -------------------------------------------------------
 
-    def expr(self) -> Expression:
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.next().text
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+    def expr(self, stop_at_dcoord: bool = False) -> Expression:
+        """A sum of products or, with ``stop_at_dcoord``, one product: the
+        factor of a vector-field term, none of whose operands outside
+        parentheses may be a d<coordinate> name.
 
-    def term(self, stop_at_dcoord: bool = False) -> Expression:
-        node = self.unary(stop_at_dcoord)
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.next().text
-            rhs = self.unary(stop_at_dcoord)
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
-        return node
-
-    def unary(self, stop_at_dcoord: bool = False) -> Expression:
-        if self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.next().text
-            node = self.unary(stop_at_dcoord)
-            return Neg(node) if op == "-" else node
-        return self.power(stop_at_dcoord)
-
-    def power(self, stop_at_dcoord: bool = False) -> Expression:
-        base = self.atom(stop_at_dcoord)
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.next()
-            return Pow(base, self.exponent())
-        return base
+        Operator precedence with the state of every open parenthesis on an
+        explicit stack, so neither length nor nesting recurses.  Signs bind
+        looser than ``^`` and tighter than ``*``; sums and products associate
+        to the left.
+        """
+        levels = []         # (total, add, product, mul, negations, function) per open "("
+        total, add, product, mul = None, "", None, ""
+        while True:
+            negations = 0                   # an operand: signs, then a number, name or "("
+            while op := self.accept("+-"):
+                negations += op == "-"
+            kind, text = self.peek()[:2]
+            if kind == "(" or kind == "name" and text in FUNCTIONS:
+                self.next()
+                if kind == "name":
+                    self.expect_op("(")
+                levels.append((total, add, product, mul, negations,
+                               text if kind == "name" else None))
+                total, add, product, mul = None, "", None, ""
+                continue
+            node = self.atom(stop_at_dcoord and not levels)
+            while True:                     # after an operand, up through every closed level
+                if self.accept("^"):
+                    node = self.make(Pow, node, self.exponent())
+                for _ in range(negations):
+                    node = self.make(Neg, node)
+                product = self.make(Mul if mul == "*" else Div, product, node) if mul else node
+                if mul := self.accept("*/"):
+                    break
+                if levels or not stop_at_dcoord:        # a sum: products joined by + and -
+                    total = (self.make(Add if add == "+" else Sub, total, product) if add
+                             else product)
+                    if add := self.accept("+-"):
+                        break
+                    product = total                     # the finished sum
+                if not levels:
+                    return product
+                self.expect_op(")")
+                node = product
+                total, add, product, mul, negations, function = levels.pop()
+                if function:
+                    node = self.make(Call, function, node)
 
     def exponent(self) -> int:
-        sign = 1
-        if self.peek().kind == "op" and self.peek().text == "-":
+        """A tower of signed integer literals, ``^`` right-associative."""
+        tower = []
+        while not tower or self.accept("^"):
+            sign = -1 if self.accept("-") else 1
+            kind, text = self.peek()[:2]
+            if kind != "num" or not text.isdecimal():
+                self.fail("expected an integer literal exponent")
             self.next()
-            sign = -1
-        tok = self.peek()
-        if tok.kind != "num" or not re.fullmatch(r"\d+", tok.text):
-            self.fail("expected an integer literal exponent")
-        self.next()
-        value = int(tok.text)
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.next()
-            value = value ** self.exponent()
-        return sign * value
+            tower.append((sign, int(text)))
+        value = 1
+        for sign, base in reversed(tower):
+            value = sign * base ** value
+        return value
 
-    def atom(self, stop_at_dcoord: bool = False) -> Expression:
-        tok = self.peek()
-        if tok.kind == "num":
+    def atom(self, stop_at_dcoord: bool) -> Expression:
+        """A number or coordinate name."""
+        kind, text, line, col = self.peek()
+        if kind == "num":
             self.next()
-            return Const(float(tok.text))
-        if tok.kind == "name":
-            if stop_at_dcoord and self.is_dcoord(tok.text):
+            return self.make(Const, float(text))
+        if kind == "name":
+            if stop_at_dcoord and self.at_dcoord():
                 self.fail("expected an expression")
             self.next()
-            if tok.text in FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(tok.text, arg)
-            if tok.text in self.coords:
-                return Coord(self.coords.index(tok.text))
-            raise ParseError(f"unknown name {tok.text!r} (not a coordinate or function)",
-                             tok.line, tok.col)
-        if tok.kind == "op" and tok.text == "(":
-            self.next()
-            node = self.expr()
-            self.expect_op(")")
-            return node
+            if text in self.coords:
+                return self.make(Coord, self.coords.index(text))
+            raise ParseError(f"unknown name {text!r} (not a coordinate or function)",
+                             line, col)
         self.fail("expected a number, name or '('")
 
     # vector-field grammar -------------------------------------------------
 
-    def is_dcoord(self, name: str) -> bool:
-        return name.startswith("d") and name[1:] in self.coords
+    def at_dcoord(self) -> bool:
+        kind, text = self.peek()[:2]
+        return kind == "name" and text.startswith("d") and text[1:] in self.coords
 
     def vfexpr(self, n: int) -> tuple[Expression, ...]:
         components: dict[int, Expression] = {}
-        first = True
         while True:
-            sign = 1
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.next()
-                sign = -1 if tok.text == "-" else 1
-            elif not first:
+            op = self.accept("+-")
+            if not op and components:
                 self.fail("expected '+' or '-' between terms")
-            factor = None
-            tok = self.peek()
-            if not (tok.kind == "name" and self.is_dcoord(tok.text)):
-                factor = self.term(stop_at_dcoord=True)
-            tok = self.peek()
-            if not (tok.kind == "name" and self.is_dcoord(tok.text)):
+            contribution = (self.make(Const, 1.0) if self.at_dcoord()
+                            else self.expr(stop_at_dcoord=True))
+            if not self.at_dcoord():
                 self.fail("expected d<coordinate>")
-            self.next()
-            k = self.coords.index(tok.text[1:])
-            contribution = Const(1.0) if factor is None else factor
-            if sign < 0:
-                contribution = Neg(contribution)
-            components[k] = (Add(components[k], contribution)
+            k = self.coords.index(self.next()[1][1:])
+            if op == "-":
+                contribution = self.make(Neg, contribution)
+            components[k] = (self.make(Add, components[k], contribution)
                              if k in components else contribution)
-            first = False
             if self.at_end():
                 break
-        return tuple(components.get(k, Const(0.0)) for k in range(n))
+        return tuple(components.get(k) or self.make(Const, 0.0) for k in range(n))
 
 
 def parse_scalar_expression(text: str, coords: tuple[str, ...],
                             line: int = 1, col_offset: int = 0) -> Expression:
-    parser = _ExprParser(_tokenize(text, line, col_offset), coords)
+    return _scalar(_ExprParser(_tokenize(text, line, col_offset), coords))
+
+
+def _scalar(parser: _ExprParser) -> Expression:
     node = parser.expr()
     if not parser.at_end():
         parser.fail("trailing input after expression")
@@ -277,7 +291,7 @@ def _parse_int(text: str, what: str, line_no: int) -> int:
     return int(text)
 
 
-def _frame_block(lines: _Lines, count: int, coords, n, section: str, head_line: int):
+def _frame_block(lines: _Lines, count: int, coords, n, section: str, head_line: int, nodes):
     names, specs = [], []
     while True:
         item = lines.peek()
@@ -296,7 +310,7 @@ def _frame_block(lines: _Lines, count: int, coords, n, section: str, head_line: 
         name = name.strip()
         if not name.isidentifier():
             raise ParseError(f"bad frame field name {name!r}", line_no, 1)
-        parser = _ExprParser(_tokenize(rhs, line_no, body.index("=") + 1), coords)
+        parser = _ExprParser(_tokenize(rhs, line_no, body.index("=") + 1), coords, nodes)
         comps = parser.vfexpr(n)
         names.append(name)
         specs.append(VectorFieldSpec(comps))
@@ -347,11 +361,12 @@ def parse_document(text: str) -> SpecDocument:
     if rest:
         raise ParseError("hframe keyword takes no arguments", line_no, 1)
     locations["hframe"] = line_no
-    hnames, hframe = _frame_block(lines, ell, coords, n, "hframe", line_no)
+    nodes: dict = {}        # one hash-consing table for the whole document
+    hnames, hframe = _frame_block(lines, ell, coords, n, "hframe", line_no, nodes)
 
     line_no, rest = _keyword_line(lines, "vframe")
     locations["vframe"] = line_no
-    vnames, vframe = _frame_block(lines, n - ell, coords, n, "vframe", line_no)
+    vnames, vframe = _frame_block(lines, n - ell, coords, n, "vframe", line_no, nodes)
 
     line_no, rest = _keyword_line(lines, "metric")
     locations["metric"] = line_no
@@ -367,7 +382,7 @@ def parse_document(text: str) -> SpecDocument:
                 raise ValidationError(
                     f"metric has {i} rows, expected {ell}", row_line)
             parts = _split_entries(stripped, row_line, ell, f"metric row {i + 1}")
-            rows.append(tuple(parse_scalar_expression(part, coords, row_line)
+            rows.append(tuple(_scalar(_ExprParser(_tokenize(part, row_line), coords, nodes))
                               for part in parts))
             locations[f"metric[{i}]"] = row_line
         metric = tuple(rows)
@@ -387,7 +402,7 @@ def parse_document(text: str) -> SpecDocument:
         line_no, rest = _keyword_line(lines, "oneform")
         locations["oneform"] = line_no
         parts = _split_entries(rest, line_no, ell, "oneform")
-        oneform = tuple(parse_scalar_expression(part, coords, line_no)
+        oneform = tuple(_scalar(_ExprParser(_tokenize(part, line_no), coords, nodes))
                         for part in parts)
         if lines.peek() is not None:
             extra_line, body = lines.peek()
@@ -416,39 +431,41 @@ def _fmt_const(value: float) -> str:
     return repr(value)
 
 
+_BINARY = {Add: (" + ", _PREC_ADD), Sub: (" - ", _PREC_ADD),
+           Mul: ("*", _PREC_MUL), Div: ("/", _PREC_MUL)}
+
+
 def _print_expr(node: Expression, coords, prec: int = 0) -> str:
-    if isinstance(node, Const):
-        text, p = _fmt_const(node.value), _PREC_ATOM
-    elif isinstance(node, Coord):
-        text, p = coords[node.index], _PREC_ATOM
-    elif isinstance(node, Add):
-        text = f"{_print_expr(node.left, coords, _PREC_ADD)} + " \
-               f"{_print_expr(node.right, coords, _PREC_ADD + 1)}"
-        p = _PREC_ADD
-    elif isinstance(node, Sub):
-        text = f"{_print_expr(node.left, coords, _PREC_ADD)} - " \
-               f"{_print_expr(node.right, coords, _PREC_ADD + 1)}"
-        p = _PREC_ADD
-    elif isinstance(node, Mul):
-        text = f"{_print_expr(node.left, coords, _PREC_MUL)}*" \
-               f"{_print_expr(node.right, coords, _PREC_MUL + 1)}"
-        p = _PREC_MUL
-    elif isinstance(node, Div):
-        text = f"{_print_expr(node.left, coords, _PREC_MUL)}/" \
-               f"{_print_expr(node.right, coords, _PREC_MUL + 1)}"
-        p = _PREC_MUL
-    elif isinstance(node, Neg):
-        text = f"-{_print_expr(node.arg, coords, _PREC_UNARY)}"
-        p = _PREC_UNARY
-    elif isinstance(node, Pow):
-        exp = str(node.exponent) if node.exponent >= 0 else f"-{-node.exponent}"
-        text = f"{_print_expr(node.base, coords, _PREC_ATOM)}^{exp}"
-        p = _PREC_POW
-    elif isinstance(node, Call):
-        text, p = f"{node.fn}({_print_expr(node.arg, coords)})", _PREC_ATOM
-    else:
-        raise TypeError(f"not an expression node: {node!r}")
-    return f"({text})" if p < prec else text
+    """Source text of an expression, parenthesized where ``prec`` binds
+    tighter; written left to right from an explicit stack of pending pieces
+    (strings, or subexpressions with the precedence their place needs)."""
+    out, stack = [], [(node, prec)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, prec = item
+        if isinstance(node, Const):
+            pieces, p = [_fmt_const(node.value)], _PREC_ATOM
+        elif isinstance(node, Coord):
+            pieces, p = [coords[node.index]], _PREC_ATOM
+        elif type(node) in _BINARY:
+            op, p = _BINARY[type(node)]
+            pieces = [(node.left, p), op, (node.right, p + 1)]
+        elif isinstance(node, Neg):
+            pieces, p = ["-", (node.arg, _PREC_UNARY)], _PREC_UNARY
+        elif isinstance(node, Pow):
+            exp = str(node.exponent) if node.exponent >= 0 else f"-{-node.exponent}"
+            pieces, p = [(node.base, _PREC_ATOM), f"^{exp}"], _PREC_POW
+        elif isinstance(node, Call):
+            pieces, p = [f"{node.fn}(", (node.arg, 0), ")"], _PREC_ATOM
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        if p < prec:
+            pieces = ["(", *pieces, ")"]
+        stack.extend(reversed(pieces))
+    return "".join(out)
 
 
 def _print_vf(vf: VectorFieldSpec, coords) -> str:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -279,3 +280,19 @@ def test_cached_parser_matches_fresh_parsers(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "_build_argparser", cli._build_argparser.__wrapped__)
     assert cached == outcomes()
     assert [rc for rc, _, _ in cached] == [2, 2, 2, 0, 0, 1, 0, 0, 0, 2]
+
+
+def test_long_sum_spec_end_to_end(tmp_path, capsys):
+    """A frame component summing 5,000 terms (a tree 5,000 levels deep)
+    parses, evaluates and verifies: nothing on the way recurses per term."""
+    rng = random.Random(5)
+    total = " + ".join(f"{rng.randint(1, 9) / 64!r}*{rng.choice('xyz')}" for _ in range(5000))
+    path = tmp_path / "long.manifold"
+    path.write_text(f"manifold long\ndim 3\nhdim 2\ncoords x y z\nhframe\n  X = dx + ({total}) dz\n"
+                    "  Y = dy\nvframe\n  Z = dz\nmetric identity\n", encoding="utf-8")
+    assert cli_main(["parse", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("OK: long")
+    assert cli_main(["eval", "--spec", str(path), "--tensor", "K", "--point=0.1,-0.2,0.3"]) == 0
+    assert "[" in capsys.readouterr().out
+    assert cli_main(["verify", "--spec", str(path), "--points", "2", "--quiet"]) == 0
+    assert capsys.readouterr().out == ""

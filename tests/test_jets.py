@@ -1,13 +1,20 @@
+import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from srclab.catalog import builtin, catalog_names
 from srclab.errors import DimensionMismatch, DomainError
-from srclab.jets import (Add, Call, Const, Coord, Div, Jet, JetProgram, Mul, Neg, Pow,
-                         Sub, _operands, fd_crosscheck, jet_eval)
+from srclab.jets import (Add, Call, Const, Coord, Div, Expression, Jet, JetProgram, Mul, Neg,
+                         Pow, Sub, _operands, fd_crosscheck, jet_eval)
+from srclab.parser import parse_manifold
 
 
 def jets_close(a: Jet, b: Jet, ulps: int = 4) -> bool:
@@ -335,3 +342,109 @@ def test_compiled_domain_errors_match_jet_eval(expr, points):
         except OverflowError:
             assume(False)
     assert JetProgram([expr], 2).run(np.array(points)).errors == want
+
+
+def test_equal_trees_built_apart_compare_and_hash_equal():
+    def build(k):
+        return Add(Mul(Const(0.5), Pow(Coord(k), 2)), Call("sin", Neg(Coord(1))))
+
+    a, b = build(0), build(0)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert build(0) != build(2) and Add(Coord(0), Coord(1)) != Sub(Coord(0), Coord(1))
+    assert Const(1) == Const(1.0) and hash(Const(1)) == hash(Const(1.0))
+    assert Const(0.0) == Const(-0.0) and Const(1.0) != Coord(1)
+    deep_a, deep_b = Coord(0), Coord(0)
+    for k in range(5000):                # a sum 5,000 levels deep, far past the recursion limit
+        deep_a, deep_b = Add(deep_a, Const(k)), Add(deep_b, Const(k))
+    assert deep_a == deep_b and hash(deep_a) == hash(deep_b)
+    assert deep_a != Add(deep_b.left, Const(-1.0)) and deep_a != Mul(deep_b.left, Const(4999))
+
+
+def test_nodes_keep_the_dataclass_surface():
+    node = Add(left=Coord(0), right=Const(2.0))
+    assert node == Add(Coord(0), Const(2.0))
+    assert repr(node) == "Add(left=Coord(index=0), right=Const(value=2.0))"
+    assert [f.name for f in dataclasses.fields(Call)] == ["fn", "arg"]
+    moved = dataclasses.replace(node, right=Coord(1))
+    assert moved == Add(Coord(0), Coord(1)) and hash(moved) == hash(Add(Coord(0), Coord(1)))
+    assert dataclasses.replace(Pow(Coord(0), 2), exponent=3) == Pow(Coord(0), 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        node.left = Coord(1)
+
+
+PICKLED_SOURCE = """\
+manifold pickled
+dim 3
+hdim 2
+coords x y z
+hframe
+  X = dx + (sin(x) + x*y) dz
+  Y = dy - (sin(x)*cos(y)) dz
+vframe
+  Z = dz
+metric rows
+  1 + sin(x)^2, x*y/4
+  x*y/4, 1 + cos(y)^2
+oneform sin(x), log(2 + y)
+"""
+
+_PROGRAM_OVER = """
+def program_over(*specs):
+    exprs = [e for s in specs for e in [c for vf in s.hframe + s.vframe for c in vf.components]
+             + [e for row in s.metric for e in row] + list(s.oneform)]
+    return JetProgram(exprs, 3)
+"""
+
+
+def test_pickled_spec_rehashes_under_another_hash_seed(tmp_path):
+    """A spec pickled under one PYTHONHASHSEED and loaded under another equals
+    and hashes like a fresh parse there, and one program over the loaded and a
+    fresh copy shares their subtrees exactly as one over two fresh parses."""
+    namespace: dict = {"JetProgram": JetProgram}
+    exec(_PROGRAM_OVER, namespace)
+    want = repr(namespace["program_over"](parse_manifold(PICKLED_SOURCE),
+                                          parse_manifold(PICKLED_SOURCE)).ops)
+    root = Path(__file__).resolve().parents[1]
+    (tmp_path / "source.txt").write_text(PICKLED_SOURCE, encoding="utf-8")
+    prelude = ("import pickle, sys\nfrom pathlib import Path\n"
+               "from srclab.jets import JetProgram\nfrom srclab.parser import parse_manifold\n"
+               f"here = Path({str(tmp_path)!r})\n"
+               "source = (here / 'source.txt').read_text(encoding='utf-8')\n" + _PROGRAM_OVER)
+    dump = "(here / 'spec.pickle').write_bytes(pickle.dumps(parse_manifold(source)))\n"
+    load = ("spec, fresh = pickle.loads((here / 'spec.pickle').read_bytes()), parse_manifold(source)\n"
+            "assert spec == fresh and hash(spec) == hash(fresh)\n"
+            "print(repr(program_over(spec, fresh).ops))\n")
+    outputs = []
+    for seed, body in (("1", dump), ("2", load)):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                          env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", prelude + body], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.strip())
+    assert outputs[1] == want
+
+
+def _unshared(node):
+    """A copy of ``node`` in which no two places share a node object."""
+    return dataclasses.replace(node, **{f.name: _unshared(getattr(node, f.name))
+                                        for f in dataclasses.fields(node)
+                                        if isinstance(getattr(node, f.name), Expression)})
+
+
+@pytest.mark.parametrize("name", [*catalog_names(), "pickled"])
+def test_shared_subtrees_compile_like_separate_copies(name):
+    """The parser makes equal subtrees one object and the compiler walks each
+    object once; copies that share nothing compile to the same ops."""
+    source = PICKLED_SOURCE if name == "pickled" else builtin(name).source
+    spec = parse_manifold(source)
+    if "metric rows" in source:
+        assert spec.metric[0][1] is spec.metric[1][0]
+    program = spec._jet_program
+    frame = [c for vf in spec.hframe + spec.vframe for c in vf.components]
+    exprs = frame + [e for row in spec.metric for e in row]
+    copies = [_unshared(e) for e in exprs]
+    assert copies == exprs and not any(a is b for a, b in zip(copies, exprs))
+    hessians = [*range(spec.ell * spec.n), *range(len(frame), len(exprs))]
+    assert JetProgram(copies, spec.n, hessians).ops == program.ops

@@ -1,6 +1,12 @@
+import math
+import os
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import srclab
 from srclab.catalog import builtin, catalog_names
 from srclab.errors import ParseError, ValidationError
 from srclab.jets import (Add, Call, Const, Coord, Div, Mul, Neg, Pow, Sub,
@@ -194,3 +200,131 @@ def test_expression_parser_totality(text):
         parse_scalar_expression(text, ("x", "y"))
     except ParseError:
         pass
+
+
+_PRE = "manifold m\ndim 3\nhdim 2\ncoords x y z\nhframe\n"
+_FRAME = "  X = dx\n  Y = dy\nvframe\n  Z = dz\n"
+
+# (source, error type, message, line, col); col is None for a ValidationError.
+# Metric and one-form entries are tokenized on their own, so their columns
+# count from the start of the entry, not of the line.
+LOCATED_ERRORS = [
+    (_PRE + "  X = dx $ dy\n  Y = dy\nvframe\n  Z = dz\nmetric identity\n",
+     ParseError, "unexpected character '$'", 6, 10),
+    (_PRE + _FRAME + "metric rows\n  1, x @ 2\n  0, 1\n",
+     ParseError, "unexpected character '@'", 11, 4),
+    (_PRE + "  X = dx + q dy\n  Y = dy\nvframe\n  Z = dz\nmetric identity\n",
+     ParseError, "unknown name 'q' (not a coordinate or function)", 6, 12),
+    (_PRE + _FRAME + "metric identity\noneform 1, foo(x)\n",
+     ParseError, "unknown name 'foo' (not a coordinate or function)", 11, 2),
+    (_PRE + "  X = dx + (x + 1 dy\n  Y = dy\nvframe\n  Z = dz\nmetric identity\n",
+     ParseError, "expected ')', found 'dy'", 6, 19),
+    (_PRE + _FRAME + "metric rows\n  (1 + x, 0\n  0, 1\n",
+     ParseError, "expected ')', found end of input", 11, 7),
+    (_PRE + _FRAME + "metric rows\n  1 x, 0\n  0, 1\n",
+     ParseError, "trailing input after expression, found 'x'", 11, 3),
+    (_PRE + _FRAME + "metric rows\n  1 + x^1.5, 0\n  0, 1\n",
+     ParseError, "expected an integer literal exponent, found '1.5'", 11, 7),
+    (_PRE + "  X = dx + y^x dz\n  Y = dy\nvframe\n  Z = dz\nmetric identity\n",
+     ParseError, "expected an integer literal exponent, found 'x'", 6, 14),
+    (_PRE + "  X = dx + y\n  Y = dy\nvframe\n  Z = dz\nmetric identity\n",
+     ParseError, "expected d<coordinate>, found end of input", 6, 13),
+    (_PRE + "  X = dx dy\n  Y = dy\nvframe\n  Z = dz\nmetric identity\n",
+     ParseError, "expected '+' or '-' between terms, found 'dy'", 6, 10),
+    (_PRE + _FRAME + "metric rows\n  1, 0, 0\n  0, 1\n",
+     ValidationError, "metric row 1 has 3 entries, expected 2", 11, None),
+    (_PRE + _FRAME + "metric identity\noneform 1, 2, 3\n",
+     ValidationError, "oneform has 3 entries, expected 2", 11, None),
+]
+
+
+@pytest.mark.parametrize("case", range(len(LOCATED_ERRORS)))
+def test_error_messages_and_locations_pinned(case):
+    source, err, message, line, col = LOCATED_ERRORS[case]
+    with pytest.raises(err) as excinfo:
+        parse_manifold(source)
+    exc = excinfo.value
+    assert (exc.message, exc.line, getattr(exc, "col", None)) == (message, line, col)
+
+
+def test_scalar_error_columns_count_from_the_offset():
+    for text, message, col in [("x $ 1", "unexpected character '$'", 10),
+                               ("  x + ", "expected a number, name or '(', found end of input", 14),
+                               ("x ) ", "trailing input after expression, found ')'", 10),
+                               ("x^-", "expected an integer literal exponent, found end of input", 11),
+                               ("1.2.3", "trailing input after expression, found '.3'", 11)]:
+        with pytest.raises(ParseError) as excinfo:
+            parse_scalar_expression(text, ("x", "y"), 4, 7)
+        assert (excinfo.value.message, excinfo.value.line, excinfo.value.col) == (message, 4, col)
+
+
+def test_sign_runs_and_exponent_towers_parse_without_recursion():
+    coords = ("x", "y")
+    assert parse_scalar_expression("-+-x", coords) == Neg(Neg(Coord(0)))
+    assert parse_scalar_expression("x^-2^3", coords) == Pow(Coord(0), -8)
+    deep = parse_scalar_expression("-" * 3000 + "x" + "^1" * 3000, coords)
+    assert jet_eval(deep, [2.0, 0.0], 0).value == 2.0
+
+
+def test_deep_nesting_parses(tmp_path, capsys):
+    """300 nested parentheses or calls parse through ``srclab parse`` and
+    round-trip, and 5,000 levels parse and evaluate: nothing recurses."""
+    from srclab.cli import cli_main
+
+    for opener in ("(", "sin("):
+        source = (_PRE + "  X = dx + " + opener * 300 + "x" + ")" * 300 + " dz\n  Y = dy\n"
+                  "vframe\n  Z = dz\nmetric identity\n")
+        path = tmp_path / "deep.manifold"
+        path.write_text(source, encoding="utf-8")
+        assert cli_main(["parse", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("OK: m ")
+        doc = parse_document(source)
+        assert parse_document(serialize_document(doc)).spec == doc.spec
+    assert parse_scalar_expression("(" * 5000 + "-x" + ")" * 5000, ("x",)) == Neg(Coord(0))
+    nested = parse_scalar_expression("cos(" * 5000 + "x" + ")" * 5000, ("x",))
+    value = 0.5
+    for _ in range(5000):
+        value = math.cos(value)
+    assert jet_eval(nested, [0.5], 0).value == value
+
+
+def _long_sum_source(terms: int) -> str:
+    rng = random.Random(terms)
+    total = " + ".join(f"{rng.randint(1, 9) / 64!r}*{rng.choice('xyz')}" for _ in range(terms))
+    return (f"manifold long\ndim 3\nhdim 2\ncoords x y z\nhframe\n  X = dx + ({total}) dz\n"
+            "  Y = dy\nvframe\n  Z = dz\nmetric identity\n")
+
+
+def test_long_sum_round_trips():
+    """A 5,000-term frame component (a left-deep tree 5,000 levels high)
+    serializes and reparses to the same spec and the same text."""
+    doc = parse_document(_long_sum_source(5000))
+    text = serialize_document(doc)
+    again = parse_document(text)
+    assert again.spec == doc.spec and hash(again.spec) == hash(doc.spec)
+    assert serialize_document(again) == text
+
+
+def test_ingestion_calls_grow_linearly():
+    """Python-level calls into srclab made by parsing a spec and compiling its
+    JetProgram: doubling the terms of a sum at most 2.2 times the calls (a
+    quadratic ingestion makes it about 4)."""
+    package = os.path.dirname(srclab.__file__) + os.sep
+
+    def srclab_calls(terms):
+        source, count = _long_sum_source(terms), 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                count += 1
+
+        sys.setprofile(profile)
+        try:
+            parse_manifold(source)._jet_program
+        finally:
+            sys.setprofile(None)
+        return count
+
+    one, two = srclab_calls(1000), srclab_calls(2000)
+    assert two <= 2.2 * one, (one, two)
