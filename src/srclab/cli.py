@@ -179,7 +179,8 @@ def _cmd_eval(args) -> int:
     if isinstance(value, float):
         print(f"{value:.17g}")
     else:
-        print(np.array2string(np.asarray(value), precision=12, suppress_small=False))
+        print(np.array2string(np.asarray(value), precision=12, suppress_small=False,
+                              threshold=sys.maxsize))          # every entry, never "..."
     return 0
 
 

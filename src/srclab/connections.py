@@ -13,10 +13,10 @@ solving, pointwise,
 which keeps the connection metric and turns the torsion into
 T_ij^k = delta_i^k pi_j - delta_j^k pi_i.
 
-Coefficients are tensors with coordinate gradients, so curvature can take
-frame derivatives.  They are evaluated on a stack of points at once: a
-:class:`ConnectionBatch` holds a connection's coefficient jets with a
-leading point axis, built from one :class:`~srclab.manifold.FrameData`
+Coefficients are tensors with their derivatives along the horizontal
+frame, the only ones curvature reads.  They are evaluated on a stack of
+points at once: a :class:`ConnectionBatch` holds a connection's coefficient
+jets with a leading point axis, built from one :class:`~srclab.manifold.FrameData`
 (whose Koszul jets both connections share) and, for the transformed
 connection, the one-form's jets on the same points.  The per-point
 functions below are the same code on a stack of one.  A one-form's
@@ -44,8 +44,9 @@ class OneFormComponent(NamedTuple):
 
 
 class OneFormJets(NamedTuple):
-    """A one-form's values (P, ell) and coordinate gradients (P, ell, n) on a
-    stack of points, and the DomainError of each point where it fails."""
+    """A one-form's values (P, ell) and gradients (P, ell, d) along a basis
+    (the coordinates, d = n, by default) on a stack of points, and the
+    DomainError of each point where it fails."""
 
     values: np.ndarray
     grads: np.ndarray
@@ -90,11 +91,12 @@ class OneFormData:
     def _jet_program(self) -> JetProgram:
         return JetProgram(self.exprs, self.n)
 
-    def batch(self, points) -> OneFormJets:
-        """Jets at every row of ``points`` from one run; a point fails where a
-        component leaves its domain or is not finite."""
+    def batch(self, points, basis=None) -> OneFormJets:
+        """Jets at every row of ``points`` from one run, with gradients along
+        ``basis`` (see :meth:`~srclab.jets.JetProgram.run`); a point fails
+        where a component leaves its domain or is not finite."""
         pts = np.asarray(points, dtype=float)
-        run = self._jet_program.run(pts)
+        run = self._jet_program.run(pts, basis)
         errors = {i: DomainError(message) for i, (_, message) in run.errors.items()}
         finite = np.isfinite(run.values).all(axis=1) & np.isfinite(run.grads).all(axis=(1, 2))
         for i in map(int, np.flatnonzero(~finite)):
@@ -113,7 +115,8 @@ class OneFormData:
 
 
 def semi_jets(frame: FrameData, pij: OneFormJets) -> CoefficientJets:
-    """Koszul jets plus delta_i^k pi_j - g_ij pi^k and its derivatives."""
+    """Koszul jets plus delta_i^k pi_j - g_ij pi^k and its derivatives, from
+    the one-form's horizontal frame derivatives."""
     piv, pig = pij.values, pij.grads
     piu = contract(frame.ginv, piv)
     piu_g = contract(frame.ginv_g.transpose(0, 1, 3, 2), piv) + contract(frame.ginv, pig)
@@ -125,17 +128,15 @@ def semi_jets(frame: FrameData, pij: OneFormJets) -> CoefficientJets:
     return CoefficientJets(frame.koszul.values + A, frame.koszul.grads + A_g)
 
 
-def frame_derivative(frame: FrameData, grads: np.ndarray) -> np.ndarray:
-    """out[p, i, ...] = e_i(T[p, ...]) for horizontal e_i, from coordinate
-    gradients ``grads[p, ..., r]``."""
-    ell = frame.gv.shape[-1]
-    out = contract(grads, frame.Ev[:, :, :ell])
-    return out.transpose((0, out.ndim - 1) + tuple(range(1, out.ndim - 1)))
+def frame_derivative(grads: np.ndarray) -> np.ndarray:
+    """out[p, i, ...] = e_i(T[p, ...]) from the horizontal frame derivatives
+    ``grads[p, ..., i]``: the derivative axis moved to the front."""
+    return np.moveaxis(grads, -1, 1)
 
 
-def covariant_oneform(frame: FrameData, co: np.ndarray, pij: OneFormJets) -> np.ndarray:
+def covariant_oneform(co: np.ndarray, pij: OneFormJets) -> np.ndarray:
     """e_i(pi_j) - co[i, j, k] pi_k for connection coefficients co."""
-    return frame_derivative(frame, pij.grads) - contract(co, pij.values)
+    return frame_derivative(pij.grads) - contract(co, pij.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +151,7 @@ class ConnectionBatch:
 
     def frame_derivatives(self) -> np.ndarray:
         """D[p, i, j, k, h] = e_i(coeff[j, k, h]) for horizontal e_i."""
-        return frame_derivative(self.frame, self.jets.grads)
+        return frame_derivative(self.jets.grads)
 
     @cached_property
     def torsion(self) -> np.ndarray:
@@ -163,7 +164,7 @@ class ConnectionBatch:
         co, co_g = self.jets
         Tv = self.torsion
         Tg = co_g - co_g.transpose(0, 2, 1, 3, 4) - self.frame.Om_g
-        return (frame_derivative(self.frame, Tg)
+        return (frame_derivative(Tg)
                 + contract(Tv, co.transpose(0, 2, 1, 3)).transpose(0, 3, 1, 2, 4)
                 - contract(co, Tv)
                 - contract(co, Tv.transpose(0, 2, 1, 3)).transpose(0, 1, 3, 2, 4))
@@ -177,7 +178,7 @@ def _stack_of_one(spec: ManifoldSpec, point, pi: OneFormData | None):
     frame.check(0)
     pij = None
     if pi is not None:
-        pij = pi.batch(pts)
+        pij = pi.batch(pts, frame.Ev[:, :, :spec.ell])
         pij.check(0)
     return frame, pij
 
@@ -239,7 +240,7 @@ def torsion(conn: ConnectionField, point) -> np.ndarray:
 def nabla_oneform(spec: ManifoldSpec, pi: OneFormData, point) -> np.ndarray:
     """Koszul covariant derivative of pi: e_i(pi_j) - {_ij^k} pi_k."""
     frame, pij = _stack_of_one(spec, point, pi)
-    return covariant_oneform(frame, frame.koszul.values, pij)[0]
+    return covariant_oneform(frame.koszul.values, pij)[0]
 
 
 def oneform_derivative(conn: ConnectionField, point) -> np.ndarray:
@@ -247,7 +248,7 @@ def oneform_derivative(conn: ConnectionField, point) -> np.ndarray:
     if conn.oneform is None:
         raise DimensionMismatch("connection carries no one-form")
     cb = conn.at(point)
-    return covariant_oneform(cb.frame, cb.jets.values, cb.pi)[0]
+    return covariant_oneform(cb.jets.values, cb.pi)[0]
 
 
 def covariant_derivative_T(conn: ConnectionField, point) -> np.ndarray:

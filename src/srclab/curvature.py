@@ -125,7 +125,7 @@ def characteristic(frame: FrameData, pij: OneFormJets) -> CharacteristicTensor:
     """Characteristic tensors on the points of ``frame``, from the one-form's jets there."""
     piv, ginv = pij.values, frame.ginv
     pi2 = (piv * contract(ginv, piv)).sum(axis=1)
-    lower = (covariant_oneform(frame, frame.koszul.values, pij)
+    lower = (covariant_oneform(frame.koszul.values, pij)
              - piv[:, :, None] * piv[:, None, :] + 0.5 * frame.gv * pi2[:, None, None])
     mixed = lower @ ginv
     return CharacteristicTensor(lower, mixed, np.trace(mixed, axis1=1, axis2=2), frame.gv)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -291,6 +292,7 @@ class Call(Expression):
 
 FUNCTIONS = {"sin": sin, "cos": cos, "exp": exp, "log": log, "sqrt": sqrt}
 _BINARY_JETS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+_UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply}
 
 
 def _operands(node: Expression) -> tuple[Expression, ...]:
@@ -373,11 +375,13 @@ def jet_eval(expr: Expression, point, order: int) -> Jet:
 # --------------------------------------------------------------------------
 
 class JetBatch(NamedTuple):
-    """Order-2 jets of m compiled expressions at P points."""
+    """Order-2 jets of m compiled expressions at P points; with a basis B of
+    d vectors, derivatives along B instead of the coordinates."""
 
     values: np.ndarray       # (P, m)
-    grads: np.ndarray        # (P, m, n)
-    hessians: np.ndarray     # (P, h, n, n) for the h expressions compiled with one
+    grads: np.ndarray        # (P, m, n), or (P, m, d) along B: G B
+    hessians: np.ndarray     # (P, h, n, n) for the h expressions compiled with one,
+                             # or (P, h, hdim, hdim) along B: B_h^T H B_h
     errors: dict             # point index -> (expression index, DomainError message)
 
 
@@ -412,15 +416,6 @@ def _operand_slots(code, x, y) -> tuple[int, ...]:
     if code in ("coord", "const"):
         return ()
     return (x,)
-
-
-def _plus(a, b):
-    """Sum of two Hessian stacks where None stands for zero."""
-    return a if b is None else (b if a is None else a + b)
-
-
-def _scaled(v, h):
-    return None if h is None else v[:, None, None] * h
 
 
 class _Compiler:
@@ -517,12 +512,18 @@ class JetProgram:
     scalar :class:`Jet` arithmetic term by term (Griewank & Walther,
     *Evaluating Derivatives*, ch. 13), with a leading point axis.
 
+    Given a basis, :meth:`run` seeds the coordinates with its rows instead of
+    the unit vectors, so every derivative comes out along the basis vectors
+    (directional Taylor propagation, ibid.): Hessians are then taken along
+    the first ``hdim`` of them only (all of them by default).  :meth:`values`
+    evaluates a prefix of the expressions without derivatives.
+
     A domain error marks only the points where it happens: ``errors`` maps
     each such point to the first expression (in list order) that fails there
     and the message :func:`jet_eval` raises for it.
     """
 
-    def __init__(self, exprs, n: int, hessians=()):
+    def __init__(self, exprs, n: int, hessians=(), hdim: int | None = None):
         comp, exprs = _Compiler(n), list(exprs)     # a list keeps the id-keyed nodes alive
         refs = []
         for k, expr in enumerate(exprs):
@@ -550,23 +551,82 @@ class JetProgram:
         for j in range(len(ops)):
             frees[last_use.get(j, j)].append(j)
 
-        self.n = n
+        self.n, self.hdim = n, hdim
         self.ops = tuple((code, x, y, owner, need_h[j], tuple(writes[j]),
                           tuple(hwrites[j]), tuple(frees[j]))
                          for j, (code, x, y, owner) in enumerate(ops))
+        self._owners = [owner for _, _, _, owner in ops]      # nondecreasing
         self._const_values = np.array([r if isinstance(r, float) else 0.0 for r in refs])
         self._n_hess = len(hessians)
         self._eye = np.eye(n)
 
-    def run(self, points) -> JetBatch:
-        """Values, gradients and the requested Hessians at every row of ``points``."""
+    def _points(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise DimensionMismatch(f"points must be an array of shape (P, {self.n})")
+        return pts
+
+    def values(self, points, count: int | None = None) -> np.ndarray:
+        """Values (P, count) of the first ``count`` expressions (all by
+        default) at every row of ``points``, bit for bit those of :meth:`run`,
+        from only the ops they use: an op belongs to the first expression that
+        uses it, so those ops are a prefix of the list.  No derivatives and no
+        error records: a point outside a domain holds what the arithmetic gives."""
+        pts = self._points(points)
+        m = len(self._const_values) if count is None else count
+        out = np.empty((m, len(pts)))
+        out[:] = self._const_values[:m, None]
+        slots: list = [None] * len(self.ops)
+        with np.errstate(all="ignore"):
+            for j, (code, x, y, _, _, writes, _, _) in enumerate(
+                    self.ops[:bisect_left(self._owners, m)]):
+                if code == "coord":
+                    v = pts[:, x]
+                elif code == "const":
+                    v = np.full(len(pts), x)
+                elif code == "affine":
+                    v = slots[x] if y[0] == 1.0 else slots[x] * y[0]
+                    if y[1] != 0.0:
+                        v = v + y[1]
+                elif code in _UFUNCS:
+                    v = _UFUNCS[code](slots[x], slots[y])
+                elif code == "recip":
+                    v = 1.0 / slots[x]
+                elif code == "pow":
+                    v = np.ones(len(pts)) if y == 0 else np.power(slots[x], float(y))
+                else:
+                    v = getattr(np, y[0])(slots[x])        # the f of _library
+                slots[j] = v
+                for k in writes:
+                    if k < m:
+                        out[k] = v
+        return out.T
+
+    def run(self, points, basis=None) -> JetBatch:
+        """Values, gradients and the requested Hessians at every row of ``points``.
+
+        ``basis`` (P, n, d), if given, seeds coordinate x_k with the row
+        ``basis[:, k]``: gradients come out as derivatives along the d basis
+        vectors, G B, and Hessians as B_h^T H B_h on the first ``hdim`` of
+        them.  Without one, gradients and Hessians are along the coordinates."""
+        pts = self._points(points)
         P, n = pts.shape
-        values = np.repeat(self._const_values[None], P, axis=0)
-        grads = np.zeros((P, len(self._const_values), n))
-        hess = np.zeros((P, self._n_hess, n, n))
+        hd = n                              # the Hessian width
+        if basis is not None:
+            basis = np.asarray(basis, dtype=float)
+            hd = basis.shape[-1] if self.hdim is None else self.hdim
+            if basis.shape[:2] != (P, n) or basis.ndim != 3 or basis.shape[2] < hd:
+                raise DimensionMismatch(
+                    f"basis must be an array of shape (P, {n}, d), d >= {hd}")
+            n = basis.shape[2]
+        # an op's jet is packed in one (W, P) array, points last so every part is
+        # contiguous: the value, the n gradient entries and, where the op needs
+        # a Hessian that is not zero, its hd * hd entries
+        G, W = 1 + n, 1 + n + hd * hd
+        values = np.empty((len(self._const_values), P))               # outputs, points last too
+        values[:] = self._const_values[:, None]
+        grads = np.zeros((len(self._const_values), n, P))
+        hess = np.zeros((self._n_hess, hd * hd, P))
         failed = np.zeros(P, dtype=bool)
         errors: dict = {}
 
@@ -579,45 +639,62 @@ class JetProgram:
                 errors[int(i)] = (owner, message.format(value))
             failed[new] = True
 
+        seeds = np.empty((self.n, G, P))        # the jet of each coordinate:
+        seeds[:, 0] = pts.T                     # a unit vector, or a basis row
+        seeds[:, 1:] = self._eye[:, :, None] if basis is None else basis.transpose(1, 2, 0)
+
+        def hessian(J):
+            return J[G:].reshape(hd, hd, P)
+
+        def outer(X, Y):
+            """Products of the first hd gradient entries of two jets."""
+            return X[1:1 + hd, None] * Y[None, 1:1 + hd]
+
         slots: list = [None] * len(self.ops)
         with np.errstate(all="ignore"):
             for j, (code, x, y, owner, need_h, writes, hwrites, frees) in enumerate(self.ops):
-                h = None
-                if code == "coord":
-                    v, g = pts[:, x], self._eye[x:x + 1]     # (1, n), broadcast by its users
+                if code == "coord":         # no op writes into an operand's jet
+                    J = seeds[x]
                 elif code == "const":
-                    v, g = np.full(P, x), np.zeros((P, n))
-                elif code == "affine":
-                    xv, xg, xh = slots[x]
+                    J = np.zeros((G, P))
+                    J[0] = x
+                elif code == "affine":      # x * a + c, Hessian and all
+                    X = slots[x] if need_h else slots[x][:G]
                     a, c = y
-                    if a == 1.0:
-                        v, g, h = xv, xg, xh
-                    else:
-                        v, g = xv * a, xg * a
-                        if need_h and xh is not None:
-                            h = xh * a
+                    J = X * a if a != 1.0 else X.copy()
                     if c != 0.0:
-                        v = v + c
-                elif code == "add":
-                    (xv, xg, xh), (yv, yg, yh) = slots[x], slots[y]
-                    v, g = xv + yv, xg + yg
-                    if need_h:
-                        h = _plus(xh, yh)
-                elif code == "sub":
-                    (xv, xg, xh), (yv, yg, yh) = slots[x], slots[y]
-                    v, g = xv - yv, xg - yg
-                    if need_h:
-                        h = _plus(xh, None if yh is None else -yh)
+                        J[0] += c
+                elif code in ("add", "sub"):
+                    X, Y = (slots[x], slots[y]) if need_h else (slots[x][:G], slots[y][:G])
+                    op = _UFUNCS[code]
+                    if len(X) == len(Y):
+                        J = op(X, Y)
+                    elif len(X) == W:                       # the Hessian is x's
+                        J = X.copy()
+                        op(J[:G], Y, out=J[:G])
+                    else:                                   # the Hessian is y's, or -y's
+                        J = Y.copy() if code == "add" else -Y
+                        J[:G] += X
                 elif code == "mul":
-                    (xv, xg, xh), (yv, yg, yh) = slots[x], slots[y]
-                    v = xv * yv
-                    g = xv[:, None] * yg + yv[:, None] * xg
+                    X, Y = (slots[x], slots[y]) if need_h else (slots[x][:G], slots[y][:G])
+                    A, B = (X, Y) if len(X) >= len(Y) else (Y, X)   # A has any Hessian
+                    if need_h and len(A) == G:              # neither has one
+                        J = np.empty((W, P))
+                        np.multiply(A, B[0], out=J[:G])
+                    else:
+                        J = A * B[0]                        # [x y, y x', y x'']
+                    J[1:len(B)] += A[0] * B[1:]             # + x y' (+ x y'')
                     if need_h:
-                        cross = xg[:, :, None] * yg[:, None, :]
-                        h = _plus(_plus(_scaled(xv, yh), _scaled(yv, xh)), cross) \
-                            + cross.transpose(0, 2, 1)
-                else:                   # chain rule through a scalar function
-                    xv, xg, xh = slots[x]
+                        cross = outer(X, Y)
+                        if len(A) == G:
+                            np.add(cross, cross.transpose(1, 0, 2), out=hessian(J))
+                        else:
+                            h = hessian(J)
+                            h += cross
+                            h += cross.transpose(1, 0, 2)
+                else:                       # chain rule through a scalar function
+                    X = slots[x] if need_h else slots[x][:G]
+                    xv = X[0]
                     if code == "recip":
                         flag(xv == 0.0, owner, "division by zero")
                         f0, f1, f2 = 1.0 / xv, -1.0 / (xv * xv), 2.0 / (xv * xv * xv)
@@ -634,19 +711,27 @@ class JetProgram:
                         for test, message in _DOMAIN.get(fn, ()):
                             flag(test(xv), owner, message, arg)
                         f0, f1, f2 = _library(fn, xv)
-                    v, g = f0, f1[:, None] * xg
-                    if need_h:
-                        h = _plus(_scaled(f1, xh), _scaled(f2, xg[:, :, None] * xg[:, None, :]))
-                slots[j] = (v, g, h)
+                    if need_h and len(X) == G:              # the Hessian is f'' x' x'^T alone
+                        J = np.empty((W, P))
+                        np.multiply(X, f1, out=J[:G])
+                        np.multiply(f2, outer(X, X), out=hessian(J))
+                    else:
+                        J = X * f1                          # [., f' x', f' x'']
+                        if need_h:
+                            h = hessian(J)
+                            h += f2 * outer(X, X)
+                    J[0] = f0
+                slots[j] = J
                 for k in writes:
-                    values[:, k] = v
-                    grads[:, k] = g
-                if h is not None:
+                    values[k] = J[0]
+                    grads[k] = J[1:G]
+                if len(J) == W:
                     for hk in hwrites:
-                        hess[:, hk] = h
+                        hess[hk] = J[G:]
                 for s in frees:
                     slots[s] = None
-        return JetBatch(values, grads, hess, errors)
+        return JetBatch(values.T, grads.transpose(2, 0, 1),
+                        hess.reshape(-1, hd, hd, P).transpose(3, 0, 1, 2), errors)
 
 
 def fd_crosscheck(expr: Expression, point, direction_exprs, step: float) -> float:

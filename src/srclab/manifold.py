@@ -6,8 +6,9 @@ Index conventions used throughout the package:
   (i, j, k, h < ell horizontal; vertical offsets b = a - ell);
 * ``E[m, a]`` is the m-th coordinate component of frame field a, so the
   columns of E are the frame fields evaluated at the point;
-* derivative axes come last: for any tensor T, ``T_g[..., r]`` holds the
-  coordinate derivative d T / d x_r;
+* derivative axes come last and run along the horizontal frame: for any
+  tensor T, ``T_g[..., q]`` holds the frame derivative e_q(T), q < ell
+  (the paper's formulas differentiate only along the frame);
 * ``Omega[i, j, k]``: horizontal part of [e_i, e_j] in the frame,
   ``Mcoef[i, j, b]``: vertical part, ``Lambda[b, k, h]``: horizontal part
   of [e_{ell+b}, e_k].
@@ -18,11 +19,13 @@ builds an ambient metric.
 
 Frame data is computed for a stack of points at once: each spec compiles
 its frame and metric expressions once (:class:`~srclab.jets.JetProgram`),
-and :func:`_frame_data` turns the jets at a (P, n) point array into a
-:class:`FrameData` whose arrays carry a leading point axis (frame matrices,
-inverses, Gram matrices, structure constants and their derivatives, and on
-first use the Koszul coefficient jets), recording an error per point rather
-than failing the stack.  The sample loops size each stack by the spec's
+evaluates the frame at a (P, n) point array and runs the program again
+seeded with that frame, so its jets are derivatives along the frame fields
+(Hessians along the horizontal ones only).  :func:`_frame_data` turns them
+into a :class:`FrameData` whose arrays carry a leading point axis (frame
+matrices, inverses, Gram matrices, structure constants and their
+derivatives, and on first use the Koszul coefficient jets), recording an
+error per point rather than failing the stack.  The sample loops size each stack by the spec's
 per-point footprint: PASS_ENTRIES // entries_per_point(n, ell) points, and
 never fewer than FRAME_CHUNK; a single point is a stack of one.
 Contractions are stacked matrix products (:func:`contract`).  Brackets exist
@@ -49,10 +52,10 @@ FRAME_CHUNK = 64          # fewest points per batched pass; see PASS_ENTRIES
 
 def entries_per_point(n: int, ell: int) -> int:
     """Estimated float64 entries one sample point adds to a batched pass.
-    ell^4 n + ell n^3 grows with the largest layer shapes and stays within 2x
-    of proportional to the traced per-point peak, 5 to 145 KB from
-    (n, ell) = (3, 2) to (10, 4)."""
-    return ell ** 4 * n + ell * n ** 3
+    ell^4 (n + 24) counts the ell^4 tensors the layers after the frame keep
+    (about 24) and the frame-seeded jets, and stays within 1.3x of the traced
+    per-point peak, 4.4 to 62 KB from (n, ell) = (3, 2) to (10, 4)."""
+    return ell ** 4 * (n + 24)
 
 
 # a pass's budget in entries_per_point units (up to 1.5x, the split's rounding):
@@ -142,11 +145,11 @@ class ManifoldSpec:
     def _jet_program(self) -> JetProgram:
         """Frame components, field by field, then the metric row by row (its
         mirrored entries share one op); Hessians for the horizontal fields and
-        the metric only."""
+        the metric only, along the first ell vectors of a basis."""
         frame = [c for vf in self.hframe + self.vframe for c in vf.components]
         metric = [e for row in self.metric for e in row]
         hessians = [*range(self.ell * self.n), *range(len(frame), len(frame) + len(metric))]
-        return JetProgram(frame + metric, self.n, hessians)
+        return JetProgram(frame + metric, self.n, hessians, hdim=self.ell)
 
     def sample_box(self) -> np.ndarray:
         if self.box is None:
@@ -190,7 +193,7 @@ class FrameSnapshot:
 
 class CoefficientJets(NamedTuple):
     values: np.ndarray   # (..., ell, ell, ell): coeff[i, j, k] along e_k of D_{e_i} e_j
-    grads: np.ndarray    # (..., ell, ell, ell, n): coordinate derivatives
+    grads: np.ndarray    # (..., ell, ell, ell, ell): grads[..., q] = e_q(values)
 
 
 @dataclass(frozen=True)
@@ -210,7 +213,7 @@ class FramePointData:
     Mc: np.ndarray
     Lam: np.ndarray
     fdg: np.ndarray          # fdg[k, i, j] = e_k(g_ij), k horizontal
-    fdg_g: np.ndarray
+    fdg_g: np.ndarray        # every *_g: e_q of the field before it, on a last axis q < ell
 
     def snapshot(self) -> FrameSnapshot:
         return FrameSnapshot(self.point, self.Ev, self.Einv, self.gv, self.ginv,
@@ -221,7 +224,9 @@ class FramePointData:
 class FrameData(FramePointData):
     """Frame data at a stack of points: every array of FramePointData with a
     leading point axis p.  Rows of points in ``errors`` hold meaningless
-    values; ``warnings`` maps a usable point to its condition-number warning."""
+    values (``Ev`` the identity where the frame itself fails, so it is a
+    finite basis everywhere); ``warnings`` maps a usable point to its
+    condition-number warning."""
 
     errors: dict[int, SrclabError]
     warnings: dict[int, str]
@@ -288,7 +293,9 @@ def _cholesky_fails(g: np.ndarray) -> np.ndarray:
 
 
 def _frame_data(spec: ManifoldSpec, points) -> FrameData:
-    """Frame data at every row of a (P, n) point array, in one batched pass.
+    """Frame data at every row of a (P, n) point array, in one batched pass:
+    the frame matrix from a values-only run of the spec's program, everything
+    else from a run seeded with it, whose jets are frame derivatives.
 
     A point is ruled out by the first of these that applies: frame
     expression, determinant, condition number, metric expression, Cholesky.
@@ -298,7 +305,10 @@ def _frame_data(spec: ManifoldSpec, points) -> FrameData:
     if pts.ndim != 2 or pts.shape[1] != n:
         raise DimensionMismatch(f"point must have {n} coordinates")
     P, nf = len(pts), n * n
-    jets = spec._jet_program.run(pts)
+    program = spec._jet_program
+    # program output a*n + m is component m of frame field a: Ev[p, m, a] = E[m, a]
+    Ev = np.ascontiguousarray(program.values(pts, nf).reshape(P, n, n).transpose(0, 2, 1))
+    jets = program.run(pts, basis=Ev)
     errors: dict[int, SrclabError] = {}
     bad = np.zeros(P, dtype=bool)
 
@@ -323,27 +333,31 @@ def _frame_data(spec: ManifoldSpec, points) -> FrameData:
 
     # rows of ruled-out points may overflow or turn NaN; they are never read
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # program output a*n + m is component m of frame field a: Ev[p, m, a] = E[m, a],
-        # G[p, a, m, r] = d_r E[m, a], H[p, a, m, q, r] (horizontal a only)
-        Ev = np.ascontiguousarray(jets.values[:, :nf].reshape(P, n, n).transpose(0, 2, 1))
-        G = jets.grads[:, :nf].reshape(P, n, n, n)
-        H = jets.hessians[:, :ell * n].reshape(P, ell, n, n, n)
+        # J[p, b, m, a] = e_a(E[m, b]); for horizontal b, Hf[p, b, m, q, a] is the
+        # Hessian of E[m, b] on (e_q, e_a), q, a < ell
+        J = jets.grads[:, :nf].reshape(P, n, n, n)
+        Hf = jets.hessians[:, :ell * n].reshape(P, ell, n, ell, ell)
         rule_out(failing[0], expression_error)
-        col_scale = np.prod(np.maximum(np.linalg.norm(usable(Ev), axis=1), 1e-300), axis=-1)
-        det = np.linalg.det(usable(Ev))
+        # column and Frobenius norms as np.linalg.norm computes them, without its overhead
+        Eu = usable(Ev)
+        col_scale = np.prod(np.maximum(np.sqrt((Eu * Eu).sum(axis=1)), 1e-300), axis=-1)
+        det = np.linalg.det(Eu)
         rule_out(~(np.abs(det) > SINGULAR_DET_FACTOR * col_scale), lambda i: SingularFrame(
             f"frame determinant {det[i]:.3e} below threshold at {pts[i].tolist()}"))
         cond = np.ones(P)       # the SVD only where cond <= |E|_F^n / |det E| may warn
-        svd = ~bad & ~(np.linalg.norm(Ev, axis=(1, 2)) ** n < 0.5 * CONDITION_WARN * np.abs(det))
+        frobenius = np.sqrt((Ev * Ev).sum(axis=(1, 2)))
+        svd = ~bad & ~(frobenius ** n < 0.5 * CONDITION_WARN * np.abs(det))
         if svd.any():
             cond[svd] = np.linalg.cond(Ev[svd])
         rule_out(cond > CONDITION_FAIL, lambda i: SingularFrame(
             f"frame condition number {cond[i]:.3e} at {pts[i].tolist()}"))
-        Einv = np.linalg.inv(usable(Ev))
+        Ev = usable(Ev)
+        Einv = np.linalg.inv(Ev)
 
         gv = jets.values[:, nf:].reshape(P, ell, ell)
-        gg = jets.grads[:, nf:].reshape(P, ell, ell, n)
-        gh = jets.hessians[:, ell * n:].reshape(P, ell, ell, n, n)
+        dg = jets.grads[:, nf:].reshape(P, ell, ell, n)          # e_d(g_ij), every frame field
+        gg = dg[..., :ell].copy()           # a view would keep every jet gradient alive
+        gh = jets.hessians[:, ell * n:].reshape(P, ell, ell, ell, ell)
         rule_out(failing[1], expression_error)
         not_finite = ~np.isfinite(gv).all(axis=(1, 2))          # an entry overflowed
         rule_out(not_finite | _cholesky_fails(usable(gv)), lambda i: MetricNotSPD(
@@ -352,25 +366,26 @@ def _frame_data(spec: ManifoldSpec, points) -> FrameData:
         ginv_g = -(ginv[:, None] @ gg.transpose(0, 3, 1, 2) @ ginv[:, None]).transpose(0, 2, 3, 1)
 
         # structure constants of every frame pair: E c[a, b] = [e_a, e_b], where
-        # J[p, b, m, a] = e_a(E[m, b]) and [e_a, e_b]^m = J[b, m, a] - J[a, m, b]
-        Eh = Ev[:, :, :ell]
-        J = contract(G, Ev)
+        # [e_a, e_b]^m = e_a(E[m, b]) - e_b(E[m, a]) = J[b, m, a] - J[a, m, b]
         br = J.transpose(0, 3, 1, 2) - J.transpose(0, 1, 3, 2)           # br[p, a, b, m]
         c = contract(br, Einv.transpose(0, 2, 1))                         # c[p, a, b, s]
-        Om = c[:, :ell, :ell, :ell].copy()
-        Mc = c[:, :ell, :ell, ell:].copy()
+        cH = c[:, :ell, :ell].copy()            # horizontal pairs: Omega and M, mirrored once
+        _mirror_pair_antisym(cH)
+        Om, Mc = cH[..., :ell].copy(), cH[..., ell:].copy()
         Lam = np.ascontiguousarray(c[:, ell:, :ell, :ell])
-        # their horizontal derivatives: E d_r c = d_r br - (d_r E) c, H symmetric in (q, r)
-        Gh_t = np.ascontiguousarray(G[:, :ell].transpose(0, 2, 3, 1))    # [p, q, r, a]
-        J_g = contract(H, Eh) + contract(G[:, :ell], Gh_t)                # [p, b, m, r, a]
-        br_g = J_g.transpose(0, 4, 1, 2, 3) - J_g.transpose(0, 1, 4, 2, 3)  # [p, a, b, m, r]
-        rhs = br_g - contract(c[:, :ell, :ell], G)
+        # their horizontal derivatives: E e_q(c) = e_q(br) - e_q(E) c, where
+        # e_q(e_a(f)) = Hess f(e_q, e_a) + sum_d Kt[d, q, a] e_d(f) and Kt[p, d, q, a]
+        # are the frame components of e_q applied to the components of e_a
+        Kt = contract(Einv, J[:, :ell, :, :ell].transpose(0, 2, 3, 1))
+        J_g = Hf + contract(J[:, :ell], Kt)                   # [p, b, m, q, a] = e_q(J[b, m, a])
+        br_g = J_g.transpose(0, 4, 1, 2, 3) - J_g.transpose(0, 1, 4, 2, 3)  # [p, a, b, m, q]
+        rhs = br_g - contract(cH, J[..., :ell])
         Om_g = contract(rhs.transpose(0, 1, 2, 4, 3),
                         Einv[:, :ell].transpose(0, 2, 1)).transpose(0, 1, 2, 4, 3)
-        _mirror_pair_antisym(Om, Om_g, Mc)
+        _mirror_pair_antisym(Om_g)
 
-        fdg = contract(gg, Eh).transpose(0, 3, 1, 2)
-        fdg_g = (contract(gg, Gh_t) + contract(gh, Eh)).transpose(0, 4, 1, 2, 3)
+        fdg = gg.transpose(0, 3, 1, 2)
+        fdg_g = (contract(dg, Kt) + gh).transpose(0, 4, 1, 2, 3)
 
     warnings = {i: f"frame condition number {cond[i]:.3e} at {pts[i].tolist()}"
                 for i in map(int, np.flatnonzero(cond > CONDITION_WARN)) if i not in errors}

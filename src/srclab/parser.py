@@ -20,7 +20,8 @@ in this order)::
 factor is a multiplicative scalar expression (write ``(y/2) dz``, ``2*x dz``).
 Scalar expressions use the usual precedence over ``+ - * / ^ ( )`` with
 numbers, coordinate names and sin/cos/exp/log/sqrt; ``^`` binds tightest,
-is right-associative and takes integer literal exponents only.
+is right-associative and takes integer literal exponents only; a tower such
+as ``x^2^3`` folds to one integer exponent, of magnitude at most MAX_EXPONENT.
 
 Metric rows and oneform entries are comma-separated; rows without commas may
 use whitespace separation when no entry contains spaces.  The serializer
@@ -36,6 +37,8 @@ from .errors import ParseError, ValidationError
 from .jets import (Add, Call, Const, Coord, Div, Expression, Mul, Neg, Pow,
                    Sub, FUNCTIONS)
 from .manifold import ManifoldSpec, VectorFieldSpec
+
+MAX_EXPONENT = 2 ** 53      # the largest magnitude up to which every integer is a float
 
 _TOKEN_RE = re.compile(r"""
     (\s*)                                   # whitespace before the token
@@ -162,18 +165,31 @@ class _ExprParser:
                     node = self.make(Call, function, node)
 
     def exponent(self) -> int:
-        """A tower of signed integer literals, ``^`` right-associative."""
+        """A tower of signed integer literals, ``^`` right-associative, folded
+        from the top while every level is an integer of magnitude at most
+        MAX_EXPONENT; a level that is not raises at its literal."""
         tower = []
         while not tower or self.accept("^"):
             sign = -1 if self.accept("-") else 1
-            kind, text = self.peek()[:2]
+            kind, text, line, col = self.peek()
             if kind != "num" or not text.isdecimal():
                 self.fail("expected an integer literal exponent")
             self.next()
-            tower.append((sign, int(text)))
-        value = 1
-        for sign, base in reversed(tower):
-            value = sign * base ** value
+            tower.append((sign, int(text), line, col))
+        too_big = f"exceeds {MAX_EXPONENT} in magnitude"
+        sign, value, line, col = tower.pop()
+        if value > MAX_EXPONENT:
+            raise ParseError(f"exponent {value} {too_big}", line, col)
+        value *= sign
+        for sign, base, line, col in reversed(tower):
+            problem = ("divides by zero" if value < 0 and base == 0
+                       else "is not an integer" if value < 0 and base != 1
+                       else too_big if base > 1 and (value > MAX_EXPONENT.bit_length()
+                                                     or base ** value > MAX_EXPONENT)
+                       else None)
+            if problem:
+                raise ParseError(f"exponent {base}^{value} {problem}", line, col)
+            value = sign * base ** max(value, 0)         # 1 ** -k is the integer 1
         return value
 
     def atom(self, stop_at_dcoord: bool) -> Expression:
@@ -320,15 +336,21 @@ def _frame_block(lines: _Lines, count: int, coords, n, section: str, head_line: 
     return tuple(names), tuple(specs)
 
 
-def _split_entries(body: str, line_no: int, expected: int, what: str):
-    if "," in body:
-        parts = body.split(",")
-    else:
-        parts = body.split()
+def _split_entries(body: str, start: int, line_no: int, expected: int, what: str):
+    """(entry, offset) pairs of a metric row or one-form line whose ``body``
+    starts at offset ``start`` of the line, so entries report line columns."""
+    sep = "," if "," in body else None
+    parts = body.split(sep)
     if len(parts) != expected:
         raise ValidationError(f"{what} has {len(parts)} entries, expected {expected}",
                               line_no)
-    return parts
+    entries, pos = [], 0
+    for part in parts:
+        if sep is None:
+            pos = body.index(part, pos)         # past the whitespace before it
+        entries.append((part, start + pos))
+        pos += len(part) + (sep is not None)
+    return entries
 
 
 def parse_document(text: str) -> SpecDocument:
@@ -381,9 +403,10 @@ def parse_document(text: str) -> SpecDocument:
             if stripped.split(None, 1)[0] in _SECTION_KEYWORDS:
                 raise ValidationError(
                     f"metric has {i} rows, expected {ell}", row_line)
-            parts = _split_entries(stripped, row_line, ell, f"metric row {i + 1}")
-            rows.append(tuple(_scalar(_ExprParser(_tokenize(part, row_line), coords, nodes))
-                              for part in parts))
+            parts = _split_entries(stripped, len(body) - len(stripped), row_line, ell,
+                                   f"metric row {i + 1}")
+            rows.append(tuple(_scalar(_ExprParser(_tokenize(part, row_line, offset), coords, nodes))
+                              for part, offset in parts))
             locations[f"metric[{i}]"] = row_line
         metric = tuple(rows)
         for i in range(ell):
@@ -401,9 +424,9 @@ def parse_document(text: str) -> SpecDocument:
     if item is not None:
         line_no, rest = _keyword_line(lines, "oneform")
         locations["oneform"] = line_no
-        parts = _split_entries(rest, line_no, ell, "oneform")
-        oneform = tuple(_scalar(_ExprParser(_tokenize(part, line_no), coords, nodes))
-                        for part in parts)
+        parts = _split_entries(rest, len(item[1]) - len(rest), line_no, ell, "oneform")
+        oneform = tuple(_scalar(_ExprParser(_tokenize(part, line_no, offset), coords, nodes))
+                        for part, offset in parts)
         if lines.peek() is not None:
             extra_line, body = lines.peek()
             raise ParseError(f"unexpected content {body.strip()!r}", extra_line, 1)

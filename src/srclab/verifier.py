@@ -189,7 +189,8 @@ class _Pass:
         return out
 
     frame = cached_property(lambda ev: _frame_data(ev.spec, ev.points))
-    pij = cached_property(lambda ev: ev.fields[1].oneform.batch(ev.points))
+    pij = cached_property(lambda ev: ev.fields[1].oneform.batch(ev.points,
+                                                                ev.frame.Ev[:, :, :ev.ell]))
     nab = cached_property(lambda ev: ev.fields[0].batch(ev.frame))
     D = cached_property(lambda ev: ev.fields[1].batch(ev.frame, ev.pij))
     rawK = cached_property(lambda ev: curvature_raw(ev.nab))
@@ -359,7 +360,7 @@ def _c17(ev):
 def _c18(ev):
     # DT - (D_i pi_k) delta_j^h + (D_i pi_j) delta_k^h, on two diagonals of DT; the
     # entries of that delta tensor (and of delta_g(A) below) are those of D pi (of A)
-    Dpi, diff = covariant_oneform(ev.frame, ev.D.jets.values, ev.pij), ev.DT_D.copy()
+    Dpi, diff = covariant_oneform(ev.D.jets.values, ev.pij), ev.DT_D.copy()
     _diagonal(diff, -3, -1)[...] -= Dpi[:, :, None, :]
     _diagonal(diff, -2, -1)[...] += Dpi[..., None]
     parts = [ev.res(diff, "DT_D", Dpi)]

@@ -126,6 +126,22 @@ def test_eval_zero_curvature(capsys):
     assert all(float(v) == 0.0 for v in values)
 
 
+def test_eval_prints_every_entry_of_a_large_tensor(capsys, tmp_path):
+    """K of a flat hdim-7 spec has 7^4 = 2,401 entries, above numpy's
+    summarization threshold of 1,000: all of them are printed, none elided."""
+    coords = [f"x{i}" for i in range(1, 8)] + ["z"]
+    path = tmp_path / "flat8.manifold"
+    path.write_text(f"manifold flat8\ndim 8\nhdim 7\ncoords {' '.join(coords)}\nhframe\n"
+                    + "".join(f"  X{i} = d{c}\n" for i, c in enumerate(coords[:7], 1))
+                    + "vframe\n  Z = dz\nmetric identity\n", encoding="utf-8")
+    assert cli_main(["eval", "--spec", str(path), "--tensor", "K",
+                     "--point", ",".join(["0.5"] * 8)]) == 0
+    out = capsys.readouterr().out
+    assert "..." not in out
+    values = re.findall(r"-?\d+\.?\d*(?:e[+-]?\d+)?", out)
+    assert len(values) == 7 ** 4 and all(float(v) == 0.0 for v in values)
+
+
 def test_eval_scalar_curvature(capsys):
     rc = cli_main(["eval", "--builtin", "heisenberg2", "--tensor", "scalar-R",
                    "--point", "0.1,0.2,0.3,0.4,0.5", "--pi", "const:1,0,0,0"])

@@ -306,6 +306,51 @@ def test_compiled_program_matches_jet_eval(name, spec, exprs):
     assert len(program.ops) < nodes         # shared subtrees and folded constants
 
 
+BASIS_SPECS = [(name, builtin(name).spec) for name in catalog_names()] + [
+    (f"rank4-seed{seed}", parse_manifold(_free_step2_rank4_text(seed))) for seed in (11, 12)]
+
+
+@pytest.mark.parametrize("name,spec", BASIS_SPECS, ids=[name for name, _ in BASIS_SPECS])
+def test_basis_seeded_run_is_the_basis_contraction(name, spec):
+    """Seeded with a basis B, a spec's program yields the basis-free run's
+    values, G B and B_h^T H B_h (B_h its first hdim = ell vectors) to
+    JET_TOL per expression; seeded with the identity, a program compiled
+    without hdim yields the basis-free run bit for bit."""
+    from srclab.manifold import sample_points
+
+    points = sample_points(spec, 40, 5)
+    program = spec._jet_program
+    B = np.random.default_rng(2).normal(size=(len(points), spec.n, spec.n))
+    Bh = B[:, None, :, :spec.ell]
+    free, seeded = program.run(points), program.run(points, basis=B)
+    assert np.array_equal(seeded.values, free.values) and seeded.errors == free.errors
+    for got, want in ((seeded.grads, free.grads @ B),
+                      (seeded.hessians, Bh.transpose(0, 1, 3, 2) @ free.hessians @ Bh)):
+        err, size = (np.abs(a).reshape(len(points), a.shape[1], -1).max(axis=-1)
+                     for a in (got - want, want))
+        assert (err <= JET_TOL * np.maximum(1.0, size)).all(), name
+    exprs = _spec_expressions(spec)
+    full = JetProgram(exprs, spec.n, hessians=range(len(exprs)))
+    eye = np.broadcast_to(np.eye(spec.n), B.shape)
+    got, want = full.run(points, basis=eye), full.run(points)
+    assert all(np.array_equal(a, b) for a, b in zip(got[:3], want[:3]))
+    assert got.errors == want.errors
+
+
+def test_values_are_the_run_values_of_a_prefix():
+    """values(points, m) is run(points).values[:, :m] bit for bit, for m at
+    the frame/metric boundary and for the whole list."""
+    from srclab.manifold import sample_points
+
+    spec = parse_manifold(_free_step2_rank4_text(11))
+    points = sample_points(spec, 30, 4)
+    program = spec._jet_program
+    run = program.run(points).values
+    for m in (spec.n ** 2, run.shape[1]):
+        assert np.array_equal(program.values(points, m), run[:, :m])
+    assert np.array_equal(program.values(points), run)
+
+
 def test_compiled_program_hessians_only_where_asked():
     x, y = Coord(0), Coord(1)
     exprs = [Mul(x, y), Call("sin", x), Const(2.0), Mul(x, y)]
@@ -325,6 +370,10 @@ def test_compiled_program_rejects_what_jet_eval_rejects():
         JetProgram([Call("tan", Coord(0))], 1)
     with pytest.raises(DimensionMismatch):
         JetProgram([Coord(0)], 2).run(np.zeros((3, 3)))
+    with pytest.raises(DimensionMismatch):              # one basis per point
+        JetProgram([Coord(0)], 2).run(np.zeros((3, 2)), basis=np.zeros((2, 2, 2)))
+    with pytest.raises(DimensionMismatch):              # fewer vectors than hdim
+        JetProgram([Coord(0)], 2, hdim=2).run(np.zeros((3, 2)), basis=np.zeros((3, 2, 1)))
 
 
 dyadic2 = st.tuples(*[st.integers(-16, 16).map(lambda k: k / 16)] * 2)

@@ -206,25 +206,24 @@ _PRE = "manifold m\ndim 3\nhdim 2\ncoords x y z\nhframe\n"
 _FRAME = "  X = dx\n  Y = dy\nvframe\n  Z = dz\n"
 
 # (source, error type, message, line, col); col is None for a ValidationError.
-# Metric and one-form entries are tokenized on their own, so their columns
-# count from the start of the entry, not of the line.
+# Columns count from the start of the line, in metric and one-form entries too.
 LOCATED_ERRORS = [
     (_PRE + "  X = dx $ dy\n  Y = dy\nvframe\n  Z = dz\nmetric identity\n",
      ParseError, "unexpected character '$'", 6, 10),
     (_PRE + _FRAME + "metric rows\n  1, x @ 2\n  0, 1\n",
-     ParseError, "unexpected character '@'", 11, 4),
+     ParseError, "unexpected character '@'", 11, 8),
     (_PRE + "  X = dx + q dy\n  Y = dy\nvframe\n  Z = dz\nmetric identity\n",
      ParseError, "unknown name 'q' (not a coordinate or function)", 6, 12),
     (_PRE + _FRAME + "metric identity\noneform 1, foo(x)\n",
-     ParseError, "unknown name 'foo' (not a coordinate or function)", 11, 2),
+     ParseError, "unknown name 'foo' (not a coordinate or function)", 11, 12),
     (_PRE + "  X = dx + (x + 1 dy\n  Y = dy\nvframe\n  Z = dz\nmetric identity\n",
      ParseError, "expected ')', found 'dy'", 6, 19),
     (_PRE + _FRAME + "metric rows\n  (1 + x, 0\n  0, 1\n",
-     ParseError, "expected ')', found end of input", 11, 7),
+     ParseError, "expected ')', found end of input", 11, 9),
     (_PRE + _FRAME + "metric rows\n  1 x, 0\n  0, 1\n",
-     ParseError, "trailing input after expression, found 'x'", 11, 3),
+     ParseError, "trailing input after expression, found 'x'", 11, 5),
     (_PRE + _FRAME + "metric rows\n  1 + x^1.5, 0\n  0, 1\n",
-     ParseError, "expected an integer literal exponent, found '1.5'", 11, 7),
+     ParseError, "expected an integer literal exponent, found '1.5'", 11, 9),
     (_PRE + "  X = dx + y^x dz\n  Y = dy\nvframe\n  Z = dz\nmetric identity\n",
      ParseError, "expected an integer literal exponent, found 'x'", 6, 14),
     (_PRE + "  X = dx + y\n  Y = dy\nvframe\n  Z = dz\nmetric identity\n",
@@ -235,6 +234,14 @@ LOCATED_ERRORS = [
      ValidationError, "metric row 1 has 3 entries, expected 2", 11, None),
     (_PRE + _FRAME + "metric identity\noneform 1, 2, 3\n",
      ValidationError, "oneform has 3 entries, expected 2", 11, None),
+    (_PRE + _FRAME + "metric rows\n  1 + x^2^-1, 0\n  0, 1\n",
+     ParseError, "exponent 2^-1 is not an integer", 11, 9),
+    (_PRE + "  X = dx + x^0^-1 dz\n  Y = dy\nvframe\n  Z = dz\nmetric identity\n",
+     ParseError, "exponent 0^-1 divides by zero", 6, 14),
+    (_PRE + _FRAME + "metric identity\noneform x^9^9^9, 0\n",
+     ParseError, "exponent 9^387420489 exceeds 9007199254740992 in magnitude", 11, 11),
+    (_PRE + _FRAME + "metric rows\n  1   x$\n  0 1\n",
+     ParseError, "unexpected character '$'", 11, 8),
 ]
 
 
@@ -264,6 +271,18 @@ def test_sign_runs_and_exponent_towers_parse_without_recursion():
     assert parse_scalar_expression("x^-2^3", coords) == Pow(Coord(0), -8)
     deep = parse_scalar_expression("-" * 3000 + "x" + "^1" * 3000, coords)
     assert jet_eval(deep, [2.0, 0.0], 0).value == 2.0
+
+
+def test_bad_exponent_tower_exits_two(tmp_path, capsys):
+    """A tower that is no bounded integer is a located ParseError at the
+    command line too, not an uncaught ZeroDivisionError."""
+    from srclab.cli import cli_main
+
+    path = tmp_path / "tower.manifold"
+    path.write_text(_PRE + "  X = dx + x^0^-1 dz\n  Y = dy\nvframe\n  Z = dz\nmetric identity\n",
+                    encoding="utf-8")
+    assert cli_main(["parse", str(path)]) == 2
+    assert "exponent 0^-1 divides by zero" in capsys.readouterr().err
 
 
 def test_deep_nesting_parses(tmp_path, capsys):

@@ -446,12 +446,12 @@ def test_pass_boundaries_do_not_change_reports(monkeypatch):
 
 def test_pass_plan_follows_the_per_point_footprint():
     """A pass holds PASS_ENTRIES // entries_per_point(n, ell) points, and at
-    least FRAME_CHUNK: the small catalog specs run 200 points in one pass,
-    free-step2-l3 in two, and heisenberg2, the largest footprint, keeps
+    least FRAME_CHUNK: every catalog spec but heisenberg2 runs 200 points in
+    one pass, and heisenberg2, the largest footprint, keeps
     round(P / FRAME_CHUNK) passes.  No entry's traced peak at 200 points
     exceeds 1.1 times heisenberg2's."""
     sizes = {"heisenberg1": [200], "flat3": [200], "curved-metric-l3": [200],
-             "involutive-l3": [200], "free-step2-l3": [100, 100], "heisenberg2": [67, 67, 66]}
+             "involutive-l3": [200], "free-step2-l3": [200], "heisenberg2": [67, 67, 66]}
     peaks = {}
     for name in catalog_names():
         entry = builtin(name)
