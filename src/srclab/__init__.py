@@ -6,10 +6,9 @@ Schouten curvature tensors and derived invariants, and verifies the
 identities relating them as residual checks over sampled points.
 """
 from .catalog import CatalogEntry, PiVariant, builtin, catalog_names
-from .connections import (ConnectionField, OneFormData, covariant_derivative_T,
-                          koszul_connection, nabla_oneform, oneform_derivative,
+from .connections import (ConnectionField, OneFormData, koszul_connection,
                           semi_connection, torsion)
-from .curvature import (CharacteristicTensor, CurvatureBundle,
+from .curvature import (CharacteristicTensor, CurvatureBundle, Evaluation,
                         characteristic_tensor, conformal_difference_formula,
                         conformal_tensor, curvature_relation_terms,
                         projective_difference_formula, projective_tensor,

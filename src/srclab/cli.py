@@ -18,18 +18,11 @@ import numpy as np
 
 from . import jsonio
 from .catalog import builtin, catalog_names
-from .connections import (OneFormData, koszul_connection, semi_connection,
-                          torsion)
-from .curvature import (characteristic_tensor, conformal_tensor,
-                        projective_tensor, s_tensor, schouten_curvature)
+from .connections import OneFormData
+from .curvature import TENSORS, Evaluation
 from .errors import DomainError, ParseError, SrclabError, ValidationError
-from .manifold import snapshot
 from .parser import parse_manifold, parse_scalar_expression
-from .verifier import CHECKS, SuiteConfig, run_suite
-
-_TENSORS = ("g", "ginv", "E", "Omega", "M", "Lambda", "coeff", "Gamma",
-            "torsion", "K", "R", "ricci-K", "ricci-R", "scalar-K", "scalar-R",
-            "S", "Sbar", "C", "Cbar", "W", "Wbar", "pi-char", "alpha")
+from .verifier import CHECKS, SuiteConfig, _quiet, run_suite
 
 
 @cache         # built once per process: argparse keeps no state between parse_args calls
@@ -57,7 +50,7 @@ def _build_argparser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="print one tensor at one point")
     add_spec_args(ev)
-    ev.add_argument("--tensor", required=True, choices=_TENSORS)
+    ev.add_argument("--tensor", required=True, choices=tuple(TENSORS))
     ev.add_argument("--point", required=True, help="comma-separated coordinates")
 
     sub.add_parser("catalog", help="list builtin entries")
@@ -140,46 +133,14 @@ def _cmd_eval(args) -> int:
     point = _numbers(args.point, "--point")
     if point.shape != (spec.n,):
         raise ValidationError(f"--point needs {spec.n} coordinates")
-    pi = _load_pi(args.pi, spec) or OneFormData.zero(spec.ell, spec.n)
-    name = args.tensor
-
-    def bundle(kind):
-        conn = (koszul_connection(spec) if kind == "K"
-                else semi_connection(spec, pi))
-        return schouten_curvature(conn, point)
-
-    if name in ("g", "ginv", "E", "Omega", "M", "Lambda"):
-        snap = snapshot(spec, point)
-        value = {"g": snap.g, "ginv": snap.ginv, "E": snap.E, "Omega": snap.Omega,
-                 "M": snap.Mcoef, "Lambda": snap.Lambda}[name]
-    elif name == "coeff":
-        value = koszul_connection(spec).coefficients(point)
-    elif name == "Gamma":
-        value = semi_connection(spec, pi).coefficients(point)
-    elif name == "torsion":
-        value = torsion(semi_connection(spec, pi), point)
-    elif name in ("K", "R"):
-        value = bundle(name).curv
-    elif name in ("ricci-K", "ricci-R"):
-        value = bundle(name[-1]).ricci
-    elif name in ("scalar-K", "scalar-R"):
-        value = bundle(name[-1]).scalar
-    elif name in ("S", "Sbar"):
-        value = s_tensor(bundle("K" if name == "S" else "R"), spec, point)
-    elif name in ("C", "Cbar"):
-        value = conformal_tensor(bundle("K" if name == "C" else "R"), spec, point)
-    elif name in ("W", "Wbar"):
-        value = projective_tensor(bundle("K" if name == "W" else "R"), spec, point)
-    elif name == "pi-char":
-        value = characteristic_tensor(spec, pi, point).pi_lower
-    else:
-        value = characteristic_tensor(spec, pi, point).alpha
+    with _quiet():          # a value that is not finite is reported below
+        value = Evaluation(spec, _load_pi(args.pi, spec), point[None])[args.tensor][0]
     if not np.isfinite(value).all():
-        raise DomainError(f"{name} is not finite at {point.tolist()}")
-    if isinstance(value, float):
+        raise DomainError(f"{args.tensor} is not finite at {point.tolist()}")
+    if np.ndim(value) == 0:
         print(f"{value:.17g}")
     else:
-        print(np.array2string(np.asarray(value), precision=12, suppress_small=False,
+        print(np.array2string(value, precision=12, suppress_small=False,
                               threshold=sys.maxsize))          # every entry, never "..."
     return 0
 

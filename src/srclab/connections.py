@@ -18,8 +18,8 @@ frame, the only ones curvature reads.  They are evaluated on a stack of
 points at once: a :class:`ConnectionBatch` holds a connection's coefficient
 jets with a leading point axis, built from one :class:`~srclab.manifold.FrameData`
 (whose Koszul jets both connections share) and, for the transformed
-connection, the one-form's jets on the same points.  The per-point
-functions below are the same code on a stack of one.  A one-form's
+connection, the one-form's jets on the same points; an
+:class:`~srclab.curvature.Evaluation` builds both as layers.  A one-form's
 components are expressions, compiled once into a
 :class:`~srclab.jets.JetProgram`.
 """
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError
 from .jets import Const, Expression, JetProgram
-from .manifold import CoefficientJets, FrameData, ManifoldSpec, _frame_data, contract, one_point
+from .manifold import CoefficientJets, FrameData, ManifoldSpec, contract
 
 
 class OneFormComponent(NamedTuple):
@@ -51,10 +51,6 @@ class OneFormJets(NamedTuple):
     values: np.ndarray
     grads: np.ndarray
     errors: dict[int, DomainError]
-
-    def check(self, i: int) -> None:
-        if i in self.errors:
-            raise self.errors[i]
 
 
 @dataclass(frozen=True)
@@ -103,16 +99,6 @@ class OneFormData:
             errors.setdefault(i, DomainError(f"one-form not finite at {pts[i].tolist()}"))
         return OneFormJets(run.values, run.grads, errors)
 
-    def jets(self, point):
-        """Values (ell,) and coordinate gradients (ell, n) at one point."""
-        pts = np.asarray(point, dtype=float)[None]
-        one = self.batch(pts)
-        one.check(0)
-        return one.values[0], one.grads[0]
-
-    def values(self, point) -> np.ndarray:
-        return self.jets(point)[0]
-
 
 def semi_jets(frame: FrameData, pij: OneFormJets) -> CoefficientJets:
     """Koszul jets plus delta_i^k pi_j - g_ij pi^k and its derivatives, from
@@ -141,17 +127,11 @@ def covariant_oneform(co: np.ndarray, pij: OneFormJets) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ConnectionBatch:
-    """A connection's coefficient jets on a stack of points (leading axis p),
-    with the frame data and one-form jets they were built from."""
+    """A connection's coefficient jets on a stack of points, and their frame data."""
 
     kind: str
     frame: FrameData
     jets: CoefficientJets
-    pi: OneFormJets | None = None
-
-    def frame_derivatives(self) -> np.ndarray:
-        """D[p, i, j, k, h] = e_i(coeff[j, k, h]) for horizontal e_i."""
-        return frame_derivative(self.jets.grads)
 
     @cached_property
     def torsion(self) -> np.ndarray:
@@ -170,19 +150,6 @@ class ConnectionBatch:
                 - contract(co, Tv.transpose(0, 2, 1, 3)).transpose(0, 1, 3, 2, 4))
 
 
-def _stack_of_one(spec: ManifoldSpec, point, pi: OneFormData | None):
-    """Frame data and one-form jets at one point, as stacks of one; the
-    point's frame error, then its one-form error, is raised."""
-    pts = one_point(spec, point)
-    frame = _frame_data(spec, pts)
-    frame.check(0)
-    pij = None
-    if pi is not None:
-        pij = pi.batch(pts, frame.Ev[:, :, :spec.ell])
-        pij.check(0)
-    return frame, pij
-
-
 @dataclass(frozen=True, eq=False)
 class ConnectionField:
     """A nonholonomic connection.
@@ -195,27 +162,17 @@ class ConnectionField:
     spec: ManifoldSpec
     oneform: OneFormData | None = None
 
-    def batch(self, frame: FrameData, pij: OneFormJets | None = None) -> ConnectionBatch:
-        """The connection on the points of ``frame``; ``pij`` are the jets of
-        its one-form there."""
-        if self.kind == "subriemannian":
-            return ConnectionBatch(self.kind, frame, frame.koszul)
-        return ConnectionBatch(self.kind, frame, semi_jets(frame, pij), pij)
-
-    def at(self, point) -> ConnectionBatch:
-        """The connection at one point, as a stack of one."""
-        return self.batch(*_stack_of_one(self.spec, point, self.oneform))
+    def _at(self, point, koszul: str, semi: str):
+        """This connection's layer of an Evaluation at one point; its error there is raised."""
+        from .curvature import Evaluation       # the layer stack is built on this module
+        ev = Evaluation(self.spec, self.oneform, np.asarray(point)[None])
+        return ev.read(koszul, False) if self.oneform is None else ev.read(semi)
 
     def coefficient_jets(self, point) -> CoefficientJets:
-        values, grads = self.at(point).jets
-        return CoefficientJets(values[0], grads[0])
+        return CoefficientJets(*(a[0] for a in self._at(point, "nab.jets", "D.jets")))
 
     def coefficients(self, point) -> np.ndarray:
-        return self.at(point).jets.values[0]
-
-    def frame_derivatives(self, point) -> np.ndarray:
-        """D[i, j, k, h] = e_i(coeff[j, k, h]) for horizontal e_i."""
-        return self.at(point).frame_derivatives()[0]
+        return self._at(point, "nab.jets.values", "D.jets.values")[0]
 
 
 def koszul_connection(spec: ManifoldSpec) -> ConnectionField:
@@ -234,23 +191,4 @@ def semi_connection(spec: ManifoldSpec, pi: OneFormData) -> ConnectionField:
 
 def torsion(conn: ConnectionField, point) -> np.ndarray:
     """T[i, j, k] = coeff[i,j,k] - coeff[j,i,k] - Omega[i,j,k]."""
-    return conn.at(point).torsion[0]
-
-
-def nabla_oneform(spec: ManifoldSpec, pi: OneFormData, point) -> np.ndarray:
-    """Koszul covariant derivative of pi: e_i(pi_j) - {_ij^k} pi_k."""
-    frame, pij = _stack_of_one(spec, point, pi)
-    return covariant_oneform(frame.koszul.values, pij)[0]
-
-
-def oneform_derivative(conn: ConnectionField, point) -> np.ndarray:
-    """(D_i pi)_j = e_i(pi_j) - Gamma_ij^e pi_e for the connection's own pi."""
-    if conn.oneform is None:
-        raise DimensionMismatch("connection carries no one-form")
-    cb = conn.at(point)
-    return covariant_oneform(cb.jets.values, cb.pi)[0]
-
-
-def covariant_derivative_T(conn: ConnectionField, point) -> np.ndarray:
-    """(D_i T)_jk^h for the connection's own torsion, index order [i][j][k][h]."""
-    return conn.at(point).covariant_T()[0]
+    return conn._at(point, "nab.torsion", "D.torsion")[0]

@@ -19,29 +19,27 @@ guarded by RankTooSmall.
 
 Curvature is evaluated on a stack of points (leading axis p) from a
 :class:`~srclab.connections.ConnectionBatch`; a bundle or characteristic
-tensor at one point is row 0 of a stack of one.  The derived tensors below
-take either, since their formulas act on the trailing axes, and read the
-metric their bundle or characteristic tensor carries.
+tensor at one point is row 0 of an :class:`Evaluation` of one point.  The
+derived tensors below take either, since their formulas act on the trailing
+axes, and read the metric their bundle or characteristic tensor carries.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
 from .connections import (ConnectionBatch, ConnectionField, OneFormData, OneFormJets,
-                          _stack_of_one, covariant_oneform)
+                          covariant_oneform, frame_derivative, semi_connection, semi_jets)
 from .errors import RankTooSmall
-from .manifold import FrameData, ManifoldSpec, _mirror_pair_antisym, contract
+from .manifold import FrameData, ManifoldSpec, _frame_data, _mirror_pair_antisym, contract
 
 
-def _row(record, i: int):
-    """Point ``i`` of a record whose arrays carry a leading point axis."""
-    def pick(value):
-        value = value[i]
-        return float(value) if np.ndim(value) == 0 else value
-    return replace(record, **{f.name: pick(getattr(record, f.name)) for f in fields(record)
+def _row(record):
+    """Row 0 of a record whose arrays carry a leading point axis."""
+    return replace(record, **{f.name: getattr(record, f.name)[0] for f in fields(record)
                               if isinstance(getattr(record, f.name), np.ndarray)})
 
 
@@ -77,7 +75,7 @@ def curvature_raw(cb: ConnectionBatch) -> np.ndarray:
     """Curvature tensors of a connection batch straight from the coordinate
     formula, no mirroring."""
     co, frame = cb.jets.values, cb.frame
-    dco = cb.frame_derivatives()
+    dco = frame_derivative(cb.jets.grads)
     Q = contract(co, co.transpose(0, 2, 1, 3))          # Q[p, j, k, i, h] = co[j,k,e] co[i,e,h]
     return (dco - dco.transpose(0, 2, 1, 3, 4)
             + Q.transpose(0, 3, 1, 2, 4)
@@ -97,15 +95,9 @@ def curvature_bundle(cb: ConnectionBatch, raw: np.ndarray) -> CurvatureBundle:
     return CurvatureBundle(cb.kind, frame.point, curv, ricci, scalar, frame.gv, frame.ginv)
 
 
-def curvature_components_raw(conn: ConnectionField, point) -> np.ndarray:
-    """Curvature tensor straight from the coordinate formula, no mirroring."""
-    return curvature_raw(conn.at(point))[0]
-
-
 def schouten_curvature(conn: ConnectionField, point) -> CurvatureBundle:
     """Curvature bundle of a connection: tensor, Ricci trace, scalar, lowered."""
-    cb = conn.at(point)
-    return _row(curvature_bundle(cb, curvature_raw(cb)), 0)
+    return _row(conn._at(point, "Kb", "Rb"))
 
 
 @dataclass(frozen=True)
@@ -132,7 +124,7 @@ def characteristic(frame: FrameData, pij: OneFormJets) -> CharacteristicTensor:
 
 
 def characteristic_tensor(spec: ManifoldSpec, pi: OneFormData, point) -> CharacteristicTensor:
-    return _row(characteristic(*_stack_of_one(spec, point, pi)), 0)
+    return _row(Evaluation(spec, pi, np.asarray(point)[None]).read("ct"))
 
 
 def _require_rank(ell: int, minimum: int, what: str):
@@ -244,3 +236,61 @@ def flatness_characteristic_form(bundle: CurvatureBundle, spec: ManifoldSpec,
     ell = spec.ell
     _require_rank(ell, 3, "flatness_characteristic_form")
     return (bundle.ricci - _scalar(bundle.scalar, 2) / (2 * (ell - 1)) * bundle.g) / (2 - ell)
+
+
+TENSORS = {
+    "g": ("frame.gv", False), "ginv": ("frame.ginv", False), "E": ("frame.Ev", False),
+    "Omega": ("frame.Om", False), "M": ("frame.Mc", False), "Lambda": ("frame.Lam", False),
+    "coeff": ("nab.jets.values", False), "Gamma": ("D.jets.values", True),
+    "torsion": ("D.torsion", True), "K": ("Kb.curv", False), "R": ("Rb.curv", True),
+    "ricci-K": ("Kb.ricci", False), "ricci-R": ("Rb.ricci", True),
+    "scalar-K": ("Kb.scalar", False), "scalar-R": ("Rb.scalar", True),
+    "S": ("S_nab", False), "Sbar": ("S_D", True), "C": ("C_nab", False), "Cbar": ("C_D", True),
+    "W": ("W_nab", False), "Wbar": ("W_D", True),
+    "pi-char": ("ct.pi_lower", True), "alpha": ("ct.alpha", True),
+}
+
+
+class Evaluation:
+    """Every tensor of a spec and one-form (absent: the zero one-form) on a stack
+    of points (leading axis p), one layer per attribute, built on first use; ``nab``
+    is the Koszul connection and ``D`` the transformed one.  ``ev[name]`` is an
+    ``srclab eval`` tensor, read through :data:`TENSORS` (name -> layer path, and
+    whether it reads the one-form).  A layer's rows where the frame or the one-form
+    failed are meaningless; :meth:`read` raises such a point's error instead."""
+
+    def __init__(self, spec: ManifoldSpec, pi: OneFormData | None, points):
+        self.spec, self.ell, self.points = spec, spec.ell, np.asarray(points, dtype=float)
+        self.pi = (semi_connection(spec, pi).oneform if pi is not None    # checks its shape
+                   else OneFormData.zero(spec.ell, spec.n))
+
+    def __getitem__(self, name: str):
+        return self.read(*TENSORS[name])
+
+    def read(self, path: str, reads_pi: bool = True):
+        """The layer at an attribute path such as "Kb.curv", after raising the error of
+        the first point where the frame, then the one-form if it is read, failed."""
+        for layer in ("frame", "pij")[:1 + reads_pi]:
+            errors = getattr(self, layer).errors
+            if errors:
+                raise errors[min(errors)]
+        return attrgetter(path)(self)
+
+    frame = cached_property(lambda ev: _frame_data(ev.spec, ev.points))
+    pij = cached_property(lambda ev: ev.pi.batch(ev.points, ev.frame.Ev[:, :, :ev.ell]))
+    nab = cached_property(lambda ev: ConnectionBatch("subriemannian", ev.frame, ev.frame.koszul))
+    D = cached_property(lambda ev: ConnectionBatch("semisubriemannian", ev.frame,
+                                                   semi_jets(ev.frame, ev.pij)))
+    rawK = cached_property(lambda ev: curvature_raw(ev.nab))
+    rawR = cached_property(lambda ev: curvature_raw(ev.D))
+    Kb = cached_property(lambda ev: curvature_bundle(ev.nab, ev.rawK))
+    Rb = cached_property(lambda ev: curvature_bundle(ev.D, ev.rawR))
+    ct = cached_property(lambda ev: characteristic(ev.frame, ev.pij))
+    DT_nab = cached_property(lambda ev: ev.nab.covariant_T())
+    DT_D = cached_property(lambda ev: ev.D.covariant_T())
+    W_nab = cached_property(lambda ev: projective_tensor(ev.Kb, ev.spec, ev.points))
+    W_D = cached_property(lambda ev: projective_tensor(ev.Rb, ev.spec, ev.points))
+    S_nab = cached_property(lambda ev: s_tensor(ev.Kb, ev.spec, ev.points))
+    S_D = cached_property(lambda ev: s_tensor(ev.Rb, ev.spec, ev.points))
+    C_nab = cached_property(lambda ev: conformal_tensor(ev.Kb, ev.spec, ev.points))
+    C_D = cached_property(lambda ev: conformal_tensor(ev.Rb, ev.spec, ev.points))

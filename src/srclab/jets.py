@@ -196,9 +196,9 @@ def sqrt(j: Jet) -> Jet:
 class Expression:
     """Base node; subclasses form the closed expression language.
 
-    A node's hash is stored at construction (:func:`_node`), so hashing never
-    walks the tree, and ``==`` walks both trees with a queue, never recursing.
-    A pickle holds only the fields: loading rehashes under its own hash seed.
+    A node's hash is stored at construction (:func:`_node`); ``==``, ``repr`` and
+    pickling never recurse, loading a pickle rehashes under the reader's hash seed,
+    and a copy is the node itself (nodes are frozen).
     """
 
     def __eq__(self, other):
@@ -220,15 +220,52 @@ class Expression:
     def __hash__(self):
         return self._hash
 
+    def __repr__(self):
+        """The dataclass text, written left to right from a stack of pending pieces."""
+        out, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            parts = []
+            for f in fields(item):
+                value = getattr(item, f.name)
+                parts += [", " if parts else f"{type(item).__qualname__}(", f"{f.name}=",
+                          value if isinstance(value, Expression) else repr(value)]
+            stack += reversed(parts + [")"])
+        return "".join(out)
+
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+        """The tree as a flat post-order list of (class, fields), operands as places in it."""
+        place, nodes = {}, []
+        for node in _postorder(self):
+            place[id(node)] = len(nodes)
+            values = (getattr(node, f.name) for f in fields(node))
+            nodes.append((type(node), tuple(place[id(v)] if isinstance(v, Expression) else v
+                                            for v in values)))
+        return _rebuild, (nodes,)
+
+    def __copy__(self, memo=None):
+        return self
+
+    __deepcopy__ = __copy__
+
+
+def _rebuild(nodes) -> Expression:
+    """The tree of a pickled post-order list (:meth:`Expression.__reduce__`)."""
+    built: list[Expression] = []
+    for cls, values in nodes:
+        built.append(cls(*(built[v] if f.type == "Expression" else v
+                           for f, v in zip(fields(cls), values))))
+    return built[-1]
 
 
 def _node(cls):
     """``cls`` as a frozen dataclass whose ``__init__`` also stores the hash of
     (class, fields), each operand entering by its stored hash; generated like
     the dataclass methods, so building a node stays one plain call."""
-    cls = dataclass(frozen=True, eq=False, init=False)(cls)
+    cls = dataclass(frozen=True, eq=False, init=False, repr=False)(cls)
     names = [f.name for f in fields(cls)]
     keys = [f"{f.name}._hash" if f.type == "Expression" else f.name for f in fields(cls)]
     namespace = {"cls": cls}
@@ -306,6 +343,19 @@ def _operands(node: Expression) -> tuple[Expression, ...]:
     return ()
 
 
+def _postorder(expr: Expression) -> list[Expression]:
+    """Each node object of ``expr`` once, after its operands, from an explicit stack."""
+    order, seen, stack = [], set(), [(expr, False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack += [(node, True)] + [(arg, False) for arg in reversed(_operands(node))]
+    return order
+
+
 def coordinate_indices(*exprs: Expression) -> set[int]:
     """All coordinate indices referenced by the expressions; each node object
     is visited once, so subtrees the parser shares are walked once."""
@@ -351,14 +401,8 @@ def jet_eval(expr: Expression, point, order: int) -> Jet:
         raise DimensionMismatch(f"order must be 0, 1 or 2, got {order}")
     n = p.shape[0]
     jets: dict[int, Jet] = {}           # id(node) -> its jet
-    stack = [(expr, False)]             # (node, operands done), operands pushed right to left
-    while stack:
-        node, ready = stack.pop()
-        if ready:
-            jets[id(node)] = _apply(node, [jets[id(arg)] for arg in _operands(node)])
-        elif id(node) in jets:          # a subtree shared by identity
-            continue
-        elif isinstance(node, Const):
+    for node in _postorder(expr):
+        if isinstance(node, Const):
             jets[id(node)] = Jet.constant(node.value, n, order)
         elif isinstance(node, Coord):
             if not 0 <= node.index < n:
@@ -366,7 +410,7 @@ def jet_eval(expr: Expression, point, order: int) -> Jet:
                     f"coordinate index {node.index} out of range for dimension {n}")
             jets[id(node)] = Jet.coordinate(p[node.index], node.index, n, order)
         else:
-            stack += [(node, True)] + [(arg, False) for arg in reversed(_operands(node))]
+            jets[id(node)] = _apply(node, [jets[id(arg)] for arg in _operands(node)])
     return jets[id(expr)]
 
 
@@ -471,7 +515,7 @@ class _Compiler:
         if int not in map(type, args):             # a subtree of constants: no op slots
             try:
                 return _apply(node, [Jet.constant(a, 0, MAX_ORDER) for a in args]).value
-            except DomainError:                    # fails at every point: keep the op
+            except (DomainError, OverflowError):   # fails at every point: keep the op
                 args = [self._emit("const", a) for a in args]
         if isinstance(node, Pow):
             return args[0] if node.exponent == 1 else self._emit("pow", args[0], node.exponent)

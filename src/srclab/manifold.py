@@ -33,7 +33,7 @@ only as these structure constants.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple
 
@@ -196,10 +196,12 @@ class CoefficientJets(NamedTuple):
     grads: np.ndarray    # (..., ell, ell, ell, ell): grads[..., q] = e_q(values)
 
 
-@dataclass(frozen=True)
-class FramePointData:
-    """One point's row of a FrameData: the snapshot plus the first
-    derivatives the connections need."""
+@dataclass(frozen=True, eq=False)
+class FrameData:
+    """Frame data at a stack of points (leading axis p): the snapshot arrays and
+    the first derivatives the connections need.  Rows of points in ``errors`` are
+    meaningless (``Ev`` is the identity where the frame fails, a finite basis
+    everywhere); ``warnings`` maps a usable point to its condition-number warning."""
 
     point: np.ndarray
     Ev: np.ndarray
@@ -212,34 +214,10 @@ class FramePointData:
     Om_g: np.ndarray
     Mc: np.ndarray
     Lam: np.ndarray
-    fdg: np.ndarray          # fdg[k, i, j] = e_k(g_ij), k horizontal
+    fdg: np.ndarray          # fdg[p, k, i, j] = e_k(g_ij), k horizontal
     fdg_g: np.ndarray        # every *_g: e_q of the field before it, on a last axis q < ell
-
-    def snapshot(self) -> FrameSnapshot:
-        return FrameSnapshot(self.point, self.Ev, self.Einv, self.gv, self.ginv,
-                             self.Om, self.Mc, self.Lam)
-
-
-@dataclass(frozen=True, eq=False)
-class FrameData(FramePointData):
-    """Frame data at a stack of points: every array of FramePointData with a
-    leading point axis p.  Rows of points in ``errors`` hold meaningless
-    values (``Ev`` the identity where the frame itself fails, so it is a
-    finite basis everywhere); ``warnings`` maps a usable point to its
-    condition-number warning."""
-
     errors: dict[int, SrclabError]
     warnings: dict[int, str]
-
-    def check(self, i: int) -> None:
-        """Raise the error that rules out point ``i``, if any."""
-        if i in self.errors:
-            raise self.errors[i]
-
-    def at(self, i: int) -> FramePointData:
-        """Point ``i``'s row; its error is raised."""
-        self.check(i)
-        return FramePointData(*(getattr(self, f.name)[i] for f in fields(FramePointData)))
 
     bracket_curvature = cached_property(lambda f: contract(f.Mc, f.Lam))   # M_ij^b Lambda_bk^h
 
@@ -393,32 +371,23 @@ def _frame_data(spec: ManifoldSpec, points) -> FrameData:
                      errors, warnings)
 
 
-def one_point(spec: ManifoldSpec, point) -> np.ndarray:
-    """A point as a (1, n) stack, after checking its coordinate count."""
-    p = np.asarray(point, dtype=float)
-    if p.shape != (spec.n,):
-        raise DimensionMismatch(f"point must have {spec.n} coordinates")
-    return p[None]
-
-
-def _frame_at(spec: ManifoldSpec, point) -> FramePointData:
-    """Frame data at one point: a stack of one."""
-    return _frame_data(spec, one_point(spec, point)).at(0)
-
-
 def snapshot(spec: ManifoldSpec, point) -> FrameSnapshot:
-    """Frame matrix, Gram and structure constants at one point.
+    """Frame matrix, Gram and structure constants at one point; its error is raised.
 
     Omega/Mcoef come from solving E c = [e_i, e_j](point) (first ell entries
     horizontal), Lambda from the solves for [e_alpha, e_k].
     """
-    return _frame_at(spec, point).snapshot()
+    f = _frame_data(spec, np.asarray(point)[None])
+    if f.errors:
+        raise f.errors[0]
+    return FrameSnapshot(f.point[0], f.Ev[0], f.Einv[0], f.gv[0], f.ginv[0], f.Om[0], f.Mc[0],
+                         f.Lam[0])
 
 
 def project_h(spec: ManifoldSpec, point, v) -> np.ndarray:
     """Horizontal coefficients of v in the frame splitting (along V1)."""
-    data = _frame_at(spec, point)
+    snap = snapshot(spec, point)
     vv = np.asarray(v, dtype=float)
     if vv.shape != (spec.n,):
         raise DimensionMismatch(f"vector must have {spec.n} components")
-    return (data.Einv @ vv)[: spec.ell]
+    return (snap.Einv @ vv)[: spec.ell]

@@ -5,13 +5,14 @@ Every identity the engine is built around is run as a numbered check
 max(1, largest operand sup-norm) and aggregated by max, so adding points can
 only raise residuals (a failing check never flips to passing).
 
-A :class:`_Pass` builds each tensor the checks read on first use, with a
-leading point axis, and its per-point sup-norm once; the curvature-change
-formulas share the block g_ik pi_j^h - g_jk pi_i^h.  The checks' rows form
-one (checks, points) table, reduced once per pass by :class:`_Table`, which
-also gives each check's worst point.  A point where a layer a check reads
-failed (its frame data, or the one-form for the checks that read it) or
-where the check's values are not finite counts as an error for that check.
+A :class:`_Pass` is the :class:`~srclab.curvature.Evaluation` of one pass: it
+builds each tensor the checks read on first use, with a leading point axis,
+and its per-point sup-norm once; the curvature-change formulas share the block
+g_ik pi_j^h - g_jk pi_i^h.  The checks' rows form one (checks, points) table,
+reduced once per pass by :class:`_Table`, which also gives each check's worst
+point.  A point where a layer a check reads failed (its frame data, or the
+one-form for the checks that read it) or where the check's values are not
+finite counts as an error for that check.
 
 Checks that are only claimed under a hypothesis (an involutive horizontal
 bundle, a vanishing characteristic trace, a flat transformed connection, a
@@ -40,15 +41,13 @@ from operator import attrgetter
 
 import numpy as np
 
-from .connections import (ConnectionField, OneFormData, covariant_oneform, koszul_connection,
-                          semi_connection)
-from .curvature import (_diagonal, characteristic, conformal_difference_formula, conformal_tensor,
-                        curvature_bundle, curvature_raw, curvature_relation_terms, delta_g,
-                        flatness_characteristic_form, projective_difference_formula,
-                        projective_tensor, s_tensor)
+from .connections import OneFormData, covariant_oneform
+from .curvature import (Evaluation, _diagonal, conformal_difference_formula,
+                        curvature_relation_terms, delta_g, flatness_characteristic_form,
+                        projective_difference_formula)
 from .errors import RankTooSmall, ValidationError
-from .manifold import (FRAME_CHUNK, PASS_ENTRIES, ManifoldSpec, _frame_data, contract,
-                       entries_per_point, sample_points)
+from .manifold import (FRAME_CHUNK, PASS_ENTRIES, ManifoldSpec, contract, entries_per_point,
+                       sample_points)
 
 QUALIFIER_TOL = 1e-12     # hypothesis detection (alpha = 0, proportionality, M = 0)
 HYPOTHESIS_REL = 1e-9     # "R vanishes" / "R equals K" qualifiers
@@ -155,14 +154,12 @@ def _worst(*parts):
     return tuple(np.maximum.reduce(np.array(parts), axis=0))
 
 
-class _Pass:
-    """Every tensor the checks read on one pass of sample points (axis p), built on first use."""
+class _Pass(Evaluation):
+    """An Evaluation plus what the checks add: sup-norms, residuals, failures, shared changes."""
 
-    def __init__(self, spec: ManifoldSpec, nab: ConnectionField, D: ConnectionField,
-                 points: np.ndarray, carnot: bool):
-        self.spec, self.ell, self.points, self.carnot = spec, spec.ell, points, carnot
-        self.fields = nab, D
-        self._sups: dict[str, np.ndarray] = {}
+    def __init__(self, spec: ManifoldSpec, pi: OneFormData | None, points, carnot: bool):
+        super().__init__(spec, pi, points)
+        self.carnot, self._sups = carnot, {}
 
     def sup(self, x) -> np.ndarray:
         """Per-point sup-norm of a stack (or magnitude of per-point scalars); a
@@ -188,24 +185,6 @@ class _Pass:
             out.update({i: f"{type(exc).__name__}: {exc}" for i, exc in errors.items()})
         return out
 
-    frame = cached_property(lambda ev: _frame_data(ev.spec, ev.points))
-    pij = cached_property(lambda ev: ev.fields[1].oneform.batch(ev.points,
-                                                                ev.frame.Ev[:, :, :ev.ell]))
-    nab = cached_property(lambda ev: ev.fields[0].batch(ev.frame))
-    D = cached_property(lambda ev: ev.fields[1].batch(ev.frame, ev.pij))
-    rawK = cached_property(lambda ev: curvature_raw(ev.nab))
-    rawR = cached_property(lambda ev: curvature_raw(ev.D))
-    Kb = cached_property(lambda ev: curvature_bundle(ev.nab, ev.rawK))
-    Rb = cached_property(lambda ev: curvature_bundle(ev.D, ev.rawR))
-    ct = cached_property(lambda ev: characteristic(ev.frame, ev.pij))
-    DT_nab = cached_property(lambda ev: ev.nab.covariant_T())
-    DT_D = cached_property(lambda ev: ev.D.covariant_T())
-    W_nab = cached_property(lambda ev: projective_tensor(ev.Kb, ev.spec, ev.points))
-    W_D = cached_property(lambda ev: projective_tensor(ev.Rb, ev.spec, ev.points))
-    S_nab = cached_property(lambda ev: s_tensor(ev.Kb, ev.spec, ev.points))
-    S_D = cached_property(lambda ev: s_tensor(ev.Rb, ev.spec, ev.points))
-    C_nab = cached_property(lambda ev: conformal_tensor(ev.Kb, ev.spec, ev.points))
-    C_D = cached_property(lambda ev: conformal_tensor(ev.Rb, ev.spec, ev.points))
     dK = cached_property(lambda ev: ev.Rb.curv - ev.Kb.curv)    # each read by two checks
     dW = cached_property(lambda ev: ev.W_D - ev.W_nab)
     dC = cached_property(lambda ev: ev.C_D - ev.C_nab)
@@ -238,12 +217,10 @@ def _passes(spec: ManifoldSpec, pi: OneFormData | None, config: SuiteConfig):
     PASS_ENTRIES // entries_per_point(n, ell) points, and at least
     FRAME_CHUNK; ``pi`` absent means the zero one-form."""
     _keep_freed_heap()
-    pi = pi if pi is not None else OneFormData.zero(spec.ell, spec.n)
-    nab, D = koszul_connection(spec), semi_connection(spec, pi)
     points = sample_points(spec, config.points, config.seed)
     size = max(FRAME_CHUNK, PASS_ENTRIES // entries_per_point(spec.n, spec.ell))
     for chunk in np.array_split(points, max(1, round(len(points) / size))):
-        yield _Pass(spec, nab, D, chunk, "carnot" in config.flags)
+        yield _Pass(spec, pi, chunk, "carnot" in config.flags)
 
 
 def _quiet():

@@ -19,14 +19,13 @@ from jsonschema import validate
 
 from srclab.catalog import builtin, catalog_names
 from srclab.cli import cli_main
-from srclab.connections import (OneFormData, covariant_derivative_T,
-                                koszul_connection, semi_connection, torsion)
-from srclab.curvature import (characteristic_tensor, conformal_difference_formula,
+from srclab.connections import OneFormData, koszul_connection, semi_connection, torsion
+from srclab.curvature import (Evaluation, characteristic_tensor, conformal_difference_formula,
                               conformal_tensor, projective_difference_formula,
                               projective_tensor, s_tensor, schouten_curvature)
 from srclab.errors import ParseError, ValidationError
 from srclab.jets import fd_crosscheck
-from srclab.manifold import _frame_at, sample_points
+from srclab.manifold import sample_points
 from srclab.parser import parse_document, parse_manifold, serialize_document
 from srclab.verifier import SuiteConfig, run_suite
 
@@ -52,11 +51,11 @@ def test_a01_connection_contract():
         spec = builtin(name).spec
         conn = koszul_connection(spec)
         for p in sample_points(spec, 100, SEED):
-            data = _frame_at(spec, p)
+            frame = Evaluation(spec, None, p[None]).frame
+            fdg, gv = frame.fdg[0], frame.gv[0]
             co = conn.coefficients(p)
-            met = (data.fdg - np.einsum("kie,ej->kij", co, data.gv)
-                   - np.einsum("kje,ei->kij", co, data.gv))
-            scale = max(1.0, abs(data.fdg).max(), abs(co).max(), abs(data.gv).max())
+            met = fdg - np.einsum("kie,ej->kij", co, gv) - np.einsum("kje,ei->kij", co, gv)
+            scale = max(1.0, abs(fdg).max(), abs(co).max(), abs(gv).max())
             worst = max(worst, abs(met).max() / scale,
                         abs(torsion(conn, p)).max() / scale)
     elapsed = time.time() - t0
@@ -75,7 +74,7 @@ def test_a02_graded_frames_are_flat_with_parallel_torsion():
         nab = koszul_connection(spec)
         for p in sample_points(spec, 100, SEED):
             worst = max(worst, abs(schouten_curvature(nab, p).curv).max(),
-                        abs(covariant_derivative_T(nab, p)).max())
+                        abs(Evaluation(spec, None, p[None]).DT_nab[0]).max())
     _report(f"A02 graded-frame flatness: {'PASS' if worst <= 1e-10 else 'FAIL'} "
             f"(worst abs {worst:.2e})")
     assert worst <= 1e-10
@@ -206,13 +205,13 @@ def test_a07_bianchi_and_symmetry_suite():
             lw = Kb.lowered
             cyc = lw + lw.transpose(1, 2, 0, 3) + lw.transpose(2, 0, 1, 3)
             worst = max(worst, abs(cyc).max() / scale)
-            from srclab.curvature import curvature_components_raw
-            raw = curvature_components_raw(nab, p)
+            ev = Evaluation(spec, None, p[None])
+            raw = ev.rawK[0]
             worst = max(worst, abs(raw + raw.transpose(1, 0, 2, 3)).max() / scale)
             ric, ric2 = Kb.ricci, Kb.second_contraction()
             worst = max(worst, abs(ric2 + ric2.T).max() / scale,
                         abs(ric2 - (ric - ric.T)).max() / scale)
-            if abs(_frame_at(spec, p).Mc).max(initial=0.0) <= 1e-12:
+            if abs(ev.frame.Mc[0]).max(initial=0.0) <= 1e-12:
                 worst = max(worst, abs(lw + lw.transpose(0, 1, 3, 2)).max() / scale)
     _report(f"A07 Bianchi/symmetry suite: {'PASS' if worst <= 1e-9 else 'FAIL'} "
             f"(worst rel {worst:.2e})")

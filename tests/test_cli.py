@@ -312,3 +312,98 @@ def test_long_sum_spec_end_to_end(tmp_path, capsys):
     assert "[" in capsys.readouterr().out
     assert cli_main(["verify", "--spec", str(path), "--points", "2", "--quiet"]) == 0
     assert capsys.readouterr().out == ""
+
+
+OVERFLOWING_FRAME = """\
+manifold overflowing-frame
+dim 3
+hdim 2
+coords x y z
+hframe
+  X1 = dx + exp(1000) dz
+  X2 = dy
+vframe
+  Z = dz
+metric identity
+"""
+
+
+def test_overflowing_constants_fail_their_points(tmp_path, capsys):
+    """A constant subexpression beyond float range (exp(1000), 2^1100) in a
+    frame field, a metric row or a one-form is kept as an op, so its points
+    fail as not finite: verify reports them (exit 1) and eval exits 2 with the
+    failing layer's message, never a traceback."""
+    frame = tmp_path / "frame.txt"
+    frame.write_text(OVERFLOWING_FRAME, encoding="utf-8")
+    metric = tmp_path / "metric.txt"
+    metric.write_text(OVERFLOWING_FRAME.replace(" + exp(1000) dz", "").replace(
+        "metric identity", "metric rows\n  1 + 2^1100*x^2, 0\n  0, 1"), encoding="utf-8")
+    pi = tmp_path / "pi.txt"
+    pi.write_text("exp(1000)*x\n0\n", encoding="utf-8")
+    cases = [(["--spec", str(frame)], "frame determinant 0.000e+00 below threshold"),
+             (["--spec", str(metric)], "Gram matrix not positive definite"),
+             (["--builtin", "flat3", "--pi", f"file:{pi}"], "one-form not finite")]
+    for args, message in cases:
+        assert cli_main(["verify", *args, "--points", "3", "--quiet"]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert cli_main(["eval", *args, "--tensor", "R", "--point=0.1,0.2,0.3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and "Traceback" not in err, err
+
+
+def test_eval_prints_no_numpy_warnings(tmp_path, capsys):
+    """A tensor that overflows at a huge point is reported by the error line
+    alone: eval runs under the suite's floating-point error state."""
+    import warnings
+
+    pi = tmp_path / "linear.pi"
+    pi.write_text("".join(e + "\n" for e in builtin("flat3").variant("linear").expressions),
+                  encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli_main(["eval", "--builtin", "flat3", "--pi", f"file:{pi}", "--tensor",
+                       "pi-char", "--point=1e154,1e154,1e154"])
+    assert (rc, caught) == (2, [])
+    assert capsys.readouterr().err == "error: pi-char is not finite at [1e+154, 1e+154, 1e+154]\n"
+
+
+DEGENERATE_L3 = """\
+manifold degenerate-l3
+dim 4
+hdim 3
+coords x y z w
+hframe
+  X1 = x dx
+  X2 = dy
+  X3 = dz
+vframe
+  W = dw
+metric identity
+"""
+
+
+def test_eval_raises_only_the_errors_of_the_layers_a_tensor_reads(tmp_path, capsys):
+    """With a one-form that fails everywhere, the 13 tensors that do not read
+    it print and exit 0 and the 10 that do exit 2 with its message; where the
+    frame is singular all 23 exit 2 with the frame's message."""
+    from srclab.curvature import TENSORS
+
+    spec = tmp_path / "degenerate.txt"
+    spec.write_text(DEGENERATE_L3, encoding="utf-8")
+    pi = tmp_path / "failing.pi"
+    pi.write_text("log(x - 5)\n0\n0\n", encoding="utf-8")
+    args = ["eval", "--spec", str(spec), "--pi", f"file:{pi}", "--tensor"]
+    reads_pi = {name for name, (_, reads) in TENSORS.items() if reads}
+    assert len(TENSORS) == 23 and reads_pi == {
+        "Gamma", "torsion", "R", "ricci-R", "scalar-R", "Sbar", "Cbar", "Wbar", "pi-char",
+        "alpha"}
+    for name in TENSORS:
+        rc = cli_main([*args, name, "--point=0.5,0.1,0.2,0.3"])
+        out, err = capsys.readouterr()
+        if name in reads_pi:
+            assert (rc, out, err) == (2, "", "error: log of non-positive value -4.5\n"), name
+        else:
+            assert (rc, err) == (0, "") and out, name
+        rc = cli_main([*args, name, "--point=0,0.1,0.2,0.3"])
+        assert (rc, capsys.readouterr().err) == (2, "error: frame determinant 0.000e+00 below "
+                                                 "threshold at [0.0, 0.1, 0.2, 0.3]\n"), name

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from srclab.catalog import builtin, catalog_names
-from srclab.connections import (OneFormData, covariant_derivative_T,
-                                koszul_connection, nabla_oneform,
-                                oneform_derivative, semi_connection, torsion)
+from srclab.connections import (OneFormData, covariant_oneform, frame_derivative,
+                                koszul_connection, semi_connection, torsion)
+from srclab.curvature import Evaluation
 from srclab.errors import DimensionMismatch
 from srclab.jets import jet_eval
-from srclab.manifold import _frame_at, sample_points
+from srclab.manifold import sample_points
 from srclab.parser import parse_manifold
 
 RNG_SEED = 77
@@ -28,12 +28,17 @@ metric rows
 """
 
 
+def at(spec, pi, point):
+    """An Evaluation at one point."""
+    return Evaluation(spec, pi, np.asarray(point, dtype=float)[None])
+
+
 def metricity_residual(spec, conn, point):
-    data = _frame_at(spec, point)
+    frame = at(spec, None, point).frame
+    fdg, gv = frame.fdg[0], frame.gv[0]
     co = conn.coefficients(point)
-    resid = (data.fdg - np.einsum("kie,ej->kij", co, data.gv)
-             - np.einsum("kje,ei->kij", co, data.gv))
-    return abs(resid).max() / max(1.0, abs(data.fdg).max(), abs(co).max())
+    resid = fdg - np.einsum("kie,ej->kij", co, gv) - np.einsum("kje,ei->kij", co, gv)
+    return abs(resid).max() / max(1.0, abs(fdg).max(), abs(co).max())
 
 
 def test_koszul_diagnostic_coefficient():
@@ -72,7 +77,7 @@ def test_semi_connection_metricity_and_torsion(name):
     eye = np.eye(spec.ell)
     for p in sample_points(spec, 20, RNG_SEED):
         assert metricity_residual(spec, D, p) <= 1e-9
-        piv = pi.values(p)
+        piv = at(spec, pi, p).pij.values[0]
         want = np.einsum("ik,j->ijk", eye, piv) - np.einsum("jk,i->ijk", eye, piv)
         assert abs(torsion(D, p) - want).max() <= 1e-10
 
@@ -101,6 +106,12 @@ def test_semi_connection_with_zero_pi_is_koszul():
     assert abs(torsion(D, p)).max() <= 1e-15
 
 
+def nabla_oneform(spec, pi, point):
+    """Koszul covariant derivative of pi: e_i(pi_j) - {_ij^k} pi_k."""
+    ev = at(spec, pi, point)
+    return covariant_oneform(ev.nab.jets.values, ev.pij)[0]
+
+
 def test_nabla_oneform_examples():
     h2 = builtin("heisenberg2").spec
     const = OneFormData.constant([1.0, 0.0, 0.0, 0.0], 5)
@@ -127,27 +138,24 @@ def test_covariant_torsion_derivative():
     # torsion-free connection: identically zero
     for name in ("heisenberg1", "heisenberg2", "free-step2-l3"):
         spec = builtin(name).spec
-        nab = koszul_connection(spec)
         for p in sample_points(spec, 10, RNG_SEED):
-            assert abs(covariant_derivative_T(nab, p)).max() <= 1e-13
+            assert abs(at(spec, None, p).DT_nab[0]).max() <= 1e-13
 
     # transformed connection: matches the one-form derivative combination
     entry = builtin("heisenberg2")
     spec = entry.spec
     pi = entry.oneform("trig")
-    D = semi_connection(spec, pi)
     eye = np.eye(4)
     for p in sample_points(spec, 10, RNG_SEED):
-        dt = covariant_derivative_T(D, p)
-        dpi = oneform_derivative(D, p)
+        ev = at(spec, pi, p)
+        dt = ev.DT_D[0]
+        dpi = covariant_oneform(ev.D.jets.values, ev.pij)[0]
         want = (np.einsum("ik,jh->ijkh", dpi, eye)
                 - np.einsum("ij,kh->ijkh", dpi, eye))
         assert abs(dt - want).max() <= 1e-12 * max(1.0, abs(dt).max())
 
-    pi0 = OneFormData.zero(4, 5)
-    D0 = semi_connection(spec, pi0)
     p = sample_points(spec, 1, RNG_SEED)[0]
-    assert abs(covariant_derivative_T(D0, p)).max() <= 1e-14
+    assert abs(at(spec, OneFormData.zero(4, 5), p).DT_D[0]).max() <= 1e-14
 
 
 def test_uniqueness_probe():
@@ -156,7 +164,8 @@ def test_uniqueness_probe():
         spec = builtin(name).spec
         conn = koszul_connection(spec)
         p = sample_points(spec, 1, RNG_SEED)[0]
-        data = _frame_at(spec, p)
+        frame = at(spec, None, p).frame
+        fdg, gv, Om = frame.fdg[0], frame.gv[0], frame.Om[0]
         co = conn.coefficients(p)
         ell = spec.ell
         for i in range(ell):
@@ -164,20 +173,22 @@ def test_uniqueness_probe():
                 for k in range(ell):
                     bad = co.copy()
                     bad[i, j, k] += 1e-3
-                    met = (data.fdg - np.einsum("kie,ej->kij", bad, data.gv)
-                           - np.einsum("kje,ei->kij", bad, data.gv))
-                    tor = bad - bad.transpose(1, 0, 2) - data.Om
+                    met = (fdg - np.einsum("kie,ej->kij", bad, gv)
+                           - np.einsum("kje,ei->kij", bad, gv))
+                    tor = bad - bad.transpose(1, 0, 2) - Om
                     assert max(abs(met).max(), abs(tor).max()) > 1e-4
 
 
 def test_coefficient_fields_match_tensor_path():
-    """frame_derivatives against a central difference (step 1e-5) of the
-    coefficients, as functions of the point, along each horizontal field."""
+    """The coefficients' frame derivatives against a central difference (step
+    1e-5) of the coefficients, as functions of the point, along each
+    horizontal field."""
     entry = builtin("curved-metric-l3")
     spec = entry.spec
-    for conn in (koszul_connection(spec), semi_connection(spec, entry.oneform("trig"))):
+    for conn, layer in ((koszul_connection(spec), "nab"),
+                        (semi_connection(spec, entry.oneform("trig")), "D")):
         for p in sample_points(spec, 3, RNG_SEED):
-            dco = conn.frame_derivatives(p)
+            dco = frame_derivative(getattr(at(spec, conn.oneform, p), layer).jets.grads)[0]
             for i, vf in enumerate(spec.hframe):
                 step = 1e-5 * np.array([jet_eval(c, p, 0).value for c in vf.components])
                 central = (conn.coefficients(p + step) - conn.coefficients(p - step)) / 2e-5
@@ -192,7 +203,8 @@ def test_raised_oneform_invariant():
     pi = entry.oneform("linear")
     nab, D = koszul_connection(spec), semi_connection(spec, pi)
     for p in sample_points(spec, 10, RNG_SEED):
-        g, piv = _frame_at(spec, p).gv, pi.values(p)
+        ev = at(spec, pi, p)
+        g, piv = ev.frame.gv[0], ev.pij.values[0]
         lowered = np.einsum("ijk,kh->ijh", D.coefficients(p) - nab.coefficients(p), g)
         want = np.einsum("ih,j->ijh", g, piv) - np.einsum("ij,h->ijh", g, piv)
         assert abs(lowered - want).max() <= 1e-12
@@ -205,4 +217,4 @@ def test_semi_connection_dimension_checks():
     with pytest.raises(DimensionMismatch):
         semi_connection(spec, OneFormData.constant([1.0, 0.0, 0.0, 0.0], 3))
     with pytest.raises(DimensionMismatch):
-        oneform_derivative(koszul_connection(spec), np.zeros(5))
+        Evaluation(spec, OneFormData.constant([1.0, 0.0], 5), np.zeros((1, 5)))

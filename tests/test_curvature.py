@@ -5,8 +5,8 @@ from sympy import Rational as Q
 from oracles import oracle_eval
 from srclab.catalog import builtin
 from srclab.connections import OneFormData, koszul_connection, semi_connection
-from srclab.curvature import (characteristic_tensor, conformal_difference_formula,
-                              conformal_tensor, curvature_components_raw,
+from srclab.curvature import (Evaluation, characteristic_tensor,
+                              conformal_difference_formula, conformal_tensor,
                               curvature_relation_terms, flatness_characteristic_form,
                               projective_difference_formula, projective_tensor,
                               s_tensor, schouten_curvature)
@@ -82,8 +82,8 @@ def test_curvature_antisymmetry_unmirrored():
     conn = koszul_connection(spec)
     D = semi_connection(spec, entry.oneform("trig"))
     for p in sample_points(spec, 10, RNG_SEED):
-        for c in (conn, D):
-            raw = curvature_components_raw(c, p)
+        ev = Evaluation(spec, D.oneform, p[None])
+        for c, raw in ((conn, ev.rawK[0]), (D, ev.rawR[0])):
             assert abs(raw + raw.transpose(1, 0, 2, 3)).max() <= 1e-10 * \
                 max(1.0, abs(raw).max())
             assert (schouten_curvature(c, p).curv

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -14,7 +16,7 @@ from srclab.catalog import builtin, catalog_names
 from srclab.errors import DimensionMismatch, DomainError
 from srclab.jets import (Add, Call, Const, Coord, Div, Expression, Jet, JetProgram, Mul, Neg,
                          Pow, Sub, _operands, fd_crosscheck, jet_eval)
-from srclab.parser import parse_manifold
+from srclab.parser import parse_manifold, parse_scalar_expression
 
 
 def jets_close(a: Jet, b: Jet, ulps: int = 4) -> bool:
@@ -419,6 +421,35 @@ def test_nodes_keep_the_dataclass_surface():
     assert dataclasses.replace(Pow(Coord(0), 2), exponent=3) == Pow(Coord(0), 3)
     with pytest.raises(dataclasses.FrozenInstanceError):
         node.left = Coord(1)
+
+
+def test_overflowing_constants_compile_to_ops():
+    """A constant subtree beyond float range is kept as ops instead of being
+    folded, so the program compiles and its values are not finite."""
+    for text in ("2^1100*x", "exp(1000)*x"):
+        program = JetProgram([parse_scalar_expression(text, ("x",))], 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(program.run(np.ones((1, 1))).values).any(), text
+
+
+def test_deep_trees_print_pickle_and_copy_without_recursing():
+    """repr, pickle and copy walk a 5,000-level sum without recursing; repr is
+    the dataclass text, a loaded tree equals and hashes like the original,
+    and a copy of a frozen node is the node itself."""
+    small = Add(Mul(Const(0.5), Pow(Coord(0), 2)), Call("sin", Neg(Coord(1))))
+    assert repr(small) == ("Add(left=Mul(left=Const(value=0.5), right=Pow(base=Coord(index=0), "
+                           "exponent=2)), right=Call(fn='sin', arg=Neg(arg=Coord(index=1))))")
+    shared = Mul(small, small)
+    loaded = pickle.loads(pickle.dumps(shared))
+    assert loaded == shared and loaded.left is loaded.right
+    deep = Coord(0)
+    for k in range(5000):
+        deep = Add(deep, Const(k))
+    text = repr(deep)
+    assert text.startswith("Add(left=Add(left=") and text.endswith("right=Const(value=4999))")
+    loaded = pickle.loads(pickle.dumps(deep))
+    assert loaded == deep and hash(loaded) == hash(deep)
+    assert copy.copy(deep) is deep and copy.deepcopy(deep) is deep
 
 
 PICKLED_SOURCE = """\

@@ -1,4 +1,6 @@
-"""The scripts under scripts/ run end to end and exit 0."""
+"""The scripts under scripts/ run end to end and exit 0, and the benchmark
+under perfbench/ sets up and runs its probes against this tree."""
+import json
 import os
 import subprocess
 import sys
@@ -21,3 +23,46 @@ def test_script_exits_zero(argv):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+WORKLOADS = ("catalog-sweep", "expr-heavy-sweep", "single-point-eval")
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_benchmark_sets_up(workload):
+    """perfbench imports and sets up each workload against this tree."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", "1", "--seconds", "0", "--setup-only"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_probes_read_the_evaluation(monkeypatch):
+    """The benchmark's layer probes run, and its eval_tensor gives row 0 of
+    an Evaluation for every tensor its oracle table holds."""
+    import numpy as np
+
+    from srclab.catalog import builtin
+    from srclab.curvature import Evaluation
+    from srclab.manifold import sample_points
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import layers
+
+    entry = builtin("heisenberg2")
+    spec, variant = entry.spec, entry.variant("trig")
+    pi = entry.oneform("trig")
+    points = sample_points(spec, 2, 3)
+    rec = layers.Recorder()
+    layers.probe_layers(rec, entry.source, variant.expressions, points)
+    assert {name for _, name, *_ in rec.spans} == {
+        "jets", "manifold.frame", "connections.koszul", "connections.semi",
+        "curvature.schouten", "curvature.derived"}
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text(encoding="utf-8"))
+    names = {t for pair in reference["pairs"] for pt in pair["points"] for t in pt["tensors"]}
+    assert len(names) == 19
+    for p in points:
+        ev = Evaluation(spec, pi, p[None])
+        for name in sorted(names):
+            got, want = layers.eval_tensor(spec, pi, name, p), ev[name][0]
+            assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max()), name

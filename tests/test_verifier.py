@@ -9,12 +9,12 @@ import pytest
 import srclab
 from srclab import verifier
 from srclab.catalog import builtin, catalog_names
-from srclab.connections import (OneFormData, covariant_derivative_T, koszul_connection,
-                                semi_connection, torsion)
-from srclab.curvature import (characteristic_tensor, conformal_difference_formula,
-                              conformal_tensor, projective_difference_formula,
+from srclab.connections import OneFormData, koszul_connection, semi_connection, torsion
+from srclab.curvature import (TENSORS, Evaluation, characteristic_tensor,
+                              conformal_difference_formula, conformal_tensor,
+                              curvature_relation_terms, projective_difference_formula,
                               projective_tensor, s_tensor, schouten_curvature)
-from srclab.manifold import FRAME_CHUNK, sample_points
+from srclab.manifold import FRAME_CHUNK, sample_points, snapshot
 from srclab.errors import RankTooSmall, ValidationError
 from srclab.verifier import (CHECKS, CHECK_IDS, SuiteConfig, _passes,
                              check_flatness_criterion, check_group_manifold,
@@ -467,44 +467,50 @@ def test_pass_plan_follows_the_per_point_footprint():
     assert max(peaks.values()) <= 1.1 * peaks["heisenberg2"], peaks
 
 
-def test_batched_pass_matches_point_functions():
-    """Row i of one batched pass equals the public per-point functions at
-    point i, for every catalog pair at 20 seeded points."""
+def test_evaluation_rows_match_evaluations_of_one_point():
+    """Row i of one Evaluation equals the Evaluation of point i alone, for
+    every catalog pair at 20 seeded points: every srclab eval tensor the rank
+    allows, and every per-point view (snapshot, coefficients and their jets,
+    torsion, bundles, characteristic tensor and the derived tensors of the
+    view bundles)."""
     for name in catalog_names():
         entry = builtin(name)
         spec = entry.spec
+        names = [t for t in TENSORS if spec.ell >= 3 or t not in ("S", "Sbar", "C", "Cbar")]
         for variant in (None, *(v.name for v in entry.pi_variants)):
             pi = entry.oneform(variant) or OneFormData.zero(spec.ell, spec.n)
             nab, D = koszul_connection(spec), semi_connection(spec, pi)
-            [ev] = _passes(spec, pi, SuiteConfig(points=20, seed=7, flags=entry.flags))
+            ev = Evaluation(spec, pi, sample_points(spec, 20, 7))
             for i, p in enumerate(ev.points):
-                Kb, Rb = schouten_curvature(nab, p), schouten_curvature(D, p)
-                ct = characteristic_tensor(spec, pi, p)
-                pairs = [
-                    (ev.nab.jets.values[i], nab.coefficients(p)),
-                    (ev.nab.jets.grads[i], nab.coefficient_jets(p).grads),
-                    (ev.D.jets.values[i], D.coefficients(p)),
-                    (ev.D.jets.grads[i], D.coefficient_jets(p).grads),
-                    (ev.nab.torsion[i], torsion(nab, p)),
-                    (ev.D.torsion[i], torsion(D, p)),
-                    (ev.nab.covariant_T()[i], covariant_derivative_T(nab, p)),
-                    (ev.DT_D[i], covariant_derivative_T(D, p)),
-                    (ev.ct.pi_lower[i], ct.pi_lower), (ev.ct.pi_mixed[i], ct.pi_mixed),
-                    (ev.ct.alpha[i], ct.alpha),
-                    (projective_difference_formula(ev.ct, spec, ev.points)[i],
-                     projective_difference_formula(ct, spec, p)),
-                ]
-                for batch, ref in ((ev.Kb, Kb), (ev.Rb, Rb)):
-                    pairs += [(batch.curv[i], ref.curv), (batch.ricci[i], ref.ricci),
-                              (batch.scalar[i], ref.scalar)]
-                pairs += [(ev.W_nab[i], projective_tensor(Kb, spec, p)),
-                          (ev.W_D[i], projective_tensor(Rb, spec, p))]
+                one = Evaluation(spec, pi, ev.points[i:i + 1])
+                pairs = [(ev[t][i], one[t][0]) for t in names]
+                snap, ct = snapshot(spec, p), characteristic_tensor(spec, pi, p)
+                pairs += [(ev.frame.Ev[i], snap.E), (ev.frame.Einv[i], snap.Einv),
+                          (ev.frame.gv[i], snap.g), (ev.frame.ginv[i], snap.ginv),
+                          (ev.frame.Om[i], snap.Omega), (ev.frame.Mc[i], snap.Mcoef),
+                          (ev.frame.Lam[i], snap.Lambda),
+                          (ev.ct.pi_lower[i], ct.pi_lower), (ev.ct.pi_mixed[i], ct.pi_mixed),
+                          (ev.ct.alpha[i], ct.alpha),
+                          (curvature_relation_terms(ev.ct, spec, ev.points)[i],
+                           curvature_relation_terms(ct, spec, p)),
+                          (projective_difference_formula(ev.ct, spec, ev.points)[i],
+                           projective_difference_formula(ct, spec, p))]
+                for conn, batch, bundle in ((nab, ev.nab, ev.Kb), (D, ev.D, ev.Rb)):
+                    jets, view = conn.coefficient_jets(p), schouten_curvature(conn, p)
+                    pairs += [(batch.jets.values[i], jets.values),
+                              (batch.jets.grads[i], jets.grads),
+                              (batch.jets.values[i], conn.coefficients(p)),
+                              (batch.torsion[i], torsion(conn, p)),
+                              (bundle.curv[i], view.curv), (bundle.ricci[i], view.ricci),
+                              (bundle.scalar[i], view.scalar),
+                              (projective_tensor(bundle, spec, ev.points)[i],
+                               projective_tensor(view, spec, p))]
+                    if spec.ell >= 3:
+                        pairs += [(s_tensor(bundle, spec, ev.points)[i], s_tensor(view, spec, p)),
+                                  (conformal_tensor(bundle, spec, ev.points)[i],
+                                   conformal_tensor(view, spec, p))]
                 if spec.ell >= 3:
-                    pairs += [(ev.S_nab[i], s_tensor(Kb, spec, p)),
-                              (s_tensor(ev.Rb, spec, ev.points)[i], s_tensor(Rb, spec, p)),
-                              (ev.C_nab[i], conformal_tensor(Kb, spec, p)),
-                              (ev.C_D[i], conformal_tensor(Rb, spec, p)),
-                              (conformal_difference_formula(ev.ct, spec, ev.points)[i],
+                    pairs += [(conformal_difference_formula(ev.ct, spec, ev.points)[i],
                                conformal_difference_formula(ct, spec, p))]
                 for k, (got, ref) in enumerate(pairs):
                     bound = 1e-13 * max(1.0, float(np.abs(ref).max()))
@@ -627,7 +633,7 @@ def test_standalone_checks_build_only_the_layers_they_read(monkeypatch):
     """check_group_manifold builds the curvature and torsion derivative of
     the designated connection only, check_flatness_criterion what its rows
     read; the suite builds every layer."""
-    layers = {name for name, value in vars(verifier._Pass).items()
+    layers = {name for cls in verifier._Pass.__mro__ for name, value in vars(cls).items()
               if isinstance(value, cached_property)}
     built = []
 
