@@ -16,7 +16,7 @@ from .curvature import (CharacteristicTensor, CurvatureBundle, Evaluation,
 from .errors import (DimensionMismatch, DomainError, MetricNotSPD, ParseError,
                      RankTooSmall, SingularFrame, SrclabError, UnknownEntry,
                      ValidationError)
-from .jets import Expression, Jet, fd_crosscheck, jet_eval
+from .jets import Expression, fd_crosscheck, jet_eval
 from .manifold import (FrameSnapshot, ManifoldSpec, VectorFieldSpec, project_h,
                        sample_points, snapshot)
 from .parser import (SpecDocument, parse_document, parse_manifold,

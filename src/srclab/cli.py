@@ -20,7 +20,7 @@ from . import jsonio
 from .catalog import builtin, catalog_names
 from .connections import OneFormData
 from .curvature import TENSORS, Evaluation
-from .errors import DomainError, ParseError, SrclabError, ValidationError
+from .errors import DomainError, SrclabError, ValidationError
 from .parser import parse_manifold, parse_scalar_expression
 from .verifier import CHECKS, SuiteConfig, _quiet, run_suite
 
@@ -210,9 +210,6 @@ def cli_main(argv) -> int:
         if args.command == "checks":
             return _cmd_checks()
         return _cmd_parse(args)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (SrclabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

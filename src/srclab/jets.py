@@ -1,15 +1,13 @@
-"""Truncated Taylor-jet arithmetic (orders 0..2) on expression trees.
-
-A ``Jet`` carries the value, gradient and symmetric Hessian of a scalar
-quantity at one point of R^n.  Propagating jets through an expression tree
-yields exact first and second derivatives; finite differences are used only
-as cross-checks (:func:`fd_crosscheck`).
+"""Expression trees and their truncated Taylor jets (orders 0..2).
 
 :class:`JetProgram` compiles a list of expressions once into a flat op list
 (shared subtrees once, constants folded) and evaluates it on a whole (P, n)
-array of points, the same arithmetic with a leading point axis; frame data
-and one-forms are evaluated through it.  :func:`jet_eval`, a walk of one
-tree at one point, is the reference the tests hold the compiled programs to.
+array of points, carrying the value, gradient and symmetric Hessian of every
+expression with a leading point axis; frame data and one-forms are evaluated
+through it.  Derivatives come out exact; finite differences are used only as
+cross-checks (:func:`fd_crosscheck`).  Constant folding and the operand quoted
+in a domain-error message use :func:`_value`, the same arithmetic on the values
+alone, in Python floats.
 """
 from __future__ import annotations
 
@@ -22,170 +20,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-
-MAX_ORDER = 2
-
-
-class Jet:
-    """Value / gradient / Hessian of a scalar at a point of R^n.
-
-    ``grad`` is present iff order >= 1, ``hess`` iff order == 2.  The Hessian
-    stays exactly symmetric: every arithmetic rule below only ever adds
-    symmetric arrays or symmetrized outer products.
-    """
-
-    __slots__ = ("n", "order", "value", "grad", "hess")
-
-    def __init__(self, n, order, value, grad=None, hess=None):
-        if order not in (0, 1, 2):
-            raise DimensionMismatch(f"jet order must be 0, 1 or 2, got {order}")
-        self.n = int(n)
-        self.order = int(order)
-        self.value = float(value)
-        self.grad = None if order < 1 else np.asarray(grad, dtype=float)
-        self.hess = None if order < 2 else np.asarray(hess, dtype=float)
-        if self.grad is not None and self.grad.shape != (self.n,):
-            raise DimensionMismatch("gradient length does not match n")
-        if self.hess is not None and self.hess.shape != (self.n, self.n):
-            raise DimensionMismatch("hessian shape does not match n")
-
-    @staticmethod
-    def constant(value, n, order):
-        return Jet(n, order, value,
-                   np.zeros(n) if order >= 1 else None,
-                   np.zeros((n, n)) if order >= 2 else None)
-
-    @staticmethod
-    def coordinate(value, index, n, order):
-        grad = hess = None
-        if order >= 1:
-            grad = np.zeros(n)
-            grad[index] = 1.0
-        if order >= 2:
-            hess = np.zeros((n, n))
-        return Jet(n, order, value, grad, hess)
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise DimensionMismatch(f"jet dimensions differ: {self.n} vs {other.n}")
-        if self.order != other.order:
-            raise DimensionMismatch(f"jet orders differ: {self.order} vs {other.order}")
-
-    def _coerce(self, other):
-        if isinstance(other, Jet):
-            return other
-        return Jet.constant(float(other), self.n, self.order)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        self._check(o)
-        return Jet(self.n, self.order, self.value + o.value,
-                   None if self.order < 1 else self.grad + o.grad,
-                   None if self.order < 2 else self.hess + o.hess)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        self._check(o)
-        return Jet(self.n, self.order, self.value - o.value,
-                   None if self.order < 1 else self.grad - o.grad,
-                   None if self.order < 2 else self.hess - o.hess)
-
-    def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
-
-    def __neg__(self):
-        return Jet(self.n, self.order, -self.value,
-                   None if self.order < 1 else -self.grad,
-                   None if self.order < 2 else -self.hess)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        self._check(o)
-        grad = hess = None
-        if self.order >= 1:
-            grad = self.value * o.grad + o.value * self.grad
-        if self.order >= 2:
-            cross = np.outer(self.grad, o.grad)
-            hess = self.value * o.hess + o.value * self.hess + cross + cross.T
-        return Jet(self.n, self.order, self.value * o.value, grad, hess)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        self._check(o)
-        if o.value == 0.0:
-            raise DomainError("division by zero")
-        return self * o._reciprocal()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other).__truediv__(self)
-
-    def _reciprocal(self):
-        v = self.value
-        return self.compose(1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v))
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int):
-            raise DomainError("integer exponents only")
-        if exponent == 0:
-            return Jet.constant(1.0, self.n, self.order)
-        if exponent == 1:
-            return Jet(self.n, self.order, self.value, self.grad, self.hess)
-        v = self.value
-        if v == 0.0 and exponent < 0:
-            raise DomainError("zero raised to a negative power")
-        if v == 0.0:
-            d1 = 1.0 if exponent == 1 else 0.0
-            d2 = 2.0 if exponent == 2 else 0.0
-            return self.compose(0.0, d1, d2)
-        return self.compose(v ** exponent,
-                            exponent * v ** (exponent - 1),
-                            exponent * (exponent - 1) * v ** (exponent - 2))
-
-    def compose(self, f0, f1, f2):
-        """Chain rule through a scalar function with derivatives f0, f1, f2 at self.value."""
-        grad = hess = None
-        if self.order >= 1:
-            grad = f1 * self.grad
-        if self.order >= 2:
-            hess = f1 * self.hess + f2 * np.outer(self.grad, self.grad)
-        return Jet(self.n, self.order, f0, grad, hess)
-
-    def __repr__(self):
-        return f"Jet(n={self.n}, order={self.order}, value={self.value!r})"
-
-
-def sin(j: Jet) -> Jet:
-    return j.compose(math.sin(j.value), math.cos(j.value), -math.sin(j.value))
-
-
-def cos(j: Jet) -> Jet:
-    return j.compose(math.cos(j.value), -math.sin(j.value), -math.cos(j.value))
-
-
-def exp(j: Jet) -> Jet:
-    e = math.exp(j.value)
-    return j.compose(e, e, e)
-
-
-def log(j: Jet) -> Jet:
-    if j.value <= 0.0:
-        raise DomainError(f"log of non-positive value {j.value}")
-    return j.compose(math.log(j.value), 1.0 / j.value, -1.0 / (j.value * j.value))
-
-
-def sqrt(j: Jet) -> Jet:
-    if j.value < 0.0:
-        raise DomainError(f"sqrt of negative value {j.value}")
-    if j.value == 0.0:
-        if j.order == 0:
-            return Jet.constant(0.0, j.n, 0)
-        raise DomainError("sqrt not differentiable at zero")
-    r = math.sqrt(j.value)
-    return j.compose(r, 0.5 / r, -0.25 / (r * j.value))
 
 
 # --------------------------------------------------------------------------
@@ -327,8 +161,9 @@ class Call(Expression):
     arg: Expression
 
 
-FUNCTIONS = {"sin": sin, "cos": cos, "exp": exp, "log": log, "sqrt": sqrt}
-_BINARY_JETS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
+             "sqrt": math.sqrt}
+_ARITHMETIC = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Neg: operator.neg}
 _UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply}
 
 
@@ -371,49 +206,6 @@ def coordinate_indices(*exprs: Expression) -> set[int]:
     return out
 
 
-def _apply(node: Expression, args: list[Jet]) -> Jet:
-    """The jet of an operator node from the jets of its operands."""
-    if type(node) in _BINARY_JETS:
-        return _BINARY_JETS[type(node)](*args)
-    if isinstance(node, Neg):
-        return -args[0]
-    if isinstance(node, Pow):
-        return args[0] ** node.exponent
-    if isinstance(node, Call):
-        return FUNCTIONS[node.fn](args[0])
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def jet_eval(expr: Expression, point, order: int) -> Jet:
-    """Evaluate an expression tree to a jet at ``point``.
-
-    This is the reference evaluator: one point, one walk over the tree, with
-    an explicit stack.  The package evaluates frames and metrics through
-    :class:`JetProgram`, which the tests hold to this function.
-
-    Raises DomainError for division by zero / log of non-positive /
-    sqrt of negative, DimensionMismatch for out-of-range coordinates.
-    """
-    p = np.asarray(point, dtype=float)
-    if p.ndim != 1:
-        raise DimensionMismatch("point must be a flat coordinate sequence")
-    if order not in (0, 1, 2):
-        raise DimensionMismatch(f"order must be 0, 1 or 2, got {order}")
-    n = p.shape[0]
-    jets: dict[int, Jet] = {}           # id(node) -> its jet
-    for node in _postorder(expr):
-        if isinstance(node, Const):
-            jets[id(node)] = Jet.constant(node.value, n, order)
-        elif isinstance(node, Coord):
-            if not 0 <= node.index < n:
-                raise DimensionMismatch(
-                    f"coordinate index {node.index} out of range for dimension {n}")
-            jets[id(node)] = Jet.coordinate(p[node.index], node.index, n, order)
-        else:
-            jets[id(node)] = _apply(node, [jets[id(arg)] for arg in _operands(node)])
-    return jets[id(expr)]
-
-
 # --------------------------------------------------------------------------
 # Compiled expression lists, evaluated on a batch of points
 # --------------------------------------------------------------------------
@@ -446,12 +238,60 @@ def _library(fn: str, v: np.ndarray):
     return r, 0.5 / r, -0.25 / (r * v)
 
 
-# Domain tests of the library functions, as the scalar jets raise them.
+# Domain tests of the library functions, on a value or an array of values.
 _DOMAIN = {
     "log": ((lambda v: v <= 0.0, "log of non-positive value {}"),),
     "sqrt": ((lambda v: v < 0.0, "sqrt of negative value {}"),
              (lambda v: v == 0.0, "sqrt not differentiable at zero")),
 }
+
+
+def _value(node: Expression, args: list[float]) -> float:
+    """The value of an operator node from its operands' values, in Python floats:
+    the value part of the jet arithmetic, ``x * (1 / y)`` for a quotient and
+    ``+0.0`` for zero to a power k >= 2, with its domain errors.  A power or a
+    library function beyond float range raises OverflowError (ValueError for
+    sin or cos of inf)."""
+    if isinstance(node, Call):
+        v = args[0]
+        for test, message in _DOMAIN.get(node.fn, ()):
+            if test(v):
+                raise DomainError(message.format(v))
+        return FUNCTIONS[node.fn](v)
+    if isinstance(node, Pow):
+        v, k = args[0], node.exponent
+        if k in (0, 1):
+            return 1.0 if k == 0 else v
+        if v == 0.0 and k < 0:
+            raise DomainError("zero raised to a negative power")
+        return 0.0 if v == 0.0 else v ** k
+    if isinstance(node, Div):
+        if args[1] == 0.0:
+            raise DomainError("division by zero")
+        return args[0] * (1.0 / args[1])
+    return _ARITHMETIC[type(node)](*args)
+
+
+def _quote(expr: Expression, point) -> float:
+    """The value of ``expr`` at one point by :func:`_value`, to quote in an error
+    message independently of the vector math library; a step beyond float range
+    takes numpy's value (inf or nan), as the batched run does."""
+    values: dict[int, float] = {}
+    for node in _postorder(expr):
+        if isinstance(node, Const):
+            v = float(node.value)
+        elif isinstance(node, Coord):
+            v = float(point[node.index])
+        else:
+            args = [values[id(arg)] for arg in _operands(node)]
+            try:
+                v = _value(node, args)
+            except (OverflowError, ValueError):          # only powers and library calls
+                with np.errstate(all="ignore"):
+                    v = float(np.power(args[0], float(node.exponent)) if isinstance(node, Pow)
+                              else getattr(np, node.fn)(args[0]))
+        values[id(node)] = v
+    return values[id(expr)]
 
 
 def _operand_slots(code, x, y) -> tuple[int, ...]:
@@ -477,7 +317,7 @@ class _Compiler:
         self._refs: dict = {}           # id(node) -> reference; the caller keeps the nodes alive
 
     def ref(self, expr: Expression):
-        """Operand reference of ``expr``, walked as :func:`jet_eval` walks; a
+        """Operand reference of ``expr``, its nodes combined in post-order; a
         node object compiled before is not walked again."""
         refs = self._refs
         stack = [(expr, False)]
@@ -508,25 +348,25 @@ class _Compiler:
         return slot
 
     def _affine(self, x: int, a: float, c: float) -> int:
-        """x * a + c, as the scalar jets compute ``x * a`` and ``x + c``."""
+        """x * a + c, as :func:`_value` computes ``x * a`` and ``x + c``."""
         return x if (a, c) == (1.0, 0.0) else self._emit("affine", x, (a, c))
 
     def _combine(self, node, args):
         if int not in map(type, args):             # a subtree of constants: no op slots
             try:
-                return _apply(node, [Jet.constant(a, 0, MAX_ORDER) for a in args]).value
-            except (DomainError, OverflowError):   # fails at every point: keep the op
+                return _value(node, args)
+            except (DomainError, OverflowError, ValueError):   # fails at every point: keep the op
                 args = [self._emit("const", a) for a in args]
         if isinstance(node, Pow):
             return args[0] if node.exponent == 1 else self._emit("pow", args[0], node.exponent)
         if isinstance(node, Call):
             if node.fn not in FUNCTIONS:
-                raise KeyError(node.fn)            # as jet_eval's FUNCTIONS lookup does
+                raise KeyError(node.fn)            # as _value's FUNCTIONS lookup does
             return self._emit("call", args[0], (node.fn, node.arg))
         if isinstance(node, Neg):
             return self._affine(args[0], -1.0, 0.0)
         x, y = args                                # at most one is a constant
-        if isinstance(node, Div):                  # x * (1 / y), as Jet.__truediv__ does
+        if isinstance(node, Div):                  # x * (1 / y), as _value computes it
             if isinstance(y, float) and y != 0.0:
                 return self._affine(x, 1.0 / y, 0.0)
             r = self._emit("recip", self._emit("const", y) if isinstance(y, float) else y)
@@ -553,8 +393,8 @@ class JetProgram:
     on a (P, n) point array with one vectorized step per op, carrying values,
     gradients and, only where an output in ``hessians`` needs them, Hessians;
     each intermediate is dropped after its last use.  The arithmetic is the
-    scalar :class:`Jet` arithmetic term by term (Griewank & Walther,
-    *Evaluating Derivatives*, ch. 13), with a leading point axis.
+    truncated Taylor arithmetic of Griewank & Walther (*Evaluating
+    Derivatives*, ch. 13) with a leading point axis.
 
     Given a basis, :meth:`run` seeds the coordinates with its rows instead of
     the unit vectors, so every derivative comes out along the basis vectors
@@ -564,7 +404,7 @@ class JetProgram:
 
     A domain error marks only the points where it happens: ``errors`` maps
     each such point to the first expression (in list order) that fails there
-    and the message :func:`jet_eval` raises for it.
+    and a message that quotes the failing operand by :func:`_quote`.
     """
 
     def __init__(self, exprs, n: int, hessians=(), hdim: int | None = None):
@@ -677,10 +517,8 @@ class JetProgram:
         def flag(mask, owner, message, arg=None):
             new = mask & ~failed
             for i in np.flatnonzero(new):
-                # quote the operand as jet_eval computes it, so the message
-                # does not depend on the vector math library
-                value = jet_eval(arg, pts[i], 0).value if arg is not None else None
-                errors[int(i)] = (owner, message.format(value))
+                errors[int(i)] = (owner, message.format(None if arg is None
+                                                        else _quote(arg, pts[i])))
             failed[new] = True
 
         seeds = np.empty((self.n, G, P))        # the jet of each coordinate:
@@ -778,17 +616,32 @@ class JetProgram:
                         hess.reshape(-1, hd, hd, P).transpose(3, 0, 1, 2), errors)
 
 
+def _run(exprs, points, hessians=()) -> JetBatch:
+    """The run of a program over ``exprs``, raising the DomainError of its first failing point."""
+    batch = JetProgram(exprs, points.shape[1], hessians).run(points)
+    if batch.errors:
+        raise DomainError(batch.errors[min(batch.errors)][1])
+    return batch
+
+
+def jet_eval(expr: Expression, point, order: int):
+    """(value, gradient, Hessian at order 2 or None) of ``expr`` at one point,
+    a view of a one-point :class:`JetProgram` kept for the benchmark's probes."""
+    batch = _run([expr], np.asarray(point, dtype=float)[None], [0] if order == 2 else ())
+    return batch.values[0, 0], batch.grads[0, 0], batch.hessians[0, 0] if order == 2 else None
+
+
 def fd_crosscheck(expr: Expression, point, direction_exprs, step: float) -> float:
     """|X(f) from the jet - central difference of f along X| / max(1, |X(f)|).
 
-    ``direction_exprs`` are the coordinate components of X; both X and f are
-    evaluated with :func:`jet_eval`.
+    ``direction_exprs`` are the coordinate components of X; X at the point, and
+    f there and at the two shifted points, are evaluated by :class:`JetProgram`.
     """
     if step <= 0:
         raise DomainError("finite-difference step must be positive")
     p = np.asarray(point, dtype=float)
-    d = np.array([jet_eval(c, p, 0).value for c in direction_exprs])
-    dd = float(d @ jet_eval(expr, p, 1).grad)
-    fd = (jet_eval(expr, p + step * d, 0).value
-          - jet_eval(expr, p - step * d, 0).value) / (2.0 * step)
+    d = _run(direction_exprs, p[None]).values[0]
+    f = _run([expr], np.stack([p, p + step * d, p - step * d]))
+    dd = float(d @ f.grads[0, 0])
+    fd = (f.values[1, 0] - f.values[2, 0]) / (2.0 * step)
     return abs(dd - fd) / max(1.0, abs(dd))

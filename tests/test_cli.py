@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from jsonschema import validate
 
 from srclab.catalog import builtin
@@ -349,6 +350,39 @@ def test_overflowing_constants_fail_their_points(tmp_path, capsys):
         assert cli_main(["eval", *args, "--tensor", "R", "--point=0.1,0.2,0.3"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and "Traceback" not in err, err
+
+
+def test_tiny_constant_divisors_fold(tmp_path, capsys):
+    """A constant divisor whose square underflows (1e-200) folds to its quotient:
+    a frame field and a one-form holding 1/1e-200 parse and verify to a report
+    (exit 1) instead of raising ZeroDivisionError."""
+    frame = tmp_path / "frame.txt"
+    frame.write_text(OVERFLOWING_FRAME.replace("exp(1000) dz", "(1/1e-200)*y dz"),
+                     encoding="utf-8")
+    pi = tmp_path / "pi.txt"
+    pi.write_text("1/1e-200\n0\n", encoding="utf-8")
+    assert cli_main(["parse", str(frame)]) == 0
+    for args in (["--spec", str(frame)], ["--builtin", "flat3", "--pi", f"file:{pi}"]):
+        assert cli_main(["verify", *args, "--points", "3", "--quiet"]) == 1
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("component,argv,code,err", [
+    ("sqrt(-exp(1000*x))", ["verify", "--points", "5", "--quiet"], 1, ""),
+    ("sqrt(-exp(x))", ["eval", "--tensor", "K", "--point=1000,0,0"], 2,
+     "error: sqrt of negative value -inf\n"),
+    ("sqrt(-1/(x*1e-200))", ["eval", "--tensor", "K", "--point=0.5,0,0"], 2,
+     "error: sqrt of negative value -2e+200\n"),
+])
+def test_domain_errors_quote_operands_beyond_float_range(tmp_path, capsys, component, argv,
+                                                         code, err):
+    """The operand a domain error quotes is evaluated step by step in floats;
+    a step that overflows (exp(1000)) quotes inf, as the batched run has it, and
+    a tiny divisor (x*1e-200) quotes its quotient."""
+    spec = tmp_path / "spec.txt"
+    spec.write_text(OVERFLOWING_FRAME.replace("exp(1000)", f"({component})"), encoding="utf-8")
+    assert cli_main([argv[0], "--spec", str(spec), *argv[1:]]) == code
+    assert capsys.readouterr().err == err
 
 
 def test_eval_prints_no_numpy_warnings(tmp_path, capsys):

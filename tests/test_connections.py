@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from jet_reference import jet_eval
+
 from srclab.catalog import builtin, catalog_names
 from srclab.connections import (OneFormData, covariant_oneform, frame_derivative,
                                 koszul_connection, semi_connection, torsion)
 from srclab.curvature import Evaluation
 from srclab.errors import DimensionMismatch
-from srclab.jets import jet_eval
 from srclab.manifold import sample_points
 from srclab.parser import parse_manifold
 

@@ -10,12 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+
+from jet_reference import Jet, jet_eval
 
 from srclab.catalog import builtin, catalog_names
 from srclab.errors import DimensionMismatch, DomainError
-from srclab.jets import (Add, Call, Const, Coord, Div, Expression, Jet, JetProgram, Mul, Neg,
-                         Pow, Sub, _operands, fd_crosscheck, jet_eval)
+from srclab.jets import (Add, Call, Const, Coord, Div, Expression, JetProgram, Mul, Neg, Pow,
+                         Sub, _operands, fd_crosscheck)
 from srclab.parser import parse_manifold, parse_scalar_expression
 
 
@@ -144,12 +146,12 @@ def test_fd_crosscheck_examples():
 # -- property tests ---------------------------------------------------------
 
 def _exprs(n: int, partial: bool = False):
-    """Random expressions on R^n; ``partial`` adds the operations with a
-    restricted domain (division, negative powers, exp/log/sqrt)."""
+    """Random expressions on R^n (constant ones for n = 0); ``partial`` adds the
+    operations with a restricted domain (division, negative powers, exp/log/sqrt)."""
     atoms = st.one_of(
         st.integers(-3, 3).map(lambda v: Const(float(v))),
         st.fractions(-2, 2).map(lambda v: Const(float(v))),
-        st.integers(0, n - 1).map(Coord),
+        *([st.integers(0, n - 1).map(Coord)] if n else []),
     )
     functions = ["sin", "cos"] + (["exp", "log", "sqrt"] if partial else [])
 
@@ -189,15 +191,30 @@ def test_leibniz(e1, e2, point):
     assert jets_close(j, manual)
 
 
-@given(_exprs(3), st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)))
+@given(_exprs(3), st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)),
+       st.lists(_exprs(0, partial=True), max_size=4))
+@example(Coord(0), (0.0, 0.0, 0.0),
+         [Pow(Neg(Const(0.0)), 3), Pow(Neg(Const(0.0)), 1), Div(Const(5.0), Const(3.0))])
 @settings(max_examples=150, deadline=None)
-def test_order_slices_agree_exactly(expr, point):
+def test_order_slices_agree_exactly(expr, point, constants):
+    """Every order gives the same value; and a constant tree compiles to the
+    reference value bit for bit (signed zeros too), or to ops where that raises."""
     j2 = jet_eval(expr, point, 2)
     j1 = jet_eval(expr, point, 1)
     j0 = jet_eval(expr, point, 0)
     assert j2.value == j1.value == j0.value
     assert (j2.grad == j1.grad).all()
     assert j1.hess is None and j0.grad is None
+    for constant in constants:
+        try:
+            want = jet_eval(constant, [], 2).value.hex()
+        except DomainError:
+            want = None                     # fails at every point: compiled to ops
+        except (OverflowError, ZeroDivisionError, ValueError):
+            continue
+        program = JetProgram([constant], 1)
+        got = None if program.ops else float(program.values(np.zeros((1, 1)))[0, 0]).hex()
+        assert got == want, constant
 
 
 def test_chain_consistency_every_catalog_expression():
@@ -426,10 +443,16 @@ def test_nodes_keep_the_dataclass_surface():
 def test_overflowing_constants_compile_to_ops():
     """A constant subtree beyond float range is kept as ops instead of being
     folded, so the program compiles and its values are not finite."""
-    for text in ("2^1100*x", "exp(1000)*x"):
+    for text in ("2^1100*x", "exp(1000)*x", "sin(1e200*1e200)*x"):
         program = JetProgram([parse_scalar_expression(text, ("x",))], 1)
         with np.errstate(over="ignore", invalid="ignore"):
             assert not np.isfinite(program.run(np.ones((1, 1))).values).any(), text
+
+
+def test_domain_errors_quote_overflowing_operands():
+    """An operand that overflows on the way is quoted as the batched run has it."""
+    program = JetProgram([parse_scalar_expression("log(-exp(x))", ("x",))], 1)
+    assert program.run([[800.0]]).errors == {0: (0, "log of non-positive value -inf")}
 
 
 def test_deep_trees_print_pickle_and_copy_without_recursing():

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from sympy import Rational as Q
 
+from jet_reference import jet_eval
 from oracles import _bracket, _to_array, sym_manifold
 
 from srclab.catalog import builtin, catalog_names
 from srclab.errors import DomainError, MetricNotSPD, SingularFrame, ValidationError
-from srclab.jets import Const, Coord, Mul, jet_eval
+from srclab.jets import Const, Coord, Mul
 from srclab.manifold import (ManifoldSpec, VectorFieldSpec, _frame_data, project_h,
                              sample_points, snapshot)
 from srclab.parser import parse_manifold
