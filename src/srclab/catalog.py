@@ -7,14 +7,14 @@ step-2 group that realize the hypotheses of the conditional checks exactly:
 ``alpha-zero`` has vanishing characteristic trace everywhere, ``proportional``
 has characteristic tensor equal to (alpha/ell) g everywhere).
 
-Annotations list the expected status of every check for every variant (and
-for no one-form) under any default-tolerance configuration: "pass", "skip"
-(rank obstruction) or "fail" (check C13's tabulated closed form is
-inconsistent, so it fails whenever pi is nonzero).
+``CatalogEntry.expected_status`` gives the expected status of every check for
+every variant (and for no one-form) under any default-tolerance
+configuration: "pass", "skip" (rank obstruction) or "fail" (check C13's
+tabulated closed form is inconsistent, so it fails whenever pi is nonzero).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .connections import OneFormData
@@ -134,7 +134,6 @@ class CatalogEntry:
     source: str
     pi_variants: tuple[PiVariant, ...]
     flags: frozenset = frozenset()
-    annotations: dict = field(default_factory=dict)   # variant name or "none" -> {id: status}
 
     @cached_property
     def spec(self) -> ManifoldSpec:
@@ -152,62 +151,45 @@ class CatalogEntry:
         return self.variant(variant_name).build(self.spec)
 
     def expected_status(self, variant_name: str | None, check_id: str) -> str:
-        return self.annotations[variant_name or "none"][check_id]
+        """The status the module docstring states; KeyError for an unknown variant or check id."""
+        check = {c.id: c for c in CHECKS}[check_id]
+        if variant_name and variant_name not in {v.name for v in self.pi_variants}:
+            raise KeyError(variant_name)
+        if self.spec.ell < check.required_rank:
+            return "skip"
+        return "fail" if check.id == "C13" and variant_name else "pass"
 
 
-def _annotate(ell: int, variant_names: tuple[str, ...]) -> dict:
-    """Expected status table: rank skips on ell=2; C13 fails for nonzero pi."""
-    table: dict = {}
-    for key in ("none",) + variant_names:
-        statuses = {}
-        for check in CHECKS:
-            if ell < check.meta.required_rank:
-                statuses[check.meta.id] = "skip"
-            elif check.meta.id == "C13" and key != "none":
-                statuses[check.meta.id] = "fail"
-            else:
-                statuses[check.meta.id] = "pass"
-        table[key] = statuses
-    return table
-
-
-def _entry(name, source, ell, variants, flags=()):
-    return CatalogEntry(name, source, variants, frozenset(flags),
-                        _annotate(ell, tuple(v.name for v in variants)))
-
-
-_CATALOG: dict[str, CatalogEntry] = {}
-for _e in (
-    _entry("heisenberg1", _H1_SOURCE, 2,
-           (PiVariant("const", ("1", "0")),
-            PiVariant("trig", ("sin(x)", "cos(y)"))),
-           flags=("carnot",)),
-    _entry("heisenberg2", _H2_SOURCE, 4,
-           (PiVariant("const", ("1", "0", "0", "0")),
-            PiVariant("linear", ("y1", "x1", "x2", "0")),
-            PiVariant("trig", ("sin(x1)", "cos(y1)", "sin(x2)", "cos(y2)"))),
-           flags=("carnot",)),
-    _entry("free-step2-l3", _FREE_SOURCE, 3,
-           (PiVariant("const", ("1", "0", "0")),
-            PiVariant("linear", ("x2", "x1", "x3")),
-            PiVariant("trig", ("sin(x1)", "cos(x2)", "sin(x3)")),
-            PiVariant("alpha-zero", ("2/(x1 + 4)", "0", "0")),
-            PiVariant("proportional", ("1/(4 - x1)", "0", "0"))),
-           flags=("carnot",)),
-    _entry("flat3", _FLAT3_SOURCE, 2,
-           (PiVariant("const", ("1", "0")),
-            PiVariant("linear", ("y", "x"))),
-           flags=("carnot",)),
-    _entry("curved-metric-l3", _CURVED_SOURCE, 3,
-           (PiVariant("const", ("1", "0", "0")),
-            PiVariant("linear", ("y", "x", "z")),
-            PiVariant("trig", ("sin(x)", "cos(y)", "sin(z)")))),
-    _entry("involutive-l3", _INVOLUTIVE_SOURCE, 3,
-           (PiVariant("const", ("1", "0", "0")),
-            PiVariant("linear", ("y", "x", "z")),
-            PiVariant("trig", ("sin(x)", "cos(y)", "sin(z)")))),
-):
-    _CATALOG[_e.name] = _e
+_CATALOG: dict[str, CatalogEntry] = {entry.name: entry for entry in (
+    CatalogEntry("heisenberg1", _H1_SOURCE,
+                 (PiVariant("const", ("1", "0")),
+                  PiVariant("trig", ("sin(x)", "cos(y)"))),
+                 flags=frozenset({"carnot"})),
+    CatalogEntry("heisenberg2", _H2_SOURCE,
+                 (PiVariant("const", ("1", "0", "0", "0")),
+                  PiVariant("linear", ("y1", "x1", "x2", "0")),
+                  PiVariant("trig", ("sin(x1)", "cos(y1)", "sin(x2)", "cos(y2)"))),
+                 flags=frozenset({"carnot"})),
+    CatalogEntry("free-step2-l3", _FREE_SOURCE,
+                 (PiVariant("const", ("1", "0", "0")),
+                  PiVariant("linear", ("x2", "x1", "x3")),
+                  PiVariant("trig", ("sin(x1)", "cos(x2)", "sin(x3)")),
+                  PiVariant("alpha-zero", ("2/(x1 + 4)", "0", "0")),
+                  PiVariant("proportional", ("1/(4 - x1)", "0", "0"))),
+                 flags=frozenset({"carnot"})),
+    CatalogEntry("flat3", _FLAT3_SOURCE,
+                 (PiVariant("const", ("1", "0")),
+                  PiVariant("linear", ("y", "x"))),
+                 flags=frozenset({"carnot"})),
+    CatalogEntry("curved-metric-l3", _CURVED_SOURCE,
+                 (PiVariant("const", ("1", "0", "0")),
+                  PiVariant("linear", ("y", "x", "z")),
+                  PiVariant("trig", ("sin(x)", "cos(y)", "sin(z)")))),
+    CatalogEntry("involutive-l3", _INVOLUTIVE_SOURCE,
+                 (PiVariant("const", ("1", "0", "0")),
+                  PiVariant("linear", ("y", "x", "z")),
+                  PiVariant("trig", ("sin(x)", "cos(y)", "sin(z)")))),
+)}
 
 
 def catalog_names() -> tuple[str, ...]:

@@ -22,7 +22,7 @@ from .connections import OneFormData
 from .curvature import TENSORS, Evaluation
 from .errors import DomainError, SrclabError, ValidationError
 from .parser import parse_manifold, parse_scalar_expression
-from .verifier import CHECKS, SuiteConfig, _quiet, run_suite
+from .verifier import CHECK_IDS, CHECKS, SuiteConfig, _quiet, run_suite
 
 
 @cache         # built once per process: argparse keeps no state between parse_args calls
@@ -61,12 +61,19 @@ def _build_argparser() -> argparse.ArgumentParser:
     return top
 
 
+def _read_text(path: str) -> str:
+    """A UTF-8 file's text; a ValidationError naming the first byte that is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+
+
 def _load_spec(args):
     if args.builtin:
         entry = builtin(args.builtin)
         return entry.spec, entry.flags
-    text = Path(args.spec).read_text(encoding="utf-8")
-    return parse_manifold(text), frozenset()
+    return parse_manifold(_read_text(args.spec)), frozenset()
 
 
 def _numbers(text: str, what: str) -> np.ndarray:
@@ -92,13 +99,15 @@ def _load_pi(arg: str | None, spec) -> OneFormData | None:
                 f"--pi const needs {spec.ell} components, got {len(values)}")
         return OneFormData.constant(values, spec.n)
     if arg.startswith("file:"):
-        lines = [ln.strip() for ln in
-                 Path(arg[len("file:"):]).read_text(encoding="utf-8").splitlines()
+        lines = [(line_no, ln) for line_no, ln in
+                 enumerate(_read_text(arg[len("file:"):]).splitlines(), start=1)
                  if ln.strip() and not ln.strip().startswith("#")]
         if len(lines) != spec.ell:
             raise ValidationError(
                 f"--pi file needs {spec.ell} expressions, got {len(lines)}")
-        exprs = tuple(parse_scalar_expression(ln, spec.coords) for ln in lines)
+        exprs = tuple(parse_scalar_expression(ln.strip(), spec.coords, line_no,
+                                              len(ln) - len(ln.lstrip()))
+                      for line_no, ln in lines)
         return OneFormData.from_expressions(exprs, spec.n)
     raise ValidationError("--pi must start with 'const:' or 'file:'")
 
@@ -151,10 +160,9 @@ def _cmd_catalog() -> int:
         spec = entry.spec
         variants = ", ".join(v.name for v in entry.pi_variants) or "-"
         flags = ", ".join(sorted(entry.flags)) or "-"
-        skips = sorted(cid for cid, status in entry.annotations["none"].items()
-                       if status == "skip")
-        fails = sorted({cid for table in entry.annotations.values()
-                        for cid, status in table.items() if status == "fail"})
+        skips = [cid for cid in CHECK_IDS if entry.expected_status(None, cid) == "skip"]
+        fails = [cid for cid in CHECK_IDS if any(entry.expected_status(v.name, cid) == "fail"
+                                                 for v in entry.pi_variants)]
         print(f"{name:18s} dim {spec.n}  hdim {spec.ell}  flags [{flags}]  "
               f"pi variants: {variants}")
         if skips:
@@ -166,16 +174,14 @@ def _cmd_catalog() -> int:
 
 def _cmd_checks() -> int:
     for check in CHECKS:
-        meta = check.meta
-        print(f"{meta.id}  rank>={meta.required_rank}  tol {meta.tolerance:.1e}  "
-              f"{meta.description}")
-        print(f"      {meta.paper_ref}")
+        print(f"{check.id}  rank>={check.required_rank}  tol {check.tolerance:.1e}  "
+              f"{check.description}")
+        print(f"      {check.paper_ref}")
     return 0
 
 
 def _cmd_parse(args) -> int:
-    text = Path(args.file).read_text(encoding="utf-8")
-    spec = parse_manifold(text)
+    spec = parse_manifold(_read_text(args.file))
     print(f"OK: {spec.name} (dim {spec.n}, hdim {spec.ell}, "
           f"oneform {'yes' if spec.oneform else 'no'})")
     return 0

@@ -129,7 +129,6 @@ def covariant_oneform(co: np.ndarray, pij: OneFormJets) -> np.ndarray:
 class ConnectionBatch:
     """A connection's coefficient jets on a stack of points, and their frame data."""
 
-    kind: str
     frame: FrameData
     jets: CoefficientJets
 
@@ -152,13 +151,9 @@ class ConnectionBatch:
 
 @dataclass(frozen=True, eq=False)
 class ConnectionField:
-    """A nonholonomic connection.
+    """A nonholonomic connection: the Koszul connection (metric, torsion-free)
+    when ``oneform`` is None, else the transformed connection D with one-form pi."""
 
-    kind 'subriemannian': the Koszul connection (metric, torsion-free).
-    kind 'semisubriemannian': the transformed connection D with one-form pi.
-    """
-
-    kind: str
     spec: ManifoldSpec
     oneform: OneFormData | None = None
 
@@ -177,7 +172,7 @@ class ConnectionField:
 
 def koszul_connection(spec: ManifoldSpec) -> ConnectionField:
     """The unique metric, torsion-free horizontal connection."""
-    return ConnectionField("subriemannian", spec)
+    return ConnectionField(spec)
 
 
 def semi_connection(spec: ManifoldSpec, pi: OneFormData) -> ConnectionField:
@@ -186,7 +181,7 @@ def semi_connection(spec: ManifoldSpec, pi: OneFormData) -> ConnectionField:
         raise DimensionMismatch(f"one-form needs {spec.ell} components, got {pi.ell}")
     if pi.n != spec.n:
         raise DimensionMismatch("one-form fields live on the wrong R^n")
-    return ConnectionField("semisubriemannian", spec, pi)
+    return ConnectionField(spec, pi)
 
 
 def torsion(conn: ConnectionField, point) -> np.ndarray:

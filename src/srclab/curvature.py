@@ -52,8 +52,6 @@ def _scalar(x, axes: int) -> np.ndarray:
 class CurvatureBundle:
     """Curvature data of one connection, at one point or on a stack of points."""
 
-    kind: str
-    point: np.ndarray
     curv: np.ndarray       # (ell,)*4, index order [i][j][k][h]
     ricci: np.ndarray      # (ell, ell): curv[i, e, k, e]
     scalar: float          # g^{ik} ricci[i, k]
@@ -67,7 +65,7 @@ class CurvatureBundle:
     ).max(axis=(-4, -3, -2, -1)))
 
     def second_contraction(self) -> np.ndarray:
-        """ric2[i, k] = curv[i, k, e, e]; antisymmetric only for torsion-free kinds."""
+        """ric2[i, k] = curv[i, k, e, e]; antisymmetric only for torsion-free connections."""
         return np.trace(self.curv, axis1=-2, axis2=-1)
 
 
@@ -92,7 +90,7 @@ def curvature_bundle(cb: ConnectionBatch, raw: np.ndarray) -> CurvatureBundle:
     _mirror_pair_antisym(curv)
     ricci = np.trace(curv, axis1=2, axis2=4)
     scalar = (frame.ginv * ricci).sum(axis=(1, 2))
-    return CurvatureBundle(cb.kind, frame.point, curv, ricci, scalar, frame.gv, frame.ginv)
+    return CurvatureBundle(curv, ricci, scalar, frame.gv, frame.ginv)
 
 
 def schouten_curvature(conn: ConnectionField, point) -> CurvatureBundle:
@@ -278,9 +276,8 @@ class Evaluation:
 
     frame = cached_property(lambda ev: _frame_data(ev.spec, ev.points))
     pij = cached_property(lambda ev: ev.pi.batch(ev.points, ev.frame.Ev[:, :, :ev.ell]))
-    nab = cached_property(lambda ev: ConnectionBatch("subriemannian", ev.frame, ev.frame.koszul))
-    D = cached_property(lambda ev: ConnectionBatch("semisubriemannian", ev.frame,
-                                                   semi_jets(ev.frame, ev.pij)))
+    nab = cached_property(lambda ev: ConnectionBatch(ev.frame, ev.frame.koszul))
+    D = cached_property(lambda ev: ConnectionBatch(ev.frame, semi_jets(ev.frame, ev.pij)))
     rawK = cached_property(lambda ev: curvature_raw(ev.nab))
     rawR = cached_property(lambda ev: curvature_raw(ev.D))
     Kb = cached_property(lambda ev: curvature_bundle(ev.nab, ev.rawK))

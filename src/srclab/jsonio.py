@@ -18,15 +18,15 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def dumps(obj, indent: int = 2) -> str:
+def dumps(obj) -> str:
     out: list[str] = []
-    _write(obj, out, indent, 0)
+    _write(obj, out, 0)
     return "".join(out) + "\n"
 
 
-def _write(obj, out, indent, level):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _write(obj, out, level):
+    pad = "  " * level
+    pad_in = "  " * (level + 1)
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -44,7 +44,7 @@ def _write(obj, out, indent, level):
         out.append("{\n")
         for idx, (key, value) in enumerate(obj.items()):
             out.append(f"{pad_in}{json.dumps(str(key))}: ")
-            _write(value, out, indent, level + 1)
+            _write(value, out, level + 1)
             out.append(",\n" if idx < len(obj) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -54,7 +54,7 @@ def _write(obj, out, indent, level):
         out.append("[\n")
         for idx, value in enumerate(obj):
             out.append(pad_in)
-            _write(value, out, indent, level + 1)
+            _write(value, out, level + 1)
             out.append(",\n" if idx < len(obj) - 1 else "\n")
         out.append(pad + "]")
     else:

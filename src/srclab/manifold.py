@@ -74,6 +74,18 @@ class VectorFieldSpec:
         return len(self.components)
 
 
+def check_coordinates(coords: tuple[str, ...], line: int | None = None) -> None:
+    """Raise at ``line`` unless the names are distinct identifiers, none a frame token d<name>."""
+    if len(set(coords)) != len(coords):
+        raise ValidationError("coordinate names must be distinct", line)
+    for c in coords:
+        if not c.isidentifier():
+            raise ValidationError(f"coordinate name {c!r} is not an identifier", line)
+        if c[0] == "d" and c[1:] in coords:
+            raise ValidationError(
+                f"coordinate {c!r} is ambiguous with the frame token d{c[1:]}", line)
+
+
 @dataclass(frozen=True)
 class ManifoldSpec:
     """Immutable description of (M, V0, g) on a single global chart.
@@ -90,7 +102,6 @@ class ManifoldSpec:
     vframe: tuple[VectorFieldSpec, ...]
     metric: tuple[tuple[Expression, ...], ...]
     oneform: tuple[Expression, ...] | None = None
-    box: tuple[tuple[float, float], ...] | None = None
 
     @property
     def n(self) -> int:
@@ -100,14 +111,7 @@ class ManifoldSpec:
         n, ell = self.n, self.ell
         if not 2 <= ell < n:
             raise ValidationError(f"need 2 <= hdim < dim, got hdim={ell}, dim={n}")
-        if len(set(self.coords)) != n:
-            raise ValidationError("coordinate names must be distinct")
-        for c in self.coords:
-            if not c.isidentifier():
-                raise ValidationError(f"coordinate name {c!r} is not an identifier")
-            if c[0] == "d" and c[1:] in self.coords:
-                raise ValidationError(
-                    f"coordinate {c!r} is ambiguous with the frame token d{c[1:]}")
+        check_coordinates(self.coords)
         if len(self.hframe) != ell:
             raise ValidationError(f"expected {ell} horizontal fields, got {len(self.hframe)}")
         if len(self.vframe) != n - ell:
@@ -123,12 +127,6 @@ class ManifoldSpec:
                     raise ValidationError(f"metric entry ({i},{j}) is not symmetric")
         if self.oneform is not None and len(self.oneform) != ell:
             raise ValidationError("oneform needs hdim components")
-        if self.box is not None:
-            if len(self.box) != n:
-                raise ValidationError("sampling box needs one (lo, hi) pair per coordinate")
-            for lo, hi in self.box:
-                if not lo < hi:
-                    raise ValidationError("sampling box bounds must satisfy lo < hi")
         top = max(coordinate_indices(*self._all_expressions()), default=-1)
         if top >= n:
             raise ValidationError(f"expression uses coordinate index {top} >= dim {n}")
@@ -151,18 +149,14 @@ class ManifoldSpec:
         hessians = [*range(self.ell * self.n), *range(len(frame), len(frame) + len(metric))]
         return JetProgram(frame + metric, self.n, hessians, hdim=self.ell)
 
-    def sample_box(self) -> np.ndarray:
-        if self.box is None:
-            return np.array([DEFAULT_BOX] * self.n)
-        return np.asarray(self.box, dtype=float)
-
 
 def sample_points(spec: ManifoldSpec, count: int, seed: int) -> np.ndarray:
-    """Seeded uniform samples; a longer run extends a shorter one point-for-point."""
+    """Seeded uniform samples in DEFAULT_BOX on every coordinate; a longer run
+    extends a shorter one point-for-point."""
     rng = np.random.default_rng(seed)
     u = rng.uniform(size=(count, spec.n))
-    box = spec.sample_box()
-    return box[:, 0] + u * (box[:, 1] - box[:, 0])
+    lo, hi = DEFAULT_BOX
+    return lo + u * (hi - lo)
 
 
 # --------------------------------------------------------------------------
@@ -203,7 +197,6 @@ class FrameData:
     meaningless (``Ev`` is the identity where the frame fails, a finite basis
     everywhere); ``warnings`` maps a usable point to its condition-number warning."""
 
-    point: np.ndarray
     Ev: np.ndarray
     Einv: np.ndarray
     gv: np.ndarray
@@ -367,7 +360,7 @@ def _frame_data(spec: ManifoldSpec, points) -> FrameData:
 
     warnings = {i: f"frame condition number {cond[i]:.3e} at {pts[i].tolist()}"
                 for i in map(int, np.flatnonzero(cond > CONDITION_WARN)) if i not in errors}
-    return FrameData(pts, Ev, Einv, gv, gg, ginv, ginv_g, Om, Om_g, Mc, Lam, fdg, fdg_g,
+    return FrameData(Ev, Einv, gv, gg, ginv, ginv_g, Om, Om_g, Mc, Lam, fdg, fdg_g,
                      errors, warnings)
 
 
@@ -380,8 +373,8 @@ def snapshot(spec: ManifoldSpec, point) -> FrameSnapshot:
     f = _frame_data(spec, np.asarray(point)[None])
     if f.errors:
         raise f.errors[0]
-    return FrameSnapshot(f.point[0], f.Ev[0], f.Einv[0], f.gv[0], f.ginv[0], f.Om[0], f.Mc[0],
-                         f.Lam[0])
+    return FrameSnapshot(np.asarray(point, dtype=float), f.Ev[0], f.Einv[0], f.gv[0],
+                         f.ginv[0], f.Om[0], f.Mc[0], f.Lam[0])
 
 
 def project_h(spec: ManifoldSpec, point, v) -> np.ndarray:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from .errors import ParseError, ValidationError
 from .jets import (Add, Call, Const, Coord, Div, Expression, Mul, Neg, Pow,
                    Sub, FUNCTIONS)
-from .manifold import ManifoldSpec, VectorFieldSpec
+from .manifold import ManifoldSpec, VectorFieldSpec, check_coordinates
 
 MAX_EXPONENT = 2 ** 53      # the largest magnitude up to which every integer is a float
 
@@ -252,11 +252,9 @@ def _scalar(parser: _ExprParser) -> Expression:
 
 @dataclass(frozen=True)
 class SpecDocument:
-    """Parsed manifold source with its text and declaration line map."""
+    """Parsed manifold source: the spec and the names of its frame fields."""
 
-    raw: str
     spec: ManifoldSpec
-    locations: dict
     hframe_names: tuple[str, ...]
     vframe_names: tuple[str, ...]
 
@@ -356,47 +354,40 @@ def _split_entries(body: str, start: int, line_no: int, expected: int, what: str
 def parse_document(text: str) -> SpecDocument:
     """Parse manifold source text into a SpecDocument (grammar in module docstring)."""
     lines = _Lines(text)
-    locations: dict = {}
 
     line_no, name = _keyword_line(lines, "manifold")
     if not name:
         raise ParseError("manifold needs a name", line_no, len("manifold") + 1)
-    locations["manifold"] = line_no
 
     line_no, rest = _keyword_line(lines, "dim")
     n = _parse_int(rest, "dim", line_no)
-    locations["dim"] = line_no
 
     line_no, rest = _keyword_line(lines, "hdim")
     ell = _parse_int(rest, "hdim", line_no)
-    locations["hdim"] = line_no
     if not 2 <= ell < n:
         raise ValidationError(f"need 2 <= hdim < dim, got hdim={ell}, dim={n}", line_no)
 
     line_no, rest = _keyword_line(lines, "coords")
     coords = tuple(rest.split())
-    locations["coords"] = line_no
     if len(coords) != n:
         raise ValidationError(f"coords lists {len(coords)} names, expected {n}", line_no)
+    check_coordinates(coords, line_no)
 
     line_no, rest = _keyword_line(lines, "hframe")
     if rest:
         raise ParseError("hframe keyword takes no arguments", line_no, 1)
-    locations["hframe"] = line_no
     nodes: dict = {}        # one hash-consing table for the whole document
     hnames, hframe = _frame_block(lines, ell, coords, n, "hframe", line_no, nodes)
 
     line_no, rest = _keyword_line(lines, "vframe")
-    locations["vframe"] = line_no
     vnames, vframe = _frame_block(lines, n - ell, coords, n, "vframe", line_no, nodes)
 
     line_no, rest = _keyword_line(lines, "metric")
-    locations["metric"] = line_no
     if rest == "identity":
         metric = tuple(tuple(Const(1.0) if i == j else Const(0.0) for j in range(ell))
                        for i in range(ell))
     elif rest == "rows":
-        rows = []
+        rows, row_lines = [], []
         for i in range(ell):
             row_line, body = lines.next()
             stripped = body.strip()
@@ -407,14 +398,14 @@ def parse_document(text: str) -> SpecDocument:
                                    f"metric row {i + 1}")
             rows.append(tuple(_scalar(_ExprParser(_tokenize(part, row_line, offset), coords, nodes))
                               for part, offset in parts))
-            locations[f"metric[{i}]"] = row_line
+            row_lines.append(row_line)
         metric = tuple(rows)
         for i in range(ell):
             for j in range(i):
                 if metric[i][j] != metric[j][i]:
                     raise ValidationError(
                         f"metric entry ({i + 1},{j + 1}) is not symmetric",
-                        locations[f"metric[{i}]"])
+                        row_lines[i])
     else:
         raise ParseError("expected 'identity' or 'rows' after metric", line_no,
                          len("metric") + 2)
@@ -423,7 +414,6 @@ def parse_document(text: str) -> SpecDocument:
     item = lines.peek()
     if item is not None:
         line_no, rest = _keyword_line(lines, "oneform")
-        locations["oneform"] = line_no
         parts = _split_entries(rest, len(item[1]) - len(rest), line_no, ell, "oneform")
         oneform = tuple(_scalar(_ExprParser(_tokenize(part, line_no, offset), coords, nodes))
                         for part, offset in parts)
@@ -432,7 +422,7 @@ def parse_document(text: str) -> SpecDocument:
             raise ParseError(f"unexpected content {body.strip()!r}", extra_line, 1)
 
     spec = ManifoldSpec(name, coords, ell, hframe, vframe, metric, oneform)
-    return SpecDocument(text, spec, locations, hnames, vnames)
+    return SpecDocument(spec, hnames, vnames)
 
 
 def parse_manifold(text: str) -> ManifoldSpec:

@@ -51,6 +51,8 @@ from .manifold import (FRAME_CHUNK, PASS_ENTRIES, ManifoldSpec, contract, entrie
 
 QUALIFIER_TOL = 1e-12     # hypothesis detection (alpha = 0, proportionality, M = 0)
 HYPOTHESIS_REL = 1e-9     # "R vanishes" / "R equals K" qualifiers
+GROUP_TOL = 1e-10         # check_group_manifold: largest curvature and torsion derivative
+FLATNESS_TOL = 1e-9       # check_flatness_criterion: "zero" and "matches" per point
 
 
 @dataclass(frozen=True)
@@ -63,16 +65,6 @@ class SuiteConfig:
     def __post_init__(self):
         if self.points < 1:
             raise ValidationError(f"need at least 1 sample point, got {self.points}")
-
-
-@dataclass(frozen=True)
-class CheckSpec:
-    id: str
-    description: str
-    paper_ref: str
-    required_rank: int = 2
-    needs_pi: bool = False
-    tolerance: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -100,7 +92,6 @@ class Report:
     points: int
     checks: tuple[CheckRecord, ...]
     warnings: tuple[str, ...]
-    jet_order: int = 2
 
     def passed(self) -> bool:
         return all(r.passed or r.skipped for r in self.checks)
@@ -117,7 +108,7 @@ class Report:
             "manifold": self.manifold,
             "seed": self.seed,
             "points": self.points,
-            "jet_order": self.jet_order,
+            "jet_order": 2,             # the order of the jets every tensor is built from
             "checks": [
                 {
                     "id": r.id,
@@ -355,90 +346,94 @@ def _c18(ev):
 
 
 @dataclass(frozen=True)
-class _Check:
-    meta: CheckSpec
-    fn: object
+class CheckSpec:
+    id: str
+    description: str
+    paper_ref: str
+    fn: object          # _Pass -> per point (abs, denom[, qualifies])
     reads: tuple[str, ...] = FRAME      # layers whose errors fail the check, first first
+    required_rank: int = 2
+    tolerance: float = 1e-9
 
 
-CHECKS: tuple[_Check, ...] = (
-    _Check(CheckSpec(
+CHECKS: tuple[CheckSpec, ...] = (
+    CheckSpec(
         "C01", "metric compatibility of the torsion-free horizontal connection",
-        "e_k(g_ij) = {_ki^e} g_ej + {_kj^e} g_ie"), _c01),
-    _Check(CheckSpec(
+        "e_k(g_ij) = {_ki^e} g_ej + {_kj^e} g_ie", _c01),
+    CheckSpec(
         "C02", "vanishing torsion of the horizontal connection",
-        "{_ij^k} - {_ji^k} = Omega_ij^k", tolerance=1e-10), _c02),
-    _Check(CheckSpec(
+        "{_ij^k} - {_ji^k} = Omega_ij^k", _c02, tolerance=1e-10),
+    CheckSpec(
         "C03", "metric compatibility of the semi-symmetric connection",
-        "e_k(g_ij) = Gamma_ki^e g_ej + Gamma_kj^e g_ie", needs_pi=True), _c03, FRAME_PI),
-    _Check(CheckSpec(
+        "e_k(g_ij) = Gamma_ki^e g_ej + Gamma_kj^e g_ie", _c03, FRAME_PI),
+    CheckSpec(
         "C04", "semi-symmetric form of the transformed torsion",
         "T_ij^k = delta_i^k pi_j - delta_j^k pi_i (corrected reading of the "
         "defining display, forced by the transformation rule)",
-        needs_pi=True, tolerance=1e-10), _c04, PI_FRAME),
-    _Check(CheckSpec(
+        _c04, PI_FRAME, tolerance=1e-10),
+    CheckSpec(
         "C05", "curvature antisymmetry in the first index pair, recomputed unmirrored",
-        "K^h_ijk = -K^h_jik and R^h_ijk = -R^h_jik", tolerance=1e-10), _c05, FRAME_PI),
-    _Check(CheckSpec(
+        "K^h_ijk = -K^h_jik and R^h_ijk = -R^h_jik", _c05, FRAME_PI, tolerance=1e-10),
+    CheckSpec(
         "C06", "first Bianchi identity of the horizontal connection, mixed and lowered",
-        "K^h_ijk + K^h_jki + K^h_kij = 0;  K(X,Y,Z,W) + K(Y,Z,X,W) + K(Z,X,Y,W) = 0"),
+        "K^h_ijk + K^h_jki + K^h_kij = 0;  K(X,Y,Z,W) + K(Y,Z,X,W) + K(Z,X,Y,W) = 0",
         _c06),
-    _Check(CheckSpec(
+    CheckSpec(
         "C07", "third-slot trace: antisymmetry and contraction identity",
-        "K^e_kie = K^e_kei - K^e_iek;  K^e_kie + K^e_ike = 0"), _c07),
-    _Check(CheckSpec(
+        "K^e_kie = K^e_kei - K^e_iek;  K^e_kie + K^e_ike = 0", _c07),
+    CheckSpec(
         "C08", "pair antisymmetry of the lowered curvature on involutive horizontal bundles",
-        "K(X,Y,Z,W) = -K(X,Y,W,Z) when the vertical bracket part M vanishes"), _c08),
-    _Check(CheckSpec(
+        "K(X,Y,Z,W) = -K(X,Y,W,Z) when the vertical bracket part M vanishes", _c08),
+    CheckSpec(
         "C09", "curvature change under the semi-symmetric transformation",
         "R^h_ijk = K^h_ijk + delta_j^h pi_ik - delta_i^h pi_jk + pi_j^h g_ik - pi_i^h g_jk",
-        needs_pi=True), _c09, FRAME_PI),
-    _Check(CheckSpec(
+        _c09, FRAME_PI),
+    CheckSpec(
         "C10", "Ricci-trace change under the transformation",
-        "R^e_iek = K^e_iek + (ell-2) pi_ik + alpha g_ik", needs_pi=True), _c10, FRAME_PI),
-    _Check(CheckSpec(
+        "R^e_iek = K^e_iek + (ell-2) pi_ik + alpha g_ik", _c10, FRAME_PI),
+    CheckSpec(
         "C11", "scalar-curvature change under the transformation",
-        "R = K + 2(ell-1) alpha", needs_pi=True), _c11, FRAME_PI),
-    _Check(CheckSpec(
+        "R = K + 2(ell-1) alpha", _c11, FRAME_PI),
+    CheckSpec(
         "C12", "invariance of the S-tensor under the transformation",
         "S^h_ijk built from either connection agrees (curv - Ricci/scalar combination)",
-        required_rank=3, needs_pi=True), _c12, FRAME_PI),
-    _Check(CheckSpec(
+        _c12, FRAME_PI, required_rank=3),
+    CheckSpec(
         "C13", "tabulated closed form for the conformal-tensor change "
         "(inconsistent with the definitional displays: the measured change is zero, "
         "so this check fails whenever the one-form is nonzero)",
         "Cbar - C = -(1/ell)(delta_j^h pi_ik - delta_i^h pi_jk + g_ik pi_j^h - g_jk pi_i^h) "
         "- 2 alpha/(ell(ell-2)) (delta_j^h g_ik - delta_i^h g_jk) "
         "- ((ell-2)/ell) delta_k^h pi_ij - (alpha/ell) delta_k^h g_ij",
-        required_rank=3, needs_pi=True), _c13, FRAME_PI),
-    _Check(CheckSpec(
+        _c13, FRAME_PI, required_rank=3),
+    CheckSpec(
         "C14", "closed form for the projective-tensor change",
         "Wbar - W = (1/(ell-1))(delta_j^h pi_ik - delta_i^h pi_jk) "
         "+ (g_ik pi_j^h - g_jk pi_i^h) - alpha/(ell-1)(delta_j^h g_ik - delta_i^h g_jk)",
-        needs_pi=True), _c14, FRAME_PI),
-    _Check(CheckSpec(
+        _c14, FRAME_PI),
+    CheckSpec(
         "C15", "equal conformal tensors where the characteristic trace vanishes",
-        "alpha = 0  =>  Cbar = C", required_rank=3, needs_pi=True), _c15, FRAME_PI),
-    _Check(CheckSpec(
+        "alpha = 0  =>  Cbar = C", _c15, FRAME_PI, required_rank=3),
+    CheckSpec(
         "C16", "equal projective tensors where the characteristic tensor is "
         "metric-proportional",
-        "pi_ik = (alpha/ell) g_ik  =>  Wbar = W", needs_pi=True), _c16, FRAME_PI),
-    _Check(CheckSpec(
+        "pi_ik = (alpha/ell) g_ik  =>  Wbar = W", _c16, FRAME_PI),
+    CheckSpec(
         "C17", "flatness consequences: equal curvatures force alpha = 0; a flat "
         "transformed connection forces S = 0 and pins the characteristic tensor",
         "R^h_ijk = K^h_ijk => alpha = 0;  R^h_ijk = 0 => S^h_ijk = 0 and "
         "pi_ik = (1/(2-ell))(K^e_iek - K g_ik / (2(ell-1)))",
-        needs_pi=True, tolerance=1e-8), _c17, FRAME_PI),
-    _Check(CheckSpec(
+        _c17, FRAME_PI, tolerance=1e-8),
+    CheckSpec(
         "C18", "parallel torsion and group-manifold consequences",
         "(D_i T)_jk^h = (D_i pi_k) delta_j^h - (D_i pi_j) delta_k^h;  flat D with "
         "parallel torsion => pi_ij = -(1/2) g_ij pi_e pi^e, "
         "K^h_ijk = pi_e pi^e (delta_j^h g_ik - delta_i^h g_jk), W = 0;  "
         "on flagged left-invariant graded frames K = 0 and (nabla T) = 0",
-        needs_pi=True), _c18, FRAME_PI),
+        _c18, FRAME_PI),
 )
 
-CHECK_IDS = tuple(c.meta.id for c in CHECKS)
+CHECK_IDS = tuple(c.id for c in CHECKS)
 
 
 class _Table:
@@ -481,7 +476,7 @@ def run_suite(spec: ManifoldSpec, pi: OneFormData | None = None,
     suite.
     """
     config = config or SuiteConfig()
-    active = [check for check in CHECKS if spec.ell >= check.meta.required_rank]
+    active = [check for check in CHECKS if spec.ell >= check.required_rank]
     table, warnings = _Table(active, spec.n), []
     with _quiet():
         for ev in _passes(spec, pi, config):
@@ -490,17 +485,16 @@ def run_suite(spec: ManifoldSpec, pi: OneFormData | None = None,
 
     records, rows = [], iter(range(len(active)))
     for check in CHECKS:
-        meta = check.meta
-        tol = config.tol if config.tol is not None else meta.tolerance
-        if spec.ell < meta.required_rank:
+        tol = config.tol if config.tol is not None else check.tolerance
+        if spec.ell < check.required_rank:
             fields = (0.0, 0.0, 0, tol, False, "RankTooSmall")
         elif table.error[c := next(rows)] is not None:
-            warnings.append(f"{meta.id}: {table.error[c]}")
+            warnings.append(f"{check.id}: {table.error[c]}")
             fields = (float("inf"), float("inf"), int(table.count[c]), tol, False)
         else:
             max_rel = max(float(table.max_rel[c]), 0.0)
             fields = (float(table.max_abs[c]), max_rel, int(table.count[c]), tol, max_rel <= tol)
-        records.append(CheckRecord(meta.id, meta.description, meta.paper_ref, *fields,
+        records.append(CheckRecord(check.id, check.description, check.paper_ref, *fields,
                                    worst_point=tuple(table.worst[c]) if fields[2] else None))
     return Report(spec.name, config.seed, config.points, tuple(records), tuple(warnings))
 
@@ -528,8 +522,7 @@ class GroupManifoldResult:
 
 
 def check_group_manifold(spec: ManifoldSpec, pi: OneFormData | None = None,
-                         config: SuiteConfig | None = None,
-                         tolerance: float = 1e-10) -> GroupManifoldResult:
+                         config: SuiteConfig | None = None) -> GroupManifoldResult:
     """Vanishing curvature and parallel torsion for the designated connection.
 
     pi absent designates the Koszul connection, otherwise the transformed one.
@@ -555,7 +548,7 @@ def check_group_manifold(spec: ManifoldSpec, pi: OneFormData | None = None,
                 "points": config.points, "errors": errors}
     if errors:
         return GroupManifoldResult("inconclusive", evidence)
-    if max(max_curv, max_dt) <= tolerance:
+    if max(max_curv, max_dt) <= GROUP_TOL:
         return GroupManifoldResult("holds at samples", evidence)
     return GroupManifoldResult("fails", evidence)
 
@@ -568,8 +561,7 @@ class FlatnessResult:
 
 
 def check_flatness_criterion(spec: ManifoldSpec, pi: OneFormData | None = None,
-                             config: SuiteConfig | None = None,
-                             tolerance: float = 1e-9) -> FlatnessResult:
+                             config: SuiteConfig | None = None) -> FlatnessResult:
     """Per point: is R zero, is S zero, does pi_ik match the forced form;
     the verdict asserts R_zero => (S_zero and pi_matches) at every sample.
 
@@ -590,7 +582,7 @@ def check_flatness_criterion(spec: ManifoldSpec, pi: OneFormData | None = None,
             messages, good = _point_errors(ev, FRAME_PI, np.isfinite(r + s + k + d + w),
                                            "curvature or characteristic tensor")
             errors += messages
-            rows += [(bool(r[i] <= tolerance), bool(s[i] <= tolerance * max(1.0, k[i])),
-                      bool(d[i] <= tolerance * max(1.0, w[i]))) for i in np.flatnonzero(good)]
+            rows += [(bool(r[i] <= FLATNESS_TOL), bool(s[i] <= FLATNESS_TOL * max(1.0, k[i])),
+                      bool(d[i] <= FLATNESS_TOL * max(1.0, w[i]))) for i in np.flatnonzero(good)]
     holds = not errors and all(s and m for r, s, m in rows if r)
     return FlatnessResult(tuple(rows), holds, tuple(errors))

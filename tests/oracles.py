@@ -275,20 +275,31 @@ def _to_array(obj, subs):
     return ev(obj)
 
 
+def _at(obj, subs):
+    """Nested lists of expressions with the point substituted: exact values."""
+    if isinstance(obj, list):
+        return [_at(o, subs) for o in obj]
+    return sp.sympify(obj).subs(subs)
+
+
 @lru_cache(maxsize=None)
 def oracle_eval(name: str, variant: str | None, point: tuple):
-    """Every tensor of interest at an exact rational point, as float arrays."""
+    """Every tensor of interest at an exact rational point, as float arrays.
+
+    The point goes into the curvature tensors, the characteristic tensor and
+    the metric before they are contracted, so the contractions and W, S and C
+    are built from exact values rather than from ever larger expressions."""
     m = sym_manifold(name)
     ell = m.ell
     pi = sym_pi(name, variant) if variant else [sp.Integer(0)] * ell
     subs = dict(zip(m.coords, [Q(p) if not isinstance(p, Q) else p for p in point]))
 
     gamma, piu = m.gamma(pi)
-    K = m.curvature(m.coeff)
-    R = m.curvature(gamma)
-    ricK, ric2K, scalK = _contract(K, m.ginv, ell)
-    ricR, ric2R, scalR = _contract(R, m.ginv, ell)
     plo, pmix, alpha = m.characteristic(pi, piu)
+    K, R, plo = (_at(T, subs) for T in (m.curvature(m.coeff), m.curvature(gamma), plo))
+    g, ginv = m.metric.subs(subs), m.ginv.subs(subs)
+    ricK, ric2K, scalK = _contract(K, ginv, ell)
+    ricR, ric2R, scalR = _contract(R, ginv, ell)
 
     out = {
         "coeff": m.coeff, "Gamma": gamma, "Om": m.Om, "Mc": m.Mc, "Lam": m.Lam,
@@ -297,8 +308,8 @@ def oracle_eval(name: str, variant: str | None, point: tuple):
         "W": _w_tensor(K, ricK, ell), "Wbar": _w_tensor(R, ricR, ell),
     }
     if ell >= 3:
-        out["S"] = _s_tensor(K, ricK, scalK, m.metric, m.ginv, ell)
-        out["Sbar"] = _s_tensor(R, ricR, scalR, m.metric, m.ginv, ell)
-        out["C"] = _c_tensor(K, ricK, ric2K, scalK, m.metric, m.ginv, ell)
-        out["Cbar"] = _c_tensor(R, ricR, ric2R, scalR, m.metric, m.ginv, ell)
+        out["S"] = _s_tensor(K, ricK, scalK, g, ginv, ell)
+        out["Sbar"] = _s_tensor(R, ricR, scalR, g, ginv, ell)
+        out["C"] = _c_tensor(K, ricK, ric2K, scalK, g, ginv, ell)
+        out["Cbar"] = _c_tensor(R, ricR, ric2R, scalR, g, ginv, ell)
     return {key: _to_array(val, subs) for key, val in out.items()}

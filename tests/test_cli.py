@@ -385,6 +385,27 @@ def test_domain_errors_quote_operands_beyond_float_range(tmp_path, capsys, compo
     assert capsys.readouterr().err == err
 
 
+@pytest.mark.parametrize("text,err", [
+    ("# one-form\n1\n\nx + $\n", "error: line 4, col 5: unexpected character '$'\n"),
+    ("1\n  x +\n", "error: line 2, col 6: expected a number, name or '(', "
+                   "found end of input\n"),
+])
+def test_pi_file_errors_name_the_file_line_and_column(tmp_path, capsys, text, err):
+    pi = tmp_path / "pi.txt"
+    pi.write_text(text, encoding="utf-8")
+    assert cli_main(["verify", "--builtin", "flat3", "--pi", f"file:{pi}"]) == 2
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("argv", [["parse", "{}"], ["verify", "--spec", "{}"],
+                                  ["verify", "--builtin", "flat3", "--pi", "file:{}"]])
+def test_non_utf8_files_exit_two(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"manifold m\xff\n")
+    assert cli_main([arg.format(bad) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text at byte 10\n"
+
+
 def test_eval_prints_no_numpy_warnings(tmp_path, capsys):
     """A tensor that overflows at a huge point is reported by the error line
     alone: eval runs under the suite's floating-point error state."""

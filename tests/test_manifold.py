@@ -259,10 +259,6 @@ def test_sample_points_prefix_stable_and_boxed():
     b = sample_points(spec, 25, 7)
     assert (a == b[:10]).all()
     assert (np.abs(b) <= 1.0).all()
-    boxed = ManifoldSpec("boxed", spec.coords, spec.ell, spec.hframe, spec.vframe,
-                         spec.metric, box=(((0.5, 1.0),) * 5))
-    pts = sample_points(boxed, 50, 3)
-    assert (pts >= 0.5).all() and (pts <= 1.0).all()
 
 
 def test_gram_matrix_spd_on_catalog():

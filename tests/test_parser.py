@@ -243,6 +243,12 @@ LOCATED_ERRORS = [
      ParseError, "exponent 9^387420489 exceeds 9007199254740992 in magnitude", 11, 11),
     (_PRE + _FRAME + "metric rows\n  1   x$\n  0 1\n",
      ParseError, "unexpected character '$'", 11, 8),
+    (_PRE.replace("x y z", "x x z") + _FRAME + "metric identity\n",
+     ValidationError, "coordinate names must be distinct", 4, None),
+    (_PRE.replace("x y z", "x 1y z") + _FRAME + "metric identity\n",
+     ValidationError, "coordinate name '1y' is not an identifier", 4, None),
+    (_PRE.replace("x y z", "x dx z") + _FRAME + "metric identity\n",
+     ValidationError, "coordinate 'dx' is ambiguous with the frame token dx", 4, None),
 ]
 
 

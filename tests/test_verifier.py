@@ -27,9 +27,9 @@ def test_check_table_shape():
     assert CHECK_IDS == tuple(f"C{i:02d}" for i in range(1, 19))
     assert len(set(CHECK_IDS)) == 18
     for check in CHECKS:
-        assert check.meta.tolerance > 0
-        assert check.meta.description
-        assert check.meta.paper_ref
+        assert check.tolerance > 0
+        assert check.description
+        assert check.paper_ref
 
 
 def test_heisenberg1_suite():
@@ -302,7 +302,7 @@ metric identity
 
 
 def test_check_provenance_strings_unique():
-    refs = [c.meta.paper_ref for c in CHECKS]
+    refs = [c.paper_ref for c in CHECKS]
     assert len(set(refs)) == len(refs)
 
 
@@ -609,12 +609,12 @@ def test_worst_point_is_the_argmax_sample_point():
         pi = entry.oneform(variant)
         config = SuiteConfig(points=100, seed=4, flags=entry.flags)
         report = run_suite(entry.spec, pi, config)
-        rel = {check.meta.id: [] for check in CHECKS}
+        rel = {check.id: [] for check in CHECKS}
         for ev in _passes(entry.spec, pi, config):
             for check in CHECKS:
-                if entry.spec.ell >= check.meta.required_rank:
+                if entry.spec.ell >= check.required_rank:
                     abs_res, denom, *qualifies = check.fn(ev)
-                    rel[check.meta.id] += np.where(*qualifies, abs_res / denom, -1.0).tolist() \
+                    rel[check.id] += np.where(*qualifies, abs_res / denom, -1.0).tolist() \
                         if qualifies else (abs_res / denom).tolist()
         points = sample_points(entry.spec, 100, 4)
         for r in report.checks:
