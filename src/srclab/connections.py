@@ -17,7 +17,7 @@ Coefficients are tensors with their derivatives along the horizontal
 frame, the only ones curvature reads.  They are evaluated on a stack of
 points at once: a :class:`ConnectionBatch` holds a connection's coefficient
 jets with a leading point axis, built from one :class:`~srclab.manifold.FrameData`
-(whose Koszul jets both connections share) and, for the transformed
+(the Koszul jets, which the transformed connection adds to) and, for the transformed
 connection, the one-form's jets on the same points; an
 :class:`~srclab.curvature.Evaluation` builds both as layers.  A one-form's
 components are expressions, compiled once into a
@@ -100,7 +100,23 @@ class OneFormData:
         return OneFormJets(run.values, run.grads, errors)
 
 
-def semi_jets(frame: FrameData, pij: OneFormJets) -> CoefficientJets:
+def koszul_jets(frame: FrameData) -> CoefficientJets:
+    """Koszul coefficients and their derivatives on the points of ``frame``."""
+    fdg, fdg_g, gv, gg, Om, Om_g = frame.fdg, frame.fdg_g, frame.gv, frame.gg, frame.Om, frame.Om_g
+    OG = contract(Om, gv)                              # Omega_ij^e g_ek
+    OG_g = (contract(Om_g.transpose(0, 1, 2, 4, 3), gv).transpose(0, 1, 2, 4, 3)
+            + contract(Om, gg))
+    B = (fdg + fdg.transpose(0, 2, 1, 3) - fdg.transpose(0, 3, 2, 1)
+         + OG - OG.transpose(0, 1, 3, 2) - OG.transpose(0, 3, 1, 2))
+    B_g = (fdg_g + fdg_g.transpose(0, 2, 1, 3, 4) - fdg_g.transpose(0, 3, 2, 1, 4)
+           + OG_g - OG_g.transpose(0, 1, 3, 2, 4) - OG_g.transpose(0, 3, 1, 2, 4))
+    values = 0.5 * contract(B, frame.ginv)
+    grads = 0.5 * (contract(B_g.transpose(0, 1, 2, 4, 3), frame.ginv).transpose(0, 1, 2, 4, 3)
+                   + contract(B, frame.ginv_g))
+    return CoefficientJets(values, grads)
+
+
+def semi_jets(frame: FrameData, koszul: CoefficientJets, pij: OneFormJets) -> CoefficientJets:
     """Koszul jets plus delta_i^k pi_j - g_ij pi^k and its derivatives, from
     the one-form's horizontal frame derivatives."""
     piv, pig = pij.values, pij.grads
@@ -111,7 +127,7 @@ def semi_jets(frame: FrameData, pij: OneFormJets) -> CoefficientJets:
     A_g = (eye[:, None, :, None] * pig[:, None, :, None, :]
            - frame.gg[:, :, :, None, :] * piu[:, None, None, :, None]
            - frame.gv[..., None, None] * piu_g[:, None, None, :, :])
-    return CoefficientJets(frame.koszul.values + A, frame.koszul.grads + A_g)
+    return CoefficientJets(koszul.values + A, koszul.grads + A_g)
 
 
 def frame_derivative(grads: np.ndarray) -> np.ndarray:
@@ -127,26 +143,29 @@ def covariant_oneform(co: np.ndarray, pij: OneFormJets) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ConnectionBatch:
-    """A connection's coefficient jets on a stack of points, and their frame data."""
+    """A connection's coefficient jets on a stack of points, and Omega there."""
 
-    frame: FrameData
     jets: CoefficientJets
+    Om: np.ndarray
 
     @cached_property
     def torsion(self) -> np.ndarray:
         """T[p, i, j, k] = coeff[i,j,k] - coeff[j,i,k] - Omega[i,j,k], built once."""
         co = self.jets.values
-        return co - co.transpose(0, 2, 1, 3) - self.frame.Om
+        return co - co.transpose(0, 2, 1, 3) - self.Om
 
-    def covariant_T(self) -> np.ndarray:
-        """(D_i T)_jk^h for the connection's own torsion, index order [p][i][j][k][h]."""
+    def covariant_T(self, Om_g: np.ndarray) -> np.ndarray:
+        """(D_i T)_jk^h of the connection's torsion, [p][i][j][k][h], given Omega's ``Om_g``."""
         co, co_g = self.jets
         Tv = self.torsion
-        Tg = co_g - co_g.transpose(0, 2, 1, 3, 4) - self.frame.Om_g
-        return (frame_derivative(Tg)
-                + contract(Tv, co.transpose(0, 2, 1, 3)).transpose(0, 3, 1, 2, 4)
-                - contract(co, Tv)
-                - contract(co, Tv.transpose(0, 2, 1, 3)).transpose(0, 1, 3, 2, 4))
+        Tg = co_g - co_g.transpose(0, 2, 1, 3, 4)
+        Tg -= Om_g                            # each sum in place: one temporary at a time
+        out = contract(Tv, co.transpose(0, 2, 1, 3)).transpose(0, 3, 1, 2, 4)
+        out += frame_derivative(Tg)
+        del Tg
+        out -= contract(co, Tv)
+        out -= contract(co, Tv.transpose(0, 2, 1, 3)).transpose(0, 1, 3, 2, 4)
+        return np.ascontiguousarray(out)
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,7 +32,8 @@ from operator import attrgetter
 import numpy as np
 
 from .connections import (ConnectionBatch, ConnectionField, OneFormData, OneFormJets,
-                          covariant_oneform, frame_derivative, semi_connection, semi_jets)
+                          covariant_oneform, frame_derivative, koszul_jets, semi_connection,
+                          semi_jets)
 from .errors import RankTooSmall
 from .manifold import FrameData, ManifoldSpec, _frame_data, _mirror_pair_antisym, contract
 
@@ -69,23 +70,22 @@ class CurvatureBundle:
         return np.trace(self.curv, axis1=-2, axis2=-1)
 
 
-def curvature_raw(cb: ConnectionBatch) -> np.ndarray:
-    """Curvature tensors of a connection batch straight from the coordinate
-    formula, no mirroring."""
-    co, frame = cb.jets.values, cb.frame
+def curvature_raw(cb: ConnectionBatch, frame: FrameData) -> np.ndarray:
+    """Curvature tensors of a connection batch on the points of ``frame``
+    straight from the coordinate formula, no mirroring."""
+    co = cb.jets.values
     dco = frame_derivative(cb.jets.grads)
     Q = contract(co, co.transpose(0, 2, 1, 3))          # Q[p, j, k, i, h] = co[j,k,e] co[i,e,h]
     return (dco - dco.transpose(0, 2, 1, 3, 4)
             + Q.transpose(0, 3, 1, 2, 4)
             - Q.transpose(0, 1, 3, 2, 4)
             - contract(frame.Om, co)
-            - frame.bracket_curvature)
+            - contract(frame.Mc, frame.Lam))         # M_ij^b Lambda_bk^h
 
 
-def curvature_bundle(cb: ConnectionBatch, raw: np.ndarray) -> CurvatureBundle:
-    """Bundles of a connection batch from its raw curvature: tensor made
+def curvature_bundle(frame: FrameData, raw: np.ndarray) -> CurvatureBundle:
+    """The bundle of a raw curvature on the points of ``frame``: tensor made
     exactly antisymmetric in (i, j), Ricci trace, scalar, lowered."""
-    frame = cb.frame
     curv = raw.copy()
     _mirror_pair_antisym(curv)
     ricci = np.trace(curv, axis1=2, axis2=4)
@@ -111,11 +111,12 @@ class CharacteristicTensor:
     gpi = cached_property(lambda ct: delta_g(None, ct.g, ct.pi_mixed))
 
 
-def characteristic(frame: FrameData, pij: OneFormJets) -> CharacteristicTensor:
-    """Characteristic tensors on the points of ``frame``, from the one-form's jets there."""
+def characteristic(frame: FrameData, nab: ConnectionBatch,
+                   pij: OneFormJets) -> CharacteristicTensor:
+    """Characteristic tensors on the points of ``frame``, from Koszul and one-form jets."""
     piv, ginv = pij.values, frame.ginv
     pi2 = (piv * contract(ginv, piv)).sum(axis=1)
-    lower = (covariant_oneform(frame.koszul.values, pij)
+    lower = (covariant_oneform(nab.jets.values, pij)
              - piv[:, :, None] * piv[:, None, :] + 0.5 * frame.gv * pi2[:, None, None])
     mixed = lower @ ginv
     return CharacteristicTensor(lower, mixed, np.trace(mixed, axis1=1, axis2=2), frame.gv)
@@ -276,15 +277,16 @@ class Evaluation:
 
     frame = cached_property(lambda ev: _frame_data(ev.spec, ev.points))
     pij = cached_property(lambda ev: ev.pi.batch(ev.points, ev.frame.Ev[:, :, :ev.ell]))
-    nab = cached_property(lambda ev: ConnectionBatch(ev.frame, ev.frame.koszul))
-    D = cached_property(lambda ev: ConnectionBatch(ev.frame, semi_jets(ev.frame, ev.pij)))
-    rawK = cached_property(lambda ev: curvature_raw(ev.nab))
-    rawR = cached_property(lambda ev: curvature_raw(ev.D))
-    Kb = cached_property(lambda ev: curvature_bundle(ev.nab, ev.rawK))
-    Rb = cached_property(lambda ev: curvature_bundle(ev.D, ev.rawR))
-    ct = cached_property(lambda ev: characteristic(ev.frame, ev.pij))
-    DT_nab = cached_property(lambda ev: ev.nab.covariant_T())
-    DT_D = cached_property(lambda ev: ev.D.covariant_T())
+    nab = cached_property(lambda ev: ConnectionBatch(koszul_jets(ev.frame), ev.frame.Om))
+    D = cached_property(lambda ev: ConnectionBatch(semi_jets(ev.frame, ev.nab.jets, ev.pij),
+                                                   ev.frame.Om))
+    rawK = cached_property(lambda ev: curvature_raw(ev.nab, ev.frame))
+    rawR = cached_property(lambda ev: curvature_raw(ev.D, ev.frame))
+    Kb = cached_property(lambda ev: curvature_bundle(ev.frame, ev.rawK))
+    Rb = cached_property(lambda ev: curvature_bundle(ev.frame, ev.rawR))
+    ct = cached_property(lambda ev: characteristic(ev.frame, ev.nab, ev.pij))
+    DT_nab = cached_property(lambda ev: ev.nab.covariant_T(ev.frame.Om_g))
+    DT_D = cached_property(lambda ev: ev.D.covariant_T(ev.frame.Om_g))
     W_nab = cached_property(lambda ev: projective_tensor(ev.Kb, ev.spec, ev.points))
     W_D = cached_property(lambda ev: projective_tensor(ev.Rb, ev.spec, ev.points))
     S_nab = cached_property(lambda ev: s_tensor(ev.Kb, ev.spec, ev.points))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -400,7 +399,7 @@ class JetProgram:
     the unit vectors, so every derivative comes out along the basis vectors
     (directional Taylor propagation, ibid.): Hessians are then taken along
     the first ``hdim`` of them only (all of them by default).  :meth:`values`
-    evaluates a prefix of the expressions without derivatives.
+    evaluates the expressions without derivatives.
 
     A domain error marks only the points where it happens: ``errors`` maps
     each such point to the first expression (in list order) that fails there
@@ -439,10 +438,8 @@ class JetProgram:
         self.ops = tuple((code, x, y, owner, need_h[j], tuple(writes[j]),
                           tuple(hwrites[j]), tuple(frees[j]))
                          for j, (code, x, y, owner) in enumerate(ops))
-        self._owners = [owner for _, _, _, owner in ops]      # nondecreasing
         self._const_values = np.array([r if isinstance(r, float) else 0.0 for r in refs])
         self._n_hess = len(hessians)
-        self._eye = np.eye(n)
 
     def _points(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -450,20 +447,16 @@ class JetProgram:
             raise DimensionMismatch(f"points must be an array of shape (P, {self.n})")
         return pts
 
-    def values(self, points, count: int | None = None) -> np.ndarray:
-        """Values (P, count) of the first ``count`` expressions (all by
-        default) at every row of ``points``, bit for bit those of :meth:`run`,
-        from only the ops they use: an op belongs to the first expression that
-        uses it, so those ops are a prefix of the list.  No derivatives and no
-        error records: a point outside a domain holds what the arithmetic gives."""
+    def values(self, points) -> np.ndarray:
+        """Values (P, expressions) at every row of ``points``, bit for bit those
+        of :meth:`run`.  No derivatives and no error records: a point outside a
+        domain holds what the arithmetic gives."""
         pts = self._points(points)
-        m = len(self._const_values) if count is None else count
-        out = np.empty((m, len(pts)))
-        out[:] = self._const_values[:m, None]
+        out = np.empty((len(self._const_values), len(pts)))
+        out[:] = self._const_values[:, None]
         slots: list = [None] * len(self.ops)
         with np.errstate(all="ignore"):
-            for j, (code, x, y, _, _, writes, _, _) in enumerate(
-                    self.ops[:bisect_left(self._owners, m)]):
+            for j, (code, x, y, _, _, writes, _, _) in enumerate(self.ops):
                 if code == "coord":
                     v = pts[:, x]
                 elif code == "const":
@@ -482,8 +475,7 @@ class JetProgram:
                     v = getattr(np, y[0])(slots[x])        # the f of _library
                 slots[j] = v
                 for k in writes:
-                    if k < m:
-                        out[k] = v
+                    out[k] = v
         return out.T
 
     def run(self, points, basis=None) -> JetBatch:
@@ -523,7 +515,7 @@ class JetProgram:
 
         seeds = np.empty((self.n, G, P))        # the jet of each coordinate:
         seeds[:, 0] = pts.T                     # a unit vector, or a basis row
-        seeds[:, 1:] = self._eye[:, :, None] if basis is None else basis.transpose(1, 2, 0)
+        seeds[:, 1:] = np.eye(self.n)[:, :, None] if basis is None else basis.transpose(1, 2, 0)
 
         def hessian(J):
             return J[G:].reshape(hd, hd, P)

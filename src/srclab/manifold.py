@@ -18,18 +18,20 @@ in the frame after inverting E), not metric-orthogonally; the engine never
 builds an ambient metric.
 
 Frame data is computed for a stack of points at once: each spec compiles
-its frame and metric expressions once (:class:`~srclab.jets.JetProgram`),
-evaluates the frame at a (P, n) point array and runs the program again
-seeded with that frame, so its jets are derivatives along the frame fields
-(Hessians along the horizontal ones only).  :func:`_frame_data` turns them
+its frame and its metric expressions once, into two programs
+(:class:`~srclab.jets.JetProgram`), evaluates the frame at a (P, n) point
+array and runs both programs seeded with that frame, so their jets are
+derivatives along the frame fields (Hessians along the horizontal ones
+only).  :func:`_frame_data` turns them
 into a :class:`FrameData` whose arrays carry a leading point axis (frame
 matrices, inverses, Gram matrices, structure constants and their
-derivatives, and on first use the Koszul coefficient jets), recording an
-error per point rather than failing the stack.  The sample loops size each stack by the spec's
-per-point footprint: PASS_ENTRIES // entries_per_point(n, ell) points, and
-never fewer than FRAME_CHUNK; a single point is a stack of one.
-Contractions are stacked matrix products (:func:`contract`).  Brackets exist
-only as these structure constants.
+derivatives), recording an error per point rather than failing the stack,
+and drops each run's jets once what it reads of them exists.  The sample
+loops size each stack by the spec's per-point footprint:
+PASS_ENTRIES // entries_per_point(n, ell) points, and never fewer than
+FRAME_CHUNK; a single point is a stack of one.  Contractions are stacked
+matrix products (:func:`contract`).  Brackets exist only as these structure
+constants.
 """
 from __future__ import annotations
 
@@ -51,16 +53,16 @@ FRAME_CHUNK = 64          # fewest points per batched pass; see PASS_ENTRIES
 
 
 def entries_per_point(n: int, ell: int) -> int:
-    """Estimated float64 entries one sample point adds to a batched pass.
-    ell^4 (n + 24) counts the ell^4 tensors the layers after the frame keep
-    (about 24) and the frame-seeded jets, and stays within 1.3x of the traced
-    per-point peak, 4.4 to 62 KB from (n, ell) = (3, 2) to (10, 4)."""
-    return ell ** 4 * (n + 24)
+    """Estimated float64 entries one sample point adds to a suite pass's traced
+    peak: 12 ell^4 for the ell^4 tensors live at once under the suite's pass
+    plan, n^3 for the frame jets' gradients.  The traced per-point peak is
+    0.7x to 1.5x of it, 2.6 to 24 KB from (n, ell) = (3, 2) to (10, 4)."""
+    return 12 * ell ** 4 + n ** 3
 
 
 # a pass's budget in entries_per_point units (up to 1.5x, the split's rounding):
-# heisenberg2 (n = 5, ell = 4), the catalog's largest footprint, keeps FRAME_CHUNK
-PASS_ENTRIES = FRAME_CHUNK * entries_per_point(5, 4)
+# heisenberg2 (n = 5, ell = 4), the catalog's largest footprint, runs 200 points in one
+PASS_ENTRIES = 200 * entries_per_point(5, 4)
 
 
 @dataclass(frozen=True)
@@ -140,14 +142,14 @@ class ManifoldSpec:
             yield from self.oneform
 
     @cached_property
-    def _jet_program(self) -> JetProgram:
-        """Frame components, field by field, then the metric row by row (its
+    def _jet_programs(self) -> tuple[JetProgram, JetProgram]:
+        """Frame components, field by field, and apart the metric row by row (its
         mirrored entries share one op); Hessians for the horizontal fields and
         the metric only, along the first ell vectors of a basis."""
         frame = [c for vf in self.hframe + self.vframe for c in vf.components]
         metric = [e for row in self.metric for e in row]
-        hessians = [*range(self.ell * self.n), *range(len(frame), len(frame) + len(metric))]
-        return JetProgram(frame + metric, self.n, hessians, hdim=self.ell)
+        return (JetProgram(frame, self.n, range(self.ell * self.n), hdim=self.ell),
+                JetProgram(metric, self.n, range(len(metric)), hdim=self.ell))
 
 
 def sample_points(spec: ManifoldSpec, count: int, seed: int) -> np.ndarray:
@@ -212,26 +214,6 @@ class FrameData:
     errors: dict[int, SrclabError]
     warnings: dict[int, str]
 
-    bracket_curvature = cached_property(lambda f: contract(f.Mc, f.Lam))   # M_ij^b Lambda_bk^h
-
-    @cached_property
-    def koszul(self) -> CoefficientJets:
-        """Koszul coefficients and their derivatives (see ``connections``),
-        computed on first use and shared by every connection and one-form
-        derivative on these points."""
-        fdg, fdg_g, gv, gg, Om, Om_g = self.fdg, self.fdg_g, self.gv, self.gg, self.Om, self.Om_g
-        OG = contract(Om, gv)                              # Omega_ij^e g_ek
-        OG_g = (contract(Om_g.transpose(0, 1, 2, 4, 3), gv).transpose(0, 1, 2, 4, 3)
-                + contract(Om, gg))
-        B = (fdg + fdg.transpose(0, 2, 1, 3) - fdg.transpose(0, 3, 2, 1)
-             + OG - OG.transpose(0, 1, 3, 2) - OG.transpose(0, 3, 1, 2))
-        B_g = (fdg_g + fdg_g.transpose(0, 2, 1, 3, 4) - fdg_g.transpose(0, 3, 2, 1, 4)
-               + OG_g - OG_g.transpose(0, 1, 3, 2, 4) - OG_g.transpose(0, 3, 1, 2, 4))
-        values = 0.5 * contract(B, self.ginv)
-        grads = 0.5 * (contract(B_g.transpose(0, 1, 2, 4, 3), self.ginv).transpose(0, 1, 2, 4, 3)
-                       + contract(B, self.ginv_g))
-        return CoefficientJets(values, grads)
-
 
 @cache
 def _pair_slots(m: int):
@@ -264,9 +246,9 @@ def _cholesky_fails(g: np.ndarray) -> np.ndarray:
 
 
 def _frame_data(spec: ManifoldSpec, points) -> FrameData:
-    """Frame data at every row of a (P, n) point array, in one batched pass:
-    the frame matrix from a values-only run of the spec's program, everything
-    else from a run seeded with it, whose jets are frame derivatives.
+    """Frame data at every row of a (P, n) point array, in one batched pass: the
+    frame matrix from a values-only run of the frame program, everything else
+    from the frame's, then the metric's program seeded with it (frame derivatives).
 
     A point is ruled out by the first of these that applies: frame
     expression, determinant, condition number, metric expression, Cholesky.
@@ -275,11 +257,10 @@ def _frame_data(spec: ManifoldSpec, points) -> FrameData:
     n, ell = spec.n, spec.ell
     if pts.ndim != 2 or pts.shape[1] != n:
         raise DimensionMismatch(f"point must have {n} coordinates")
-    P, nf = len(pts), n * n
-    program = spec._jet_program
-    # program output a*n + m is component m of frame field a: Ev[p, m, a] = E[m, a]
-    Ev = np.ascontiguousarray(program.values(pts, nf).reshape(P, n, n).transpose(0, 2, 1))
-    jets = program.run(pts, basis=Ev)
+    P, (frame_program, metric_program) = len(pts), spec._jet_programs
+    # program output a*n + m is component m of frame field a: E[p, m, a] = E[m, a]
+    E = np.ascontiguousarray(frame_program.values(pts).reshape(P, n, n).transpose(0, 2, 1))
+    jets = frame_program.run(pts, basis=E)
     errors: dict[int, SrclabError] = {}
     bad = np.zeros(P, dtype=bool)
 
@@ -295,68 +276,73 @@ def _frame_data(spec: ManifoldSpec, points) -> FrameData:
         return np.where(bad[:, None, None], np.eye(stack.shape[-1]), stack) \
             if bad.any() else stack
 
-    failing = np.zeros((2, P), dtype=bool)         # frame, metric expression errors
-    for i, (k, _) in jets.errors.items():
-        failing[int(k >= nf), i] = True
-
-    def expression_error(i):
-        return DomainError(jets.errors[i][1])
+    def rule_out_expressions(run):
+        if run.errors:
+            rule_out(np.isin(np.arange(P), list(run.errors)),
+                     lambda i: DomainError(run.errors[i][1]))
 
     # rows of ruled-out points may overflow or turn NaN; they are never read
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # J[p, b, m, a] = e_a(E[m, b]); for horizontal b, Hf[p, b, m, q, a] is the
-        # Hessian of E[m, b] on (e_q, e_a), q, a < ell
-        J = jets.grads[:, :nf].reshape(P, n, n, n)
-        Hf = jets.hessians[:, :ell * n].reshape(P, ell, n, ell, ell)
-        rule_out(failing[0], expression_error)
+        rule_out_expressions(jets)
         # column and Frobenius norms as np.linalg.norm computes them, without its overhead
-        Eu = usable(Ev)
+        Eu = usable(E)
         col_scale = np.prod(np.maximum(np.sqrt((Eu * Eu).sum(axis=1)), 1e-300), axis=-1)
         det = np.linalg.det(Eu)
         rule_out(~(np.abs(det) > SINGULAR_DET_FACTOR * col_scale), lambda i: SingularFrame(
             f"frame determinant {det[i]:.3e} below threshold at {pts[i].tolist()}"))
         cond = np.ones(P)       # the SVD only where cond <= |E|_F^n / |det E| may warn
-        frobenius = np.sqrt((Ev * Ev).sum(axis=(1, 2)))
+        frobenius = np.sqrt((E * E).sum(axis=(1, 2)))
         svd = ~bad & ~(frobenius ** n < 0.5 * CONDITION_WARN * np.abs(det))
         if svd.any():
-            cond[svd] = np.linalg.cond(Ev[svd])
+            cond[svd] = np.linalg.cond(E[svd])
         rule_out(cond > CONDITION_FAIL, lambda i: SingularFrame(
             f"frame condition number {cond[i]:.3e} at {pts[i].tolist()}"))
-        Ev = usable(Ev)
+        Ev = usable(E)
         Einv = np.linalg.inv(Ev)
 
-        gv = jets.values[:, nf:].reshape(P, ell, ell)
-        dg = jets.grads[:, nf:].reshape(P, ell, ell, n)          # e_d(g_ij), every frame field
-        gg = dg[..., :ell].copy()           # a view would keep every jet gradient alive
-        gh = jets.hessians[:, ell * n:].reshape(P, ell, ell, ell, ell)
-        rule_out(failing[1], expression_error)
+        # J[p, b, m, a] = e_a(E[m, b]), kept only where a frame pair reads it:
+        # Jh for horizontal b, Jc along horizontal a; for horizontal b,
+        # Hf[p, b, m, q, a] is the Hessian of E[m, b] on (e_q, e_a), q, a < ell
+        J = jets.grads.reshape(P, n, n, n)
+        Jh, Jc = J[:, :ell].copy(), J[..., :ell].copy()
+        Hf = jets.hessians.reshape(P, ell, n, ell, ell)
+        del jets, J
+        # structure constants c[p, a, b, s] of the pairs read, e_a with a horizontal e_b:
+        # E c[a, b] = [e_a, e_b] = br[a, b], where br[a, b, m] = J[b, m, a] - J[a, m, b]
+        c = contract(Jh.transpose(0, 3, 1, 2) - Jc.transpose(0, 1, 3, 2), Einv.transpose(0, 2, 1))
+        cH = c[:, :ell].copy()                  # horizontal pairs: Omega and M, mirrored once
+        _mirror_pair_antisym(cH)
+        Om, Mc = cH[..., :ell].copy(), cH[..., ell:].copy()
+        Lam = np.ascontiguousarray(c[:, ell:, :, :ell])
+        del c
+        # their horizontal derivatives: E e_q(c) = e_q(br) - e_q(E) c, where
+        # e_q(e_a(f)) = Hess f(e_q, e_a) + sum_d Kt[d, q, a] e_d(f) and Kt[p, d, q, a]
+        # are the frame components of e_q applied to the components of e_a
+        Kt = contract(Einv, Jc[:, :ell].transpose(0, 2, 3, 1))
+        Hf += contract(Jh, Kt)                  # now Hf[p, b, m, q, a] = e_q(J[b, m, a])
+        rhs = Hf.transpose(0, 4, 1, 2, 3) - Hf.transpose(0, 1, 4, 2, 3)   # e_q(br)[p, a, b, m, q]
+        del Jh, Hf
+        rhs -= contract(cH, Jc)
+        del Jc, cH
+        Om_g = contract(rhs.transpose(0, 1, 2, 4, 3),
+                        Einv[:, :ell].transpose(0, 2, 1)).transpose(0, 1, 2, 4, 3)
+        del rhs
+        _mirror_pair_antisym(Om_g)
+
+        gjets = metric_program.run(pts, basis=E)
+        gv = gjets.values.reshape(P, ell, ell)
+        dg = gjets.grads.reshape(P, ell, ell, n)                 # e_d(g_ij), every frame field
+        gg = dg[..., :ell].copy()
+        rule_out_expressions(gjets)
         not_finite = ~np.isfinite(gv).all(axis=(1, 2))          # an entry overflowed
         rule_out(not_finite | _cholesky_fails(usable(gv)), lambda i: MetricNotSPD(
             f"Gram matrix not positive definite at {pts[i].tolist()}"))
         ginv = np.linalg.inv(usable(gv))
         ginv_g = -(ginv[:, None] @ gg.transpose(0, 3, 1, 2) @ ginv[:, None]).transpose(0, 2, 3, 1)
-
-        # structure constants of every frame pair: E c[a, b] = [e_a, e_b], where
-        # [e_a, e_b]^m = e_a(E[m, b]) - e_b(E[m, a]) = J[b, m, a] - J[a, m, b]
-        br = J.transpose(0, 3, 1, 2) - J.transpose(0, 1, 3, 2)           # br[p, a, b, m]
-        c = contract(br, Einv.transpose(0, 2, 1))                         # c[p, a, b, s]
-        cH = c[:, :ell, :ell].copy()            # horizontal pairs: Omega and M, mirrored once
-        _mirror_pair_antisym(cH)
-        Om, Mc = cH[..., :ell].copy(), cH[..., ell:].copy()
-        Lam = np.ascontiguousarray(c[:, ell:, :ell, :ell])
-        # their horizontal derivatives: E e_q(c) = e_q(br) - e_q(E) c, where
-        # e_q(e_a(f)) = Hess f(e_q, e_a) + sum_d Kt[d, q, a] e_d(f) and Kt[p, d, q, a]
-        # are the frame components of e_q applied to the components of e_a
-        Kt = contract(Einv, J[:, :ell, :, :ell].transpose(0, 2, 3, 1))
-        J_g = Hf + contract(J[:, :ell], Kt)                   # [p, b, m, q, a] = e_q(J[b, m, a])
-        br_g = J_g.transpose(0, 4, 1, 2, 3) - J_g.transpose(0, 1, 4, 2, 3)  # [p, a, b, m, q]
-        rhs = br_g - contract(cH, J[..., :ell])
-        Om_g = contract(rhs.transpose(0, 1, 2, 4, 3),
-                        Einv[:, :ell].transpose(0, 2, 1)).transpose(0, 1, 2, 4, 3)
-        _mirror_pair_antisym(Om_g)
-
         fdg = gg.transpose(0, 3, 1, 2)
-        fdg_g = (contract(dg, Kt) + gh).transpose(0, 4, 1, 2, 3)
+        fdg_g = contract(dg, Kt)
+        fdg_g += gjets.hessians.reshape(P, ell, ell, ell, ell)
+        fdg_g = fdg_g.transpose(0, 4, 1, 2, 3)
 
     warnings = {i: f"frame condition number {cond[i]:.3e} at {pts[i].tolist()}"
                 for i in map(int, np.flatnonzero(cond > CONDITION_WARN)) if i not in errors}

@@ -6,13 +6,16 @@ max(1, largest operand sup-norm) and aggregated by max, so adding points can
 only raise residuals (a failing check never flips to passing).
 
 A :class:`_Pass` is the :class:`~srclab.curvature.Evaluation` of one pass: it
-builds each tensor the checks read on first use, with a leading point axis,
-and its per-point sup-norm once; the curvature-change formulas share the block
-g_ik pi_j^h - g_jk pi_i^h.  The checks' rows form one (checks, points) table,
-reduced once per pass by :class:`_Table`, which also gives each check's worst
-point.  A point where a layer a check reads failed (its frame data, or the
-one-form for the checks that read it) or where the check's values are not
-finite counts as an error for that check.
+builds each tensor the checks read, with a leading point axis, and its
+per-point sup-norm once; the curvature-change formulas share the block
+g_ik pi_j^h - g_jk pi_i^h.  :func:`run_suite` drops each tensor after its last
+reader (:func:`_plan`, a liveness plan as in Appel, *Modern Compiler
+Implementation in ML*, ch. 10), so that 200 points fit one pass.  The checks'
+rows form one (checks, points) table, reduced once per pass by
+:class:`_Table`, which also gives each check's worst point.  A point where a
+layer a check reads failed (its frame data, or the one-form for the checks
+that read it) or where the check's values are not finite counts as an error
+for that check.
 
 Checks that are only claimed under a hypothesis (an involutive horizontal
 bundle, a vanishing characteristic trace, a flat transformed connection, a
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import ctypes
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property, partial, reduce
 from operator import attrgetter
 
@@ -351,6 +354,7 @@ class CheckSpec:
     description: str
     paper_ref: str
     fn: object          # _Pass -> per point (abs, denom[, qualifies])
+    layers: str         # pass layers read ("frame": more than gv, ginv, Mc); "x:cond" if cond
     reads: tuple[str, ...] = FRAME      # layers whose errors fail the check, first first
     required_rank: int = 2
     tolerance: float = 1e-9
@@ -359,45 +363,46 @@ class CheckSpec:
 CHECKS: tuple[CheckSpec, ...] = (
     CheckSpec(
         "C01", "metric compatibility of the torsion-free horizontal connection",
-        "e_k(g_ij) = {_ki^e} g_ej + {_kj^e} g_ie", _c01),
+        "e_k(g_ij) = {_ki^e} g_ej + {_kj^e} g_ie", _c01, "nab frame"),
     CheckSpec(
         "C02", "vanishing torsion of the horizontal connection",
-        "{_ij^k} - {_ji^k} = Omega_ij^k", _c02, tolerance=1e-10),
+        "{_ij^k} - {_ji^k} = Omega_ij^k", _c02, "nab frame", tolerance=1e-10),
     CheckSpec(
         "C03", "metric compatibility of the semi-symmetric connection",
-        "e_k(g_ij) = Gamma_ki^e g_ej + Gamma_kj^e g_ie", _c03, FRAME_PI),
+        "e_k(g_ij) = Gamma_ki^e g_ej + Gamma_kj^e g_ie", _c03, "D frame", FRAME_PI),
     CheckSpec(
         "C04", "semi-symmetric form of the transformed torsion",
         "T_ij^k = delta_i^k pi_j - delta_j^k pi_i (corrected reading of the "
         "defining display, forced by the transformation rule)",
-        _c04, PI_FRAME, tolerance=1e-10),
+        _c04, "D pij", PI_FRAME, tolerance=1e-10),
     CheckSpec(
         "C05", "curvature antisymmetry in the first index pair, recomputed unmirrored",
-        "K^h_ijk = -K^h_jik and R^h_ijk = -R^h_jik", _c05, FRAME_PI, tolerance=1e-10),
+        "K^h_ijk = -K^h_jik and R^h_ijk = -R^h_jik", _c05, "rawK rawR", FRAME_PI,
+        tolerance=1e-10),
     CheckSpec(
         "C06", "first Bianchi identity of the horizontal connection, mixed and lowered",
         "K^h_ijk + K^h_jki + K^h_kij = 0;  K(X,Y,Z,W) + K(Y,Z,X,W) + K(Z,X,Y,W) = 0",
-        _c06),
+        _c06, "Kb"),
     CheckSpec(
         "C07", "third-slot trace: antisymmetry and contraction identity",
-        "K^e_kie = K^e_kei - K^e_iek;  K^e_kie + K^e_ike = 0", _c07),
+        "K^e_kie = K^e_kei - K^e_iek;  K^e_kie + K^e_ike = 0", _c07, "Kb"),
     CheckSpec(
         "C08", "pair antisymmetry of the lowered curvature on involutive horizontal bundles",
-        "K(X,Y,Z,W) = -K(X,Y,W,Z) when the vertical bracket part M vanishes", _c08),
+        "K(X,Y,Z,W) = -K(X,Y,W,Z) when the vertical bracket part M vanishes", _c08, "Kb"),
     CheckSpec(
         "C09", "curvature change under the semi-symmetric transformation",
         "R^h_ijk = K^h_ijk + delta_j^h pi_ik - delta_i^h pi_jk + pi_j^h g_ik - pi_i^h g_jk",
-        _c09, FRAME_PI),
+        _c09, "ct dK Rb Kb", FRAME_PI),
     CheckSpec(
         "C10", "Ricci-trace change under the transformation",
-        "R^e_iek = K^e_iek + (ell-2) pi_ik + alpha g_ik", _c10, FRAME_PI),
+        "R^e_iek = K^e_iek + (ell-2) pi_ik + alpha g_ik", _c10, "ct Rb Kb", FRAME_PI),
     CheckSpec(
         "C11", "scalar-curvature change under the transformation",
-        "R = K + 2(ell-1) alpha", _c11, FRAME_PI),
+        "R = K + 2(ell-1) alpha", _c11, "Rb Kb ct", FRAME_PI),
     CheckSpec(
         "C12", "invariance of the S-tensor under the transformation",
         "S^h_ijk built from either connection agrees (curv - Ricci/scalar combination)",
-        _c12, FRAME_PI, required_rank=3),
+        _c12, "S_D S_nab", FRAME_PI, required_rank=3),
     CheckSpec(
         "C13", "tabulated closed form for the conformal-tensor change "
         "(inconsistent with the definitional displays: the measured change is zero, "
@@ -405,35 +410,69 @@ CHECKS: tuple[CheckSpec, ...] = (
         "Cbar - C = -(1/ell)(delta_j^h pi_ik - delta_i^h pi_jk + g_ik pi_j^h - g_jk pi_i^h) "
         "- 2 alpha/(ell(ell-2)) (delta_j^h g_ik - delta_i^h g_jk) "
         "- ((ell-2)/ell) delta_k^h pi_ij - (alpha/ell) delta_k^h g_ij",
-        _c13, FRAME_PI, required_rank=3),
+        _c13, "ct dC C_D C_nab", FRAME_PI, required_rank=3),
     CheckSpec(
         "C14", "closed form for the projective-tensor change",
         "Wbar - W = (1/(ell-1))(delta_j^h pi_ik - delta_i^h pi_jk) "
         "+ (g_ik pi_j^h - g_jk pi_i^h) - alpha/(ell-1)(delta_j^h g_ik - delta_i^h g_jk)",
-        _c14, FRAME_PI),
+        _c14, "ct dW W_D W_nab", FRAME_PI),
     CheckSpec(
         "C15", "equal conformal tensors where the characteristic trace vanishes",
-        "alpha = 0  =>  Cbar = C", _c15, FRAME_PI, required_rank=3),
+        "alpha = 0  =>  Cbar = C", _c15, "dC C_D C_nab ct", FRAME_PI, required_rank=3),
     CheckSpec(
         "C16", "equal projective tensors where the characteristic tensor is "
         "metric-proportional",
-        "pi_ik = (alpha/ell) g_ik  =>  Wbar = W", _c16, FRAME_PI),
+        "pi_ik = (alpha/ell) g_ik  =>  Wbar = W", _c16, "ct dW W_D W_nab", FRAME_PI),
     CheckSpec(
         "C17", "flatness consequences: equal curvatures force alpha = 0; a flat "
         "transformed connection forces S = 0 and pins the characteristic tensor",
         "R^h_ijk = K^h_ijk => alpha = 0;  R^h_ijk = 0 => S^h_ijk = 0 and "
         "pi_ik = (1/(2-ell))(K^e_iek - K g_ik / (2(ell-1)))",
-        _c17, FRAME_PI, tolerance=1e-8),
+        _c17, "dK Rb Kb ct S_nab:rank3", FRAME_PI, tolerance=1e-8),
     CheckSpec(
         "C18", "parallel torsion and group-manifold consequences",
         "(D_i T)_jk^h = (D_i pi_k) delta_j^h - (D_i pi_j) delta_k^h;  flat D with "
         "parallel torsion => pi_ij = -(1/2) g_ij pi_e pi^e, "
         "K^h_ijk = pi_e pi^e (delta_j^h g_ik - delta_i^h g_jk), W = 0;  "
         "on flagged left-invariant graded frames K = 0 and (nabla T) = 0",
-        _c18, FRAME_PI),
+        _c18, "Rb Kb ct DT_D DT_nab:carnot W_nab D pij", FRAME_PI),
 )
 
 CHECK_IDS = tuple(c.id for c in CHECKS)
+# frame fields only the first checks and layers read (CheckSpec.layers: "frame")
+FRAME_EARLY = dict.fromkeys(("Ev", "Einv", "gg", "ginv_g", "Om", "Om_g", "Lam", "fdg", "fdg_g"))
+# the suite's run order (reports keep CHECKS order): C18 right after C05, so that the
+# connections, their nabla T and the raw curvatures go before S, C and W are built
+RUN_ORDER = ("C01", "C02", "C03", "C04", "C05", "C18", "C06", "C07", "C08", "C09", "C10",
+             "C11", "C17", "C12", "C14", "C16", "C13", "C15")
+
+
+@cache
+def _plan(ell: int, carnot: bool) -> tuple:
+    """A suite pass's liveness plan: its steps in run order (the checks rank ``ell``
+    allows, each after building the layers its table entry lists, in order, each
+    after its inputs: the layers its builder's code names), each with the layers
+    it is the last reader of, to drop after it (a build reads its inputs)."""
+    holds, steps = {"rank3": ell >= 3, "carnot": carnot, "": True}, []
+
+    def build(layer):
+        if all(step != layer for step, _ in steps):
+            inputs = [name for name in getattr(_Pass, layer).func.__code__.co_names
+                      if isinstance(getattr(_Pass, name, None), cached_property)]
+            for name in inputs:
+                build(name)
+            steps.append((layer, inputs))
+
+    for check in sorted((c for c in CHECKS if ell >= c.required_rank),
+                        key=lambda c: RUN_ORDER.index(c.id)):
+        reads = [name for name, _, cond in (word.partition(":") for word in check.layers.split())
+                 if holds[cond]]
+        for name in reads:
+            build(name)
+        steps.append((check, reads))
+    last = {name: i for i, (_, reads) in enumerate(steps) for name in reads}
+    return tuple((step, [name for name, j in last.items() if j == i and name != "pij"])
+                 for i, (step, _) in enumerate(steps))
 
 
 class _Table:
@@ -477,10 +516,22 @@ def run_suite(spec: ManifoldSpec, pi: OneFormData | None = None,
     """
     config = config or SuiteConfig()
     active = [check for check in CHECKS if spec.ell >= check.required_rank]
+    plan = _plan(spec.ell, "carnot" in config.flags)
     table, warnings = _Table(active, spec.n), []
     with _quiet():
         for ev in _passes(spec, pi, config):
-            table.fold(ev, [check.fn(ev) for check in active])
+            rows = {}
+            for step, drops in plan:
+                if isinstance(step, str):
+                    getattr(ev, step)
+                else:
+                    rows[step.id] = step.fn(ev)
+                for name in drops:      # the fold reads the frame's errors: it only slims
+                    if name == "frame":
+                        ev.frame = replace(ev.frame, **FRAME_EARLY)
+                    else:
+                        del vars(ev)[name]
+            table.fold(ev, [rows[check.id] for check in active])
             warnings.extend(w for w in ev.frame.warnings.values() if w not in warnings)
 
     records, rows = [], iter(range(len(active)))

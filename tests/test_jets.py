@@ -331,23 +331,23 @@ BASIS_SPECS = [(name, builtin(name).spec) for name in catalog_names()] + [
 
 @pytest.mark.parametrize("name,spec", BASIS_SPECS, ids=[name for name, _ in BASIS_SPECS])
 def test_basis_seeded_run_is_the_basis_contraction(name, spec):
-    """Seeded with a basis B, a spec's program yields the basis-free run's
-    values, G B and B_h^T H B_h (B_h its first hdim = ell vectors) to
-    JET_TOL per expression; seeded with the identity, a program compiled
-    without hdim yields the basis-free run bit for bit."""
+    """Seeded with a basis B, a spec's frame and metric programs yield the
+    basis-free run's values, G B and B_h^T H B_h (B_h its first hdim = ell
+    vectors) to JET_TOL per expression; seeded with the identity, a program
+    compiled without hdim yields the basis-free run bit for bit."""
     from srclab.manifold import sample_points
 
     points = sample_points(spec, 40, 5)
-    program = spec._jet_program
     B = np.random.default_rng(2).normal(size=(len(points), spec.n, spec.n))
     Bh = B[:, None, :, :spec.ell]
-    free, seeded = program.run(points), program.run(points, basis=B)
-    assert np.array_equal(seeded.values, free.values) and seeded.errors == free.errors
-    for got, want in ((seeded.grads, free.grads @ B),
-                      (seeded.hessians, Bh.transpose(0, 1, 3, 2) @ free.hessians @ Bh)):
-        err, size = (np.abs(a).reshape(len(points), a.shape[1], -1).max(axis=-1)
-                     for a in (got - want, want))
-        assert (err <= JET_TOL * np.maximum(1.0, size)).all(), name
+    for program in spec._jet_programs:
+        free, seeded = program.run(points), program.run(points, basis=B)
+        assert np.array_equal(seeded.values, free.values) and seeded.errors == free.errors
+        for got, want in ((seeded.grads, free.grads @ B),
+                          (seeded.hessians, Bh.transpose(0, 1, 3, 2) @ free.hessians @ Bh)):
+            err, size = (np.abs(a).reshape(len(points), a.shape[1], -1).max(axis=-1)
+                         for a in (got - want, want))
+            assert (err <= JET_TOL * np.maximum(1.0, size)).all(), name
     exprs = _spec_expressions(spec)
     full = JetProgram(exprs, spec.n, hessians=range(len(exprs)))
     eye = np.broadcast_to(np.eye(spec.n), B.shape)
@@ -356,18 +356,15 @@ def test_basis_seeded_run_is_the_basis_contraction(name, spec):
     assert got.errors == want.errors
 
 
-def test_values_are_the_run_values_of_a_prefix():
-    """values(points, m) is run(points).values[:, :m] bit for bit, for m at
-    the frame/metric boundary and for the whole list."""
+def test_values_are_the_run_values():
+    """values(points) is run(points).values bit for bit, for the frame and the
+    metric program of a spec."""
     from srclab.manifold import sample_points
 
     spec = parse_manifold(_free_step2_rank4_text(11))
     points = sample_points(spec, 30, 4)
-    program = spec._jet_program
-    run = program.run(points).values
-    for m in (spec.n ** 2, run.shape[1]):
-        assert np.array_equal(program.values(points, m), run[:, :m])
-    assert np.array_equal(program.values(points), run)
+    for program in spec._jet_programs:
+        assert np.array_equal(program.values(points), program.run(points).values)
 
 
 def test_compiled_program_hessians_only_where_asked():
@@ -544,10 +541,10 @@ def test_shared_subtrees_compile_like_separate_copies(name):
     spec = parse_manifold(source)
     if "metric rows" in source:
         assert spec.metric[0][1] is spec.metric[1][0]
-    program = spec._jet_program
     frame = [c for vf in spec.hframe + spec.vframe for c in vf.components]
-    exprs = frame + [e for row in spec.metric for e in row]
-    copies = [_unshared(e) for e in exprs]
-    assert copies == exprs and not any(a is b for a, b in zip(copies, exprs))
-    hessians = [*range(spec.ell * spec.n), *range(len(frame), len(exprs))]
-    assert JetProgram(copies, spec.n, hessians).ops == program.ops
+    metric = [e for row in spec.metric for e in row]
+    for program, exprs, hessians in zip(spec._jet_programs, (frame, metric),
+                                        (range(spec.ell * spec.n), range(len(metric)))):
+        copies = [_unshared(e) for e in exprs]
+        assert copies == exprs and not any(a is b for a, b in zip(copies, exprs))
+        assert JetProgram(copies, spec.n, hessians).ops == program.ops

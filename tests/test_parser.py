@@ -347,7 +347,7 @@ def test_ingestion_calls_grow_linearly():
 
         sys.setprofile(profile)
         try:
-            parse_manifold(source)._jet_program
+            parse_manifold(source)._jet_programs
         finally:
             sys.setprofile(None)
         return count

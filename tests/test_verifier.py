@@ -2,6 +2,7 @@ import os
 import sys
 import tracemalloc
 from functools import cached_property, partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -444,27 +445,37 @@ def test_pass_boundaries_do_not_change_reports(monkeypatch):
                 assert repr(got) == repr(want), (name, want.id)
 
 
-def test_pass_plan_follows_the_per_point_footprint():
+def _expr_heavy_cases(monkeypatch):
+    """The benchmark's four seeded expression-heavy specs, parsed, with their one-forms."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import inputs
+
+    for case in inputs.expr_heavy_cases(1):
+        spec = parse_manifold(case.text)
+        yield case.name, spec, inputs.build_pi(spec, case.pi_lines), case.flags
+
+
+def test_pass_plan_follows_the_per_point_footprint(monkeypatch):
     """A pass holds PASS_ENTRIES // entries_per_point(n, ell) points, and at
-    least FRAME_CHUNK: every catalog spec but heisenberg2 runs 200 points in
-    one pass, and heisenberg2, the largest footprint, keeps
-    round(P / FRAME_CHUNK) passes.  No entry's traced peak at 200 points
-    exceeds 1.1 times heisenberg2's."""
-    sizes = {"heisenberg1": [200], "flat3": [200], "curved-metric-l3": [200],
-             "involutive-l3": [200], "free-step2-l3": [200], "heisenberg2": [67, 67, 66]}
+    least FRAME_CHUNK: every catalog spec and every benchmark expression-heavy
+    spec runs 200 points in one pass.  No catalog entry's traced peak at 200
+    points exceeds 1.1 times heisenberg2's, the largest footprint, and none of
+    these specs' exceeds 5.5 MB."""
+    cases = [(name, builtin(name).spec, None, builtin(name).flags) for name in catalog_names()]
+    cases += _expr_heavy_cases(monkeypatch)
     peaks = {}
-    for name in catalog_names():
-        entry = builtin(name)
-        config = SuiteConfig(points=200, seed=1, flags=entry.flags)
-        assert [len(ev.points) for ev in _passes(entry.spec, None, config)] == sizes[name], name
-        run_suite(entry.spec, None, config)                      # compile outside the trace
+    for name, spec, pi, flags in cases:
+        config = SuiteConfig(points=200, seed=1, flags=flags)
+        assert [len(ev.points) for ev in _passes(spec, pi, config)] == [200], name
+        run_suite(spec, pi, config)                             # compile outside the trace
         tracemalloc.start()
         try:
-            run_suite(entry.spec, None, config)
+            run_suite(spec, pi, config)
             peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert max(peaks.values()) <= 1.1 * peaks["heisenberg2"], peaks
+    assert max(peaks[name] for name in catalog_names()) <= 1.1 * peaks["heisenberg2"], peaks
+    assert max(peaks.values()) <= 5.5e6, peaks
 
 
 def test_evaluation_rows_match_evaluations_of_one_point():
@@ -587,16 +598,21 @@ def test_no_confstr_sets_nothing_and_suite_runs(monkeypatch):
         verifier._keep_freed_heap.cache_clear()     # the next pass asks again, with confstr back
 
 
-def test_passes_never_leave_a_small_remainder():
-    """The points split into round(P / FRAME_CHUNK) passes of near-equal
-    size, at least one, in sample order."""
+def test_passes_never_leave_a_small_remainder(monkeypatch):
+    """The points split into round(P / size) passes of near-equal size, at
+    least one, in sample order: heisenberg2's size is 200 points, and
+    FRAME_CHUNK where PASS_ENTRIES allows fewer."""
     spec = builtin("heisenberg2").spec
-    for points, sizes in ((1, [1]), (63, [63]), (65, [65]), (100, [50, 50]),
-                          (200, [67, 67, 66]), (230, [58, 58, 57, 57])):
-        passes = list(_passes(spec, None, SuiteConfig(points=points, seed=1)))
-        assert [len(ev.points) for ev in passes] == sizes
-        assert np.array_equal(np.concatenate([ev.points for ev in passes]),
-                              sample_points(spec, points, 1))
+    plans = [(1, [1]), (200, [200]), (299, [299]), (300, [150, 150]), (700, [175] * 4)]
+    floor = [(1, [1]), (63, [63]), (65, [65]), (100, [50, 50]), (200, [67, 67, 66]),
+             (230, [58, 58, 57, 57])]
+    for budget, table in ((verifier.PASS_ENTRIES, plans), (0, floor)):
+        monkeypatch.setattr(verifier, "PASS_ENTRIES", budget)
+        for points, sizes in table:
+            passes = list(_passes(spec, None, SuiteConfig(points=points, seed=1)))
+            assert [len(ev.points) for ev in passes] == sizes
+            assert np.array_equal(np.concatenate([ev.points for ev in passes]),
+                                  sample_points(spec, points, 1))
 
 
 def test_worst_point_is_the_argmax_sample_point():
@@ -629,31 +645,63 @@ def test_worst_point_is_the_argmax_sample_point():
         assert all("worst_point" not in c for c in report.to_json_dict("t")["checks"])
 
 
+LAYERS = tuple(name for cls in verifier._Pass.__mro__ for name, value in vars(cls).items()
+               if isinstance(value, cached_property))
+
+
+def _record_builds(monkeypatch) -> list:
+    """A list that gets (pass, layer) for every layer built from now on."""
+    builds = []
+
+    class Recorded(cached_property):
+        def __get__(self, ev, owner=None):
+            if ev is not None and self.attrname not in vars(ev):
+                builds.append((ev, self.attrname))
+            return super().__get__(ev, owner)
+
+    for name in LAYERS:
+        layer = Recorded(getattr(verifier._Pass, name).func)
+        layer.__set_name__(verifier._Pass, name)
+        monkeypatch.setattr(verifier._Pass, name, layer)
+    return builds
+
+
 def test_standalone_checks_build_only_the_layers_they_read(monkeypatch):
     """check_group_manifold builds the curvature and torsion derivative of
     the designated connection only, check_flatness_criterion what its rows
     read; the suite builds every layer."""
-    layers = {name for cls in verifier._Pass.__mro__ for name, value in vars(cls).items()
-              if isinstance(value, cached_property)}
-    built = []
-
-    def recording(*args):
-        for ev in passes(*args):
-            built.append(ev)
-            yield ev
-
-    passes = verifier._passes
-    monkeypatch.setattr(verifier, "_passes", recording)
+    builds = _record_builds(monkeypatch)
     entry = builtin("free-step2-l3")
     spec, pi, config = entry.spec, entry.oneform("trig"), SuiteConfig(points=10, flags=entry.flags)
     for run, want in (
             (lambda: verifier.check_group_manifold(spec, None, config),
              {"frame", "nab", "rawK", "Kb", "DT_nab"}),
             (lambda: verifier.check_group_manifold(spec, pi, config),
-             {"frame", "pij", "D", "rawR", "Rb", "DT_D"}),
+             {"frame", "pij", "nab", "D", "rawR", "Rb", "DT_D"}),
             (lambda: verifier.check_flatness_criterion(spec, pi, config),
              {"frame", "pij", "nab", "D", "rawK", "rawR", "Kb", "Rb", "ct", "S_nab"}),
-            (lambda: verifier.run_suite(spec, pi, config), layers)):
-        built.clear()
+            (lambda: verifier.run_suite(spec, pi, config), set(LAYERS))):
+        builds.clear()
         run()
-        assert {name for ev in built for name in vars(ev) if name in layers} == want
+        assert {name for _, name in builds} == want
+
+
+def test_suite_builds_each_layer_once_per_pass(monkeypatch):
+    """The suite drops each layer after its last reader and never before: no
+    layer is built twice in a pass, on every catalog pair and on the
+    benchmark's expression-heavy specs, at 1 and at 70 points."""
+    builds = _record_builds(monkeypatch)
+    cases = [(f"{name}/{variant}", builtin(name).spec, builtin(name).oneform(variant),
+              builtin(name).flags)
+             for name in catalog_names()
+             for variant in (None, *(v.name for v in builtin(name).pi_variants))]
+    cases += _expr_heavy_cases(monkeypatch)
+    assert len(cases) == 28
+    for name, spec, pi, flags in cases:
+        for points in (1, 70):
+            builds.clear()
+            run_suite(spec, pi, SuiteConfig(points=points, seed=5, flags=flags))
+            counts = {}
+            for ev, layer in builds:
+                counts[id(ev), layer] = counts.get((id(ev), layer), 0) + 1
+            assert set(counts.values()) == {1}, (name, counts)
