@@ -146,12 +146,76 @@ def _cmd_eval(args) -> int:
         value = Evaluation(spec, _load_pi(args.pi, spec), point[None])[args.tensor][0]
     if not np.isfinite(value).all():
         raise DomainError(f"{args.tensor} is not finite at {point.tolist()}")
-    if np.ndim(value) == 0:
-        print(f"{value:.17g}")
-    else:
-        print(np.array2string(value, precision=12, suppress_small=False,
-                              threshold=sys.maxsize))          # every entry, never "..."
+    print(f"{value:.17g}" if np.ndim(value) == 0 else tensor_text(value))
     return 0
+
+
+def tensor_text(value: np.ndarray) -> str:
+    """``np.array2string(value, precision=12, suppress_small=False,
+    threshold=sys.maxsize)`` under numpy's default print options, for a finite
+    float array with at least one entry, whatever the caller's print options.
+
+    numpy's FloatingFormat prints in scientific notation when a nonzero |x| is
+    >= 1e8 or < 1e-4, or the largest nonzero |x| over the smallest exceeds 1000,
+    and positionally otherwise.  It first takes each entry's shortest unique
+    digits cut at 12 places, trailing zeros trimmed.  A positional entry prints
+    those, padded with spaces to the widest integer part and fraction.  A
+    scientific entry prints its exact value rounded to as many places as the
+    longest of those fractions, its exponent padded to the most digits.  C's
+    ``%.12f`` and ``%.12e`` round the exact value, which gives the shortest
+    digits whenever they fit in 12 places and lie within half the last place of
+    the value: always, except for positional values from 2**13 up, where
+    ``repr`` gives them, and for subnormals (see :func:`_subnormal`)."""
+    flat = value.ravel().tolist()
+    nonzero = [abs(x) for x in flat if x]
+    top, bottom = (max(nonzero), min(nonzero)) if nonzero else (0.0, 1.0)
+    if top >= 1e8 or bottom < 1e-4 or top / bottom > 1e3:
+        first = ("%.12e\n" * len(flat) % tuple(flat)).split()
+        if bottom < sys.float_info.min:
+            first = [_subnormal(x) if 0 < abs(x) < sys.float_info.min else t
+                     for x, t in zip(flat, first)]
+        trailing = re.findall("0*e", " ".join(first))     # each mantissa's zeros, and its e
+        places = 13 - min(map(len, trailing))
+        sign = " " if np.signbit(value).any() else ""
+        text = f"%{sign}#.{places}e\n" * len(flat) % tuple(flat)
+        if re.search(r"e[+-]\d{3}", text):
+            text = re.sub(r"e([+-])(\d\d)$", r"e\g<1>0\2", text, flags=re.M)
+        fields = text.split("\n")[:-1]
+        entry, width = "%s", len(fields[0])
+    else:
+        mantissas = ("%.12f\n" * len(flat) % tuple(flat)).split()
+        if top >= 2.0 ** 13:
+            mantissas = [r if len(r) - r.index(".") <= 13 else t
+                         for r, t in zip(map(repr, flat), mantissas)]
+        fields = ".".join([m.rstrip("0") for m in mantissas]).split(".")
+        left, right = max(map(len, fields[::2])), max(map(len, fields[1::2]))
+        entry, width = f"%{left}s.%-{right}s", left + 1 + right
+    text = _nesting(entry, width, value.shape) % tuple(fields)
+    return re.sub(" +\n", "\n", text) if " \n" in text else text
+
+
+def _subnormal(x: float) -> str:
+    """A subnormal x's first digits in ``%.12e`` form: its shortest unique digits
+    when they fit in 13, else its exact value rounded to 13; its ulp can exceed
+    half the 13th digit, so ``%.12e`` alone can miss the shortest digits."""
+    mantissa, exponent = repr(x).split("e")
+    head, _, fraction = mantissa.partition(".")
+    return f"{head}.{fraction:0<12}e{exponent}" if len(fraction) <= 12 else "%.12e" % x
+
+
+def _nesting(entry: str, width: int, shape: tuple[int, ...]) -> str:
+    """numpy's _formatArray at 75 columns as a format string of ``entry``s that
+    print ``width`` characters each, in C order: rows in brackets, wrapped with a
+    hanging indent; blocks one line apart per axis below them.  A wrapped line
+    keeps its last entry's padding, which numpy strips."""
+    depth, row = len(shape) - 1, shape[-1]
+    per_line = max(1, (74 - 2 * depth) // (width + 1))
+    lines = [" ".join([entry] * min(per_line, row - i)) for i in range(0, row, per_line)]
+    nested = "[" + ("\n" + " " * (depth + 1)).join(lines) + "]"
+    for axis in range(depth - 1, -1, -1):
+        nested = "[" + ("\n" * (depth - axis) + " " * (axis + 1)).join(
+            [nested] * shape[axis]) + "]"
+    return nested
 
 
 def _cmd_catalog() -> int:

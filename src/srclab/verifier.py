@@ -488,7 +488,10 @@ class _Table:
         """Fold in one pass's (checks, points) table of (abs, denom[, qualifies]) rows."""
         abs_res, denom = np.array([r[:2] for r in rows]).swapaxes(0, 1)
         failures = [ev.failures(reads) for reads in _READS]
-        failed = np.array([[i in f for i in range(len(ev.points))] for f in failures])[self.reads]
+        failed = np.zeros((len(failures), len(ev.points)), dtype=bool)
+        for mask, f in zip(failed, failures):
+            mask[list(f)] = True
+        failed = failed[self.reads]
         everywhere = np.ones(len(ev.points), dtype=bool)
         evaluated = ~failed & np.array([r[2] if len(r) > 2 else everywhere for r in rows])
         finite = np.isfinite(abs_res + denom)

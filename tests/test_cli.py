@@ -6,11 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from jsonschema import validate
 
 from srclab.catalog import builtin
-from srclab.cli import cli_main
+from srclab.cli import cli_main, tensor_text
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -141,6 +144,55 @@ def test_eval_prints_every_entry_of_a_large_tensor(capsys, tmp_path):
     assert "..." not in out
     values = re.findall(r"-?\d+\.?\d*(?:e[+-]?\d+)?", out)
     assert len(values) == 7 ** 4 and all(float(v) == 0.0 for v in values)
+
+
+RICCI_R = ["eval", "--builtin", "heisenberg2", "--tensor", "ricci-R", "--pi", "const:1,0.5,0,0",
+           "--point=0.1,0.2,0.3,0.4,0.5"]
+
+
+@pytest.mark.parametrize("argv, text", [
+    (RICCI_R, "[[ 0.5 -1.   0.   0. ]\n [-1.   2.   0.   0. ]\n"
+              " [ 0.   0.   2.5  0. ]\n [ 0.   0.   0.   2.5]]\n"),
+    (["eval", "--builtin", "heisenberg2", "--tensor", "scalar-R", "--pi", "const:1,0,0,0",
+      "--point=0.1,0.2,0.3,0.4,0.5"], "6\n"),
+], ids=["ricci-R", "scalar-R"])
+def test_eval_text_ignores_numpy_print_options(capsys, argv, text):
+    """numpy's default array2string text at precision 12 and 75 columns, and a
+    scalar's .17g, whatever print options the caller has set."""
+    for options in ({}, {"linewidth": 40, "sign": "+", "floatmode": "fixed"},
+                    {"legacy": "1.13", "precision": 3, "suppress": True}):
+        with np.printoptions(**options):
+            assert cli_main(argv) == 0
+        assert capsys.readouterr().out == text, options
+
+
+def _family(elements):
+    return arrays(np.float64, array_shapes(min_dims=1, max_dims=4, min_side=1, max_side=7),
+                  elements=elements)
+
+
+MAGNITUDES = st.builds(lambda m, e, s: s * m * 10.0 ** e, st.floats(1, 10),
+                       st.integers(-20, 20), st.sampled_from([-1.0, 1.0]))
+ZEROS = st.sampled_from([0.0, -0.0])
+DYADIC = st.builds(lambda k, i: i + k / 8192, st.integers(-8191, 8191), st.integers(-3, 3))
+SHORT = st.builds(lambda k, e: k * 10.0 ** e, st.integers(-999, 999), st.integers(-6, 9))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.one_of(_family(MAGNITUDES), _family(st.one_of(MAGNITUDES, ZEROS)),
+                 _family(st.one_of(DYADIC, ZEROS)), _family(st.one_of(SHORT, ZEROS)),
+                 _family(st.one_of(MAGNITUDES, ZEROS, DYADIC, SHORT))))
+@example(np.zeros((7, 7, 7, 7)))                        # K of the flat hdim-7 spec above
+@example(np.arange(9.0).reshape(3, 3, 1) / 7)           # M when n - ell = 1
+@example(np.array([1, 3, 5, -7]) / 8192)                # ties at the 13th decimal
+@example(np.arange(-3.0, 4.0) / 3)                      # a wrapped row
+@example(np.arange(1.0, 6.0) / 7)                       # 5 x 14 columns: wraps after 4
+@example(np.array([[12345678.9, -0.5], [8192.25, 8191.999999999999]]))
+@example(np.array([[5e-324, -1e-320], [2.5e-310, 1.0]]))        # subnormals
+@example(np.array([1e300, -1e-300, 3.0, 9.9999999999999e99]))   # three-digit exponents
+def test_tensor_text_is_numpy_default_array2string(value):
+    assert tensor_text(value) == np.array2string(value, precision=12, suppress_small=False,
+                                                 threshold=sys.maxsize)
 
 
 def test_eval_scalar_curvature(capsys):

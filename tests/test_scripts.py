@@ -2,6 +2,7 @@
 under perfbench/ sets up and runs its probes against this tree."""
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -66,3 +67,20 @@ def test_benchmark_probes_read_the_evaluation(monkeypatch):
         for name in sorted(names):
             got, want = layers.eval_tensor(spec, pi, name, p), ev[name][0]
             assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max()), name
+
+
+def test_eval_digest_builds_its_request_set(monkeypatch, tmp_path):
+    """scripts/eval_digest.py writes its one-form files and lists 4,140 requests;
+    its digest of a few is stable and counts their nonzero exits."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import eval_digest
+
+    argvs = eval_digest.requests(tmp_path)
+    assert len(argvs) == 4140
+    few = argvs[:6] + [argv for argv in argvs if "file:" in " ".join(argv)][-6:]
+    monkeypatch.chdir(tmp_path)
+    sha, nonzero = eval_digest.digest(few)
+    assert (sha, nonzero) == eval_digest.digest(few)
+    # g exits 2 at every coordinate 1e154 and at one coordinate too many;
+    # alpha with log(<x1> - 5) exits 2 at every point
+    assert re.fullmatch("[0-9a-f]{64}", sha) and nonzero == 8
