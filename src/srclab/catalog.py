@@ -20,7 +20,7 @@ from functools import cached_property
 from .connections import OneFormData
 from .errors import UnknownEntry
 from .manifold import ManifoldSpec
-from .parser import parse_document, parse_scalar_expression
+from .parser import parse_document, parse_oneform
 from .verifier import CHECKS
 
 _H1_SOURCE = """\
@@ -121,9 +121,7 @@ class PiVariant:
     expressions: tuple[str, ...]
 
     def build(self, spec: ManifoldSpec) -> OneFormData:
-        exprs = tuple(parse_scalar_expression(text, spec.coords)
-                      for text in self.expressions)
-        return OneFormData.from_expressions(exprs, spec.n)
+        return parse_oneform([(text, 1, 0) for text in self.expressions], spec.coords, spec.n)
 
 
 @dataclass

@@ -21,7 +21,7 @@ from .catalog import builtin, catalog_names
 from .connections import OneFormData
 from .curvature import TENSORS, Evaluation
 from .errors import DomainError, SrclabError, ValidationError
-from .parser import parse_manifold, parse_scalar_expression
+from .parser import parse_manifold, parse_oneform
 from .verifier import CHECK_IDS, CHECKS, SuiteConfig, _quiet, run_suite
 
 
@@ -90,7 +90,7 @@ def _numbers(text: str, what: str) -> np.ndarray:
 def _load_pi(arg: str | None, spec) -> OneFormData | None:
     if arg is None:
         if spec.oneform is not None:     # the file's bundled one-form is the default
-            return OneFormData.from_expressions(spec.oneform, spec.n)
+            return OneFormData(spec.oneform, spec.n, spec._oneform_program)
         return None
     if arg.startswith("const:"):
         values = _numbers(arg[len("const:"):], "--pi const")
@@ -105,10 +105,8 @@ def _load_pi(arg: str | None, spec) -> OneFormData | None:
         if len(lines) != spec.ell:
             raise ValidationError(
                 f"--pi file needs {spec.ell} expressions, got {len(lines)}")
-        exprs = tuple(parse_scalar_expression(ln.strip(), spec.coords, line_no,
-                                              len(ln) - len(ln.lstrip()))
-                      for line_no, ln in lines)
-        return OneFormData.from_expressions(exprs, spec.n)
+        return parse_oneform([(ln.strip(), line_no, len(ln) - len(ln.lstrip()))
+                              for line_no, ln in lines], spec.coords, spec.n)
     raise ValidationError("--pi must start with 'const:' or 'file:'")
 
 

@@ -25,7 +25,7 @@ components are expressions, compiled once into a
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cache, cached_property
 from typing import NamedTuple
 
@@ -55,10 +55,18 @@ class OneFormJets(NamedTuple):
 
 @dataclass(frozen=True)
 class OneFormData:
-    """Horizontal coframe components pi_i of a one-form, as expressions on R^n."""
+    """Horizontal coframe components pi_i of a one-form, as expressions on R^n.
+
+    ``program`` is their :class:`~srclab.jets.JetProgram` when a parse has
+    assembled it; without one, the first run compiles the expressions."""
 
     exprs: tuple[Expression, ...]
     n: int
+    program: InitVar[JetProgram | None] = None
+
+    def __post_init__(self, program):
+        if program is not None:
+            self.__dict__["_jet_program"] = program
 
     @property
     def ell(self) -> int:

@@ -1,10 +1,13 @@
-"""Expression trees and their truncated Taylor jets (orders 0..2).
+"""Expression trees, their value table, and their truncated Taylor jets (orders 0..2).
 
-:class:`JetProgram` compiles a list of expressions once into a flat op list
-(shared subtrees once, constants folded) and evaluates it on a whole (P, n)
-array of points, carrying the value, gradient and symmetric Hessian of every
-expression with a leading point axis; frame data and one-forms are evaluated
-through it.  Derivatives come out exact; finite differences are used only as
+Ingestion takes one walk: as the parser reads a document it makes each node
+through a :class:`ValueTable`, whose one lookup hash-conses the node and gives
+its value, a folded constant or an op of one op DAG.  A :class:`JetProgram` is
+assembled from that DAG for a list of output nodes, and evaluates its ops on a
+whole (P, n) array of points, carrying the value, gradient and symmetric
+Hessian of every output with a leading point axis; frame data and one-forms are
+evaluated through it.  Trees built in Python enter a table by one post-order
+walk.  Derivatives come out exact; finite differences are used only as
 cross-checks (:func:`fd_crosscheck`).  Constant folding and the operand quoted
 in a domain-error message use :func:`_value`, the same arithmetic on the values
 alone, in Python floats.
@@ -102,9 +105,9 @@ def _node(cls):
     names = [f.name for f in fields(cls)]
     keys = [f"{f.name}._hash" if f.type == "Expression" else f.name for f in fields(cls)]
     namespace = {"cls": cls}
-    exec(f"def __init__(self, {', '.join(names)}):\n"
-         f"    self.__dict__.update({', '.join(f'{n}={n}' for n in names)},"
-         f" _hash=hash((cls, {', '.join(keys)})))", namespace)
+    exec(f"def __init__(self, {', '.join(names)}):\n    fields = self.__dict__\n"
+         + "".join(f"    fields[{n!r}] = {n}\n" for n in names)
+         + f"    fields['_hash'] = hash((cls, {', '.join(keys)}))", namespace)
     cls.__init__ = namespace["__init__"]
     return cls
 
@@ -164,45 +167,34 @@ FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
              "sqrt": math.sqrt}
 _ARITHMETIC = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Neg: operator.neg}
 _UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply}
+_BINARY_NODES = frozenset((Add, Sub, Mul, Div))
 
 
 def _operands(node: Expression) -> tuple[Expression, ...]:
     """Child expressions of a node, in evaluation order."""
-    if isinstance(node, (Add, Sub, Mul, Div)):
+    cls = type(node)
+    if cls in _BINARY_NODES:
         return (node.left, node.right)
-    if isinstance(node, (Neg, Call)):
+    if cls is Neg or cls is Call:
         return (node.arg,)
-    if isinstance(node, Pow):
+    if cls is Pow:
         return (node.base,)
     return ()
 
 
-def _postorder(expr: Expression) -> list[Expression]:
-    """Each node object of ``expr`` once, after its operands, from an explicit stack."""
-    order, seen, stack = [], set(), [(expr, False)]
-    while stack:
-        node, ready = stack.pop()
-        if ready:
-            order.append(node)
-        elif id(node) not in seen:
-            seen.add(id(node))
-            stack += [(node, True)] + [(arg, False) for arg in reversed(_operands(node))]
-    return order
-
-
-def coordinate_indices(*exprs: Expression) -> set[int]:
-    """All coordinate indices referenced by the expressions; each node object
-    is visited once, so subtrees the parser shares are walked once."""
-    out: set[int] = set()
-    seen, stack = set(), list(exprs)
+def _postorder(*exprs: Expression) -> list[Expression]:
+    """Each node object of ``exprs`` once, after its operands, from an explicit
+    stack on which ``(node,)`` stands for a node whose operands are done."""
+    order, seen, stack = [], set(), list(reversed(exprs))
     while stack:
         node = stack.pop()
-        if id(node) not in seen:
+        if type(node) is tuple:
+            order.append(node[0])
+        elif id(node) not in seen:
             seen.add(id(node))
-            if isinstance(node, Coord):
-                out.add(node.index)
-            stack.extend(_operands(node))
-    return out
+            stack.append((node,))
+            stack += reversed(_operands(node))
+    return order
 
 
 # --------------------------------------------------------------------------
@@ -293,107 +285,172 @@ def _quote(expr: Expression, point) -> float:
     return values[id(expr)]
 
 
-def _operand_slots(code, x, y) -> tuple[int, ...]:
-    if code in ("add", "sub", "mul"):
-        return (x, y)
-    if code in ("coord", "const"):
-        return ()
-    return (x,)
+_CODES = {Add: "add", Sub: "sub", Mul: "mul"}
+_BINARY_CODES = frozenset(_UFUNCS)              # ops that read two slots
+_LEAF_CODES = frozenset(("coord", "const"))     # ops that read none
+_NO_SPAN = (math.inf, -math.inf)                # the coordinate span of an op that reads none
 
 
-class _Compiler:
-    """Builds the op list of a :class:`JetProgram`.
+class ValueTable:
+    """Expression nodes, hash-consed and numbered, with their values in one op DAG.
 
-    An operand reference is an int (the slot of an op) or a float (a folded
-    constant).
+    :meth:`make` returns a node's number; an equal node keeps the number it got
+    first, so equal subtrees are one object (hash-consing: Filliâtre & Conchon,
+    ML Workshop 2006).  The same lookup gives a new node its value (value
+    numbering: Aho, Lam, Sethi & Ullman, *Compilers*, 2nd ed., §6.1.2): a float
+    that :meth:`_combine` folds, or the number of an op (code, x, y) whose
+    operand slots are op numbers, an op equal to an earlier one being that one.
+    Each op records the span of coordinate indices it reads.  The parser fills
+    a table as it reads; :meth:`enter` walks trees built in Python into one;
+    :meth:`program` assembles a :class:`JetProgram` from the op DAG alone.
     """
 
-    def __init__(self, n: int):
-        self.n = n
-        self.ops: list[tuple] = []      # (code, x, y, owning expression index)
-        self.owner = 0
-        self._keys: dict = {}
-        self._refs: dict = {}           # id(node) -> reference; the caller keeps the nodes alive
+    def __init__(self):
+        self.keys: dict = {}            # (class, a, b) as make takes them -> node number
+        self.nodes: list[Expression] = []
+        self.values: list = []          # node number -> op number (int) or folded constant (float)
+        self.ops: list[tuple] = []      # op number -> (code, x, y)
+        self.operands: list[tuple] = []     # op number -> the ops it reads, last first
+        self.spans: list[tuple] = []    # op number -> (lowest, highest) coordinate index read
+        self._op_numbers: dict = {}
 
-    def ref(self, expr: Expression):
-        """Operand reference of ``expr``, its nodes combined in post-order; a
-        node object compiled before is not walked again."""
-        refs = self._refs
-        stack = [(expr, False)]
-        while stack:
-            node, ready = stack.pop()
-            if ready:
-                refs[id(node)] = self._combine(node, [refs[id(arg)] for arg in _operands(node)])
-            elif id(node) in refs:
-                continue
-            elif isinstance(node, Const):
-                refs[id(node)] = float(node.value)
-            elif isinstance(node, Coord):
-                if not 0 <= node.index < self.n:
-                    raise DimensionMismatch(
-                        f"coordinate index {node.index} out of range for dimension {self.n}")
-                refs[id(node)] = self._emit("coord", node.index)
+    def make(self, cls, a, b=None) -> int:
+        """The number of the node (Const, value), (Coord, index), (Neg, arg),
+        (Pow, base, k), (Call, fn, arg) or (cls, left, right), operands by number."""
+        key = (cls, a, b)
+        number = self.keys.get(key)
+        if number is None:
+            number = self.keys[key] = self._new(key)
+        return number
+
+    def _new(self, key, node=None) -> int:
+        """Number a node that is not in the table: ``node``, or one built from ``key``."""
+        cls, a, b = key
+        nodes, values = self.nodes, self.values
+        if cls in _BINARY_NODES:
+            node, x, y = node or cls(nodes[a], nodes[b]), values[a], values[b]
+            value = (self._emit(_CODES[cls], x, y) if type(x) is int and type(y) is int
+                     and cls is not Div else self._combine(node, [x, y]))
+        elif cls is Const:
+            node, value = node or Const(a), float(a)
+        elif cls is Coord:
+            node, value = node or Coord(a), self._emit("coord", a)
+        elif cls is Call:
+            node = node or Call(a, nodes[b])
+            value = self._combine(node, [values[b]])
+        else:
+            node = node or (Pow(nodes[a], b) if cls is Pow else Neg(nodes[a]))
+            value = self._combine(node, [values[a]])
+        nodes.append(node)
+        values.append(value)
+        return len(nodes) - 1
+
+    def enter(self, exprs) -> list[int]:
+        """Node numbers of trees built outside the table: one post-order walk
+        over them all numbers each node object once (equal objects are not
+        merged; their ops are)."""
+        exprs, numbers = list(exprs), {}
+        for node in _postorder(*exprs):
+            cls = type(node)
+            if cls in _BINARY_NODES:
+                key = (cls, numbers[id(node.left)], numbers[id(node.right)])
+            elif cls is Const or cls is Coord:
+                key = (cls, node.value if cls is Const else node.index, None)
+            elif cls is Call:
+                key = (cls, node.fn, numbers[id(node.arg)])
             else:
-                stack.append((node, True))
-                stack += [(arg, False) for arg in reversed(_operands(node)) if id(arg) not in refs]
-        return refs[id(expr)]
+                key = ((cls, numbers[id(node.base)], node.exponent) if cls is Pow
+                       else (cls, numbers[id(node.arg)], None))
+            numbers[id(node)] = self._new(key, node)
+        return [numbers[id(expr)] for expr in exprs]
+
+    def span(self, numbers) -> tuple:
+        """(lowest, highest) coordinate index read by the nodes ``numbers``, (inf, -inf) if none."""
+        spans = [self.spans[v] for v in map(self.values.__getitem__, numbers) if type(v) is int]
+        return (min([lo for lo, _ in spans], default=math.inf),
+                max([hi for _, hi in spans], default=-math.inf))
+
+    def program(self, outputs, n: int, hessians=(), hdim: int | None = None) -> JetProgram:
+        """The :class:`JetProgram` of the nodes ``outputs`` on R^n."""
+        program = JetProgram.__new__(JetProgram)
+        program._assemble(self, outputs, n, hessians, hdim)
+        return program
 
     def _emit(self, code, x, y=None) -> int:
+        """The number of the op (code, x, y), made if it is new."""
         key = (code, x, y)
-        slot = self._keys.get(key)
-        if slot is None:
-            slot = self._keys[key] = len(self.ops)
-            self.ops.append((code, x, y, self.owner))
-        return slot
+        if code == "affine" and y[0] == 0.0 or code == "const" and x == 0.0:
+            key += (math.copysign(1.0, y[0] if code == "affine" else x),)   # 0.0 == -0.0
+        number = self._op_numbers.get(key)
+        if number is None:
+            number = self._op_numbers[key] = len(self.ops)
+            self.ops.append((code, x, y))
+            spans = self.spans
+            if code in _BINARY_CODES:
+                (lo, hi), (lo2, hi2) = spans[x], spans[y]
+                self.operands.append((y, x))
+                spans.append((lo if lo < lo2 else lo2, hi if hi > hi2 else hi2))
+            else:
+                leaf = code in _LEAF_CODES
+                self.operands.append(() if leaf else (x,))
+                spans.append(spans[x] if not leaf else (x, x) if code == "coord" else _NO_SPAN)
+        return number
 
     def _affine(self, x: int, a: float, c: float) -> int:
         """x * a + c, as :func:`_value` computes ``x * a`` and ``x + c``."""
         return x if (a, c) == (1.0, 0.0) else self._emit("affine", x, (a, c))
 
     def _combine(self, node, args):
+        """The value of an operator node from its operands' values (op numbers
+        or floats): one op on op operands; constants folded; a constant operand
+        of ``+``, ``-``, ``*`` or ``/`` fused into one affine op; and a call op
+        keeping its argument expression to quote in a domain error."""
         if int not in map(type, args):             # a subtree of constants: no op slots
             try:
                 return _value(node, args)
             except (DomainError, OverflowError, ValueError):   # fails at every point: keep the op
                 args = [self._emit("const", a) for a in args]
-        if isinstance(node, Pow):
-            return args[0] if node.exponent == 1 else self._emit("pow", args[0], node.exponent)
-        if isinstance(node, Call):
-            if node.fn not in FUNCTIONS:
-                raise KeyError(node.fn)            # as _value's FUNCTIONS lookup does
-            return self._emit("call", args[0], (node.fn, node.arg))
-        if isinstance(node, Neg):
-            return self._affine(args[0], -1.0, 0.0)
-        x, y = args                                # at most one is a constant
-        if isinstance(node, Div):                  # x * (1 / y), as _value computes it
-            if isinstance(y, float) and y != 0.0:
-                return self._affine(x, 1.0 / y, 0.0)
-            r = self._emit("recip", self._emit("const", y) if isinstance(y, float) else y)
-            return self._affine(r, x, 0.0) if isinstance(x, float) else self._emit("mul", x, r)
-        code = {Add: "add", Sub: "sub", Mul: "mul"}[type(node)]
-        if isinstance(x, float):                   # c + y, c - y, c * y
-            if code == "mul":
-                return self._affine(y, x, 0.0)
-            return self._affine(y, 1.0 if code == "add" else -1.0, x)
-        if isinstance(y, float):                   # x + c, x - c, x * c
-            if code == "mul":
-                return self._affine(x, y, 0.0)
+        cls, x, y = type(node), args[0], args[-1]
+        code = _CODES.get(cls)
+        if code and type(x) is int and type(y) is int:
+            return self._emit(code, x, y)
+        if code == "mul":                          # c * y, x * c
+            return self._affine(y, x, 0.0) if type(x) is float else self._affine(x, y, 0.0)
+        if code:                                   # c + y, c - y, x + c, x - c
+            if type(x) is float:
+                return self._affine(y, 1.0 if code == "add" else -1.0, x)
             return self._affine(x, 1.0, y if code == "add" else -y)
-        return self._emit(code, x, y)
+        if cls is Div:                             # x * (1 / y), as _value computes it
+            if type(y) is float and y != 0.0:
+                return self._affine(x, 1.0 / y, 0.0)
+            r = self._emit("recip", self._emit("const", y) if type(y) is float else y)
+            return self._affine(r, x, 0.0) if type(x) is float else self._emit("mul", x, r)
+        if cls is Neg:
+            return self._affine(x, -1.0, 0.0)
+        if cls is Pow:
+            return x if node.exponent == 1 else self._emit("pow", x, node.exponent)
+        if node.fn not in FUNCTIONS:
+            raise KeyError(node.fn)                # as _value's FUNCTIONS lookup does
+        return self._emit("call", x, (node.fn, node.arg))
 
 
 class JetProgram:
-    """A list of expressions on R^n compiled once into a flat op list.
+    """The ops that compute a list of outputs on R^n, evaluated on many points at once.
 
-    Ops are kept in first-occurrence post-order, so every operand precedes
-    its use.  Equal subtrees become one op (an op is keyed by its code and
-    operands), constant subtrees are folded, and a constant operand turns
-    ``+ c``, ``* c`` and ``/ c`` into one affine op.  :meth:`run` evaluates the list
-    on a (P, n) point array with one vectorized step per op, carrying values,
-    gradients and, only where an output in ``hessians`` needs them, Hessians;
-    each intermediate is dropped after its last use.  The arithmetic is the
-    truncated Taylor arithmetic of Griewank & Walther (*Evaluating
-    Derivatives*, ch. 13) with a leading point axis.
+    A program is assembled from a :class:`ValueTable`'s op DAG
+    (:meth:`ValueTable.program`), or from a list of expressions entered into a
+    new table (the constructor).  Its ops are the ones the outputs reach, in
+    first-occurrence post-order over the outputs in list order, so every
+    operand precedes its use and each op is owned by the first output that
+    reaches it.  Equal subtrees are one op, constant subtrees are folded, and a
+    constant operand turns ``+ c``, ``* c`` and ``/ c`` into one affine op.
+    Assembly and :meth:`run`'s set-up cost in proportion to the ops and
+    outputs.  :meth:`run` evaluates the list on a (P, n) point array with one
+    vectorized step per op, carrying values, gradients and, only where an
+    output in ``hessians`` needs them, Hessians; each intermediate is dropped
+    after its last use.  The arithmetic is the truncated Taylor arithmetic of
+    Griewank & Walther (*Evaluating Derivatives*, ch. 13) with a leading point
+    axis.
 
     Given a basis, :meth:`run` seeds the coordinates with its rows instead of
     the unit vectors, so every derivative comes out along the basis vectors
@@ -407,38 +464,68 @@ class JetProgram:
     """
 
     def __init__(self, exprs, n: int, hessians=(), hdim: int | None = None):
-        comp, exprs = _Compiler(n), list(exprs)     # a list keeps the id-keyed nodes alive
-        refs = []
-        for k, expr in enumerate(exprs):
-            comp.owner = k
-            refs.append(comp.ref(expr))
-        ops = comp.ops
-        hessians = list(hessians)
+        table = ValueTable()
+        self._assemble(table, table.enter(exprs), n, hessians, hdim)
 
-        need_h = [False] * len(ops)
-        writes = [[] for _ in ops]
-        hwrites = [[] for _ in ops]
+    def _assemble(self, table: ValueTable, outputs, n: int, hessians, hdim):
+        """The ops of ``table`` that the nodes ``outputs`` reach, in one walk of
+        the op DAG, each op placed after its operands (first-occurrence
+        post-order over the outputs in list order) and owned by the first
+        output that reaches it; then, going back once, the ops that need a
+        Hessian and the op after which each slot is dropped."""
+        refs = [table.values[k] for k in outputs]
+        operands, place, order, owners = table.operands, {}, [], []    # place: op -> slot
+        for owner, top in enumerate(refs):
+            stack = [] if type(top) is float else [top]
+            while stack:
+                j = stack.pop()
+                if j < 0:                               # its operands are placed
+                    place[~j] = len(order)
+                    order.append(~j)
+                    owners.append(owner)
+                elif j not in place:
+                    stack.append(~j)
+                    stack += operands[j]
+        codes, xs, ys, args = [], [], [], []            # args: the slots an op reads
+        last_use = list(range(len(order)))              # its last reader, or the op itself
+        for j in order:
+            code, x, y = table.ops[j]
+            if code in _BINARY_CODES:
+                x, y = place[x], place[y]
+                args.append((x, y))
+                last_use[x] = last_use[y] = len(codes)
+            elif code not in _LEAF_CODES:
+                x = place[x]
+                args.append((x,))
+                last_use[x] = len(codes)
+            elif code == "coord" and not 0 <= x < n:
+                raise DimensionMismatch(f"coordinate index {x} out of range for dimension {n}")
+            else:
+                args.append(())
+            codes.append(code)
+            xs.append(x)
+            ys.append(y)
+
+        hessians = list(hessians)
+        need_h, writes, hwrites, frees = ([False] * len(codes), [()] * len(codes),
+                                          [()] * len(codes), [()] * len(codes))
         for k, ref in enumerate(refs):
-            if isinstance(ref, int):
-                writes[ref].append(k)
+            if type(ref) is int:
+                writes[place[ref]] += (k,)
         for hk, k in enumerate(hessians):
-            if isinstance(refs[k], int):
-                hwrites[refs[k]].append(hk)
-                need_h[refs[k]] = True
-        last_use: dict[int, int] = {}
-        for j in reversed(range(len(ops))):
-            for s in _operand_slots(*ops[j][:3]):
-                need_h[s] = need_h[s] or need_h[j]
-                last_use.setdefault(s, j)
-        frees = [[] for _ in ops]
-        for j in range(len(ops)):
-            frees[last_use.get(j, j)].append(j)
+            if type(refs[k]) is int:
+                hwrites[place[refs[k]]] += (hk,)
+                need_h[place[refs[k]]] = True
+        for j in range(len(codes) - 1, -1, -1):
+            if need_h[j]:
+                for s in args[j]:
+                    need_h[s] = True
+        for j, last in enumerate(last_use):
+            frees[last] += (j,)
 
         self.n, self.hdim = n, hdim
-        self.ops = tuple((code, x, y, owner, need_h[j], tuple(writes[j]),
-                          tuple(hwrites[j]), tuple(frees[j]))
-                         for j, (code, x, y, owner) in enumerate(ops))
-        self._const_values = np.array([r if isinstance(r, float) else 0.0 for r in refs])
+        self.ops = tuple(zip(codes, xs, ys, owners, need_h, writes, hwrites, frees))
+        self._const_values = np.array([r if type(r) is float else 0.0 for r in refs])
         self._n_hess = len(hessians)
 
     def _points(self, points) -> np.ndarray:
@@ -513,10 +600,6 @@ class JetProgram:
                                                         else _quote(arg, pts[i])))
             failed[new] = True
 
-        seeds = np.empty((self.n, G, P))        # the jet of each coordinate:
-        seeds[:, 0] = pts.T                     # a unit vector, or a basis row
-        seeds[:, 1:] = np.eye(self.n)[:, :, None] if basis is None else basis.transpose(1, 2, 0)
-
         def hessian(J):
             return J[G:].reshape(hd, hd, P)
 
@@ -527,8 +610,13 @@ class JetProgram:
         slots: list = [None] * len(self.ops)
         with np.errstate(all="ignore"):
             for j, (code, x, y, owner, need_h, writes, hwrites, frees) in enumerate(self.ops):
-                if code == "coord":         # no op writes into an operand's jet
-                    J = seeds[x]
+                if code == "coord":         # seeded with the unit vector e_k or basis row k
+                    J = np.zeros((G, P))
+                    J[0] = pts[:, x]
+                    if basis is None:
+                        J[1 + x] = 1.0
+                    else:
+                        J[1:] = basis[:, x].T
                 elif code == "const":
                     J = np.zeros((G, P))
                     J[0] = x

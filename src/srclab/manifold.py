@@ -35,15 +35,15 @@ constants.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache, cached_property
+from dataclasses import InitVar, dataclass, fields
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (DimensionMismatch, DomainError, MetricNotSPD, SingularFrame,
                      SrclabError, ValidationError)
-from .jets import Expression, JetProgram, coordinate_indices
+from .jets import Expression, JetProgram, ValueTable
 
 DEFAULT_BOX = (-1.0, 1.0)
 SINGULAR_DET_FACTOR = 1e-12
@@ -95,6 +95,12 @@ class ManifoldSpec:
     ``hframe`` spans the horizontal bundle V0 (rank ell), ``vframe`` a
     transverse complement, ``metric`` is the ell x ell horizontal Gram in
     the hframe, ``oneform`` optional horizontal coframe components of pi.
+
+    Construction checks the structure, then assembles the spec's jet programs
+    (:meth:`_compile`) from ``numbering``: the :class:`~srclab.jets.ValueTable`
+    a parse filled and the node numbers of the frame components, metric
+    entries and one-form components in that order.  A spec built in Python
+    passes none, and its expressions enter a new table by one walk.
     """
 
     name: str
@@ -104,12 +110,13 @@ class ManifoldSpec:
     vframe: tuple[VectorFieldSpec, ...]
     metric: tuple[tuple[Expression, ...], ...]
     oneform: tuple[Expression, ...] | None = None
+    numbering: InitVar[tuple[ValueTable, list[int]] | None] = None
 
     @property
     def n(self) -> int:
         return len(self.coords)
 
-    def __post_init__(self):
+    def __post_init__(self, numbering):
         n, ell = self.n, self.ell
         if not 2 <= ell < n:
             raise ValidationError(f"need 2 <= hdim < dim, got hdim={ell}, dim={n}")
@@ -129,9 +136,15 @@ class ManifoldSpec:
                     raise ValidationError(f"metric entry ({i},{j}) is not symmetric")
         if self.oneform is not None and len(self.oneform) != ell:
             raise ValidationError("oneform needs hdim components")
-        top = max(coordinate_indices(*self._all_expressions()), default=-1)
-        if top >= n:
-            raise ValidationError(f"expression uses coordinate index {top} >= dim {n}")
+        self._compile(numbering)
+
+    def __getstate__(self):
+        """The fields alone: loading compiles the programs again (:meth:`__setstate__`)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._compile()
 
     def _all_expressions(self):
         for vf in self.hframe + self.vframe:
@@ -141,15 +154,29 @@ class ManifoldSpec:
         if self.oneform is not None:
             yield from self.oneform
 
-    @cached_property
-    def _jet_programs(self) -> tuple[JetProgram, JetProgram]:
-        """Frame components, field by field, and apart the metric row by row (its
-        mirrored entries share one op); Hessians for the horizontal fields and
-        the metric only, along the first ell vectors of a basis."""
-        frame = [c for vf in self.hframe + self.vframe for c in vf.components]
-        metric = [e for row in self.metric for e in row]
-        return (JetProgram(frame, self.n, range(self.ell * self.n), hdim=self.ell),
-                JetProgram(metric, self.n, range(len(metric)), hdim=self.ell))
+    def _compile(self, numbering=None) -> None:
+        """Check that every coordinate index lies in 0..n-1, from the spans
+        the table recorded, and store the programs: ``_jet_programs``, the
+        frame components field by field and apart the metric row by row (its
+        mirrored entries share one op), with Hessians for the horizontal fields
+        and the metric only, along the first ell vectors of a basis; and
+        ``_oneform_program``, None without a one-form."""
+        if numbering is None:
+            table = ValueTable()
+            numbering = table, table.enter(self._all_expressions())
+        table, outputs = numbering
+        n, ell = self.n, self.ell
+        lo, hi = table.span(outputs)
+        if lo < 0:
+            raise ValidationError(f"expression uses coordinate index {lo} < 0")
+        if hi >= n:
+            raise ValidationError(f"expression uses coordinate index {hi} >= dim {n}")
+        frame, metric, oneform = (outputs[:n * n], outputs[n * n:n * n + ell * ell],
+                                  outputs[n * n + ell * ell:])
+        self.__dict__.update(
+            _jet_programs=(table.program(frame, n, range(ell * n), hdim=ell),
+                           table.program(metric, n, range(ell * ell), hdim=ell)),
+            _oneform_program=None if self.oneform is None else table.program(oneform, n))
 
 
 def sample_points(spec: ManifoldSpec, count: int, seed: int) -> np.ndarray:

@@ -31,92 +31,98 @@ structurally identical ManifoldSpec.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 
+from .connections import OneFormData
 from .errors import ParseError, ValidationError
 from .jets import (Add, Call, Const, Coord, Div, Expression, Mul, Neg, Pow,
-                   Sub, FUNCTIONS)
+                   Sub, FUNCTIONS, ValueTable)
 from .manifold import ManifoldSpec, VectorFieldSpec, check_coordinates
 
 MAX_EXPONENT = 2 ** 53      # the largest magnitude up to which every integer is a float
 
-_TOKEN_RE = re.compile(r"""
-    (\s*)                                   # whitespace before the token
-    (?: (\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)    # number
-      | ([A-Za-z_][A-Za-z_0-9]*)            # name
-      | ([+\-*/^(),=])                      # operator
-      | (\S) )                              # any other character is an error
-""", re.VERBOSE)
+# one token: an operator, a name or a number
+_TOKEN = r"[+\-*/^(),=]|[A-Za-z_][A-Za-z_0-9]*|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_TOKEN_RE = re.compile(rf"\s*({_TOKEN}|\S)")    # any other character is a token too: an error
+_WELL_FORMED = re.compile(_TOKEN)
+_NAME_START = frozenset(string.ascii_letters + "_")
+_OPERATORS = frozenset("+-*/^(),=")
+_STRAY = re.compile(r"[^A-Za-z0-9_.+\-*/^(),= ]")     # not in a token, nor a space
+_PRODUCTS = {"*": Mul, "/": Div}
+_SUMS = {"+": Add, "-": Sub}
 
 
-def _tokenize(text: str, line: int, col_offset: int = 0) -> list[tuple]:
-    """(kind, text, line, col) tokens of one line from one scan; the kind is
-    num, name, end or, for an operator, the operator itself.  Columns come
-    from a running offset into the line."""
-    out, col = [], col_offset + 1
-    for ws, num, name, op, bad in _TOKEN_RE.findall(text):
-        col += len(ws)
-        if bad:
-            raise ParseError(f"unexpected character {bad!r}", line, col)
-        tok = num or name or op
-        out.append(("num" if num else "name" if name else op, tok, line, col))
-        col += len(tok)
-    out.append(("end", "", line, len(text) + 1 + col_offset))
-    return out
+def _tokenize(text: str, line: int, col_offset: int = 0) -> list[str]:
+    """The tokens of one line from one scan, then "" for its end.  A line
+    with a _STRAY character or a lone '.' is scanned again for the column of
+    its first token that is not well formed, which raises."""
+    tokens = _TOKEN_RE.findall(text)
+    if _STRAY.search(text) or "." in tokens:
+        for tok, col in zip(tokens, _columns(text, col_offset)):
+            if not _WELL_FORMED.fullmatch(tok):
+                raise ParseError(f"unexpected character {tok!r}", line, col)
+    tokens.append("")
+    return tokens
+
+
+def _columns(text: str, col_offset: int) -> list[int]:
+    """The column of each token of a line and of its end, counted from 1 at
+    ``col_offset`` characters before the start of ``text``."""
+    return ([m.start(1) + 1 + col_offset for m in _TOKEN_RE.finditer(text)]
+            + [len(text) + 1 + col_offset])
 
 
 class _ExprParser:
-    """Parser of one token stream; knows the coordinate names.  Nothing in it
-    recurses, so expressions of any length or nesting parse."""
+    """Parser of scalar expressions and vector fields over the coordinates
+    ``coords``, one line at a time (:meth:`start`).  Every node it reads goes
+    into ``table`` (a :class:`~srclab.jets.ValueTable`), which hash-conses it
+    and gives its value; the parser returns node numbers.  Token columns are
+    computed only for an error.  Nothing in it recurses, so expressions of any
+    length or nesting parse."""
 
-    def __init__(self, tokens: list[tuple], coords: tuple[str, ...], nodes=None):
-        self.tokens = tokens
+    def __init__(self, coords: tuple[str, ...], table: ValueTable):
+        self.table = table
+        self.coord_index = {c: k for k, c in enumerate(coords)}
+        self.atoms: dict[str, int] = {}     # the node of each coordinate and number read so far
+
+    def start(self, text: str, line: int, col_offset: int = 0) -> "_ExprParser":
+        """Read ``text`` next: line ``line`` from column ``col_offset + 1``."""
+        self.text, self.line, self.col_offset = text, line, col_offset
+        self.tokens = _tokenize(text, line, col_offset)
         self.pos = 0
-        self.coords = coords
-        self.nodes = {} if nodes is None else nodes
+        return self
 
-    def make(self, cls, *fields) -> Expression:
-        """``cls(*fields)``, or the equal node made before with the same table
-        (hash-consing): equal subtrees are one object, so comparing or
-        compiling them again costs O(1)."""
-        key = (cls, *fields)
-        node = self.nodes.get(key)
-        if node is None:
-            node = self.nodes[key] = cls(*fields)
-        return node
-
-    def peek(self) -> tuple:
-        return self.tokens[self.pos]
-
-    def next(self) -> tuple:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def accept(self, ops: str) -> str:
+    def accept(self, *ops: str) -> str:
         """The next token, consumed, if it is one of the operators ``ops``;
         else '' and nothing is consumed."""
-        kind = self.tokens[self.pos][0]
-        if kind in ops:
+        tok = self.tokens[self.pos]
+        if tok in ops:
             self.pos += 1
-            return kind
+            return tok
         return ""
 
-    def expect_op(self, text: str):
-        if not self.accept(text):
-            self.fail(f"expected {text!r}")
-
     def at_end(self) -> bool:
-        return self.peek()[0] == "end"
+        return self.tokens[self.pos] == ""
+
+    def error(self, message: str, pos: int) -> ParseError:
+        """A ParseError at token ``pos`` of the line."""
+        return ParseError(message, self.line, _columns(self.text, self.col_offset)[pos])
 
     def fail(self, message: str):
-        kind, text, line, col = self.peek()
-        found = "end of input" if kind == "end" else repr(text)
-        raise ParseError(f"{message}, found {found}", line, col)
+        tok = self.tokens[self.pos]
+        raise self.error(f"{message}, found {repr(tok) if tok else 'end of input'}", self.pos)
 
     # scalar grammar -------------------------------------------------------
 
-    def expr(self, stop_at_dcoord: bool = False) -> Expression:
+    def scalar(self) -> int:
+        """The line's one scalar expression."""
+        node = self.expr()
+        if not self.at_end():
+            self.fail("trailing input after expression")
+        return node
+
+    def expr(self, stop_at_dcoord: bool = False) -> int:
         """A sum of products or, with ``stop_at_dcoord``, one product: the
         factor of a vector-field term, none of whose operands outside
         parentheses may be a d<coordinate> name.
@@ -124,45 +130,67 @@ class _ExprParser:
         Operator precedence with the state of every open parenthesis on an
         explicit stack, so neither length nor nesting recurses.  Signs bind
         looser than ``^`` and tighter than ``*``; sums and products associate
-        to the left.
+        to the left.  The token position is a local, stored back before a
+        method reads it.
         """
-        levels = []         # (total, add, product, mul, negations, function) per open "("
-        total, add, product, mul = None, "", None, ""
+        toks, i, make, atoms = self.tokens, self.pos, self.table.make, self.atoms
+        levels = []         # (total, add, product, mul, negations, opener) per open "("
+        total = add = product = mul = None              # add and mul: the operator's class
         while True:
             negations = 0                   # an operand: signs, then a number, name or "("
-            while op := self.accept("+-"):
-                negations += op == "-"
-            kind, text = self.peek()[:2]
-            if kind == "(" or kind == "name" and text in FUNCTIONS:
-                self.next()
-                if kind == "name":
-                    self.expect_op("(")
-                levels.append((total, add, product, mul, negations,
-                               text if kind == "name" else None))
-                total, add, product, mul = None, "", None, ""
+            tok = toks[i]
+            while tok == "-" or tok == "+":
+                negations += tok == "-"
+                i += 1
+                tok = toks[i]
+            if tok == "(" or tok in FUNCTIONS:
+                i += 1
+                if tok != "(":
+                    if toks[i] != "(":
+                        self.pos = i
+                        self.fail("expected '('")
+                    i += 1
+                levels.append((total, add, product, mul, negations, tok))
+                total = add = product = mul = None
                 continue
-            node = self.atom(stop_at_dcoord and not levels)
+            node = atoms.get(tok)
+            if node is None:
+                self.pos = i
+                node = self.atom(stop_at_dcoord and not levels)
+            i += 1
             while True:                     # after an operand, up through every closed level
-                if self.accept("^"):
-                    node = self.make(Pow, node, self.exponent())
-                for _ in range(negations):
-                    node = self.make(Neg, node)
-                product = self.make(Mul if mul == "*" else Div, product, node) if mul else node
-                if mul := self.accept("*/"):
+                tok = toks[i]
+                if tok == "^":
+                    self.pos = i + 1
+                    node = make(Pow, node, self.exponent())
+                    i = self.pos
+                    tok = toks[i]
+                while negations:
+                    node = make(Neg, node)
+                    negations -= 1
+                product = make(mul, product, node) if mul else node
+                mul = _PRODUCTS.get(tok)
+                if mul:
+                    i += 1
                     break
                 if levels or not stop_at_dcoord:        # a sum: products joined by + and -
-                    total = (self.make(Add if add == "+" else Sub, total, product) if add
-                             else product)
-                    if add := self.accept("+-"):
+                    total = make(add, total, product) if add else product
+                    add = _SUMS.get(tok)
+                    if add:
+                        i += 1
                         break
                     product = total                     # the finished sum
                 if not levels:
+                    self.pos = i
                     return product
-                self.expect_op(")")
+                if tok != ")":
+                    self.pos = i
+                    self.fail("expected ')'")
+                i += 1
                 node = product
-                total, add, product, mul, negations, function = levels.pop()
-                if function:
-                    node = self.make(Call, function, node)
+                total, add, product, mul, negations, opener = levels.pop()
+                if opener != "(":
+                    node = make(Call, opener, node)
 
     def exponent(self) -> int:
         """A tower of signed integer literals, ``^`` right-associative, folded
@@ -171,79 +199,87 @@ class _ExprParser:
         tower = []
         while not tower or self.accept("^"):
             sign = -1 if self.accept("-") else 1
-            kind, text, line, col = self.peek()
-            if kind != "num" or not text.isdecimal():
+            tok = self.tokens[self.pos]
+            if not tok.isdecimal():
                 self.fail("expected an integer literal exponent")
-            self.next()
-            tower.append((sign, int(text), line, col))
+            tower.append((sign, int(tok), self.pos))
+            self.pos += 1
         too_big = f"exceeds {MAX_EXPONENT} in magnitude"
-        sign, value, line, col = tower.pop()
+        sign, value, pos = tower.pop()
         if value > MAX_EXPONENT:
-            raise ParseError(f"exponent {value} {too_big}", line, col)
+            raise self.error(f"exponent {value} {too_big}", pos)
         value *= sign
-        for sign, base, line, col in reversed(tower):
+        for sign, base, pos in reversed(tower):
             problem = ("divides by zero" if value < 0 and base == 0
                        else "is not an integer" if value < 0 and base != 1
                        else too_big if base > 1 and (value > MAX_EXPONENT.bit_length()
                                                      or base ** value > MAX_EXPONENT)
                        else None)
             if problem:
-                raise ParseError(f"exponent {base}^{value} {problem}", line, col)
+                raise self.error(f"exponent {base}^{value} {problem}", pos)
             value = sign * base ** max(value, 0)         # 1 ** -k is the integer 1
         return value
 
-    def atom(self, stop_at_dcoord: bool) -> Expression:
-        """A number or coordinate name."""
-        kind, text, line, col = self.peek()
-        if kind == "num":
-            self.next()
-            return self.make(Const, float(text))
-        if kind == "name":
+    def atom(self, stop_at_dcoord: bool) -> int:
+        """A number or coordinate name not read before (:attr:`atoms`)."""
+        tok = self.tokens[self.pos]
+        if tok[:1] in _NAME_START:
             if stop_at_dcoord and self.at_dcoord():
                 self.fail("expected an expression")
-            self.next()
-            if text in self.coords:
-                return self.make(Coord, self.coords.index(text))
-            raise ParseError(f"unknown name {text!r} (not a coordinate or function)",
-                             line, col)
-        self.fail("expected a number, name or '('")
+            if tok not in self.coord_index:
+                raise self.error(f"unknown name {tok!r} (not a coordinate or function)",
+                                 self.pos)
+            node = self.table.make(Coord, self.coord_index[tok])
+        elif tok and tok not in _OPERATORS:
+            node = self.table.make(Const, float(tok))
+        else:
+            self.fail("expected a number, name or '('")
+        self.atoms[tok] = node
+        return node
 
     # vector-field grammar -------------------------------------------------
 
     def at_dcoord(self) -> bool:
-        kind, text = self.peek()[:2]
-        return kind == "name" and text.startswith("d") and text[1:] in self.coords
+        tok = self.tokens[self.pos]
+        return tok[:1] == "d" and tok[1:] in self.coord_index
 
-    def vfexpr(self, n: int) -> tuple[Expression, ...]:
-        components: dict[int, Expression] = {}
+    def vfexpr(self, n: int) -> list[int]:
+        """The n components of a vector field; terms on one d<coordinate>
+        add up in order."""
+        make, components = self.table.make, {}
         while True:
-            op = self.accept("+-")
+            op = self.accept("+", "-")
             if not op and components:
                 self.fail("expected '+' or '-' between terms")
-            contribution = (self.make(Const, 1.0) if self.at_dcoord()
+            contribution = (make(Const, 1.0) if self.at_dcoord()
                             else self.expr(stop_at_dcoord=True))
             if not self.at_dcoord():
                 self.fail("expected d<coordinate>")
-            k = self.coords.index(self.next()[1][1:])
+            k = self.coord_index[self.tokens[self.pos][1:]]
+            self.pos += 1
             if op == "-":
-                contribution = self.make(Neg, contribution)
-            components[k] = (self.make(Add, components[k], contribution)
+                contribution = make(Neg, contribution)
+            components[k] = (make(Add, components[k], contribution)
                              if k in components else contribution)
             if self.at_end():
                 break
-        return tuple(components.get(k) or self.make(Const, 0.0) for k in range(n))
+        return [components[k] if k in components else make(Const, 0.0) for k in range(n)]
 
 
 def parse_scalar_expression(text: str, coords: tuple[str, ...],
                             line: int = 1, col_offset: int = 0) -> Expression:
-    return _scalar(_ExprParser(_tokenize(text, line, col_offset), coords))
+    parser = _ExprParser(coords, ValueTable())
+    return parser.table.nodes[parser.start(text, line, col_offset).scalar()]
 
 
-def _scalar(parser: _ExprParser) -> Expression:
-    node = parser.expr()
-    if not parser.at_end():
-        parser.fail("trailing input after expression")
-    return node
+def parse_oneform(lines, coords: tuple[str, ...], n: int) -> OneFormData:
+    """The one-form on R^n whose components are ``lines``, each (text, line,
+    column offset) of one scalar expression, parsed into one value table that
+    also assembles its program."""
+    parser = _ExprParser(coords, ValueTable())
+    numbers = [parser.start(text, line, offset).scalar() for text, line, offset in lines]
+    return OneFormData(tuple(parser.table.nodes[k] for k in numbers), n,
+                       parser.table.program(numbers, n))
 
 
 # --------------------------------------------------------------------------
@@ -305,8 +341,9 @@ def _parse_int(text: str, what: str, line_no: int) -> int:
     return int(text)
 
 
-def _frame_block(lines: _Lines, count: int, coords, n, section: str, head_line: int, nodes):
-    names, specs = [], []
+def _frame_block(lines: _Lines, count: int, n, section: str, head_line: int, parser):
+    """The names of a frame section's fields and their components, as node numbers."""
+    names, fields = [], []
     while True:
         item = lines.peek()
         if item is None:
@@ -324,14 +361,12 @@ def _frame_block(lines: _Lines, count: int, coords, n, section: str, head_line: 
         name = name.strip()
         if not name.isidentifier():
             raise ParseError(f"bad frame field name {name!r}", line_no, 1)
-        parser = _ExprParser(_tokenize(rhs, line_no, body.index("=") + 1), coords, nodes)
-        comps = parser.vfexpr(n)
         names.append(name)
-        specs.append(VectorFieldSpec(comps))
-    if len(specs) != count:
+        fields.append(parser.start(rhs, line_no, body.index("=") + 1).vfexpr(n))
+    if len(fields) != count:
         raise ValidationError(
-            f"{section} declares {len(specs)} fields, expected {count}", head_line)
-    return tuple(names), tuple(specs)
+            f"{section} declares {len(fields)} fields, expected {count}", head_line)
+    return tuple(names), fields
 
 
 def _split_entries(body: str, start: int, line_no: int, expected: int, what: str):
@@ -376,18 +411,18 @@ def parse_document(text: str) -> SpecDocument:
     line_no, rest = _keyword_line(lines, "hframe")
     if rest:
         raise ParseError("hframe keyword takes no arguments", line_no, 1)
-    nodes: dict = {}        # one hash-consing table for the whole document
-    hnames, hframe = _frame_block(lines, ell, coords, n, "hframe", line_no, nodes)
+    parser = _ExprParser(coords, ValueTable())      # one value table for the whole document
+    hnames, hframe = _frame_block(lines, ell, n, "hframe", line_no, parser)
 
     line_no, rest = _keyword_line(lines, "vframe")
-    vnames, vframe = _frame_block(lines, n - ell, coords, n, "vframe", line_no, nodes)
+    vnames, vframe = _frame_block(lines, n - ell, n, "vframe", line_no, parser)
 
     line_no, rest = _keyword_line(lines, "metric")
     if rest == "identity":
-        metric = tuple(tuple(Const(1.0) if i == j else Const(0.0) for j in range(ell))
-                       for i in range(ell))
+        one, zero = parser.table.make(Const, 1.0), parser.table.make(Const, 0.0)
+        metric = [[one if i == j else zero for j in range(ell)] for i in range(ell)]
     elif rest == "rows":
-        rows, row_lines = [], []
+        metric, texts, row_lines = [], [], []
         for i in range(ell):
             row_line, body = lines.next()
             stripped = body.strip()
@@ -396,13 +431,14 @@ def parse_document(text: str) -> SpecDocument:
                     f"metric has {i} rows, expected {ell}", row_line)
             parts = _split_entries(stripped, len(body) - len(stripped), row_line, ell,
                                    f"metric row {i + 1}")
-            rows.append(tuple(_scalar(_ExprParser(_tokenize(part, row_line, offset), coords, nodes))
-                              for part, offset in parts))
+            texts.append([part.strip() for part, _ in parts])
+            metric.append([metric[j][i] if j < i and texts[i][j] == texts[j][i]   # its mirror's
+                           else parser.start(part, row_line, offset).scalar()
+                           for j, (part, offset) in enumerate(parts)])
             row_lines.append(row_line)
-        metric = tuple(rows)
         for i in range(ell):
             for j in range(i):
-                if metric[i][j] != metric[j][i]:
+                if metric[i][j] != metric[j][i]:        # hash-consed: equal trees, equal numbers
                     raise ValidationError(
                         f"metric entry ({i + 1},{j + 1}) is not symmetric",
                         row_lines[i])
@@ -415,13 +451,21 @@ def parse_document(text: str) -> SpecDocument:
     if item is not None:
         line_no, rest = _keyword_line(lines, "oneform")
         parts = _split_entries(rest, len(item[1]) - len(rest), line_no, ell, "oneform")
-        oneform = tuple(_scalar(_ExprParser(_tokenize(part, line_no, offset), coords, nodes))
-                        for part, offset in parts)
+        oneform = [parser.start(part, line_no, offset).scalar() for part, offset in parts]
         if lines.peek() is not None:
             extra_line, body = lines.peek()
             raise ParseError(f"unexpected content {body.strip()!r}", extra_line, 1)
 
-    spec = ManifoldSpec(name, coords, ell, hframe, vframe, metric, oneform)
+    nodes = parser.table.nodes
+    outputs = [k for field in hframe + vframe for k in field] + [k for row in metric for k in row]
+    outputs += oneform or []
+    spec = ManifoldSpec(
+        name, coords, ell,
+        tuple(VectorFieldSpec(tuple(nodes[k] for k in field)) for field in hframe),
+        tuple(VectorFieldSpec(tuple(nodes[k] for k in field)) for field in vframe),
+        tuple(tuple(nodes[k] for k in row) for row in metric),
+        None if oneform is None else tuple(nodes[k] for k in oneform),
+        (parser.table, outputs))
     return SpecDocument(spec, hnames, vnames)
 
 

@@ -533,18 +533,120 @@ def _unshared(node):
                                         if isinstance(getattr(node, f.name), Expression)})
 
 
-@pytest.mark.parametrize("name", [*catalog_names(), "pickled"])
-def test_shared_subtrees_compile_like_separate_copies(name):
-    """The parser makes equal subtrees one object and the compiler walks each
-    object once; copies that share nothing compile to the same ops."""
-    source = PICKLED_SOURCE if name == "pickled" else builtin(name).source
+# terms out of coordinate order, and two on dy: the program still runs the
+# components in coordinate order, so the log op comes first
+OUT_OF_ORDER_SOURCE = """\
+manifold out-of-order
+dim 3
+hdim 2
+coords x y z
+hframe
+  X1 = (1/z) dy + log(x) dx + x dy
+  X2 = dy
+vframe
+  Z = dz
+metric identity
+"""
+
+SHARED_CASES = {"pickled": PICKLED_SOURCE, "free-step2-r4": _free_step2_rank4_text(11),
+                "out-of-order": OUT_OF_ORDER_SOURCE, "pi-file": PICKLED_SOURCE}
+
+
+@pytest.mark.parametrize("name", [*catalog_names(), *SHARED_CASES])
+def test_shared_subtrees_compile_like_separate_copies(name, tmp_path):
+    """The parser makes equal subtrees one node and the value table numbers
+    each node once; copies that share nothing compile to the same ops.  The
+    "pi-file" case adds a one-form read as ``srclab --pi file:`` reads it."""
+    from srclab.cli import _load_pi
+
+    source = SHARED_CASES.get(name) or builtin(name).source
     spec = parse_manifold(source)
     if "metric rows" in source:
         assert spec.metric[0][1] is spec.metric[1][0]
     frame = [c for vf in spec.hframe + spec.vframe for c in vf.components]
     metric = [e for row in spec.metric for e in row]
-    for program, exprs, hessians in zip(spec._jet_programs, (frame, metric),
-                                        (range(spec.ell * spec.n), range(len(metric)))):
+    cases = list(zip(spec._jet_programs, (frame, metric),
+                     (range(spec.ell * spec.n), range(len(metric)))))
+    if name == "pi-file":
+        path = tmp_path / "pi.txt"
+        path.write_text("sin(x)*y + x*y/4\n  # a comment\n log(2 + y) - x*y/4\n",
+                        encoding="utf-8")
+        pi = _load_pi(f"file:{path}", spec)
+        cases.append((pi._jet_program, list(pi.exprs), ()))
+    for program, exprs, hessians in cases:
         copies = [_unshared(e) for e in exprs]
         assert copies == exprs and not any(a is b for a, b in zip(copies, exprs))
         assert JetProgram(copies, spec.n, hessians).ops == program.ops
+
+
+def test_out_of_order_terms_fail_in_component_order():
+    """Where two ops of the frame program fail at one point, the error names
+    the one that comes first in component order, not in the order the terms
+    were read, with the owner and message the tree compiler gave."""
+    from srclab.manifold import snapshot
+
+    spec = parse_manifold(OUT_OF_ORDER_SOURCE)
+    frame_program = spec._jet_programs[0]
+    assert [op[:4] for op in frame_program.ops] == [
+        ("coord", 0, None, 0), ("call", 0, ("log", Coord(0)), 0), ("coord", 2, None, 1),
+        ("recip", 2, None, 1), ("add", 3, 0, 1)]
+    points = [[0.0, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 1.0], [-1.0, 0.0, 0.0]]
+    assert frame_program.run(points).errors == {
+        0: (0, "log of non-positive value 0.0"), 1: (1, "division by zero"),
+        2: (0, "log of non-positive value 0.0"), 3: (0, "log of non-positive value -1.0")}
+    with pytest.raises(DomainError, match="log of non-positive value 0.0"):
+        snapshot(spec, points[0])
+
+
+def test_signed_zero_constants_keep_their_sign():
+    """0.0 == -0.0, yet x*0 and -0*x are two ops: each output is its own
+    expression's arithmetic, as the reference evaluator has it, within one
+    program, across the programs of one document, and for trees built in
+    Python."""
+    program = JetProgram([parse_scalar_expression(t, ("x",)) for t in ("x*0", "-0*x")], 1)
+    want = [jet_eval(parse_scalar_expression(t, ("x",)), [1.0], 0).value for t in ("x*0", "-0*x")]
+    assert np.signbit(program.values([[1.0]])[0]).tolist() == np.signbit(want).tolist() == [
+        False, True]
+    built = JetProgram([Mul(Const(0.0), Coord(0)), Mul(Const(-0.0), Coord(0))], 1)
+    assert np.signbit(built.values([[1.0]])[0]).tolist() == [False, True]
+    spec = parse_manifold(_PRE_SIGNED)
+    metric = spec._jet_programs[1].values([[1.0, 0.0, 0.0]])[0]
+    assert np.signbit(metric).tolist() == [False, True, True, False]
+
+
+_PRE_SIGNED = """\
+manifold signed
+dim 3
+hdim 2
+coords x y z
+hframe
+  X1 = dx + (x*0) dz
+  X2 = dy
+vframe
+  Z = dz
+metric rows
+  1, -0*x
+  -0*x, 1
+"""
+
+
+def test_python_built_spec_compiles_like_its_parsed_text():
+    """One compiler for both entry points: a spec built in Python and the
+    parse of its serialized text have the same programs, op for op."""
+    from srclab.manifold import ManifoldSpec, VectorFieldSpec
+    from srclab.parser import serialize_manifold
+
+    x, y, one, zero = Coord(0), Coord(1), Const(1.0), Const(0.0)
+    spec = ManifoldSpec(
+        "built", ("x", "y", "z"), 2,
+        (VectorFieldSpec((one, zero, Neg(Div(y, Const(2.0))))),
+         VectorFieldSpec((zero, one, Add(Div(x, Const(2.0)), Mul(Call("sin", x), Pow(y, 2)))))),
+        (VectorFieldSpec((zero, zero, one)),),
+        ((Add(one, Pow(Call("cos", y), 2)), Mul(x, y)), (Mul(x, y), Add(one, Pow(x, 2)))),
+        (Call("sin", x), Call("log", Add(Const(2.0), Sub(y, Mul(x, Const(0.25)))))))
+    parsed = parse_manifold(serialize_manifold(spec))
+    assert parsed == spec and parsed.metric[0][1] is parsed.metric[1][0]
+    assert spec.metric[0][1] is not spec.metric[1][0]
+    for built, read in zip(spec._jet_programs + (spec._oneform_program,),
+                           parsed._jet_programs + (parsed._oneform_program,)):
+        assert read.ops == built.ops and len(built.ops) > 0

@@ -253,6 +253,24 @@ def test_manifold_validation():
         ManifoldSpec("bad", ("x", "y", "dx"), 2, frame2, vert, eye)     # d-ambiguity
 
 
+@pytest.mark.parametrize("place", ["frame", "metric", "oneform"])
+@pytest.mark.parametrize("index,message", [
+    (-1, "expression uses coordinate index -1 < 0"),
+    (3, "expression uses coordinate index 3 >= dim 3")])
+def test_coordinate_index_outside_the_chart_fails_at_construction(place, index, message):
+    """A coordinate index outside 0..n-1 anywhere in a spec built in Python is
+    a ValidationError when the spec is made, not an error at evaluation."""
+    c1, c0, bad = Const(1.0), Const(0.0), Mul(Coord(index), Coord(0))
+    frame2 = (VectorFieldSpec((c1, c0, bad if place == "frame" else c0)),
+              VectorFieldSpec((c0, c1, c0)))
+    vert = (VectorFieldSpec((c0, c0, c1)),)
+    metric = ((Mul(c1, bad) if place == "metric" else c1, c0), (c0, c1))
+    oneform = (bad, c0) if place == "oneform" else None
+    with pytest.raises(ValidationError) as excinfo:
+        ManifoldSpec("bad", ("x", "y", "z"), 2, frame2, vert, metric, oneform)
+    assert excinfo.value.message == message
+
+
 def test_sample_points_prefix_stable_and_boxed():
     spec = spec_of("heisenberg2")
     a = sample_points(spec, 10, 7)

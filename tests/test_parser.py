@@ -169,10 +169,11 @@ def test_serialize_fresh_names():
 
 
 def test_accumulating_duplicate_dcoord_terms():
-    from srclab.parser import _ExprParser, _tokenize
-    parser = _ExprParser(_tokenize("dx + x dx", 1), ("x", "y"))
-    comps = parser.vfexpr(2)
-    assert comps[0] == Add(Const(1.0), Coord(0))
+    from srclab.jets import ValueTable
+    from srclab.parser import _ExprParser
+    parser = _ExprParser(("x", "y"), ValueTable())
+    comps = parser.start("dx + x dx", 1).vfexpr(2)
+    assert parser.table.nodes[comps[0]] == Add(Const(1.0), Coord(0))
 
 
 @given(st.text(max_size=300))

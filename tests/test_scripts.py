@@ -84,3 +84,21 @@ def test_eval_digest_builds_its_request_set(monkeypatch, tmp_path):
     # g exits 2 at every coordinate 1e154 and at one coordinate too many;
     # alpha with log(<x1> - 5) exits 2 at every point
     assert re.fullmatch("[0-9a-f]{64}", sha) and nonzero == 8
+
+
+def test_ingest_timing_prints_a_row_per_spec():
+    """scripts/ingest_timing.py times parse, validation and compile of the six
+    catalog specs and the four expression-heavy specs, one repeat here."""
+    from srclab.catalog import catalog_names
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "scripts/ingest_timing.py", "--repeats", "1"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    assert [row[0] for row in rows] == [*catalog_names(), "expr-r3-a", "expr-r3-b",
+                                        "expr-r4-a", "expr-r4-b"]
+    assert [int(row[1]) for row in rows[-4:]] == [684, 684, 1604, 1604]
+    assert all(len(row) == 6 and min(map(float, row[2:])) >= 0.0 for row in rows)
