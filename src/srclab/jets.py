@@ -444,8 +444,8 @@ class JetProgram:
     operand precedes its use and each op is owned by the first output that
     reaches it.  Equal subtrees are one op, constant subtrees are folded, and a
     constant operand turns ``+ c``, ``* c`` and ``/ c`` into one affine op.
-    Assembly and :meth:`run`'s set-up cost in proportion to the ops and
-    outputs.  :meth:`run` evaluates the list on a (P, n) point array with one
+    Assembly and :meth:`run`'s set-up grow with the ops and outputs (a
+    coordinate is seeded when its op runs).  :meth:`run` evaluates the list on a (P, n) point array with one
     vectorized step per op, carrying values, gradients and, only where an
     output in ``hessians`` needs them, Hessians; each intermediate is dropped
     after its last use.  The arithmetic is the truncated Taylor arithmetic of
