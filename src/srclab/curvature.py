@@ -15,7 +15,9 @@ relation between the two connections close to machine precision.
 Contractions: ``ricci[i,k] = curv[i,e,k,e]`` (trace over the second lower and
 the upper slot) and the second trace ``curv[i,k,e,e]``; the two differ because
 the lowered tensor has no pair symmetry.  All (ell-2)/(ell-1) divisions are
-guarded by RankTooSmall.
+guarded by RankTooSmall.  Every delta/g pattern is one kernel, :func:`delta_g`,
+whose ``base`` is a tensor the sum starts from and never writes (curv in W, g pi
+in the change formulas) and ``K`` the delta_k^h coefficient (C's ric2, C13's).
 
 Curvature is evaluated on a stack of points (leading axis p) from a
 :class:`~srclab.connections.ConnectionBatch`; a bundle or characteristic
@@ -25,6 +27,7 @@ axes, and read the metric their bundle or characteristic tensor carries.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from operator import attrgetter
@@ -67,7 +70,7 @@ class CurvatureBundle:
 
     def second_contraction(self) -> np.ndarray:
         """ric2[i, k] = curv[i, k, e, e]; antisymmetric only for torsion-free connections."""
-        return np.trace(self.curv, axis1=-2, axis2=-1)
+        return np.einsum("...ikee->...ik", self.curv)
 
 
 def curvature_raw(cb: ConnectionBatch, frame: FrameData) -> np.ndarray:
@@ -88,7 +91,7 @@ def curvature_bundle(frame: FrameData, raw: np.ndarray) -> CurvatureBundle:
     exactly antisymmetric in (i, j), Ricci trace, scalar, lowered."""
     curv = raw.copy()
     _mirror_pair_antisym(curv)
-    ricci = np.trace(curv, axis1=2, axis2=4)
+    ricci = np.einsum("...ieke->...ik", curv)
     scalar = (frame.ginv * ricci).sum(axis=(1, 2))
     return CurvatureBundle(curv, ricci, scalar, frame.gv, frame.ginv)
 
@@ -108,7 +111,7 @@ class CharacteristicTensor:
     alpha: float           # trace of pi_mixed
     g: np.ndarray
     # g_ik pi_j^h - g_jk pi_i^h, built on first use and shared by the curvature-change formulas
-    gpi = cached_property(lambda ct: delta_g(None, ct.g, ct.pi_mixed))
+    gpi = cached_property(lambda ct: delta_g(g=ct.g, B=ct.pi_mixed))
 
 
 def characteristic(frame: FrameData, nab: ConnectionBatch,
@@ -119,7 +122,7 @@ def characteristic(frame: FrameData, nab: ConnectionBatch,
     lower = (covariant_oneform(nab.jets.values, pij)
              - piv[:, :, None] * piv[:, None, :] + 0.5 * frame.gv * pi2[:, None, None])
     mixed = lower @ ginv
-    return CharacteristicTensor(lower, mixed, np.trace(mixed, axis1=1, axis2=2), frame.gv)
+    return CharacteristicTensor(lower, mixed, np.einsum("...ii->...", mixed), frame.gv)
 
 
 def characteristic_tensor(spec: ManifoldSpec, pi: OneFormData, point) -> CharacteristicTensor:
@@ -132,29 +135,46 @@ def _require_rank(ell: int, minimum: int, what: str):
 
 
 def _diagonal(T: np.ndarray, axis1: int, axis2: int) -> np.ndarray:
-    """Writable view of a C-contiguous T where two axes (from the end) agree."""
+    """Writable view of a C-contiguous T where two axes agree."""
     shape, strides = list(T.shape), list(T.strides)
     strides[axis1] += strides[axis2]
     del shape[axis2], strides[axis2]
     return np.ndarray(shape, T.dtype, T, 0, strides)
 
 
-def delta_g(A, gv=None, B=None, out=None) -> np.ndarray:
-    """delta_j^h A_ik - delta_i^h A_jk (none if A is None), plus g_ik B_j^h -
-    g_jk B_i^h when B is given, or added into ``out`` in place when that is.
+def delta_g(A=None, g=None, B=None, K=None, base=None) -> np.ndarray:
+    """base + (g_ik B_j^h - g_jk B_i^h) + delta_j^h A_ik - delta_i^h A_jk
+    + delta_k^h K_ij in that order, with A, g, B, K (..., ell, ell) and base
+    (..., ell, ell, ell, ell); absent terms (g goes with B) are left out.
 
-    The pattern every tensor below is assembled from; linear in (A, B), so a
+    The pattern every tensor below is assembled from; linear in (A, B, K), so a
     sum of such terms is one call on the summed coefficients.  Leading axes
-    broadcast."""
-    if B is not None:
-        t = gv[..., :, None, :, None] * B[..., None, :, None, :]      # g_ik B_j^h
-        out = t - np.swapaxes(t, -4, -3)
-    elif out is None:
-        out = np.zeros(A.shape[:-2] + (A.shape[-1],) * 4)
+    broadcast.  Built (from zeros without base and B) with the flattened leading
+    axes last, each step looping over the points; returned as a new C-contiguous
+    array, points first.  No argument is written."""
+    terms, leads = ((A, 2), (g, 2), (B, 2), (K, 2), (base, 4)), set()
+    for x, axes in terms:
+        if x is not None:
+            leads.add(x.shape[:-axes])
+            ell = x.shape[-1]
+    lead = leads.pop() if len(leads) == 1 else np.broadcast_shapes(*leads)
+    n = math.prod(lead)
+    A, g, B, K, base = [    # each broadcast to the leading shape, the leading axes flattened last
+        x if x is None else (x if x.shape[:-axes] == lead else np.broadcast_to(
+            x, lead + x.shape[-axes:])).reshape(n, ell ** axes).T.reshape((ell,) * axes + (n,))
+        for x, axes in terms]
+    if B is not None:     # numpy orders a ufunc's loops by its first operand's strides
+        t = np.ascontiguousarray(g)[:, None, :, None] * np.ascontiguousarray(B)[None, :, None, :]
+        # g_ik B_j^h - g_jk B_i^h, then base (a + b is b + a, bit for bit)
+        out = t - t.swapaxes(0, 1) if base is None else t - t.swapaxes(0, 1) + base
+    else:
+        out = np.zeros((ell,) * 4 + (n,)) if base is None else base.copy()
     if A is not None:
-        _diagonal(out, -3, -1)[...] += A[..., :, None, :]
-        _diagonal(out, -4, -1)[...] -= A[..., None, :, :]
-    return out
+        _diagonal(out, 1, 3)[...] += A[:, None]
+        _diagonal(out, 0, 3)[...] -= A[None]
+    if K is not None:
+        _diagonal(out, 2, 3)[...] += K[:, :, None]
+    return np.ascontiguousarray(out.reshape(ell ** 4, n).T).reshape(lead + (ell,) * 4)
 
 
 def s_tensor(bundle: CurvatureBundle, spec: ManifoldSpec, point) -> np.ndarray:
@@ -178,14 +198,12 @@ def conformal_tensor(bundle: CurvatureBundle, spec: ManifoldSpec, point) -> np.n
     gv = bundle.g
     ric2 = bundle.second_contraction()
     A = (bundle.ricci - ric2 / ell - _scalar(bundle.scalar, 2) / (2 * (ell - 1)) * gv) / (ell - 2)
-    out = delta_g(A, gv, A @ bundle.ginv)
-    _diagonal(out, -2, -1)[...] -= ric2[..., None] / ell            # delta_k^h ric2_ij
-    return bundle.curv - out
+    return bundle.curv - delta_g(A, gv, A @ bundle.ginv, ric2 / -ell)
 
 
 def projective_tensor(bundle: CurvatureBundle, spec: ManifoldSpec, point) -> np.ndarray:
     """W^h_ijk = curv - (1/(ell-1))(delta_j^h ric_ik - delta_i^h ric_jk)."""
-    return delta_g(bundle.ricci / (1 - spec.ell), out=bundle.curv.copy())
+    return delta_g(bundle.ricci / (1 - spec.ell), base=bundle.curv)
 
 
 def curvature_relation_terms(ct: CharacteristicTensor, spec: ManifoldSpec, point) -> np.ndarray:
@@ -193,7 +211,7 @@ def curvature_relation_terms(ct: CharacteristicTensor, spec: ManifoldSpec, point
 
     Added to the torsion-free curvature this yields the transformed one.
     """
-    return delta_g(ct.pi_lower, out=ct.gpi.copy())
+    return delta_g(ct.pi_lower, base=ct.gpi)
 
 
 def conformal_difference_formula(ct: CharacteristicTensor, spec: ManifoldSpec,
@@ -211,9 +229,8 @@ def conformal_difference_formula(ct: CharacteristicTensor, spec: ManifoldSpec,
     ell = spec.ell
     _require_rank(ell, 3, "conformal_difference_formula")
     alpha_g = _scalar(ct.alpha, 2) * ct.g
-    out = delta_g(-(ct.pi_lower + 2 / (ell - 2) * alpha_g) / ell, out=ct.gpi * (-1 / ell))
-    _diagonal(out, -2, -1)[...] -= ((ell - 2) * ct.pi_lower + alpha_g)[..., None] / ell
-    return out
+    return delta_g(-(ct.pi_lower + 2 / (ell - 2) * alpha_g) / ell,
+                   K=((ell - 2) * ct.pi_lower + alpha_g) / -ell, base=ct.gpi * (-1 / ell))
 
 
 def projective_difference_formula(ct: CharacteristicTensor, spec: ManifoldSpec,
@@ -225,7 +242,7 @@ def projective_difference_formula(ct: CharacteristicTensor, spec: ManifoldSpec,
     - alpha/(ell-1) (delta_j^h g_ik - delta_i^h g_jk).
     """
     A = (ct.pi_lower - _scalar(ct.alpha, 2) * ct.g) / (spec.ell - 1)
-    return delta_g(A, out=ct.gpi.copy())
+    return delta_g(A, base=ct.gpi)
 
 
 def flatness_characteristic_form(bundle: CurvatureBundle, spec: ManifoldSpec,

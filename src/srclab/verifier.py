@@ -56,6 +56,7 @@ QUALIFIER_TOL = 1e-12     # hypothesis detection (alpha = 0, proportionality, M 
 HYPOTHESIS_REL = 1e-9     # "R vanishes" / "R equals K" qualifiers
 GROUP_TOL = 1e-10         # check_group_manifold: largest curvature and torsion derivative
 FLATNESS_TOL = 1e-9       # check_flatness_criterion: "zero" and "matches" per point
+SUP_ALONG_POINTS = 32     # _Pass.sup: blocks of up to this many entries reduce along the points
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,9 @@ class _Pass(Evaluation):
         if isinstance(x, str) and x in self._sups:
             return self._sups[x]
         value = attrgetter(x)(self) if isinstance(x, str) else x
-        size = np.maximum.reduce(np.abs(value).reshape(len(value), -1), axis=1)
+        flat = value.reshape(len(value), -1)
+        size = (np.maximum.reduce(np.abs(flat.T, order="C"), axis=0)
+                if flat.shape[1] <= SUP_ALONG_POINTS else np.maximum.reduce(np.abs(flat), axis=1))
         if isinstance(x, str):
             self._sups[x] = size
         return size
@@ -342,7 +345,7 @@ def _c18(ev):
     A = (piv * contract(ev.frame.ginv, piv)).sum(axis=1)[:, None, None] * ev.frame.gv
     parts += [_gate(r, flat_parallel) for r in (
         ev.res(ev.ct.pi_lower + 0.5 * A, "ct.pi_lower", "frame.gv"),
-        ev.res(delta_g(-A, out=ev.Kb.curv.copy()), "Kb.curv", A), ev.res("W_nab", "W_nab"))]
+        ev.res(delta_g(-A, base=ev.Kb.curv), "Kb.curv", A), ev.res("W_nab", "W_nab"))]
     if ev.carnot:       # expected there: a flat, parallel-torsion Koszul connection
         parts += [ev.res("Kb.curv", "Kb.curv"), ev.res("DT_nab", "DT_nab")]
     return _worst(*parts)

@@ -84,6 +84,14 @@ def test_verify_heisenberg1_skips_and_exits_zero(capsys):
     assert printed.count("SKIP (RankTooSmall)") == 3
 
 
+def test_verify_prints_a_zero_residual_unsigned(capsys):
+    """flat3's residuals are exact zeros; their norms, reduced along the points
+    at rank 2, print as 0.000e+00, never -0.000e+00."""
+    assert cli_main(["verify", "--builtin", "flat3", "--points", "5"]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if " PASS " in line]
+    assert len(rows) == 15 and all(" rel 0.000e+00 " in line for line in rows)
+
+
 def test_verify_nonzero_pi_reports_conformal_form_failure(capsys):
     rc = cli_main(["verify", "--builtin", "heisenberg2", "--points", "5",
                    "--pi", "const:1,0,0,0"])

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from sympy import Rational as Q
@@ -6,12 +8,13 @@ from oracles import oracle_eval
 from srclab.catalog import builtin
 from srclab.connections import OneFormData, koszul_connection, semi_connection
 from srclab.curvature import (Evaluation, characteristic_tensor,
-                              conformal_difference_formula, conformal_tensor,
+                              conformal_difference_formula, conformal_tensor, delta_g,
                               curvature_relation_terms, flatness_characteristic_form,
                               projective_difference_formula, projective_tensor,
                               s_tensor, schouten_curvature)
 from srclab.errors import RankTooSmall
 from srclab.manifold import sample_points, snapshot
+from srclab.parser import parse_manifold, parse_scalar_expression
 
 RNG_SEED = 99
 RATIONAL_POINTS = {
@@ -265,3 +268,94 @@ def test_flatness_characteristic_form_zero_case():
     p = sample_points(spec, 1, RNG_SEED)[0]
     Kb = schouten_curvature(nab, p)
     assert abs(flatness_characteristic_form(Kb, spec, p)).max() <= 1e-14
+
+
+def _delta_g_entries(A, g, B, K, base, lead, ell):
+    """delta_g's documented sum entry by entry, in its order of operations:
+    base + (g_ik B_j^h - g_jk B_i^h), then + delta_j^h A_ik, - delta_i^h A_jk,
+    + delta_k^h K_ij; from 0.0 when there is neither base nor B."""
+    A, g, B, K = (None if x is None else np.broadcast_to(x, lead + (ell, ell))
+                  for x in (A, g, B, K))
+    base = None if base is None else np.broadcast_to(base, lead + (ell,) * 4)
+    out = np.empty(lead + (ell,) * 4)
+    for p in np.ndindex(*lead):
+        for i, j, k, h in np.ndindex(*(ell,) * 4):
+            v = 0.0 if base is None else base[p + (i, j, k, h)]
+            if B is not None:
+                gB = g[p + (i, k)] * B[p + (j, h)] - g[p + (j, k)] * B[p + (i, h)]
+                v = gB if base is None else v + gB
+            if A is not None and j == h:
+                v = v + A[p + (i, k)]
+            if A is not None and i == h:
+                v = v - A[p + (j, k)]
+            if K is not None and k == h:
+                v = v + K[p + (i, j)]
+            out[p + (i, j, k, h)] = v
+    return out
+
+
+def _signed_entries(rng, shape):
+    """Random entries, a fifth of them -0.0 and a tenth +0.0, read-only."""
+    x = rng.standard_normal(shape)
+    x[rng.random(shape) < 0.2] = -0.0
+    x[rng.random(shape) < 0.1] = 0.0
+    x.flags.writeable = False
+    return x
+
+
+@pytest.mark.parametrize("ell", range(2, 7))
+def test_delta_g_is_its_formula_bit_for_bit(ell):
+    """Every combination of A, B (with g), K and base, on leading shapes (),
+    (1,) and (5,), and g without a point axis against the rest with one (as
+    ct.gpi at one point is built): the same bits, signs of zeros included, as
+    the entry-by-entry sum; a new C-contiguous array, no input written."""
+    rng = np.random.default_rng(ell)
+    for (lead, lead_g), given in product([((), ()), ((1,), (1,)), ((5,), (5,)), ((5,), ())],
+                                         product((False, True), repeat=4)):
+        if not any(given) or (lead_g != lead and not given[1]):
+            continue
+        A, B, K = (_signed_entries(rng, lead + (ell, ell)) if on else None
+                   for on in given[:3])
+        g = _signed_entries(rng, lead_g + (ell, ell)) if given[1] else None
+        base = _signed_entries(rng, lead + (ell,) * 4) if given[3] else None
+        inputs = [x for x in (A, g, B, K, base) if x is not None]
+        before = [x.copy() for x in inputs]
+        got = delta_g(A, g, B, K, base)
+        want = _delta_g_entries(A, g, B, K, base, lead, ell)
+        case = (lead, lead_g, given)
+        assert got.shape == want.shape and got.flags.c_contiguous, case
+        assert np.array_equal(got, want), case
+        assert np.array_equal(np.signbit(got), np.signbit(want)), case
+        assert not any(np.shares_memory(got, x) for x in inputs), case
+        assert all(np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+                   for x, y in zip(inputs, before)), case
+
+
+def _rank_spec(ell: int):
+    """A rank-ell spec with one vertical direction, a bracket into it and a
+    non-constant metric, and a one-form, for the traces at ranks 2 to 6."""
+    xs = [f"x{i + 1}" for i in range(ell)]
+    hframe = [f"  X{i + 1} = d{x} + ({xs[(i + 1) % ell]}/2) dw" for i, x in enumerate(xs)]
+    rows = [", ".join(f"1 + {x}^2" if i == j else ("0.25" if abs(i - j) == 1 else "0")
+                      for j in range(ell)) for i, x in enumerate(xs)]
+    text = "\n".join([f"manifold rank{ell}", f"dim {ell + 1}", f"hdim {ell}",
+                      "coords " + " ".join(xs) + " w", "hframe", *hframe, "vframe", "  W = dw",
+                      "metric rows", *(f"  {row}" for row in rows)]) + "\n"
+    spec = parse_manifold(text)
+    exprs = tuple(parse_scalar_expression(f"sin({x})", spec.coords) for x in xs)
+    return spec, OneFormData.from_expressions(exprs, spec.n)
+
+
+@pytest.mark.parametrize("ell", range(2, 7))
+def test_einsum_traces_are_np_trace_bit_for_bit(ell):
+    """The Ricci trace, the second contraction and alpha, as evaluated, have
+    the bits np.trace gives over the same axes (signs of zeros included)."""
+    spec, pi = _rank_spec(ell)
+    ev = Evaluation(spec, pi, sample_points(spec, 6, RNG_SEED))
+    pairs = [(ev.ct.alpha, np.trace(ev.ct.pi_mixed, axis1=1, axis2=2))]
+    for b in (ev.Kb, ev.Rb):
+        pairs += [(b.ricci, np.trace(b.curv, axis1=2, axis2=4)),
+                  (b.second_contraction(), np.trace(b.curv, axis1=-2, axis2=-1))]
+    assert np.abs(ev.Kb.ricci).max() > 0.01 and np.abs(ev.ct.alpha).max() > 0.01
+    for got, want in pairs:
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))

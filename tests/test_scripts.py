@@ -102,3 +102,16 @@ def test_ingest_timing_prints_a_row_per_spec():
                                         "expr-r4-a", "expr-r4-b"]
     assert [int(row[1]) for row in rows[-4:]] == [684, 684, 1604, 1604]
     assert all(len(row) == 6 and min(map(float, row[2:])) >= 0.0 for row in rows)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_ab_suite_times_a_tree_against_itself(workload):
+    """scripts/ab_suite.py, one round of a workload with this tree as both
+    sides: one timed row, and every output byte-identical (exit 0)."""
+    proc = subprocess.run([sys.executable, "scripts/ab_suite.py", workload, ".", ".",
+                           "--rounds", "1", "--seed", "2"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert re.fullmatch(r"\s+1\s+\d+(\s+\d+\.\d{3}){3}", lines[2]), lines
+    assert re.fullmatch(r"outputs byte-identical: yes \(0 of \d+ calls differ\)", lines[-1])

@@ -17,7 +17,7 @@ from srclab.curvature import (TENSORS, Evaluation, characteristic_tensor,
                               projective_tensor, s_tensor, schouten_curvature)
 from srclab.manifold import FRAME_CHUNK, sample_points, snapshot
 from srclab.errors import RankTooSmall, ValidationError
-from srclab.verifier import (CHECKS, CHECK_IDS, SuiteConfig, _passes,
+from srclab.verifier import (CHECKS, CHECK_IDS, SUP_ALONG_POINTS, SuiteConfig, _Pass, _passes,
                              check_flatness_criterion, check_group_manifold,
                              run_suite)
 from srclab.parser import parse_manifold, parse_scalar_expression
@@ -705,3 +705,22 @@ def test_suite_builds_each_layer_once_per_pass(monkeypatch):
             for ev, layer in builds:
                 counts[id(ev), layer] = counts.get((id(ev), layer), 0) + 1
             assert set(counts.values()) == {1}, (name, counts)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (4, 4, 4, 4)])
+def test_sup_of_zero_and_nan_rows(shape):
+    """_Pass.sup on blocks of 16 and of 256 entries a point, one on each side
+    of SUP_ALONG_POINTS: a row of signed zeros has norm +0.0, a row holding a
+    NaN has norm NaN, and any other row its largest magnitude."""
+    block = int(np.prod(shape))
+    assert (block <= SUP_ALONG_POINTS) == (block == 16)
+    spec = builtin("heisenberg1").spec
+    ev = _Pass(spec, None, sample_points(spec, 4, 0), False)
+    x = np.random.default_rng(block).standard_normal((4,) + shape)
+    x[0] = -0.0
+    x[1].flat[::2] = 0.0
+    x[1].flat[1::2] = -0.0
+    x[2].flat[block // 2] = np.nan
+    size = ev.sup(x)
+    assert size[0] == 0.0 and size[1] == 0.0 and not np.signbit(size[:2]).any()
+    assert np.isnan(size[2]) and size[3] == np.abs(x[3]).max()
