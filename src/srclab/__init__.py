@@ -6,19 +6,16 @@ Schouten curvature tensors and derived invariants, and verifies the
 identities relating them as residual checks over sampled points.
 """
 from .catalog import CatalogEntry, PiVariant, builtin, catalog_names
-from .connections import (ConnectionField, OneFormData, koszul_connection,
-                          semi_connection, torsion)
+from .connections import OneFormData
 from .curvature import (CharacteristicTensor, CurvatureBundle, Evaluation,
-                        characteristic_tensor, conformal_difference_formula,
-                        conformal_tensor, curvature_relation_terms,
-                        projective_difference_formula, projective_tensor,
-                        s_tensor, schouten_curvature)
+                        conformal_difference_formula, conformal_tensor,
+                        curvature_relation_terms, projective_difference_formula,
+                        projective_tensor, s_tensor)
 from .errors import (DimensionMismatch, DomainError, MetricNotSPD, ParseError,
                      RankTooSmall, SingularFrame, SrclabError, UnknownEntry,
                      ValidationError)
-from .jets import Expression, fd_crosscheck, jet_eval
-from .manifold import (FrameSnapshot, ManifoldSpec, VectorFieldSpec, project_h,
-                       sample_points, snapshot)
+from .jets import Expression, fd_crosscheck
+from .manifold import ManifoldSpec, VectorFieldSpec, sample_points
 from .parser import (SpecDocument, parse_document, parse_manifold,
                      parse_scalar_expression, serialize_document,
                      serialize_manifold)

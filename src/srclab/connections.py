@@ -20,8 +20,8 @@ jets with a leading point axis, built from one :class:`~srclab.manifold.FrameDat
 (the Koszul jets, which the transformed connection adds to) and, for the transformed
 connection, the one-form's jets on the same points; an
 :class:`~srclab.curvature.Evaluation` builds both as layers.  A one-form's
-components are expressions, compiled once into a
-:class:`~srclab.jets.JetProgram`.
+components are expressions, compiled into a
+:class:`~srclab.jets.JetProgram` when the one-form is made.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError
+from .errors import DomainError
 from .jets import Const, Expression, JetProgram
 from .manifold import CoefficientJets, FrameData, ManifoldSpec, contract
 
@@ -58,15 +58,15 @@ class OneFormData:
     """Horizontal coframe components pi_i of a one-form, as expressions on R^n.
 
     ``program`` is their :class:`~srclab.jets.JetProgram` when a parse has
-    assembled it; without one, the first run compiles the expressions."""
+    assembled it; without one, construction compiles them (DimensionMismatch)."""
 
     exprs: tuple[Expression, ...]
     n: int
     program: InitVar[JetProgram | None] = None
 
     def __post_init__(self, program):
-        if program is not None:
-            self.__dict__["_jet_program"] = program
+        self.__dict__["_jet_program"] = (JetProgram(self.exprs, self.n) if program is None
+                                         else program)
 
     @property
     def ell(self) -> int:
@@ -90,10 +90,6 @@ class OneFormData:
     def zero(cls, ell: int, n: int) -> "OneFormData":
         """The zero one-form, one shared instance (and compiled program) per shape."""
         return cls.constant([0.0] * ell, n)
-
-    @cached_property
-    def _jet_program(self) -> JetProgram:
-        return JetProgram(self.exprs, self.n)
 
     def batch(self, points, basis=None) -> OneFormJets:
         """Jets at every row of ``points`` from one run, with gradients along
@@ -203,11 +199,9 @@ def koszul_connection(spec: ManifoldSpec) -> ConnectionField:
 
 
 def semi_connection(spec: ManifoldSpec, pi: OneFormData) -> ConnectionField:
-    """Semi-symmetric metric transformation of the Koszul connection."""
-    if pi.ell != spec.ell:
-        raise DimensionMismatch(f"one-form needs {spec.ell} components, got {pi.ell}")
-    if pi.n != spec.n:
-        raise DimensionMismatch("one-form fields live on the wrong R^n")
+    """Semi-symmetric transformation of the Koszul connection, checked by an Evaluation."""
+    from .curvature import Evaluation
+    Evaluation(spec, pi, np.empty((0, spec.n)))
     return ConnectionField(spec, pi)
 
 

@@ -35,9 +35,8 @@ from operator import attrgetter
 import numpy as np
 
 from .connections import (ConnectionBatch, ConnectionField, OneFormData, OneFormJets,
-                          covariant_oneform, frame_derivative, koszul_jets, semi_connection,
-                          semi_jets)
-from .errors import RankTooSmall
+                          covariant_oneform, frame_derivative, koszul_jets, semi_jets)
+from .errors import DimensionMismatch, RankTooSmall
 from .manifold import FrameData, ManifoldSpec, _frame_data, _mirror_pair_antisym, contract
 
 
@@ -277,8 +276,13 @@ class Evaluation:
 
     def __init__(self, spec: ManifoldSpec, pi: OneFormData | None, points):
         self.spec, self.ell, self.points = spec, spec.ell, np.asarray(points, dtype=float)
-        self.pi = (semi_connection(spec, pi).oneform if pi is not None    # checks its shape
-                   else OneFormData.zero(spec.ell, spec.n))
+        if pi is None:
+            pi = OneFormData.zero(spec.ell, spec.n)
+        elif pi.ell != spec.ell:
+            raise DimensionMismatch(f"one-form needs {spec.ell} components, got {pi.ell}")
+        elif pi.n != spec.n:
+            raise DimensionMismatch("one-form fields live on the wrong R^n")
+        self.pi = pi
 
     def __getitem__(self, name: str):
         return self.read(*TENSORS[name])

@@ -5,12 +5,12 @@ through a :class:`ValueTable`, whose one lookup hash-conses the node and gives
 its value, a folded constant or an op of one op DAG.  A :class:`JetProgram` is
 assembled from that DAG for a list of output nodes, and evaluates its ops on a
 whole (P, n) array of points, carrying the value, gradient and symmetric
-Hessian of every output with a leading point axis; frame data and one-forms are
-evaluated through it.  Trees built in Python enter a table by one post-order
-walk.  Derivatives come out exact; finite differences are used only as
-cross-checks (:func:`fd_crosscheck`).  Constant folding and the operand quoted
-in a domain-error message use :func:`_value`, the same arithmetic on the values
-alone, in Python floats.
+Hessian of every output with a leading point axis, along a basis (the identity
+by default); frame data and one-forms are evaluated through it.  Trees built in
+Python enter a table by one walk, keyed as the parser keys each node.  Exact
+derivatives; finite differences serve only as cross-checks (:func:`fd_crosscheck`).
+Constant folding and the operand quoted in a domain-error message use
+:func:`_value`, the same arithmetic on the values alone, in Python floats.
 """
 from __future__ import annotations
 
@@ -288,7 +288,6 @@ def _quote(expr: Expression, point) -> float:
 _CODES = {Add: "add", Sub: "sub", Mul: "mul"}
 _BINARY_CODES = frozenset(_UFUNCS)              # ops that read two slots
 _LEAF_CODES = frozenset(("coord", "const"))     # ops that read none
-_NO_SPAN = (math.inf, -math.inf)                # the coordinate span of an op that reads none
 
 
 class ValueTable:
@@ -300,9 +299,9 @@ class ValueTable:
     numbering: Aho, Lam, Sethi & Ullman, *Compilers*, 2nd ed., §6.1.2): a float
     that :meth:`_combine` folds, or the number of an op (code, x, y) whose
     operand slots are op numbers, an op equal to an earlier one being that one.
-    Each op records the span of coordinate indices it reads.  The parser fills
-    a table as it reads; :meth:`enter` walks trees built in Python into one;
-    :meth:`program` assembles a :class:`JetProgram` from the op DAG alone.
+    The parser fills a table as it reads; :meth:`enter` walks trees built in
+    Python into one; :meth:`program` assembles a :class:`JetProgram` from the
+    op DAG alone.  Coordinate indices are checked by the spec, not here.
     """
 
     def __init__(self):
@@ -311,7 +310,6 @@ class ValueTable:
         self.values: list = []          # node number -> op number (int) or folded constant (float)
         self.ops: list[tuple] = []      # op number -> (code, x, y)
         self.operands: list[tuple] = []     # op number -> the ops it reads, last first
-        self.spans: list[tuple] = []    # op number -> (lowest, highest) coordinate index read
         self._op_numbers: dict = {}
 
     def make(self, cls, a, b=None) -> int:
@@ -348,27 +346,13 @@ class ValueTable:
     def enter(self, exprs) -> list[int]:
         """Node numbers of trees built outside the table: one post-order walk
         over them all numbers each node object once (equal objects are not
-        merged; their ops are)."""
+        merged; their ops are), keyed as :meth:`make` keys each node."""
         exprs, numbers = list(exprs), {}
         for node in _postorder(*exprs):
-            cls = type(node)
-            if cls in _BINARY_NODES:
-                key = (cls, numbers[id(node.left)], numbers[id(node.right)])
-            elif cls is Const or cls is Coord:
-                key = (cls, node.value if cls is Const else node.index, None)
-            elif cls is Call:
-                key = (cls, node.fn, numbers[id(node.arg)])
-            else:
-                key = ((cls, numbers[id(node.base)], node.exponent) if cls is Pow
-                       else (cls, numbers[id(node.arg)], None))
-            numbers[id(node)] = self._new(key, node)
+            key = (type(node), *(numbers[id(v)] if isinstance(v, Expression) else v
+                                 for v in map(node.__dict__.get, node.__match_args__)), None)
+            numbers[id(node)] = self._new(key[:3], node)      # (cls, a, b), b None if unused
         return [numbers[id(expr)] for expr in exprs]
-
-    def span(self, numbers) -> tuple:
-        """(lowest, highest) coordinate index read by the nodes ``numbers``, (inf, -inf) if none."""
-        spans = [self.spans[v] for v in map(self.values.__getitem__, numbers) if type(v) is int]
-        return (min([lo for lo, _ in spans], default=math.inf),
-                max([hi for _, hi in spans], default=-math.inf))
 
     def program(self, outputs, n: int, hessians=(), hdim: int | None = None) -> JetProgram:
         """The :class:`JetProgram` of the nodes ``outputs`` on R^n."""
@@ -385,15 +369,8 @@ class ValueTable:
         if number is None:
             number = self._op_numbers[key] = len(self.ops)
             self.ops.append((code, x, y))
-            spans = self.spans
-            if code in _BINARY_CODES:
-                (lo, hi), (lo2, hi2) = spans[x], spans[y]
-                self.operands.append((y, x))
-                spans.append((lo if lo < lo2 else lo2, hi if hi > hi2 else hi2))
-            else:
-                leaf = code in _LEAF_CODES
-                self.operands.append(() if leaf else (x,))
-                spans.append(spans[x] if not leaf else (x, x) if code == "coord" else _NO_SPAN)
+            self.operands.append((y, x) if code in _BINARY_CODES
+                                 else () if code in _LEAF_CODES else (x,))
         return number
 
     def _affine(self, x: int, a: float, c: float) -> int:
@@ -452,11 +429,10 @@ class JetProgram:
     Griewank & Walther (*Evaluating Derivatives*, ch. 13) with a leading point
     axis.
 
-    Given a basis, :meth:`run` seeds the coordinates with its rows instead of
-    the unit vectors, so every derivative comes out along the basis vectors
-    (directional Taylor propagation, ibid.): Hessians are then taken along
-    the first ``hdim`` of them only (all of them by default).  :meth:`values`
-    evaluates the expressions without derivatives.
+    :meth:`run` seeds coordinate k with row k of a basis (the identity by
+    default), so every derivative comes out along the basis vectors
+    (directional Taylor propagation, ibid.): Hessians along the first ``hdim``
+    of a given basis (all by default).  :meth:`values` needs no derivatives.
 
     A domain error marks only the points where it happens: ``errors`` maps
     each such point to the first expression (in list order) that fails there
@@ -568,20 +544,22 @@ class JetProgram:
     def run(self, points, basis=None) -> JetBatch:
         """Values, gradients and the requested Hessians at every row of ``points``.
 
-        ``basis`` (P, n, d), if given, seeds coordinate x_k with the row
-        ``basis[:, k]``: gradients come out as derivatives along the d basis
-        vectors, G B, and Hessians as B_h^T H B_h on the first ``hdim`` of
-        them.  Without one, gradients and Hessians are along the coordinates."""
+        ``basis`` (P, n, d) seeds coordinate x_k with the row ``basis[:, k]``:
+        gradients come out as derivatives along the d basis vectors, G B, and
+        Hessians as B_h^T H B_h on the first ``hdim`` of them.  Without one it
+        is the identity, and Hessians are n x n whatever ``hdim`` is."""
         pts = self._points(points)
         P, n = pts.shape
         hd = n                              # the Hessian width
-        if basis is not None:
+        if basis is None:
+            basis = np.broadcast_to(np.eye(n), (P, n, n))
+        else:
             basis = np.asarray(basis, dtype=float)
             hd = basis.shape[-1] if self.hdim is None else self.hdim
             if basis.shape[:2] != (P, n) or basis.ndim != 3 or basis.shape[2] < hd:
                 raise DimensionMismatch(
                     f"basis must be an array of shape (P, {n}, d), d >= {hd}")
-            n = basis.shape[2]
+        n = basis.shape[2]
         # an op's jet is packed in one (W, P) array, points last so every part is
         # contiguous: the value, the n gradient entries and, where the op needs
         # a Hessian that is not zero, its hd * hd entries
@@ -610,13 +588,10 @@ class JetProgram:
         slots: list = [None] * len(self.ops)
         with np.errstate(all="ignore"):
             for j, (code, x, y, owner, need_h, writes, hwrites, frees) in enumerate(self.ops):
-                if code == "coord":         # seeded with the unit vector e_k or basis row k
-                    J = np.zeros((G, P))
+                if code == "coord":         # seeded with basis row k
+                    J = np.empty((G, P))
                     J[0] = pts[:, x]
-                    if basis is None:
-                        J[1 + x] = 1.0
-                    else:
-                        J[1:] = basis[:, x].T
+                    J[1:] = basis[:, x].T
                 elif code == "const":
                     J = np.zeros((G, P))
                     J[0] = x

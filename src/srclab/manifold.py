@@ -100,7 +100,7 @@ class ManifoldSpec:
     (:meth:`_compile`) from ``numbering``: the :class:`~srclab.jets.ValueTable`
     a parse filled and the node numbers of the frame components, metric
     entries and one-form components in that order.  A spec built in Python
-    passes none, and its expressions enter a new table by one walk.
+    passes none; its expressions enter a new table, where indices are checked.
     """
 
     name: str
@@ -155,22 +155,23 @@ class ManifoldSpec:
             yield from self.oneform
 
     def _compile(self, numbering=None) -> None:
-        """Check that every coordinate index lies in 0..n-1, from the spans
-        the table recorded, and store the programs: ``_jet_programs``, the
-        frame components field by field and apart the metric row by row (its
-        mirrored entries share one op), with Hessians for the horizontal fields
-        and the metric only, along the first ell vectors of a basis; and
-        ``_oneform_program``, None without a one-form."""
+        """Without ``numbering``, enter the expressions into a new table and check
+        its coordinate indices (0..n-1; a parse resolves only such), then store
+        the programs: ``_jet_programs``, the frame components field by field and
+        apart the metric row by row (its mirrored entries share one op), with
+        Hessians for the horizontal fields and the metric only, along the first
+        ell vectors of a basis; and ``_oneform_program``, None without one."""
+        n, ell = self.n, self.ell
         if numbering is None:
             table = ValueTable()
             numbering = table, table.enter(self._all_expressions())
+            indices = [x for code, x, _ in table.ops if code == "coord"]
+            lo, hi = min(indices, default=0), max(indices, default=0)
+            if lo < 0:
+                raise ValidationError(f"expression uses coordinate index {lo} < 0")
+            if hi >= n:
+                raise ValidationError(f"expression uses coordinate index {hi} >= dim {n}")
         table, outputs = numbering
-        n, ell = self.n, self.ell
-        lo, hi = table.span(outputs)
-        if lo < 0:
-            raise ValidationError(f"expression uses coordinate index {lo} < 0")
-        if hi >= n:
-            raise ValidationError(f"expression uses coordinate index {hi} >= dim {n}")
         frame, metric, oneform = (outputs[:n * n], outputs[n * n:n * n + ell * ell],
                                   outputs[n * n + ell * ell:])
         self.__dict__.update(
@@ -388,12 +389,3 @@ def snapshot(spec: ManifoldSpec, point) -> FrameSnapshot:
         raise f.errors[0]
     return FrameSnapshot(np.asarray(point, dtype=float), f.Ev[0], f.Einv[0], f.gv[0],
                          f.ginv[0], f.Om[0], f.Mc[0], f.Lam[0])
-
-
-def project_h(spec: ManifoldSpec, point, v) -> np.ndarray:
-    """Horizontal coefficients of v in the frame splitting (along V1)."""
-    snap = snapshot(spec, point)
-    vv = np.asarray(v, dtype=float)
-    if vv.shape != (spec.n,):
-        raise DimensionMismatch(f"vector must have {spec.n} components")
-    return (snap.Einv @ vv)[: spec.ell]

@@ -8,6 +8,7 @@ from srclab.connections import (OneFormData, covariant_oneform, frame_derivative
                                 koszul_connection, semi_connection, torsion)
 from srclab.curvature import Evaluation
 from srclab.errors import DimensionMismatch
+from srclab.jets import Coord, Mul
 from srclab.manifold import sample_points
 from srclab.parser import parse_manifold
 
@@ -219,3 +220,12 @@ def test_semi_connection_dimension_checks():
         semi_connection(spec, OneFormData.constant([1.0, 0.0, 0.0, 0.0], 3))
     with pytest.raises(DimensionMismatch):
         Evaluation(spec, OneFormData.constant([1.0, 0.0], 5), np.zeros((1, 5)))
+
+
+@pytest.mark.parametrize("index", [3, -1])
+def test_python_built_oneform_outside_its_chart_fails_at_construction(index):
+    """A one-form built in Python compiles when it is made: a coordinate
+    index outside 0..n-1 is a DimensionMismatch there, before any batch."""
+    with pytest.raises(DimensionMismatch,
+                       match=f"coordinate index {index} out of range for dimension 3"):
+        OneFormData((Coord(0), Mul(Coord(index), Coord(1))), 3)

@@ -333,13 +333,16 @@ BASIS_SPECS = [(name, builtin(name).spec) for name in catalog_names()] + [
 def test_basis_seeded_run_is_the_basis_contraction(name, spec):
     """Seeded with a basis B, a spec's frame and metric programs yield the
     basis-free run's values, G B and B_h^T H B_h (B_h its first hdim = ell
-    vectors) to JET_TOL per expression; seeded with the identity, a program
-    compiled without hdim yields the basis-free run bit for bit."""
+    vectors) to JET_TOL per expression; seeded with the identity, they yield
+    the basis-free run's values, gradients and errors bit for bit and the
+    leading hdim x hdim block of its Hessians, and a program compiled
+    without hdim yields the basis-free run bit for bit."""
     from srclab.manifold import sample_points
 
     points = sample_points(spec, 40, 5)
     B = np.random.default_rng(2).normal(size=(len(points), spec.n, spec.n))
     Bh = B[:, None, :, :spec.ell]
+    eye = np.broadcast_to(np.eye(spec.n), B.shape)
     for program in spec._jet_programs:
         free, seeded = program.run(points), program.run(points, basis=B)
         assert np.array_equal(seeded.values, free.values) and seeded.errors == free.errors
@@ -348,9 +351,12 @@ def test_basis_seeded_run_is_the_basis_contraction(name, spec):
             err, size = (np.abs(a).reshape(len(points), a.shape[1], -1).max(axis=-1)
                          for a in (got - want, want))
             assert (err <= JET_TOL * np.maximum(1.0, size)).all(), name
+        unit = program.run(points, basis=eye)
+        assert all(np.array_equal(a, b) for a, b in zip(unit[:2], free[:2]))
+        assert unit.errors == free.errors
+        assert np.array_equal(unit.hessians, free.hessians[..., :spec.ell, :spec.ell])
     exprs = _spec_expressions(spec)
     full = JetProgram(exprs, spec.n, hessians=range(len(exprs)))
-    eye = np.broadcast_to(np.eye(spec.n), B.shape)
     got, want = full.run(points, basis=eye), full.run(points)
     assert all(np.array_equal(a, b) for a, b in zip(got[:3], want[:3]))
     assert got.errors == want.errors

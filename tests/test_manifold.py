@@ -8,10 +8,10 @@ from jet_reference import jet_eval
 from oracles import _bracket, _to_array, sym_manifold
 
 from srclab.catalog import builtin, catalog_names
+from srclab.curvature import Evaluation
 from srclab.errors import DomainError, MetricNotSPD, SingularFrame, ValidationError
 from srclab.jets import Const, Coord, Mul
-from srclab.manifold import (ManifoldSpec, VectorFieldSpec, _frame_data, project_h,
-                             sample_points, snapshot)
+from srclab.manifold import ManifoldSpec, VectorFieldSpec, _frame_data, sample_points, snapshot
 from srclab.parser import parse_manifold
 
 RNG_SEED = 1234
@@ -127,21 +127,27 @@ def test_snapshot_reconstructs_brackets(name):
 
 
 def test_project_h_examples_and_linearity():
+    """Horizontal coefficients of v in the frame splitting (along V1), read
+    from the inverse frame of an Evaluation of the point."""
     spec = spec_of("heisenberg1")
+
+    def project_h(p, v):
+        return (Evaluation(spec, None, np.asarray(p)[None]).frame.Einv[0] @ v)[:spec.ell]
+
     origin = np.zeros(3)
-    assert np.allclose(project_h(spec, origin, [0.0, 0.0, 1.0]), [0.0, 0.0])
+    assert np.allclose(project_h(origin, [0.0, 0.0, 1.0]), [0.0, 0.0])
     p = np.array([0.4, 1.2, -0.3])
     snap = snapshot(spec, p)
-    assert np.allclose(project_h(spec, p, snap.E[:, 0]), [1.0, 0.0], atol=1e-13)
-    assert np.allclose(project_h(spec, p, snap.E[:, 2]), [0.0, 0.0], atol=1e-13)
+    assert np.allclose(project_h(p, snap.E[:, 0]), [1.0, 0.0], atol=1e-13)
+    assert np.allclose(project_h(p, snap.E[:, 2]), [0.0, 0.0], atol=1e-13)
     u, v = np.array([0.3, -1.0, 2.0]), np.array([1.5, 0.2, -0.7])
-    lin = project_h(spec, p, 2.0 * u - 3.0 * v)
-    assert np.allclose(lin, 2.0 * project_h(spec, p, u) - 3.0 * project_h(spec, p, v),
+    lin = project_h(p, 2.0 * u - 3.0 * v)
+    assert np.allclose(lin, 2.0 * project_h(p, u) - 3.0 * project_h(p, v),
                        atol=1e-12)
     # projecting the horizontal reconstruction returns the same coefficients
-    coeffs = project_h(spec, p, u)
+    coeffs = project_h(p, u)
     rebuilt = snap.E[:, : spec.ell] @ coeffs
-    assert np.allclose(project_h(spec, p, rebuilt), coeffs, atol=1e-12)
+    assert np.allclose(project_h(p, rebuilt), coeffs, atol=1e-12)
 
 
 def test_singular_frame_raises():

@@ -86,6 +86,19 @@ def test_eval_digest_builds_its_request_set(monkeypatch, tmp_path):
     assert re.fullmatch("[0-9a-f]{64}", sha) and nonzero == 8
 
 
+def test_report_digest_lists_its_reports(monkeypatch):
+    """scripts/report_digest.py lists 168 suite reports; its digest of two
+    of them is the same on two calls."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import report_digest
+
+    items = report_digest.cases()
+    assert len(items) == 168
+    two = [items[0], items[-1]]
+    sha = report_digest.digest(two)
+    assert re.fullmatch("[0-9a-f]{64}", sha) and sha == report_digest.digest(two)
+
+
 def test_ingest_timing_prints_a_row_per_spec():
     """scripts/ingest_timing.py times parse, validation and compile of the six
     catalog specs and the four expression-heavy specs, one repeat here."""
