@@ -11,22 +11,26 @@ and one coordinate too many.  Each request runs through ``cli_main`` in this
 process under warnings' "always" filter.  The digest covers the argv, exit
 code, stdout and stderr of every request in order, stderr followed by each
 warning as ``Category: message``.  The line also gives the count of nonzero
-exits.  Run it on two trees to check that a change leaves ``srclab eval``'s
-output alone.
+exits.  The package comes from ``src/`` of the tree holding this script, so
+copy the script into two trees and run it in each to check that a change
+leaves ``srclab eval``'s output alone.
 """
 import contextlib
 import hashlib
 import io
+import sys
 import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from srclab.catalog import builtin, catalog_names
-from srclab.cli import cli_main
-from srclab.curvature import TENSORS
-from srclab.manifold import sample_points
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from srclab.catalog import builtin, catalog_names  # noqa: E402
+from srclab.cli import cli_main  # noqa: E402
+from srclab.curvature import TENSORS  # noqa: E402
+from srclab.manifold import sample_points  # noqa: E402
 
 
 def requests(workdir: Path) -> list[list[str]]:

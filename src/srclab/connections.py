@@ -15,18 +15,18 @@ T_ij^k = delta_i^k pi_j - delta_j^k pi_i.
 
 Coefficients are tensors with their derivatives along the horizontal
 frame, the only ones curvature reads.  They are evaluated on a stack of
-points at once: a :class:`ConnectionBatch` holds a connection's coefficient
-jets with a leading point axis, built from one :class:`~srclab.manifold.FrameData`
-(the Koszul jets, which the transformed connection adds to) and, for the transformed
-connection, the one-form's jets on the same points; an
-:class:`~srclab.curvature.Evaluation` builds both as layers.  A one-form's
-components are expressions, compiled into a
+points at once: a connection is its :class:`~srclab.manifold.CoefficientJets`
+with a leading point axis, built from one :class:`~srclab.manifold.FrameData`
+(the Koszul jets, which the transformed connection adds to) and, for the
+transformed connection, the one-form's jets on the same points; an
+:class:`~srclab.curvature.Evaluation` builds both, and their torsions, as
+layers.  A one-form's components are expressions, compiled into a
 :class:`~srclab.jets.JetProgram` when the one-form is made.
 """
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -145,31 +145,22 @@ def covariant_oneform(co: np.ndarray, pij: OneFormJets) -> np.ndarray:
     return frame_derivative(pij.grads) - contract(co, pij.values)
 
 
-@dataclass(frozen=True, eq=False)
-class ConnectionBatch:
-    """A connection's coefficient jets on a stack of points, and Omega there."""
+def torsion_tensor(co: np.ndarray, Om: np.ndarray) -> np.ndarray:
+    """T[p, i, j, k] = co[i,j,k] - co[j,i,k] - Omega[i,j,k] for connection coefficients co."""
+    return co - co.transpose(0, 2, 1, 3) - Om
 
-    jets: CoefficientJets
-    Om: np.ndarray
 
-    @cached_property
-    def torsion(self) -> np.ndarray:
-        """T[p, i, j, k] = coeff[i,j,k] - coeff[j,i,k] - Omega[i,j,k], built once."""
-        co = self.jets.values
-        return co - co.transpose(0, 2, 1, 3) - self.Om
-
-    def covariant_T(self, Om_g: np.ndarray) -> np.ndarray:
-        """(D_i T)_jk^h of the connection's torsion, [p][i][j][k][h], given Omega's ``Om_g``."""
-        co, co_g = self.jets
-        Tv = self.torsion
-        Tg = co_g - co_g.transpose(0, 2, 1, 3, 4)
-        Tg -= Om_g                            # each sum in place: one temporary at a time
-        out = contract(Tv, co.transpose(0, 2, 1, 3)).transpose(0, 3, 1, 2, 4)
-        out += frame_derivative(Tg)
-        del Tg
-        out -= contract(co, Tv)
-        out -= contract(co, Tv.transpose(0, 2, 1, 3)).transpose(0, 1, 3, 2, 4)
-        return np.ascontiguousarray(out)
+def covariant_T(jets: CoefficientJets, T: np.ndarray, Om_g: np.ndarray) -> np.ndarray:
+    """(D_i T)_jk^h, [p][i][j][k][h], of a connection's torsion T from its jets and Om_g."""
+    co, co_g = jets
+    Tg = co_g - co_g.transpose(0, 2, 1, 3, 4)
+    Tg -= Om_g                            # each sum in place: one temporary at a time
+    out = contract(T, co.transpose(0, 2, 1, 3)).transpose(0, 3, 1, 2, 4)
+    out += frame_derivative(Tg)
+    del Tg
+    out -= contract(co, T)
+    out -= contract(co, T.transpose(0, 2, 1, 3)).transpose(0, 1, 3, 2, 4)
+    return np.ascontiguousarray(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,13 +175,13 @@ class ConnectionField:
         """This connection's layer of an Evaluation at one point; its error there is raised."""
         from .curvature import Evaluation       # the layer stack is built on this module
         ev = Evaluation(self.spec, self.oneform, np.asarray(point)[None])
-        return ev.read(koszul, False) if self.oneform is None else ev.read(semi)
+        return ev.read(koszul if self.oneform is None else semi)
 
     def coefficient_jets(self, point) -> CoefficientJets:
-        return CoefficientJets(*(a[0] for a in self._at(point, "nab.jets", "D.jets")))
+        return CoefficientJets(*(a[0] for a in self._at(point, "nab", "D")))
 
     def coefficients(self, point) -> np.ndarray:
-        return self._at(point, "nab.jets.values", "D.jets.values")[0]
+        return self._at(point, "nab.values", "D.values")[0]
 
 
 def koszul_connection(spec: ManifoldSpec) -> ConnectionField:
@@ -207,4 +198,4 @@ def semi_connection(spec: ManifoldSpec, pi: OneFormData) -> ConnectionField:
 
 def torsion(conn: ConnectionField, point) -> np.ndarray:
     """T[i, j, k] = coeff[i,j,k] - coeff[j,i,k] - Omega[i,j,k]."""
-    return conn._at(point, "nab.torsion", "D.torsion")[0]
+    return conn._at(point, "T_nab", "T_D")[0]

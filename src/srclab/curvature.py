@@ -17,10 +17,11 @@ the upper slot) and the second trace ``curv[i,k,e,e]``; the two differ because
 the lowered tensor has no pair symmetry.  All (ell-2)/(ell-1) divisions are
 guarded by RankTooSmall.  Every delta/g pattern is one kernel, :func:`delta_g`,
 whose ``base`` is a tensor the sum starts from and never writes (curv in W, g pi
-in the change formulas) and ``K`` the delta_k^h coefficient (C's ric2, C13's).
+in the change formulas, nabla T in C18), ``K`` the delta_k^h coefficient (C's
+ric2, C13's, C18's) and ``J`` a lone delta_j^h one (C18's).
 
 Curvature is evaluated on a stack of points (leading axis p) from a
-:class:`~srclab.connections.ConnectionBatch`; a bundle or characteristic
+connection's :class:`~srclab.manifold.CoefficientJets`; a bundle or characteristic
 tensor at one point is row 0 of an :class:`Evaluation` of one point.  The
 derived tensors below take either, since their formulas act on the trailing
 axes, and read the metric their bundle or characteristic tensor carries.
@@ -29,15 +30,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cache, cached_property
 from operator import attrgetter
 
 import numpy as np
 
-from .connections import (ConnectionBatch, ConnectionField, OneFormData, OneFormJets,
-                          covariant_oneform, frame_derivative, koszul_jets, semi_jets)
+from .connections import (ConnectionField, OneFormData, OneFormJets, covariant_oneform,
+                          covariant_T, frame_derivative, koszul_jets, semi_jets, torsion_tensor)
 from .errors import DimensionMismatch, RankTooSmall
-from .manifold import FrameData, ManifoldSpec, _frame_data, _mirror_pair_antisym, contract
+from .manifold import (CoefficientJets, FrameData, ManifoldSpec, _frame_data,
+                       _mirror_pair_antisym, contract)
 
 
 def _row(record):
@@ -72,11 +74,11 @@ class CurvatureBundle:
         return np.einsum("...ikee->...ik", self.curv)
 
 
-def curvature_raw(cb: ConnectionBatch, frame: FrameData) -> np.ndarray:
-    """Curvature tensors of a connection batch on the points of ``frame``
-    straight from the coordinate formula, no mirroring."""
-    co = cb.jets.values
-    dco = frame_derivative(cb.jets.grads)
+def curvature_raw(jets: CoefficientJets, frame: FrameData) -> np.ndarray:
+    """Curvature tensors of a connection's coefficient jets on the points of
+    ``frame`` straight from the coordinate formula, no mirroring."""
+    co = jets.values
+    dco = frame_derivative(jets.grads)
     Q = contract(co, co.transpose(0, 2, 1, 3))          # Q[p, j, k, i, h] = co[j,k,e] co[i,e,h]
     return (dco - dco.transpose(0, 2, 1, 3, 4)
             + Q.transpose(0, 3, 1, 2, 4)
@@ -113,12 +115,12 @@ class CharacteristicTensor:
     gpi = cached_property(lambda ct: delta_g(g=ct.g, B=ct.pi_mixed))
 
 
-def characteristic(frame: FrameData, nab: ConnectionBatch,
+def characteristic(frame: FrameData, nab: CoefficientJets,
                    pij: OneFormJets) -> CharacteristicTensor:
     """Characteristic tensors on the points of ``frame``, from Koszul and one-form jets."""
     piv, ginv = pij.values, frame.ginv
     pi2 = (piv * contract(ginv, piv)).sum(axis=1)
-    lower = (covariant_oneform(nab.jets.values, pij)
+    lower = (covariant_oneform(nab.values, pij)
              - piv[:, :, None] * piv[:, None, :] + 0.5 * frame.gv * pi2[:, None, None])
     mixed = lower @ ginv
     return CharacteristicTensor(lower, mixed, np.einsum("...ii->...", mixed), frame.gv)
@@ -141,26 +143,22 @@ def _diagonal(T: np.ndarray, axis1: int, axis2: int) -> np.ndarray:
     return np.ndarray(shape, T.dtype, T, 0, strides)
 
 
-def delta_g(A=None, g=None, B=None, K=None, base=None) -> np.ndarray:
+def delta_g(A=None, g=None, B=None, K=None, base=None, J=None) -> np.ndarray:
     """base + (g_ik B_j^h - g_jk B_i^h) + delta_j^h A_ik - delta_i^h A_jk
-    + delta_k^h K_ij in that order, with A, g, B, K (..., ell, ell) and base
-    (..., ell, ell, ell, ell); absent terms (g goes with B) are left out.
+    + delta_j^h J_ik + delta_k^h K_ij in that order, with A, g, B, J, K
+    (..., ell, ell) and base (..., ell, ell, ell, ell) on one leading shape;
+    absent terms (g goes with B) are left out.
 
-    The pattern every tensor below is assembled from; linear in (A, B, K), so a
-    sum of such terms is one call on the summed coefficients.  Leading axes
-    broadcast.  Built (from zeros without base and B) with the flattened leading
-    axes last, each step looping over the points; returned as a new C-contiguous
-    array, points first.  No argument is written."""
-    terms, leads = ((A, 2), (g, 2), (B, 2), (K, 2), (base, 4)), set()
-    for x, axes in terms:
-        if x is not None:
-            leads.add(x.shape[:-axes])
-            ell = x.shape[-1]
-    lead = leads.pop() if len(leads) == 1 else np.broadcast_shapes(*leads)
-    n = math.prod(lead)
-    A, g, B, K, base = [    # each broadcast to the leading shape, the leading axes flattened last
-        x if x is None else (x if x.shape[:-axes] == lead else np.broadcast_to(
-            x, lead + x.shape[-axes:])).reshape(n, ell ** axes).T.reshape((ell,) * axes + (n,))
+    The pattern every tensor below is assembled from; linear in (A, B, J, K), so
+    a sum of such terms is one call on the summed coefficients.  Built (from zeros
+    without base and B) with the leading axes flattened last, each step looping
+    over the points; returned as a new C-contiguous array, points first, with no
+    argument written."""
+    terms = ((A, 2), (g, 2), (B, 2), (K, 2), (base, 4), (J, 2))
+    x, axes = next((x, axes) for x, axes in terms if x is not None)
+    lead, ell, n = x.shape[:-axes], x.shape[-1], math.prod(x.shape[:-axes])
+    A, g, B, K, base, J = [    # each with the leading axes flattened last
+        x if x is None else x.reshape(n, ell ** axes).T.reshape((ell,) * axes + (n,))
         for x, axes in terms]
     if B is not None:     # numpy orders a ufunc's loops by its first operand's strides
         t = np.ascontiguousarray(g)[:, None, :, None] * np.ascontiguousarray(B)[None, :, None, :]
@@ -171,6 +169,8 @@ def delta_g(A=None, g=None, B=None, K=None, base=None) -> np.ndarray:
     if A is not None:
         _diagonal(out, 1, 3)[...] += A[:, None]
         _diagonal(out, 0, 3)[...] -= A[None]
+    if J is not None:
+        _diagonal(out, 1, 3)[...] += J[:, None]
     if K is not None:
         _diagonal(out, 2, 3)[...] += K[:, :, None]
     return np.ascontiguousarray(out.reshape(ell ** 4, n).T).reshape(lead + (ell,) * 4)
@@ -244,35 +244,29 @@ def projective_difference_formula(ct: CharacteristicTensor, spec: ManifoldSpec,
     return delta_g(A, base=ct.gpi)
 
 
-def flatness_characteristic_form(bundle: CurvatureBundle, spec: ManifoldSpec,
-                                 point) -> np.ndarray:
+def flatness_characteristic_form(bundle: CurvatureBundle) -> np.ndarray:
     """pi_ik = (1/(2-ell)) (ric_ik - scalar g_ik / (2(ell-1))): the one-form's
     characteristic tensor forced by a flat transformed connection."""
-    ell = spec.ell
+    ell = bundle.g.shape[-1]
     _require_rank(ell, 3, "flatness_characteristic_form")
     return (bundle.ricci - _scalar(bundle.scalar, 2) / (2 * (ell - 1)) * bundle.g) / (2 - ell)
 
 
 TENSORS = {
-    "g": ("frame.gv", False), "ginv": ("frame.ginv", False), "E": ("frame.Ev", False),
-    "Omega": ("frame.Om", False), "M": ("frame.Mc", False), "Lambda": ("frame.Lam", False),
-    "coeff": ("nab.jets.values", False), "Gamma": ("D.jets.values", True),
-    "torsion": ("D.torsion", True), "K": ("Kb.curv", False), "R": ("Rb.curv", True),
-    "ricci-K": ("Kb.ricci", False), "ricci-R": ("Rb.ricci", True),
-    "scalar-K": ("Kb.scalar", False), "scalar-R": ("Rb.scalar", True),
-    "S": ("S_nab", False), "Sbar": ("S_D", True), "C": ("C_nab", False), "Cbar": ("C_D", True),
-    "W": ("W_nab", False), "Wbar": ("W_D", True),
-    "pi-char": ("ct.pi_lower", True), "alpha": ("ct.alpha", True),
-}
+    "g": "frame.gv", "ginv": "frame.ginv", "E": "frame.Ev", "Omega": "frame.Om", "M": "frame.Mc",
+    "Lambda": "frame.Lam", "coeff": "nab.values", "Gamma": "D.values", "torsion": "T_D",
+    "K": "Kb.curv", "R": "Rb.curv", "ricci-K": "Kb.ricci", "ricci-R": "Rb.ricci",
+    "scalar-K": "Kb.scalar", "scalar-R": "Rb.scalar", "S": "S_nab", "Sbar": "S_D", "C": "C_nab",
+    "Cbar": "C_D", "W": "W_nab", "Wbar": "W_D", "pi-char": "ct.pi_lower", "alpha": "ct.alpha"}
 
 
 class Evaluation:
     """Every tensor of a spec and one-form (absent: the zero one-form) on a stack
     of points (leading axis p), one layer per attribute, built on first use; ``nab``
-    is the Koszul connection and ``D`` the transformed one.  ``ev[name]`` is an
-    ``srclab eval`` tensor, read through :data:`TENSORS` (name -> layer path, and
-    whether it reads the one-form).  A layer's rows where the frame or the one-form
-    failed are meaningless; :meth:`read` raises such a point's error instead."""
+    and ``D`` are the coefficient jets of the Koszul and the transformed connection.
+    ``ev[name]`` is an ``srclab eval`` tensor, read through :data:`TENSORS` (name ->
+    layer path).  A layer's rows where a layer it reads (:meth:`graph`) failed are
+    meaningless; :meth:`read` raises such a point's error instead."""
 
     def __init__(self, spec: ManifoldSpec, pi: OneFormData | None, points):
         self.spec, self.ell, self.points = spec, spec.ell, np.asarray(points, dtype=float)
@@ -285,29 +279,50 @@ class Evaluation:
         self.pi = pi
 
     def __getitem__(self, name: str):
-        return self.read(*TENSORS[name])
+        return self.read(TENSORS[name])
 
-    def read(self, path: str, reads_pi: bool = True):
+    @classmethod
+    @cache
+    def graph(cls) -> dict[str, tuple[tuple[str, ...], frozenset[str]]]:
+        """Per layer of the class: the layers its builder's code names, in that
+        order, and every layer it reads through them, itself included."""
+        code = {name: value.func.__code__.co_names for klass in cls.__mro__
+                for name, value in vars(klass).items() if isinstance(value, cached_property)}
+        inputs = {layer: tuple(w for w in names if w in code) for layer, names in code.items()}
+
+        def closure(name):
+            return frozenset({name}.union(*map(closure, inputs[name])))
+
+        return {name: (inputs[name], closure(name)) for name in inputs}
+
+    @classmethod
+    def reads(cls, paths) -> tuple[str, ...]:
+        """The layers whose errors void what the attribute paths (such as "Kb.curv")
+        name, first first: the frame, then the one-form if any of them reads it."""
+        pi = any("pij" in cls.graph()[path.partition(".")[0]][1] for path in paths)
+        return ("frame", "pij")[:1 + pi]
+
+    def read(self, path: str):
         """The layer at an attribute path such as "Kb.curv", after raising the error of
-        the first point where the frame, then the one-form if it is read, failed."""
-        for layer in ("frame", "pij")[:1 + reads_pi]:
-            errors = getattr(self, layer).errors
-            if errors:
+        the first point where the frame, then the one-form if the layer reads it, failed."""
+        for layer in self.reads([path]):
+            if errors := getattr(self, layer).errors:
                 raise errors[min(errors)]
         return attrgetter(path)(self)
 
     frame = cached_property(lambda ev: _frame_data(ev.spec, ev.points))
     pij = cached_property(lambda ev: ev.pi.batch(ev.points, ev.frame.Ev[:, :, :ev.ell]))
-    nab = cached_property(lambda ev: ConnectionBatch(koszul_jets(ev.frame), ev.frame.Om))
-    D = cached_property(lambda ev: ConnectionBatch(semi_jets(ev.frame, ev.nab.jets, ev.pij),
-                                                   ev.frame.Om))
+    nab = cached_property(lambda ev: koszul_jets(ev.frame))
+    D = cached_property(lambda ev: semi_jets(ev.frame, ev.nab, ev.pij))
+    T_nab = cached_property(lambda ev: torsion_tensor(ev.nab.values, ev.frame.Om))
+    T_D = cached_property(lambda ev: torsion_tensor(ev.D.values, ev.frame.Om))
     rawK = cached_property(lambda ev: curvature_raw(ev.nab, ev.frame))
     rawR = cached_property(lambda ev: curvature_raw(ev.D, ev.frame))
     Kb = cached_property(lambda ev: curvature_bundle(ev.frame, ev.rawK))
     Rb = cached_property(lambda ev: curvature_bundle(ev.frame, ev.rawR))
     ct = cached_property(lambda ev: characteristic(ev.frame, ev.nab, ev.pij))
-    DT_nab = cached_property(lambda ev: ev.nab.covariant_T(ev.frame.Om_g))
-    DT_D = cached_property(lambda ev: ev.D.covariant_T(ev.frame.Om_g))
+    DT_nab = cached_property(lambda ev: covariant_T(ev.nab, ev.T_nab, ev.frame.Om_g))
+    DT_D = cached_property(lambda ev: covariant_T(ev.D, ev.T_D, ev.frame.Om_g))
     W_nab = cached_property(lambda ev: projective_tensor(ev.Kb, ev.spec, ev.points))
     W_D = cached_property(lambda ev: projective_tensor(ev.Rb, ev.spec, ev.points))
     S_nab = cached_property(lambda ev: s_tensor(ev.Kb, ev.spec, ev.points))

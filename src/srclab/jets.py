@@ -668,7 +668,7 @@ class JetProgram:
                 for s in frees:
                     slots[s] = None
         return JetBatch(values.T, grads.transpose(2, 0, 1),
-                        hess.reshape(-1, hd, hd, P).transpose(3, 0, 1, 2), errors)
+                        hess.reshape(self._n_hess, hd, hd, P).transpose(3, 0, 1, 2), errors)
 
 
 def _run(exprs, points, hessians=()) -> JetBatch:

@@ -45,9 +45,8 @@ from operator import attrgetter
 import numpy as np
 
 from .connections import OneFormData, covariant_oneform
-from .curvature import (Evaluation, _diagonal, conformal_difference_formula,
-                        curvature_relation_terms, delta_g, flatness_characteristic_form,
-                        projective_difference_formula)
+from .curvature import (Evaluation, conformal_difference_formula, curvature_relation_terms,
+                        delta_g, flatness_characteristic_form, projective_difference_formula)
 from .errors import RankTooSmall, ValidationError
 from .manifold import (FRAME_CHUNK, PASS_ENTRIES, ManifoldSpec, contract, entries_per_point,
                        sample_points)
@@ -178,8 +177,8 @@ class _Pass(Evaluation):
         """Per point where a layer in ``reads`` failed, the first such layer's message."""
         out: dict[int, str] = {}
         for layer in reversed(reads):
-            errors = self.frame.errors if layer == "frame" else self.pij.errors
-            out.update({i: f"{type(exc).__name__}: {exc}" for i, exc in errors.items()})
+            out.update({i: f"{type(exc).__name__}: {exc}"
+                        for i, exc in getattr(self, layer).errors.items()})
         return out
 
     dK = cached_property(lambda ev: ev.Rb.curv - ev.Kb.curv)    # each read by two checks
@@ -230,27 +229,23 @@ def _quiet():
 # The check table
 # --------------------------------------------------------------------------
 
-FRAME, FRAME_PI, PI_FRAME = ("frame",), ("frame", "pi"), ("pi", "frame")
-_READS = (FRAME, FRAME_PI, PI_FRAME)
-
-
 def _metricity(ev, conn: str):
     """e_k(g_ij) - co[k,i,e] g_ej - co[k,j,e] g_ie for the coefficients co of ``conn``."""
-    t = contract(getattr(ev, conn).jets.values, ev.frame.gv)
+    t = contract(getattr(ev, conn).values, ev.frame.gv)
     return ev.res(ev.frame.fdg - t - t.transpose(0, 1, 3, 2),
-                  "frame.fdg", f"{conn}.jets.values", "frame.gv")
+                  "frame.fdg", f"{conn}.values", "frame.gv")
 
 
 _c01, _c03 = partial(_metricity, conn="nab"), partial(_metricity, conn="D")
 
 
 def _c02(ev):
-    return ev.res("nab.torsion", "nab.jets.values", "frame.Om")
+    return ev.res("T_nab", "nab.values", "frame.Om")
 
 
 def _c04(ev):
     t = np.eye(ev.ell)[:, None, :] * ev.pij.values[:, None, :, None]       # delta_i^k pi_j
-    return ev.res(ev.D.torsion - (t - t.transpose(0, 2, 1, 3)), "D.torsion", "pij.values")
+    return ev.res(ev.T_D - (t - t.transpose(0, 2, 1, 3)), "T_D", "pij.values")
 
 
 def _c05(ev):
@@ -323,7 +318,7 @@ def _c17(ev):
     qualifies = undecided | equal
     if ev.ell >= 3:
         flat = _rel(ev.res("Rb.curv", "Rb.curv")) <= HYPOTHESIS_REL   # flat transformed connection
-        want = flatness_characteristic_form(ev.Kb, ev.spec, ev.points)
+        want = flatness_characteristic_form(ev.Kb)
         parts += [_gate(ev.res("S_nab", "S_nab"), flat),
                   _gate(ev.res(ev.ct.pi_lower - want, "ct.pi_lower", want), flat)]
         qualifies = qualifies | flat
@@ -332,12 +327,9 @@ def _c17(ev):
 
 
 def _c18(ev):
-    # DT - (D_i pi_k) delta_j^h + (D_i pi_j) delta_k^h, on two diagonals of DT; the
-    # entries of that delta tensor (and of delta_g(A) below) are those of D pi (of A)
-    Dpi, diff = covariant_oneform(ev.D.jets.values, ev.pij), ev.DT_D.copy()
-    _diagonal(diff, -3, -1)[...] -= Dpi[:, :, None, :]
-    _diagonal(diff, -2, -1)[...] += Dpi[..., None]
-    parts = [ev.res(diff, "DT_D", Dpi)]
+    # DT - (D_i pi_k) delta_j^h + (D_i pi_j) delta_k^h: D pi (A below) has its delta part's entries
+    Dpi = covariant_oneform(ev.D.values, ev.pij)
+    parts = [ev.res(delta_g(J=-Dpi, K=Dpi, base=ev.DT_D), "DT_D", Dpi)]
     # flat + parallel torsion: characteristic tensor and constant curvature
     flat_parallel = ((_rel(ev.res("Rb.curv", "Rb.curv")) <= HYPOTHESIS_REL)
                      & (_rel(ev.res("DT_D", "DT_D")) <= HYPOTHESIS_REL))
@@ -358,9 +350,13 @@ class CheckSpec:
     paper_ref: str
     fn: object          # _Pass -> per point (abs, denom[, qualifies])
     layers: str         # pass layers read ("frame": more than gv, ginv, Mc); "x:cond" if cond
-    reads: tuple[str, ...] = FRAME      # layers whose errors fail the check, first first
+    reads: tuple[str, ...] = ()     # layers whose errors fail the check, first first
     required_rank: int = 2
     tolerance: float = 1e-9
+
+    def __post_init__(self):        # reads by default: what _Pass.reads gives for ``layers``
+        words = [word.partition(":")[0] for word in self.layers.split()]
+        object.__setattr__(self, "reads", self.reads or _Pass.reads(words))
 
 
 CHECKS: tuple[CheckSpec, ...] = (
@@ -369,19 +365,18 @@ CHECKS: tuple[CheckSpec, ...] = (
         "e_k(g_ij) = {_ki^e} g_ej + {_kj^e} g_ie", _c01, "nab frame"),
     CheckSpec(
         "C02", "vanishing torsion of the horizontal connection",
-        "{_ij^k} - {_ji^k} = Omega_ij^k", _c02, "nab frame", tolerance=1e-10),
+        "{_ij^k} - {_ji^k} = Omega_ij^k", _c02, "T_nab nab frame", tolerance=1e-10),
     CheckSpec(
         "C03", "metric compatibility of the semi-symmetric connection",
-        "e_k(g_ij) = Gamma_ki^e g_ej + Gamma_kj^e g_ie", _c03, "D frame", FRAME_PI),
+        "e_k(g_ij) = Gamma_ki^e g_ej + Gamma_kj^e g_ie", _c03, "D frame"),
     CheckSpec(
         "C04", "semi-symmetric form of the transformed torsion",
         "T_ij^k = delta_i^k pi_j - delta_j^k pi_i (corrected reading of the "
         "defining display, forced by the transformation rule)",
-        _c04, "D pij", PI_FRAME, tolerance=1e-10),
+        _c04, "T_D pij", reads=("pij", "frame"), tolerance=1e-10),
     CheckSpec(
         "C05", "curvature antisymmetry in the first index pair, recomputed unmirrored",
-        "K^h_ijk = -K^h_jik and R^h_ijk = -R^h_jik", _c05, "rawK rawR", FRAME_PI,
-        tolerance=1e-10),
+        "K^h_ijk = -K^h_jik and R^h_ijk = -R^h_jik", _c05, "rawK rawR", tolerance=1e-10),
     CheckSpec(
         "C06", "first Bianchi identity of the horizontal connection, mixed and lowered",
         "K^h_ijk + K^h_jki + K^h_kij = 0;  K(X,Y,Z,W) + K(Y,Z,X,W) + K(Z,X,Y,W) = 0",
@@ -395,17 +390,17 @@ CHECKS: tuple[CheckSpec, ...] = (
     CheckSpec(
         "C09", "curvature change under the semi-symmetric transformation",
         "R^h_ijk = K^h_ijk + delta_j^h pi_ik - delta_i^h pi_jk + pi_j^h g_ik - pi_i^h g_jk",
-        _c09, "ct dK Rb Kb", FRAME_PI),
+        _c09, "ct dK Rb Kb"),
     CheckSpec(
         "C10", "Ricci-trace change under the transformation",
-        "R^e_iek = K^e_iek + (ell-2) pi_ik + alpha g_ik", _c10, "ct Rb Kb", FRAME_PI),
+        "R^e_iek = K^e_iek + (ell-2) pi_ik + alpha g_ik", _c10, "ct Rb Kb"),
     CheckSpec(
         "C11", "scalar-curvature change under the transformation",
-        "R = K + 2(ell-1) alpha", _c11, "Rb Kb ct", FRAME_PI),
+        "R = K + 2(ell-1) alpha", _c11, "Rb Kb ct"),
     CheckSpec(
         "C12", "invariance of the S-tensor under the transformation",
         "S^h_ijk built from either connection agrees (curv - Ricci/scalar combination)",
-        _c12, "S_D S_nab", FRAME_PI, required_rank=3),
+        _c12, "S_D S_nab", required_rank=3),
     CheckSpec(
         "C13", "tabulated closed form for the conformal-tensor change "
         "(inconsistent with the definitional displays: the measured change is zero, "
@@ -413,32 +408,32 @@ CHECKS: tuple[CheckSpec, ...] = (
         "Cbar - C = -(1/ell)(delta_j^h pi_ik - delta_i^h pi_jk + g_ik pi_j^h - g_jk pi_i^h) "
         "- 2 alpha/(ell(ell-2)) (delta_j^h g_ik - delta_i^h g_jk) "
         "- ((ell-2)/ell) delta_k^h pi_ij - (alpha/ell) delta_k^h g_ij",
-        _c13, "ct dC C_D C_nab", FRAME_PI, required_rank=3),
+        _c13, "ct dC C_D C_nab", required_rank=3),
     CheckSpec(
         "C14", "closed form for the projective-tensor change",
         "Wbar - W = (1/(ell-1))(delta_j^h pi_ik - delta_i^h pi_jk) "
         "+ (g_ik pi_j^h - g_jk pi_i^h) - alpha/(ell-1)(delta_j^h g_ik - delta_i^h g_jk)",
-        _c14, "ct dW W_D W_nab", FRAME_PI),
+        _c14, "ct dW W_D W_nab"),
     CheckSpec(
         "C15", "equal conformal tensors where the characteristic trace vanishes",
-        "alpha = 0  =>  Cbar = C", _c15, "dC C_D C_nab ct", FRAME_PI, required_rank=3),
+        "alpha = 0  =>  Cbar = C", _c15, "dC C_D C_nab ct", required_rank=3),
     CheckSpec(
         "C16", "equal projective tensors where the characteristic tensor is "
         "metric-proportional",
-        "pi_ik = (alpha/ell) g_ik  =>  Wbar = W", _c16, "ct dW W_D W_nab", FRAME_PI),
+        "pi_ik = (alpha/ell) g_ik  =>  Wbar = W", _c16, "ct dW W_D W_nab"),
     CheckSpec(
         "C17", "flatness consequences: equal curvatures force alpha = 0; a flat "
         "transformed connection forces S = 0 and pins the characteristic tensor",
         "R^h_ijk = K^h_ijk => alpha = 0;  R^h_ijk = 0 => S^h_ijk = 0 and "
         "pi_ik = (1/(2-ell))(K^e_iek - K g_ik / (2(ell-1)))",
-        _c17, "dK Rb Kb ct S_nab:rank3", FRAME_PI, tolerance=1e-8),
+        _c17, "dK Rb Kb ct S_nab:rank3", tolerance=1e-8),
     CheckSpec(
         "C18", "parallel torsion and group-manifold consequences",
         "(D_i T)_jk^h = (D_i pi_k) delta_j^h - (D_i pi_j) delta_k^h;  flat D with "
         "parallel torsion => pi_ij = -(1/2) g_ij pi_e pi^e, "
         "K^h_ijk = pi_e pi^e (delta_j^h g_ik - delta_i^h g_jk), W = 0;  "
         "on flagged left-invariant graded frames K = 0 and (nabla T) = 0",
-        _c18, "Rb Kb ct DT_D DT_nab:carnot W_nab D pij", FRAME_PI),
+        _c18, "Rb Kb ct DT_D DT_nab:carnot W_nab D pij"),
 )
 
 CHECK_IDS = tuple(c.id for c in CHECKS)
@@ -454,14 +449,13 @@ RUN_ORDER = ("C01", "C02", "C03", "C04", "C05", "C18", "C06", "C07", "C08", "C09
 def _plan(ell: int, carnot: bool) -> tuple:
     """A suite pass's liveness plan: its steps in run order (the checks rank ``ell``
     allows, each after building the layers its table entry lists, in order, each
-    after its inputs: the layers its builder's code names), each with the layers
-    it is the last reader of, to drop after it (a build reads its inputs)."""
+    after its inputs in :meth:`_Pass.graph`), each with the layers it is the last
+    reader of, to drop after it (a build reads its inputs)."""
     holds, steps = {"rank3": ell >= 3, "carnot": carnot, "": True}, []
 
     def build(layer):
         if all(step != layer for step, _ in steps):
-            inputs = [name for name in getattr(_Pass, layer).func.__code__.co_names
-                      if isinstance(getattr(_Pass, name, None), cached_property)]
+            inputs = _Pass.graph()[layer][0]
             for name in inputs:
                 build(name)
             steps.append((layer, inputs))
@@ -482,7 +476,7 @@ class _Table:
     """Per check over the passes: largest residuals, worst point, points evaluated, first error."""
 
     def __init__(self, checks, n: int):
-        self.reads = np.array([_READS.index(c.reads) for c in checks])
+        self.reads = [c.reads for c in checks]
         self.max_abs, self.max_rel = np.zeros(len(checks)), np.full(len(checks), -1.0)
         self.count, self.worst = np.zeros(len(checks), dtype=int), np.zeros((len(checks), n))
         self.error: list[str | None] = [None] * len(checks)
@@ -490,11 +484,10 @@ class _Table:
     def fold(self, ev: _Pass, rows) -> None:
         """Fold in one pass's (checks, points) table of (abs, denom[, qualifies]) rows."""
         abs_res, denom = np.array([r[:2] for r in rows]).swapaxes(0, 1)
-        failures = [ev.failures(reads) for reads in _READS]
-        failed = np.zeros((len(failures), len(ev.points)), dtype=bool)
-        for mask, f in zip(failed, failures):
-            mask[list(f)] = True
-        failed = failed[self.reads]
+        failures = {reads: ev.failures(reads) for reads in set(self.reads)}
+        failed = np.zeros((len(rows), len(ev.points)), dtype=bool)
+        for mask, reads in zip(failed, self.reads):
+            mask[list(failures[reads])] = True
         everywhere = np.ones(len(ev.points), dtype=bool)
         evaluated = ~failed & np.array([r[2] if len(r) > 2 else everywhere for r in rows])
         finite = np.isfinite(abs_res + denom)
@@ -588,14 +581,13 @@ def check_group_manifold(spec: ManifoldSpec, pi: OneFormData | None = None,
     at a sample makes the verdict "inconclusive".
     """
     config = config or SuiteConfig()
-    reads = FRAME if pi is None else FRAME_PI
+    paths = ("Kb.curv", "DT_nab") if pi is None else ("Rb.curv", "DT_D")
     max_curv = max_dt = 0.0
     errors: list[str] = []
     with _quiet():
         for ev in _passes(spec, pi, config):
-            size_c, size_d = map(ev.sup, ("Kb.curv", "DT_nab") if pi is None
-                                 else ("Rb.curv", "DT_D"))
-            messages, good = _point_errors(ev, reads, np.isfinite(size_c + size_d),
+            size_c, size_d = map(ev.sup, paths)
+            messages, good = _point_errors(ev, _Pass.reads(paths), np.isfinite(size_c + size_d),
                                            "curvature or torsion derivative")
             errors += messages
             if good.any():
@@ -633,10 +625,11 @@ def check_flatness_criterion(spec: ManifoldSpec, pi: OneFormData | None = None,
     errors: list[str] = []
     with _quiet():
         for ev in _passes(spec, pi, config):
-            want = flatness_characteristic_form(ev.Kb, spec, ev.points)
+            want = flatness_characteristic_form(ev.Kb)
             r, s, k = ev.sup("Rb.curv"), ev.sup("S_nab"), ev.sup("Kb.curv")
             d, w = ev.sup(ev.ct.pi_lower - want), ev.sup(want)
-            messages, good = _point_errors(ev, FRAME_PI, np.isfinite(r + s + k + d + w),
+            messages, good = _point_errors(ev, _Pass.reads(("Rb", "S_nab", "Kb", "ct")),
+                                           np.isfinite(r + s + k + d + w),
                                            "curvature or characteristic tensor")
             errors += messages
             rows += [(bool(r[i] <= FLATNESS_TOL), bool(s[i] <= FLATNESS_TOL * max(1.0, k[i])),

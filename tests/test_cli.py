@@ -501,14 +501,14 @@ def test_eval_raises_only_the_errors_of_the_layers_a_tensor_reads(tmp_path, caps
     """With a one-form that fails everywhere, the 13 tensors that do not read
     it print and exit 0 and the 10 that do exit 2 with its message; where the
     frame is singular all 23 exit 2 with the frame's message."""
-    from srclab.curvature import TENSORS
+    from srclab.curvature import TENSORS, Evaluation
 
     spec = tmp_path / "degenerate.txt"
     spec.write_text(DEGENERATE_L3, encoding="utf-8")
     pi = tmp_path / "failing.pi"
     pi.write_text("log(x - 5)\n0\n0\n", encoding="utf-8")
     args = ["eval", "--spec", str(spec), "--pi", f"file:{pi}", "--tensor"]
-    reads_pi = {name for name, (_, reads) in TENSORS.items() if reads}
+    reads_pi = {name for name, path in TENSORS.items() if "pij" in Evaluation.reads([path])}
     assert len(TENSORS) == 23 and reads_pi == {
         "Gamma", "torsion", "R", "ricci-R", "scalar-R", "Sbar", "Cbar", "Wbar", "pi-char",
         "alpha"}

@@ -111,7 +111,7 @@ def test_semi_connection_with_zero_pi_is_koszul():
 def nabla_oneform(spec, pi, point):
     """Koszul covariant derivative of pi: e_i(pi_j) - {_ij^k} pi_k."""
     ev = at(spec, pi, point)
-    return covariant_oneform(ev.nab.jets.values, ev.pij)[0]
+    return covariant_oneform(ev.nab.values, ev.pij)[0]
 
 
 def test_nabla_oneform_examples():
@@ -151,7 +151,7 @@ def test_covariant_torsion_derivative():
     for p in sample_points(spec, 10, RNG_SEED):
         ev = at(spec, pi, p)
         dt = ev.DT_D[0]
-        dpi = covariant_oneform(ev.D.jets.values, ev.pij)[0]
+        dpi = covariant_oneform(ev.D.values, ev.pij)[0]
         want = (np.einsum("ik,jh->ijkh", dpi, eye)
                 - np.einsum("ij,kh->ijkh", dpi, eye))
         assert abs(dt - want).max() <= 1e-12 * max(1.0, abs(dt).max())
@@ -190,7 +190,7 @@ def test_coefficient_fields_match_tensor_path():
     for conn, layer in ((koszul_connection(spec), "nab"),
                         (semi_connection(spec, entry.oneform("trig")), "D")):
         for p in sample_points(spec, 3, RNG_SEED):
-            dco = frame_derivative(getattr(at(spec, conn.oneform, p), layer).jets.grads)[0]
+            dco = frame_derivative(getattr(at(spec, conn.oneform, p), layer).grads)[0]
             for i, vf in enumerate(spec.hframe):
                 step = 1e-5 * np.array([jet_eval(c, p, 0).value for c in vf.components])
                 central = (conn.coefficients(p + step) - conn.coefficients(p - step)) / 2e-5

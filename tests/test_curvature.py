@@ -267,16 +267,13 @@ def test_flatness_characteristic_form_zero_case():
     nab = koszul_connection(spec)
     p = sample_points(spec, 1, RNG_SEED)[0]
     Kb = schouten_curvature(nab, p)
-    assert abs(flatness_characteristic_form(Kb, spec, p)).max() <= 1e-14
+    assert abs(flatness_characteristic_form(Kb)).max() <= 1e-14
 
 
-def _delta_g_entries(A, g, B, K, base, lead, ell):
+def _delta_g_entries(A, g, B, K, base, J, lead, ell):
     """delta_g's documented sum entry by entry, in its order of operations:
     base + (g_ik B_j^h - g_jk B_i^h), then + delta_j^h A_ik, - delta_i^h A_jk,
-    + delta_k^h K_ij; from 0.0 when there is neither base nor B."""
-    A, g, B, K = (None if x is None else np.broadcast_to(x, lead + (ell, ell))
-                  for x in (A, g, B, K))
-    base = None if base is None else np.broadcast_to(base, lead + (ell,) * 4)
+    + delta_j^h J_ik, + delta_k^h K_ij; from 0.0 when there is neither base nor B."""
     out = np.empty(lead + (ell,) * 4)
     for p in np.ndindex(*lead):
         for i, j, k, h in np.ndindex(*(ell,) * 4):
@@ -288,6 +285,8 @@ def _delta_g_entries(A, g, B, K, base, lead, ell):
                 v = v + A[p + (i, k)]
             if A is not None and i == h:
                 v = v - A[p + (j, k)]
+            if J is not None and j == h:
+                v = v + J[p + (i, k)]
             if K is not None and k == h:
                 v = v + K[p + (i, j)]
             out[p + (i, j, k, h)] = v
@@ -305,24 +304,22 @@ def _signed_entries(rng, shape):
 
 @pytest.mark.parametrize("ell", range(2, 7))
 def test_delta_g_is_its_formula_bit_for_bit(ell):
-    """Every combination of A, B (with g), K and base, on leading shapes (),
-    (1,) and (5,), and g without a point axis against the rest with one (as
-    ct.gpi at one point is built): the same bits, signs of zeros included, as
-    the entry-by-entry sum; a new C-contiguous array, no input written."""
+    """Every combination of A, B (with g), K, base and J, on leading shapes (),
+    (1,) and (5,): the same bits, signs of zeros included, as the
+    entry-by-entry sum; a new C-contiguous array, no input written."""
     rng = np.random.default_rng(ell)
-    for (lead, lead_g), given in product([((), ()), ((1,), (1,)), ((5,), (5,)), ((5,), ())],
-                                         product((False, True), repeat=4)):
-        if not any(given) or (lead_g != lead and not given[1]):
+    for lead, given in product([(), (1,), (5,)], product((False, True), repeat=5)):
+        if not any(given):
             continue
-        A, B, K = (_signed_entries(rng, lead + (ell, ell)) if on else None
-                   for on in given[:3])
-        g = _signed_entries(rng, lead_g + (ell, ell)) if given[1] else None
-        base = _signed_entries(rng, lead + (ell,) * 4) if given[3] else None
-        inputs = [x for x in (A, g, B, K, base) if x is not None]
+        on_A, on_B, on_K, on_base, on_J = given
+        A, g, B, K, J = (_signed_entries(rng, lead + (ell, ell)) if on else None
+                         for on in (on_A, on_B, on_B, on_K, on_J))
+        base = _signed_entries(rng, lead + (ell,) * 4) if on_base else None
+        inputs = [x for x in (A, g, B, K, base, J) if x is not None]
         before = [x.copy() for x in inputs]
-        got = delta_g(A, g, B, K, base)
-        want = _delta_g_entries(A, g, B, K, base, lead, ell)
-        case = (lead, lead_g, given)
+        got = delta_g(A, g, B, K, base, J)
+        want = _delta_g_entries(A, g, B, K, base, J, lead, ell)
+        case = (lead, given)
         assert got.shape == want.shape and got.flags.c_contiguous, case
         assert np.array_equal(got, want), case
         assert np.array_equal(np.signbit(got), np.signbit(want)), case

@@ -398,6 +398,18 @@ def test_compiled_program_rejects_what_jet_eval_rejects():
         JetProgram([Coord(0)], 2, hdim=2).run(np.zeros((3, 2)), basis=np.zeros((3, 2, 1)))
 
 
+@pytest.mark.parametrize("hessians", [(), (0,)])
+def test_run_on_a_zero_width_basis(hessians):
+    """A basis of no vectors gives the values, gradients of width 0 and
+    0 x 0 Hessians, with or without an output asking for one."""
+    points = np.array([[0.5, -0.25], [0.1, 0.2], [2.0, 3.0]])
+    run = JetProgram([Mul(Coord(0), Coord(1))], 2, hessians=hessians).run(
+        points, basis=np.zeros((3, 2, 0)))
+    assert run.values[:, 0].tolist() == [-0.125, 0.020000000000000004, 6.0]
+    assert run.grads.shape == (3, 1, 0) and run.hessians.shape == (3, len(hessians), 0, 0)
+    assert run.errors == {}
+
+
 dyadic2 = st.tuples(*[st.integers(-16, 16).map(lambda k: k / 16)] * 2)
 
 

@@ -33,6 +33,29 @@ def test_check_table_shape():
         assert check.paper_ref
 
 
+def test_oneform_readers_are_the_layers_that_reach_it():
+    """The srclab eval tensors and the checks that read the one-form (through
+    the transformed connection or the characteristic tensor) are exactly those
+    whose layers reach ``pij`` in the layer graph read off the builders.  Those
+    checks fail on the frame's errors first, then the one-form's, except C04,
+    which names the one-form's first; the rest read the frame alone."""
+    graph = _Pass.graph()
+
+    def reach(layers):
+        return any("pij" in graph[layer][1] for layer in layers)
+
+    tensors = {"Gamma", "torsion", "R", "ricci-R", "scalar-R", "Sbar", "Cbar", "Wbar",
+               "pi-char", "alpha"}
+    checks = {"C03", "C04", "C05", *(f"C{i:02d}" for i in range(9, 19))}
+    assert {name for name, path in TENSORS.items() if reach([path.partition(".")[0]])} == tensors
+    assert {c.id for c in CHECKS
+            if reach(word.partition(":")[0] for word in c.layers.split())} == checks
+    for c in CHECKS:
+        want = ("frame", "pij") if c.id in checks else ("frame",)
+        assert c.reads == (("pij", "frame") if c.id == "C04" else want), c.id
+    assert {name for name in TENSORS if "pij" in Evaluation.reads([TENSORS[name]])} == tensors
+
+
 def test_heisenberg1_suite():
     entry = builtin("heisenberg1")
     report = run_suite(entry.spec, None,
@@ -506,12 +529,13 @@ def test_evaluation_rows_match_evaluations_of_one_point():
                            curvature_relation_terms(ct, spec, p)),
                           (projective_difference_formula(ev.ct, spec, ev.points)[i],
                            projective_difference_formula(ct, spec, p))]
-                for conn, batch, bundle in ((nab, ev.nab, ev.Kb), (D, ev.D, ev.Rb)):
+                for conn, batch, T, bundle in ((nab, ev.nab, ev.T_nab, ev.Kb),
+                                               (D, ev.D, ev.T_D, ev.Rb)):
                     jets, view = conn.coefficient_jets(p), schouten_curvature(conn, p)
-                    pairs += [(batch.jets.values[i], jets.values),
-                              (batch.jets.grads[i], jets.grads),
-                              (batch.jets.values[i], conn.coefficients(p)),
-                              (batch.torsion[i], torsion(conn, p)),
+                    pairs += [(batch.values[i], jets.values),
+                              (batch.grads[i], jets.grads),
+                              (batch.values[i], conn.coefficients(p)),
+                              (T[i], torsion(conn, p)),
                               (bundle.curv[i], view.curv), (bundle.ricci[i], view.ricci),
                               (bundle.scalar[i], view.scalar),
                               (projective_tensor(bundle, spec, ev.points)[i],
@@ -675,9 +699,9 @@ def test_standalone_checks_build_only_the_layers_they_read(monkeypatch):
     spec, pi, config = entry.spec, entry.oneform("trig"), SuiteConfig(points=10, flags=entry.flags)
     for run, want in (
             (lambda: verifier.check_group_manifold(spec, None, config),
-             {"frame", "nab", "rawK", "Kb", "DT_nab"}),
+             {"frame", "nab", "T_nab", "rawK", "Kb", "DT_nab"}),
             (lambda: verifier.check_group_manifold(spec, pi, config),
-             {"frame", "pij", "nab", "D", "rawR", "Rb", "DT_D"}),
+             {"frame", "pij", "nab", "D", "T_D", "rawR", "Rb", "DT_D"}),
             (lambda: verifier.check_flatness_criterion(spec, pi, config),
              {"frame", "pij", "nab", "D", "rawK", "rawR", "Kb", "Rb", "ct", "S_nab"}),
             (lambda: verifier.run_suite(spec, pi, config), set(LAYERS))):
