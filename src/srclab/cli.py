@@ -26,7 +26,8 @@ from .verifier import CHECK_IDS, CHECKS, SuiteConfig, _quiet, run_suite
 
 
 @cache         # built once per process: argparse keeps no state between parse_args calls
-def _build_argparser() -> argparse.ArgumentParser:
+def _build_argparser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommands' parsers by name."""
     top = argparse.ArgumentParser(prog="srclab",
                                   description="sub-Riemannian tensor calculus and "
                                               "identity verification")
@@ -53,18 +54,29 @@ def _build_argparser() -> argparse.ArgumentParser:
     ev.add_argument("--tensor", required=True, choices=tuple(TENSORS))
     ev.add_argument("--point", required=True, help="comma-separated coordinates")
 
-    sub.add_parser("catalog", help="list builtin entries")
-    sub.add_parser("checks", help="enumerate the check table")
+    catalog = sub.add_parser("catalog", help="list builtin entries")
+    checks = sub.add_parser("checks", help="enumerate the check table")
 
     parse_cmd = sub.add_parser("parse", help="validate a manifold file")
     parse_cmd.add_argument("file")
-    return top
+    return top, {"verify": verify, "eval": ev, "catalog": catalog, "checks": checks,
+                 "parse": parse_cmd}
 
 
 def _read_text(path: str) -> str:
-    """A UTF-8 file's text; a ValidationError naming the first byte that is not UTF-8."""
+    """A UTF-8 file's text, its line endings as written (the parsers split lines
+    themselves); a ValidationError naming the first byte that is not UTF-8.
+
+    One unbuffered read of the bytes.  Where that fails, ``Path`` reads the file
+    as ``Path.read_text`` would, so a path like ``x/`` or ``''`` opens what it
+    opened before and an OSError spells the path as ``Path`` does."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        try:
+            with open(path, "rb", buffering=0) as f:
+                data = f.read()
+        except OSError:
+            data = Path(path).read_bytes()
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text at byte {exc.start}") from None
 
@@ -99,14 +111,16 @@ def _load_pi(arg: str | None, spec) -> OneFormData | None:
                 f"--pi const needs {spec.ell} components, got {len(values)}")
         return OneFormData.constant(values, spec.n)
     if arg.startswith("file:"):
-        lines = [(line_no, ln) for line_no, ln in
-                 enumerate(_read_text(arg[len("file:"):]).splitlines(), start=1)
-                 if ln.strip() and not ln.strip().startswith("#")]
+        lines = []              # (expression, line number, column offset)
+        for line_no, raw in enumerate(_read_text(arg[len("file:"):]).splitlines(), start=1):
+            code = raw.split("#", 1)[0]             # a '#' comment runs to the line's end
+            body = code.lstrip()
+            if body:
+                lines.append((body.rstrip(), line_no, len(code) - len(body)))
         if len(lines) != spec.ell:
             raise ValidationError(
                 f"--pi file needs {spec.ell} expressions, got {len(lines)}")
-        return parse_oneform([(ln.strip(), line_no, len(ln) - len(ln.lstrip()))
-                              for line_no, ln in lines], spec.coords, spec.n)
+        return parse_oneform(lines, spec.coords, spec.n)
     raise ValidationError("--pi must start with 'const:' or 'file:'")
 
 
@@ -261,11 +275,26 @@ def _attach_negative_point(argv) -> list[str]:
     return out
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """The top-level parser's reading of ``argv``, in one scan when ``argv[0]``
+    names a subcommand: that subcommand's parser reads the rest, and leftovers
+    are reported as the top-level parser reports them."""
+    top, commands = _build_argparser()
+    argv = _attach_negative_point(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:             # no argv, -h, or not a subcommand
+        return top.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        top.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def cli_main(argv) -> int:
     """Run the CLI on an argument list; returns the exit code."""
-    parser = _build_argparser()
     try:
-        args = parser.parse_args(_attach_negative_point(argv))
+        args = _parse_args(argv)
     except SystemExit as exc:       # argparse exits 2 on usage errors
         return int(exc.code or 0)
     try:

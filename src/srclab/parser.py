@@ -302,12 +302,13 @@ _SECTION_KEYWORDS = ("manifold", "dim", "hdim", "coords", "hframe", "vframe",
 class _Lines:
     def __init__(self, text: str):
         self.items: list[tuple[int, str]] = []
-        for idx, raw in enumerate(text.splitlines(), start=1):
+        lines = text.splitlines()
+        for idx, raw in enumerate(lines, start=1):
             body = raw.split("#", 1)[0].rstrip()
             if body.strip():
                 self.items.append((idx, body))
         self.pos = 0
-        self.last_line = len(text.splitlines()) or 1
+        self.last_line = len(lines) or 1
 
     def peek(self):
         return self.items[self.pos] if self.pos < len(self.items) else None

@@ -359,6 +359,39 @@ def test_cached_parser_matches_fresh_parsers(capsys, monkeypatch, tmp_path):
     assert [rc for rc, _, _ in cached] == [2, 2, 2, 0, 0, 1, 0, 0, 0, 2]
 
 
+def test_one_argument_parse_matches_the_top_level_parser(capsys, monkeypatch):
+    """cli_main hands the arguments after a subcommand's name to that
+    subcommand's parser alone; every exit code, stdout and stderr is what the
+    top-level parser alone gives, usage and help text included."""
+    from srclab import cli
+    top = cli._build_argparser()[0]
+    ok = ["eval", "--builtin", "heisenberg1", "--tensor", "K", "--point", "0.1,0.2,0.3"]
+    requests = [
+        [], ["-h"], ["--bogus", "eval"], ["frobnicate"], ["eval", "-h"], ["eval"],
+        ok + ["--bogus"], ok + ["stray"], ok + ["--spec", "x.txt"],
+        ok[:3] + ["--tensor", "nope", "--point", "0.1,0.2,0.3"],
+        ["verify", "--points", "x"], ["catalog", "x"], ["parse"],
+        ok, ok[:-1] + ["-0.5,0.1,0.2"], ["catalog"], ["checks"],
+    ]
+
+    def outcomes():
+        out = []
+        for argv in requests:
+            rc = cli_main(argv)
+            out.append((rc, *capsys.readouterr()))
+        return out
+
+    single = outcomes()
+    monkeypatch.setattr(cli, "_parse_args",
+                        lambda argv: top.parse_args(cli._attach_negative_point(argv)))
+    assert single == outcomes()
+    assert [rc for rc, _, _ in single] == [2, 0, 2, 2, 0, 2, 2, 2, 2, 2, 2, 2, 2, 0, 0, 0, 0]
+    monkeypatch.undo()
+    for argv in (ok, ok[:-1] + ["-0.5,0.1,0.2"], ["verify", "--spec", "s.txt", "--quiet"],
+                 ["catalog"], ["parse", "s.txt"]):
+        assert vars(cli._parse_args(argv)) == vars(top.parse_args(cli._attach_negative_point(argv)))
+
+
 def test_long_sum_spec_end_to_end(tmp_path, capsys):
     """A frame component summing 5,000 terms (a tree 5,000 levels deep)
     parses, evaluates and verifies: nothing on the way recurses per term."""
@@ -457,6 +490,22 @@ def test_pi_file_errors_name_the_file_line_and_column(tmp_path, capsys, text, er
     assert capsys.readouterr().err == err
 
 
+def test_pi_file_lines_drop_trailing_comments(tmp_path, capsys):
+    """A '#' comment after a one-form file's expression is dropped, as on a spec
+    file's oneform line; error columns still count from the start of the line."""
+    plain, commented = tmp_path / "plain.pi", tmp_path / "commented.pi"
+    plain.write_text("y\nx\n", encoding="utf-8")
+    commented.write_text("y  # first component\n  x# second\n", encoding="utf-8")
+    argv = ["eval", "--builtin", "heisenberg1", "--tensor", "alpha", "--point", "0.1,0.2,0.3"]
+    assert cli_main(argv + ["--pi", f"file:{commented}"]) == 0
+    out = capsys.readouterr()
+    assert cli_main(argv + ["--pi", f"file:{plain}"]) == 0
+    assert capsys.readouterr() == out
+    commented.write_text("y # first\n  x + $  # second\n", encoding="utf-8")
+    assert cli_main(argv + ["--pi", f"file:{commented}"]) == 2
+    assert capsys.readouterr().err == "error: line 2, col 7: unexpected character '$'\n"
+
+
 @pytest.mark.parametrize("argv", [["parse", "{}"], ["verify", "--spec", "{}"],
                                   ["verify", "--builtin", "flat3", "--pi", "file:{}"]])
 def test_non_utf8_files_exit_two(tmp_path, capsys, argv):
@@ -464,6 +513,62 @@ def test_non_utf8_files_exit_two(tmp_path, capsys, argv):
     bad.write_bytes(b"manifold m\xff\n")
     assert cli_main([arg.format(bad) for arg in argv]) == 2
     assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text at byte 10\n"
+
+
+@pytest.mark.parametrize("argv", [["parse", "{}"], ["verify", "--spec", "{}"],
+                                  ["verify", "--builtin", "flat3", "--pi", "file:{}"]])
+def test_non_utf8_byte_past_8_kib_reports_its_file_offset(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"# padding\n" * 1000 + b"manifold m\xff\n")
+    assert cli_main([arg.format(bad) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text at byte 10010\n"
+
+
+def test_unreadable_paths_exit_two_with_the_os_error(tmp_path, capsys, monkeypatch):
+    """A path that cannot be read exits 2 with the OSError that Path.read_text
+    raises, the path spelled as Path spells it; a file name with a trailing
+    slash reads the file, as Path reads it."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.txt").write_text(builtin("flat3").source, encoding="utf-8")
+    for path in (str(tmp_path), str(tmp_path / "missing.txt"), "./missing.txt", "", "spec.txt/x"):
+        with pytest.raises(OSError) as exc:
+            Path(path).read_text(encoding="utf-8")
+        for argv in (["parse", path], ["verify", "--spec", path],
+                     ["verify", "--builtin", "flat3", "--pi", f"file:{path}"]):
+            assert cli_main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+    assert cli_main(["parse", "spec.txt/"]) == 0
+    assert capsys.readouterr().out == "OK: flat3 (dim 3, hdim 2, oneform no)\n"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_spec_and_pi_files_with_any_line_ending_eval_as_builtins(tmp_path, capsys, newline):
+    """Each catalog source written as a spec file with LF, CRLF or CR line
+    endings, with and without its last one-form in a file with the same
+    endings, prints what --builtin prints, byte for byte."""
+    from srclab.catalog import catalog_names
+    from srclab.manifold import sample_points
+
+    def run(argv):
+        rc = cli_main(argv)
+        return (rc, *capsys.readouterr())
+
+    printed = 0
+    for name in catalog_names():
+        entry = builtin(name)
+        spec_file, pi_lf, pi_file = (tmp_path / f"{name}{ext}" for ext in (".txt", ".lf", ".pi"))
+        spec_file.write_bytes(entry.source.replace("\n", newline).encode())
+        lines = entry.pi_variants[-1].expressions
+        pi_lf.write_bytes("".join(e + "\n" for e in lines).encode())
+        pi_file.write_bytes("".join(e + newline for e in lines).encode())
+        point = ",".join(map(repr, sample_points(entry.spec, 1, 3)[0].tolist()))
+        for tensor in ("g", "K", "alpha", "scalar-R", "W"):
+            tail = ["--tensor", tensor, f"--point={point}"]
+            for pis in (([], []), (["--pi", f"file:{pi_lf}"], ["--pi", f"file:{pi_file}"])):
+                want = run(["eval", "--builtin", name, *pis[0], *tail])
+                assert run(["eval", "--spec", str(spec_file), *pis[1], *tail]) == want
+                printed += want[0] == 0
+    assert printed >= 50
 
 
 def test_eval_prints_no_numpy_warnings(tmp_path, capsys):

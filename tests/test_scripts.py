@@ -117,6 +117,26 @@ def test_ingest_timing_prints_a_row_per_spec():
     assert all(len(row) == 6 and min(map(float, row[2:])) >= 0.0 for row in rows)
 
 
+def test_eval_timing_prints_a_row_per_stage():
+    """scripts/eval_timing.py splits one round of the single-point-eval requests
+    into its stages; the stage medians are non-negative and each is at most
+    the median request."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "scripts/eval_timing.py", "--rounds", "1"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert re.fullmatch(r"\d+ single-point-eval requests, seed 1: median us per request",
+                        lines[0])
+    rows = [line.split() for line in lines[2:]]
+    assert [row[0] for row in rows] == ["argv", "spec", "oneform", "frame", "tensor",
+                                        "print", "other", "total"]
+    total = float(rows[-1][1])
+    assert total > 0 and all(0.0 <= float(row[1]) <= total for row in rows[:-1])
+
+
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_ab_suite_times_a_tree_against_itself(workload):
     """scripts/ab_suite.py, one round of a workload with this tree as both
