@@ -20,9 +20,10 @@ of the other wrapped calls inside them:
 * other: the rest of ``cli_main``.
 
 It prints, per stage, the median over the requests in microseconds, its share
-of the median request, and the median request (total).  ``srclab`` is imported
-from ``sys.path`` and the functions are looked up by name, so
-``PYTHONPATH=OTHER/src`` times another tree on the same requests.
+of the median request, and the median request (total).  Read the table for
+the shares of one tree's stages: tables from separate processes can differ by
+more than the change being timed, so compare two trees with
+``scripts/ab_suite.py``, which alternates them call by call in one process.
 """
 from __future__ import annotations
 

@@ -67,16 +67,12 @@ def _read_text(path: str) -> str:
     """A UTF-8 file's text, its line endings as written (the parsers split lines
     themselves); a ValidationError naming the first byte that is not UTF-8.
 
-    One unbuffered read of the bytes.  Where that fails, ``Path`` reads the file
-    as ``Path.read_text`` would, so a path like ``x/`` or ``''`` opens what it
+    One unbuffered read of the bytes of ``Path(path)``, the file that
+    ``Path.read_text`` opens, so a path like ``x/`` or ``''`` opens what it
     opened before and an OSError spells the path as ``Path`` does."""
     try:
-        try:
-            with open(path, "rb", buffering=0) as f:
-                data = f.read()
-        except OSError:
-            data = Path(path).read_bytes()
-        return data.decode("utf-8")
+        with open(Path(path), "rb", buffering=0) as f:
+            return f.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text at byte {exc.start}") from None
 
