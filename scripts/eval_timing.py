@@ -14,7 +14,9 @@ of the other wrapped calls inside them:
   calls included) and ``cli._attach_negative_point``;
 * spec: ``cli._load_spec``, reading and parsing the spec file;
 * oneform: ``cli._load_pi``, reading and parsing the one-form file;
-* frame: ``curvature._frame_data``, the frame layer at the one point;
+* frame: the builders of the frame layers of ``curvature.Evaluation``
+  (``sweep``, ``frame``, ``brackets`` and ``frame_g``), those of
+  them that the tensor reads, at the one point;
 * tensor: ``curvature.Evaluation.__getitem__``, the other layers the tensor reads;
 * print: ``cli.tensor_text``, the text of a tensor (a scalar prints in other);
 * other: the rest of ``cli_main``.
@@ -47,6 +49,7 @@ from inputs import eval_cases, eval_round, load_reference, write_case_files  # n
 from workloads import eval_argv  # noqa: E402
 
 STAGES = ("argv", "spec", "oneform", "frame", "tensor", "print", "other")
+FRAME_LAYERS = ("sweep", "frame", "brackets", "frame_g")
 
 
 def wrap_stages(clock: StageClock) -> None:
@@ -54,7 +57,8 @@ def wrap_stages(clock: StageClock) -> None:
     clock.wrap(cli, "_attach_negative_point", "argv")
     clock.wrap(cli, "_load_spec", "spec")
     clock.wrap(cli, "_load_pi", "oneform")
-    clock.wrap(curvature, "_frame_data", "frame")
+    for name in FRAME_LAYERS:           # a layer's builder is its cached_property's func
+        clock.wrap(vars(curvature.Evaluation)[name], "func", "frame")
     clock.wrap(curvature.Evaluation, "__getitem__", "tensor")
     clock.wrap(cli, "tensor_text", "print")
 

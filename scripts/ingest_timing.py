@@ -9,8 +9,10 @@ last one-form variant) and the four specs of
 ``perfbench/inputs.expr_heavy_cases(seed)`` (with their one-forms), one
 repeat runs, in this process, ``parse_document(text)``, the one-form lines
 through ``inputs.build_pi`` (as the benchmark's sweeps ingest them), and a
-first read of the frame, metric and one-form programs (``spec._jet_programs``,
-``pi._jet_program``).  Its time splits into three exclusive stages:
+first read of the spec's frame and metric program and the one-form's
+(``spec._jet_program``, ``pi._jet_program``; a tree from before the one
+program reads the pair ``spec._jet_programs``).  Its time splits into three
+exclusive stages:
 
 * compile: inside ``JetProgram.__init__`` or ``ValueTable.program``, wherever
   they are called, building the programs;
@@ -91,7 +93,7 @@ def ingest_once(clock: StageClock, text: str, pi_lines) -> tuple[float, float, f
     start = time.perf_counter()
     spec = parse_document(text).spec
     pi = build_pi(spec, pi_lines)
-    spec._jet_programs
+    getattr(spec, "_jet_program", None) or spec._jet_programs
     if pi is not None:
         pi._jet_program
     total = time.perf_counter() - start

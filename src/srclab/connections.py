@@ -14,14 +14,11 @@ which keeps the connection metric and turns the torsion into
 T_ij^k = delta_i^k pi_j - delta_j^k pi_i.
 
 Coefficients are tensors with their derivatives along the horizontal
-frame, the only ones curvature reads.  They are evaluated on a stack of
-points at once: a connection is its :class:`~srclab.manifold.CoefficientJets`
-with a leading point axis, built from one :class:`~srclab.manifold.FrameData`
-(the Koszul jets, which the transformed connection adds to) and, for the
-transformed connection, the one-form's jets on the same points; an
-:class:`~srclab.curvature.Evaluation` builds both, and their torsions, as
-layers.  A one-form's components are expressions, compiled into a
-:class:`~srclab.jets.JetProgram` when the one-form is made.
+frame, the only ones curvature reads.  An :class:`~srclab.curvature.Evaluation`
+builds them on a stack of points (leading axis p) as layers, values and
+gradients apart, from the frame layers and, for the transformed connection,
+the Koszul layers and the one-form's jets; a one-form's components are
+compiled into a :class:`~srclab.jets.JetProgram` when the one-form is made.
 """
 from __future__ import annotations
 
@@ -33,7 +30,10 @@ import numpy as np
 
 from .errors import DomainError
 from .jets import Const, Expression, JetProgram
-from .manifold import CoefficientJets, FrameData, ManifoldSpec, contract
+from .manifold import (Brackets, CoefficientJets, Coefficients, FrameDerivatives,
+                       FrameValues, ManifoldSpec, contract)
+
+_eye = cache(np.eye)        # one identity per rank, shared by the layers; never written
 
 
 class OneFormComponent(NamedTuple):
@@ -104,34 +104,43 @@ class OneFormData:
         return OneFormJets(run.values, run.grads, errors)
 
 
-def koszul_jets(frame: FrameData) -> CoefficientJets:
-    """Koszul coefficients and their derivatives on the points of ``frame``."""
-    fdg, fdg_g, gv, gg, Om, Om_g = frame.fdg, frame.fdg_g, frame.gv, frame.gg, frame.Om, frame.Om_g
-    OG = contract(Om, gv)                              # Omega_ij^e g_ek
-    OG_g = (contract(Om_g.transpose(0, 1, 2, 4, 3), gv).transpose(0, 1, 2, 4, 3)
-            + contract(Om, gg))
+def koszul(frame: FrameValues, br: Brackets) -> Coefficients:
+    """Koszul coefficients on the points of ``frame``, and the sum B they solve."""
+    OG, fdg = contract(br.Om, frame.gv), br.fdg        # OG: Omega_ij^e g_ek
     B = (fdg + fdg.transpose(0, 2, 1, 3) - fdg.transpose(0, 3, 2, 1)
          + OG - OG.transpose(0, 1, 3, 2) - OG.transpose(0, 3, 1, 2))
+    return Coefficients(0.5 * contract(B, frame.ginv), B)
+
+
+def koszul_grads(frame: FrameValues, br: Brackets, fd: FrameDerivatives,
+                 nab: Coefficients) -> np.ndarray:
+    """The horizontal frame derivatives of the Koszul coefficients."""
+    fdg_g, ginv = fd.fdg_g, frame.ginv
+    OG_g = (contract(fd.Om_g.transpose(0, 1, 2, 4, 3), frame.gv).transpose(0, 1, 2, 4, 3)
+            + contract(br.Om, br.gg))
     B_g = (fdg_g + fdg_g.transpose(0, 2, 1, 3, 4) - fdg_g.transpose(0, 3, 2, 1, 4)
            + OG_g - OG_g.transpose(0, 1, 3, 2, 4) - OG_g.transpose(0, 3, 1, 2, 4))
-    values = 0.5 * contract(B, frame.ginv)
-    grads = 0.5 * (contract(B_g.transpose(0, 1, 2, 4, 3), frame.ginv).transpose(0, 1, 2, 4, 3)
-                   + contract(B, frame.ginv_g))
-    return CoefficientJets(values, grads)
+    return 0.5 * (contract(B_g.transpose(0, 1, 2, 4, 3), ginv).transpose(0, 1, 2, 4, 3)
+                  + contract(nab.term, fd.ginv_g))
 
 
-def semi_jets(frame: FrameData, koszul: CoefficientJets, pij: OneFormJets) -> CoefficientJets:
-    """Koszul jets plus delta_i^k pi_j - g_ij pi^k and its derivatives, from
-    the one-form's horizontal frame derivatives."""
-    piv, pig = pij.values, pij.grads
-    piu = contract(frame.ginv, piv)
-    piu_g = contract(frame.ginv_g.transpose(0, 1, 3, 2), piv) + contract(frame.ginv, pig)
-    eye = np.eye(piv.shape[1])
-    A = eye[:, None, :] * piv[:, None, :, None] - frame.gv[..., None] * piu[:, None, None, :]
-    A_g = (eye[:, None, :, None] * pig[:, None, :, None, :]
-           - frame.gg[:, :, :, None, :] * piu[:, None, None, :, None]
+def semi(frame: FrameValues, nab: Coefficients, pij: OneFormJets) -> Coefficients:
+    """Koszul coefficients plus delta_i^k pi_j - g_ij pi^k, and pi^k."""
+    piv, piu = pij.values, contract(frame.ginv, pij.values)
+    A = _eye(piv.shape[1])[:, None, :] * piv[:, None, :, None] \
+        - frame.gv[..., None] * piu[:, None, None, :]
+    return Coefficients(nab.values + A, piu)
+
+
+def semi_grads(frame: FrameValues, br: Brackets, fd: FrameDerivatives, nab_g: np.ndarray,
+               D: Coefficients, pij: OneFormJets) -> np.ndarray:
+    """Koszul gradients plus those of delta_i^k pi_j - g_ij pi^k."""
+    piv, pig, piu = pij.values, pij.grads, D.term
+    piu_g = contract(fd.ginv_g.transpose(0, 1, 3, 2), piv) + contract(frame.ginv, pig)
+    A_g = (_eye(piv.shape[1])[:, None, :, None] * pig[:, None, :, None, :]
+           - br.gg[:, :, :, None, :] * piu[:, None, None, :, None]
            - frame.gv[..., None, None] * piu_g[:, None, None, :, :])
-    return CoefficientJets(koszul.values + A, koszul.grads + A_g)
+    return nab_g + A_g
 
 
 def frame_derivative(grads: np.ndarray) -> np.ndarray:
@@ -150,9 +159,8 @@ def torsion_tensor(co: np.ndarray, Om: np.ndarray) -> np.ndarray:
     return co - co.transpose(0, 2, 1, 3) - Om
 
 
-def covariant_T(jets: CoefficientJets, T: np.ndarray, Om_g: np.ndarray) -> np.ndarray:
-    """(D_i T)_jk^h, [p][i][j][k][h], of a connection's torsion T from its jets and Om_g."""
-    co, co_g = jets
+def covariant_T(co: np.ndarray, co_g: np.ndarray, T: np.ndarray, Om_g: np.ndarray) -> np.ndarray:
+    """(D_i T)_jk^h, [p][i][j][k][h], of a connection's torsion T from its coefficients."""
     Tg = co_g - co_g.transpose(0, 2, 1, 3, 4)
     Tg -= Om_g                            # each sum in place: one temporary at a time
     out = contract(T, co.transpose(0, 2, 1, 3)).transpose(0, 3, 1, 2, 4)
@@ -171,17 +179,18 @@ class ConnectionField:
     spec: ManifoldSpec
     oneform: OneFormData | None = None
 
-    def _at(self, point, koszul: str, semi: str):
-        """This connection's layer of an Evaluation at one point; its error there is raised."""
+    def _at(self, point, koszul: str, semi: str) -> list:
+        """This connection's layers at the paths in ``koszul`` (or ``semi``) of an
+        Evaluation at one point; its error there is raised."""
         from .curvature import Evaluation       # the layer stack is built on this module
         ev = Evaluation(self.spec, self.oneform, np.asarray(point)[None])
-        return ev.read(koszul if self.oneform is None else semi)
+        return [ev.read(path) for path in (koszul if self.oneform is None else semi).split()]
 
     def coefficient_jets(self, point) -> CoefficientJets:
-        return CoefficientJets(*(a[0] for a in self._at(point, "nab", "D")))
+        return CoefficientJets(*(a[0] for a in self._at(point, "nab.values nab_g", "D.values D_g")))
 
     def coefficients(self, point) -> np.ndarray:
-        return self._at(point, "nab.values", "D.values")[0]
+        return self._at(point, "nab.values", "D.values")[0][0]
 
 
 def koszul_connection(spec: ManifoldSpec) -> ConnectionField:
@@ -198,4 +207,4 @@ def semi_connection(spec: ManifoldSpec, pi: OneFormData) -> ConnectionField:
 
 def torsion(conn: ConnectionField, point) -> np.ndarray:
     """T[i, j, k] = coeff[i,j,k] - coeff[j,i,k] - Omega[i,j,k]."""
-    return conn._at(point, "T_nab", "T_D")[0]
+    return conn._at(point, "T_nab", "T_D")[0][0]

@@ -21,7 +21,7 @@ in the change formulas, nabla T in C18), ``K`` the delta_k^h coefficient (C's
 ric2, C13's, C18's) and ``J`` a lone delta_j^h one (C18's).
 
 Curvature is evaluated on a stack of points (leading axis p) from a
-connection's :class:`~srclab.manifold.CoefficientJets`; a bundle or characteristic
+connection's coefficients and gradients; a bundle or characteristic
 tensor at one point is row 0 of an :class:`Evaluation` of one point.  The
 derived tensors below take either, since their formulas act on the trailing
 axes, and read the metric their bundle or characteristic tensor carries.
@@ -36,10 +36,11 @@ from operator import attrgetter
 import numpy as np
 
 from .connections import (ConnectionField, OneFormData, OneFormJets, covariant_oneform,
-                          covariant_T, frame_derivative, koszul_jets, semi_jets, torsion_tensor)
+                          covariant_T, frame_derivative, koszul, koszul_grads, semi, semi_grads,
+                          torsion_tensor)
 from .errors import DimensionMismatch, RankTooSmall
-from .manifold import (CoefficientJets, FrameData, ManifoldSpec, _frame_data,
-                       _mirror_pair_antisym, contract)
+from .manifold import (Brackets, FrameValues, ManifoldSpec, _mirror_pair_antisym, contract,
+                       frame_derivatives, frame_values, structure_constants)
 
 
 def _row(record):
@@ -74,20 +75,18 @@ class CurvatureBundle:
         return np.einsum("...ikee->...ik", self.curv)
 
 
-def curvature_raw(jets: CoefficientJets, frame: FrameData) -> np.ndarray:
-    """Curvature tensors of a connection's coefficient jets on the points of
-    ``frame`` straight from the coordinate formula, no mirroring."""
-    co = jets.values
-    dco = frame_derivative(jets.grads)
+def curvature_raw(co: np.ndarray, co_g: np.ndarray, br: Brackets) -> np.ndarray:
+    """Curvature tensors of coefficients and gradients from the coordinate formula, unmirrored."""
+    dco = frame_derivative(co_g)
     Q = contract(co, co.transpose(0, 2, 1, 3))          # Q[p, j, k, i, h] = co[j,k,e] co[i,e,h]
     return (dco - dco.transpose(0, 2, 1, 3, 4)
             + Q.transpose(0, 3, 1, 2, 4)
             - Q.transpose(0, 1, 3, 2, 4)
-            - contract(frame.Om, co)
-            - contract(frame.Mc, frame.Lam))         # M_ij^b Lambda_bk^h
+            - contract(br.Om, co)
+            - contract(br.Mc, br.Lam))               # M_ij^b Lambda_bk^h
 
 
-def curvature_bundle(frame: FrameData, raw: np.ndarray) -> CurvatureBundle:
+def curvature_bundle(frame: FrameValues, raw: np.ndarray) -> CurvatureBundle:
     """The bundle of a raw curvature on the points of ``frame``: tensor made
     exactly antisymmetric in (i, j), Ricci trace, scalar, lowered."""
     curv = raw.copy()
@@ -99,7 +98,7 @@ def curvature_bundle(frame: FrameData, raw: np.ndarray) -> CurvatureBundle:
 
 def schouten_curvature(conn: ConnectionField, point) -> CurvatureBundle:
     """Curvature bundle of a connection: tensor, Ricci trace, scalar, lowered."""
-    return _row(conn._at(point, "Kb", "Rb"))
+    return _row(*conn._at(point, "Kb", "Rb"))
 
 
 @dataclass(frozen=True)
@@ -115,12 +114,12 @@ class CharacteristicTensor:
     gpi = cached_property(lambda ct: delta_g(g=ct.g, B=ct.pi_mixed))
 
 
-def characteristic(frame: FrameData, nab: CoefficientJets,
-                   pij: OneFormJets) -> CharacteristicTensor:
-    """Characteristic tensors on the points of ``frame``, from Koszul and one-form jets."""
+def characteristic(frame: FrameValues, nab: np.ndarray, pij: OneFormJets) -> CharacteristicTensor:
+    """Characteristic tensors on the points of ``frame``, from Koszul coefficients
+    and one-form jets."""
     piv, ginv = pij.values, frame.ginv
     pi2 = (piv * contract(ginv, piv)).sum(axis=1)
-    lower = (covariant_oneform(nab.values, pij)
+    lower = (covariant_oneform(nab, pij)
              - piv[:, :, None] * piv[:, None, :] + 0.5 * frame.gv * pi2[:, None, None])
     mixed = lower @ ginv
     return CharacteristicTensor(lower, mixed, np.einsum("...ii->...", mixed), frame.gv)
@@ -253,17 +252,18 @@ def flatness_characteristic_form(bundle: CurvatureBundle) -> np.ndarray:
 
 
 TENSORS = {
-    "g": "frame.gv", "ginv": "frame.ginv", "E": "frame.Ev", "Omega": "frame.Om", "M": "frame.Mc",
-    "Lambda": "frame.Lam", "coeff": "nab.values", "Gamma": "D.values", "torsion": "T_D",
-    "K": "Kb.curv", "R": "Rb.curv", "ricci-K": "Kb.ricci", "ricci-R": "Rb.ricci",
+    "g": "frame.gv", "ginv": "frame.ginv", "E": "frame.Ev", "Omega": "brackets.Om",
+    "M": "brackets.Mc", "Lambda": "brackets.Lam", "coeff": "nab.values", "Gamma": "D.values",
+    "torsion": "T_D", "K": "Kb.curv", "R": "Rb.curv", "ricci-K": "Kb.ricci", "ricci-R": "Rb.ricci",
     "scalar-K": "Kb.scalar", "scalar-R": "Rb.scalar", "S": "S_nab", "Sbar": "S_D", "C": "C_nab",
     "Cbar": "C_D", "W": "W_nab", "Wbar": "W_D", "pi-char": "ct.pi_lower", "alpha": "ct.alpha"}
 
 
 class Evaluation:
     """Every tensor of a spec and one-form (absent: the zero one-form) on a stack
-    of points (leading axis p), one layer per attribute, built on first use; ``nab``
-    and ``D`` are the coefficient jets of the Koszul and the transformed connection.
+    of points (leading axis p), one layer per attribute, built on first use: the frame
+    layers of :mod:`~srclab.manifold`, then ``nab`` and ``D``, the coefficients of the
+    Koszul and the transformed connection, and ``nab_g`` and ``D_g``, their gradients.
     ``ev[name]`` is an ``srclab eval`` tensor, read through :data:`TENSORS` (name ->
     layer path).  A layer's rows where a layer it reads (:meth:`graph`) failed are
     meaningless; :meth:`read` raises such a point's error instead."""
@@ -284,11 +284,12 @@ class Evaluation:
     @classmethod
     @cache
     def graph(cls) -> dict[str, tuple[tuple[str, ...], frozenset[str]]]:
-        """Per layer of the class: the layers its builder's code names, in that
-        order, and every layer it reads through them, itself included."""
+        """Per layer of the class: the other layers its builder's code names, in
+        that order, and every layer it reads through them, itself included."""
         code = {name: value.func.__code__.co_names for klass in cls.__mro__
                 for name, value in vars(klass).items() if isinstance(value, cached_property)}
-        inputs = {layer: tuple(w for w in names if w in code) for layer, names in code.items()}
+        inputs = {layer: tuple(w for w in names if w in code and w != layer)
+                  for layer, names in code.items()}
 
         def closure(name):
             return frozenset({name}.union(*map(closure, inputs[name])))
@@ -310,19 +311,26 @@ class Evaluation:
                 raise errors[min(errors)]
         return attrgetter(path)(self)
 
-    frame = cached_property(lambda ev: _frame_data(ev.spec, ev.points))
+    sweep = cached_property(lambda ev: ev.spec._jet_program.sweep(ev.points))
+    frame = cached_property(lambda ev: frame_values(ev.spec, ev.sweep))
+    brackets = cached_property(lambda ev: structure_constants(ev.spec, ev.sweep, ev.frame))
+    frame_g = cached_property(lambda ev: frame_derivatives(ev.frame, ev.brackets))
     pij = cached_property(lambda ev: ev.pi.batch(ev.points, ev.frame.Ev[:, :, :ev.ell]))
-    nab = cached_property(lambda ev: koszul_jets(ev.frame))
-    D = cached_property(lambda ev: semi_jets(ev.frame, ev.nab, ev.pij))
-    T_nab = cached_property(lambda ev: torsion_tensor(ev.nab.values, ev.frame.Om))
-    T_D = cached_property(lambda ev: torsion_tensor(ev.D.values, ev.frame.Om))
-    rawK = cached_property(lambda ev: curvature_raw(ev.nab, ev.frame))
-    rawR = cached_property(lambda ev: curvature_raw(ev.D, ev.frame))
+    nab = cached_property(lambda ev: koszul(ev.frame, ev.brackets))
+    nab_g = cached_property(lambda ev: koszul_grads(ev.frame, ev.brackets, ev.frame_g, ev.nab))
+    D = cached_property(lambda ev: semi(ev.frame, ev.nab, ev.pij))
+    D_g = cached_property(lambda ev: semi_grads(ev.frame, ev.brackets, ev.frame_g, ev.nab_g,
+                                                ev.D, ev.pij))
+    T_nab = cached_property(lambda ev: torsion_tensor(ev.nab.values, ev.brackets.Om))
+    T_D = cached_property(lambda ev: torsion_tensor(ev.D.values, ev.brackets.Om))
+    rawK = cached_property(lambda ev: curvature_raw(ev.nab.values, ev.nab_g, ev.brackets))
+    rawR = cached_property(lambda ev: curvature_raw(ev.D.values, ev.D_g, ev.brackets))
     Kb = cached_property(lambda ev: curvature_bundle(ev.frame, ev.rawK))
     Rb = cached_property(lambda ev: curvature_bundle(ev.frame, ev.rawR))
-    ct = cached_property(lambda ev: characteristic(ev.frame, ev.nab, ev.pij))
-    DT_nab = cached_property(lambda ev: covariant_T(ev.nab, ev.T_nab, ev.frame.Om_g))
-    DT_D = cached_property(lambda ev: covariant_T(ev.D, ev.T_D, ev.frame.Om_g))
+    ct = cached_property(lambda ev: characteristic(ev.frame, ev.nab.values, ev.pij))
+    DT_nab = cached_property(lambda ev: covariant_T(ev.nab.values, ev.nab_g, ev.T_nab,
+                                                    ev.frame_g.Om_g))
+    DT_D = cached_property(lambda ev: covariant_T(ev.D.values, ev.D_g, ev.T_D, ev.frame_g.Om_g))
     W_nab = cached_property(lambda ev: projective_tensor(ev.Kb, ev.spec, ev.points))
     W_D = cached_property(lambda ev: projective_tensor(ev.Rb, ev.spec, ev.points))
     S_nab = cached_property(lambda ev: s_tensor(ev.Kb, ev.spec, ev.points))

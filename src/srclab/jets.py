@@ -201,6 +201,15 @@ def _postorder(*exprs: Expression) -> list[Expression]:
 # Compiled expression lists, evaluated on a batch of points
 # --------------------------------------------------------------------------
 
+class ValueSweep(NamedTuple):
+    """Every op's values at P points (:meth:`JetProgram.sweep`)."""
+
+    points: np.ndarray       # (P, n)
+    values: np.ndarray       # (P, m): the outputs
+    slots: list              # op -> its values (P,), until JetProgram.derivatives drops them
+    errors: dict             # point index -> (expression index, DomainError message)
+
+
 class JetBatch(NamedTuple):
     """Order-2 jets of m compiled expressions at P points; with a basis B of
     d vectors, derivatives along B instead of the coordinates."""
@@ -212,21 +221,17 @@ class JetBatch(NamedTuple):
     errors: dict             # point index -> (expression index, DomainError message)
 
 
-def _library(fn: str, v: np.ndarray):
-    """(f, f', f'') of a library function at an array of values."""
+def _library(fn: str, v: np.ndarray, f: np.ndarray):
+    """(f', f'') of a library function at an array of values v, from its values f there."""
     if fn == "sin":
-        s, c = np.sin(v), np.cos(v)
-        return s, c, -s
+        return np.cos(v), -f
     if fn == "cos":
-        s, c = np.sin(v), np.cos(v)
-        return c, -s, -c
+        return -np.sin(v), -f
     if fn == "exp":
-        e = np.exp(v)
-        return e, e, e
+        return f, f
     if fn == "log":
-        return np.log(v), 1.0 / v, -1.0 / (v * v)
-    r = np.sqrt(v)
-    return r, 0.5 / r, -0.25 / (r * v)
+        return 1.0 / v, -1.0 / (v * v)
+    return 0.5 / f, -0.25 / (f * v)
 
 
 # Domain tests of the library functions, on a value or an array of values.
@@ -421,18 +426,19 @@ class JetProgram:
     operand precedes its use and each op is owned by the first output that
     reaches it.  Equal subtrees are one op, constant subtrees are folded, and a
     constant operand turns ``+ c``, ``* c`` and ``/ c`` into one affine op.
-    Assembly and :meth:`run`'s set-up grow with the ops and outputs (a
-    coordinate is seeded when its op runs).  :meth:`run` evaluates the list on a (P, n) point array with one
-    vectorized step per op, carrying values, gradients and, only where an
-    output in ``hessians`` needs them, Hessians; each intermediate is dropped
-    after its last use.  The arithmetic is the truncated Taylor arithmetic of
-    Griewank & Walther (*Evaluating Derivatives*, ch. 13) with a leading point
-    axis.
+    Assembly and a run's set-up grow with the ops and outputs (a coordinate is
+    seeded when its op runs).  A run evaluates the list on a (P, n) point
+    array with one vectorized step per op in two sweeps: :meth:`sweep` gives
+    every op's values, then :meth:`derivatives` reads them and carries
+    gradients and, only where an output in ``hessians`` needs them, Hessians;
+    each intermediate is dropped after its last use.  The arithmetic is the
+    truncated Taylor arithmetic of Griewank & Walther (*Evaluating
+    Derivatives*, ch. 13) with a leading point axis.
 
-    :meth:`run` seeds coordinate k with row k of a basis (the identity by
-    default), so every derivative comes out along the basis vectors
-    (directional Taylor propagation, ibid.): Hessians along the first ``hdim``
-    of a given basis (all by default).  :meth:`values` needs no derivatives.
+    :meth:`derivatives` seeds coordinate k with row k of a basis (the
+    identity by default; it may be built from the values), so every
+    derivative comes out along the basis vectors (directional Taylor
+    propagation, ibid.): Hessians along the first ``hdim`` of a given basis.
 
     A domain error marks only the points where it happens: ``errors`` maps
     each such point to the first expression (in list order) that fails there
@@ -504,70 +510,23 @@ class JetProgram:
         self._const_values = np.array([r if type(r) is float else 0.0 for r in refs])
         self._n_hess = len(hessians)
 
-    def _points(self, points) -> np.ndarray:
+    def values(self, points) -> np.ndarray:
+        """Values (P, expressions) at every row of ``points``."""
+        return self.sweep(points).values
+
+    def run(self, points, basis=None) -> JetBatch:
+        """Values, gradients and the requested Hessians at every row of ``points``."""
+        return self.derivatives(self.sweep(points), basis)
+
+    def sweep(self, points) -> ValueSweep:
+        """Every op's values at every row of ``points``, and the domain errors."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise DimensionMismatch(f"points must be an array of shape (P, {self.n})")
-        return pts
-
-    def values(self, points) -> np.ndarray:
-        """Values (P, expressions) at every row of ``points``, bit for bit those
-        of :meth:`run`.  No derivatives and no error records: a point outside a
-        domain holds what the arithmetic gives."""
-        pts = self._points(points)
-        out = np.empty((len(self._const_values), len(pts)))
-        out[:] = self._const_values[:, None]
-        slots: list = [None] * len(self.ops)
-        with np.errstate(all="ignore"):
-            for j, (code, x, y, _, _, writes, _, _) in enumerate(self.ops):
-                if code == "coord":
-                    v = pts[:, x]
-                elif code == "const":
-                    v = np.full(len(pts), x)
-                elif code == "affine":
-                    v = slots[x] if y[0] == 1.0 else slots[x] * y[0]
-                    if y[1] != 0.0:
-                        v = v + y[1]
-                elif code in _UFUNCS:
-                    v = _UFUNCS[code](slots[x], slots[y])
-                elif code == "recip":
-                    v = 1.0 / slots[x]
-                elif code == "pow":
-                    v = np.ones(len(pts)) if y == 0 else np.power(slots[x], float(y))
-                else:
-                    v = getattr(np, y[0])(slots[x])        # the f of _library
-                slots[j] = v
-                for k in writes:
-                    out[k] = v
-        return out.T
-
-    def run(self, points, basis=None) -> JetBatch:
-        """Values, gradients and the requested Hessians at every row of ``points``.
-
-        ``basis`` (P, n, d) seeds coordinate x_k with the row ``basis[:, k]``:
-        gradients come out as derivatives along the d basis vectors, G B, and
-        Hessians as B_h^T H B_h on the first ``hdim`` of them.  Without one it
-        is the identity, and Hessians are n x n whatever ``hdim`` is."""
-        pts = self._points(points)
-        P, n = pts.shape
-        hd = n                              # the Hessian width
-        if basis is None:
-            basis = np.broadcast_to(np.eye(n), (P, n, n))
-        else:
-            basis = np.asarray(basis, dtype=float)
-            hd = basis.shape[-1] if self.hdim is None else self.hdim
-            if basis.shape[:2] != (P, n) or basis.ndim != 3 or basis.shape[2] < hd:
-                raise DimensionMismatch(
-                    f"basis must be an array of shape (P, {n}, d), d >= {hd}")
-        n = basis.shape[2]
-        # an op's jet is packed in one (W, P) array, points last so every part is
-        # contiguous: the value, the n gradient entries and, where the op needs
-        # a Hessian that is not zero, its hd * hd entries
-        G, W = 1 + n, 1 + n + hd * hd
-        values = np.empty((len(self._const_values), P))               # outputs, points last too
+        P = len(pts)
+        values = np.empty((len(self._const_values), P))       # outputs, points last
         values[:] = self._const_values[:, None]
-        grads = np.zeros((len(self._const_values), n, P))
-        hess = np.zeros((self._n_hess, hd * hd, P))
+        slots: list = [None] * len(self.ops)
         failed = np.zeros(P, dtype=bool)
         errors: dict = {}
 
@@ -578,29 +537,77 @@ class JetProgram:
                                                         else _quote(arg, pts[i])))
             failed[new] = True
 
+        with np.errstate(all="ignore"):
+            for j, (code, x, y, owner, _, writes, _, _) in enumerate(self.ops):
+                if code == "coord":
+                    v = pts[:, x]
+                elif code == "const":
+                    v = np.full(P, x)
+                elif code == "affine":
+                    v = slots[x] if y[0] == 1.0 else slots[x] * y[0]
+                    if y[1] != 0.0:
+                        v = v + y[1]
+                elif code in _UFUNCS:
+                    v = _UFUNCS[code](slots[x], slots[y])
+                elif code == "recip":
+                    flag(slots[x] == 0.0, owner, "division by zero")
+                    v = 1.0 / slots[x]
+                elif code == "pow":
+                    if y < 0:
+                        flag(slots[x] == 0.0, owner, "zero raised to a negative power")
+                    v = np.ones(P) if y == 0 else np.power(slots[x], float(y))
+                else:
+                    for test, message in _DOMAIN.get(y[0], ()):
+                        flag(test(slots[x]), owner, message, y[1])
+                    v = getattr(np, y[0])(slots[x])
+                slots[j] = v
+                for k in writes:
+                    values[k] = v
+        return ValueSweep(pts, values.T, slots, errors)
+
+    def derivatives(self, sweep: ValueSweep, basis=None) -> JetBatch:
+        """The jets of a :meth:`sweep`, carrying only derivatives and dropping the
+        sweep's values after their last use.  ``basis`` (P, n, d) seeds x_k with
+        the row ``basis[:, k]``: gradients are derivatives along the d basis
+        vectors, G B, and Hessians B_h^T H B_h on the first ``hdim``; without one
+        it is the identity, and Hessians are n x n whatever ``hdim`` is."""
+        pts, vals = sweep.points, sweep.slots
+        P, n = pts.shape
+        hd = n                              # the Hessian width
+        if basis is None:
+            basis = np.broadcast_to(np.eye(n), (P, n, n))
+        else:
+            basis = np.asarray(basis, dtype=float)
+            hd = basis.shape[-1] if self.hdim is None else self.hdim
+            if basis.shape[:2] != (P, n) or basis.ndim != 3 or basis.shape[2] < hd:
+                raise DimensionMismatch(
+                    f"basis must be an array of shape (P, {n}, d), d >= {hd}")
+        G = basis.shape[2]
+        # an op's derivatives are packed in one (W, P) array, points last so every
+        # part is contiguous: the G gradient entries and, where the op needs a
+        # Hessian that is not zero, its hd * hd entries
+        W = G + hd * hd
+        grads = np.zeros((len(self._const_values), G, P))             # outputs, points last
+        hess = np.zeros((self._n_hess, hd * hd, P))
+
         def hessian(J):
             return J[G:].reshape(hd, hd, P)
 
         def outer(X, Y):
             """Products of the first hd gradient entries of two jets."""
-            return X[1:1 + hd, None] * Y[None, 1:1 + hd]
+            return X[:hd, None] * Y[None, :hd]
 
         slots: list = [None] * len(self.ops)
         with np.errstate(all="ignore"):
-            for j, (code, x, y, owner, need_h, writes, hwrites, frees) in enumerate(self.ops):
+            for j, (code, x, y, _, need_h, writes, hwrites, frees) in enumerate(self.ops):
                 if code == "coord":         # seeded with basis row k
                     J = np.empty((G, P))
-                    J[0] = pts[:, x]
-                    J[1:] = basis[:, x].T
+                    J[:] = basis[:, x].T
                 elif code == "const":
                     J = np.zeros((G, P))
-                    J[0] = x
                 elif code == "affine":      # x * a + c, Hessian and all
                     X = slots[x] if need_h else slots[x][:G]
-                    a, c = y
-                    J = X * a if a != 1.0 else X.copy()
-                    if c != 0.0:
-                        J[0] += c
+                    J = X * y[0] if y[0] != 1.0 else X
                 elif code in ("add", "sub"):
                     X, Y = (slots[x], slots[y]) if need_h else (slots[x][:G], slots[y][:G])
                     op = _UFUNCS[code]
@@ -614,13 +621,15 @@ class JetProgram:
                         J[:G] += X
                 elif code == "mul":
                     X, Y = (slots[x], slots[y]) if need_h else (slots[x][:G], slots[y][:G])
-                    A, B = (X, Y) if len(X) >= len(Y) else (Y, X)   # A has any Hessian
+                    # A has any Hessian; a and b are the values of A and B
+                    A, a, B, b = ((X, vals[x], Y, vals[y]) if len(X) >= len(Y)
+                                  else (Y, vals[y], X, vals[x]))
                     if need_h and len(A) == G:              # neither has one
                         J = np.empty((W, P))
-                        np.multiply(A, B[0], out=J[:G])
+                        np.multiply(A, b, out=J[:G])
                     else:
-                        J = A * B[0]                        # [x y, y x', y x'']
-                    J[1:len(B)] += A[0] * B[1:]             # + x y' (+ x y'')
+                        J = A * b                           # [y x', y x'']
+                    J[:len(B)] += a * B                     # + x y' (+ x y'')
                     if need_h:
                         cross = outer(X, Y)
                         if len(A) == G:
@@ -631,44 +640,35 @@ class JetProgram:
                             h += cross.transpose(1, 0, 2)
                 else:                       # chain rule through a scalar function
                     X = slots[x] if need_h else slots[x][:G]
-                    xv = X[0]
+                    xv = vals[x]
                     if code == "recip":
-                        flag(xv == 0.0, owner, "division by zero")
-                        f0, f1, f2 = 1.0 / xv, -1.0 / (xv * xv), 2.0 / (xv * xv * xv)
+                        f1, f2 = -1.0 / (xv * xv), 2.0 / (xv * xv * xv)
                     elif code == "pow" and y == 0:          # x ** 0 is the constant 1
-                        f0, f1, f2 = np.ones(P), np.zeros(P), np.zeros(P)
+                        f1, f2 = np.zeros(P), np.zeros(P)
                     elif code == "pow":
-                        if y < 0:
-                            flag(xv == 0.0, owner, "zero raised to a negative power")
-                        f0 = np.power(xv, float(y))
                         f1 = y * np.power(xv, float(y - 1))
                         f2 = y * (y - 1) * np.power(xv, float(y - 2))
                     else:
-                        fn, arg = y
-                        for test, message in _DOMAIN.get(fn, ()):
-                            flag(test(xv), owner, message, arg)
-                        f0, f1, f2 = _library(fn, xv)
+                        f1, f2 = _library(y[0], xv, vals[j])
                     if need_h and len(X) == G:              # the Hessian is f'' x' x'^T alone
                         J = np.empty((W, P))
                         np.multiply(X, f1, out=J[:G])
                         np.multiply(f2, outer(X, X), out=hessian(J))
                     else:
-                        J = X * f1                          # [., f' x', f' x'']
+                        J = X * f1                          # [f' x', f' x'']
                         if need_h:
                             h = hessian(J)
                             h += f2 * outer(X, X)
-                    J[0] = f0
                 slots[j] = J
                 for k in writes:
-                    values[k] = J[0]
-                    grads[k] = J[1:G]
+                    grads[k] = J[:G]
                 if len(J) == W:
                     for hk in hwrites:
                         hess[hk] = J[G:]
                 for s in frees:
-                    slots[s] = None
-        return JetBatch(values.T, grads.transpose(2, 0, 1),
-                        hess.reshape(self._n_hess, hd, hd, P).transpose(3, 0, 1, 2), errors)
+                    slots[s] = vals[s] = None
+        return JetBatch(sweep.values, grads.transpose(2, 0, 1),
+                        hess.reshape(self._n_hess, hd, hd, P).transpose(3, 0, 1, 2), sweep.errors)
 
 
 def _run(exprs, points, hessians=()) -> JetBatch:

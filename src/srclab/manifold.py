@@ -17,17 +17,18 @@ The projection onto V0 splits along the user-supplied frame (coefficients
 in the frame after inverting E), not metric-orthogonally; the engine never
 builds an ambient metric.
 
-Frame data is computed for a stack of points at once: each spec compiles
-its frame and its metric expressions once, into two programs
-(:class:`~srclab.jets.JetProgram`), evaluates the frame at a (P, n) point
-array and runs both programs seeded with that frame, so their jets are
-derivatives along the frame fields (Hessians along the horizontal ones
-only).  :func:`_frame_data` turns them
-into a :class:`FrameData` whose arrays carry a leading point axis (frame
-matrices, inverses, Gram matrices, structure constants and their
-derivatives), recording an error per point rather than failing the stack,
-and drops each run's jets once what it reads of them exists.  The sample
-loops size each stack by the spec's per-point footprint:
+Frame data is computed for a stack of points at once, in layers of an
+:class:`~srclab.curvature.Evaluation` whose arrays carry a leading point
+axis, so a tensor builds only those it reads.  Each spec compiles its frame
+components and metric entries once, into one program
+(:class:`~srclab.jets.JetProgram`).  Its values sweep at a (P, n) point array
+gives the frame, the metric and their inverses, with an error per point
+rather than a failed stack (:func:`frame_values`); its derivative sweep,
+seeded with that frame (derivatives along the frame fields, Hessians along
+the horizontal ones), the structure constants and the metric's frame
+derivatives (:func:`structure_constants`), and with the Hessians the frame
+derivatives of both (:func:`frame_derivatives`).  The sample loops size
+each stack by the spec's per-point footprint:
 PASS_ENTRIES // entries_per_point(n, ell) points, and never fewer than
 FRAME_CHUNK; a single point is a stack of one.  Contractions are stacked
 matrix products (:func:`contract`).  Brackets exist only as these structure
@@ -36,14 +37,14 @@ constants.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, fields
+from collections import namedtuple
 from functools import cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DimensionMismatch, DomainError, MetricNotSPD, SingularFrame,
-                     SrclabError, ValidationError)
-from .jets import Expression, JetProgram, ValueTable
+from .errors import DomainError, MetricNotSPD, SingularFrame, SrclabError, ValidationError
+from .jets import Expression, ValueSweep, ValueTable
 
 DEFAULT_BOX = (-1.0, 1.0)
 SINGULAR_DET_FACTOR = 1e-12
@@ -157,10 +158,10 @@ class ManifoldSpec:
     def _compile(self, numbering=None) -> None:
         """Without ``numbering``, enter the expressions into a new table and check
         its coordinate indices (0..n-1; a parse resolves only such), then store
-        the programs: ``_jet_programs``, the frame components field by field and
-        apart the metric row by row (its mirrored entries share one op), with
-        Hessians for the horizontal fields and the metric only, along the first
-        ell vectors of a basis; and ``_oneform_program``, None without one."""
+        the programs: ``_jet_program``, the frame components field by field, then
+        the metric row by row (its mirrored entries share one op), with Hessians
+        for the horizontal fields and the metric only, along the first ell
+        vectors of a basis; and ``_oneform_program``, None without one."""
         n, ell = self.n, self.ell
         if numbering is None:
             table = ValueTable()
@@ -172,12 +173,11 @@ class ManifoldSpec:
             if hi >= n:
                 raise ValidationError(f"expression uses coordinate index {hi} >= dim {n}")
         table, outputs = numbering
-        frame, metric, oneform = (outputs[:n * n], outputs[n * n:n * n + ell * ell],
-                                  outputs[n * n + ell * ell:])
+        m = n * n + ell * ell                   # the frame components, then the metric entries
         self.__dict__.update(
-            _jet_programs=(table.program(frame, n, range(ell * n), hdim=ell),
-                           table.program(metric, n, range(ell * ell), hdim=ell)),
-            _oneform_program=None if self.oneform is None else table.program(oneform, n))
+            _jet_program=table.program(outputs[:m], n, [*range(ell * n), *range(n * n, m)],
+                                       hdim=ell),
+            _oneform_program=None if self.oneform is None else table.program(outputs[m:], n))
 
 
 def sample_points(spec: ManifoldSpec, count: int, seed: int) -> np.ndarray:
@@ -196,23 +196,14 @@ def sample_points(spec: ManifoldSpec, count: int, seed: int) -> np.ndarray:
 def contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """out[p, *A, *B] = sum_e a[p, *A, e] b[p, e, *B] as one stacked matrix
     product: a's last axis against b's first axis after the point axis."""
-    P, k = a.shape[0], a.shape[-1]
+    P, k = a.shape[0] or 1, a.shape[-1]      # no points: one stack of no rows (-1 is then 0)
     out = np.matmul(a.reshape(P, -1, k), b.reshape(P, k, -1))
     return out.reshape(a.shape[:-1] + b.shape[2:])
 
 
-@dataclass(frozen=True)
-class FrameSnapshot:
-    """Pointwise frame data: frame matrix, Gram, structure constants."""
-
-    point: np.ndarray
-    E: np.ndarray            # (n, n) columns e_1..e_ell, e_{ell+1}..e_n
-    Einv: np.ndarray
-    g: np.ndarray            # (ell, ell)
-    ginv: np.ndarray
-    Omega: np.ndarray        # (ell, ell, ell), antisymmetric in (i, j)
-    Mcoef: np.ndarray        # (ell, ell, n-ell), antisymmetric in (i, j)
-    Lambda: np.ndarray       # (n-ell, ell, ell)
+# pointwise frame data: E (n, n), columns e_1..e_ell, e_{ell+1}..e_n; g (ell, ell); Omega
+# (ell, ell, ell) and Mcoef (ell, ell, n-ell), antisymmetric in (i, j); Lambda (n-ell, ell, ell)
+FrameSnapshot = namedtuple("FrameSnapshot", "point E Einv g ginv Omega Mcoef Lambda")
 
 
 class CoefficientJets(NamedTuple):
@@ -220,27 +211,18 @@ class CoefficientJets(NamedTuple):
     grads: np.ndarray    # (..., ell, ell, ell, ell): grads[..., q] = e_q(values)
 
 
-@dataclass(frozen=True, eq=False)
-class FrameData:
-    """Frame data at a stack of points (leading axis p): the snapshot arrays and
-    the first derivatives the connections need.  Rows of points in ``errors`` are
-    meaningless (``Ev`` is the identity where the frame fails, a finite basis
-    everywhere); ``warnings`` maps a usable point to its condition-number warning."""
-
-    Ev: np.ndarray
-    Einv: np.ndarray
-    gv: np.ndarray
-    gg: np.ndarray
-    ginv: np.ndarray
-    ginv_g: np.ndarray
-    Om: np.ndarray
-    Om_g: np.ndarray
-    Mc: np.ndarray
-    Lam: np.ndarray
-    fdg: np.ndarray          # fdg[p, k, i, j] = e_k(g_ij), k horizontal
-    fdg_g: np.ndarray        # every *_g: e_q of the field before it, on a last axis q < ell
-    errors: dict[int, SrclabError]
-    warnings: dict[int, str]
+# a connection's coefficients (P, ell, ell, ell) and the term its gradients reuse
+Coefficients = namedtuple("Coefficients", "values term")
+# the frame (E as evaluated, seeding the derivative sweep; Ev the identity where it fails),
+# the metric and their inverses at P points: rows of points in ``errors`` are meaningless;
+# ``warnings`` maps a usable point to its condition-number warning
+FrameValues = namedtuple("FrameValues", "E Ev Einv gv ginv errors warnings")
+# structure constants of the pairs e_a, e_b with b horizontal: Om and Mc, the parts of
+# the horizontal pairs cH, and Lam; the metric's horizontal frame derivatives
+# gg[p, i, j, k] = e_k(g_ij) and fdg[p, k, i, j]; the jets the frame derivatives take
+Brackets = namedtuple("Brackets", "Om Mc Lam cH gg fdg jets")
+# the horizontal frame derivatives of Om, fdg and ginv, each e_q on a last axis q < ell
+FrameDerivatives = namedtuple("FrameDerivatives", "Om_g fdg_g ginv_g")
 
 
 @cache
@@ -273,22 +255,19 @@ def _cholesky_fails(g: np.ndarray) -> np.ndarray:
         return np.concatenate([_cholesky_fails(gi[None]) for gi in g])
 
 
-def _frame_data(spec: ManifoldSpec, points) -> FrameData:
-    """Frame data at every row of a (P, n) point array, in one batched pass: the
-    frame matrix from a values-only run of the frame program, everything else
-    from the frame's, then the metric's program seeded with it (frame derivatives).
+# rows of ruled-out points may overflow or turn NaN; they are never read
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def frame_values(spec: ManifoldSpec, sweep: ValueSweep) -> FrameValues:
+    """The frame matrix, the Gram matrix and their inverses from the values
+    sweep of the spec's program.
 
     A point is ruled out by the first of these that applies: frame
     expression, determinant, condition number, metric expression, Cholesky.
     """
-    pts = np.asarray(points, dtype=float)
-    n, ell = spec.n, spec.ell
-    if pts.ndim != 2 or pts.shape[1] != n:
-        raise DimensionMismatch(f"point must have {n} coordinates")
-    P, (frame_program, metric_program) = len(pts), spec._jet_programs
+    pts, ell = sweep.points, spec.ell
+    (P, n), nn = pts.shape, pts.shape[1] ** 2
     # program output a*n + m is component m of frame field a: E[p, m, a] = E[m, a]
-    E = np.ascontiguousarray(frame_program.values(pts).reshape(P, n, n).transpose(0, 2, 1))
-    jets = frame_program.run(pts, basis=E)
+    E = np.ascontiguousarray(sweep.values[:, :nn].reshape(P, n, n).transpose(0, 2, 1))
     errors: dict[int, SrclabError] = {}
     bad = np.zeros(P, dtype=bool)
 
@@ -304,78 +283,82 @@ def _frame_data(spec: ManifoldSpec, points) -> FrameData:
         return np.where(bad[:, None, None], np.eye(stack.shape[-1]), stack) \
             if bad.any() else stack
 
-    def rule_out_expressions(run):
-        if run.errors:
-            rule_out(np.isin(np.arange(P), list(run.errors)),
-                     lambda i: DomainError(run.errors[i][1]))
+    owned = np.zeros((2, P), dtype=bool)    # where a frame, and a metric, output owns the error
+    for i, (owner, _) in sweep.errors.items():
+        owned[int(owner >= nn), i] = True
+    rule_out(owned[0], lambda i: DomainError(sweep.errors[i][1]))
+    # column and Frobenius norms as np.linalg.norm computes them, without its overhead
+    Eu = usable(E)
+    col_scale = np.prod(np.maximum(np.sqrt((Eu * Eu).sum(axis=1)), 1e-300), axis=-1)
+    det = np.linalg.det(Eu)
+    rule_out(~(np.abs(det) > SINGULAR_DET_FACTOR * col_scale), lambda i: SingularFrame(
+        f"frame determinant {det[i]:.3e} below threshold at {pts[i].tolist()}"))
+    cond = np.ones(P)       # the SVD only where cond <= |E|_F^n / |det E| may warn
+    frobenius = np.sqrt((E * E).sum(axis=(1, 2)))
+    svd = ~bad & ~(frobenius ** n < 0.5 * CONDITION_WARN * np.abs(det))
+    if svd.any():
+        cond[svd] = np.linalg.cond(E[svd])
+    rule_out(cond > CONDITION_FAIL, lambda i: SingularFrame(
+        f"frame condition number {cond[i]:.3e} at {pts[i].tolist()}"))
+    Ev = usable(E)
+    Einv = np.linalg.inv(Ev)
 
-    # rows of ruled-out points may overflow or turn NaN; they are never read
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rule_out_expressions(jets)
-        # column and Frobenius norms as np.linalg.norm computes them, without its overhead
-        Eu = usable(E)
-        col_scale = np.prod(np.maximum(np.sqrt((Eu * Eu).sum(axis=1)), 1e-300), axis=-1)
-        det = np.linalg.det(Eu)
-        rule_out(~(np.abs(det) > SINGULAR_DET_FACTOR * col_scale), lambda i: SingularFrame(
-            f"frame determinant {det[i]:.3e} below threshold at {pts[i].tolist()}"))
-        cond = np.ones(P)       # the SVD only where cond <= |E|_F^n / |det E| may warn
-        frobenius = np.sqrt((E * E).sum(axis=(1, 2)))
-        svd = ~bad & ~(frobenius ** n < 0.5 * CONDITION_WARN * np.abs(det))
-        if svd.any():
-            cond[svd] = np.linalg.cond(E[svd])
-        rule_out(cond > CONDITION_FAIL, lambda i: SingularFrame(
-            f"frame condition number {cond[i]:.3e} at {pts[i].tolist()}"))
-        Ev = usable(E)
-        Einv = np.linalg.inv(Ev)
-
-        # J[p, b, m, a] = e_a(E[m, b]), kept only where a frame pair reads it:
-        # Jh for horizontal b, Jc along horizontal a; for horizontal b,
-        # Hf[p, b, m, q, a] is the Hessian of E[m, b] on (e_q, e_a), q, a < ell
-        J = jets.grads.reshape(P, n, n, n)
-        Jh, Jc = J[:, :ell].copy(), J[..., :ell].copy()
-        Hf = jets.hessians.reshape(P, ell, n, ell, ell)
-        del jets, J
-        # structure constants c[p, a, b, s] of the pairs read, e_a with a horizontal e_b:
-        # E c[a, b] = [e_a, e_b] = br[a, b], where br[a, b, m] = J[b, m, a] - J[a, m, b]
-        c = contract(Jh.transpose(0, 3, 1, 2) - Jc.transpose(0, 1, 3, 2), Einv.transpose(0, 2, 1))
-        cH = c[:, :ell].copy()                  # horizontal pairs: Omega and M, mirrored once
-        _mirror_pair_antisym(cH)
-        Om, Mc = cH[..., :ell].copy(), cH[..., ell:].copy()
-        Lam = np.ascontiguousarray(c[:, ell:, :, :ell])
-        del c
-        # their horizontal derivatives: E e_q(c) = e_q(br) - e_q(E) c, where
-        # e_q(e_a(f)) = Hess f(e_q, e_a) + sum_d Kt[d, q, a] e_d(f) and Kt[p, d, q, a]
-        # are the frame components of e_q applied to the components of e_a
-        Kt = contract(Einv, Jc[:, :ell].transpose(0, 2, 3, 1))
-        Hf += contract(Jh, Kt)                  # now Hf[p, b, m, q, a] = e_q(J[b, m, a])
-        rhs = Hf.transpose(0, 4, 1, 2, 3) - Hf.transpose(0, 1, 4, 2, 3)   # e_q(br)[p, a, b, m, q]
-        del Jh, Hf
-        rhs -= contract(cH, Jc)
-        del Jc, cH
-        Om_g = contract(rhs.transpose(0, 1, 2, 4, 3),
-                        Einv[:, :ell].transpose(0, 2, 1)).transpose(0, 1, 2, 4, 3)
-        del rhs
-        _mirror_pair_antisym(Om_g)
-
-        gjets = metric_program.run(pts, basis=E)
-        gv = gjets.values.reshape(P, ell, ell)
-        dg = gjets.grads.reshape(P, ell, ell, n)                 # e_d(g_ij), every frame field
-        gg = dg[..., :ell].copy()
-        rule_out_expressions(gjets)
-        not_finite = ~np.isfinite(gv).all(axis=(1, 2))          # an entry overflowed
-        rule_out(not_finite | _cholesky_fails(usable(gv)), lambda i: MetricNotSPD(
-            f"Gram matrix not positive definite at {pts[i].tolist()}"))
-        ginv = np.linalg.inv(usable(gv))
-        ginv_g = -(ginv[:, None] @ gg.transpose(0, 3, 1, 2) @ ginv[:, None]).transpose(0, 2, 3, 1)
-        fdg = gg.transpose(0, 3, 1, 2)
-        fdg_g = contract(dg, Kt)
-        fdg_g += gjets.hessians.reshape(P, ell, ell, ell, ell)
-        fdg_g = fdg_g.transpose(0, 4, 1, 2, 3)
-
+    gv = sweep.values[:, nn:].reshape(P, ell, ell).copy(order="K")   # the sweep's values can go
+    rule_out(owned[1], lambda i: DomainError(sweep.errors[i][1]))
+    not_finite = ~np.isfinite(gv).all(axis=(1, 2))          # an entry overflowed
+    rule_out(not_finite | _cholesky_fails(usable(gv)), lambda i: MetricNotSPD(
+        f"Gram matrix not positive definite at {pts[i].tolist()}"))
+    ginv = np.linalg.inv(usable(gv))
     warnings = {i: f"frame condition number {cond[i]:.3e} at {pts[i].tolist()}"
                 for i in map(int, np.flatnonzero(cond > CONDITION_WARN)) if i not in errors}
-    return FrameData(Ev, Einv, gv, gg, ginv, ginv_g, Om, Om_g, Mc, Lam, fdg, fdg_g,
-                     errors, warnings)
+    return FrameValues(E, Ev, Einv, gv, ginv, errors, warnings)
+
+
+def structure_constants(spec: ManifoldSpec, sweep: ValueSweep, frame: FrameValues) -> Brackets:
+    """From the derivative sweep seeded with the frame, J[p, b, m, a] = e_a(E[m, b]),
+    the structure constants c[p, a, b, s] of the pairs e_a, e_b with b horizontal:
+    E c[a, b] = [e_a, e_b] = br[a, b], where br[a, b, m] = J[b, m, a] - J[a, m, b].
+    ``jets`` keeps for the frame derivatives, which empty it, J for horizontal b
+    and along horizontal a, the Hessians Hf[p, b, m, q, a] of E[m, b] on (e_q, e_a)
+    for horizontal b, q, a, dg[p, i, j, d] = e_d(g_ij) and its Hessians."""
+    (P, n), ell = frame.E.shape[:2], spec.ell
+    jets = spec._jet_program.derivatives(sweep, basis=frame.E)
+    J, H = jets.grads[:, :n * n].reshape(P, n, n, n), jets.hessians
+    Jh, Jc = J[:, :ell].copy(), J[..., :ell].copy()
+    dg = jets.grads[:, n * n:].reshape(P, ell, ell, n).copy(order="K")
+    del jets, J                             # the gradients not read
+    c = contract(Jh.transpose(0, 3, 1, 2) - Jc.transpose(0, 1, 3, 2), frame.Einv.transpose(0, 2, 1))
+    cH = c[:, :ell].copy()                  # horizontal pairs: Omega and M, mirrored once
+    _mirror_pair_antisym(cH)
+    gg = dg[..., :ell].copy()
+    return Brackets(cH[..., :ell], cH[..., ell:], np.ascontiguousarray(c[:, ell:, :, :ell]), cH,
+                    gg, gg.transpose(0, 3, 1, 2),
+                    [Jh, Jc, H[:, :ell * n].reshape(P, ell, n, ell, ell), dg,
+                     H[:, ell * n:].reshape(P, ell, ell, ell, ell)])
+
+
+def frame_derivatives(frame: FrameValues, br: Brackets) -> FrameDerivatives:
+    """Om_g, fdg_g and ginv_g, emptying ``br.jets``: E e_q(c) = e_q(br) - e_q(E) c,
+    where e_q(e_a(f)) = Hess f(e_q, e_a) + sum_d Kt[d, q, a] e_d(f) and Kt[p, d, q, a]
+    are the frame components of e_q applied to the components of e_a."""
+    Jh, Jc, Hf, dg, gH = br.jets
+    br.jets.clear()
+    Einv, ginv, gg, ell = frame.Einv, frame.ginv, br.gg, Jh.shape[1]
+    Kt = contract(Einv, Jc[:, :ell].transpose(0, 2, 3, 1))
+    Hf += contract(Jh, Kt)                  # now Hf[p, b, m, q, a] = e_q(J[b, m, a])
+    rhs = Hf.transpose(0, 4, 1, 2, 3) - Hf.transpose(0, 1, 4, 2, 3)   # e_q(br)[p, a, b, m, q]
+    del Jh, Hf
+    fdg_g = contract(dg, Kt)
+    fdg_g += gH
+    del dg, gH
+    rhs -= contract(br.cH, Jc)
+    del Jc
+    Om_g = contract(rhs.transpose(0, 1, 2, 4, 3),
+                    Einv[:, :ell].transpose(0, 2, 1)).transpose(0, 1, 2, 4, 3)
+    del rhs
+    _mirror_pair_antisym(Om_g)
+    ginv_g = -(ginv[:, None] @ gg.transpose(0, 3, 1, 2) @ ginv[:, None]).transpose(0, 2, 3, 1)
+    return FrameDerivatives(Om_g, fdg_g.transpose(0, 4, 1, 2, 3), ginv_g)
 
 
 def snapshot(spec: ManifoldSpec, point) -> FrameSnapshot:
@@ -384,8 +367,8 @@ def snapshot(spec: ManifoldSpec, point) -> FrameSnapshot:
     Omega/Mcoef come from solving E c = [e_i, e_j](point) (first ell entries
     horizontal), Lambda from the solves for [e_alpha, e_k].
     """
-    f = _frame_data(spec, np.asarray(point)[None])
-    if f.errors:
-        raise f.errors[0]
+    from .curvature import Evaluation       # the layer stack is built on this module
+    ev = Evaluation(spec, None, np.asarray(point)[None])
+    f, b = ev.read("frame"), ev.brackets
     return FrameSnapshot(np.asarray(point, dtype=float), f.Ev[0], f.Einv[0], f.gv[0],
-                         f.ginv[0], f.Om[0], f.Mc[0], f.Lam[0])
+                         f.ginv[0], b.Om[0], b.Mc[0], b.Lam[0])

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import ctypes
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property, partial, reduce
 from operator import attrgetter
 
@@ -232,15 +232,15 @@ def _quiet():
 def _metricity(ev, conn: str):
     """e_k(g_ij) - co[k,i,e] g_ej - co[k,j,e] g_ie for the coefficients co of ``conn``."""
     t = contract(getattr(ev, conn).values, ev.frame.gv)
-    return ev.res(ev.frame.fdg - t - t.transpose(0, 1, 3, 2),
-                  "frame.fdg", f"{conn}.values", "frame.gv")
+    return ev.res(ev.brackets.fdg - t - t.transpose(0, 1, 3, 2),
+                  "brackets.fdg", f"{conn}.values", "frame.gv")
 
 
 _c01, _c03 = partial(_metricity, conn="nab"), partial(_metricity, conn="D")
 
 
 def _c02(ev):
-    return ev.res("T_nab", "nab.values", "frame.Om")
+    return ev.res("T_nab", "nab.values", "brackets.Om")
 
 
 def _c04(ev):
@@ -268,7 +268,7 @@ def _c07(ev):
 
 def _c08(ev):
     lw = ev.Kb.lowered
-    involutive = ~(ev.sup("frame.Mc") > QUALIFIER_TOL)       # no vertical bracket part
+    involutive = ~(ev.sup("brackets.Mc") > QUALIFIER_TOL)       # no vertical bracket part
     return (*ev.res(lw + lw.transpose(0, 1, 2, 4, 3), "Kb.lowered"), involutive)
 
 
@@ -349,7 +349,7 @@ class CheckSpec:
     description: str
     paper_ref: str
     fn: object          # _Pass -> per point (abs, denom[, qualifies])
-    layers: str         # pass layers read ("frame": more than gv, ginv, Mc); "x:cond" if cond
+    layers: str         # pass layers read, "x:cond" if only when cond holds
     reads: tuple[str, ...] = ()     # layers whose errors fail the check, first first
     required_rank: int = 2
     tolerance: float = 1e-9
@@ -362,13 +362,13 @@ class CheckSpec:
 CHECKS: tuple[CheckSpec, ...] = (
     CheckSpec(
         "C01", "metric compatibility of the torsion-free horizontal connection",
-        "e_k(g_ij) = {_ki^e} g_ej + {_kj^e} g_ie", _c01, "nab frame"),
+        "e_k(g_ij) = {_ki^e} g_ej + {_kj^e} g_ie", _c01, "nab brackets frame"),
     CheckSpec(
         "C02", "vanishing torsion of the horizontal connection",
-        "{_ij^k} - {_ji^k} = Omega_ij^k", _c02, "T_nab nab frame", tolerance=1e-10),
+        "{_ij^k} - {_ji^k} = Omega_ij^k", _c02, "T_nab nab brackets", tolerance=1e-10),
     CheckSpec(
         "C03", "metric compatibility of the semi-symmetric connection",
-        "e_k(g_ij) = Gamma_ki^e g_ej + Gamma_kj^e g_ie", _c03, "D frame"),
+        "e_k(g_ij) = Gamma_ki^e g_ej + Gamma_kj^e g_ie", _c03, "D brackets frame"),
     CheckSpec(
         "C04", "semi-symmetric form of the transformed torsion",
         "T_ij^k = delta_i^k pi_j - delta_j^k pi_i (corrected reading of the "
@@ -386,7 +386,8 @@ CHECKS: tuple[CheckSpec, ...] = (
         "K^e_kie = K^e_kei - K^e_iek;  K^e_kie + K^e_ike = 0", _c07, "Kb"),
     CheckSpec(
         "C08", "pair antisymmetry of the lowered curvature on involutive horizontal bundles",
-        "K(X,Y,Z,W) = -K(X,Y,W,Z) when the vertical bracket part M vanishes", _c08, "Kb"),
+        "K(X,Y,Z,W) = -K(X,Y,W,Z) when the vertical bracket part M vanishes", _c08,
+        "Kb brackets"),
     CheckSpec(
         "C09", "curvature change under the semi-symmetric transformation",
         "R^h_ijk = K^h_ijk + delta_j^h pi_ik - delta_i^h pi_jk + pi_j^h g_ik - pi_i^h g_jk",
@@ -437,8 +438,6 @@ CHECKS: tuple[CheckSpec, ...] = (
 )
 
 CHECK_IDS = tuple(c.id for c in CHECKS)
-# frame fields only the first checks and layers read (CheckSpec.layers: "frame")
-FRAME_EARLY = dict.fromkeys(("Ev", "Einv", "gg", "ginv_g", "Om", "Om_g", "Lam", "fdg", "fdg_g"))
 # the suite's run order (reports keep CHECKS order): C18 right after C05, so that the
 # connections, their nabla T and the raw curvatures go before S, C and W are built
 RUN_ORDER = ("C01", "C02", "C03", "C04", "C05", "C18", "C06", "C07", "C08", "C09", "C10",
@@ -450,7 +449,8 @@ def _plan(ell: int, carnot: bool) -> tuple:
     """A suite pass's liveness plan: its steps in run order (the checks rank ``ell``
     allows, each after building the layers its table entry lists, in order, each
     after its inputs in :meth:`_Pass.graph`), each with the layers it is the last
-    reader of, to drop after it (a build reads its inputs)."""
+    reader of, to drop after it (a build reads its inputs); never the frame or the
+    one-form, whose errors the fold reads."""
     holds, steps = {"rank3": ell >= 3, "carnot": carnot, "": True}, []
 
     def build(layer):
@@ -460,6 +460,7 @@ def _plan(ell: int, carnot: bool) -> tuple:
                 build(name)
             steps.append((layer, inputs))
 
+    build("frame_g")        # the frame layers first: the frame jets go before any other is built
     for check in sorted((c for c in CHECKS if ell >= c.required_rank),
                         key=lambda c: RUN_ORDER.index(c.id)):
         reads = [name for name, _, cond in (word.partition(":") for word in check.layers.split())
@@ -467,8 +468,9 @@ def _plan(ell: int, carnot: bool) -> tuple:
         for name in reads:
             build(name)
         steps.append((check, reads))
-    last = {name: i for i, (_, reads) in enumerate(steps) for name in reads}
-    return tuple((step, [name for name, j in last.items() if j == i and name != "pij"])
+    last = {name: i for i, (_, reads) in enumerate(steps) for name in reads
+            if name not in ("frame", "pij")}
+    return tuple((step, [name for name, j in last.items() if j == i])
                  for i, (step, _) in enumerate(steps))
 
 
@@ -525,11 +527,8 @@ def run_suite(spec: ManifoldSpec, pi: OneFormData | None = None,
                     getattr(ev, step)
                 else:
                     rows[step.id] = step.fn(ev)
-                for name in drops:      # the fold reads the frame's errors: it only slims
-                    if name == "frame":
-                        ev.frame = replace(ev.frame, **FRAME_EARLY)
-                    else:
-                        del vars(ev)[name]
+                for name in drops:
+                    del vars(ev)[name]
             table.fold(ev, [rows[check.id] for check in active])
             warnings.extend(w for w in ev.frame.warnings.values() if w not in warnings)
 

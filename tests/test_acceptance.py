@@ -51,8 +51,8 @@ def test_a01_connection_contract():
         spec = builtin(name).spec
         conn = koszul_connection(spec)
         for p in sample_points(spec, 100, SEED):
-            frame = Evaluation(spec, None, p[None]).frame
-            fdg, gv = frame.fdg[0], frame.gv[0]
+            ev = Evaluation(spec, None, p[None])
+            fdg, gv = ev.brackets.fdg[0], ev.frame.gv[0]
             co = conn.coefficients(p)
             met = fdg - np.einsum("kie,ej->kij", co, gv) - np.einsum("kje,ei->kij", co, gv)
             scale = max(1.0, abs(fdg).max(), abs(co).max(), abs(gv).max())
@@ -211,7 +211,7 @@ def test_a07_bianchi_and_symmetry_suite():
             ric, ric2 = Kb.ricci, Kb.second_contraction()
             worst = max(worst, abs(ric2 + ric2.T).max() / scale,
                         abs(ric2 - (ric - ric.T)).max() / scale)
-            if abs(ev.frame.Mc[0]).max(initial=0.0) <= 1e-12:
+            if abs(ev.brackets.Mc[0]).max(initial=0.0) <= 1e-12:
                 worst = max(worst, abs(lw + lw.transpose(0, 1, 3, 2)).max() / scale)
     _report(f"A07 Bianchi/symmetry suite: {'PASS' if worst <= 1e-9 else 'FAIL'} "
             f"(worst rel {worst:.2e})")

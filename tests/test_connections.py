@@ -36,8 +36,8 @@ def at(spec, pi, point):
 
 
 def metricity_residual(spec, conn, point):
-    frame = at(spec, None, point).frame
-    fdg, gv = frame.fdg[0], frame.gv[0]
+    ev = at(spec, None, point)
+    fdg, gv = ev.brackets.fdg[0], ev.frame.gv[0]
     co = conn.coefficients(point)
     resid = fdg - np.einsum("kie,ej->kij", co, gv) - np.einsum("kje,ei->kij", co, gv)
     return abs(resid).max() / max(1.0, abs(fdg).max(), abs(co).max())
@@ -166,8 +166,8 @@ def test_uniqueness_probe():
         spec = builtin(name).spec
         conn = koszul_connection(spec)
         p = sample_points(spec, 1, RNG_SEED)[0]
-        frame = at(spec, None, p).frame
-        fdg, gv, Om = frame.fdg[0], frame.gv[0], frame.Om[0]
+        ev = at(spec, None, p)
+        fdg, gv, Om = ev.brackets.fdg[0], ev.frame.gv[0], ev.brackets.Om[0]
         co = conn.coefficients(p)
         ell = spec.ell
         for i in range(ell):
@@ -187,10 +187,10 @@ def test_coefficient_fields_match_tensor_path():
     horizontal field."""
     entry = builtin("curved-metric-l3")
     spec = entry.spec
-    for conn, layer in ((koszul_connection(spec), "nab"),
-                        (semi_connection(spec, entry.oneform("trig")), "D")):
+    for conn, layer in ((koszul_connection(spec), "nab_g"),
+                        (semi_connection(spec, entry.oneform("trig")), "D_g")):
         for p in sample_points(spec, 3, RNG_SEED):
-            dco = frame_derivative(getattr(at(spec, conn.oneform, p), layer).grads)[0]
+            dco = frame_derivative(getattr(at(spec, conn.oneform, p), layer))[0]
             for i, vf in enumerate(spec.hframe):
                 step = 1e-5 * np.array([jet_eval(c, p, 0).value for c in vf.components])
                 central = (conn.coefficients(p + step) - conn.coefficients(p - step)) / 2e-5

@@ -5,9 +5,9 @@ import pytest
 from sympy import Rational as Q
 
 from oracles import oracle_eval
-from srclab.catalog import builtin
+from srclab.catalog import builtin, catalog_names
 from srclab.connections import OneFormData, koszul_connection, semi_connection
-from srclab.curvature import (Evaluation, characteristic_tensor,
+from srclab.curvature import (TENSORS, Evaluation, characteristic_tensor,
                               conformal_difference_formula, conformal_tensor, delta_g,
                               curvature_relation_terms, flatness_characteristic_form,
                               projective_difference_formula, projective_tensor,
@@ -356,3 +356,38 @@ def test_einsum_traces_are_np_trace_bit_for_bit(ell):
     assert np.abs(ev.Kb.ricci).max() > 0.01 and np.abs(ev.ct.alpha).max() > 0.01
     for got, want in pairs:
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_zero_point_stacks_give_empty_tensors(name):
+    """Every tensor of an Evaluation of no points is an empty array of its
+    one-point shape; S and C and their bars at rank 2 raise RankTooSmall."""
+    entry = builtin(name)
+    spec, pi = entry.spec, entry.oneform(entry.pi_variants[-1].name)
+    empty = Evaluation(spec, pi, np.zeros((0, spec.n)))
+    one = Evaluation(spec, pi, sample_points(spec, 1, RNG_SEED))
+    for tensor in TENSORS:
+        if spec.ell < 3 and tensor in ("S", "Sbar", "C", "Cbar"):
+            with pytest.raises(RankTooSmall):
+                empty[tensor]
+            continue
+        got = np.asarray(empty[tensor])
+        assert got.shape == (0,) + np.shape(one[tensor])[1:], tensor
+
+
+# per tensor of values, the layers a one-point request for it must not build
+VALUE_LEVEL = dict.fromkeys(("Omega", "M", "Lambda", "coeff", "Gamma", "torsion", "pi-char",
+                             "alpha"), {"frame_g", "nab_g", "D_g"})
+VALUE_LEVEL.update(dict.fromkeys(("g", "ginv", "E"), {"brackets", "frame_g", "nab_g", "D_g"}))
+
+
+@pytest.mark.parametrize("tensor", VALUE_LEVEL)
+def test_tensors_of_values_skip_the_derivative_layers(tensor):
+    """A one-point request for a tensor of values builds no Hessian-derived
+    frame layer and no connection gradient; one for the frame or the metric
+    runs no derivative sweep either."""
+    for name in ("heisenberg2", "curved-metric-l3"):
+        entry = builtin(name)
+        ev = Evaluation(entry.spec, entry.oneform("trig"), sample_points(entry.spec, 1, RNG_SEED))
+        ev[tensor]
+        assert not VALUE_LEVEL[tensor] & set(vars(ev)), (name, sorted(vars(ev)))

@@ -4,6 +4,7 @@ import math
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -331,9 +332,9 @@ BASIS_SPECS = [(name, builtin(name).spec) for name in catalog_names()] + [
 
 @pytest.mark.parametrize("name,spec", BASIS_SPECS, ids=[name for name, _ in BASIS_SPECS])
 def test_basis_seeded_run_is_the_basis_contraction(name, spec):
-    """Seeded with a basis B, a spec's frame and metric programs yield the
+    """Seeded with a basis B, a spec's frame and metric program yields the
     basis-free run's values, G B and B_h^T H B_h (B_h its first hdim = ell
-    vectors) to JET_TOL per expression; seeded with the identity, they yield
+    vectors) to JET_TOL per expression; seeded with the identity, it yields
     the basis-free run's values, gradients and errors bit for bit and the
     leading hdim x hdim block of its Hessians, and a program compiled
     without hdim yields the basis-free run bit for bit."""
@@ -343,18 +344,18 @@ def test_basis_seeded_run_is_the_basis_contraction(name, spec):
     B = np.random.default_rng(2).normal(size=(len(points), spec.n, spec.n))
     Bh = B[:, None, :, :spec.ell]
     eye = np.broadcast_to(np.eye(spec.n), B.shape)
-    for program in spec._jet_programs:
-        free, seeded = program.run(points), program.run(points, basis=B)
-        assert np.array_equal(seeded.values, free.values) and seeded.errors == free.errors
-        for got, want in ((seeded.grads, free.grads @ B),
-                          (seeded.hessians, Bh.transpose(0, 1, 3, 2) @ free.hessians @ Bh)):
-            err, size = (np.abs(a).reshape(len(points), a.shape[1], -1).max(axis=-1)
-                         for a in (got - want, want))
-            assert (err <= JET_TOL * np.maximum(1.0, size)).all(), name
-        unit = program.run(points, basis=eye)
-        assert all(np.array_equal(a, b) for a, b in zip(unit[:2], free[:2]))
-        assert unit.errors == free.errors
-        assert np.array_equal(unit.hessians, free.hessians[..., :spec.ell, :spec.ell])
+    program = spec._jet_program
+    free, seeded = program.run(points), program.run(points, basis=B)
+    assert np.array_equal(seeded.values, free.values) and seeded.errors == free.errors
+    for got, want in ((seeded.grads, free.grads @ B),
+                      (seeded.hessians, Bh.transpose(0, 1, 3, 2) @ free.hessians @ Bh)):
+        err, size = (np.abs(a).reshape(len(points), a.shape[1], -1).max(axis=-1)
+                     for a in (got - want, want))
+        assert (err <= JET_TOL * np.maximum(1.0, size)).all(), name
+    unit = program.run(points, basis=eye)
+    assert all(np.array_equal(a, b) for a, b in zip(unit[:2], free[:2]))
+    assert unit.errors == free.errors
+    assert np.array_equal(unit.hessians, free.hessians[..., :spec.ell, :spec.ell])
     exprs = _spec_expressions(spec)
     full = JetProgram(exprs, spec.n, hessians=range(len(exprs)))
     got, want = full.run(points, basis=eye), full.run(points)
@@ -363,14 +364,14 @@ def test_basis_seeded_run_is_the_basis_contraction(name, spec):
 
 
 def test_values_are_the_run_values():
-    """values(points) is run(points).values bit for bit, for the frame and the
+    """values(points) is run(points).values bit for bit, for the frame and
     metric program of a spec."""
     from srclab.manifold import sample_points
 
     spec = parse_manifold(_free_step2_rank4_text(11))
     points = sample_points(spec, 30, 4)
-    for program in spec._jet_programs:
-        assert np.array_equal(program.values(points), program.run(points).values)
+    program = spec._jet_program
+    assert np.array_equal(program.values(points), program.run(points).values)
 
 
 def test_compiled_program_hessians_only_where_asked():
@@ -583,8 +584,8 @@ def test_shared_subtrees_compile_like_separate_copies(name, tmp_path):
         assert spec.metric[0][1] is spec.metric[1][0]
     frame = [c for vf in spec.hframe + spec.vframe for c in vf.components]
     metric = [e for row in spec.metric for e in row]
-    cases = list(zip(spec._jet_programs, (frame, metric),
-                     (range(spec.ell * spec.n), range(len(metric)))))
+    cases = [(spec._jet_program, frame + metric,
+              [*range(spec.ell * spec.n), *range(len(frame), len(frame) + len(metric))])]
     if name == "pi-file":
         path = tmp_path / "pi.txt"
         path.write_text("sin(x)*y + x*y/4\n  # a comment\n log(2 + y) - x*y/4\n",
@@ -604,7 +605,7 @@ def test_out_of_order_terms_fail_in_component_order():
     from srclab.manifold import snapshot
 
     spec = parse_manifold(OUT_OF_ORDER_SOURCE)
-    frame_program = spec._jet_programs[0]
+    frame_program = spec._jet_program
     assert [op[:4] for op in frame_program.ops] == [
         ("coord", 0, None, 0), ("call", 0, ("log", Coord(0)), 0), ("coord", 2, None, 1),
         ("recip", 2, None, 1), ("add", 3, 0, 1)]
@@ -628,7 +629,7 @@ def test_signed_zero_constants_keep_their_sign():
     built = JetProgram([Mul(Const(0.0), Coord(0)), Mul(Const(-0.0), Coord(0))], 1)
     assert np.signbit(built.values([[1.0]])[0]).tolist() == [False, True]
     spec = parse_manifold(_PRE_SIGNED)
-    metric = spec._jet_programs[1].values([[1.0, 0.0, 0.0]])[0]
+    metric = spec._jet_program.values([[1.0, 0.0, 0.0]])[0, spec.n * spec.n:]
     assert np.signbit(metric).tolist() == [False, True, True, False]
 
 
@@ -665,6 +666,47 @@ def test_python_built_spec_compiles_like_its_parsed_text():
     parsed = parse_manifold(serialize_manifold(spec))
     assert parsed == spec and parsed.metric[0][1] is parsed.metric[1][0]
     assert spec.metric[0][1] is not spec.metric[1][0]
-    for built, read in zip(spec._jet_programs + (spec._oneform_program,),
-                           parsed._jet_programs + (parsed._oneform_program,)):
+    for built, read in zip((spec._jet_program, spec._oneform_program),
+                           (parsed._jet_program, parsed._oneform_program)):
         assert read.ops == built.ops and len(built.ops) > 0
+
+
+_ZERO_POWERS = """\
+manifold zero-powers
+dim 3
+hdim 2
+coords x y z
+hframe
+  X1 = dx + (x*y^0 - z^2*x^0) dz
+  X2 = dy + (sin(y)^0*x) dz
+vframe
+  Z = dz
+metric rows
+  1 + x^2*z^0, 0
+  0, 2 + y^0*z
+"""
+
+
+def test_zero_powers_in_the_frame_and_the_metric():
+    """An x^0 factor in a frame component and in a metric entry is a pow op of
+    exponent 0 in the spec's program: its run gives the reference jets'
+    values, gradients and Hessians, and the values, gradients and Hessians of
+    the same spec with each x^0 factor written as 1."""
+    from srclab.manifold import sample_points
+    from srclab.parser import parse_document
+
+    spec = parse_document(_ZERO_POWERS).spec
+    program, n, ell = spec._jet_program, spec.n, spec.ell
+    owners = [op[3] for op in program.ops if op[0] == "pow" and op[2] == 0]
+    assert min(owners) < n * n <= max(owners)           # in the frame and in the metric
+    ones = parse_document(re.sub(r"(sin\(y\)|[xyz])\^0", "1", _ZERO_POWERS)).spec._jet_program
+    points = sample_points(spec, 20, 3)
+    got, want = program.run(points), ones.run(points)
+    assert got.errors == {} and all(np.array_equal(a, b) for a, b in zip(got[:3], want[:3]))
+    exprs, hessians = _spec_expressions(spec), [*range(ell * n), *range(n * n, n * n + ell * ell)]
+    for i, p in enumerate(points):
+        for k, expr in enumerate(exprs):
+            ref = jet_eval(expr, p, 2)
+            assert got.values[i, k] == ref.value and np.array_equal(got.grads[i, k], ref.grad)
+            if k in hessians:
+                assert np.array_equal(got.hessians[i, hessians.index(k)], ref.hess), (i, k)

@@ -1,3 +1,4 @@
+import pickle
 import re
 
 import numpy as np
@@ -8,10 +9,10 @@ from jet_reference import jet_eval
 from oracles import _bracket, _to_array, sym_manifold
 
 from srclab.catalog import builtin, catalog_names
-from srclab.curvature import Evaluation
+from srclab.curvature import TENSORS, Evaluation
 from srclab.errors import DomainError, MetricNotSPD, SingularFrame, ValidationError
 from srclab.jets import Const, Coord, Mul
-from srclab.manifold import ManifoldSpec, VectorFieldSpec, _frame_data, sample_points, snapshot
+from srclab.manifold import ManifoldSpec, VectorFieldSpec, sample_points, snapshot
 from srclab.parser import parse_manifold
 
 RNG_SEED = 1234
@@ -169,7 +170,7 @@ metric identity
         snapshot(spec, np.array([0.0, 0.2, 0.3]))
     snapshot(spec, np.array([0.5, 0.2, 0.3]))
     # in one batch the singular point is marked alone
-    batch = _frame_data(spec, np.array([[0.0, 0.2, 0.3], [0.5, 0.2, 0.3]]))
+    batch = Evaluation(spec, None, np.array([[0.0, 0.2, 0.3], [0.5, 0.2, 0.3]])).frame
     assert isinstance(batch.errors[0], SingularFrame)
     assert list(batch.errors) == [0]
 
@@ -204,7 +205,7 @@ metric rows
         ((1, 1, 0.25), None),
     ]
     points = np.array([p for p, _ in want], dtype=float)
-    batch = _frame_data(spec, points)
+    batch = Evaluation(spec, None, points).frame
     for i, (p, err) in enumerate(want):
         if err is None:
             assert i not in batch.errors
@@ -306,3 +307,22 @@ def test_frame_matrix_columns_are_frame_fields():
 def test_mul_expression_frame_component():
     vf = VectorFieldSpec((Mul(Const(2.0), Coord(1)), Const(1.0)))
     assert [jet_eval(c, [0.0, 3.0], 0).value for c in vf.components] == [6.0, 1.0]
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_pickled_spec_rebuilds_its_program(name):
+    """A spec survives pickle: its state is the fields alone, loading compiles
+    the one frame and metric program again, op for op, and an Evaluation of
+    the loaded spec gives every tensor of the original's bit for bit."""
+    entry = builtin(name)
+    spec = entry.spec
+    assert "_jet_program" not in spec.__getstate__()
+    loaded = pickle.loads(pickle.dumps(spec))
+    assert loaded == spec and loaded._jet_program is not spec._jet_program
+    assert loaded._jet_program.ops == spec._jet_program.ops
+    points = sample_points(spec, 5, RNG_SEED)
+    pi = entry.oneform(entry.pi_variants[-1].name)
+    want, got = Evaluation(spec, pi, points), Evaluation(loaded, pi, points)
+    for tensor in TENSORS:
+        if spec.ell >= 3 or tensor not in ("S", "Sbar", "C", "Cbar"):
+            assert np.asarray(got[tensor]).tobytes() == np.asarray(want[tensor]).tobytes(), tensor

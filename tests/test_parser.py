@@ -348,7 +348,7 @@ def test_ingestion_calls_grow_linearly():
 
         sys.setprofile(profile)
         try:
-            parse_manifold(source)._jet_programs
+            parse_manifold(source)._jet_program
         finally:
             sys.setprofile(None)
         return count

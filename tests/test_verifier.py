@@ -521,19 +521,19 @@ def test_evaluation_rows_match_evaluations_of_one_point():
                 snap, ct = snapshot(spec, p), characteristic_tensor(spec, pi, p)
                 pairs += [(ev.frame.Ev[i], snap.E), (ev.frame.Einv[i], snap.Einv),
                           (ev.frame.gv[i], snap.g), (ev.frame.ginv[i], snap.ginv),
-                          (ev.frame.Om[i], snap.Omega), (ev.frame.Mc[i], snap.Mcoef),
-                          (ev.frame.Lam[i], snap.Lambda),
+                          (ev.brackets.Om[i], snap.Omega), (ev.brackets.Mc[i], snap.Mcoef),
+                          (ev.brackets.Lam[i], snap.Lambda),
                           (ev.ct.pi_lower[i], ct.pi_lower), (ev.ct.pi_mixed[i], ct.pi_mixed),
                           (ev.ct.alpha[i], ct.alpha),
                           (curvature_relation_terms(ev.ct, spec, ev.points)[i],
                            curvature_relation_terms(ct, spec, p)),
                           (projective_difference_formula(ev.ct, spec, ev.points)[i],
                            projective_difference_formula(ct, spec, p))]
-                for conn, batch, T, bundle in ((nab, ev.nab, ev.T_nab, ev.Kb),
-                                               (D, ev.D, ev.T_D, ev.Rb)):
+                for conn, batch, grads, T, bundle in ((nab, ev.nab, ev.nab_g, ev.T_nab, ev.Kb),
+                                                      (D, ev.D, ev.D_g, ev.T_D, ev.Rb)):
                     jets, view = conn.coefficient_jets(p), schouten_curvature(conn, p)
                     pairs += [(batch.values[i], jets.values),
-                              (batch.grads[i], jets.grads),
+                              (grads[i], jets.grads),
                               (batch.values[i], conn.coefficients(p)),
                               (T[i], torsion(conn, p)),
                               (bundle.curv[i], view.curv), (bundle.ricci[i], view.ricci),
@@ -671,6 +671,7 @@ def test_worst_point_is_the_argmax_sample_point():
 
 LAYERS = tuple(name for cls in verifier._Pass.__mro__ for name, value in vars(cls).items()
                if isinstance(value, cached_property))
+FRAME_LAYERS = ("sweep", "frame", "brackets", "frame_g")
 
 
 def _record_builds(monkeypatch) -> list:
@@ -699,11 +700,12 @@ def test_standalone_checks_build_only_the_layers_they_read(monkeypatch):
     spec, pi, config = entry.spec, entry.oneform("trig"), SuiteConfig(points=10, flags=entry.flags)
     for run, want in (
             (lambda: verifier.check_group_manifold(spec, None, config),
-             {"frame", "nab", "T_nab", "rawK", "Kb", "DT_nab"}),
+             {*FRAME_LAYERS, "nab", "nab_g", "T_nab", "rawK", "Kb", "DT_nab"}),
             (lambda: verifier.check_group_manifold(spec, pi, config),
-             {"frame", "pij", "nab", "D", "T_D", "rawR", "Rb", "DT_D"}),
+             {*FRAME_LAYERS, "pij", "nab", "nab_g", "D", "D_g", "T_D", "rawR", "Rb", "DT_D"}),
             (lambda: verifier.check_flatness_criterion(spec, pi, config),
-             {"frame", "pij", "nab", "D", "rawK", "rawR", "Kb", "Rb", "ct", "S_nab"}),
+             {*FRAME_LAYERS, "pij", "nab", "nab_g", "D", "D_g", "rawK", "rawR", "Kb", "Rb", "ct",
+              "S_nab"}),
             (lambda: verifier.run_suite(spec, pi, config), set(LAYERS))):
         builds.clear()
         run()
