@@ -40,9 +40,9 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import inputs  # noqa: E402
+from workloads import STAMP, eval_argv  # noqa: E402
 
 WORKLOADS = ("catalog-sweep", "expr-heavy-sweep", "single-point-eval")
-STAMP = "1970-01-01T00:00:00+00:00"
 
 
 def load_tree(tree: Path, name: str, into: Path):
@@ -80,15 +80,8 @@ def rounds(workload: str, seed: int, count: int, workdir: Path):
         files = inputs.write_case_files([case for case, _ in cases], workdir)
         rng = random.Random(seed)
         for _ in range(count):
-            items = []
-            for req in inputs.eval_round(rng, cases):
-                spec_path, pi_path = files[req.case]
-                argv = ["eval", "--spec", str(spec_path)]
-                argv += ["--pi", f"file:{pi_path}"] if pi_path is not None else []
-                argv += ["--tensor", req.tensor,
-                         "--point=" + ",".join(repr(float(x)) for x in req.point)]
-                items.append((eval_call, (argv,)))
-            yield items
+            yield [(eval_call, (eval_argv(files[req.case], req.tensor, req.point),))
+                   for req in inputs.eval_round(rng, cases)]
         return
     cases = (inputs.catalog_cases() if workload == "catalog-sweep"
              else inputs.expr_heavy_cases(seed))

@@ -38,10 +38,8 @@ def main():
     print(f"{args.builtin} at {np.round(point, 3).tolist()}")
     print(f"{'step':>8s}  max relative |jet - central difference|")
     for step in STEPS:
-        worst = 0.0
-        for expr in exprs:
-            for frame in spec.hframe:
-                worst = max(worst, fd_crosscheck(expr, point, frame.components, step))
+        worst = max(fd_crosscheck(expr, point, frame.components, step)
+                    for expr in exprs for frame in spec.hframe)
         print(f"{step:8.0e}  {worst:.3e}")
 
 

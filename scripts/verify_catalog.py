@@ -14,6 +14,8 @@ import sys
 from srclab.catalog import builtin, catalog_names
 from srclab.verifier import CHECK_IDS, SuiteConfig, run_suite
 
+CELLS = {"pass": ".", "fail": "x", "skip": "s"}
+
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
@@ -33,14 +35,10 @@ def main() -> int:
             cells = []
             worst = 0.0
             for rec in report.checks:
-                if rec.skipped:
-                    cells.append(" s")
-                elif rec.passed:
-                    cells.append(" .")
-                    worst = max(worst, rec.max_rel_residual)
-                else:
-                    cells.append(" x")
                 status = "skip" if rec.skipped else ("pass" if rec.passed else "fail")
+                cells.append(" " + CELLS[status])
+                if status == "pass":
+                    worst = max(worst, rec.max_rel_residual)
                 if status != entry.expected_status(variant, rec.id):
                     surprises += 1
             print(f"{name:18s} {variant or '-':13s}{''.join(cells)}  {worst:.2e}")

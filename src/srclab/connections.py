@@ -104,23 +104,25 @@ class OneFormData:
         return OneFormJets(run.values, run.grads, errors)
 
 
+def _koszul_sum(fdg: np.ndarray, OG: np.ndarray) -> np.ndarray:
+    """fdg_ijk + fdg_jik - fdg_kji + OG_ijk - OG_ikj - OG_jki on axes 1-3 of any rank."""
+    return (fdg + fdg.swapaxes(1, 2) - fdg.swapaxes(1, 3)
+            + OG - OG.swapaxes(2, 3) - np.moveaxis(OG, 3, 1))
+
+
 def koszul(frame: FrameValues, br: Brackets) -> Coefficients:
     """Koszul coefficients on the points of ``frame``, and the sum B they solve."""
-    OG, fdg = contract(br.Om, frame.gv), br.fdg        # OG: Omega_ij^e g_ek
-    B = (fdg + fdg.transpose(0, 2, 1, 3) - fdg.transpose(0, 3, 2, 1)
-         + OG - OG.transpose(0, 1, 3, 2) - OG.transpose(0, 3, 1, 2))
+    B = _koszul_sum(br.fdg, contract(br.Om, frame.gv))     # OG_ijk = Omega_ij^e g_ek
     return Coefficients(0.5 * contract(B, frame.ginv), B)
 
 
 def koszul_grads(frame: FrameValues, br: Brackets, fd: FrameDerivatives,
                  nab: Coefficients) -> np.ndarray:
     """The horizontal frame derivatives of the Koszul coefficients."""
-    fdg_g, ginv = fd.fdg_g, frame.ginv
     OG_g = (contract(fd.Om_g.transpose(0, 1, 2, 4, 3), frame.gv).transpose(0, 1, 2, 4, 3)
             + contract(br.Om, br.gg))
-    B_g = (fdg_g + fdg_g.transpose(0, 2, 1, 3, 4) - fdg_g.transpose(0, 3, 2, 1, 4)
-           + OG_g - OG_g.transpose(0, 1, 3, 2, 4) - OG_g.transpose(0, 3, 1, 2, 4))
-    return 0.5 * (contract(B_g.transpose(0, 1, 2, 4, 3), ginv).transpose(0, 1, 2, 4, 3)
+    B_g = _koszul_sum(fd.fdg_g, OG_g)
+    return 0.5 * (contract(B_g.transpose(0, 1, 2, 4, 3), frame.ginv).transpose(0, 1, 2, 4, 3)
                   + contract(nab.term, fd.ginv_g))
 
 

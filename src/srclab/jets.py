@@ -9,8 +9,7 @@ Hessian of every output with a leading point axis, along a basis (the identity
 by default); frame data and one-forms are evaluated through it.  Trees built in
 Python enter a table by one walk, keyed as the parser keys each node.  Exact
 derivatives; finite differences serve only as cross-checks (:func:`fd_crosscheck`).
-Constant folding and the operand quoted in a domain-error message use
-:func:`_value`, the same arithmetic on the values alone, in Python floats.
+Constant folding uses :func:`_value`, the same arithmetic on values, in Python floats.
 """
 from __future__ import annotations
 
@@ -249,11 +248,10 @@ def _value(node: Expression, args: list[float]) -> float:
     library function beyond float range raises OverflowError (ValueError for
     sin or cos of inf)."""
     if isinstance(node, Call):
-        v = args[0]
         for test, message in _DOMAIN.get(node.fn, ()):
-            if test(v):
-                raise DomainError(message.format(v))
-        return FUNCTIONS[node.fn](v)
+            if test(args[0]):
+                raise DomainError(message.format(args[0]))
+        return FUNCTIONS[node.fn](args[0])
     if isinstance(node, Pow):
         v, k = args[0], node.exponent
         if k in (0, 1):
@@ -266,28 +264,6 @@ def _value(node: Expression, args: list[float]) -> float:
             raise DomainError("division by zero")
         return args[0] * (1.0 / args[1])
     return _ARITHMETIC[type(node)](*args)
-
-
-def _quote(expr: Expression, point) -> float:
-    """The value of ``expr`` at one point by :func:`_value`, to quote in an error
-    message independently of the vector math library; a step beyond float range
-    takes numpy's value (inf or nan), as the batched run does."""
-    values: dict[int, float] = {}
-    for node in _postorder(expr):
-        if isinstance(node, Const):
-            v = float(node.value)
-        elif isinstance(node, Coord):
-            v = float(point[node.index])
-        else:
-            args = [values[id(arg)] for arg in _operands(node)]
-            try:
-                v = _value(node, args)
-            except (OverflowError, ValueError):          # only powers and library calls
-                with np.errstate(all="ignore"):
-                    v = float(np.power(args[0], float(node.exponent)) if isinstance(node, Pow)
-                              else getattr(np, node.fn)(args[0]))
-        values[id(node)] = v
-    return values[id(expr)]
 
 
 _CODES = {Add: "add", Sub: "sub", Mul: "mul"}
@@ -385,8 +361,7 @@ class ValueTable:
     def _combine(self, node, args):
         """The value of an operator node from its operands' values (op numbers
         or floats): one op on op operands; constants folded; a constant operand
-        of ``+``, ``-``, ``*`` or ``/`` fused into one affine op; and a call op
-        keeping its argument expression to quote in a domain error."""
+        of ``+``, ``-``, ``*`` or ``/`` fused into one affine op."""
         if int not in map(type, args):             # a subtree of constants: no op slots
             try:
                 return _value(node, args)
@@ -413,7 +388,7 @@ class ValueTable:
             return x if node.exponent == 1 else self._emit("pow", x, node.exponent)
         if node.fn not in FUNCTIONS:
             raise KeyError(node.fn)                # as _value's FUNCTIONS lookup does
-        return self._emit("call", x, (node.fn, node.arg))
+        return self._emit("call", x, node.fn)
 
 
 class JetProgram:
@@ -442,7 +417,7 @@ class JetProgram:
 
     A domain error marks only the points where it happens: ``errors`` maps
     each such point to the first expression (in list order) that fails there
-    and a message that quotes the failing operand by :func:`_quote`.
+    and a message that quotes the operand value the domain test saw there.
     """
 
     def __init__(self, exprs, n: int, hessians=(), hdim: int | None = None):
@@ -530,11 +505,10 @@ class JetProgram:
         failed = np.zeros(P, dtype=bool)
         errors: dict = {}
 
-        def flag(mask, owner, message, arg=None):
+        def flag(mask, owner, message, operand):
             new = mask & ~failed
             for i in np.flatnonzero(new):
-                errors[int(i)] = (owner, message.format(None if arg is None
-                                                        else _quote(arg, pts[i])))
+                errors[int(i)] = (owner, message.format(float(operand[i])))
             failed[new] = True
 
         with np.errstate(all="ignore"):
@@ -550,16 +524,16 @@ class JetProgram:
                 elif code in _UFUNCS:
                     v = _UFUNCS[code](slots[x], slots[y])
                 elif code == "recip":
-                    flag(slots[x] == 0.0, owner, "division by zero")
+                    flag(slots[x] == 0.0, owner, "division by zero", slots[x])
                     v = 1.0 / slots[x]
                 elif code == "pow":
                     if y < 0:
-                        flag(slots[x] == 0.0, owner, "zero raised to a negative power")
+                        flag(slots[x] == 0.0, owner, "zero raised to a negative power", slots[x])
                     v = np.ones(P) if y == 0 else np.power(slots[x], float(y))
                 else:
-                    for test, message in _DOMAIN.get(y[0], ()):
-                        flag(test(slots[x]), owner, message, y[1])
-                    v = getattr(np, y[0])(slots[x])
+                    for test, message in _DOMAIN.get(y, ()):
+                        flag(test(slots[x]), owner, message, slots[x])
+                    v = getattr(np, y)(slots[x])
                 slots[j] = v
                 for k in writes:
                     values[k] = v
@@ -649,7 +623,7 @@ class JetProgram:
                         f1 = y * np.power(xv, float(y - 1))
                         f2 = y * (y - 1) * np.power(xv, float(y - 2))
                     else:
-                        f1, f2 = _library(y[0], xv, vals[j])
+                        f1, f2 = _library(y, xv, vals[j])
                     if need_h and len(X) == G:              # the Hessian is f'' x' x'^T alone
                         J = np.empty((W, P))
                         np.multiply(X, f1, out=J[:G])

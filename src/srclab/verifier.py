@@ -333,8 +333,7 @@ def _c18(ev):
     # flat + parallel torsion: characteristic tensor and constant curvature
     flat_parallel = ((_rel(ev.res("Rb.curv", "Rb.curv")) <= HYPOTHESIS_REL)
                      & (_rel(ev.res("DT_D", "DT_D")) <= HYPOTHESIS_REL))
-    piv = ev.pij.values                   # A = pi_e pi^e g: K = delta_g(A) for constant curvature
-    A = (piv * contract(ev.frame.ginv, piv)).sum(axis=1)[:, None, None] * ev.frame.gv
+    A = (ev.pij.values * ev.D.term).sum(axis=1)[:, None, None] * ev.frame.gv   # pi_e pi^e g
     parts += [_gate(r, flat_parallel) for r in (
         ev.res(ev.ct.pi_lower + 0.5 * A, "ct.pi_lower", "frame.gv"),
         ev.res(delta_g(-A, base=ev.Kb.curv), "Kb.curv", A), ev.res("W_nab", "W_nab"))]

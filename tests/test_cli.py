@@ -273,6 +273,23 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["eval", "verify"])
+@pytest.mark.parametrize("pi,message", [
+    ("pi:1,0,0,0", "--pi must start with 'const:' or 'file:'"),
+    ("const:1,0", "--pi const needs 4 components, got 2"),
+    ("file:{}", "--pi file needs 4 expressions, got 3")])
+def test_bad_pi_arguments_exit_two_with_their_message(capsys, tmp_path, command, pi, message):
+    """A --pi with an unknown prefix, or with a component count other than the
+    horizontal rank, exits 2 from eval and from verify, naming what it needs."""
+    pi_file = tmp_path / "three.pi"
+    pi_file.write_text("1\n0\n0\n", encoding="utf-8")
+    argv = [command, "--builtin", "heisenberg2", "--pi", pi.format(pi_file)]
+    argv += (["--tensor", "K", "--point", "0,0,0,0,0"] if command == "eval"
+             else ["--points", "2"])
+    assert cli_main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_eval_overflowing_oneform_exits_two(capsys, tmp_path):
     """exp(1000 x1) overflows at x1 = 0.9: the one-form is rejected there
     (exit 2) and evaluates at x1 = -0.9."""

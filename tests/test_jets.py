@@ -607,7 +607,7 @@ def test_out_of_order_terms_fail_in_component_order():
     spec = parse_manifold(OUT_OF_ORDER_SOURCE)
     frame_program = spec._jet_program
     assert [op[:4] for op in frame_program.ops] == [
-        ("coord", 0, None, 0), ("call", 0, ("log", Coord(0)), 0), ("coord", 2, None, 1),
+        ("coord", 0, None, 0), ("call", 0, "log", 0), ("coord", 2, None, 1),
         ("recip", 2, None, 1), ("add", 3, 0, 1)]
     points = [[0.0, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 1.0], [-1.0, 0.0, 0.0]]
     assert frame_program.run(points).errors == {

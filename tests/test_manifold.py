@@ -278,6 +278,28 @@ def test_coordinate_index_outside_the_chart_fails_at_construction(place, index, 
     assert excinfo.value.message == message
 
 
+_C1, _C0 = Const(1.0), Const(0.0)
+_FLAT3 = dict(name="bad", coords=("x", "y", "z"), ell=2,
+              hframe=(VectorFieldSpec((_C1, _C0, _C0)), VectorFieldSpec((_C0, _C1, _C0))),
+              vframe=(VectorFieldSpec((_C0, _C0, _C1)),), metric=((_C1, _C0), (_C0, _C1)))
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"ell": 1}, "need 2 <= hdim < dim, got hdim=1, dim=3"),
+    ({"hframe": _FLAT3["hframe"][:1]}, "expected 2 horizontal fields, got 1"),
+    ({"vframe": _FLAT3["vframe"] * 2}, "expected 1 vertical fields, got 2"),
+    ({"vframe": (VectorFieldSpec((_C0, _C1)),)}, "vector field component count must equal dim"),
+    ({"metric": ((_C1, _C0), (_C0,))}, "metric must be an hdim x hdim array"),
+    ({"metric": ((_C1, _C0), (_C0, _C1), (_C0, _C0))}, "metric must be an hdim x hdim array"),
+    ({"metric": ((_C1, _C0), (Coord(0), _C1))}, "metric entry (1,0) is not symmetric"),
+    ({"oneform": (_C1,)}, "oneform needs hdim components")])
+def test_malformed_specs_built_in_python_raise_validation_errors(change, message):
+    """Each structural check of a spec built in Python raises ValidationError with its message."""
+    with pytest.raises(ValidationError) as excinfo:
+        ManifoldSpec(**{**_FLAT3, **change})
+    assert excinfo.value.message == message
+
+
 def test_sample_points_prefix_stable_and_boxed():
     spec = spec_of("heisenberg2")
     a = sample_points(spec, 10, 7)

@@ -1,7 +1,9 @@
-"""The scripts under scripts/ run end to end and exit 0, and the benchmark
-under perfbench/ sets up and runs its probes against this tree."""
+"""The scripts under scripts/ run end to end against this tree, scripts/digest.py
+printing the pinned digests of every suite report and srclab eval output it
+covers, and the benchmark under perfbench/ sets up and runs its probes."""
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -12,16 +14,21 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def run_script(*argv) -> subprocess.CompletedProcess:
+    """A script run from the repository root with this tree's src/ on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("argv", [
     ["scripts/verify_catalog.py", "--points", "3"],
     ["scripts/fd_step_sweep.py"],
 ])
 def test_script_exits_zero(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                      env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_script(*argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
 
@@ -69,46 +76,34 @@ def test_benchmark_probes_read_the_evaluation(monkeypatch):
             assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max()), name
 
 
-def test_eval_digest_builds_its_request_set(monkeypatch, tmp_path):
-    """scripts/eval_digest.py writes its one-form files and lists 4,140 requests;
-    its digest of a few is stable and counts their nonzero exits."""
-    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
-    import eval_digest
-
-    argvs = eval_digest.requests(tmp_path)
-    assert len(argvs) == 4140
-    few = argvs[:6] + [argv for argv in argvs if "file:" in " ".join(argv)][-6:]
-    monkeypatch.chdir(tmp_path)
-    sha, nonzero = eval_digest.digest(few)
-    assert (sha, nonzero) == eval_digest.digest(few)
-    # g exits 2 at every coordinate 1e154 and at one coordinate too many;
-    # alpha with log(<x1> - 5) exits 2 at every point
-    assert re.fullmatch("[0-9a-f]{64}", sha) and nonzero == 8
+# scripts/digest.py's two lines, taken on numpy 2.4.6 and CPython 3.11.7: a change that
+# moves a byte of any report or srclab eval output it covers changes a line.
+DIGESTS = ["8e1629adc7681d29ed33049e94ef7f3b62d1224655705169ca202cba1294292f  168 reports",
+           "03ce2ea05f77f28f010652b3ef3c1209ac31527844aa1aa336d0232b3da1d792  4140 requests, "
+           "1658 nonzero exits"]
+DIGEST_VERSIONS = {"numpy": "2.4.6", "CPython": "3.11.7"}
 
 
-def test_report_digest_lists_its_reports(monkeypatch):
-    """scripts/report_digest.py lists 168 suite reports; its digest of two
-    of them is the same on two calls."""
-    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
-    import report_digest
+def test_digest_prints_the_pinned_report_and_eval_digests():
+    """scripts/digest.py hashes 168 suite reports and 4,140 srclab eval
+    requests; both lines are pinned, on the versions they were taken on (the
+    last digits of a float can move with numpy's or the C library's version)."""
+    import numpy as np
 
-    items = report_digest.cases()
-    assert len(items) == 168
-    two = [items[0], items[-1]]
-    sha = report_digest.digest(two)
-    assert re.fullmatch("[0-9a-f]{64}", sha) and sha == report_digest.digest(two)
+    versions = {"numpy": np.__version__, "CPython": platform.python_version()}
+    if versions != DIGEST_VERSIONS:
+        pytest.skip(f"digests pinned on {DIGEST_VERSIONS}, running on {versions}")
+    proc = run_script("scripts/digest.py")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == DIGESTS
 
 
-def test_ingest_timing_prints_a_row_per_spec():
-    """scripts/ingest_timing.py times parse, validation and compile of the six
-    catalog specs and the four expression-heavy specs, one repeat here."""
+def test_stage_timing_ingest_prints_a_row_per_spec():
+    """scripts/stage_timing.py ingest times parse, validation and compile of the
+    six catalog specs and the four expression-heavy specs, one repeat here."""
     from srclab.catalog import catalog_names
 
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                      env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "scripts/ingest_timing.py", "--repeats", "1"],
-                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    proc = run_script("scripts/stage_timing.py", "ingest", "--repeats", "1")
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()[1:]]
     assert [row[0] for row in rows] == [*catalog_names(), "expr-r3-a", "expr-r3-b",
@@ -117,15 +112,11 @@ def test_ingest_timing_prints_a_row_per_spec():
     assert all(len(row) == 6 and min(map(float, row[2:])) >= 0.0 for row in rows)
 
 
-def test_eval_timing_prints_a_row_per_stage():
-    """scripts/eval_timing.py splits one round of the single-point-eval requests
-    into its stages; the stage medians are non-negative and each is at most
-    the median request."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                      env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "scripts/eval_timing.py", "--rounds", "1"],
-                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+def test_stage_timing_eval_prints_a_row_per_stage():
+    """scripts/stage_timing.py eval splits one round of the single-point-eval
+    requests into its stages; the stage medians are non-negative and each is at
+    most the median request."""
+    proc = run_script("scripts/stage_timing.py", "eval", "--rounds", "1")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert re.fullmatch(r"\d+ single-point-eval requests, seed 1: median us per request",
