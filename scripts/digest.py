@@ -63,17 +63,18 @@ def sha256(texts) -> str:
     return sha.hexdigest()
 
 
-def reports() -> list[str]:
-    """The JSON text of every suite report, in order."""
-    out = []
-    for case in inputs.catalog_cases() + inputs.expr_heavy_cases(1):
-        for points in POINTS:
-            for seed in SEEDS:
-                spec = parse_document(case.text).spec
-                config = SuiteConfig(points=points, seed=seed, flags=case.flags)
-                report = run_suite(spec, inputs.build_pi(spec, case.pi_lines), config)
-                out.append(jsonio.dumps(report.to_json_dict(STAMP)))
-    return out
+def cases() -> list[tuple[inputs.Case, int, int]]:
+    """(case, points, suite seed) of every report, in order."""
+    return [(case, points, seed) for case in inputs.catalog_cases() + inputs.expr_heavy_cases(1)
+            for points in POINTS for seed in SEEDS]
+
+
+def report(case: inputs.Case, points: int, seed: int) -> str:
+    """The JSON text of one case's suite report."""
+    spec = parse_document(case.text).spec
+    config = SuiteConfig(points=points, seed=seed, flags=case.flags)
+    return jsonio.dumps(run_suite(spec, inputs.build_pi(spec, case.pi_lines),
+                                  config).to_json_dict(STAMP))
 
 
 def requests(workdir: Path) -> list[list[str]]:
@@ -114,13 +115,11 @@ def main(argv=None) -> int:
     ap.add_argument("mode", nargs="?", choices=("reports", "eval"), help="default: both")
     mode = ap.parse_args(argv).mode
     if mode != "eval":
-        texts = reports()
+        texts = [report(*item) for item in cases()]
         print(f"{sha256(texts)}  {len(texts)} reports")
     if mode != "reports":
-        with tempfile.TemporaryDirectory() as tmp:
-            argvs = requests(Path(tmp))
-            with contextlib.chdir(tmp):
-                runs = [(" ".join(argv), *request(argv)) for argv in argvs]
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+            runs = [(" ".join(argv), *request(argv)) for argv in requests(Path(tmp))]
         nonzero = sum(code != 0 for _, code, _, _ in runs)
         texts = (text for argv, code, out, err in runs for text in (argv, str(code), out, err))
         print(f"{sha256(texts)}  {len(runs)} requests, {nonzero} nonzero exits")

@@ -98,6 +98,39 @@ def test_digest_prints_the_pinned_report_and_eval_digests():
     assert proc.stdout.splitlines() == DIGESTS
 
 
+def test_eval_digest_builds_its_request_set(monkeypatch, tmp_path):
+    """scripts/digest.py writes its one-form files and lists 4,140 requests;
+    a few of them run the same twice and count their nonzero exits."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import digest
+
+    argvs = digest.requests(tmp_path)
+    assert len(argvs) == 4140
+    few = argvs[:6] + [argv for argv in argvs if "file:" in " ".join(argv)][-6:]
+    monkeypatch.chdir(tmp_path)
+    runs = [digest.request(argv) for argv in few]
+    assert runs == [digest.request(argv) for argv in few]
+    sha = digest.sha256(text for argv, (code, out, err) in zip(few, runs)
+                        for text in (" ".join(argv), str(code), out, err))
+    # g exits 2 at every coordinate 1e154 and at one coordinate too many;
+    # alpha with log(<x1> - 5) exits 2 at every point
+    assert re.fullmatch("[0-9a-f]{64}", sha) and sum(code != 0 for code, _, _ in runs) == 8
+
+
+def test_report_digest_lists_its_reports(monkeypatch):
+    """scripts/digest.py lists 168 suite reports; its digest of two of them
+    is the same on two calls."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import digest
+
+    items = digest.cases()
+    assert len(items) == 168
+    two = [items[0], items[-1]]
+    sha = digest.sha256(digest.report(*item) for item in two)
+    assert re.fullmatch("[0-9a-f]{64}", sha)
+    assert sha == digest.sha256(digest.report(*item) for item in two)
+
+
 def test_stage_timing_ingest_prints_a_row_per_spec():
     """scripts/stage_timing.py ingest times parse, validation and compile of the
     six catalog specs and the four expression-heavy specs, one repeat here."""
