@@ -13,12 +13,12 @@ solving, pointwise,
 which keeps the connection metric and turns the torsion into
 T_ij^k = delta_i^k pi_j - delta_j^k pi_i.
 
-Coefficients are tensors with their derivatives along the horizontal
+Coefficients are plain arrays with their derivatives along the horizontal
 frame, the only ones curvature reads.  An :class:`~srclab.curvature.Evaluation`
 builds them on a stack of points (leading axis p) as layers, values and
-gradients apart, from the frame layers and, for the transformed connection,
-the Koszul layers and the one-form's jets; a one-form's components are
-compiled into a :class:`~srclab.jets.JetProgram` when the one-form is made.
+gradients apart: the Koszul ones from the frame layers and their sum B, the
+transformed ones from those, the one-form's jets and pi^k = g^{kj} pi_j.  A
+one-form compiles its components into a :class:`~srclab.jets.JetProgram`.
 """
 from __future__ import annotations
 
@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import DomainError
 from .jets import Const, Expression, JetProgram
-from .manifold import (Brackets, CoefficientJets, Coefficients, FrameDerivatives,
-                       FrameValues, ManifoldSpec, contract)
+from .manifold import (Brackets, CoefficientJets, FrameDerivatives, FrameValues, ManifoldSpec,
+                       contract)
 
 _eye = cache(np.eye)        # one identity per rank, shared by the layers; never written
 
@@ -104,42 +104,36 @@ class OneFormData:
         return OneFormJets(run.values, run.grads, errors)
 
 
-def _koszul_sum(fdg: np.ndarray, OG: np.ndarray) -> np.ndarray:
-    """fdg_ijk + fdg_jik - fdg_kji + OG_ijk - OG_ikj - OG_jki on axes 1-3 of any rank."""
+def koszul_sum(fdg: np.ndarray, OG: np.ndarray) -> np.ndarray:
+    """fdg_ijk + fdg_jik - fdg_kji + OG_ijk - OG_ikj - OG_jki on axes 1-3 of any rank: with
+    OG_ijk = Omega_ij^e g_ek the sum B = 2 {_ij^h} g_hk; with their frame derivatives, B's."""
     return (fdg + fdg.swapaxes(1, 2) - fdg.swapaxes(1, 3)
             + OG - OG.swapaxes(2, 3) - np.moveaxis(OG, 3, 1))
 
 
-def koszul(frame: FrameValues, br: Brackets) -> Coefficients:
-    """Koszul coefficients on the points of ``frame``, and the sum B they solve."""
-    B = _koszul_sum(br.fdg, contract(br.Om, frame.gv))     # OG_ijk = Omega_ij^e g_ek
-    return Coefficients(0.5 * contract(B, frame.ginv), B)
-
-
 def koszul_grads(frame: FrameValues, br: Brackets, fd: FrameDerivatives,
-                 nab: Coefficients) -> np.ndarray:
-    """The horizontal frame derivatives of the Koszul coefficients."""
+                 B: np.ndarray) -> np.ndarray:
+    """The horizontal frame derivatives of the Koszul coefficients, from their sum B."""
     OG_g = (contract(fd.Om_g.transpose(0, 1, 2, 4, 3), frame.gv).transpose(0, 1, 2, 4, 3)
             + contract(br.Om, br.gg))
-    B_g = _koszul_sum(fd.fdg_g, OG_g)
+    B_g = koszul_sum(fd.fdg_g, OG_g)
     return 0.5 * (contract(B_g.transpose(0, 1, 2, 4, 3), frame.ginv).transpose(0, 1, 2, 4, 3)
-                  + contract(nab.term, fd.ginv_g))
+                  + contract(B, fd.ginv_g))
 
 
-def semi(frame: FrameValues, nab: Coefficients, pij: OneFormJets) -> Coefficients:
-    """Koszul coefficients plus delta_i^k pi_j - g_ij pi^k, and pi^k."""
-    piv, piu = pij.values, contract(frame.ginv, pij.values)
+def semi(frame: FrameValues, nab: np.ndarray, pij: OneFormJets, piu: np.ndarray) -> np.ndarray:
+    """Koszul coefficients plus delta_i^k pi_j - g_ij pi^k, with pi^k = ``piu``."""
+    piv = pij.values
     A = _eye(piv.shape[1])[:, None, :] * piv[:, None, :, None] \
         - frame.gv[..., None] * piu[:, None, None, :]
-    return Coefficients(nab.values + A, piu)
+    return nab + A
 
 
 def semi_grads(frame: FrameValues, br: Brackets, fd: FrameDerivatives, nab_g: np.ndarray,
-               D: Coefficients, pij: OneFormJets) -> np.ndarray:
-    """Koszul gradients plus those of delta_i^k pi_j - g_ij pi^k."""
-    piv, pig, piu = pij.values, pij.grads, D.term
-    piu_g = contract(fd.ginv_g.transpose(0, 1, 3, 2), piv) + contract(frame.ginv, pig)
-    A_g = (_eye(piv.shape[1])[:, None, :, None] * pig[:, None, :, None, :]
+               pij: OneFormJets, piu: np.ndarray) -> np.ndarray:
+    """Koszul gradients plus those of delta_i^k pi_j - g_ij pi^k, with pi^k = ``piu``."""
+    piu_g = contract(fd.ginv_g.transpose(0, 1, 3, 2), pij.values) + contract(frame.ginv, pij.grads)
+    A_g = (_eye(piu.shape[1])[:, None, :, None] * pij.grads[:, None, :, None, :]
            - br.gg[:, :, :, None, :] * piu[:, None, None, :, None]
            - frame.gv[..., None, None] * piu_g[:, None, None, :, :])
     return nab_g + A_g
@@ -189,10 +183,10 @@ class ConnectionField:
         return [ev.read(path) for path in (koszul if self.oneform is None else semi).split()]
 
     def coefficient_jets(self, point) -> CoefficientJets:
-        return CoefficientJets(*(a[0] for a in self._at(point, "nab.values nab_g", "D.values D_g")))
+        return CoefficientJets(*(a[0] for a in self._at(point, "nab nab_g", "D D_g")))
 
     def coefficients(self, point) -> np.ndarray:
-        return self._at(point, "nab.values", "D.values")[0][0]
+        return self._at(point, "nab", "D")[0][0]
 
 
 def koszul_connection(spec: ManifoldSpec) -> ConnectionField:

@@ -36,8 +36,8 @@ from operator import attrgetter
 import numpy as np
 
 from .connections import (ConnectionField, OneFormData, OneFormJets, covariant_oneform,
-                          covariant_T, frame_derivative, koszul, koszul_grads, semi, semi_grads,
-                          torsion_tensor)
+                          covariant_T, frame_derivative, koszul_grads, koszul_sum, semi,
+                          semi_grads, torsion_tensor)
 from .errors import DimensionMismatch, RankTooSmall
 from .manifold import (Brackets, FrameValues, ManifoldSpec, _mirror_pair_antisym, contract,
                        frame_derivatives, frame_values, structure_constants)
@@ -114,14 +114,13 @@ class CharacteristicTensor:
     gpi = cached_property(lambda ct: delta_g(g=ct.g, B=ct.pi_mixed))
 
 
-def characteristic(frame: FrameValues, nab: np.ndarray, pij: OneFormJets) -> CharacteristicTensor:
-    """Characteristic tensors on the points of ``frame``, from Koszul coefficients
-    and one-form jets."""
-    piv, ginv = pij.values, frame.ginv
-    pi2 = (piv * contract(ginv, piv)).sum(axis=1)
-    lower = (covariant_oneform(nab, pij)
-             - piv[:, :, None] * piv[:, None, :] + 0.5 * frame.gv * pi2[:, None, None])
-    mixed = lower @ ginv
+def characteristic(frame: FrameValues, nab: np.ndarray, pij: OneFormJets,
+                   piu: np.ndarray) -> CharacteristicTensor:
+    """Characteristic tensors from Koszul coefficients, one-form jets and pi^h = ``piu``."""
+    piv = pij.values
+    lower = (covariant_oneform(nab, pij) - piv[:, :, None] * piv[:, None, :]
+             + 0.5 * frame.gv * (piv * piu).sum(axis=1)[:, None, None])
+    mixed = lower @ frame.ginv
     return CharacteristicTensor(lower, mixed, np.einsum("...ii->...", mixed), frame.gv)
 
 
@@ -253,7 +252,7 @@ def flatness_characteristic_form(bundle: CurvatureBundle) -> np.ndarray:
 
 TENSORS = {
     "g": "frame.gv", "ginv": "frame.ginv", "E": "frame.Ev", "Omega": "brackets.Om",
-    "M": "brackets.Mc", "Lambda": "brackets.Lam", "coeff": "nab.values", "Gamma": "D.values",
+    "M": "brackets.Mc", "Lambda": "brackets.Lam", "coeff": "nab", "Gamma": "D",
     "torsion": "T_D", "K": "Kb.curv", "R": "Rb.curv", "ricci-K": "Kb.ricci", "ricci-R": "Rb.ricci",
     "scalar-K": "Kb.scalar", "scalar-R": "Rb.scalar", "S": "S_nab", "Sbar": "S_D", "C": "C_nab",
     "Cbar": "C_D", "W": "W_nab", "Wbar": "W_D", "pi-char": "ct.pi_lower", "alpha": "ct.alpha"}
@@ -262,8 +261,8 @@ TENSORS = {
 class Evaluation:
     """Every tensor of a spec and one-form (absent: the zero one-form) on a stack
     of points (leading axis p), one layer per attribute, built on first use: the frame
-    layers of :mod:`~srclab.manifold`, then ``nab`` and ``D``, the coefficients of the
-    Koszul and the transformed connection, and ``nab_g`` and ``D_g``, their gradients.
+    layers of :mod:`~srclab.manifold`, ``B`` and ``piu`` (the Koszul sum and pi^h), ``nab``
+    and ``D`` (the Koszul and the transformed coefficients), their gradients ``nab_g``, ``D_g``.
     ``ev[name]`` is an ``srclab eval`` tensor, read through :data:`TENSORS` (name ->
     layer path).  A layer's rows where a layer it reads (:meth:`graph`) failed are
     meaningless; :meth:`read` raises such a point's error instead."""
@@ -316,21 +315,23 @@ class Evaluation:
     brackets = cached_property(lambda ev: structure_constants(ev.spec, ev.sweep, ev.frame))
     frame_g = cached_property(lambda ev: frame_derivatives(ev.frame, ev.brackets))
     pij = cached_property(lambda ev: ev.pi.batch(ev.points, ev.frame.Ev[:, :, :ev.ell]))
-    nab = cached_property(lambda ev: koszul(ev.frame, ev.brackets))
-    nab_g = cached_property(lambda ev: koszul_grads(ev.frame, ev.brackets, ev.frame_g, ev.nab))
-    D = cached_property(lambda ev: semi(ev.frame, ev.nab, ev.pij))
+    B = cached_property(lambda ev: koszul_sum(ev.brackets.fdg,
+                                              contract(ev.brackets.Om, ev.frame.gv)))
+    nab = cached_property(lambda ev: 0.5 * contract(ev.B, ev.frame.ginv))
+    nab_g = cached_property(lambda ev: koszul_grads(ev.frame, ev.brackets, ev.frame_g, ev.B))
+    piu = cached_property(lambda ev: contract(ev.frame.ginv, ev.pij.values))
+    D = cached_property(lambda ev: semi(ev.frame, ev.nab, ev.pij, ev.piu))
     D_g = cached_property(lambda ev: semi_grads(ev.frame, ev.brackets, ev.frame_g, ev.nab_g,
-                                                ev.D, ev.pij))
-    T_nab = cached_property(lambda ev: torsion_tensor(ev.nab.values, ev.brackets.Om))
-    T_D = cached_property(lambda ev: torsion_tensor(ev.D.values, ev.brackets.Om))
-    rawK = cached_property(lambda ev: curvature_raw(ev.nab.values, ev.nab_g, ev.brackets))
-    rawR = cached_property(lambda ev: curvature_raw(ev.D.values, ev.D_g, ev.brackets))
+                                                ev.pij, ev.piu))
+    T_nab = cached_property(lambda ev: torsion_tensor(ev.nab, ev.brackets.Om))
+    T_D = cached_property(lambda ev: torsion_tensor(ev.D, ev.brackets.Om))
+    rawK = cached_property(lambda ev: curvature_raw(ev.nab, ev.nab_g, ev.brackets))
+    rawR = cached_property(lambda ev: curvature_raw(ev.D, ev.D_g, ev.brackets))
     Kb = cached_property(lambda ev: curvature_bundle(ev.frame, ev.rawK))
     Rb = cached_property(lambda ev: curvature_bundle(ev.frame, ev.rawR))
-    ct = cached_property(lambda ev: characteristic(ev.frame, ev.nab.values, ev.pij))
-    DT_nab = cached_property(lambda ev: covariant_T(ev.nab.values, ev.nab_g, ev.T_nab,
-                                                    ev.frame_g.Om_g))
-    DT_D = cached_property(lambda ev: covariant_T(ev.D.values, ev.D_g, ev.T_D, ev.frame_g.Om_g))
+    ct = cached_property(lambda ev: characteristic(ev.frame, ev.nab, ev.pij, ev.piu))
+    DT_nab = cached_property(lambda ev: covariant_T(ev.nab, ev.nab_g, ev.T_nab, ev.frame_g.Om_g))
+    DT_D = cached_property(lambda ev: covariant_T(ev.D, ev.D_g, ev.T_D, ev.frame_g.Om_g))
     W_nab = cached_property(lambda ev: projective_tensor(ev.Kb, ev.spec, ev.points))
     W_D = cached_property(lambda ev: projective_tensor(ev.Rb, ev.spec, ev.points))
     S_nab = cached_property(lambda ev: s_tensor(ev.Kb, ev.spec, ev.points))

@@ -10,7 +10,7 @@ class DomainError(SrclabError):
 
 
 class DimensionMismatch(SrclabError):
-    """Operands disagree in ambient dimension or jet order."""
+    """Operands disagree in ambient dimension."""
 
 
 class SingularFrame(SrclabError):

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError, ValidationError
 
 
 # --------------------------------------------------------------------------
@@ -329,6 +329,8 @@ class ValueTable:
         over them all numbers each node object once (equal objects are not
         merged; their ops are), keyed as :meth:`make` keys each node."""
         exprs, numbers = list(exprs), {}
+        if bad := [e for e in exprs if not isinstance(e, Expression)]:
+            raise ValidationError(f"expected an expression, got {bad[0]!r}")
         for node in _postorder(*exprs):
             key = (type(node), *(numbers[id(v)] if isinstance(v, Expression) else v
                                  for v in map(node.__dict__.get, node.__match_args__)), None)
@@ -359,9 +361,9 @@ class ValueTable:
         return x if (a, c) == (1.0, 0.0) else self._emit("affine", x, (a, c))
 
     def _combine(self, node, args):
-        """The value of an operator node from its operands' values (op numbers
-        or floats): one op on op operands; constants folded; a constant operand
-        of ``+``, ``-``, ``*`` or ``/`` fused into one affine op."""
+        """The value of an operator node from its operands' values (op numbers or
+        floats; :meth:`_new` emits ``+ - *`` of two ops itself): constants folded; a
+        constant operand of ``+``, ``-``, ``*`` or ``/`` fused into one affine op."""
         if int not in map(type, args):             # a subtree of constants: no op slots
             try:
                 return _value(node, args)
@@ -369,8 +371,6 @@ class ValueTable:
                 args = [self._emit("const", a) for a in args]
         cls, x, y = type(node), args[0], args[-1]
         code = _CODES.get(cls)
-        if code and type(x) is int and type(y) is int:
-            return self._emit(code, x, y)
         if code == "mul":                          # c * y, x * c
             return self._affine(y, x, 0.0) if type(x) is float else self._affine(x, y, 0.0)
         if code:                                   # c + y, c - y, x + c, x - c

@@ -97,11 +97,11 @@ class ManifoldSpec:
     transverse complement, ``metric`` is the ell x ell horizontal Gram in
     the hframe, ``oneform`` optional horizontal coframe components of pi.
 
-    Construction checks the structure, then assembles the spec's jet programs
-    (:meth:`_compile`) from ``numbering``: the :class:`~srclab.jets.ValueTable`
-    a parse filled and the node numbers of the frame components, metric
-    entries and one-form components in that order.  A spec built in Python
-    passes none; its expressions enter a new table, where indices are checked.
+    Construction checks the shapes, assembles the jet programs (:meth:`_compile`)
+    from ``numbering``, the :class:`~srclab.jets.ValueTable` a parse filled and the
+    node numbers of the frame components, metric entries and one-form components in
+    that order, then checks the rest.  A spec built in Python passes none; its trees
+    enter a new table, which rejects one that is no expression and checks indices.
     """
 
     name: str
@@ -127,17 +127,19 @@ class ManifoldSpec:
         if len(self.vframe) != n - ell:
             raise ValidationError(f"expected {n - ell} vertical fields, got {len(self.vframe)}")
         for vf in self.hframe + self.vframe:
+            if not isinstance(vf, VectorFieldSpec):
+                raise ValidationError(f"frame field {vf!r} is not a VectorFieldSpec")
             if vf.n != n:
                 raise ValidationError("vector field component count must equal dim")
         if len(self.metric) != ell or any(len(row) != ell for row in self.metric):
             raise ValidationError("metric must be an hdim x hdim array")
+        self._compile(numbering)
         for i in range(ell):
             for j in range(i):
                 if self.metric[i][j] != self.metric[j][i]:
                     raise ValidationError(f"metric entry ({i},{j}) is not symmetric")
         if self.oneform is not None and len(self.oneform) != ell:
             raise ValidationError("oneform needs hdim components")
-        self._compile(numbering)
 
     def __getstate__(self):
         """The fields alone: loading compiles the programs again (:meth:`__setstate__`)."""
@@ -211,8 +213,6 @@ class CoefficientJets(NamedTuple):
     grads: np.ndarray    # (..., ell, ell, ell, ell): grads[..., q] = e_q(values)
 
 
-# a connection's coefficients (P, ell, ell, ell) and the term its gradients reuse
-Coefficients = namedtuple("Coefficients", "values term")
 # the frame (E as evaluated, seeding the derivative sweep; Ev the identity where it fails),
 # the metric and their inverses at P points: rows of points in ``errors`` are meaningless;
 # ``warnings`` maps a usable point to its condition-number warning

@@ -516,10 +516,8 @@ def _print_expr(node: Expression, coords, prec: int = 0) -> str:
         elif isinstance(node, Pow):
             exp = str(node.exponent) if node.exponent >= 0 else f"-{-node.exponent}"
             pieces, p = [(node.base, _PREC_ATOM), f"^{exp}"], _PREC_POW
-        elif isinstance(node, Call):
+        else:                                       # a Call
             pieces, p = [f"{node.fn}(", (node.arg, 0), ")"], _PREC_ATOM
-        else:
-            raise TypeError(f"not an expression node: {node!r}")
         if p < prec:
             pieces = ["(", *pieces, ")"]
         stack.extend(reversed(pieces))

@@ -231,16 +231,15 @@ def _quiet():
 
 def _metricity(ev, conn: str):
     """e_k(g_ij) - co[k,i,e] g_ej - co[k,j,e] g_ie for the coefficients co of ``conn``."""
-    t = contract(getattr(ev, conn).values, ev.frame.gv)
-    return ev.res(ev.brackets.fdg - t - t.transpose(0, 1, 3, 2),
-                  "brackets.fdg", f"{conn}.values", "frame.gv")
+    t = contract(getattr(ev, conn), ev.frame.gv)
+    return ev.res(ev.brackets.fdg - t - t.transpose(0, 1, 3, 2), "brackets.fdg", conn, "frame.gv")
 
 
 _c01, _c03 = partial(_metricity, conn="nab"), partial(_metricity, conn="D")
 
 
 def _c02(ev):
-    return ev.res("T_nab", "nab.values", "brackets.Om")
+    return ev.res("T_nab", "nab", "brackets.Om")
 
 
 def _c04(ev):
@@ -328,12 +327,12 @@ def _c17(ev):
 
 def _c18(ev):
     # DT - (D_i pi_k) delta_j^h + (D_i pi_j) delta_k^h: D pi (A below) has its delta part's entries
-    Dpi = covariant_oneform(ev.D.values, ev.pij)
+    Dpi = covariant_oneform(ev.D, ev.pij)
     parts = [ev.res(delta_g(J=-Dpi, K=Dpi, base=ev.DT_D), "DT_D", Dpi)]
     # flat + parallel torsion: characteristic tensor and constant curvature
     flat_parallel = ((_rel(ev.res("Rb.curv", "Rb.curv")) <= HYPOTHESIS_REL)
                      & (_rel(ev.res("DT_D", "DT_D")) <= HYPOTHESIS_REL))
-    A = (ev.pij.values * ev.D.term).sum(axis=1)[:, None, None] * ev.frame.gv   # pi_e pi^e g
+    A = (ev.pij.values * ev.piu).sum(axis=1)[:, None, None] * ev.frame.gv   # pi_e pi^e g
     parts += [_gate(r, flat_parallel) for r in (
         ev.res(ev.ct.pi_lower + 0.5 * A, "ct.pi_lower", "frame.gv"),
         ev.res(delta_g(-A, base=ev.Kb.curv), "Kb.curv", A), ev.res("W_nab", "W_nab"))]
@@ -433,7 +432,7 @@ CHECKS: tuple[CheckSpec, ...] = (
         "parallel torsion => pi_ij = -(1/2) g_ij pi_e pi^e, "
         "K^h_ijk = pi_e pi^e (delta_j^h g_ik - delta_i^h g_jk), W = 0;  "
         "on flagged left-invariant graded frames K = 0 and (nabla T) = 0",
-        _c18, "Rb Kb ct DT_D DT_nab:carnot W_nab D pij"),
+        _c18, "Rb Kb ct DT_D DT_nab:carnot W_nab D pij piu"),
 )
 
 CHECK_IDS = tuple(c.id for c in CHECKS)

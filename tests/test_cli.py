@@ -638,3 +638,56 @@ def test_eval_raises_only_the_errors_of_the_layers_a_tensor_reads(tmp_path, caps
         rc = cli_main([*args, name, "--point=0,0.1,0.2,0.3"])
         assert (rc, capsys.readouterr().err) == (2, "error: frame determinant 0.000e+00 below "
                                                  "threshold at [0.0, 0.1, 0.2, 0.3]\n"), name
+
+
+NEAR_DEGENERATE = """\
+manifold near-degenerate
+dim 3
+hdim 2
+coords x y z
+hframe
+  X1 = dx
+  X2 = dx + 0.0000000001 dy
+vframe
+  Z = dz
+metric identity
+"""
+
+
+def test_verify_prints_condition_warnings_unless_quiet(tmp_path, capsys):
+    """Without --quiet, verify prints the report's frame warnings to stderr
+    after the check table on stdout; with it, neither."""
+    path = tmp_path / "near-degenerate.txt"
+    path.write_text(NEAR_DEGENERATE, encoding="utf-8")
+    assert cli_main(["verify", "--spec", str(path), "--points", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert out.count("\n") == 18 and err == (
+        "warning: frame condition number 2.000e+10 at "
+        "[0.2739233746429086, -0.4604265724722594, -0.9180529521276106]\n")
+    assert cli_main(["verify", "--spec", str(path), "--points", "1", "--quiet"]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("argv", [["checks"], ["eval", "--builtin", "no-such-entry"]])
+def test_main_exits_with_the_cli_main_code(argv, monkeypatch, capsys):
+    """The console script ``srclab`` exits with cli_main's return code on its argv."""
+    from srclab.cli import main
+
+    want = cli_main(argv)
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["srclab", *argv])
+    with pytest.raises(SystemExit) as excinfo:
+        main()
+    assert excinfo.value.code == want
+    assert want == (0 if argv == ["checks"] else 2)
+
+
+def test_jsonio_edge_values():
+    """Non-finite floats serialize as null, an empty dict as {}, and any other
+    type raises a TypeError naming it."""
+    from srclab import jsonio
+
+    assert jsonio.dumps({"a": float("inf"), "b": float("nan"), "c": {}, "d": [-float("inf")]}) \
+        == '{\n  "a": null,\n  "b": null,\n  "c": {},\n  "d": [\n    null\n  ]\n}\n'
+    with pytest.raises(TypeError, match="^cannot serialize set$"):
+        jsonio.dumps({"a": {1}})

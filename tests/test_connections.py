@@ -111,7 +111,7 @@ def test_semi_connection_with_zero_pi_is_koszul():
 def nabla_oneform(spec, pi, point):
     """Koszul covariant derivative of pi: e_i(pi_j) - {_ij^k} pi_k."""
     ev = at(spec, pi, point)
-    return covariant_oneform(ev.nab.values, ev.pij)[0]
+    return covariant_oneform(ev.nab, ev.pij)[0]
 
 
 def test_nabla_oneform_examples():
@@ -151,7 +151,7 @@ def test_covariant_torsion_derivative():
     for p in sample_points(spec, 10, RNG_SEED):
         ev = at(spec, pi, p)
         dt = ev.DT_D[0]
-        dpi = covariant_oneform(ev.D.values, ev.pij)[0]
+        dpi = covariant_oneform(ev.D, ev.pij)[0]
         want = (np.einsum("ik,jh->ijkh", dpi, eye)
                 - np.einsum("ij,kh->ijkh", dpi, eye))
         assert abs(dt - want).max() <= 1e-12 * max(1.0, abs(dt).max())
@@ -229,3 +229,12 @@ def test_python_built_oneform_outside_its_chart_fails_at_construction(index):
     with pytest.raises(DimensionMismatch,
                        match=f"coordinate index {index} out of range for dimension 3"):
         OneFormData((Coord(0), Mul(Coord(index), Coord(1))), 3)
+
+
+def test_oneform_components_are_expression_and_dimension_records():
+    """OneFormData.components, the form the benchmark's inputs read: one
+    (expr, n) record per component, in order."""
+    pi = OneFormData.from_expressions((Coord(0), Mul(Coord(1), Coord(2))), 3)
+    assert pi.components == ((Coord(0), 3), (Mul(Coord(1), Coord(2)), 3))
+    assert [c.expr for c in pi.components] == list(pi.exprs)
+    assert {c.n for c in pi.components} == {3}

@@ -710,3 +710,33 @@ def test_zero_powers_in_the_frame_and_the_metric():
             assert got.values[i, k] == ref.value and np.array_equal(got.grads[i, k], ref.grad)
             if k in hessians:
                 assert np.array_equal(got.hessians[i, hessians.index(k)], ref.hess), (i, k)
+
+
+def test_public_views_raise_the_domain_error_of_their_point():
+    """jet_eval and fd_crosscheck outside the domain raise the DomainError of
+    the point they evaluate; the direction's, then the function's."""
+    from srclab.jets import jet_eval as package_jet_eval
+
+    log_x = Call("log", Coord(0))
+    with pytest.raises(DomainError, match="^log of non-positive value -1.0$"):
+        package_jet_eval(log_x, [-1.0, 0.0], 2)
+    with pytest.raises(DomainError, match="^log of non-positive value -0.5$"):
+        fd_crosscheck(log_x, [-0.5, 0.0], [Const(1.0), Const(0.0)], 1e-5)
+    with pytest.raises(DomainError, match="^sqrt of negative value -2.0$"):
+        fd_crosscheck(Coord(0), [0.5, -2.0], [Call("sqrt", Coord(1)), Const(0.0)], 1e-5)
+
+
+def test_equal_hashes_do_not_make_unequal_constants_equal():
+    """hash(-1.0) == hash(-2.0) in CPython, so the two constants hash alike,
+    yet they compare unequal on their values."""
+    assert hash(Const(-1.0)) == hash(Const(-2.0))
+    assert Const(-1.0) != Const(-2.0) and not Const(-1.0) == Const(-2.0)
+
+
+def test_constant_zero_to_a_negative_power_is_kept_as_an_op():
+    """0^-2 has no value to fold: the table keeps the op, and the program
+    fails at every point with the folding arithmetic's message."""
+    expr = parse_scalar_expression("x + 0^-2", ("x", "y"))
+    run = JetProgram([expr], 2).run(np.array([[0.5, 0.0], [-1.0, 2.0]]))
+    assert {i: message for i, (_, message) in run.errors.items()} == {
+        0: "zero raised to a negative power", 1: "zero raised to a negative power"}

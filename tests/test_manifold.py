@@ -1,5 +1,6 @@
 import pickle
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from jet_reference import jet_eval
 from oracles import _bracket, _to_array, sym_manifold
 
 from srclab.catalog import builtin, catalog_names
+from srclab.connections import OneFormData
 from srclab.curvature import TENSORS, Evaluation
 from srclab.errors import DomainError, MetricNotSPD, SingularFrame, ValidationError
 from srclab.jets import Const, Coord, Mul
@@ -348,3 +350,28 @@ def test_pickled_spec_rebuilds_its_program(name):
     for tensor in TENSORS:
         if spec.ell >= 3 or tensor not in ("S", "Sbar", "C", "Cbar"):
             assert np.asarray(got[tensor]).tobytes() == np.asarray(want[tensor]).tobytes(), tensor
+
+
+H1 = builtin("heisenberg1").spec
+PYTHON_BUILT = [
+    (lambda: replace(H1, hframe=(VectorFieldSpec((1.0, Const(0.0), Const(0.0))), H1.hframe[1])),
+     "expected an expression, got 1.0"),
+    (lambda: replace(H1, metric=((1.0, Const(0.0)), (Const(0.0), Const(1.0)))),
+     "expected an expression, got 1.0"),
+    (lambda: replace(H1, metric=((Const(1.0), 0.0), (Const(0.0), Const(1.0)))),
+     "expected an expression, got 0.0"),
+    (lambda: OneFormData((1.0, 0.0), 3), "expected an expression, got 1.0"),
+    (lambda: replace(H1, hframe=((Const(1.0), Const(0.0), Const(0.0)), H1.hframe[1])),
+     "frame field (Const(value=1.0), Const(value=0.0), Const(value=0.0)) "
+     "is not a VectorFieldSpec"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(PYTHON_BUILT)))
+def test_python_built_input_of_the_wrong_type_is_a_validation_error(case):
+    """A float where a spec or a one-form holds an expression, and a tuple
+    where a spec holds a frame field, raise a ValidationError naming it."""
+    build, message = PYTHON_BUILT[case]
+    with pytest.raises(ValidationError) as excinfo:
+        build()
+    assert (excinfo.value.message, excinfo.value.line) == (message, None)

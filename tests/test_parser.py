@@ -250,6 +250,30 @@ LOCATED_ERRORS = [
      ValidationError, "coordinate name '1y' is not an identifier", 4, None),
     (_PRE.replace("x y z", "x dx z") + _FRAME + "metric identity\n",
      ValidationError, "coordinate 'dx' is ambiguous with the frame token dx", 4, None),
+    # a missing name, an argument to hframe, a bad field name, a d-coordinate as a
+    # factor, an unknown metric form, too few metric rows (before the next section
+    # and at the end of input), content after the one-form, a tower topped by a
+    # literal over MAX_EXPONENT, a function name without '('
+    ("manifold\ndim 3\nhdim 2\ncoords x y z\nhframe\n" + _FRAME + "metric identity\n",
+     ParseError, "manifold needs a name", 1, 9),
+    (_PRE.replace("hframe", "hframe X") + _FRAME + "metric identity\n",
+     ParseError, "hframe keyword takes no arguments", 5, 1),
+    (_PRE + "  1X = dx\n  Y = dy\nvframe\n  Z = dz\nmetric identity\n",
+     ParseError, "bad frame field name '1X'", 6, 1),
+    (_PRE + "  X1 = 2*dx dy\n  Y = dy\nvframe\n  Z = dz\nmetric identity\n",
+     ParseError, "expected an expression, found 'dx'", 6, 10),
+    (_PRE + _FRAME + "metric diagonal\n",
+     ParseError, "expected 'identity' or 'rows' after metric", 10, 8),
+    (_PRE + _FRAME + "metric rows\n  1, 0\noneform 1, 0\n",
+     ValidationError, "metric has 1 rows, expected 2", 12, None),
+    (_PRE + _FRAME + "metric rows\n  1, 0\n",
+     ParseError, "unexpected end of input", 11, 1),
+    (_PRE + _FRAME + "metric identity\noneform 1, 0\n  x\n",
+     ParseError, "unexpected content 'x'", 12, 1),
+    (_PRE + _FRAME + "metric identity\noneform x^2^99999999999999999999, 0\n",
+     ParseError, "exponent 99999999999999999999 exceeds 9007199254740992 in magnitude", 11, 13),
+    (_PRE + _FRAME + "metric rows\n  sin x, 0\n  0, 1\n",
+     ParseError, "expected '(', found 'x'", 11, 7),
 ]
 
 
@@ -355,3 +379,15 @@ def test_ingestion_calls_grow_linearly():
 
     one, two = srclab_calls(1000), srclab_calls(2000)
     assert two <= 2.2 * one, (one, two)
+
+
+def test_round_trip_of_a_negated_metric_entry_and_a_zero_field():
+    """A metric entry with a leading minus prints as '-x', a frame field with
+    no nonzero component as '0 d<first coordinate>', and both parse back to
+    the same spec."""
+    doc = parse_document(_PRE + "  X = dx\n  Y = dy\nvframe\n  Z = 0 dz\n"
+                         "metric rows\n  2, -x\n  -x, 2\n")
+    assert doc.spec.vframe[0].components == (Const(0.0),) * 3
+    text = serialize_document(doc)
+    assert "  Z = 0 dx\n" in text and "  2, -x\n  -x, 2\n" in text
+    assert parse_document(text).spec == doc.spec

@@ -172,3 +172,22 @@ def test_ab_suite_times_a_tree_against_itself(workload):
     lines = proc.stdout.splitlines()
     assert re.fullmatch(r"\s+1\s+\d+(\s+\d+\.\d{3}){3}", lines[2]), lines
     assert re.fullmatch(r"outputs byte-identical: yes \(0 of \d+ calls differ\)", lines[-1])
+
+
+def test_line_reach_lists_the_lines_a_selection_never_runs():
+    """scripts/line_reach.py runs two parser tests in process and lists, as
+    module.py:N: text, the package lines they never ran, then the count: the
+    parser's missing-name error and every def line (run at import) ran, the
+    body of run_suite did not."""
+    proc = run_script("scripts/line_reach.py", "-q", "-p", "no:cacheprovider",
+                      *(f"tests/test_parser.py::test_error_messages_and_locations_pinned[{case}]"
+                        for case in (0, 20)))
+    assert proc.returncode == 0, proc.stderr
+    *lines, total = proc.stdout.splitlines()
+    assert "2 passed" in proc.stderr and total == f"{len(lines)} lines never ran"
+    assert all(re.match(r"\w+\.py:\d+: \S", line) for line in lines)
+    listed = {line.split(": ", 1)[1] for line in lines}
+    assert "def run_suite(spec: ManifoldSpec, pi: OneFormData | None = None," not in listed
+    assert 'raise ParseError("manifold needs a name", line_no, len("manifold") + 1)' \
+        not in listed
+    assert "config = config or SuiteConfig()" in listed

@@ -532,9 +532,9 @@ def test_evaluation_rows_match_evaluations_of_one_point():
                 for conn, batch, grads, T, bundle in ((nab, ev.nab, ev.nab_g, ev.T_nab, ev.Kb),
                                                       (D, ev.D, ev.D_g, ev.T_D, ev.Rb)):
                     jets, view = conn.coefficient_jets(p), schouten_curvature(conn, p)
-                    pairs += [(batch.values[i], jets.values),
+                    pairs += [(batch[i], jets.values),
                               (grads[i], jets.grads),
-                              (batch.values[i], conn.coefficients(p)),
+                              (batch[i], conn.coefficients(p)),
                               (T[i], torsion(conn, p)),
                               (bundle.curv[i], view.curv), (bundle.ricci[i], view.ricci),
                               (bundle.scalar[i], view.scalar),
@@ -700,12 +700,13 @@ def test_standalone_checks_build_only_the_layers_they_read(monkeypatch):
     spec, pi, config = entry.spec, entry.oneform("trig"), SuiteConfig(points=10, flags=entry.flags)
     for run, want in (
             (lambda: verifier.check_group_manifold(spec, None, config),
-             {*FRAME_LAYERS, "nab", "nab_g", "T_nab", "rawK", "Kb", "DT_nab"}),
+             {*FRAME_LAYERS, "B", "nab", "nab_g", "T_nab", "rawK", "Kb", "DT_nab"}),
             (lambda: verifier.check_group_manifold(spec, pi, config),
-             {*FRAME_LAYERS, "pij", "nab", "nab_g", "D", "D_g", "T_D", "rawR", "Rb", "DT_D"}),
+             {*FRAME_LAYERS, "pij", "B", "nab", "nab_g", "piu", "D", "D_g", "T_D", "rawR", "Rb",
+              "DT_D"}),
             (lambda: verifier.check_flatness_criterion(spec, pi, config),
-             {*FRAME_LAYERS, "pij", "nab", "nab_g", "D", "D_g", "rawK", "rawR", "Kb", "Rb", "ct",
-              "S_nab"}),
+             {*FRAME_LAYERS, "pij", "B", "nab", "nab_g", "piu", "D", "D_g", "rawK", "rawR", "Kb",
+              "Rb", "ct", "S_nab"}),
             (lambda: verifier.run_suite(spec, pi, config), set(LAYERS))):
         builds.clear()
         run()
@@ -750,3 +751,32 @@ def test_sup_of_zero_and_nan_rows(shape):
     size = ev.sup(x)
     assert size[0] == 0.0 and size[1] == 0.0 and not np.signbit(size[:2]).any()
     assert np.isnan(size[2]) and size[3] == np.abs(x[3]).max()
+
+
+def test_unknown_variants_and_check_ids_raise():
+    """A catalog entry's unknown one-form variant raises UnknownEntry from
+    variant() and KeyError from expected_status(), as does an unknown check
+    id there and in Report.record()."""
+    from srclab.errors import UnknownEntry
+
+    entry = builtin("heisenberg1")
+    with pytest.raises(UnknownEntry, match="^entry 'heisenberg1' has no pi variant 'nope'$"):
+        entry.variant("nope")
+    with pytest.raises(KeyError, match="nope"):
+        entry.expected_status("nope", "C01")
+    with pytest.raises(KeyError, match="C99"):
+        entry.expected_status(None, "C99")
+    report = run_suite(entry.spec, None, SuiteConfig(points=1))
+    assert report.record("C01").id == "C01"
+    with pytest.raises(KeyError, match="C99"):
+        report.record("C99")
+
+
+def test_keep_freed_heap_is_false_without_glibc(monkeypatch):
+    """Where os.confstr names no glibc the malloc thresholds are left alone."""
+    monkeypatch.setattr(os, "confstr", lambda name: None)
+    verifier._keep_freed_heap.cache_clear()
+    try:
+        assert verifier._keep_freed_heap() is False
+    finally:
+        verifier._keep_freed_heap.cache_clear()
