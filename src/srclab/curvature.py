@@ -104,11 +104,12 @@ def schouten_curvature(conn: ConnectionField, point) -> CurvatureBundle:
 @dataclass(frozen=True)
 class CharacteristicTensor:
     """pi_ik = nabla_i pi_k - pi_i pi_k + (1/2) g_ik pi_h pi^h, with raised form
-    and trace, and the metric it was built with."""
+    and trace, pi_h pi^h, and the metric it was built with."""
 
     pi_lower: np.ndarray   # (ell, ell)
     pi_mixed: np.ndarray   # (ell, ell): pi_lower g^{-1}
     alpha: float           # trace of pi_mixed
+    pi2: float             # pi_h pi^h
     g: np.ndarray
     # g_ik pi_j^h - g_jk pi_i^h, built on first use and shared by the curvature-change formulas
     gpi = cached_property(lambda ct: delta_g(g=ct.g, B=ct.pi_mixed))
@@ -117,11 +118,11 @@ class CharacteristicTensor:
 def characteristic(frame: FrameValues, nab: np.ndarray, pij: OneFormJets,
                    piu: np.ndarray) -> CharacteristicTensor:
     """Characteristic tensors from Koszul coefficients, one-form jets and pi^h = ``piu``."""
-    piv = pij.values
+    piv, pi2 = pij.values, (pij.values * piu).sum(axis=1)
     lower = (covariant_oneform(nab, pij) - piv[:, :, None] * piv[:, None, :]
-             + 0.5 * frame.gv * (piv * piu).sum(axis=1)[:, None, None])
+             + 0.5 * frame.gv * pi2[:, None, None])
     mixed = lower @ frame.ginv
-    return CharacteristicTensor(lower, mixed, np.einsum("...ii->...", mixed), frame.gv)
+    return CharacteristicTensor(lower, mixed, np.einsum("...ii->...", mixed), pi2, frame.gv)
 
 
 def characteristic_tensor(spec: ManifoldSpec, pi: OneFormData, point) -> CharacteristicTensor:

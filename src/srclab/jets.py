@@ -10,13 +10,15 @@ by default); frame data and one-forms are evaluated through it.  Trees built in
 Python enter a table by one walk, keyed as the parser keys each node.  Exact
 derivatives; finite differences serve only as cross-checks (:func:`fd_crosscheck`).
 Constant folding uses :func:`_value`, the same arithmetic on values, in Python floats.
+Each library function is one row of :data:`FUNCTIONS` (its value on a float and on an
+array, f' and f'', domain tests), which the parser, :func:`_value` and both sweeps read.
 """
 from __future__ import annotations
 
 import math
 import operator
 from dataclasses import dataclass, fields
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -162,8 +164,25 @@ class Call(Expression):
     arg: Expression
 
 
-FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
-             "sqrt": math.sqrt}
+class Function(NamedTuple):
+    """A row of :data:`FUNCTIONS`; each domain test is (a test on v, a message)."""
+
+    value: Callable
+    ufunc: Callable
+    derivatives: Callable
+    domain: tuple = ()
+
+
+FUNCTIONS = {
+    "sin": Function(math.sin, np.sin, lambda v, f: (np.cos(v), -f)),
+    "cos": Function(math.cos, np.cos, lambda v, f: (-np.sin(v), -f)),
+    "exp": Function(math.exp, np.exp, lambda v, f: (f, f)),
+    "log": Function(math.log, np.log, lambda v, f: (1.0 / v, -1.0 / (v * v)),
+                    ((lambda v: v <= 0.0, "log of non-positive value {}"),)),
+    "sqrt": Function(math.sqrt, np.sqrt, lambda v, f: (0.5 / f, -0.25 / (f * v)),
+                     ((lambda v: v < 0.0, "sqrt of negative value {}"),
+                      (lambda v: v == 0.0, "sqrt not differentiable at zero"))),
+}
 _ARITHMETIC = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Neg: operator.neg}
 _UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply}
 _BINARY_NODES = frozenset((Add, Sub, Mul, Div))
@@ -220,27 +239,6 @@ class JetBatch(NamedTuple):
     errors: dict             # point index -> (expression index, DomainError message)
 
 
-def _library(fn: str, v: np.ndarray, f: np.ndarray):
-    """(f', f'') of a library function at an array of values v, from its values f there."""
-    if fn == "sin":
-        return np.cos(v), -f
-    if fn == "cos":
-        return -np.sin(v), -f
-    if fn == "exp":
-        return f, f
-    if fn == "log":
-        return 1.0 / v, -1.0 / (v * v)
-    return 0.5 / f, -0.25 / (f * v)
-
-
-# Domain tests of the library functions, on a value or an array of values.
-_DOMAIN = {
-    "log": ((lambda v: v <= 0.0, "log of non-positive value {}"),),
-    "sqrt": ((lambda v: v < 0.0, "sqrt of negative value {}"),
-             (lambda v: v == 0.0, "sqrt not differentiable at zero")),
-}
-
-
 def _value(node: Expression, args: list[float]) -> float:
     """The value of an operator node from its operands' values, in Python floats:
     the value part of the jet arithmetic, ``x * (1 / y)`` for a quotient and
@@ -248,10 +246,10 @@ def _value(node: Expression, args: list[float]) -> float:
     library function beyond float range raises OverflowError (ValueError for
     sin or cos of inf)."""
     if isinstance(node, Call):
-        for test, message in _DOMAIN.get(node.fn, ()):
+        for test, message in FUNCTIONS[node.fn].domain:
             if test(args[0]):
                 raise DomainError(message.format(args[0]))
-        return FUNCTIONS[node.fn](args[0])
+        return FUNCTIONS[node.fn].value(args[0])
     if isinstance(node, Pow):
         v, k = args[0], node.exponent
         if k in (0, 1):
@@ -531,9 +529,9 @@ class JetProgram:
                         flag(slots[x] == 0.0, owner, "zero raised to a negative power", slots[x])
                     v = np.ones(P) if y == 0 else np.power(slots[x], float(y))
                 else:
-                    for test, message in _DOMAIN.get(y, ()):
+                    for test, message in FUNCTIONS[y].domain:
                         flag(test(slots[x]), owner, message, slots[x])
-                    v = getattr(np, y)(slots[x])
+                    v = FUNCTIONS[y].ufunc(slots[x])
                 slots[j] = v
                 for k in writes:
                     values[k] = v
@@ -623,7 +621,7 @@ class JetProgram:
                         f1 = y * np.power(xv, float(y - 1))
                         f2 = y * (y - 1) * np.power(xv, float(y - 2))
                     else:
-                        f1, f2 = _library(y, xv, vals[j])
+                        f1, f2 = FUNCTIONS[y].derivatives(xv, vals[j])
                     if need_h and len(X) == G:              # the Hessian is f'' x' x'^T alone
                         J = np.empty((W, P))
                         np.multiply(X, f1, out=J[:G])

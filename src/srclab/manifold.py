@@ -24,11 +24,11 @@ components and metric entries once, into one program
 (:class:`~srclab.jets.JetProgram`).  Its values sweep at a (P, n) point array
 gives the frame, the metric and their inverses, with an error per point
 rather than a failed stack (:func:`frame_values`); its derivative sweep,
-seeded with that frame (derivatives along the frame fields, Hessians along
-the horizontal ones), the structure constants and the metric's frame
-derivatives (:func:`structure_constants`), and with the Hessians the frame
-derivatives of both (:func:`frame_derivatives`).  The sample loops size
-each stack by the spec's per-point footprint:
+seeded with that frame, the identity at a ruled-out point (derivatives along
+the frame fields, Hessians along the horizontal ones), the structure
+constants and the metric's frame derivatives (:func:`structure_constants`),
+and with the Hessians the frame derivatives of both (:func:`frame_derivatives`).
+The sample loops size each stack by the spec's per-point footprint:
 PASS_ENTRIES // entries_per_point(n, ell) points, and never fewer than
 FRAME_CHUNK; a single point is a stack of one.  Contractions are stacked
 matrix products (:func:`contract`).  Brackets exist only as these structure
@@ -213,10 +213,10 @@ class CoefficientJets(NamedTuple):
     grads: np.ndarray    # (..., ell, ell, ell, ell): grads[..., q] = e_q(values)
 
 
-# the frame (E as evaluated, seeding the derivative sweep; Ev the identity where it fails),
-# the metric and their inverses at P points: rows of points in ``errors`` are meaningless;
-# ``warnings`` maps a usable point to its condition-number warning
-FrameValues = namedtuple("FrameValues", "E Ev Einv gv ginv errors warnings")
+# the frame (Ev, the identity where it fails; it seeds the derivative sweep), the metric and
+# their inverses at P points: rows of points in ``errors`` are meaningless; ``warnings``
+# maps a usable point to its condition-number warning
+FrameValues = namedtuple("FrameValues", "Ev Einv gv ginv errors warnings")
 # structure constants of the pairs e_a, e_b with b horizontal: Om and Mc, the parts of
 # the horizontal pairs cH, and Lam; the metric's horizontal frame derivatives
 # gg[p, i, j, k] = e_k(g_ij) and fdg[p, k, i, j]; the jets the frame derivatives take
@@ -232,16 +232,15 @@ def _pair_slots(m: int):
     return i * m + j, j * m + i
 
 
-def _mirror_pair_antisym(*arrays):
-    """In each array, overwrite the (j, i) slices of axes 1 and 2 with the
-    exact negation of (i, j), i < j, and zero the diagonal; those two axes
-    must merge into one without a copy, as they do in a C-order block."""
-    for arr in arrays:
-        P, m = arr.shape[:2]
-        flat = arr.reshape(P, m * m, *arr.shape[3:], copy=False)   # a view, written through
-        upper, lower = _pair_slots(m)
-        flat[:, ::m + 1] = 0.0                                     # the diagonal
-        flat[:, lower] = -flat[:, upper]
+def _mirror_pair_antisym(arr):
+    """Overwrite the (j, i) slices of axes 1 and 2 with the exact negation of
+    (i, j), i < j, and zero the diagonal; those two axes must merge into one
+    without a copy, as they do in a C-order block."""
+    P, m = arr.shape[:2]
+    flat = arr.reshape(P, m * m, *arr.shape[3:], copy=False)   # a view, written through
+    upper, lower = _pair_slots(m)
+    flat[:, ::m + 1] = 0.0                                     # the diagonal
+    flat[:, lower] = -flat[:, upper]
 
 
 def _cholesky_fails(g: np.ndarray) -> np.ndarray:
@@ -311,18 +310,18 @@ def frame_values(spec: ManifoldSpec, sweep: ValueSweep) -> FrameValues:
     ginv = np.linalg.inv(usable(gv))
     warnings = {i: f"frame condition number {cond[i]:.3e} at {pts[i].tolist()}"
                 for i in map(int, np.flatnonzero(cond > CONDITION_WARN)) if i not in errors}
-    return FrameValues(E, Ev, Einv, gv, ginv, errors, warnings)
+    return FrameValues(Ev, Einv, gv, ginv, errors, warnings)
 
 
 def structure_constants(spec: ManifoldSpec, sweep: ValueSweep, frame: FrameValues) -> Brackets:
-    """From the derivative sweep seeded with the frame, J[p, b, m, a] = e_a(E[m, b]),
+    """From the derivative sweep seeded with the frame ``Ev``, J[p, b, m, a] = e_a(E[m, b]),
     the structure constants c[p, a, b, s] of the pairs e_a, e_b with b horizontal:
     E c[a, b] = [e_a, e_b] = br[a, b], where br[a, b, m] = J[b, m, a] - J[a, m, b].
     ``jets`` keeps for the frame derivatives, which empty it, J for horizontal b
     and along horizontal a, the Hessians Hf[p, b, m, q, a] of E[m, b] on (e_q, e_a)
     for horizontal b, q, a, dg[p, i, j, d] = e_d(g_ij) and its Hessians."""
-    (P, n), ell = frame.E.shape[:2], spec.ell
-    jets = spec._jet_program.derivatives(sweep, basis=frame.E)
+    (P, n), ell = frame.Ev.shape[:2], spec.ell
+    jets = spec._jet_program.derivatives(sweep, basis=frame.Ev)
     J, H = jets.grads[:, :n * n].reshape(P, n, n, n), jets.hessians
     Jh, Jc = J[:, :ell].copy(), J[..., :ell].copy()
     dg = jets.grads[:, n * n:].reshape(P, ell, ell, n).copy(order="K")

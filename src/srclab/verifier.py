@@ -332,7 +332,7 @@ def _c18(ev):
     # flat + parallel torsion: characteristic tensor and constant curvature
     flat_parallel = ((_rel(ev.res("Rb.curv", "Rb.curv")) <= HYPOTHESIS_REL)
                      & (_rel(ev.res("DT_D", "DT_D")) <= HYPOTHESIS_REL))
-    A = (ev.pij.values * ev.piu).sum(axis=1)[:, None, None] * ev.frame.gv   # pi_e pi^e g
+    A = ev.ct.pi2[:, None, None] * ev.frame.gv     # pi_e pi^e g
     parts += [_gate(r, flat_parallel) for r in (
         ev.res(ev.ct.pi_lower + 0.5 * A, "ct.pi_lower", "frame.gv"),
         ev.res(delta_g(-A, base=ev.Kb.curv), "Kb.curv", A), ev.res("W_nab", "W_nab"))]
@@ -432,7 +432,7 @@ CHECKS: tuple[CheckSpec, ...] = (
         "parallel torsion => pi_ij = -(1/2) g_ij pi_e pi^e, "
         "K^h_ijk = pi_e pi^e (delta_j^h g_ik - delta_i^h g_jk), W = 0;  "
         "on flagged left-invariant graded frames K = 0 and (nabla T) = 0",
-        _c18, "Rb Kb ct DT_D DT_nab:carnot W_nab D pij piu"),
+        _c18, "Rb Kb ct DT_D DT_nab:carnot W_nab D pij"),
 )
 
 CHECK_IDS = tuple(c.id for c in CHECKS)
@@ -550,16 +550,20 @@ def run_suite(spec: ManifoldSpec, pi: OneFormData | None = None,
 # Standalone structured checks: views over the suite's batched passes
 # --------------------------------------------------------------------------
 
-def _point_errors(ev: _Pass, reads, finite, what: str):
-    """The messages of the points of a pass that fail, in point order (the
-    error of a layer in ``reads``, else ``what`` not being finite), and the
-    mask of the points that do not."""
-    failed = ev.failures(reads)
-    bad = sorted({*failed, *np.flatnonzero(~finite).tolist()})
-    good = np.ones(len(ev.points), dtype=bool)
-    good[bad] = False
-    return [failed.get(i) or f"DomainError: {what} not finite at {ev.points[i].tolist()}"
-            for i in bad], good
+def _sample(passes, paths, what: str, measure):
+    """Over the ``passes``, the sup-norms of what ``measure(ev)`` lists, stacked, at the points
+    where their sum is finite and no layer the attribute ``paths`` read failed; for every
+    other point, in point order, the failed layer's message, else ``what`` not finite."""
+    kept, errors = [], []
+    with _quiet():
+        for ev in passes:
+            values = np.array([ev.sup(x) for x in measure(ev)])
+            failed = ev.failures(_Pass.reads(paths))
+            bad = sorted({*failed, *np.flatnonzero(~np.isfinite(sum(values))).tolist()})
+            errors += [failed.get(i) or f"DomainError: {what} not finite at {ev.points[i].tolist()}"
+                       for i in bad]
+            kept.append(np.delete(values, bad, axis=1))
+    return np.concatenate(kept, axis=1), errors
 
 
 @dataclass(frozen=True)
@@ -579,24 +583,13 @@ def check_group_manifold(spec: ManifoldSpec, pi: OneFormData | None = None,
     """
     config = config or SuiteConfig()
     paths = ("Kb.curv", "DT_nab") if pi is None else ("Rb.curv", "DT_D")
-    max_curv = max_dt = 0.0
-    errors: list[str] = []
-    with _quiet():
-        for ev in _passes(spec, pi, config):
-            size_c, size_d = map(ev.sup, paths)
-            messages, good = _point_errors(ev, _Pass.reads(paths), np.isfinite(size_c + size_d),
-                                           "curvature or torsion derivative")
-            errors += messages
-            if good.any():
-                max_curv = max(max_curv, float(size_c[good].max()))
-                max_dt = max(max_dt, float(size_d[good].max()))
+    sizes, errors = _sample(_passes(spec, pi, config), paths,
+                            "curvature or torsion derivative", lambda ev: paths)
+    max_curv, max_dt = map(float, sizes.max(axis=1, initial=0.0))
     evidence = {"max_curvature": max_curv, "max_torsion_derivative": max_dt,
                 "points": config.points, "errors": errors}
-    if errors:
-        return GroupManifoldResult("inconclusive", evidence)
-    if max(max_curv, max_dt) <= GROUP_TOL:
-        return GroupManifoldResult("holds at samples", evidence)
-    return GroupManifoldResult("fails", evidence)
+    verdict = "holds at samples" if max(max_curv, max_dt) <= GROUP_TOL else "fails"
+    return GroupManifoldResult("inconclusive" if errors else verdict, evidence)
 
 
 @dataclass(frozen=True)
@@ -617,19 +610,16 @@ def check_flatness_criterion(spec: ManifoldSpec, pi: OneFormData | None = None,
     """
     if spec.ell < 3:
         raise RankTooSmall(f"flatness criterion needs rank >= 3, got {spec.ell}")
-    config = config or SuiteConfig()
-    rows: list[tuple[bool, bool, bool]] = []
-    errors: list[str] = []
-    with _quiet():
-        for ev in _passes(spec, pi, config):
-            want = flatness_characteristic_form(ev.Kb)
-            r, s, k = ev.sup("Rb.curv"), ev.sup("S_nab"), ev.sup("Kb.curv")
-            d, w = ev.sup(ev.ct.pi_lower - want), ev.sup(want)
-            messages, good = _point_errors(ev, _Pass.reads(("Rb", "S_nab", "Kb", "ct")),
-                                           np.isfinite(r + s + k + d + w),
-                                           "curvature or characteristic tensor")
-            errors += messages
-            rows += [(bool(r[i] <= FLATNESS_TOL), bool(s[i] <= FLATNESS_TOL * max(1.0, k[i])),
-                      bool(d[i] <= FLATNESS_TOL * max(1.0, w[i]))) for i in np.flatnonzero(good)]
+
+    def measure(ev):
+        want = flatness_characteristic_form(ev.Kb)
+        return "Rb.curv", "S_nab", "Kb.curv", ev.ct.pi_lower - want, want
+
+    (r, s, k, d, w), errors = _sample(
+        _passes(spec, pi, config or SuiteConfig()), ("Rb", "S_nab", "Kb", "ct"),
+        "curvature or characteristic tensor", measure)
+    rows = tuple(zip((r <= FLATNESS_TOL).tolist(),
+                     (s <= FLATNESS_TOL * np.maximum(1.0, k)).tolist(),
+                     (d <= FLATNESS_TOL * np.maximum(1.0, w)).tolist()))
     holds = not errors and all(s and m for r, s, m in rows if r)
-    return FlatnessResult(tuple(rows), holds, tuple(errors))
+    return FlatnessResult(rows, holds, tuple(errors))

@@ -177,7 +177,7 @@ def test_accumulating_duplicate_dcoord_terms():
 
 
 @given(st.text(max_size=300))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 def test_parser_totality_random_text(text):
     try:
         parse_manifold(text)
@@ -186,7 +186,7 @@ def test_parser_totality_random_text(text):
 
 
 @given(st.text(alphabet="xyzdw123+-*/^(), .\n\t aeiousqrtlogincmf", max_size=200))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 def test_parser_totality_grammar_like_text(text):
     preamble = "manifold f\ndim 3\nhdim 2\ncoords x y z\nhframe\n"
     try:
@@ -196,7 +196,7 @@ def test_parser_totality_grammar_like_text(text):
 
 
 @given(st.text(alphabet="xy 12+-*/^()sincoqrt.", max_size=80))
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400, deadline=None, derandomize=True)
 def test_expression_parser_totality(text):
     try:
         parse_scalar_expression(text, ("x", "y"))

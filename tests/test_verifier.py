@@ -2,6 +2,7 @@ import os
 import sys
 import tracemalloc
 from functools import cached_property, partial
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -444,8 +445,10 @@ def test_mixed_frame_and_oneform_errors_pinned():
 def test_pass_boundaries_do_not_change_reports(monkeypatch):
     """No arithmetic crosses sample points, so splitting 100 points into 1, 2
     or 3 passes gives the same report: statuses, points evaluated, residuals
-    to the bit, first errors, warnings and worst points.  MIXED has frame
-    errors, one-form errors and condition warnings in every pass."""
+    to the bit, first errors, warnings and worst points; and the same results
+    of check_group_manifold (both connections) and, at rank >= 3, of
+    check_flatness_criterion.  MIXED has frame errors, one-form errors and
+    condition warnings in every pass."""
     cases = {name: (builtin(name).spec, builtin(name).oneform(variant), builtin(name).flags)
              for name, variant in (("heisenberg1", "trig"), ("curved-metric-l3", "trig"))}
     mixed = parse_manifold(MIXED)
@@ -455,17 +458,45 @@ def test_pass_boundaries_do_not_change_reports(monkeypatch):
     monkeypatch.setattr(verifier, "PASS_ENTRIES", 0)           # passes of FRAME_CHUNK points
     for name, (spec, pi, flags) in cases.items():
         config = SuiteConfig(points=100, seed=3, flags=flags)
-        reports = []
+        reports, standalone = [], []
         for passes in (1, 2, 3):
             monkeypatch.setattr(verifier, "FRAME_CHUNK", 100 // passes)
             assert len(list(_passes(spec, pi, config))) == passes
             reports.append(run_suite(spec, pi, config))
+            results = [check_group_manifold(spec, None, config),
+                       check_group_manifold(spec, pi, config)]
+            if spec.ell >= 3:
+                results.append(check_flatness_criterion(spec, pi, config))
+            standalone.append([repr(r) for r in results])
         one = reports[0]
         assert bool(one.warnings) == (name == "mixed")
         for report in reports[1:]:
             assert report.warnings == one.warnings, name
             for got, want in zip(report.checks, one.checks, strict=True):
                 assert repr(got) == repr(want), (name, want.id)
+        assert len(standalone[0]) == (2 if name == "heisenberg1" else 3)
+        assert standalone[1] == standalone[2] == standalone[0], name
+
+
+def test_ruled_out_points_do_not_reach_other_rows():
+    """On MIXED at 100 points, seed 3, 38 points are ruled out (frame or
+    one-form errors).  Every other row of the layers built from the frame's
+    derivative sweep equals, bit for bit and signs of zero included, the row
+    of an Evaluation of the good points alone: the basis a ruled-out point
+    seeds the sweep with never reaches another point's row."""
+    spec = parse_manifold(MIXED)
+    pi = OneFormData.from_expressions(
+        [parse_scalar_expression(t, spec.coords) for t in ("log(z + 0.6)", "sqrt(x + 0.7)", "y")],
+        spec.n)
+    ev = Evaluation(spec, pi, sample_points(spec, 100, 3))
+    good = np.ones(100, dtype=bool)
+    good[[*ev.frame.errors, *ev.pij.errors]] = False
+    assert (~good).sum() == 38
+    alone = Evaluation(spec, pi, ev.points[good])
+    for path in ("brackets.Om", "frame_g.Om_g", "frame_g.fdg_g", "nab_g", "D_g", "Kb.curv",
+                 "Rb.curv", "DT_D", "ct.pi_lower"):
+        got, want = attrgetter(path)(ev)[good], attrgetter(path)(alone)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), path
 
 
 def _expr_heavy_cases(monkeypatch):
