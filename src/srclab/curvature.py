@@ -63,12 +63,9 @@ class CurvatureBundle:
     scalar: float          # g^{ik} ricci[i, k]
     g: np.ndarray          # the metric and its inverse at the point
     ginv: np.ndarray
-    # built on first use: curv[i, j, k, e] g[e, h], and the sup-norm of K_ijk + K_kij + K_jki
+    # built on first use: curv[i, j, k, e] g[e, h]
     lowered = cached_property(lambda b: (b.curv.reshape(b.g.shape[:-2] + (-1, b.g.shape[-1]))
                                          @ b.g).reshape(b.curv.shape))
-    bianchi_residual = cached_property(lambda b: np.abs(
-        b.curv + np.moveaxis(b.curv, -4, -2) + np.moveaxis(b.curv, -2, -4)
-    ).max(axis=(-4, -3, -2, -1)))
 
     def second_contraction(self) -> np.ndarray:
         """ric2[i, k] = curv[i, k, e, e]; antisymmetric only for torsion-free connections."""

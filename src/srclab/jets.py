@@ -9,7 +9,8 @@ Hessian of every output with a leading point axis, along a basis (the identity
 by default); frame data and one-forms are evaluated through it.  Trees built in
 Python enter a table by one walk, keyed as the parser keys each node.  Exact
 derivatives; finite differences serve only as cross-checks (:func:`fd_crosscheck`).
-Constant folding uses :func:`_value`, the same arithmetic on values, in Python floats.
+Constant folding uses :func:`_value`, the tests' reference arithmetic (libm through
+:mod:`math`, Python ``**``); the sweeps use numpy, whose last bit can differ from it.
 Each library function is one row of :data:`FUNCTIONS` (its value on a float and on an
 array, f' and f'', domain tests), which the parser, :func:`_value` and both sweeps read.
 """

@@ -254,9 +254,9 @@ def _c05(ev):
 
 
 def _c06(ev):
-    lw = ev.Kb.lowered
-    cycl = lw + lw.transpose(0, 2, 3, 1, 4) + lw.transpose(0, 3, 1, 2, 4)
-    return _worst(ev.res("Kb.bianchi_residual", "Kb.curv"), ev.res(cycl, "Kb.lowered"))
+    """The first Bianchi sum T_ijk + T_kij + T_jki of K, mixed and lowered."""
+    return _worst(*(ev.res(T + np.moveaxis(T, -4, -2) + np.moveaxis(T, -2, -4), path)
+                    for T, path in ((ev.Kb.curv, "Kb.curv"), (ev.Kb.lowered, "Kb.lowered"))))
 
 
 def _c07(ev):

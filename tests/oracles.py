@@ -1,21 +1,54 @@
 """Independent symbolic oracle for the numeric engine.
 
-Everything here is computed with sympy from hand-transcribed frame/metric
-data: brackets by symbolic differentiation, structure constants by exact
-linear solves, connection coefficients from the defining linear system, and
-curvature from the operator-expanded coordinate formula.  Evaluation happens
-at exact rational points (25-digit numeric only where trig enters), so these
-values are a genuinely independent route against which the jet/einsum
-implementation is compared.
+Everything here is computed with sympy from the expression trees of a
+:class:`~srclab.manifold.ManifoldSpec` and a one-form, translated node by node
+(:func:`sym_expr`): brackets by symbolic differentiation, structure constants
+by exact linear solves, connection coefficients from the defining linear
+system, and curvature from the operator-expanded coordinate formula.
+Evaluation happens at exact rational points (25-digit numeric only where trig
+enters), so these values are a genuinely independent route against which the
+jet/einsum implementation is compared, for any spec (:func:`spec_oracle`) and
+for the catalog by name (:func:`oracle_eval`).
+
+The trade: the oracle shares no arithmetic with the jets or the contractions
+(it imports only their node classes), but it reads its input through the
+parser, as the engine does, so a parser that builds the wrong tree gives both
+the same wrong manifold.
+``tests/test_parser.py`` pins the parser's structure and precedence on its own.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import sympy as sp
 from sympy import Rational as Q
+
+from srclab.catalog import builtin
+from srclab.connections import OneFormData
+from srclab.jets import Add, Call, Const, Coord, Div, Expression, Mul, Neg, Pow, Sub
+from srclab.manifold import ManifoldSpec
+
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+_CALLS = {"sin": sp.sin, "cos": sp.cos, "exp": sp.exp, "log": sp.log, "sqrt": sp.sqrt}
+
+
+def sym_expr(node: Expression, coords: list):
+    """The sympy expression of an expression tree over the coordinate symbols
+    ``coords``; a constant is the exact rational of its double."""
+    if isinstance(node, Const):
+        return Q(node.value)
+    if isinstance(node, Coord):
+        return coords[node.index]
+    if isinstance(node, Neg):
+        return -sym_expr(node.arg, coords)
+    if isinstance(node, Pow):
+        return sym_expr(node.base, coords) ** node.exponent
+    if isinstance(node, Call):
+        return _CALLS[node.fn](sym_expr(node.arg, coords))
+    return _BINARY[type(node)](sym_expr(node.left, coords), sym_expr(node.right, coords))
 
 
 def _bracket(coords, X, Y):
@@ -78,25 +111,6 @@ class SymManifold:
                 for h in range(ell):
                     co[i][j][h] = sp.expand(sol[h])
         return co
-
-    def check_connection_axioms(self):
-        """Nonzero metricity/torsion residuals (symbolic; empty means exact)."""
-        ell, g = self.ell, self.metric
-        bad = []
-        for k in range(ell):
-            for i in range(ell):
-                for j in range(ell):
-                    met = sp.simplify(self.fd(k, g[i, j])
-                                      - sum(self.coeff[k][i][e] * g[e, j]
-                                            + self.coeff[k][j][e] * g[e, i]
-                                            for e in range(ell)))
-                    tor = sp.simplify(self.coeff[i][j][k] - self.coeff[j][i][k]
-                                      - self.Om[i][j][k])
-                    if met != 0:
-                        bad.append(("metricity", k, i, j, met))
-                    if tor != 0:
-                        bad.append(("torsion", i, j, k, tor))
-        return bad
 
     def gamma(self, pi):
         """Transformed coefficients for one-form components pi (length ell)."""
@@ -187,81 +201,22 @@ def _w_tensor(curv, ric, ell):
             for i in range(ell)]
 
 
-# -- hand transcriptions of the catalog ------------------------------------
-
-def _sym(names):
-    return list(sp.symbols(names))
-
-
 @lru_cache(maxsize=None)
+def sym_spec(spec: ManifoldSpec) -> SymManifold:
+    """The spec's frame fields and metric, translated by :func:`sym_expr`."""
+    coords = [sp.Symbol(c) for c in spec.coords]
+    return SymManifold(coords, *([[sym_expr(e, coords) for e in vf.components] for vf in fields]
+                                 for fields in (spec.hframe, spec.vframe)),
+                       sp.Matrix([[sym_expr(e, coords) for e in row] for row in spec.metric]))
+
+
 def sym_manifold(name: str) -> SymManifold:
-    if name == "heisenberg1":
-        x, y, z = _sym("x y z")
-        return SymManifold([x, y, z],
-                           [[1, 0, -y / 2], [0, 1, x / 2]],
-                           [[0, 0, 1]], sp.eye(2))
-    if name == "heisenberg2":
-        x1, y1, x2, y2, z = _sym("x1 y1 x2 y2 z")
-        return SymManifold([x1, y1, x2, y2, z],
-                           [[1, 0, 0, 0, -y1 / 2], [0, 1, 0, 0, x1 / 2],
-                            [0, 0, 1, 0, -y2 / 2], [0, 0, 0, 1, x2 / 2]],
-                           [[0, 0, 0, 0, 1]], sp.eye(4))
-    if name == "free-step2-l3":
-        x1, x2, x3, z12, z13, z23 = _sym("x1 x2 x3 z12 z13 z23")
-        return SymManifold([x1, x2, x3, z12, z13, z23],
-                           [[1, 0, 0, -x2 / 2, -x3 / 2, 0],
-                            [0, 1, 0, x1 / 2, 0, -x3 / 2],
-                            [0, 0, 1, 0, x1 / 2, x2 / 2]],
-                           [[0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0],
-                            [0, 0, 0, 0, 0, 1]], sp.eye(3))
-    if name == "flat3":
-        x, y, z = _sym("x y z")
-        return SymManifold([x, y, z], [[1, 0, 0], [0, 1, 0]], [[0, 0, 1]], sp.eye(2))
-    if name == "curved-metric-l3":
-        x, y, z, w = _sym("x y z w")
-        g = sp.Matrix([[1 + x**2, x * y / 2, 0],
-                       [x * y / 2, 1 + y**2, 0],
-                       [0, 0, 1 + z**2]])
-        return SymManifold([x, y, z, w],
-                           [[1, 0, 0, -y / 2], [0, 1, 0, x / 2], [w, 0, 1, 0]],
-                           [[0, 0, 0, 1]], g)
-    if name == "involutive-l3":
-        x, y, z, w = _sym("x y z w")
-        g = sp.Matrix([[1, 0, 0], [0, 1 + x**2, 0], [0, 0, 1]])
-        return SymManifold([x, y, z, w],
-                           [[1, 0, 0, 0], [0, 1, 0, 0], [0, x, 1, 0]],
-                           [[0, 0, 0, 1]], g)
-    raise KeyError(name)
-
-
-# One-form components per (entry, variant), as functions of the coordinates,
-# so each entry indexes only the coordinates it has.
-_PI_TABLE = {
-    ("heisenberg1", "const"): lambda c: [1, 0],
-    ("heisenberg1", "trig"): lambda c: [sp.sin(c[0]), sp.cos(c[1])],
-    ("heisenberg2", "const"): lambda c: [1, 0, 0, 0],
-    ("heisenberg2", "linear"): lambda c: [c[1], c[0], c[2], 0],
-    ("heisenberg2", "trig"): lambda c: [sp.sin(c[0]), sp.cos(c[1]), sp.sin(c[2]),
-                                        sp.cos(c[3])],
-    ("free-step2-l3", "const"): lambda c: [1, 0, 0],
-    ("free-step2-l3", "linear"): lambda c: [c[1], c[0], c[2]],
-    ("free-step2-l3", "trig"): lambda c: [sp.sin(c[0]), sp.cos(c[1]), sp.sin(c[2])],
-    ("free-step2-l3", "alpha-zero"): lambda c: [2 / (c[0] + 4), 0, 0],
-    ("free-step2-l3", "proportional"): lambda c: [1 / (4 - c[0]), 0, 0],
-    ("flat3", "const"): lambda c: [1, 0],
-    ("flat3", "linear"): lambda c: [c[1], c[0]],
-    ("curved-metric-l3", "const"): lambda c: [1, 0, 0],
-    ("curved-metric-l3", "linear"): lambda c: [c[1], c[0], c[2]],
-    ("curved-metric-l3", "trig"): lambda c: [sp.sin(c[0]), sp.cos(c[1]), sp.sin(c[2])],
-    ("involutive-l3", "const"): lambda c: [1, 0, 0],
-    ("involutive-l3", "linear"): lambda c: [c[1], c[0], c[2]],
-    ("involutive-l3", "trig"): lambda c: [sp.sin(c[0]), sp.cos(c[1]), sp.sin(c[2])],
-}
+    return sym_spec(builtin(name).spec)
 
 
 def sym_pi(name: str, variant: str):
     coords = sym_manifold(name).coords
-    return [sp.sympify(e) for e in _PI_TABLE[(name, variant)](coords)]
+    return [sym_expr(e, coords) for e in builtin(name).oneform(variant).exprs]
 
 
 def _to_array(obj, subs):
@@ -284,14 +239,21 @@ def _at(obj, subs):
 
 @lru_cache(maxsize=None)
 def oracle_eval(name: str, variant: str | None, point: tuple):
-    """Every tensor of interest at an exact rational point, as float arrays.
+    """:func:`spec_oracle` of a catalog entry and its one-form variant (None: zero)."""
+    entry = builtin(name)
+    return spec_oracle(entry.spec, entry.oneform(variant), point)
+
+
+def spec_oracle(spec: ManifoldSpec, pi: OneFormData | None, point: tuple):
+    """Every tensor of interest of a spec and one-form (None: the zero one-form)
+    at an exact rational point, as float arrays.
 
     The point goes into the curvature tensors, the characteristic tensor and
     the metric before they are contracted, so the contractions and W, S and C
     are built from exact values rather than from ever larger expressions."""
-    m = sym_manifold(name)
+    m = sym_spec(spec)
     ell = m.ell
-    pi = sym_pi(name, variant) if variant else [sp.Integer(0)] * ell
+    pi = [sp.Integer(0)] * ell if pi is None else [sym_expr(e, m.coords) for e in pi.exprs]
     subs = dict(zip(m.coords, [Q(p) if not isinstance(p, Q) else p for p in point]))
 
     gamma, piu = m.gamma(pi)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from sympy import Rational as Q
 
-from oracles import oracle_eval
+from oracles import oracle_eval, spec_oracle
 from srclab.catalog import builtin, catalog_names
 from srclab.connections import OneFormData, koszul_connection, semi_connection
 from srclab.curvature import (TENSORS, Evaluation, characteristic_tensor,
@@ -13,7 +13,8 @@ from srclab.curvature import (TENSORS, Evaluation, characteristic_tensor,
                               projective_difference_formula, projective_tensor,
                               s_tensor, schouten_curvature)
 from srclab.errors import RankTooSmall
-from srclab.manifold import sample_points, snapshot
+from srclab.jets import Add, Call, Const, Coord, Div, Mul, Neg, Pow
+from srclab.manifold import ManifoldSpec, VectorFieldSpec, sample_points, snapshot
 from srclab.parser import parse_manifold, parse_scalar_expression
 
 RNG_SEED = 99
@@ -93,6 +94,26 @@ def test_curvature_antisymmetry_unmirrored():
                     + schouten_curvature(c, p).curv.transpose(1, 0, 2, 3) == 0).all()
 
 
+# `srclab eval` tensor -> oracle_eval key; the oracle gives S, Sbar, C and Cbar at ell >= 3
+ORACLE_KEYS = {"Omega": "Om", "M": "Mc", "Lambda": "Lam", "coeff": "coeff", "Gamma": "Gamma",
+               "K": "K", "R": "R", "ricci-K": "ricK", "ricci-R": "ricR", "scalar-K": "scalK",
+               "scalar-R": "scalR", "pi-char": "plo", "alpha": "alpha", "W": "W", "Wbar": "Wbar",
+               "S": "S", "Sbar": "Sbar", "C": "C", "Cbar": "Cbar"}
+
+
+def assert_matches_oracle(spec, pi, point, oracle):
+    """Every tensor the oracle gives, within 1e-12 relative, from one Evaluation
+    at the rational point: the `srclab eval` tensors and both second contractions."""
+    ev = Evaluation(spec, pi, np.array([[float(q) for q in point]]))
+    pairs = [(ev[name][0], oracle[key]) for name, key in ORACLE_KEYS.items() if key in oracle]
+    pairs += [(ev.Kb.second_contraction()[0], oracle["ric2K"]),
+              (ev.Rb.second_contraction()[0], oracle["ric2R"])]
+    assert len(pairs) == len(oracle)
+    for got, want in pairs:
+        want = np.asarray(want, dtype=float)
+        assert abs(got - want).max() <= 1e-12 * max(1.0, abs(want).max())
+
+
 @pytest.mark.parametrize("name,variant", [
     ("heisenberg2", "const"),
     ("involutive-l3", "linear"),
@@ -103,45 +124,25 @@ def test_curvature_antisymmetry_unmirrored():
 ])
 def test_against_symbolic_oracle(name, variant):
     entry = builtin(name)
-    spec = entry.spec
-    point = RATIONAL_POINTS[spec.n]
-    p = np.array([float(q) for q in point])
-    oracle = oracle_eval(name, variant, point)
-    pi = entry.oneform(variant)
-    nab = koszul_connection(spec)
-    D = semi_connection(spec, pi)
-    Kb = schouten_curvature(nab, p)
-    Rb = schouten_curvature(D, p)
-    ct = characteristic_tensor(spec, pi, p)
+    point = RATIONAL_POINTS[entry.spec.n]
+    assert_matches_oracle(entry.spec, entry.oneform(variant), point,
+                          oracle_eval(name, variant, point))
 
-    def close(got, want):
-        got = np.asarray(got, dtype=float)
-        want = np.asarray(want, dtype=float)
-        assert abs(got - want).max() <= 1e-12 * max(1.0, abs(want).max())
 
-    snap = snapshot(spec, p)
-    close(snap.Omega, oracle["Om"])
-    close(snap.Mcoef, oracle["Mc"])
-    close(snap.Lambda, oracle["Lam"])
-    close(nab.coefficients(p), oracle["coeff"])
-    close(D.coefficients(p), oracle["Gamma"])
-    close(Kb.curv, oracle["K"])
-    close(Rb.curv, oracle["R"])
-    close(Kb.ricci, oracle["ricK"])
-    close(Rb.ricci, oracle["ricR"])
-    close(Kb.second_contraction(), oracle["ric2K"])
-    close(Rb.second_contraction(), oracle["ric2R"])
-    close(Kb.scalar, oracle["scalK"])
-    close(Rb.scalar, oracle["scalR"])
-    close(ct.pi_lower, oracle["plo"])
-    close(ct.alpha, oracle["alpha"])
-    close(projective_tensor(Kb, spec, p), oracle["W"])
-    close(projective_tensor(Rb, spec, p), oracle["Wbar"])
-    if spec.ell >= 3:                   # S and C divide by ell - 2
-        close(s_tensor(Kb, spec, p), oracle["S"])
-        close(s_tensor(Rb, spec, p), oracle["Sbar"])
-        close(conformal_tensor(Kb, spec, p), oracle["C"])
-        close(conformal_tensor(Rb, spec, p), oracle["Cbar"])
+def test_symbolic_oracle_of_a_spec_outside_the_catalog():
+    """The oracle is built from any spec: one made in Python, whose frame has a
+    quotient, a power and a library call, and whose one-form has a log; its
+    Omega, M, Lambda, K and R are all nonzero at the point."""
+    x, y, z, one, zero = Coord(0), Coord(1), Coord(2), Const(1.0), Const(0.0)
+    spec = ManifoldSpec(
+        "outside", ("x", "y", "z"), 2,
+        (VectorFieldSpec((one, Div(z, Const(4.0)), Neg(Div(y, Const(2.0))))),
+         VectorFieldSpec((zero, Add(one, Pow(x, 2)), Add(Div(x, Const(2.0)), Call("sin", x))))),
+        (VectorFieldSpec((zero, zero, one)),),
+        ((Add(one, Pow(x, 2)), zero), (zero, one)))
+    pi = OneFormData((Call("log", Add(Const(2.0), Mul(x, y))), Div(one, Add(Const(3.0), y))), 3)
+    point = RATIONAL_POINTS[3]
+    assert_matches_oracle(spec, pi, point, spec_oracle(spec, pi, point))
 
 
 @pytest.mark.parametrize("name,variant", [
@@ -227,7 +228,9 @@ def test_first_bianchi_and_lowered_identities():
         for p in sample_points(spec, 10, RNG_SEED):
             Kb = schouten_curvature(nab, p)
             scale = max(1.0, abs(Kb.curv).max())
-            assert Kb.bianchi_residual <= 1e-9 * scale
+            cv = Kb.curv
+            cyc = cv + cv.transpose(1, 2, 0, 3) + cv.transpose(2, 0, 1, 3)
+            assert abs(cyc).max() <= 1e-9 * scale
             lw = Kb.lowered
             cyc = lw + lw.transpose(1, 2, 0, 3) + lw.transpose(2, 0, 1, 3)
             assert abs(cyc).max() <= 1e-9 * scale
