@@ -18,9 +18,11 @@ Every item of a round runs on both trees, the tree that goes first
 alternating from item to item, after one untimed warm-up round.
 
 It prints each side's ms per call and B's speed over A's (A's time / B's
-time) per round, how many rounds each side won, and whether every output
-(report JSON; exit code, stdout and stderr) was byte-identical between the
-trees.  The exit status is 0 when they were, 1 when they were not.
+time) per round, then per case (a spec and one-form pair) the median over
+the rounds of B's speed over A's on that case's calls, how many rounds each
+side won, and whether every output (report JSON; exit code, stdout and
+stderr) was byte-identical between the trees.  The exit status is 0 when
+they were, 1 when they were not.
 """
 from __future__ import annotations
 
@@ -74,19 +76,19 @@ def eval_call(pkg, argv) -> tuple[int, str, str]:
 
 
 def rounds(workload: str, seed: int, count: int, workdir: Path):
-    """Per round, the (call, argument) items of the workload's inputs."""
+    """Per round, the (case name, call, arguments) items of the workload's inputs."""
     if workload == "single-point-eval":
         cases = inputs.eval_cases(inputs.load_reference())
         files = inputs.write_case_files([case for case, _ in cases], workdir)
         rng = random.Random(seed)
         for _ in range(count):
-            yield [(eval_call, (eval_argv(files[req.case], req.tensor, req.point),))
+            yield [(req.case, eval_call, (eval_argv(files[req.case], req.tensor, req.point),))
                    for req in inputs.eval_round(rng, cases)]
         return
     cases = (inputs.catalog_cases() if workload == "catalog-sweep"
              else inputs.expr_heavy_cases(seed))
     for index in range(count):
-        yield [(sweep_call, (case, inputs.suite_seed(seed, i, index)))
+        yield [(case.name, sweep_call, (case, inputs.suite_seed(seed, i, index)))
                for i, case in enumerate(cases)]
 
 
@@ -106,23 +108,31 @@ def main(argv=None) -> int:
                 load_tree(args.tree_b.resolve(), "srclab_b", tmp))
         print(f"{args.workload}, seed {args.seed}: A = {args.tree_a}, B = {args.tree_b}")
         print(f"{'round':>5} {'calls':>6} {'A ms/call':>10} {'B ms/call':>10} {'B speed/A':>10}")
-        ratios, differ, calls = [], 0, 0
+        ratios, differ, calls, per_case = [], 0, 0, {}
         for index, items in enumerate(rounds(args.workload, args.seed, args.rounds + 1, tmp)):
-            spent = [0.0, 0.0]
-            for k, (call, item_args) in enumerate(items):
-                outputs = [None, None]
+            spent, by_case = [0.0, 0.0], {}
+            for k, (case, call, item_args) in enumerate(items):
+                outputs, case_spent = [None, None], by_case.setdefault(case, [0.0, 0.0])
                 for side in ((0, 1) if k % 2 == 0 else (1, 0)):
                     start = time.perf_counter()
                     outputs[side] = call(pkgs[side], *item_args)
-                    spent[side] += time.perf_counter() - start
+                    took = time.perf_counter() - start
+                    spent[side] += took
+                    case_spent[side] += took
                 if index:           # round 0 warms both trees up, untimed
                     differ += outputs[0] != outputs[1]
             if index:
                 calls += len(items)
                 ratios.append(spent[0] / spent[1])
+                for case, (a, b) in by_case.items():
+                    per_case.setdefault(case, []).append(a / b)
                 print(f"{index:>5} {len(items):>6} {spent[0] * 1e3 / len(items):>10.3f} "
                       f"{spent[1] * 1e3 / len(items):>10.3f} {ratios[-1]:>10.3f}")
         sys.path.remove(str(tmp))
+    width = max(map(len, per_case), default=4)
+    print(f"{'case':<{width}} {'rounds':>6} {'median B speed/A':>16}")
+    for case, case_ratios in per_case.items():
+        print(f"{case:<{width}} {len(case_ratios):>6} {statistics.median(case_ratios):>16.3f}")
     wins_b = sum(r > 1 for r in ratios)
     print(f"median B speed/A {statistics.median(ratios):.3f}; B faster in {wins_b} of "
           f"{len(ratios)} rounds, A in {sum(r < 1 for r in ratios)}")

@@ -39,6 +39,7 @@ from .connections import (ConnectionField, OneFormData, OneFormJets, covariant_o
                           covariant_T, frame_derivative, koszul_grads, koszul_sum, semi,
                           semi_grads, torsion_tensor)
 from .errors import DimensionMismatch, RankTooSmall
+from .jets import Const
 from .manifold import (Brackets, FrameValues, ManifoldSpec, _mirror_pair_antisym, contract,
                        frame_derivatives, frame_values, structure_constants)
 
@@ -256,6 +257,11 @@ TENSORS = {
     "Cbar": "C_D", "W": "W_nab", "Wbar": "W_D", "pi-char": "ct.pi_lower", "alpha": "ct.alpha"}
 
 
+# Each layer of the transformed connection D and the Koszul layer it equals when pi = 0
+TWINS = {"D": "nab", "D_g": "nab_g", "T_D": "T_nab", "rawR": "rawK", "Rb": "Kb",
+         "DT_D": "DT_nab", "W_D": "W_nab", "S_D": "S_nab", "C_D": "C_nab"}
+
+
 class Evaluation:
     """Every tensor of a spec and one-form (absent: the zero one-form) on a stack
     of points (leading axis p), one layer per attribute, built on first use: the frame
@@ -263,7 +269,10 @@ class Evaluation:
     and ``D`` (the Koszul and the transformed coefficients), their gradients ``nab_g``, ``D_g``.
     ``ev[name]`` is an ``srclab eval`` tensor, read through :data:`TENSORS` (name ->
     layer path).  A layer's rows where a layer it reads (:meth:`graph`) failed are
-    meaningless; :meth:`read` raises such a point's error instead."""
+    meaningless; :meth:`read` raises such a point's error instead.  With ``pi_zero`` (pi
+    absent, or each component the constant 0) D adds delta_i^k pi_j - g_ij pi^k = 0 to
+    nabla, so each D-side layer equals its Koszul twin (:data:`TWINS`) value for value (a
+    zero's sign aside): it is that twin, and the Koszul side is built once."""
 
     def __init__(self, spec: ManifoldSpec, pi: OneFormData | None, points):
         self.spec, self.ell, self.points = spec, spec.ell, np.asarray(points, dtype=float)
@@ -273,7 +282,9 @@ class Evaluation:
             raise DimensionMismatch(f"one-form needs {spec.ell} components, got {pi.ell}")
         elif pi.n != spec.n:
             raise DimensionMismatch("one-form fields live on the wrong R^n")
-        self.pi = pi
+        # each component the constant 0, tested with no Python-level call a pass
+        self.pi, self.pi_zero = pi, ({*map(type, pi.exprs)} == {Const}
+                                     and not any(map(attrgetter("value"), pi.exprs)))
 
     def __getitem__(self, name: str):
         return self.read(TENSORS[name])
@@ -318,21 +329,30 @@ class Evaluation:
     nab = cached_property(lambda ev: 0.5 * contract(ev.B, ev.frame.ginv))
     nab_g = cached_property(lambda ev: koszul_grads(ev.frame, ev.brackets, ev.frame_g, ev.B))
     piu = cached_property(lambda ev: contract(ev.frame.ginv, ev.pij.values))
-    D = cached_property(lambda ev: semi(ev.frame, ev.nab, ev.pij, ev.piu))
-    D_g = cached_property(lambda ev: semi_grads(ev.frame, ev.brackets, ev.frame_g, ev.nab_g,
-                                                ev.pij, ev.piu))
+    D = cached_property(lambda ev: getattr(ev, TWINS["D"]) if ev.pi_zero
+                        else semi(ev.frame, ev.nab, ev.pij, ev.piu))
+    D_g = cached_property(lambda ev: getattr(ev, TWINS["D_g"]) if ev.pi_zero
+                          else semi_grads(ev.frame, ev.brackets, ev.frame_g, ev.nab_g, ev.pij,
+                                          ev.piu))
     T_nab = cached_property(lambda ev: torsion_tensor(ev.nab, ev.brackets.Om))
-    T_D = cached_property(lambda ev: torsion_tensor(ev.D, ev.brackets.Om))
+    T_D = cached_property(lambda ev: getattr(ev, TWINS["T_D"]) if ev.pi_zero
+                          else torsion_tensor(ev.D, ev.brackets.Om))
     rawK = cached_property(lambda ev: curvature_raw(ev.nab, ev.nab_g, ev.brackets))
-    rawR = cached_property(lambda ev: curvature_raw(ev.D, ev.D_g, ev.brackets))
+    rawR = cached_property(lambda ev: getattr(ev, TWINS["rawR"]) if ev.pi_zero
+                           else curvature_raw(ev.D, ev.D_g, ev.brackets))
     Kb = cached_property(lambda ev: curvature_bundle(ev.frame, ev.rawK))
-    Rb = cached_property(lambda ev: curvature_bundle(ev.frame, ev.rawR))
+    Rb = cached_property(lambda ev: getattr(ev, TWINS["Rb"]) if ev.pi_zero
+                         else curvature_bundle(ev.frame, ev.rawR))
     ct = cached_property(lambda ev: characteristic(ev.frame, ev.nab, ev.pij, ev.piu))
     DT_nab = cached_property(lambda ev: covariant_T(ev.nab, ev.nab_g, ev.T_nab, ev.frame_g.Om_g))
-    DT_D = cached_property(lambda ev: covariant_T(ev.D, ev.D_g, ev.T_D, ev.frame_g.Om_g))
+    DT_D = cached_property(lambda ev: getattr(ev, TWINS["DT_D"]) if ev.pi_zero
+                           else covariant_T(ev.D, ev.D_g, ev.T_D, ev.frame_g.Om_g))
     W_nab = cached_property(lambda ev: projective_tensor(ev.Kb, ev.spec, ev.points))
-    W_D = cached_property(lambda ev: projective_tensor(ev.Rb, ev.spec, ev.points))
+    W_D = cached_property(lambda ev: getattr(ev, TWINS["W_D"]) if ev.pi_zero
+                          else projective_tensor(ev.Rb, ev.spec, ev.points))
     S_nab = cached_property(lambda ev: s_tensor(ev.Kb, ev.spec, ev.points))
-    S_D = cached_property(lambda ev: s_tensor(ev.Rb, ev.spec, ev.points))
+    S_D = cached_property(lambda ev: getattr(ev, TWINS["S_D"]) if ev.pi_zero
+                          else s_tensor(ev.Rb, ev.spec, ev.points))
     C_nab = cached_property(lambda ev: conformal_tensor(ev.Kb, ev.spec, ev.points))
-    C_D = cached_property(lambda ev: conformal_tensor(ev.Rb, ev.spec, ev.points))
+    C_D = cached_property(lambda ev: getattr(ev, TWINS["C_D"]) if ev.pi_zero
+                          else conformal_tensor(ev.Rb, ev.spec, ev.points))

@@ -6,56 +6,46 @@ by hand; identical inputs produce byte-identical output.  Non-finite floats
 """
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _quote     # what json.dumps writes a str as
 
-
-def _fmt_float(x: float) -> str:
-    if not math.isfinite(x):
-        return "null"
-    if x == int(x) and abs(x) < 1e16:
-        return f"{x:.1f}"
-    return f"{x:.17g}"
+# the types written, in the order a subclass (np.float64 of float) is matched: bool before int
+_KINDS = (type(None), bool, int, float, str, dict, list, tuple)
 
 
 def dumps(obj) -> str:
     out: list[str] = []
-    _write(obj, out, 0)
+    _write(obj, out, "")
     return "".join(out) + "\n"
 
 
-def _write(obj, out, level):
-    pad = "  " * level
-    pad_in = "  " * (level + 1)
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
+def _write(obj, out, pad):
+    """Append ``obj`` to ``out``, its nested lines indented by ``pad`` and two spaces."""
+    kind = type(obj)
+    if kind not in _KINDS:
+        kind = next((k for k in _KINDS if isinstance(obj, k)), None)
+    if kind is float:       # x.0 if integral and below 1e16, else 17 significant digits
+        out.append("null" if not math.isfinite(obj) else f"{obj:.1f}"
+                   if obj == int(obj) and abs(obj) < 1e16 else f"{obj:.17g}")
+    elif kind is str:
+        out.append(_quote(obj))
+    elif kind is dict:
+        inner, sep = pad + "  ", "{\n"
+        for key, value in obj.items():
+            out.append(f"{sep}{inner}{_quote(str(key))}: ")
+            _write(value, out, inner)
+            sep = ",\n"
+        out.append(f"\n{pad}}}" if obj else "{}")
+    elif kind is list or kind is tuple:
+        inner, sep = pad + "  ", "[\n"
+        for value in obj:
+            out.append(sep + inner)
+            _write(value, out, inner)
+            sep = ",\n"
+        out.append(f"\n{pad}]" if obj else "[]")
+    elif kind is int:
         out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(_fmt_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for idx, (key, value) in enumerate(obj.items()):
-            out.append(f"{pad_in}{json.dumps(str(key))}: ")
-            _write(value, out, level + 1)
-            out.append(",\n" if idx < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for idx, value in enumerate(obj):
-            out.append(pad_in)
-            _write(value, out, level + 1)
-            out.append(",\n" if idx < len(obj) - 1 else "\n")
-        out.append(pad + "]")
+    elif kind is bool or kind is type(None):
+        out.append("null" if obj is None else "true" if obj else "false")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")

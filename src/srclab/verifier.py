@@ -45,8 +45,9 @@ from operator import attrgetter
 import numpy as np
 
 from .connections import OneFormData, covariant_oneform
-from .curvature import (Evaluation, conformal_difference_formula, curvature_relation_terms,
-                        delta_g, flatness_characteristic_form, projective_difference_formula)
+from .curvature import (TWINS, Evaluation, conformal_difference_formula,
+                        curvature_relation_terms, delta_g, flatness_characteristic_form,
+                        projective_difference_formula)
 from .errors import RankTooSmall, ValidationError
 from .manifold import (FRAME_CHUNK, PASS_ENTRIES, ManifoldSpec, contract, entries_per_point,
                        sample_points)
@@ -443,17 +444,17 @@ RUN_ORDER = ("C01", "C02", "C03", "C04", "C05", "C18", "C06", "C07", "C08", "C09
 
 
 @cache
-def _plan(ell: int, carnot: bool) -> tuple:
+def _plan(ell: int, carnot: bool, pi_zero: bool) -> tuple:
     """A suite pass's liveness plan: its steps in run order (the checks rank ``ell``
-    allows, each after building the layers its table entry lists, in order, each
-    after its inputs in :meth:`_Pass.graph`), each with the layers it is the last
-    reader of, to drop after it (a build reads its inputs); never the frame or the
-    one-form, whose errors the fold reads."""
+    allows, each after building the layers its table entry lists, in order, each after
+    its inputs in :meth:`_Pass.graph`, or with ``pi_zero`` a D-side layer after its twin
+    alone), each with the layers it is the last reader of, to drop after it (a build
+    reads its inputs); never the frame or the one-form, whose errors the fold reads."""
     holds, steps = {"rank3": ell >= 3, "carnot": carnot, "": True}, []
 
     def build(layer):
         if all(step != layer for step, _ in steps):
-            inputs = _Pass.graph()[layer][0]
+            inputs = (TWINS[layer],) if pi_zero and layer in TWINS else _Pass.graph()[layer][0]
             for name in inputs:
                 build(name)
             steps.append((layer, inputs))
@@ -515,12 +516,11 @@ def run_suite(spec: ManifoldSpec, pi: OneFormData | None = None,
     """
     config = config or SuiteConfig()
     active = [check for check in CHECKS if spec.ell >= check.required_rank]
-    plan = _plan(spec.ell, "carnot" in config.flags)
     table, warnings = _Table(active, spec.n), []
     with _quiet():
         for ev in _passes(spec, pi, config):
             rows = {}
-            for step, drops in plan:
+            for step, drops in _plan(spec.ell, "carnot" in config.flags, ev.pi_zero):
                 if isinstance(step, str):
                     getattr(ev, step)
                 else:

@@ -683,11 +683,16 @@ def test_main_exits_with_the_cli_main_code(argv, monkeypatch, capsys):
 
 
 def test_jsonio_edge_values():
-    """Non-finite floats serialize as null, an empty dict as {}, and any other
-    type raises a TypeError naming it."""
+    """Non-finite floats serialize as null, an empty dict as {}; a bool, a
+    float subclass (np.float64), a tuple (as a list) and -0.0 as the stdlib
+    writes them, with 17 significant digits; and any other type raises a
+    TypeError naming it."""
     from srclab import jsonio
 
     assert jsonio.dumps({"a": float("inf"), "b": float("nan"), "c": {}, "d": [-float("inf")]}) \
         == '{\n  "a": null,\n  "b": null,\n  "c": {},\n  "d": [\n    null\n  ]\n}\n'
+    assert jsonio.dumps({"e": True, "f": np.float64(0.1), "g": (1, "x"), "h": -0.0}) \
+        == '{\n  "e": true,\n  "f": 0.10000000000000001,\n  "g": [\n    1,\n    "x"\n  ],' \
+           '\n  "h": -0.0\n}\n'
     with pytest.raises(TypeError, match="^cannot serialize set$"):
         jsonio.dumps({"a": {1}})

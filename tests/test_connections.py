@@ -5,7 +5,8 @@ from jet_reference import jet_eval
 
 from srclab.catalog import builtin, catalog_names
 from srclab.connections import (OneFormData, covariant_oneform, frame_derivative,
-                                koszul_connection, semi_connection, torsion)
+                                koszul_connection, semi, semi_connection, torsion,
+                                torsion_tensor)
 from srclab.curvature import Evaluation
 from srclab.errors import DimensionMismatch
 from srclab.jets import Coord, Mul
@@ -99,13 +100,15 @@ def test_semi_connection_heisenberg2_hand_values():
 
 
 def test_semi_connection_with_zero_pi_is_koszul():
+    """semi() itself, not the Evaluation (whose D is nab on the zero one-form),
+    returns the Koszul coefficients for pi = 0, with a vanishing torsion."""
     spec = builtin("curved-metric-l3").spec
     pi0 = OneFormData.zero(spec.ell, spec.n)
-    D = semi_connection(spec, pi0)
-    nab = koszul_connection(spec)
     p = sample_points(spec, 1, RNG_SEED)[0]
-    assert (D.coefficients(p) == nab.coefficients(p)).all()
-    assert abs(torsion(D, p)).max() <= 1e-15
+    ev = at(spec, pi0, p)
+    D = semi(ev.frame, ev.nab, ev.pij, ev.piu)
+    assert (D[0] == ev.nab[0]).all()
+    assert abs(torsion_tensor(D, ev.brackets.Om)[0]).max() <= 1e-15
 
 
 def nabla_oneform(spec, pi, point):

@@ -9,13 +9,15 @@ import numpy as np
 import pytest
 
 import srclab
-from srclab import verifier
+from srclab import curvature, verifier
 from srclab.catalog import builtin, catalog_names
-from srclab.connections import OneFormData, koszul_connection, semi_connection, torsion
-from srclab.curvature import (TENSORS, Evaluation, characteristic_tensor,
-                              conformal_difference_formula, conformal_tensor,
-                              curvature_relation_terms, projective_difference_formula,
-                              projective_tensor, s_tensor, schouten_curvature)
+from srclab.connections import (OneFormData, covariant_T, koszul_connection, semi,
+                                semi_connection, semi_grads, torsion, torsion_tensor)
+from srclab.curvature import (TENSORS, TWINS, Evaluation, characteristic_tensor,
+                              conformal_difference_formula, conformal_tensor, curvature_bundle,
+                              curvature_raw, curvature_relation_terms,
+                              projective_difference_formula, projective_tensor, s_tensor,
+                              schouten_curvature)
 from srclab.manifold import FRAME_CHUNK, sample_points, snapshot
 from srclab.errors import RankTooSmall, ValidationError
 from srclab.verifier import (CHECKS, CHECK_IDS, SUP_ALONG_POINTS, SuiteConfig, _Pass, _passes,
@@ -763,6 +765,81 @@ def test_suite_builds_each_layer_once_per_pass(monkeypatch):
             for ev, layer in builds:
                 counts[id(ev), layer] = counts.get((id(ev), layer), 0) + 1
             assert set(counts.values()) == {1}, (name, counts)
+
+
+def test_d_side_builders_on_the_zero_one_form_give_their_twins(monkeypatch):
+    """What TWINS rests on: called directly on the zero one-form, each D-side
+    builder returns its Koszul twin's values exactly (np.array_equal, which
+    takes -0.0 for 0.0), on every catalog spec and the benchmark's
+    expression-heavy specs, at 1 and 70 points; the Evaluation's D-side layers
+    are then those twins themselves."""
+    cases = [(name, builtin(name).spec) for name in catalog_names()]
+    cases += [(name, spec) for name, spec, _, _ in _expr_heavy_cases(monkeypatch)]
+    for name, spec in cases:
+        twins = {layer: twin for layer, twin in TWINS.items()
+                 if spec.ell >= 3 or layer not in ("S_D", "C_D")}       # S and C need rank 3
+        for points in (1, 70):
+            ev = Evaluation(spec, OneFormData.zero(spec.ell, spec.n),
+                            sample_points(spec, points, 5))
+            D = semi(ev.frame, ev.nab, ev.pij, ev.piu)
+            D_g = semi_grads(ev.frame, ev.brackets, ev.frame_g, ev.nab_g, ev.pij, ev.piu)
+            T_D = torsion_tensor(D, ev.brackets.Om)
+            rawR = curvature_raw(D, D_g, ev.brackets)
+            Rb = curvature_bundle(ev.frame, rawR)
+            built = {"D": D, "D_g": D_g, "T_D": T_D, "rawR": rawR, "Rb.curv": Rb.curv,
+                     "Rb.ricci": Rb.ricci, "Rb.scalar": Rb.scalar, "Rb.lowered": Rb.lowered,
+                     "DT_D": covariant_T(D, D_g, T_D, ev.frame_g.Om_g),
+                     "W_D": projective_tensor(Rb, spec, ev.points)}
+            if spec.ell >= 3:
+                built |= {"S_D": s_tensor(Rb, spec, ev.points),
+                          "C_D": conformal_tensor(Rb, spec, ev.points)}
+            assert {path.partition(".")[0] for path in built} == set(twins)
+            for path, got in built.items():
+                layer, dot, rest = path.partition(".")
+                assert np.array_equal(got, attrgetter(twins[layer] + dot + rest)(ev)), \
+                    (name, points, path)
+            assert all(getattr(ev, layer) is getattr(ev, twin) for layer, twin in twins.items())
+
+
+BUILDERS = ("semi", "semi_grads", "torsion_tensor", "curvature_raw", "curvature_bundle",
+            "covariant_T", "projective_tensor", "s_tensor", "conformal_tensor")
+
+
+def test_a_pass_without_a_one_form_builds_the_koszul_side_once(monkeypatch):
+    """Per pass of the suite, with a one-form the D-side builders run for both
+    connections (semi and semi_grads for D; covariant_T for nabla only under
+    the carnot flag).  Without one (absent, or each component the constant 0,
+    either sign) semi and semi_grads never run and every other builder runs
+    for nabla alone; every layer is still built once."""
+    builds, calls = _record_builds(monkeypatch), []
+
+    def counted(name, build):
+        def call(*args):
+            calls.append(name)
+            return build(*args)
+        return call
+
+    for name in BUILDERS:
+        monkeypatch.setattr(curvature, name, counted(name, getattr(curvature, name)))
+    for name in catalog_names():
+        entry = builtin(name)
+        spec, rank3, carnot = entry.spec, int(entry.spec.ell >= 3), int("carnot" in entry.flags)
+        with_pi = {"semi": 1, "semi_grads": 1, "torsion_tensor": 2, "curvature_raw": 2,
+                   "curvature_bundle": 2, "covariant_T": 1 + carnot, "projective_tensor": 2,
+                   "s_tensor": 2 * rank3, "conformal_tensor": 2 * rank3}
+        without = {**{name: 1 for name in BUILDERS}, "semi": 0, "semi_grads": 0,
+                   "s_tensor": rank3, "conformal_tensor": rank3}
+        zeros = [OneFormData.constant([z] * spec.ell, spec.n) for z in (0.0, -0.0)]
+        cases = [(v.name, entry.oneform(v.name), with_pi) for v in entry.pi_variants]
+        cases += [(variant, pi, without) for variant, pi in zip(("none", "0", "-0"),
+                                                                 (None, *zeros))]
+        for variant, pi, want in cases:
+            builds.clear()
+            calls.clear()
+            run_suite(spec, pi, SuiteConfig(points=5, seed=3, flags=entry.flags))
+            assert len({ev for ev, _ in builds}) == 1, (name, variant)
+            assert len(builds) == len({layer for _, layer in builds}), (name, variant)
+            assert {b: calls.count(b) for b in BUILDERS} == want, (name, variant)
 
 
 @pytest.mark.parametrize("shape", [(4, 4), (4, 4, 4, 4)])
