@@ -312,9 +312,9 @@ class Evaluation:
         return ("frame", "pij")[:1 + pi]
 
     def read(self, path: str):
-        """The layer at an attribute path such as "Kb.curv", after raising the error of
-        the first point where the frame, then the one-form if the layer reads it, failed."""
-        for layer in self.reads([path]):
+        """The layer at an attribute path such as "Kb.curv", after raising the error of the
+        first point where the frame, then a one-form not ``pi_zero`` the layer reads, failed."""
+        for layer in self.reads([path])[:2 - self.pi_zero]:
             if errors := getattr(self, layer).errors:
                 raise errors[min(errors)]
         return attrgetter(path)(self)

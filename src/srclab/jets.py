@@ -9,10 +9,10 @@ Hessian of every output with a leading point axis, along a basis (the identity
 by default); frame data and one-forms are evaluated through it.  Trees built in
 Python enter a table by one walk, keyed as the parser keys each node.  Exact
 derivatives; finite differences serve only as cross-checks (:func:`fd_crosscheck`).
-Constant folding uses :func:`_value`, the tests' reference arithmetic (libm through
-:mod:`math`, Python ``**``); the sweeps use numpy, whose last bit can differ from it.
-Each library function is one row of :data:`FUNCTIONS` (its value on a float and on an
-array, f' and f'', domain tests), which the parser, :func:`_value` and both sweeps read.
+Constant folding (:func:`_value`) computes each value as the values sweep does, so a
+folded constant is the swept value bit for bit.  Each library function is one row of
+:data:`FUNCTIONS` (its numpy ufunc, f' and f'', domain tests), which the parser,
+:func:`_value` and both sweeps read.
 """
 from __future__ import annotations
 
@@ -166,21 +166,21 @@ class Call(Expression):
 
 
 class Function(NamedTuple):
-    """A row of :data:`FUNCTIONS`; each domain test is (a test on v, a message)."""
+    """A row of :data:`FUNCTIONS`: its ufunc (folded and swept values), (f', f'') from the
+    operand values v and function values f, and domain tests, each (a test on v, a message)."""
 
-    value: Callable
     ufunc: Callable
     derivatives: Callable
     domain: tuple = ()
 
 
 FUNCTIONS = {
-    "sin": Function(math.sin, np.sin, lambda v, f: (np.cos(v), -f)),
-    "cos": Function(math.cos, np.cos, lambda v, f: (-np.sin(v), -f)),
-    "exp": Function(math.exp, np.exp, lambda v, f: (f, f)),
-    "log": Function(math.log, np.log, lambda v, f: (1.0 / v, -1.0 / (v * v)),
+    "sin": Function(np.sin, lambda v, f: (np.cos(v), -f)),
+    "cos": Function(np.cos, lambda v, f: (-np.sin(v), -f)),
+    "exp": Function(np.exp, lambda v, f: (f, f)),
+    "log": Function(np.log, lambda v, f: (1.0 / v, -1.0 / (v * v)),
                     ((lambda v: v <= 0.0, "log of non-positive value {}"),)),
-    "sqrt": Function(math.sqrt, np.sqrt, lambda v, f: (0.5 / f, -0.25 / (f * v)),
+    "sqrt": Function(np.sqrt, lambda v, f: (0.5 / f, -0.25 / (f * v)),
                      ((lambda v: v < 0.0, "sqrt of negative value {}"),
                       (lambda v: v == 0.0, "sqrt not differentiable at zero"))),
 }
@@ -241,23 +241,21 @@ class JetBatch(NamedTuple):
 
 
 def _value(node: Expression, args: list[float]) -> float:
-    """The value of an operator node from its operands' values, in Python floats:
-    the value part of the jet arithmetic, ``x * (1 / y)`` for a quotient and
-    ``+0.0`` for zero to a power k >= 2, with its domain errors.  A power or a
-    library function beyond float range raises OverflowError (ValueError for
-    sin or cos of inf)."""
+    """The value of an operator node from its operands' values, as :meth:`JetProgram.sweep`
+    computes it, with its domain errors: ``+ - *`` and ``x * (1 / y)`` in Python floats
+    (IEEE, numpy's bits), a power or a library function by its ufunc, which raises
+    FloatingPointError where it overflows or is invalid."""
     if isinstance(node, Call):
         for test, message in FUNCTIONS[node.fn].domain:
             if test(args[0]):
                 raise DomainError(message.format(args[0]))
-        return FUNCTIONS[node.fn].value(args[0])
+        with np.errstate(over="raise", invalid="raise"):
+            return float(FUNCTIONS[node.fn].ufunc(args[0]))
     if isinstance(node, Pow):
-        v, k = args[0], node.exponent
-        if k in (0, 1):
-            return 1.0 if k == 0 else v
-        if v == 0.0 and k < 0:
+        if args[0] == 0.0 and node.exponent < 0:
             raise DomainError("zero raised to a negative power")
-        return 0.0 if v == 0.0 else v ** k
+        with np.errstate(over="raise", invalid="raise"):
+            return 1.0 if node.exponent == 0 else float(np.power(args[0], float(node.exponent)))
     if isinstance(node, Div):
         if args[1] == 0.0:
             raise DomainError("division by zero")
@@ -366,7 +364,7 @@ class ValueTable:
         if int not in map(type, args):             # a subtree of constants: no op slots
             try:
                 return _value(node, args)
-            except (DomainError, OverflowError, ValueError):   # fails at every point: keep the op
+            except (DomainError, FloatingPointError):   # fails at every point: keep the op
                 args = [self._emit("const", a) for a in args]
         cls, x, y = type(node), args[0], args[-1]
         code = _CODES.get(cls)

@@ -4,6 +4,9 @@ A ``Jet`` carries the value, gradient and symmetric Hessian of a scalar
 quantity at one point of R^n; :func:`jet_eval` propagates jets through an
 expression tree, one node at a time.  This is the reference arithmetic the
 tests hold :class:`srclab.jets.JetProgram` (the package's one evaluator) to.
+The values of sin, cos, exp, log, sqrt and x^k are numpy's, as the package's
+sweeps and constant folding compute them (:func:`_ufunc`); their derivative
+rules use :mod:`math` and Python floats.
 """
 from __future__ import annotations
 
@@ -128,11 +131,12 @@ class Jet:
         v = self.value
         if v == 0.0 and exponent < 0:
             raise DomainError("zero raised to a negative power")
+        f0 = _ufunc(np.power, v, float(exponent))
         if v == 0.0:
             d1 = 1.0 if exponent == 1 else 0.0
             d2 = 2.0 if exponent == 2 else 0.0
-            return self.compose(0.0, d1, d2)
-        return self.compose(v ** exponent,
+            return self.compose(f0, d1, d2)
+        return self.compose(f0,
                             exponent * v ** (exponent - 1),
                             exponent * (exponent - 1) * v ** (exponent - 2))
 
@@ -149,33 +153,39 @@ class Jet:
         return f"Jet(n={self.n}, order={self.order}, value={self.value!r})"
 
 
+def _ufunc(f, *args) -> float:
+    """f(*args) as a Python float, FloatingPointError where it overflows or is invalid."""
+    with np.errstate(over="raise", invalid="raise"):
+        return float(f(*args))
+
+
 def sin(j: Jet) -> Jet:
-    return j.compose(math.sin(j.value), math.cos(j.value), -math.sin(j.value))
+    return j.compose(_ufunc(np.sin, j.value), math.cos(j.value), -math.sin(j.value))
 
 
 def cos(j: Jet) -> Jet:
-    return j.compose(math.cos(j.value), -math.sin(j.value), -math.cos(j.value))
+    return j.compose(_ufunc(np.cos, j.value), -math.sin(j.value), -math.cos(j.value))
 
 
 def exp(j: Jet) -> Jet:
-    e = math.exp(j.value)
+    e = _ufunc(np.exp, j.value)
     return j.compose(e, e, e)
 
 
 def log(j: Jet) -> Jet:
     if j.value <= 0.0:
         raise DomainError(f"log of non-positive value {j.value}")
-    return j.compose(math.log(j.value), 1.0 / j.value, -1.0 / (j.value * j.value))
+    return j.compose(_ufunc(np.log, j.value), 1.0 / j.value, -1.0 / (j.value * j.value))
 
 
 def sqrt(j: Jet) -> Jet:
     if j.value < 0.0:
         raise DomainError(f"sqrt of negative value {j.value}")
+    r = _ufunc(np.sqrt, j.value)
     if j.value == 0.0:
         if j.order == 0:
-            return Jet.constant(0.0, j.n, 0)
+            return Jet.constant(r, j.n, 0)
         raise DomainError("sqrt not differentiable at zero")
-    r = math.sqrt(j.value)
     return j.compose(r, 0.5 / r, -0.25 / (r * j.value))
 
 

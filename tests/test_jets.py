@@ -18,7 +18,7 @@ from jet_reference import Jet, jet_eval
 from srclab.catalog import builtin, catalog_names
 from srclab.errors import DimensionMismatch, DomainError
 from srclab.jets import (Add, Call, Const, Coord, Div, Expression, JetProgram, Mul, Neg, Pow,
-                         Sub, _operands, fd_crosscheck)
+                         Sub, FUNCTIONS, _operands, fd_crosscheck)
 from srclab.parser import parse_manifold, parse_scalar_expression
 
 
@@ -196,10 +196,14 @@ def test_leibniz(e1, e2, point):
        st.lists(_exprs(0, partial=True), max_size=4))
 @example(Coord(0), (0.0, 0.0, 0.0),
          [Pow(Neg(Const(0.0)), 3), Pow(Neg(Const(0.0)), 1), Div(Const(5.0), Const(3.0))])
+@example(Coord(0), (0.0, 0.0, 0.0),
+         [Mul(Const(1e200), Const(1e200)), Call("exp", Const(1000.0)),
+          Pow(Mul(Const(-1e200), Const(1e200)), 3)])
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_order_slices_agree_exactly(expr, point, constants):
     """Every order gives the same value; and a constant tree compiles to the
-    reference value bit for bit (signed zeros too), or to ops where that raises."""
+    reference value bit for bit (signed zeros too: (-0)^3 is -0.0, as swept), or
+    to ops where that raises."""
     j2 = jet_eval(expr, point, 2)
     j1 = jet_eval(expr, point, 1)
     j0 = jet_eval(expr, point, 0)
@@ -211,7 +215,9 @@ def test_order_slices_agree_exactly(expr, point, constants):
             want = jet_eval(constant, [], 2).value.hex()
         except DomainError:
             want = None                     # fails at every point: compiled to ops
-        except (OverflowError, ZeroDivisionError, ValueError):
+        except (FloatingPointError, OverflowError, ZeroDivisionError):
+            # a call or power out of range, kept as ops (a product to inf folds);
+            # or the reference's f' or f'' out of range
             continue
         program = JetProgram([constant], 1)
         got = None if program.ops else float(program.values(np.zeros((1, 1)))[0, 0]).hex()
@@ -423,7 +429,7 @@ def test_compiled_domain_errors_match_jet_eval(expr, points):
             jet_eval(expr, p, 2)
         except DomainError as exc:
             want[i] = (0, str(exc))
-        except OverflowError:
+        except (FloatingPointError, OverflowError):
             assume(False)
     assert JetProgram([expr], 2).run(np.array(points)).errors == want
 
@@ -463,6 +469,25 @@ def test_overflowing_constants_compile_to_ops():
         program = JetProgram([parse_scalar_expression(text, ("x",))], 1)
         with np.errstate(over="ignore", invalid="ignore"):
             assert not np.isfinite(program.run(np.ones((1, 1))).values).any(), text
+
+
+def test_folded_constants_are_the_swept_values():
+    """A constant the parser folds is the value the values sweep gives the same
+    function of a coordinate at that argument, bit for bit, signed zeros
+    included: each library function at seeded arguments in [-3, 3] (log and
+    sqrt at |c| + 0.01), and x^k for k in -3..5, with +-0.0 as a base for k >= 0."""
+    c = np.random.default_rng(3).uniform(-3.0, 3.0, 300)
+    cases = [(f"{fn}({{}})", abs(c) + 0.01 if fn in ("log", "sqrt") else c) for fn in FUNCTIONS]
+    cases += [(f"({{}})^{k}", np.append(c, [0.0, -0.0]) if k >= 0 else c) for k in range(-3, 6)]
+    for text, args in cases:
+        swept = JetProgram([parse_scalar_expression(text.format("x"), ("x",))], 1).values(
+            args[:, None])[:, 0]
+        for a, want in zip(args.tolist(), swept):
+            constant = text.format(repr(a))
+            program = JetProgram([parse_scalar_expression(constant, ("x",))], 1)
+            assert not program.ops, constant
+            got = program.values(np.zeros((1, 1)))[0, 0]
+            assert float(got).hex() == float(want).hex(), constant
 
 
 def test_domain_errors_quote_overflowing_operands():

@@ -801,6 +801,22 @@ def test_d_side_builders_on_the_zero_one_form_give_their_twins(monkeypatch):
             assert all(getattr(ev, layer) is getattr(ev, twin) for layer, twin in twins.items())
 
 
+def test_reading_a_d_side_tensor_without_a_one_form_builds_no_one_form():
+    """Without a one-form a D-side tensor is its Koszul twin, and reading it
+    neither builds the zero one-form's jets nor reads their errors: each
+    D-side ``srclab eval`` tensor of heisenberg2 is the twin's array, and
+    ``pij`` is never built."""
+    spec = builtin("heisenberg2").spec
+    d_side = [name for name, path in TENSORS.items() if path.partition(".")[0] in TWINS]
+    assert {"R", "Gamma", "torsion", "ricci-R", "scalar-R", "Sbar", "Cbar", "Wbar"} <= {
+        *d_side}
+    for name in d_side:
+        ev = Evaluation(spec, None, sample_points(spec, 1, 5))
+        layer, dot, rest = TENSORS[name].partition(".")
+        assert ev[name] is attrgetter(TWINS[layer] + dot + rest)(ev), name
+        assert "pij" not in vars(ev), name
+
+
 BUILDERS = ("semi", "semi_grads", "torsion_tensor", "curvature_raw", "curvature_bundle",
             "covariant_T", "projective_tensor", "s_tensor", "conformal_tensor")
 
