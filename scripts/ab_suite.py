@@ -23,6 +23,11 @@ the rounds of B's speed over A's on that case's calls, how many rounds each
 side won, and whether every output (report JSON; exit code, stdout and
 stderr) was byte-identical between the trees.  The exit status is 0 when
 they were, 1 when they were not.
+
+The comparison is not neutral: on catalog-sweep it favours tree A by about
+0.5%, for a reason not yet known.  A B/A speed within +-0.5%, or a count
+such as B faster in 10 of 30 rounds, says nothing; a small claim needs runs
+in both tree orders, A/B and B/A.
 """
 from __future__ import annotations
 

@@ -291,12 +291,13 @@ class Evaluation:
 
     @classmethod
     @cache
-    def graph(cls) -> dict[str, tuple[tuple[str, ...], frozenset[str]]]:
-        """Per layer of the class: the other layers its builder's code names, in
-        that order, and every layer it reads through them, itself included."""
+    def graph(cls, pi_zero=False) -> dict[str, tuple[tuple[str, ...], frozenset[str]]]:
+        """Per layer: the other layers its builder's code names, in that order (with
+        ``pi_zero`` a D-side layer's twin alone), and every layer it reads, itself included."""
         code = {name: value.func.__code__.co_names for klass in cls.__mro__
                 for name, value in vars(klass).items() if isinstance(value, cached_property)}
-        inputs = {layer: tuple(w for w in names if w in code and w != layer)
+        inputs = {layer: (TWINS[layer],) if pi_zero and layer in TWINS
+                  else tuple(w for w in names if w in code and w != layer)
                   for layer, names in code.items()}
 
         def closure(name):
@@ -305,16 +306,16 @@ class Evaluation:
         return {name: (inputs[name], closure(name)) for name in inputs}
 
     @classmethod
-    def reads(cls, paths) -> tuple[str, ...]:
-        """The layers whose errors void what the attribute paths (such as "Kb.curv")
-        name, first first: the frame, then the one-form if any of them reads it."""
-        pi = any("pij" in cls.graph()[path.partition(".")[0]][1] for path in paths)
+    def reads(cls, paths, pi_zero=False) -> tuple[str, ...]:
+        """The layers whose errors void what the attribute paths (such as "Kb.curv") name
+        in :meth:`graph` of ``pi_zero``, first first: the frame, then pij if any reads it."""
+        pi = any("pij" in cls.graph(pi_zero)[path.partition(".")[0]][1] for path in paths)
         return ("frame", "pij")[:1 + pi]
 
     def read(self, path: str):
         """The layer at an attribute path such as "Kb.curv", after raising the error of the
-        first point where the frame, then a one-form not ``pi_zero`` the layer reads, failed."""
-        for layer in self.reads([path])[:2 - self.pi_zero]:
+        first point where a layer it reads (:meth:`reads` of this ``pi_zero``) failed."""
+        for layer in self.reads([path], self.pi_zero):
             if errors := getattr(self, layer).errors:
                 raise errors[min(errors)]
         return attrgetter(path)(self)

@@ -482,10 +482,6 @@ class JetProgram:
         self._const_values = np.array([r if type(r) is float else 0.0 for r in refs])
         self._n_hess = len(hessians)
 
-    def values(self, points) -> np.ndarray:
-        """Values (P, expressions) at every row of ``points``."""
-        return self.sweep(points).values
-
     def run(self, points, basis=None) -> JetBatch:
         """Values, gradients and the requested Hessians at every row of ``points``."""
         return self.derivatives(self.sweep(points), basis)

@@ -45,9 +45,8 @@ from operator import attrgetter
 import numpy as np
 
 from .connections import OneFormData, covariant_oneform
-from .curvature import (TWINS, Evaluation, conformal_difference_formula,
-                        curvature_relation_terms, delta_g, flatness_characteristic_form,
-                        projective_difference_formula)
+from .curvature import (Evaluation, conformal_difference_formula, curvature_relation_terms,
+                        delta_g, flatness_characteristic_form, projective_difference_formula)
 from .errors import RankTooSmall, ValidationError
 from .manifold import (FRAME_CHUNK, PASS_ENTRIES, ManifoldSpec, contract, entries_per_point,
                        sample_points)
@@ -69,6 +68,10 @@ class SuiteConfig:
     def __post_init__(self):
         if self.points < 1:
             raise ValidationError(f"need at least 1 sample point, got {self.points}")
+        if self.seed < 0:
+            raise ValidationError(f"need a seed >= 0, got {self.seed}")
+        if self.tol is not None and not 0 <= self.tol < np.inf:
+            raise ValidationError(f"need a finite tolerance >= 0, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -447,15 +450,14 @@ RUN_ORDER = ("C01", "C02", "C03", "C04", "C05", "C18", "C06", "C07", "C08", "C09
 def _plan(ell: int, carnot: bool, pi_zero: bool) -> tuple:
     """A suite pass's liveness plan: its steps in run order (the checks rank ``ell``
     allows, each after building the layers its table entry lists, in order, each after
-    its inputs in :meth:`_Pass.graph`, or with ``pi_zero`` a D-side layer after its twin
-    alone), each with the layers it is the last reader of, to drop after it (a build
-    reads its inputs); never the frame or the one-form, whose errors the fold reads."""
+    its inputs in :meth:`_Pass.graph` of ``pi_zero``), each with the layers it is the
+    last reader of, to drop after it (a build reads its inputs); never the frame or the
+    one-form, whose errors the fold reads."""
     holds, steps = {"rank3": ell >= 3, "carnot": carnot, "": True}, []
 
     def build(layer):
         if all(step != layer for step, _ in steps):
-            inputs = (TWINS[layer],) if pi_zero and layer in TWINS else _Pass.graph()[layer][0]
-            for name in inputs:
+            for name in (inputs := _Pass.graph(pi_zero)[layer][0]):
                 build(name)
             steps.append((layer, inputs))
 

@@ -14,15 +14,13 @@ import json
 import sys
 
 from srclab.catalog import builtin, catalog_names
-from srclab.connections import OneFormData
-from srclab.parser import parse_manifold, parse_scalar_expression
+from srclab.parser import parse_manifold
 from srclab.verifier import SuiteConfig, run_suite
 
-from test_verifier import MIXED
+from test_verifier import MIXED, MIXED_ONEFORM, parsed_oneform
 
 POINTS = (1, 40, 65)
 SEED = 5
-MIXED_ONEFORM = ("log(z + 0.6)", "sqrt(x + 0.7)", "y")
 
 
 def cases():
@@ -34,8 +32,7 @@ def cases():
                 yield (f"{name}/{variant}/{points}", entry.spec, entry.oneform(variant),
                        SuiteConfig(points=points, seed=SEED, flags=entry.flags))
     spec = parse_manifold(MIXED)
-    pi = OneFormData.from_expressions(
-        [parse_scalar_expression(t, spec.coords) for t in MIXED_ONEFORM], spec.n)
+    pi = parsed_oneform(spec, MIXED_ONEFORM)
     yield "mixed/errors/100", spec, pi, SuiteConfig(points=100, seed=3)
 
 

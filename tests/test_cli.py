@@ -273,6 +273,21 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("option,message", [
+    (["--seed", "-1"], "need a seed >= 0, got -1"),
+    (["--tol", "nan"], "need a finite tolerance >= 0, got nan"),
+    (["--tol", "-1"], "need a finite tolerance >= 0, got -1.0"),
+    (["--tol", "inf"], "need a finite tolerance >= 0, got inf")])
+def test_bad_seed_or_tolerance_exits_two(capsys, tmp_path, option, message):
+    """A negative seed, and a tolerance that is not finite or is negative,
+    exit 2 with one error line before any check runs or any report is written."""
+    out = tmp_path / "r.json"
+    argv = ["verify", "--builtin", "heisenberg1", "--points", "2", *option, "--json", str(out)]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "verify"])
 @pytest.mark.parametrize("pi,message", [
     ("pi:1,0,0,0", "--pi must start with 'const:' or 'file:'"),

@@ -4,12 +4,11 @@ import pytest
 from jet_reference import jet_eval
 
 from srclab.catalog import builtin, catalog_names
-from srclab.connections import (OneFormData, covariant_oneform, frame_derivative,
-                                koszul_connection, semi, semi_connection, torsion,
-                                torsion_tensor)
+from srclab.connections import (OneFormData, covariant_oneform, frame_derivative, semi,
+                                semi_connection, torsion_tensor)
 from srclab.curvature import Evaluation
 from srclab.errors import DimensionMismatch
-from srclab.jets import Coord, Mul
+from srclab.jets import Const, Coord, Mul
 from srclab.manifold import sample_points
 from srclab.parser import parse_manifold
 
@@ -36,39 +35,41 @@ def at(spec, pi, point):
     return Evaluation(spec, pi, np.asarray(point, dtype=float)[None])
 
 
-def metricity_residual(spec, conn, point):
-    ev = at(spec, None, point)
-    fdg, gv = ev.brackets.fdg[0], ev.frame.gv[0]
-    co = conn.coefficients(point)
-    resid = fdg - np.einsum("kie,ej->kij", co, gv) - np.einsum("kje,ei->kij", co, gv)
-    return abs(resid).max() / max(1.0, abs(fdg).max(), abs(co).max())
+def sup(x):
+    """Per point, the largest magnitude of a stack (leading point axis)."""
+    return np.abs(x).reshape(len(x), -1).max(axis=1)
+
+
+def metricity_residual(ev, co):
+    """Per point of ``ev``, e_k(g_ij) - co[k,i,e] g_ej - co[k,j,e] g_ei relative to
+    max(1, |e(g)|, |co|), for coefficients ``co`` on its points."""
+    fdg, gv = ev.brackets.fdg, ev.frame.gv
+    resid = fdg - np.einsum("pkie,pej->pkij", co, gv) - np.einsum("pkje,pei->pkij", co, gv)
+    return sup(resid) / np.maximum(1.0, np.maximum(sup(fdg), sup(co)))
 
 
 def test_koszul_diagnostic_coefficient():
     spec = parse_manifold(DIAGNOSTIC)
-    conn = koszul_connection(spec)
-    for x in (0.0, 0.4, -0.8):
-        co = conn.coefficients(np.array([x, 0.1, 0.2]))
-        want = np.zeros((2, 2, 2))
-        want[0, 0, 0] = x / (1 + x * x)
-        assert abs(co - want).max() <= 1e-15
+    xs = np.array([0.0, 0.4, -0.8])
+    co = Evaluation(spec, None, [[x, 0.1, 0.2] for x in xs]).read("nab")
+    want = np.zeros((3, 2, 2, 2))
+    want[:, 0, 0, 0] = xs / (1 + xs * xs)
+    assert abs(co - want).max() <= 1e-15
 
 
 def test_koszul_flat_and_heisenberg_vanish():
     for name in ("flat3", "heisenberg1", "heisenberg2", "free-step2-l3"):
         spec = builtin(name).spec
-        conn = koszul_connection(spec)
-        for p in sample_points(spec, 5, RNG_SEED):
-            assert abs(conn.coefficients(p)).max() <= 1e-14
+        ev = Evaluation(spec, None, sample_points(spec, 5, RNG_SEED))
+        assert abs(ev.read("nab")).max() <= 1e-14
 
 
 @pytest.mark.parametrize("name", catalog_names())
 def test_metricity_and_torsion_invariants(name):
     spec = builtin(name).spec
-    conn = koszul_connection(spec)
-    for p in sample_points(spec, 20, RNG_SEED):
-        assert metricity_residual(spec, conn, p) <= 1e-9
-        assert abs(torsion(conn, p)).max() <= 1e-10
+    ev = Evaluation(spec, None, sample_points(spec, 20, RNG_SEED))
+    assert (metricity_residual(ev, ev.read("nab")) <= 1e-9).all()
+    assert abs(ev.T_nab).max() <= 1e-10
 
 
 @pytest.mark.parametrize("name", ["heisenberg2", "curved-metric-l3", "involutive-l3"])
@@ -76,25 +77,23 @@ def test_semi_connection_metricity_and_torsion(name):
     entry = builtin(name)
     spec = entry.spec
     pi = entry.oneform(entry.pi_variants[1].name)
-    D = semi_connection(spec, pi)
+    ev = Evaluation(spec, pi, sample_points(spec, 20, RNG_SEED))
     eye = np.eye(spec.ell)
-    for p in sample_points(spec, 20, RNG_SEED):
-        assert metricity_residual(spec, D, p) <= 1e-9
-        piv = at(spec, pi, p).pij.values[0]
-        want = np.einsum("ik,j->ijk", eye, piv) - np.einsum("jk,i->ijk", eye, piv)
-        assert abs(torsion(D, p) - want).max() <= 1e-10
+    assert (metricity_residual(ev, ev.read("D")) <= 1e-9).all()
+    piv = ev.pij.values
+    want = np.einsum("ik,pj->pijk", eye, piv) - np.einsum("jk,pi->pijk", eye, piv)
+    assert abs(ev.T_D - want).max() <= 1e-10
 
 
 def test_semi_connection_heisenberg2_hand_values():
     spec = builtin("heisenberg2").spec
     pi = OneFormData.constant([1.0, 0.0, 0.0, 0.0], 5)
-    D = semi_connection(spec, pi)
-    p = np.array([0.3, 0.1, -0.2, 0.5, 0.9])
-    G = D.coefficients(p)
+    ev = at(spec, pi, [0.3, 0.1, -0.2, 0.5, 0.9])
+    G = ev.read("D")[0]
     assert G[1, 0, 1] == 1.0      # delta_2^2 pi_1 - g_21 pi^2
     assert G[0, 0, 0] == 0.0      # pi_1 - pi^1
     assert G[2, 2, 0] == -1.0     # -g_33 pi^1
-    T = torsion(D, p)
+    T = ev.T_D[0]
     assert T[1, 0, 1] == 1.0
     assert T[0, 1, 1] == -1.0
 
@@ -124,8 +123,7 @@ def test_nabla_oneform_examples():
     assert abs(nabla_oneform(h2, const, p)).max() == 0.0
 
     flat = builtin("flat3").spec
-    from srclab.jets import Const, Coord
-    pix = OneFormData.from_expressions((Coord(0), Const(0.0)), 3)
+    pix = OneFormData((Coord(0), Const(0.0)), 3)
     out = nabla_oneform(flat, pix, np.array([0.7, -0.1, 0.4]))
     want = np.zeros((2, 2))
     want[0, 0] = 1.0
@@ -167,11 +165,9 @@ def test_uniqueness_probe():
     """Perturbing any single coefficient breaks metricity or torsion."""
     for name in ("curved-metric-l3", "heisenberg2"):
         spec = builtin(name).spec
-        conn = koszul_connection(spec)
-        p = sample_points(spec, 1, RNG_SEED)[0]
-        ev = at(spec, None, p)
+        ev = at(spec, None, sample_points(spec, 1, RNG_SEED)[0])
         fdg, gv, Om = ev.brackets.fdg[0], ev.frame.gv[0], ev.brackets.Om[0]
-        co = conn.coefficients(p)
+        co = ev.read("nab")[0]
         ell = spec.ell
         for i in range(ell):
             for j in range(ell):
@@ -187,17 +183,21 @@ def test_uniqueness_probe():
 def test_coefficient_fields_match_tensor_path():
     """The coefficients' frame derivatives against a central difference (step
     1e-5) of the coefficients, as functions of the point, along each
-    horizontal field."""
+    horizontal field: one Evaluation of the points, one of the shifted points."""
     entry = builtin("curved-metric-l3")
     spec = entry.spec
-    for conn, layer in ((koszul_connection(spec), "nab_g"),
-                        (semi_connection(spec, entry.oneform("trig")), "D_g")):
-        for p in sample_points(spec, 3, RNG_SEED):
-            dco = frame_derivative(getattr(at(spec, conn.oneform, p), layer))[0]
-            for i, vf in enumerate(spec.hframe):
-                step = 1e-5 * np.array([jet_eval(c, p, 0).value for c in vf.components])
-                central = (conn.coefficients(p + step) - conn.coefficients(p - step)) / 2e-5
-                assert abs(dco[i] - central).max() <= 1e-8 * max(1.0, abs(dco[i]).max())
+    points = sample_points(spec, 3, RNG_SEED)
+    steps = 1e-5 * np.array([[[jet_eval(c, p, 0).value for c in vf.components]
+                              for vf in spec.hframe] for p in points])     # [p, i]: 1e-5 e_i
+    shifted = np.concatenate([points[:, None] + steps, points[:, None] - steps])
+    rows = len(points) * spec.ell                                        # one per [p, i]
+    for pi, layer in ((None, "nab"), (entry.oneform("trig"), "D")):
+        dco = frame_derivative(getattr(Evaluation(spec, pi, points), layer + "_g"))
+        dco = dco.reshape(rows, -1)                                      # row [p, i]: e_i(co)
+        plus, minus = Evaluation(spec, pi, shifted.reshape(-1, spec.n)).read(layer).reshape(
+            2, rows, -1)
+        central = (plus - minus) / 2e-5
+        assert (sup(dco - central) <= 1e-8 * np.maximum(1.0, sup(dco))).all()
 
 
 def test_raised_oneform_invariant():
@@ -206,13 +206,11 @@ def test_raised_oneform_invariant():
     entry = builtin("curved-metric-l3")
     spec = entry.spec
     pi = entry.oneform("linear")
-    nab, D = koszul_connection(spec), semi_connection(spec, pi)
-    for p in sample_points(spec, 10, RNG_SEED):
-        ev = at(spec, pi, p)
-        g, piv = ev.frame.gv[0], ev.pij.values[0]
-        lowered = np.einsum("ijk,kh->ijh", D.coefficients(p) - nab.coefficients(p), g)
-        want = np.einsum("ih,j->ijh", g, piv) - np.einsum("ij,h->ijh", g, piv)
-        assert abs(lowered - want).max() <= 1e-12
+    ev = Evaluation(spec, pi, sample_points(spec, 10, RNG_SEED))
+    g, piv = ev.frame.gv, ev.pij.values
+    lowered = np.einsum("pijk,pkh->pijh", ev.read("D") - ev.read("nab"), g)
+    want = np.einsum("pih,pj->pijh", g, piv) - np.einsum("pij,ph->pijh", g, piv)
+    assert abs(lowered - want).max() <= 1e-12
 
 
 def test_semi_connection_dimension_checks():

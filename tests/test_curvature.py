@@ -6,15 +6,14 @@ from sympy import Rational as Q
 
 from oracles import oracle_eval, spec_oracle
 from srclab.catalog import builtin, catalog_names
-from srclab.connections import OneFormData, koszul_connection, semi_connection
-from srclab.curvature import (TENSORS, Evaluation, characteristic_tensor,
-                              conformal_difference_formula, conformal_tensor, delta_g,
-                              curvature_relation_terms, flatness_characteristic_form,
-                              projective_difference_formula, projective_tensor,
-                              s_tensor, schouten_curvature)
+from srclab.connections import OneFormData
+from srclab.curvature import (TENSORS, Evaluation, conformal_difference_formula,
+                              conformal_tensor, delta_g, curvature_relation_terms,
+                              flatness_characteristic_form, projective_difference_formula,
+                              projective_tensor, s_tensor)
 from srclab.errors import RankTooSmall
 from srclab.jets import Add, Call, Const, Coord, Div, Mul, Neg, Pow
-from srclab.manifold import ManifoldSpec, VectorFieldSpec, sample_points, snapshot
+from srclab.manifold import ManifoldSpec, VectorFieldSpec, sample_points
 from srclab.parser import parse_manifold, parse_scalar_expression
 
 RNG_SEED = 99
@@ -26,72 +25,63 @@ RATIONAL_POINTS = {
 }
 
 
-def bundles_at(name, variant, point):
+def sup(x):
+    """Per point, the largest magnitude of a stack (leading point axis)."""
+    return np.abs(x).reshape(len(x), -1).max(axis=1)
+
+
+def evaluation(name, variant, points):
+    """An Evaluation of a catalog entry with a one-form variant (None: the zero one-form)."""
     entry = builtin(name)
-    spec = entry.spec
-    pi = entry.oneform(variant) if variant else OneFormData.zero(spec.ell, spec.n)
-    nab = koszul_connection(spec)
-    D = semi_connection(spec, pi)
-    return (spec, pi, schouten_curvature(nab, point),
-            schouten_curvature(D, point))
+    return Evaluation(entry.spec, entry.oneform(variant) if variant else None, points)
 
 
 def test_carnot_curvature_vanishes():
     for name in ("heisenberg1", "heisenberg2", "free-step2-l3"):
         spec = builtin(name).spec
-        nab = koszul_connection(spec)
-        for p in sample_points(spec, 10, RNG_SEED):
-            assert abs(schouten_curvature(nab, p).curv).max() <= 1e-14
+        ev = Evaluation(spec, None, sample_points(spec, 10, RNG_SEED))
+        assert abs(ev.read("Kb.curv")).max() <= 1e-14
 
 
 def test_heisenberg2_semi_curvature_hand_values():
     spec = builtin("heisenberg2").spec
     pi = OneFormData.constant([1.0, 0.0, 0.0, 0.0], 5)
-    D = semi_connection(spec, pi)
-    p = sample_points(spec, 1, RNG_SEED)[0]
-    Rb = schouten_curvature(D, p)
-    assert abs(Rb.curv[2, 3, 2, 3] - 1.0) <= 1e-14         # R^4_343 = 1
-    assert abs(Rb.scalar - 6.0) <= 1e-13
-    ct = characteristic_tensor(spec, pi, p)
-    assert abs(ct.alpha - 1.0) <= 1e-14
+    ev = Evaluation(spec, pi, sample_points(spec, 1, RNG_SEED))
+    Rb = ev.read("Rb")
+    assert abs(Rb.curv[0, 2, 3, 2, 3] - 1.0) <= 1e-14      # R^4_343 = 1
+    assert abs(Rb.scalar[0] - 6.0) <= 1e-13
+    ct = ev.ct
+    assert abs(ct.alpha[0] - 1.0) <= 1e-14
     want = 0.5 * np.eye(4)
     want[0, 0] = -0.5
-    assert abs(ct.pi_lower - want).max() <= 1e-14
+    assert abs(ct.pi_lower[0] - want).max() <= 1e-14
 
 
 def test_flat_spec_zero_pi_all_zero():
-    spec, _, Kb, Rb = bundles_at("flat3", None,
-                                 np.array([0.3, -0.6, 0.2]))
-    assert abs(Kb.curv).max() == 0.0
-    assert abs(Rb.curv).max() == 0.0
+    ev = evaluation("flat3", None, [[0.3, -0.6, 0.2]])
+    assert abs(ev.read("Kb.curv")).max() == 0.0
+    assert abs(ev.read("Rb.curv")).max() == 0.0
 
 
 def test_characteristic_tensor_invariants():
     entry = builtin("curved-metric-l3")
     spec = entry.spec
-    pi = entry.oneform("linear")
-    for p in sample_points(spec, 10, RNG_SEED):
-        snap = snapshot(spec, p)
-        ct = characteristic_tensor(spec, pi, p)
-        assert abs(ct.pi_mixed - ct.pi_lower @ snap.ginv).max() <= 1e-12
-        assert abs(ct.alpha - np.trace(ct.pi_mixed)) <= 1e-12
+    ev = Evaluation(spec, entry.oneform("linear"), sample_points(spec, 10, RNG_SEED))
+    ct = ev.read("ct")
+    assert abs(ct.pi_mixed - ct.pi_lower @ ev.frame.ginv).max() <= 1e-12
+    assert abs(ct.alpha - np.trace(ct.pi_mixed, axis1=1, axis2=2)).max() <= 1e-12
     pi0 = OneFormData.zero(spec.ell, spec.n)
-    ct0 = characteristic_tensor(spec, pi0, sample_points(spec, 1, RNG_SEED)[0])
-    assert abs(ct0.pi_lower).max() == 0.0 and ct0.alpha == 0.0
+    ct0 = Evaluation(spec, pi0, sample_points(spec, 1, RNG_SEED)).read("ct")
+    assert abs(ct0.pi_lower).max() == 0.0 and ct0.alpha[0] == 0.0
 
 
 def test_curvature_antisymmetry_unmirrored():
     entry = builtin("involutive-l3")
     spec = entry.spec
-    conn = koszul_connection(spec)
-    D = semi_connection(spec, entry.oneform("trig"))
-    for p in sample_points(spec, 10, RNG_SEED):
-        ev = Evaluation(spec, D.oneform, p[None])
-        for c, raw in ((conn, ev.rawK[0]), (D, ev.rawR[0])):
-            assert abs(raw + raw.transpose(1, 0, 2, 3)).max() <= 1e-10 * \
-                max(1.0, abs(raw).max())
-            assert (schouten_curvature(c, p).curv
-                    + schouten_curvature(c, p).curv.transpose(1, 0, 2, 3) == 0).all()
+    ev = Evaluation(spec, entry.oneform("trig"), sample_points(spec, 10, RNG_SEED))
+    for raw, curv in ((ev.rawK, ev.Kb.curv), (ev.rawR, ev.Rb.curv)):
+        assert (sup(raw + raw.transpose(0, 2, 1, 3, 4)) <= 1e-10 * np.maximum(1.0, sup(raw))).all()
+        assert (curv + curv.transpose(0, 2, 1, 3, 4) == 0).all()
 
 
 # `srclab eval` tensor -> oracle_eval key; the oracle gives S, Sbar, C and Cbar at ell >= 3
@@ -153,70 +143,56 @@ def test_symbolic_oracle_of_a_spec_outside_the_catalog():
 def test_curvature_and_trace_relations(name, variant):
     entry = builtin(name)
     spec = entry.spec
-    pi = entry.oneform(variant)
     ell = spec.ell
-    for p in sample_points(spec, 20, RNG_SEED):
-        spec_, pi_, Kb, Rb = bundles_at(name, variant, p)
-        ct = characteristic_tensor(spec, pi, p)
-        snap = snapshot(spec, p)
-        scale = max(1.0, abs(Rb.curv).max(), abs(Kb.curv).max())
-        rel = Rb.curv - Kb.curv - curvature_relation_terms(ct, spec, p)
-        assert abs(rel).max() <= 1e-9 * scale
-        ric = Rb.ricci - Kb.ricci - (ell - 2) * ct.pi_lower - ct.alpha * snap.g
-        assert abs(ric).max() <= 1e-9 * scale
-        assert abs(Rb.scalar - Kb.scalar - 2 * (ell - 1) * ct.alpha) <= 1e-9 * scale
+    ev = Evaluation(spec, entry.oneform(variant), sample_points(spec, 20, RNG_SEED))
+    Kb, Rb, ct = ev.read("Kb"), ev.read("Rb"), ev.read("ct")
+    scale = np.maximum(1.0, np.maximum(sup(Rb.curv), sup(Kb.curv)))
+    rel = Rb.curv - Kb.curv - curvature_relation_terms(ct, spec, ev.points)
+    assert (sup(rel) <= 1e-9 * scale).all()
+    ric = Rb.ricci - Kb.ricci - (ell - 2) * ct.pi_lower - ct.alpha[:, None, None] * ev.frame.gv
+    assert (sup(ric) <= 1e-9 * scale).all()
+    assert (abs(Rb.scalar - Kb.scalar - 2 * (ell - 1) * ct.alpha) <= 1e-9 * scale).all()
 
 
 def test_s_tensor_invariance_and_rank_guard():
     entry = builtin("curved-metric-l3")
     spec = entry.spec
     for variant in ("const", "linear", "trig"):
-        pi = entry.oneform(variant)
-        for p in sample_points(spec, 10, RNG_SEED):
-            _, _, Kb, Rb = bundles_at("curved-metric-l3", variant, p)
-            S = s_tensor(Kb, spec, p)
-            Sbar = s_tensor(Rb, spec, p)
-            assert abs(Sbar - S).max() <= 1e-10 * max(1.0, abs(S).max())
+        ev = evaluation("curved-metric-l3", variant, sample_points(spec, 10, RNG_SEED))
+        S = s_tensor(ev.Kb, spec, ev.points)
+        Sbar = s_tensor(ev.Rb, spec, ev.points)
+        assert (sup(Sbar - S) <= 1e-10 * np.maximum(1.0, sup(S))).all()
 
     h1 = builtin("heisenberg1").spec
-    Kb1 = schouten_curvature(koszul_connection(h1), np.array([0.1, 0.2, 0.3]))
+    ev1 = Evaluation(h1, None, [[0.1, 0.2, 0.3]])
     with pytest.raises(RankTooSmall):
-        s_tensor(Kb1, h1, np.array([0.1, 0.2, 0.3]))
+        s_tensor(ev1.Kb, h1, ev1.points)
     with pytest.raises(RankTooSmall):
-        conformal_tensor(Kb1, h1, np.array([0.1, 0.2, 0.3]))
+        conformal_tensor(ev1.Kb, h1, ev1.points)
     # projective tensor stays available at rank 2
-    projective_tensor(Kb1, h1, np.array([0.1, 0.2, 0.3]))
+    projective_tensor(ev1.Kb, h1, ev1.points)
 
 
 def test_projective_difference_formula_holds():
     for name, variant in (("heisenberg2", "const"), ("involutive-l3", "trig"),
                           ("flat3", "linear")):
-        entry = builtin(name)
-        spec = entry.spec
-        pi = entry.oneform(variant)
-        for p in sample_points(spec, 10, RNG_SEED):
-            _, _, Kb, Rb = bundles_at(name, variant, p)
-            W = projective_tensor(Kb, spec, p)
-            Wbar = projective_tensor(Rb, spec, p)
-            ct = characteristic_tensor(spec, pi, p)
-            want = projective_difference_formula(ct, spec, p)
-            assert abs(Wbar - W - want).max() <= 1e-9 * max(1.0, abs(W).max(),
-                                                            abs(want).max())
+        spec = builtin(name).spec
+        ev = evaluation(name, variant, sample_points(spec, 10, RNG_SEED))
+        W = projective_tensor(ev.Kb, spec, ev.points)
+        Wbar = projective_tensor(ev.Rb, spec, ev.points)
+        want = projective_difference_formula(ev.ct, spec, ev.points)
+        assert (sup(Wbar - W - want) <= 1e-9 * np.maximum(1.0, np.maximum(sup(W), sup(want)))).all()
 
 
 def test_conformal_difference_is_zero_not_the_tabulated_form():
     """The direct conformal difference vanishes; the tabulated closed form
     does not, which is exactly what check C13 reports."""
-    entry = builtin("heisenberg2")
-    spec = entry.spec
-    pi = entry.oneform("const")
-    p = sample_points(spec, 1, RNG_SEED)[0]
-    _, _, Kb, Rb = bundles_at("heisenberg2", "const", p)
-    C = conformal_tensor(Kb, spec, p)
-    Cbar = conformal_tensor(Rb, spec, p)
+    spec = builtin("heisenberg2").spec
+    ev = evaluation("heisenberg2", "const", sample_points(spec, 1, RNG_SEED))
+    C = conformal_tensor(ev.Kb, spec, ev.points)[0]
+    Cbar = conformal_tensor(ev.Rb, spec, ev.points)[0]
     assert abs(Cbar - C).max() <= 1e-12
-    ct = characteristic_tensor(spec, pi, p)
-    formula = conformal_difference_formula(ct, spec, p)
+    formula = conformal_difference_formula(ev.ct, spec, ev.points)[0]
     assert abs(formula).max() > 0.2       # -1/4 at component (1,2,1,2) among others
     assert abs(formula[0, 1, 0, 1] + 0.25) <= 1e-14
 
@@ -224,31 +200,23 @@ def test_conformal_difference_is_zero_not_the_tabulated_form():
 def test_first_bianchi_and_lowered_identities():
     for name in ("curved-metric-l3", "involutive-l3"):
         spec = builtin(name).spec
-        nab = koszul_connection(spec)
-        for p in sample_points(spec, 10, RNG_SEED):
-            Kb = schouten_curvature(nab, p)
-            scale = max(1.0, abs(Kb.curv).max())
-            cv = Kb.curv
-            cyc = cv + cv.transpose(1, 2, 0, 3) + cv.transpose(2, 0, 1, 3)
-            assert abs(cyc).max() <= 1e-9 * scale
-            lw = Kb.lowered
-            cyc = lw + lw.transpose(1, 2, 0, 3) + lw.transpose(2, 0, 1, 3)
-            assert abs(cyc).max() <= 1e-9 * scale
-            ric = Kb.ricci
-            ric2 = Kb.second_contraction()
-            assert abs(ric2 + ric2.T).max() <= 1e-9 * scale
-            assert abs(ric2 - (ric - ric.T)).max() <= 1e-9 * scale
+        Kb = Evaluation(spec, None, sample_points(spec, 10, RNG_SEED)).read("Kb")
+        scale = np.maximum(1.0, sup(Kb.curv))
+        for cv in (Kb.curv, Kb.lowered):
+            cyc = cv + cv.transpose(0, 2, 3, 1, 4) + cv.transpose(0, 3, 1, 2, 4)
+            assert (sup(cyc) <= 1e-9 * scale).all()
+        ric = Kb.ricci
+        ric2 = Kb.second_contraction()
+        assert (sup(ric2 + ric2.transpose(0, 2, 1)) <= 1e-9 * scale).all()
+        assert (sup(ric2 - (ric - ric.transpose(0, 2, 1))) <= 1e-9 * scale).all()
 
 
 def test_involutive_pair_antisymmetry():
     spec = builtin("involutive-l3").spec
-    nab = koszul_connection(spec)
-    for p in sample_points(spec, 10, RNG_SEED):
-        snap = snapshot(spec, p)
-        assert abs(snap.Mcoef).max() <= 1e-14
-        lw = schouten_curvature(nab, p).lowered
-        assert abs(lw + lw.transpose(0, 1, 3, 2)).max() <= 1e-9 * \
-            max(1.0, abs(lw).max())
+    ev = Evaluation(spec, None, sample_points(spec, 10, RNG_SEED))
+    assert abs(ev.read("brackets").Mc).max() <= 1e-14
+    lw = ev.Kb.lowered
+    assert (sup(lw + lw.transpose(0, 1, 2, 4, 3)) <= 1e-9 * np.maximum(1.0, sup(lw))).all()
 
 
 def test_curved_entry_exercises_every_structure_constant():
@@ -256,20 +224,17 @@ def test_curved_entry_exercises_every_structure_constant():
     so every term of the curvature formula is live, and its S-tensor does not
     vanish (no pair symmetry at rank 3)."""
     spec = builtin("curved-metric-l3").spec
-    p = sample_points(spec, 1, RNG_SEED)[0]
-    snap = snapshot(spec, p)
-    assert abs(snap.Omega).max() > 0.01
-    assert abs(snap.Mcoef).max() > 0.01
-    assert abs(snap.Lambda).max() > 0.5
-    Kb = schouten_curvature(koszul_connection(spec), p)
-    assert abs(s_tensor(Kb, spec, p)).max() > 0.01
+    ev = Evaluation(spec, None, sample_points(spec, 1, RNG_SEED))
+    br = ev.read("brackets")
+    assert abs(br.Om).max() > 0.01
+    assert abs(br.Mc).max() > 0.01
+    assert abs(br.Lam).max() > 0.5
+    assert abs(s_tensor(ev.Kb, spec, ev.points)).max() > 0.01
 
 
 def test_flatness_characteristic_form_zero_case():
     spec = builtin("free-step2-l3").spec
-    nab = koszul_connection(spec)
-    p = sample_points(spec, 1, RNG_SEED)[0]
-    Kb = schouten_curvature(nab, p)
+    Kb = Evaluation(spec, None, sample_points(spec, 1, RNG_SEED)).read("Kb")
     assert abs(flatness_characteristic_form(Kb)).max() <= 1e-14
 
 
@@ -343,7 +308,7 @@ def _rank_spec(ell: int):
                       "metric rows", *(f"  {row}" for row in rows)]) + "\n"
     spec = parse_manifold(text)
     exprs = tuple(parse_scalar_expression(f"sin({x})", spec.coords) for x in xs)
-    return spec, OneFormData.from_expressions(exprs, spec.n)
+    return spec, OneFormData(exprs, spec.n)
 
 
 @pytest.mark.parametrize("ell", range(2, 7))

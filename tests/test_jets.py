@@ -220,7 +220,7 @@ def test_order_slices_agree_exactly(expr, point, constants):
             # or the reference's f' or f'' out of range
             continue
         program = JetProgram([constant], 1)
-        got = None if program.ops else float(program.values(np.zeros((1, 1)))[0, 0]).hex()
+        got = None if program.ops else float(program.sweep(np.zeros((1, 1))).values[0, 0]).hex()
         assert got == want, constant
 
 
@@ -370,14 +370,14 @@ def test_basis_seeded_run_is_the_basis_contraction(name, spec):
 
 
 def test_values_are_the_run_values():
-    """values(points) is run(points).values bit for bit, for the frame and
-    metric program of a spec."""
+    """The sweep's outputs, sweep(points).values, are run(points).values bit
+    for bit, for the frame and metric program of a spec."""
     from srclab.manifold import sample_points
 
     spec = parse_manifold(_free_step2_rank4_text(11))
     points = sample_points(spec, 30, 4)
     program = spec._jet_program
-    assert np.array_equal(program.values(points), program.run(points).values)
+    assert np.array_equal(program.sweep(points).values, program.run(points).values)
 
 
 def test_compiled_program_hessians_only_where_asked():
@@ -480,13 +480,13 @@ def test_folded_constants_are_the_swept_values():
     cases = [(f"{fn}({{}})", abs(c) + 0.01 if fn in ("log", "sqrt") else c) for fn in FUNCTIONS]
     cases += [(f"({{}})^{k}", np.append(c, [0.0, -0.0]) if k >= 0 else c) for k in range(-3, 6)]
     for text, args in cases:
-        swept = JetProgram([parse_scalar_expression(text.format("x"), ("x",))], 1).values(
-            args[:, None])[:, 0]
+        swept = JetProgram([parse_scalar_expression(text.format("x"), ("x",))], 1).sweep(
+            args[:, None]).values[:, 0]
         for a, want in zip(args.tolist(), swept):
             constant = text.format(repr(a))
             program = JetProgram([parse_scalar_expression(constant, ("x",))], 1)
             assert not program.ops, constant
-            got = program.values(np.zeros((1, 1)))[0, 0]
+            got = program.sweep(np.zeros((1, 1))).values[0, 0]
             assert float(got).hex() == float(want).hex(), constant
 
 
@@ -627,7 +627,7 @@ def test_out_of_order_terms_fail_in_component_order():
     """Where two ops of the frame program fail at one point, the error names
     the one that comes first in component order, not in the order the terms
     were read, with the owner and message the tree compiler gave."""
-    from srclab.manifold import snapshot
+    from srclab.curvature import Evaluation
 
     spec = parse_manifold(OUT_OF_ORDER_SOURCE)
     frame_program = spec._jet_program
@@ -639,7 +639,7 @@ def test_out_of_order_terms_fail_in_component_order():
         0: (0, "log of non-positive value 0.0"), 1: (1, "division by zero"),
         2: (0, "log of non-positive value 0.0"), 3: (0, "log of non-positive value -1.0")}
     with pytest.raises(DomainError, match="log of non-positive value 0.0"):
-        snapshot(spec, points[0])
+        Evaluation(spec, None, points[:1]).read("frame")
 
 
 def test_signed_zero_constants_keep_their_sign():
@@ -649,12 +649,12 @@ def test_signed_zero_constants_keep_their_sign():
     Python."""
     program = JetProgram([parse_scalar_expression(t, ("x",)) for t in ("x*0", "-0*x")], 1)
     want = [jet_eval(parse_scalar_expression(t, ("x",)), [1.0], 0).value for t in ("x*0", "-0*x")]
-    assert np.signbit(program.values([[1.0]])[0]).tolist() == np.signbit(want).tolist() == [
+    assert np.signbit(program.sweep([[1.0]]).values[0]).tolist() == np.signbit(want).tolist() == [
         False, True]
     built = JetProgram([Mul(Const(0.0), Coord(0)), Mul(Const(-0.0), Coord(0))], 1)
-    assert np.signbit(built.values([[1.0]])[0]).tolist() == [False, True]
+    assert np.signbit(built.sweep([[1.0]]).values[0]).tolist() == [False, True]
     spec = parse_manifold(_PRE_SIGNED)
-    metric = spec._jet_program.values([[1.0, 0.0, 0.0]])[0, spec.n * spec.n:]
+    metric = spec._jet_program.sweep([[1.0, 0.0, 0.0]]).values[0, spec.n * spec.n:]
     assert np.signbit(metric).tolist() == [False, True, True, False]
 
 

@@ -14,7 +14,7 @@ from srclab.connections import OneFormData
 from srclab.curvature import TENSORS, Evaluation
 from srclab.errors import DomainError, MetricNotSPD, SingularFrame, ValidationError
 from srclab.jets import Const, Coord, Mul
-from srclab.manifold import ManifoldSpec, VectorFieldSpec, sample_points, snapshot
+from srclab.manifold import ManifoldSpec, VectorFieldSpec, sample_points
 from srclab.parser import parse_manifold
 
 RNG_SEED = 1234
@@ -24,109 +24,118 @@ def spec_of(name):
     return builtin(name).spec
 
 
+def frame_at(spec, points):
+    """The frame layers (frame values, brackets) of an Evaluation of a stack of
+    points, after raising the error of the first point where the frame fails."""
+    ev = Evaluation(spec, None, np.asarray(points, dtype=float).reshape(-1, spec.n))
+    return ev.read("frame"), ev.brackets
+
+
+def rebuilt_brackets(spec, points):
+    """[e_i, e_j] in coordinates, br[p, i, j, m], from an Evaluation's frame, Omega and M."""
+    f, b = frame_at(spec, points)
+    E, ell = f.Ev, spec.ell
+    return (np.einsum("pma,pija->pijm", E[:, :, :ell], b.Om)
+            + np.einsum("pmb,pijb->pijm", E[:, :, ell:], b.Mc))
+
+
 def test_heisenberg1_snapshot():
     spec = spec_of("heisenberg1")
-    for p in sample_points(spec, 5, RNG_SEED):
-        snap = snapshot(spec, p)
-        assert abs(snap.Omega).max() <= 1e-15
-        assert abs(snap.Mcoef[0, 1, 0] - 1.0) <= 1e-14
-        assert abs(snap.Mcoef[1, 0, 0] + 1.0) <= 1e-14
-        assert abs(snap.Lambda).max() <= 1e-15
-        assert np.allclose(snap.g, np.eye(2))
-        assert np.allclose(snap.E @ snap.Einv, np.eye(3), atol=1e-12)
+    f, b = frame_at(spec, sample_points(spec, 5, RNG_SEED))
+    assert abs(b.Om).max() <= 1e-15
+    assert abs(b.Mc[:, 0, 1, 0] - 1.0).max() <= 1e-14
+    assert abs(b.Mc[:, 1, 0, 0] + 1.0).max() <= 1e-14
+    assert abs(b.Lam).max() <= 1e-15
+    assert np.allclose(f.gv, np.eye(2))
+    assert np.allclose(f.Ev @ f.Einv, np.eye(3), atol=1e-12)
 
 
 def test_heisenberg2_structure_constants():
     spec = spec_of("heisenberg2")
-    snap = snapshot(spec, sample_points(spec, 1, RNG_SEED)[0])
-    M = snap.Mcoef
+    _, b = frame_at(spec, sample_points(spec, 1, RNG_SEED))
+    M = b.Mc[0]
     assert abs(M[0, 1, 0] - 1.0) <= 1e-14
     assert abs(M[2, 3, 0] - 1.0) <= 1e-14
     zeroed = M.copy()
     for i, j in ((0, 1), (1, 0), (2, 3), (3, 2)):
         zeroed[i, j, 0] = 0.0
     assert abs(zeroed).max() <= 1e-14
-    assert abs(snap.Omega).max() <= 1e-14
-    assert abs(snap.Lambda).max() <= 1e-14
+    assert abs(b.Om).max() <= 1e-14
+    assert abs(b.Lam).max() <= 1e-14
 
 
 def test_free_step2_structure_constants():
     spec = spec_of("free-step2-l3")
-    snap = snapshot(spec, sample_points(spec, 1, RNG_SEED)[0])
+    _, b = frame_at(spec, sample_points(spec, 1, RNG_SEED))
     want = np.zeros((3, 3, 3))
     want[0, 1, 0] = want[0, 2, 1] = want[1, 2, 2] = 1.0
     want -= want.transpose(1, 0, 2)
-    assert abs(snap.Mcoef - want).max() <= 1e-13
-    assert abs(snap.Omega).max() <= 1e-13
-    assert abs(snap.Lambda).max() <= 1e-13
+    assert abs(b.Mc[0] - want).max() <= 1e-13
+    assert abs(b.Om).max() <= 1e-13
+    assert abs(b.Lam).max() <= 1e-13
 
 
 def test_flat3_all_structure_constants_vanish():
-    spec = spec_of("flat3")
-    snap = snapshot(spec, np.array([0.2, -0.4, 0.9]))
-    assert abs(snap.Omega).max() == 0.0
-    assert abs(snap.Mcoef).max() == 0.0
-    assert abs(snap.Lambda).max() == 0.0
+    _, b = frame_at(spec_of("flat3"), [0.2, -0.4, 0.9])
+    assert abs(b.Om).max() == 0.0
+    assert abs(b.Mc).max() == 0.0
+    assert abs(b.Lam).max() == 0.0
 
 
 def test_involutive_has_horizontal_bracket_but_no_vertical():
-    spec = spec_of("involutive-l3")
-    snap = snapshot(spec, np.array([0.3, -0.2, 0.5, 0.1]))
-    assert abs(snap.Mcoef).max() <= 1e-15
-    assert abs(snap.Omega[0, 2, 1] - 1.0) <= 1e-14   # [e1, e3] = e2
+    _, b = frame_at(spec_of("involutive-l3"), [0.3, -0.2, 0.5, 0.1])
+    assert abs(b.Mc).max() <= 1e-15
+    assert abs(b.Om[0, 0, 2, 1] - 1.0) <= 1e-14   # [e1, e3] = e2
 
 
 def test_bracket_examples():
     # heisenberg1: [X1, X2] = Z = dz, [X1, X1] = 0; flat3: [dx, dy] = 0
-    p = np.array([0.5, -0.1, 0.7])
-    snap = snapshot(spec_of("heisenberg1"), p)
-    assert np.allclose(snap.E[:, :2] @ snap.Omega[0, 1] + snap.E[:, 2:] @ snap.Mcoef[0, 1],
-                       [0.0, 0.0, 1.0])
-    assert abs(snap.Omega[0, 0]).max() == 0.0 and abs(snap.Mcoef[0, 0]).max() == 0.0
-    flat = snapshot(spec_of("flat3"), p)
-    assert abs(flat.Omega).max() == 0.0 and abs(flat.Mcoef).max() == 0.0
+    p = [0.5, -0.1, 0.7]
+    f, b = frame_at(spec_of("heisenberg1"), p)
+    E, Om, Mc = f.Ev[0], b.Om[0], b.Mc[0]
+    assert np.allclose(E[:, :2] @ Om[0, 1] + E[:, 2:] @ Mc[0, 1], [0.0, 0.0, 1.0])
+    assert abs(Om[0, 0]).max() == 0.0 and abs(Mc[0, 0]).max() == 0.0
+    _, flat = frame_at(spec_of("flat3"), p)
+    assert abs(flat.Om).max() == 0.0 and abs(flat.Mc).max() == 0.0
 
 
 @pytest.mark.parametrize("name", ["curved-metric-l3", "involutive-l3", "heisenberg2"])
 def test_jacobi_identity(name):
-    """Brackets rebuilt from snapshot().Omega/Mcoef satisfy the Jacobi identity
-    on horizontal triples: [V, Z] = DZ V - DV Z for V = [X, Y], with DZ from
-    jets and DV Z a central difference (step 1e-5) of V along Z."""
+    """Brackets rebuilt from an Evaluation's Omega and M satisfy the Jacobi
+    identity on horizontal triples: [V, Z] = DZ V - DV Z for V = [X, Y], with
+    DZ from jets and DV Z a central difference (step 1e-5) of V along Z."""
     spec = spec_of(name)
-    ell = spec.ell
+    ell, points = spec.ell, sample_points(spec, 5, RNG_SEED)
+    fields = [vf.components for vf in spec.hframe]
+    # e_k at each point, Z[p, k, m], and its Jacobian DZ[p, k, m, q]
+    Z = np.array([[[jet_eval(c, p, 0).value for c in z] for z in fields] for p in points])
+    DZ = np.array([[[jet_eval(c, p, 1).grad for c in z] for z in fields] for p in points])
+    V = rebuilt_brackets(spec, points)                                       # [p, i, j, m]
+    shifted = np.concatenate([points[:, None] + 1e-5 * Z, points[:, None] - 1e-5 * Z])
+    plus, minus = rebuilt_brackets(spec, shifted).reshape(2, len(points), ell, *V.shape[1:])
+    DV = (plus - minus) / 2e-5                                               # [p, k, i, j, m]
 
-    def bracket(i, j, p):
-        snap = snapshot(spec, p)
-        return snap.E[:, :ell] @ snap.Omega[i, j] + snap.E[:, ell:] @ snap.Mcoef[i, j]
-
-    def nested(i, j, k, p):                 # [[e_i, e_j], e_k] at p
-        Z = spec.hframe[k].components
-        z = np.array([jet_eval(c, p, 0).value for c in Z])
-        DZ = np.stack([jet_eval(c, p, 1).grad for c in Z])
-        DV_z = (bracket(i, j, p + 1e-5 * z) - bracket(i, j, p - 1e-5 * z)) / 2e-5
-        return DZ @ bracket(i, j, p) - DV_z
+    def nested(i, j, k):                    # [[e_i, e_j], e_k] at every point
+        return np.einsum("pmq,pq->pm", DZ[:, k], V[:, i, j]) - DV[:, k, i, j]
 
     rng = np.random.default_rng(RNG_SEED)
     triples = [tuple(rng.integers(0, ell, 3)) for _ in range(4)]
-    for p in sample_points(spec, 5, RNG_SEED):
-        for (i, j, k) in triples:
-            total = nested(i, j, k, p) + nested(j, k, i, p) + nested(k, i, j, p)
-            scale = max(1.0, abs(bracket(i, j, p)).max())
-            assert abs(total).max() <= 1e-9 * scale
+    for (i, j, k) in triples:
+        total = nested(i, j, k) + nested(j, k, i) + nested(k, i, j)
+        scale = np.maximum(1.0, abs(V[:, i, j]).max(axis=1))
+        assert (abs(total).max(axis=1) <= 1e-9 * scale).all()
 
 
 @pytest.mark.parametrize("name", catalog_names())
 def test_snapshot_reconstructs_brackets(name):
     spec, sym = spec_of(name), sym_manifold(name)
-    for p in sample_points(spec, 20, RNG_SEED):
-        snap = snapshot(spec, p)
+    points = sample_points(spec, 20, RNG_SEED)
+    for p, rebuilt in zip(points, rebuilt_brackets(spec, points)):
         subs = dict(zip(sym.coords, (Q(float(x)) for x in p)))      # exact binary values
         for i in range(spec.ell):
             for j in range(i + 1, spec.ell):
                 direct = _to_array(_bracket(sym.coords, sym.hframe[i], sym.hframe[j]), subs)
-                rebuilt = (snap.E[:, : spec.ell] @ snap.Omega[i, j]
-                           + snap.E[:, spec.ell:] @ snap.Mcoef[i, j])
-                assert abs(rebuilt - direct).max() <= 1e-10 * max(1.0, abs(direct).max())
+                assert abs(rebuilt[i, j] - direct).max() <= 1e-10 * max(1.0, abs(direct).max())
 
 
 def test_project_h_examples_and_linearity():
@@ -140,16 +149,16 @@ def test_project_h_examples_and_linearity():
     origin = np.zeros(3)
     assert np.allclose(project_h(origin, [0.0, 0.0, 1.0]), [0.0, 0.0])
     p = np.array([0.4, 1.2, -0.3])
-    snap = snapshot(spec, p)
-    assert np.allclose(project_h(p, snap.E[:, 0]), [1.0, 0.0], atol=1e-13)
-    assert np.allclose(project_h(p, snap.E[:, 2]), [0.0, 0.0], atol=1e-13)
+    E = frame_at(spec, p)[0].Ev[0]
+    assert np.allclose(project_h(p, E[:, 0]), [1.0, 0.0], atol=1e-13)
+    assert np.allclose(project_h(p, E[:, 2]), [0.0, 0.0], atol=1e-13)
     u, v = np.array([0.3, -1.0, 2.0]), np.array([1.5, 0.2, -0.7])
     lin = project_h(p, 2.0 * u - 3.0 * v)
     assert np.allclose(lin, 2.0 * project_h(p, u) - 3.0 * project_h(p, v),
                        atol=1e-12)
     # projecting the horizontal reconstruction returns the same coefficients
     coeffs = project_h(p, u)
-    rebuilt = snap.E[:, : spec.ell] @ coeffs
+    rebuilt = E[:, : spec.ell] @ coeffs
     assert np.allclose(project_h(p, rebuilt), coeffs, atol=1e-12)
 
 
@@ -169,8 +178,8 @@ metric identity
 """
     spec = parse_manifold(text)
     with pytest.raises(SingularFrame):
-        snapshot(spec, np.array([0.0, 0.2, 0.3]))
-    snapshot(spec, np.array([0.5, 0.2, 0.3]))
+        frame_at(spec, [0.0, 0.2, 0.3])
+    frame_at(spec, [0.5, 0.2, 0.3])
     # in one batch the singular point is marked alone
     batch = Evaluation(spec, None, np.array([[0.0, 0.2, 0.3], [0.5, 0.2, 0.3]])).frame
     assert isinstance(batch.errors[0], SingularFrame)
@@ -215,7 +224,7 @@ metric rows
         got = batch.errors[i]
         assert (type(got), str(got)) == (type(err), str(err)), p
         with pytest.raises(type(err), match=re.escape(str(err))):
-            snapshot(spec, np.array(p, dtype=float))
+            frame_at(spec, p)
 
 
 def test_metric_not_spd_raises():
@@ -235,11 +244,11 @@ metric rows
 """
     spec = parse_manifold(text)
     with pytest.raises(MetricNotSPD):
-        snapshot(spec, np.array([-0.5, 0.0, 0.0]))
-    snapshot(spec, np.array([0.5, 0.0, 0.0]))
+        frame_at(spec, [-0.5, 0.0, 0.0])
+    frame_at(spec, [0.5, 0.0, 0.0])
     overflowing = parse_manifold(text.replace("  x, 0", "  exp(1000*x), 0"))
     with pytest.raises(MetricNotSPD):
-        snapshot(overflowing, np.array([0.9, 0.0, 0.0]))
+        frame_at(overflowing, [0.9, 0.0, 0.0])
 
 
 def test_manifold_validation():
@@ -313,19 +322,17 @@ def test_sample_points_prefix_stable_and_boxed():
 def test_gram_matrix_spd_on_catalog():
     for name in catalog_names():
         spec = spec_of(name)
-        for p in sample_points(spec, 10, RNG_SEED):
-            snap = snapshot(spec, p)
-            eigs = np.linalg.eigvalsh(snap.g)
-            assert eigs.min() > 0
-            assert np.allclose(snap.g, snap.g.T)
+        g = frame_at(spec, sample_points(spec, 10, RNG_SEED))[0].gv
+        assert np.linalg.eigvalsh(g).min() > 0
+        assert np.allclose(g, g.transpose(0, 2, 1))
 
 
 def test_frame_matrix_columns_are_frame_fields():
     spec = spec_of("heisenberg2")
     p = sample_points(spec, 1, 5)[0]
-    snap = snapshot(spec, p)
+    E = frame_at(spec, p)[0].Ev[0]
     for a, vf in enumerate(spec.hframe + spec.vframe):
-        assert np.allclose(snap.E[:, a], [jet_eval(c, p, 0).value for c in vf.components])
+        assert np.allclose(E[:, a], [jet_eval(c, p, 0).value for c in vf.components])
 
 
 def test_mul_expression_frame_component():

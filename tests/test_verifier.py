@@ -26,6 +26,11 @@ from srclab.verifier import (CHECKS, CHECK_IDS, SUP_ALONG_POINTS, SuiteConfig, _
 from srclab.parser import parse_manifold, parse_scalar_expression
 
 
+def parsed_oneform(spec, texts):
+    """The one-form whose components parse from ``texts`` in the coordinates of ``spec``."""
+    return OneFormData(tuple(parse_scalar_expression(t, spec.coords) for t in texts), spec.n)
+
+
 def test_check_table_shape():
     assert len(CHECKS) == 18
     assert CHECK_IDS == tuple(f"C{i:02d}" for i in range(1, 19))
@@ -231,9 +236,7 @@ def test_overflowing_oneform_marks_checks_failed_without_aborting():
     """exp(1000 x1) overflows where x1 > 0.71: those points are a DomainError
     for every check that reads the one-form; C01/C02 pass everywhere."""
     spec = builtin("heisenberg2").spec
-    pi = OneFormData.from_expressions(
-        [parse_scalar_expression(t, spec.coords) for t in ("exp(1000*x1)", "0", "0", "0")],
-        spec.n)
+    pi = parsed_oneform(spec, ("exp(1000*x1)", "0", "0", "0"))
     report = run_suite(spec, pi, SuiteConfig(points=10, seed=0))
     assert report.record("C01").passed and report.record("C01").points_evaluated == 10
     assert report.record("C02").passed and report.record("C02").points_evaluated == 10
@@ -346,16 +349,12 @@ def test_concurrent_evaluation_matches_serial():
     """Pure pointwise evaluation is safe to fan out across threads."""
     from concurrent.futures import ThreadPoolExecutor
 
-    from srclab.connections import koszul_connection
-    from srclab.curvature import schouten_curvature
-    from srclab.manifold import sample_points
-
     entry = builtin("curved-metric-l3")
     pts = sample_points(entry.spec, 24, 6)
-    serial = [schouten_curvature(koszul_connection(entry.spec), p).curv for p in pts]
-    conn = koszul_connection(parse_manifold(entry.source))   # compiled under the threads
+    serial = [Evaluation(entry.spec, None, p[None]).read("Kb.curv") for p in pts]
+    spec = parse_manifold(entry.source)                     # compiled under the threads
     with ThreadPoolExecutor(max_workers=8) as pool:
-        parallel = list(pool.map(lambda p: schouten_curvature(conn, p).curv, pts))
+        parallel = list(pool.map(lambda p: Evaluation(spec, None, p[None]).read("Kb.curv"), pts))
     for a, b in zip(serial, parallel):
         assert (a == b).all()
 
@@ -364,8 +363,7 @@ def test_flatness_criterion_reports_errors_instead_of_aborting():
     """A point outside the one-form's domain and a non-finite curvature are
     errors, left out of the rows, and they make the verdict False."""
     fs = builtin("free-step2-l3").spec
-    sqrt_pi = OneFormData.from_expressions(
-        [parse_scalar_expression(t, fs.coords) for t in ("sqrt(x1)", "0", "0")], fs.n)
+    sqrt_pi = parsed_oneform(fs, ("sqrt(x1)", "0", "0"))
     res = check_flatness_criterion(fs, sqrt_pi, SuiteConfig(points=5, seed=0))
     assert res.errors == ("DomainError: sqrt of negative value -0.40057621892523043",)
     assert len(res.per_point) == 4 and not res.implication_holds
@@ -396,6 +394,7 @@ metric rows
   0, 1, 0
   0, 0, 2
 """
+MIXED_ONEFORM = ("log(z + 0.6)", "sqrt(x + 0.7)", "y")
 
 
 def test_mixed_frame_and_oneform_errors_pinned():
@@ -407,9 +406,7 @@ def test_mixed_frame_and_oneform_errors_pinned():
     names the one-form's error first.  The 100 points run in one pass;
     test_pass_boundaries_do_not_change_reports splits them into several."""
     spec = parse_manifold(MIXED)
-    pi = OneFormData.from_expressions(
-        [parse_scalar_expression(t, spec.coords) for t in ("log(z + 0.6)", "sqrt(x + 0.7)", "y")],
-        spec.n)
+    pi = parsed_oneform(spec, MIXED_ONEFORM)
     config = SuiteConfig(points=100, seed=3)
     assert config.points > FRAME_CHUNK
     report = run_suite(spec, pi, config)
@@ -454,9 +451,7 @@ def test_pass_boundaries_do_not_change_reports(monkeypatch):
     cases = {name: (builtin(name).spec, builtin(name).oneform(variant), builtin(name).flags)
              for name, variant in (("heisenberg1", "trig"), ("curved-metric-l3", "trig"))}
     mixed = parse_manifold(MIXED)
-    cases["mixed"] = (mixed, OneFormData.from_expressions(
-        [parse_scalar_expression(t, mixed.coords) for t in ("log(z + 0.6)", "sqrt(x + 0.7)", "y")],
-        mixed.n), frozenset())
+    cases["mixed"] = (mixed, parsed_oneform(mixed, MIXED_ONEFORM), frozenset())
     monkeypatch.setattr(verifier, "PASS_ENTRIES", 0)           # passes of FRAME_CHUNK points
     for name, (spec, pi, flags) in cases.items():
         config = SuiteConfig(points=100, seed=3, flags=flags)
@@ -487,9 +482,7 @@ def test_ruled_out_points_do_not_reach_other_rows():
     of an Evaluation of the good points alone: the basis a ruled-out point
     seeds the sweep with never reaches another point's row."""
     spec = parse_manifold(MIXED)
-    pi = OneFormData.from_expressions(
-        [parse_scalar_expression(t, spec.coords) for t in ("log(z + 0.6)", "sqrt(x + 0.7)", "y")],
-        spec.n)
+    pi = parsed_oneform(spec, MIXED_ONEFORM)
     ev = Evaluation(spec, pi, sample_points(spec, 100, 3))
     good = np.ones(100, dtype=bool)
     good[[*ev.frame.errors, *ev.pij.errors]] = False
