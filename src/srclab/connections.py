@@ -18,7 +18,8 @@ frame, the only ones curvature reads.  An :class:`~srclab.curvature.Evaluation`
 builds them on a stack of points (leading axis p) as layers, values and
 gradients apart: the Koszul ones from the frame layers and their sum B, the
 transformed ones from those, the one-form's jets and pi^k = g^{kj} pi_j.  A
-one-form compiles its components into a :class:`~srclab.jets.JetProgram`.
+one-form compiles its components into a :class:`~srclab.jets.JetProgram`.  Sums of
+permuted stacks (B, B's derivatives, nabla T) run along the points (permuted_sum).
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import DomainError
 from .jets import Const, Expression, JetProgram
 from .manifold import (Brackets, CoefficientJets, FrameDerivatives, FrameValues, ManifoldSpec,
-                       contract)
+                       contract, permuted_sum)
 
 _eye = cache(np.eye)        # one identity per rank, shared by the layers; never written
 
@@ -107,8 +108,8 @@ class OneFormData:
 def koszul_sum(fdg: np.ndarray, OG: np.ndarray) -> np.ndarray:
     """fdg_ijk + fdg_jik - fdg_kji + OG_ijk - OG_ikj - OG_jki on axes 1-3 of any rank: with
     OG_ijk = Omega_ij^e g_ek the sum B = 2 {_ij^h} g_hk; with their frame derivatives, B's."""
-    return (fdg + fdg.swapaxes(1, 2) - fdg.swapaxes(1, 3)
-            + OG - OG.swapaxes(2, 3) - np.moveaxis(OG, 3, 1))
+    return permuted_sum((1, fdg, ()), (1, fdg, (2, 1)), (-1, fdg, (3, 2, 1)),
+                        (1, OG, ()), (-1, OG, (1, 3, 2)), (-1, OG, (3, 1, 2)))
 
 
 def koszul_grads(frame: FrameValues, br: Brackets, fd: FrameDerivatives,
@@ -139,15 +140,9 @@ def semi_grads(frame: FrameValues, br: Brackets, fd: FrameDerivatives, nab_g: np
     return nab_g + A_g
 
 
-def frame_derivative(grads: np.ndarray) -> np.ndarray:
-    """out[p, i, ...] = e_i(T[p, ...]) from the horizontal frame derivatives
-    ``grads[p, ..., i]``: the derivative axis moved to the front."""
-    return np.moveaxis(grads, -1, 1)
-
-
 def covariant_oneform(co: np.ndarray, pij: OneFormJets) -> np.ndarray:
     """e_i(pi_j) - co[i, j, k] pi_k for connection coefficients co."""
-    return frame_derivative(pij.grads) - contract(co, pij.values)
+    return pij.grads.transpose(0, 2, 1) - contract(co, pij.values)
 
 
 def torsion_tensor(co: np.ndarray, Om: np.ndarray) -> np.ndarray:
@@ -157,14 +152,12 @@ def torsion_tensor(co: np.ndarray, Om: np.ndarray) -> np.ndarray:
 
 def covariant_T(co: np.ndarray, co_g: np.ndarray, T: np.ndarray, Om_g: np.ndarray) -> np.ndarray:
     """(D_i T)_jk^h, [p][i][j][k][h], of a connection's torsion T from its coefficients."""
-    Tg = co_g - co_g.transpose(0, 2, 1, 3, 4)
-    Tg -= Om_g                            # each sum in place: one temporary at a time
-    out = contract(T, co.transpose(0, 2, 1, 3)).transpose(0, 3, 1, 2, 4)
-    out += frame_derivative(Tg)
-    del Tg
-    out -= contract(co, T)
+    out = permuted_sum((1, contract(T, co.transpose(0, 2, 1, 3)), (3, 1, 2, 4)),
+                       (1, permuted_sum((1, co_g, ()), (-1, co_g, (2, 1)), (-1, Om_g, ()),
+                                        points_last=True), (4, 1, 2, 3)))  # e_i(T[j, k, h])
+    out -= contract(co, T)                # each in place: one temporary at a time
     out -= contract(co, T.transpose(0, 2, 1, 3)).transpose(0, 1, 3, 2, 4)
-    return np.ascontiguousarray(out)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,7 +21,8 @@ in the change formulas, nabla T in C18), ``K`` the delta_k^h coefficient (C's
 ric2, C13's, C18's) and ``J`` a lone delta_j^h one (C18's).
 
 Curvature is evaluated on a stack of points (leading axis p) from a
-connection's coefficients and gradients; a bundle or characteristic
+connection's coefficients and gradients (its permuted terms one permuted_sum,
+whose point-axis copies delta_g shares); a bundle or characteristic
 tensor at one point is row 0 of an :class:`Evaluation` of one point.  The
 derived tensors below take either, since their formulas act on the trailing
 axes, and read the metric their bundle or characteristic tensor carries.
@@ -36,12 +37,12 @@ from operator import attrgetter
 import numpy as np
 
 from .connections import (ConnectionField, OneFormData, OneFormJets, covariant_oneform,
-                          covariant_T, frame_derivative, koszul_grads, koszul_sum, semi,
-                          semi_grads, torsion_tensor)
+                          covariant_T, koszul_grads, koszul_sum, semi, semi_grads,
+                          torsion_tensor)
 from .errors import DimensionMismatch, RankTooSmall
 from .jets import Const
-from .manifold import (Brackets, FrameValues, ManifoldSpec, _mirror_pair_antisym, contract,
-                       frame_derivatives, frame_values, structure_constants)
+from .manifold import (Brackets, FrameValues, ManifoldSpec, _mirror_pair_antisym, _points_last,
+                       contract, frame_derivatives, frame_values, permuted_sum, structure_constants)
 
 
 def _row(record):
@@ -75,13 +76,13 @@ class CurvatureBundle:
 
 def curvature_raw(co: np.ndarray, co_g: np.ndarray, br: Brackets) -> np.ndarray:
     """Curvature tensors of coefficients and gradients from the coordinate formula, unmirrored."""
-    dco = frame_derivative(co_g)
     Q = contract(co, co.transpose(0, 2, 1, 3))          # Q[p, j, k, i, h] = co[j,k,e] co[i,e,h]
-    return (dco - dco.transpose(0, 2, 1, 3, 4)
-            + Q.transpose(0, 3, 1, 2, 4)
-            - Q.transpose(0, 1, 3, 2, 4)
-            - contract(br.Om, co)
-            - contract(br.Mc, br.Lam))               # M_ij^b Lambda_bk^h
+    raw = permuted_sum((1, co_g, (4, 1, 2, 3)), (-1, co_g, (1, 4, 2, 3)),  # e_i(co_j) - e_j(co_i)
+                       (1, Q, (3, 1, 2, 4)), (-1, Q, (1, 3, 2, 4)))
+    del Q
+    raw -= contract(br.Om, co)                          # in place: one temporary at a time
+    raw -= contract(br.Mc, br.Lam)                      # M_ij^b Lambda_bk^h
+    return raw
 
 
 def curvature_bundle(frame: FrameValues, raw: np.ndarray) -> CurvatureBundle:
@@ -148,21 +149,22 @@ def delta_g(A=None, g=None, B=None, K=None, base=None, J=None) -> np.ndarray:
 
     The pattern every tensor below is assembled from; linear in (A, B, J, K), so
     a sum of such terms is one call on the summed coefficients.  Built (from zeros
-    without base and B) with the leading axes flattened last, each step looping
-    over the points; returned as a new C-contiguous array, points first, with no
-    argument written."""
-    terms = ((A, 2), (g, 2), (B, 2), (K, 2), (base, 4), (J, 2))
-    x, axes = next((x, axes) for x, axes in terms if x is not None)
-    lead, ell, n = x.shape[:-axes], x.shape[-1], math.prod(x.shape[:-axes])
-    A, g, B, K, base, J = [    # each with the leading axes flattened last
-        x if x is None else x.reshape(n, ell ** axes).T.reshape((ell,) * axes + (n,))
-        for x, axes in terms]
-    if B is not None:     # numpy orders a ufunc's loops by its first operand's strides
-        t = np.ascontiguousarray(g)[:, None, :, None] * np.ascontiguousarray(B)[None, :, None, :]
+    without base and B) on copies with the leading axes flattened last, as
+    :func:`~srclab.manifold.permuted_sum` makes them, each step looping over the
+    points; returned as a new C-contiguous array, points first, no argument written."""
+    copies = []
+    for x, axes in ((A, 2), (g, 2), (B, 2), (K, 2), (base, 4), (J, 2)):
+        if x is not None:
+            lead, ell = x.shape[:-axes], x.shape[-1]
+            x = x.reshape(-1, *(ell,) * axes).transpose(_points_last(axes + 1, None)).copy()
+        copies.append(x)
+    (A, g, B, K, base, J), n = copies, math.prod(lead)
+    if B is not None:
+        t = g[:, None, :, None] * B[None, :, None, :]
         # g_ik B_j^h - g_jk B_i^h, then base (a + b is b + a, bit for bit)
         out = t - t.swapaxes(0, 1) if base is None else t - t.swapaxes(0, 1) + base
     else:
-        out = np.zeros((ell,) * 4 + (n,)) if base is None else base.copy()
+        out = np.zeros((ell,) * 4 + (n,)) if base is None else base
     if A is not None:
         _diagonal(out, 1, 3)[...] += A[:, None]
         _diagonal(out, 0, 3)[...] -= A[None]

@@ -31,8 +31,8 @@ and with the Hessians the frame derivatives of both (:func:`frame_derivatives`).
 The sample loops size each stack by the spec's per-point footprint:
 PASS_ENTRIES // entries_per_point(n, ell) points, and never fewer than
 FRAME_CHUNK; a single point is a stack of one.  Contractions are stacked
-matrix products (:func:`contract`).  Brackets exist only as these structure
-constants.
+matrix products (:func:`contract`), sums of permuted stacks run along the
+points (:func:`permuted_sum`); brackets exist only as these structure constants.
 """
 from __future__ import annotations
 
@@ -57,7 +57,7 @@ def entries_per_point(n: int, ell: int) -> int:
     """Estimated float64 entries one sample point adds to a suite pass's traced
     peak: 12 ell^4 for the ell^4 tensors live at once under the suite's pass
     plan, n^3 for the frame jets' gradients.  The traced per-point peak is
-    0.7x to 1.5x of it, 2.6 to 24 KB from (n, ell) = (3, 2) to (10, 4)."""
+    0.8x to 1.6x of it, 2.3 to 27 KB from (n, ell) = (3, 2) to (10, 4)."""
     return 12 * ell ** 4 + n ** 3
 
 
@@ -201,6 +201,33 @@ def contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     P, k = a.shape[0] or 1, a.shape[-1]      # no points: one stack of no rows (-1 is then 0)
     out = np.matmul(a.reshape(P, -1, k), b.reshape(P, k, -1))
     return out.reshape(a.shape[:-1] + b.shape[2:])
+
+
+@cache
+def _points_last(ndim: int, axes: tuple[int, ...] | None) -> tuple[int, ...]:
+    """The transpose putting the point axis last (axes None), or showing that copy as x's."""
+    return ((*range(1, ndim), 0) if axes is None
+            else (ndim - 1, *(a - 1 for a in axes), *range(len(axes), ndim - 1)))
+
+
+def permuted_sum(*terms, points_last=False) -> np.ndarray:
+    """sign * x.transpose(0, *axes, ...) summed over two or more (sign, x, axes) ``terms`` in
+    their order, sign 1 or -1, ``axes`` reordering the axes after the point axis it names.  Each
+    distinct x is copied once with the point axis last, every add runs along the points, and the
+    sum is copied back points-first and C-contiguous (``points_last``: its points-first view)."""
+    last, views = {}, []
+    for sign, x, axes in terms:
+        if id(x) not in last:   # a points-last x is not copied
+            last[id(x)] = np.ascontiguousarray(x.transpose(_points_last(x.ndim, None)))
+        views.append(last[id(x)].transpose(_points_last(x.ndim, axes)))
+    acc = views[0] if terms[0][0] > 0 else -views[0]
+    out = (np.empty(acc.shape[1:] + acc.shape[:1]).transpose(_points_last(acc.ndim, ()))
+           if len(acc) > 1 else None)     # the sum points last; one point: plain ufuncs
+    for (sign, _, _), t in zip(terms[1:], views[1:]):
+        acc = (np.add if sign > 0 else np.subtract)(acc, t, out=out)
+    del last, views                                         # the copies go before the copy back
+    return np.ascontiguousarray(acc) if out is None else out if points_last else (
+        np.ascontiguousarray(out.reshape(len(acc), -1)).reshape(acc.shape))
 
 
 # pointwise frame data: E (n, n), columns e_1..e_ell, e_{ell+1}..e_n; g (ell, ell); Omega

@@ -7,15 +7,16 @@ only raise residuals (a failing check never flips to passing).
 
 A :class:`_Pass` is the :class:`~srclab.curvature.Evaluation` of one pass: it
 builds each tensor the checks read, with a leading point axis, and its
-per-point sup-norm once; the curvature-change formulas share the block
-g_ik pi_j^h - g_jk pi_i^h.  :func:`run_suite` drops each tensor after its last
-reader (:func:`_plan`, a liveness plan as in Appel, *Modern Compiler
-Implementation in ML*, ch. 10), so that 200 points fit one pass.  The checks'
-rows form one (checks, points) table, reduced once per pass by
-:class:`_Table`, which also gives each check's worst point.  A point where a
-layer a check reads failed (its frame data, or the one-form for the checks
-that read it) or where the check's values are not finite counts as an error
-for that check.
+per-point sup-norm once (without a one-form a D-side tensor shares its twin's;
+C06's and C08's residuals are built points-last, so theirs reduce along the
+points); the curvature-change formulas share the block g_ik pi_j^h - g_jk pi_i^h.
+:func:`run_suite` drops each tensor after its last reader (:func:`_plan`, a
+liveness plan as in Appel, *Modern Compiler Implementation in ML*, ch. 10), so
+that 200 points fit one pass.  The checks' rows form one (checks, points) table,
+reduced once per pass by :class:`_Table`, which also gives each check's worst
+point.  A point where a layer a check reads failed (its frame data, or the
+one-form for the checks that read it) or where the check's values are not
+finite counts as an error for that check.
 
 Checks that are only claimed under a hypothesis (an involutive horizontal
 bundle, a vanishing characteristic trace, a flat transformed connection, a
@@ -45,11 +46,11 @@ from operator import attrgetter
 import numpy as np
 
 from .connections import OneFormData, covariant_oneform
-from .curvature import (Evaluation, conformal_difference_formula, curvature_relation_terms,
+from .curvature import (TWINS, Evaluation, conformal_difference_formula, curvature_relation_terms,
                         delta_g, flatness_characteristic_form, projective_difference_formula)
 from .errors import RankTooSmall, ValidationError
 from .manifold import (FRAME_CHUNK, PASS_ENTRIES, ManifoldSpec, contract, entries_per_point,
-                       sample_points)
+                       permuted_sum, sample_points)
 
 QUALIFIER_TOL = 1e-12     # hypothesis detection (alpha = 0, proportionality, M = 0)
 HYPOTHESIS_REL = 1e-9     # "R vanishes" / "R equals K" qualifiers
@@ -161,15 +162,20 @@ class _Pass(Evaluation):
 
     def sup(self, x) -> np.ndarray:
         """Per-point sup-norm of a stack (or magnitude of per-point scalars); a
-        tensor named by its attribute path, such as "Kb.curv", gets it once."""
-        if isinstance(x, str) and x in self._sups:
-            return self._sups[x]
-        value = attrgetter(x)(self) if isinstance(x, str) else x
+        tensor named by its attribute path, such as "Kb.curv", gets it once, and
+        with ``pi_zero`` a D-side path ("Rb.curv") shares it with its twin's."""
+        key = value = x
+        if isinstance(x, str):
+            layer, dot, rest = x.partition(".")
+            key = (TWINS.get(layer, layer) if self.pi_zero else layer) + dot + rest
+            if key in self._sups:
+                return self._sups[key]
+            value = attrgetter(x)(self)
         flat = value.reshape(len(value), -1)
         size = (np.maximum.reduce(np.abs(flat.T, order="C"), axis=0)
                 if flat.shape[1] <= SUP_ALONG_POINTS else np.maximum.reduce(np.abs(flat), axis=1))
         if isinstance(x, str):
-            self._sups[x] = size
+            self._sups[key] = size
         return size
 
     def res(self, diff, *operands):
@@ -253,13 +259,14 @@ def _c04(ev):
 
 def _c05(ev):
     rawK, rawR = ev.rawK, ev.rawR
-    return _worst(ev.res(rawK + rawK.transpose(0, 2, 1, 3, 4), "rawK"),
-                  ev.res(rawR + rawR.transpose(0, 2, 1, 3, 4), "rawR"))
+    K = ev.res(rawK + rawK.transpose(0, 2, 1, 3, 4), "rawK")
+    return K if rawR is rawK else _worst(K, ev.res(rawR + rawR.transpose(0, 2, 1, 3, 4), "rawR"))
 
 
 def _c06(ev):
     """The first Bianchi sum T_ijk + T_kij + T_jki of K, mixed and lowered."""
-    return _worst(*(ev.res(T + np.moveaxis(T, -4, -2) + np.moveaxis(T, -2, -4), path)
+    return _worst(*(ev.res(permuted_sum((1, T, ()), (1, T, (2, 3, 1)), (1, T, (3, 1, 2)),
+                                        points_last=True), path)
                     for T, path in ((ev.Kb.curv, "Kb.curv"), (ev.Kb.lowered, "Kb.lowered"))))
 
 
@@ -272,7 +279,8 @@ def _c07(ev):
 def _c08(ev):
     lw = ev.Kb.lowered
     involutive = ~(ev.sup("brackets.Mc") > QUALIFIER_TOL)       # no vertical bracket part
-    return (*ev.res(lw + lw.transpose(0, 1, 2, 4, 3), "Kb.lowered"), involutive)
+    pair = permuted_sum((1, lw, ()), (1, lw, (1, 2, 4, 3)), points_last=True)
+    return (*ev.res(pair, "Kb.lowered"), involutive)
 
 
 def _c09(ev):

@@ -4,8 +4,8 @@ import pytest
 from jet_reference import jet_eval
 
 from srclab.catalog import builtin, catalog_names
-from srclab.connections import (OneFormData, covariant_oneform, frame_derivative, semi,
-                                semi_connection, torsion_tensor)
+from srclab.connections import (OneFormData, covariant_oneform, semi, semi_connection,
+                                torsion_tensor)
 from srclab.curvature import Evaluation
 from srclab.errors import DimensionMismatch
 from srclab.jets import Const, Coord, Mul
@@ -192,7 +192,7 @@ def test_coefficient_fields_match_tensor_path():
     shifted = np.concatenate([points[:, None] + steps, points[:, None] - steps])
     rows = len(points) * spec.ell                                        # one per [p, i]
     for pi, layer in ((None, "nab"), (entry.oneform("trig"), "D")):
-        dco = frame_derivative(getattr(Evaluation(spec, pi, points), layer + "_g"))
+        dco = np.moveaxis(getattr(Evaluation(spec, pi, points), layer + "_g"), -1, 1)
         dco = dco.reshape(rows, -1)                                      # row [p, i]: e_i(co)
         plus, minus = Evaluation(spec, pi, shifted.reshape(-1, spec.n)).read(layer).reshape(
             2, rows, -1)

@@ -14,7 +14,7 @@ from srclab.connections import OneFormData
 from srclab.curvature import TENSORS, Evaluation
 from srclab.errors import DomainError, MetricNotSPD, SingularFrame, ValidationError
 from srclab.jets import Const, Coord, Mul
-from srclab.manifold import ManifoldSpec, VectorFieldSpec, sample_points
+from srclab.manifold import ManifoldSpec, VectorFieldSpec, permuted_sum, sample_points
 from srclab.parser import parse_manifold
 
 RNG_SEED = 1234
@@ -382,3 +382,69 @@ def test_python_built_input_of_the_wrong_type_is_a_validation_error(case):
     with pytest.raises(ValidationError) as excinfo:
         build()
     assert (excinfo.value.message, excinfo.value.line) == (message, None)
+
+
+def _permuted_sum_entries(terms):
+    """permuted_sum's documented sum entry by entry, in its order of operations:
+    the first term (negated when its sign is -1), then + or - each next term."""
+    views = [(sign, x.transpose(0, *axes, *range(len(axes) + 1, x.ndim)))
+             for sign, x, axes in terms]
+    out = np.empty(views[0][1].shape)
+    for index in np.ndindex(*out.shape):
+        sign, t = views[0]
+        v = t[index] if sign > 0 else -t[index]
+        for sign, t in views[1:]:
+            v = v + t[index] if sign > 0 else v - t[index]
+        out[index] = v
+    return out
+
+
+def _special_entries(rng, shape):
+    """Random entries with -0.0, +0.0, +-inf and NaN among them, read-only."""
+    x = rng.standard_normal(shape)
+    for value, share in ((-0.0, 0.2), (0.0, 0.1), (np.inf, 0.03), (-np.inf, 0.03),
+                         (np.nan, 0.03)):
+        x[rng.random(shape) < share] = value
+    x.flags.writeable = False
+    return x
+
+
+@pytest.mark.parametrize("lead", [1, 5])
+def test_permuted_sum_is_its_formula_bit_for_bit(lead):
+    """Sums of signed, axis-permuted stacks of ranks 3 to 5 (one operand in
+    several terms, a partial permutation, a negated first term, an operand
+    laid out points-last, one read through a transposed view) on 1 and 5
+    points: the same values and signs, zeros, infinities and NaN included,
+    as the entry-by-entry sum; a new C-contiguous points-first array, or with
+    points_last its view of a sum whose point axis runs innermost; no input
+    written."""
+    rng = np.random.default_rng(lead)
+    x3, y3 = (_special_entries(rng, (lead, 3, 3, 3)) for _ in range(2))
+    x4, y4 = (_special_entries(rng, (lead, 2, 3, 2, 3)) for _ in range(2))
+    x5 = _special_entries(rng, (lead, 2, 2, 2, 2, 2))
+    wide = _special_entries(rng, (lead, 3, 3, 3)).transpose(0, 3, 1, 2)
+    last = np.moveaxis(np.ascontiguousarray(np.moveaxis(y3, 0, -1)), -1, 0)
+    last.flags.writeable = False
+    cases = [
+        ((1, x3, ()), (1, x3, (2, 1)), (-1, x3, (3, 2, 1)),
+         (1, y3, ()), (-1, y3, (1, 3, 2)), (-1, y3, (3, 1, 2))),
+        ((-1, x4, (3, 2, 1, 4)), (1, y4, (3, 4, 1, 2)), (-1, x4, (1, 4, 3, 2))),
+        ((1, x5, (4, 1, 2, 3)), (-1, x5, (1, 4, 2, 3)), (-1, x5, (2, 1))),
+        ((1, wide, (2, 1)), (1, last, ()), (-1, wide, ()), (1, x3, (3, 1, 2))),
+    ]
+    for case, terms in enumerate(cases):
+        inputs = [x for _, x, _ in terms]
+        before = [x.copy() for x in inputs]
+        with np.errstate(invalid="ignore"):
+            want = _permuted_sum_entries(terms)
+        for points_last in (False, True):
+            with np.errstate(invalid="ignore"):
+                got = permuted_sum(*terms, points_last=points_last)
+            assert got.shape == want.shape, case
+            assert got.flags.c_contiguous if not points_last or lead == 1 else (
+                np.moveaxis(got, 0, -1).flags.c_contiguous), case
+            assert np.array_equal(got, want, equal_nan=True), case
+            assert np.array_equal(np.signbit(got), np.signbit(want)), case
+            assert not any(np.shares_memory(got, x) for x in inputs), case
+        assert all(not x.flags.writeable and x.tobytes() == y.tobytes()
+                   for x, y in zip(inputs, before)), case

@@ -11,18 +11,19 @@ import pytest
 import srclab
 from srclab import curvature, verifier
 from srclab.catalog import builtin, catalog_names
-from srclab.connections import (OneFormData, covariant_T, koszul_connection, semi,
-                                semi_connection, semi_grads, torsion, torsion_tensor)
+from srclab.connections import (OneFormData, covariant_T, koszul_connection, koszul_grads,
+                                koszul_sum, semi, semi_connection, semi_grads, torsion,
+                                torsion_tensor)
 from srclab.curvature import (TENSORS, TWINS, Evaluation, characteristic_tensor,
                               conformal_difference_formula, conformal_tensor, curvature_bundle,
                               curvature_raw, curvature_relation_terms,
                               projective_difference_formula, projective_tensor, s_tensor,
                               schouten_curvature)
-from srclab.manifold import FRAME_CHUNK, sample_points, snapshot
+from srclab.manifold import FRAME_CHUNK, contract, sample_points, snapshot
 from srclab.errors import RankTooSmall, ValidationError
-from srclab.verifier import (CHECKS, CHECK_IDS, SUP_ALONG_POINTS, SuiteConfig, _Pass, _passes,
-                             check_flatness_criterion, check_group_manifold,
-                             run_suite)
+from srclab.verifier import (CHECKS, CHECK_IDS, QUALIFIER_TOL, SUP_ALONG_POINTS, SuiteConfig, _Pass,
+                             _c05, _c06, _c08, _passes, _worst, check_flatness_criterion,
+                             check_group_manifold, run_suite)
 from srclab.parser import parse_manifold, parse_scalar_expression
 
 
@@ -504,6 +505,97 @@ def _expr_heavy_cases(monkeypatch):
         yield case.name, spec, inputs.build_pi(spec, case.pi_lines), case.flags
 
 
+# The sums as they were written before permuted_sum built them, kept verbatim
+def _koszul_sum_before(fdg, OG):
+    return (fdg + fdg.swapaxes(1, 2) - fdg.swapaxes(1, 3)
+            + OG - OG.swapaxes(2, 3) - np.moveaxis(OG, 3, 1))
+
+
+def _koszul_grads_before(frame, br, fd, B):
+    OG_g = (contract(fd.Om_g.transpose(0, 1, 2, 4, 3), frame.gv).transpose(0, 1, 2, 4, 3)
+            + contract(br.Om, br.gg))
+    B_g = _koszul_sum_before(fd.fdg_g, OG_g)
+    return 0.5 * (contract(B_g.transpose(0, 1, 2, 4, 3), frame.ginv).transpose(0, 1, 2, 4, 3)
+                  + contract(B, fd.ginv_g))
+
+
+def _semi_grads_before(frame, br, fd, nab_g, pij, piu):
+    piu_g = contract(fd.ginv_g.transpose(0, 1, 3, 2), pij.values) + contract(frame.ginv, pij.grads)
+    A_g = (np.eye(piu.shape[1])[:, None, :, None] * pij.grads[:, None, :, None, :]
+           - br.gg[:, :, :, None, :] * piu[:, None, None, :, None]
+           - frame.gv[..., None, None] * piu_g[:, None, None, :, :])
+    return nab_g + A_g
+
+
+def _curvature_raw_before(co, co_g, br):
+    dco = np.moveaxis(co_g, -1, 1)
+    Q = contract(co, co.transpose(0, 2, 1, 3))          # Q[p, j, k, i, h] = co[j,k,e] co[i,e,h]
+    return (dco - dco.transpose(0, 2, 1, 3, 4)
+            + Q.transpose(0, 3, 1, 2, 4)
+            - Q.transpose(0, 1, 3, 2, 4)
+            - contract(br.Om, co)
+            - contract(br.Mc, br.Lam))               # M_ij^b Lambda_bk^h
+
+
+def _covariant_T_before(co, co_g, T, Om_g):
+    Tg = co_g - co_g.transpose(0, 2, 1, 3, 4)
+    Tg -= Om_g                            # each sum in place: one temporary at a time
+    out = contract(T, co.transpose(0, 2, 1, 3)).transpose(0, 3, 1, 2, 4)
+    out += np.moveaxis(Tg, -1, 1)
+    del Tg
+    out -= contract(co, T)
+    out -= contract(co, T.transpose(0, 2, 1, 3)).transpose(0, 1, 3, 2, 4)
+    return np.ascontiguousarray(out)
+
+
+def _c05_before(ev):
+    rawK, rawR = ev.rawK, ev.rawR
+    return _worst(ev.res(rawK + rawK.transpose(0, 2, 1, 3, 4), "rawK"),
+                  ev.res(rawR + rawR.transpose(0, 2, 1, 3, 4), "rawR"))
+
+
+def _c06_before(ev):
+    return _worst(*(ev.res(T + np.moveaxis(T, -4, -2) + np.moveaxis(T, -2, -4), path)
+                    for T, path in ((ev.Kb.curv, "Kb.curv"), (ev.Kb.lowered, "Kb.lowered"))))
+
+
+def _c08_before(ev):
+    lw = ev.Kb.lowered
+    involutive = ~(ev.sup("brackets.Mc") > QUALIFIER_TOL)       # no vertical bracket part
+    return (*ev.res(lw + lw.transpose(0, 1, 2, 4, 3), "Kb.lowered"), involutive)
+
+
+def test_permuted_sums_are_the_sums_they_replace(monkeypatch):
+    """The builders and check rows built with permuted_sum have the shape,
+    strides and bytes of the expressions they replaced, on the six catalog
+    specs (no one-form and the last variant) and the four benchmark
+    expression-heavy specs, at 1 and at 33 points."""
+    cases = [(name, builtin(name).spec, pi, builtin(name).flags) for name in catalog_names()
+             for pi in (None, builtin(name).oneform(builtin(name).pi_variants[-1].name))]
+    cases += _expr_heavy_cases(monkeypatch)
+    for name, spec, pi, flags in cases:
+        for count in (1, 33):
+            ev = _Pass(spec, pi, sample_points(spec, count, 4), "carnot" in flags)
+            frame, br, fd = ev.frame, ev.brackets, ev.frame_g
+            OG = contract(br.Om, frame.gv)
+            pairs = [(koszul_sum(br.fdg, OG), _koszul_sum_before(br.fdg, OG)),
+                     (koszul_grads(frame, br, fd, ev.B), _koszul_grads_before(frame, br, fd, ev.B)),
+                     (semi_grads(frame, br, fd, ev.nab_g, ev.pij, ev.piu),
+                      _semi_grads_before(frame, br, fd, ev.nab_g, ev.pij, ev.piu))]
+            for co, co_g, T in ((ev.nab, ev.nab_g, ev.T_nab), (ev.D, ev.D_g, ev.T_D)):
+                pairs += [(curvature_raw(co, co_g, br), _curvature_raw_before(co, co_g, br)),
+                          (covariant_T(co, co_g, T, fd.Om_g),
+                           _covariant_T_before(co, co_g, T, fd.Om_g))]
+            with np.errstate(all="ignore"):
+                for check, before in ((_c05, _c05_before), (_c06, _c06_before),
+                                      (_c08, _c08_before)):
+                    pairs += zip(check(ev), before(ev))
+            for k, (got, want) in enumerate(pairs):
+                case = (name, pi is None, count, k)
+                assert got.shape == want.shape and got.strides == want.strides, case
+                assert got.tobytes() == want.tobytes(), case
+
+
 def test_pass_plan_follows_the_per_point_footprint(monkeypatch):
     """A pass holds PASS_ENTRIES // entries_per_point(n, ell) points, and at
     least FRAME_CHUNK: every catalog spec and every benchmark expression-heavy
@@ -605,8 +697,9 @@ def test_run_suite_calls_do_not_grow_with_points():
     srclab_calls(1)                  # compile the one-form outside the count
     one, chunk = srclab_calls(1), srclab_calls(FRAME_CHUNK)
     assert chunk <= 1.1 * one, (one, chunk)
-    # 369 with the folded check table, pinned with 10% room, and below the 407
-    # recorded for the per-check reduction it replaced
+    # 369 measured with the permuted sums in one call each (404 before them),
+    # pinned with 10% room, and below the 407 recorded for the per-check
+    # reduction the folded check table replaced
     assert one < 407 and one <= 1.1 * 369, one
 
 
