@@ -55,8 +55,8 @@ INGEST = [(ManifoldSpec, "__post_init__", "valid"),
 EVAL = [
     (argparse.ArgumentParser, "parse_known_args", "argv"),  # every parser, nested calls too
     (cli, "_attach_negative_point", "argv"),
-    (cli, "_load_spec", "spec"),                # reading and parsing the spec file
-    (cli, "_load_pi", "oneform"),               # reading and parsing the one-form file
+    (cli, "_load_spec", "spec"),                # reading and parsing the spec file, oneform too
+    (cli, "_load_pi", "oneform"),               # reading and parsing the --pi one-form file
     # the builders (each a cached_property's func) of the frame layers the tensor reads
     *((vars(curvature.Evaluation)[name], "func", "frame")
       for name in ("sweep", "frame", "brackets", "frame_g")),

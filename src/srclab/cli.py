@@ -21,7 +21,7 @@ from .catalog import builtin, catalog_names
 from .connections import OneFormData
 from .curvature import TENSORS, Evaluation
 from .errors import DomainError, SrclabError, ValidationError
-from .parser import parse_manifold, parse_oneform
+from .parser import _Lines, parse_document, parse_oneform
 from .verifier import CHECK_IDS, CHECKS, SuiteConfig, _quiet, run_suite
 
 
@@ -78,10 +78,12 @@ def _read_text(path: str) -> str:
 
 
 def _load_spec(args):
+    """The spec, its check flags and its default one-form: a spec file's oneform line, or None."""
     if args.builtin:
         entry = builtin(args.builtin)
-        return entry.spec, entry.flags
-    return parse_manifold(_read_text(args.spec)), frozenset()
+        return entry.spec, entry.flags, None
+    doc = parse_document(_read_text(args.spec))
+    return doc.spec, frozenset(), doc.oneform
 
 
 def _numbers(text: str, what: str) -> np.ndarray:
@@ -95,11 +97,10 @@ def _numbers(text: str, what: str) -> np.ndarray:
     return values
 
 
-def _load_pi(arg: str | None, spec) -> OneFormData | None:
+def _load_pi(arg: str | None, spec, default: OneFormData | None) -> OneFormData | None:
+    """The one-form ``--pi`` gives, else ``default``."""
     if arg is None:
-        if spec.oneform is not None:     # the file's bundled one-form is the default
-            return OneFormData(spec.oneform, spec.n, spec._oneform_program)
-        return None
+        return default
     if arg.startswith("const:"):
         values = _numbers(arg[len("const:"):], "--pi const")
         if len(values) != spec.ell:
@@ -107,12 +108,7 @@ def _load_pi(arg: str | None, spec) -> OneFormData | None:
                 f"--pi const needs {spec.ell} components, got {len(values)}")
         return OneFormData.constant(values, spec.n)
     if arg.startswith("file:"):
-        lines = []              # (expression, line number, column offset)
-        for line_no, raw in enumerate(_read_text(arg[len("file:"):]).splitlines(), start=1):
-            code = raw.split("#", 1)[0]             # a '#' comment runs to the line's end
-            body = code.lstrip()
-            if body:
-                lines.append((body.rstrip(), line_no, len(code) - len(body)))
+        lines = _Lines(_read_text(arg[len("file:"):])).expressions()
         if len(lines) != spec.ell:
             raise ValidationError(
                 f"--pi file needs {spec.ell} expressions, got {len(lines)}")
@@ -121,8 +117,8 @@ def _load_pi(arg: str | None, spec) -> OneFormData | None:
 
 
 def _cmd_verify(args) -> int:
-    spec, flags = _load_spec(args)
-    pi = _load_pi(args.pi, spec)
+    spec, flags, default = _load_spec(args)
+    pi = _load_pi(args.pi, spec, default)
     config = SuiteConfig(points=args.points, seed=args.seed, tol=args.tol,
                          flags=flags)
     report = run_suite(spec, pi, config)
@@ -146,12 +142,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    spec, _ = _load_spec(args)
+    spec, _, default = _load_spec(args)
     point = _numbers(args.point, "--point")
     if point.shape != (spec.n,):
         raise ValidationError(f"--point needs {spec.n} coordinates")
     with _quiet():          # a value that is not finite is reported below
-        value = Evaluation(spec, _load_pi(args.pi, spec), point[None])[args.tensor][0]
+        value = Evaluation(spec, _load_pi(args.pi, spec, default), point[None])[args.tensor][0]
     if not np.isfinite(value).all():
         raise DomainError(f"{args.tensor} is not finite at {point.tolist()}")
     print(f"{value:.17g}" if np.ndim(value) == 0 else tensor_text(value))
@@ -253,9 +249,9 @@ def _cmd_checks() -> int:
 
 
 def _cmd_parse(args) -> int:
-    spec = parse_manifold(_read_text(args.file))
-    print(f"OK: {spec.name} (dim {spec.n}, hdim {spec.ell}, "
-          f"oneform {'yes' if spec.oneform else 'no'})")
+    doc = parse_document(_read_text(args.file))
+    print(f"OK: {doc.spec.name} (dim {doc.spec.n}, hdim {doc.spec.ell}, "
+          f"oneform {'no' if doc.oneform is None else 'yes'})")
     return 0
 
 

@@ -28,15 +28,13 @@ seeded with that frame, the identity at a ruled-out point (derivatives along
 the frame fields, Hessians along the horizontal ones), the structure
 constants and the metric's frame derivatives (:func:`structure_constants`),
 and with the Hessians the frame derivatives of both (:func:`frame_derivatives`).
-The sample loops size each stack by the spec's per-point footprint:
-PASS_ENTRIES // entries_per_point(n, ell) points, and never fewer than
-FRAME_CHUNK; a single point is a stack of one.  Contractions are stacked
+A single point is a stack of one.  Contractions are stacked
 matrix products (:func:`contract`), sums of permuted stacks run along the
 points (:func:`permuted_sum`); brackets exist only as these structure constants.
 """
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, fields
+from dataclasses import InitVar, dataclass, field, fields
 from collections import namedtuple
 from functools import cache
 from typing import NamedTuple
@@ -50,20 +48,6 @@ DEFAULT_BOX = (-1.0, 1.0)
 SINGULAR_DET_FACTOR = 1e-12
 CONDITION_WARN = 1e8
 CONDITION_FAIL = 1e12
-FRAME_CHUNK = 64          # fewest points per batched pass; see PASS_ENTRIES
-
-
-def entries_per_point(n: int, ell: int) -> int:
-    """Estimated float64 entries one sample point adds to a suite pass's traced
-    peak: 12 ell^4 for the ell^4 tensors live at once under the suite's pass
-    plan, n^3 for the frame jets' gradients.  The traced per-point peak is
-    0.8x to 1.6x of it, 2.3 to 27 KB from (n, ell) = (3, 2) to (10, 4)."""
-    return 12 * ell ** 4 + n ** 3
-
-
-# a pass's budget in entries_per_point units (up to 1.5x, the split's rounding):
-# heisenberg2 (n = 5, ell = 4), the catalog's largest footprint, runs 200 points in one
-PASS_ENTRIES = 200 * entries_per_point(5, 4)
 
 
 @dataclass(frozen=True)
@@ -95,13 +79,13 @@ class ManifoldSpec:
 
     ``hframe`` spans the horizontal bundle V0 (rank ell), ``vframe`` a
     transverse complement, ``metric`` is the ell x ell horizontal Gram in
-    the hframe, ``oneform`` optional horizontal coframe components of pi.
+    the hframe.
 
-    Construction checks the shapes, assembles the jet programs (:meth:`_compile`)
+    Construction checks the shapes, assembles the jet program (:meth:`_compile`)
     from ``numbering``, the :class:`~srclab.jets.ValueTable` a parse filled and the
-    node numbers of the frame components, metric entries and one-form components in
-    that order, then checks the rest.  A spec built in Python passes none; its trees
-    enter a new table, which rejects one that is no expression and checks indices.
+    node numbers of the frame components and metric entries in that order, then
+    checks the rest.  A spec built in Python passes none; its trees enter a new
+    table, which rejects one that is no expression and checks indices.
     """
 
     name: str
@@ -110,8 +94,7 @@ class ManifoldSpec:
     hframe: tuple[VectorFieldSpec, ...]
     vframe: tuple[VectorFieldSpec, ...]
     metric: tuple[tuple[Expression, ...], ...]
-    oneform: tuple[Expression, ...] | None = None
-    numbering: InitVar[tuple[ValueTable, list[int]] | None] = None
+    numbering: InitVar[tuple[ValueTable, list[int]] | None] = field(default=None, kw_only=True)
 
     @property
     def n(self) -> int:
@@ -138,8 +121,6 @@ class ManifoldSpec:
             for j in range(i):
                 if self.metric[i][j] != self.metric[j][i]:
                     raise ValidationError(f"metric entry ({i},{j}) is not symmetric")
-        if self.oneform is not None and len(self.oneform) != ell:
-            raise ValidationError("oneform needs hdim components")
 
     def __getstate__(self):
         """The fields alone: loading compiles the programs again (:meth:`__setstate__`)."""
@@ -154,16 +135,14 @@ class ManifoldSpec:
             yield from vf.components
         for row in self.metric:
             yield from row
-        if self.oneform is not None:
-            yield from self.oneform
 
     def _compile(self, numbering=None) -> None:
         """Without ``numbering``, enter the expressions into a new table and check
         its coordinate indices (0..n-1; a parse resolves only such), then store
-        the programs: ``_jet_program``, the frame components field by field, then
+        the program ``_jet_program``: the frame components field by field, then
         the metric row by row (its mirrored entries share one op), with Hessians
         for the horizontal fields and the metric only, along the first ell
-        vectors of a basis; and ``_oneform_program``, None without one."""
+        vectors of a basis."""
         n, ell = self.n, self.ell
         if numbering is None:
             table = ValueTable()
@@ -176,10 +155,8 @@ class ManifoldSpec:
                 raise ValidationError(f"expression uses coordinate index {hi} >= dim {n}")
         table, outputs = numbering
         m = n * n + ell * ell                   # the frame components, then the metric entries
-        self.__dict__.update(
-            _jet_program=table.program(outputs[:m], n, [*range(ell * n), *range(n * n, m)],
-                                       hdim=ell),
-            _oneform_program=None if self.oneform is None else table.program(outputs[m:], n))
+        self.__dict__["_jet_program"] = table.program(
+            outputs, n, [*range(ell * n), *range(n * n, m)], hdim=ell)
 
 
 def sample_points(spec: ManifoldSpec, count: int, seed: int) -> np.ndarray:

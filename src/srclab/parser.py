@@ -14,7 +14,7 @@ in this order)::
     metric identity
     metric rows                (alternative: hdim rows of hdim entries)
       <scalar-expr>, ...
-    oneform <scalar-expr>, ... (optional, hdim entries)
+    oneform <scalar-expr>, ... (optional, hdim entries: the document's one-form)
 
 ``vfexpr`` is a signed sum of terms ``[factor] d<coord>`` where the optional
 factor is a multiplicative scalar expression (write ``(y/2) dz``, ``2*x dz``).
@@ -26,7 +26,9 @@ as ``x^2^3`` folds to one integer exponent, of magnitude at most MAX_EXPONENT.
 Metric rows and oneform entries are comma-separated; rows without commas may
 use whitespace separation when no entry contains spaces.  The serializer
 always emits commas.  Serializing a parsed document and reparsing yields a
-structurally identical ManifoldSpec.
+structurally identical document.  The ``oneform`` line is the document's
+default one-form, not part of its ManifoldSpec; :func:`parse_oneform` parses
+it, a one-form file (its lines read by :class:`_Lines`) and a catalog variant.
 """
 from __future__ import annotations
 
@@ -288,11 +290,13 @@ def parse_oneform(lines, coords: tuple[str, ...], n: int) -> OneFormData:
 
 @dataclass(frozen=True)
 class SpecDocument:
-    """Parsed manifold source: the spec and the names of its frame fields."""
+    """Parsed manifold source: the spec, the names of its frame fields and
+    the one-form of its ``oneform`` line, None without one."""
 
     spec: ManifoldSpec
     hframe_names: tuple[str, ...]
     vframe_names: tuple[str, ...]
+    oneform: OneFormData | None
 
 
 _SECTION_KEYWORDS = ("manifold", "dim", "hdim", "coords", "hframe", "vframe",
@@ -300,6 +304,8 @@ _SECTION_KEYWORDS = ("manifold", "dim", "hdim", "coords", "hframe", "vframe",
 
 
 class _Lines:
+    """(line number, text) of each line holding code: its '#' comment and trailing blanks cut."""
+
     def __init__(self, text: str):
         self.items: list[tuple[int, str]] = []
         lines = text.splitlines()
@@ -309,6 +315,10 @@ class _Lines:
                 self.items.append((idx, body))
         self.pos = 0
         self.last_line = len(lines) or 1
+
+    def expressions(self) -> list[tuple[str, int, int]]:
+        """Each line as (text, line number, column offset), its indentation cut too."""
+        return [(body.lstrip(), line, len(body) - len(body.lstrip())) for line, body in self.items]
 
     def peek(self):
         return self.items[self.pos] if self.pos < len(self.items) else None
@@ -452,22 +462,19 @@ def parse_document(text: str) -> SpecDocument:
     if item is not None:
         line_no, rest = _keyword_line(lines, "oneform")
         parts = _split_entries(rest, len(item[1]) - len(rest), line_no, ell, "oneform")
-        oneform = [parser.start(part, line_no, offset).scalar() for part, offset in parts]
+        oneform = parse_oneform([(part, line_no, offset) for part, offset in parts], coords, n)
         if lines.peek() is not None:
             extra_line, body = lines.peek()
             raise ParseError(f"unexpected content {body.strip()!r}", extra_line, 1)
 
     nodes = parser.table.nodes
     outputs = [k for field in hframe + vframe for k in field] + [k for row in metric for k in row]
-    outputs += oneform or []
     spec = ManifoldSpec(
         name, coords, ell,
         tuple(VectorFieldSpec(tuple(nodes[k] for k in field)) for field in hframe),
         tuple(VectorFieldSpec(tuple(nodes[k] for k in field)) for field in vframe),
-        tuple(tuple(nodes[k] for k in row) for row in metric),
-        None if oneform is None else tuple(nodes[k] for k in oneform),
-        (parser.table, outputs))
-    return SpecDocument(spec, hnames, vnames)
+        tuple(tuple(nodes[k] for k in row) for row in metric), numbering=(parser.table, outputs))
+    return SpecDocument(spec, hnames, vnames, oneform)
 
 
 def parse_manifold(text: str) -> ManifoldSpec:
@@ -484,9 +491,10 @@ _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
 def _fmt_const(value: float) -> str:
-    if value == int(value) and abs(value) < 1e16:
+    """An integral value as an integer, any other by ``repr``, but inf as 1e999 (it reads back)."""
+    if abs(value) < 1e16 and value == int(value):
         return str(int(value))
-    return repr(value)
+    return repr(value).replace("inf", "1e999")
 
 
 _BINARY = {Add: (" + ", _PREC_ADD), Sub: (" - ", _PREC_ADD),
@@ -568,11 +576,11 @@ def serialize_manifold(spec: ManifoldSpec, hframe_names=None, vframe_names=None)
         lines.append("metric rows")
         for row in spec.metric:
             lines.append("  " + ", ".join(_print_expr(e, coords) for e in row))
-    if spec.oneform is not None:
-        lines.append("oneform " + ", ".join(_print_expr(e, coords)
-                                            for e in spec.oneform))
     return "\n".join(lines) + "\n"
 
 
 def serialize_document(doc: SpecDocument) -> str:
-    return serialize_manifold(doc.spec, doc.hframe_names, doc.vframe_names)
+    """Canonical source text; reparsing reproduces the same SpecDocument."""
+    text = serialize_manifold(doc.spec, doc.hframe_names, doc.vframe_names)
+    return text if doc.oneform is None else text + "oneform " + ", ".join(
+        _print_expr(e, doc.spec.coords) for e in doc.oneform.exprs) + "\n"

@@ -12,7 +12,9 @@ C06's and C08's residuals are built points-last, so theirs reduce along the
 points); the curvature-change formulas share the block g_ik pi_j^h - g_jk pi_i^h.
 :func:`run_suite` drops each tensor after its last reader (:func:`_plan`, a
 liveness plan as in Appel, *Modern Compiler Implementation in ML*, ch. 10), so
-that 200 points fit one pass.  The checks' rows form one (checks, points) table,
+that 200 points fit one pass.  Each pass is sized by the spec's per-point
+footprint: PASS_ENTRIES // entries_per_point(n, ell) points, and never fewer
+than FRAME_CHUNK.  The checks' rows form one (checks, points) table,
 reduced once per pass by :class:`_Table`, which also gives each check's worst
 point.  A point where a layer a check reads failed (its frame data, or the
 one-form for the checks that read it) or where the check's values are not
@@ -49,14 +51,27 @@ from .connections import OneFormData, covariant_oneform
 from .curvature import (TWINS, Evaluation, conformal_difference_formula, curvature_relation_terms,
                         delta_g, flatness_characteristic_form, projective_difference_formula)
 from .errors import RankTooSmall, ValidationError
-from .manifold import (FRAME_CHUNK, PASS_ENTRIES, ManifoldSpec, contract, entries_per_point,
-                       permuted_sum, sample_points)
+from .manifold import ManifoldSpec, contract, permuted_sum, sample_points
 
 QUALIFIER_TOL = 1e-12     # hypothesis detection (alpha = 0, proportionality, M = 0)
 HYPOTHESIS_REL = 1e-9     # "R vanishes" / "R equals K" qualifiers
 GROUP_TOL = 1e-10         # check_group_manifold: largest curvature and torsion derivative
 FLATNESS_TOL = 1e-9       # check_flatness_criterion: "zero" and "matches" per point
 SUP_ALONG_POINTS = 32     # _Pass.sup: blocks of up to this many entries reduce along the points
+FRAME_CHUNK = 64          # fewest points per batched pass; see PASS_ENTRIES
+
+
+def entries_per_point(n: int, ell: int) -> int:
+    """Estimated float64 entries one sample point adds to a suite pass's traced
+    peak: 12 ell^4 for the ell^4 tensors live at once under the suite's pass
+    plan, n^3 for the frame jets' gradients.  The traced per-point peak is
+    0.8x to 1.6x of it, 2.3 to 27 KB from (n, ell) = (3, 2) to (10, 4)."""
+    return 12 * ell ** 4 + n ** 3
+
+
+# a pass's budget in entries_per_point units (up to 1.5x, the split's rounding):
+# heisenberg2 (n = 5, ell = 4), the catalog's largest footprint, runs 200 points in one
+PASS_ENTRIES = 200 * entries_per_point(5, 4)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,11 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from jsonschema import validate
 
+from srclab import jsonio
 from srclab.catalog import builtin
 from srclab.cli import cli_main, tensor_text
+from srclab.parser import parse_document
+from srclab.verifier import SuiteConfig, run_suite
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -127,6 +130,32 @@ def test_spec_file_oneform_is_the_default_pi(tmp_path, capsys):
                    "--point", "0,0,0,0,0", "--pi", "const:0,0,0,0"])
     assert float(capsys.readouterr().out.strip()) == 0.0
     assert rc == 0
+    # the file's one-form prints the bytes its expressions print as a --pi file
+    exprs = ("sin(x1) + y2", "x1*y1/2", "0", "cos(z)")
+    path.write_text(builtin("heisenberg2").source + "oneform " + ", ".join(exprs) + "  # pi\n")
+    pi = tmp_path / "pi.txt"
+    pi.write_text("".join(f"  {e}  # component {i}\n\n" for i, e in enumerate(exprs)))
+    argv = ["eval", "--spec", str(path), "--tensor", "R", "--point", "0.1,0.2,-0.3,0.4,0.5"]
+    assert cli_main(argv) == 0
+    out = capsys.readouterr()
+    assert cli_main(argv + ["--pi", f"file:{pi}"]) == 0
+    assert capsys.readouterr() == out and len(out.out) > 1000
+
+
+def test_library_and_cli_agree_on_a_spec_files_oneform(tmp_path):
+    """run_suite(doc.spec, doc.oneform, config) writes the JSON report that
+    ``srclab verify --spec FILE --json`` writes, byte for byte but the
+    timestamp: the file's one-form is the one the library runs."""
+    path, out = tmp_path / "m.txt", tmp_path / "report.json"
+    path.write_text(builtin("heisenberg2").source + "oneform 1, 0, 0, 0\n")
+    assert cli_main(["verify", "--spec", str(path), "--points", "5", "--seed", "2", "--quiet",
+                     "--json", str(out)]) == 1                    # C13 fails for a nonzero pi
+    doc = parse_document(path.read_text())
+    report = run_suite(doc.spec, doc.oneform, SuiteConfig(points=5, seed=2))
+    written = out.read_text(encoding="utf-8")
+    stamp = json.loads(written)["timestamp"]
+    assert jsonio.dumps(report.to_json_dict(stamp)) == written
+    assert not report.record("C13").passed
 
 
 def test_eval_zero_curvature(capsys):
@@ -532,6 +561,10 @@ def test_pi_file_lines_drop_trailing_comments(tmp_path, capsys):
     assert cli_main(argv + ["--pi", f"file:{commented}"]) == 0
     out = capsys.readouterr()
     assert cli_main(argv + ["--pi", f"file:{plain}"]) == 0
+    assert capsys.readouterr() == out
+    spec = tmp_path / "h1.manifold"         # the same one-form on a spec file's oneform line
+    spec.write_text(builtin("heisenberg1").source + "oneform y, x  # pi\n", encoding="utf-8")
+    assert cli_main(["eval", "--spec", str(spec)] + argv[3:]) == 0
     assert capsys.readouterr() == out
     commented.write_text("y # first\n  x + $  # second\n", encoding="utf-8")
     assert cli_main(argv + ["--pi", f"file:{commented}"]) == 2

@@ -19,7 +19,7 @@ from srclab.catalog import builtin, catalog_names
 from srclab.errors import DimensionMismatch, DomainError
 from srclab.jets import (Add, Call, Const, Coord, Div, Expression, JetProgram, Mul, Neg, Pow,
                          Sub, FUNCTIONS, _operands, fd_crosscheck)
-from srclab.parser import parse_manifold, parse_scalar_expression
+from srclab.parser import parse_document, parse_manifold, parse_scalar_expression
 
 
 def jets_close(a: Jet, b: Jet, ulps: int = 4) -> bool:
@@ -292,7 +292,7 @@ def _spec_expressions(spec):
 
 def _compiled_cases():
     from srclab.catalog import builtin, catalog_names
-    from srclab.parser import parse_manifold, parse_scalar_expression
+    from srclab.parser import parse_document, parse_scalar_expression
 
     for name in catalog_names():
         entry = builtin(name)
@@ -301,8 +301,8 @@ def _compiled_cases():
             exprs += [parse_scalar_expression(t, entry.spec.coords)
                       for t in variant.expressions]
         yield name, entry.spec, exprs
-    spec = parse_manifold(_free_step2_rank4_text(11))
-    yield spec.name, spec, _spec_expressions(spec) + list(spec.oneform)
+    doc = parse_document(_free_step2_rank4_text(11))
+    yield doc.spec.name, doc.spec, _spec_expressions(doc.spec) + list(doc.oneform.exprs)
 
 
 COMPILED_CASES = list(_compiled_cases())
@@ -533,31 +533,33 @@ oneform sin(x), log(2 + y)
 """
 
 _PROGRAM_OVER = """
-def program_over(*specs):
-    exprs = [e for s in specs for e in [c for vf in s.hframe + s.vframe for c in vf.components]
-             + [e for row in s.metric for e in row] + list(s.oneform)]
+def program_over(*docs):
+    exprs = [e for d in docs for s in [d.spec]
+             for e in [c for vf in s.hframe + s.vframe for c in vf.components]
+             + [e for row in s.metric for e in row] + list(d.oneform.exprs)]
     return JetProgram(exprs, 3)
 """
 
 
 def test_pickled_spec_rehashes_under_another_hash_seed(tmp_path):
-    """A spec pickled under one PYTHONHASHSEED and loaded under another equals
-    and hashes like a fresh parse there, and one program over the loaded and a
-    fresh copy shares their subtrees exactly as one over two fresh parses."""
+    """A document (its spec and one-form) pickled under one PYTHONHASHSEED and
+    loaded under another equals and hashes like a fresh parse there, and one
+    program over the loaded and a fresh copy shares their subtrees exactly as
+    one over two fresh parses."""
     namespace: dict = {"JetProgram": JetProgram}
     exec(_PROGRAM_OVER, namespace)
-    want = repr(namespace["program_over"](parse_manifold(PICKLED_SOURCE),
-                                          parse_manifold(PICKLED_SOURCE)).ops)
+    want = repr(namespace["program_over"](parse_document(PICKLED_SOURCE),
+                                          parse_document(PICKLED_SOURCE)).ops)
     root = Path(__file__).resolve().parents[1]
     (tmp_path / "source.txt").write_text(PICKLED_SOURCE, encoding="utf-8")
     prelude = ("import pickle, sys\nfrom pathlib import Path\n"
-               "from srclab.jets import JetProgram\nfrom srclab.parser import parse_manifold\n"
+               "from srclab.jets import JetProgram\nfrom srclab.parser import parse_document\n"
                f"here = Path({str(tmp_path)!r})\n"
                "source = (here / 'source.txt').read_text(encoding='utf-8')\n" + _PROGRAM_OVER)
-    dump = "(here / 'spec.pickle').write_bytes(pickle.dumps(parse_manifold(source)))\n"
-    load = ("spec, fresh = pickle.loads((here / 'spec.pickle').read_bytes()), parse_manifold(source)\n"
-            "assert spec == fresh and hash(spec) == hash(fresh)\n"
-            "print(repr(program_over(spec, fresh).ops))\n")
+    dump = "(here / 'doc.pickle').write_bytes(pickle.dumps(parse_document(source)))\n"
+    load = ("doc, fresh = pickle.loads((here / 'doc.pickle').read_bytes()), parse_document(source)\n"
+            "assert doc == fresh and hash(doc) == hash(fresh)\n"
+            "print(repr(program_over(doc, fresh).ops))\n")
     outputs = []
     for seed, body in (("1", dump), ("2", load)):
         env = dict(os.environ, PYTHONHASHSEED=seed)
@@ -615,7 +617,7 @@ def test_shared_subtrees_compile_like_separate_copies(name, tmp_path):
         path = tmp_path / "pi.txt"
         path.write_text("sin(x)*y + x*y/4\n  # a comment\n log(2 + y) - x*y/4\n",
                         encoding="utf-8")
-        pi = _load_pi(f"file:{path}", spec)
+        pi = _load_pi(f"file:{path}", spec, None)
         cases.append((pi._jet_program, list(pi.exprs), ()))
     for program, exprs, hessians in cases:
         copies = [_unshared(e) for e in exprs]
@@ -674,11 +676,16 @@ metric rows
 """
 
 
-def test_python_built_spec_compiles_like_its_parsed_text():
-    """One compiler for both entry points: a spec built in Python and the
-    parse of its serialized text have the same programs, op for op."""
+def test_python_built_spec_compiles_like_its_parsed_text(tmp_path):
+    """One compiler for both entry points: a spec and a one-form built in
+    Python and the parse of their serialized document have the same programs,
+    op for op.  One parse path: the document's one-form, a ``--pi file:``
+    holding its expressions among comments and indentation, and
+    ``parse_oneform`` of them compile the same ops."""
+    from srclab.cli import _load_pi
+    from srclab.connections import OneFormData
     from srclab.manifold import ManifoldSpec, VectorFieldSpec
-    from srclab.parser import serialize_manifold
+    from srclab.parser import SpecDocument, parse_oneform, serialize_document
 
     x, y, one, zero = Coord(0), Coord(1), Const(1.0), Const(0.0)
     spec = ManifoldSpec(
@@ -686,14 +693,20 @@ def test_python_built_spec_compiles_like_its_parsed_text():
         (VectorFieldSpec((one, zero, Neg(Div(y, Const(2.0))))),
          VectorFieldSpec((zero, one, Add(Div(x, Const(2.0)), Mul(Call("sin", x), Pow(y, 2)))))),
         (VectorFieldSpec((zero, zero, one)),),
-        ((Add(one, Pow(Call("cos", y), 2)), Mul(x, y)), (Mul(x, y), Add(one, Pow(x, 2)))),
-        (Call("sin", x), Call("log", Add(Const(2.0), Sub(y, Mul(x, Const(0.25)))))))
-    parsed = parse_manifold(serialize_manifold(spec))
-    assert parsed == spec and parsed.metric[0][1] is parsed.metric[1][0]
+        ((Add(one, Pow(Call("cos", y), 2)), Mul(x, y)), (Mul(x, y), Add(one, Pow(x, 2)))))
+    pi = OneFormData((Call("sin", x), Call("log", Add(Const(2.0), Sub(y, Mul(x, Const(0.25)))))), 3)
+    text = serialize_document(SpecDocument(spec, ("X1", "X2"), ("Z",), pi))
+    doc = parse_document(text)
+    assert doc.spec == spec and doc.spec.metric[0][1] is doc.spec.metric[1][0]
     assert spec.metric[0][1] is not spec.metric[1][0]
-    for built, read in zip((spec._jet_program, spec._oneform_program),
-                           (parsed._jet_program, parsed._oneform_program)):
-        assert read.ops == built.ops and len(built.ops) > 0
+    assert doc.spec._jet_program.ops == spec._jet_program.ops and len(spec._jet_program.ops) > 0
+    texts = text.splitlines()[-1].removeprefix("oneform ").split(", ")
+    path = tmp_path / "pi.txt"
+    path.write_text(f"# pi\n  {texts[0]}  # first\n\n\t{texts[1]}#second\n", encoding="utf-8")
+    read = [doc.oneform, _load_pi(f"file:{path}", spec, None),
+            parse_oneform([(t, 1, 0) for t in texts], spec.coords, spec.n)]
+    assert all(r == pi for r in read) and len(pi._jet_program.ops) > 0
+    assert all(r._jet_program.ops == pi._jet_program.ops for r in read)
 
 
 _ZERO_POWERS = """\

@@ -271,7 +271,7 @@ def test_manifold_validation():
         ManifoldSpec("bad", ("x", "y", "dx"), 2, frame2, vert, eye)     # d-ambiguity
 
 
-@pytest.mark.parametrize("place", ["frame", "metric", "oneform"])
+@pytest.mark.parametrize("place", ["frame", "metric"])
 @pytest.mark.parametrize("index,message", [
     (-1, "expression uses coordinate index -1 < 0"),
     (3, "expression uses coordinate index 3 >= dim 3")])
@@ -283,9 +283,8 @@ def test_coordinate_index_outside_the_chart_fails_at_construction(place, index, 
               VectorFieldSpec((c0, c1, c0)))
     vert = (VectorFieldSpec((c0, c0, c1)),)
     metric = ((Mul(c1, bad) if place == "metric" else c1, c0), (c0, c1))
-    oneform = (bad, c0) if place == "oneform" else None
     with pytest.raises(ValidationError) as excinfo:
-        ManifoldSpec("bad", ("x", "y", "z"), 2, frame2, vert, metric, oneform)
+        ManifoldSpec("bad", ("x", "y", "z"), 2, frame2, vert, metric)
     assert excinfo.value.message == message
 
 
@@ -302,8 +301,7 @@ _FLAT3 = dict(name="bad", coords=("x", "y", "z"), ell=2,
     ({"vframe": (VectorFieldSpec((_C0, _C1)),)}, "vector field component count must equal dim"),
     ({"metric": ((_C1, _C0), (_C0,))}, "metric must be an hdim x hdim array"),
     ({"metric": ((_C1, _C0), (_C0, _C1), (_C0, _C0))}, "metric must be an hdim x hdim array"),
-    ({"metric": ((_C1, _C0), (Coord(0), _C1))}, "metric entry (1,0) is not symmetric"),
-    ({"oneform": (_C1,)}, "oneform needs hdim components")])
+    ({"metric": ((_C1, _C0), (Coord(0), _C1))}, "metric entry (1,0) is not symmetric")])
 def test_malformed_specs_built_in_python_raise_validation_errors(change, message):
     """Each structural check of a spec built in Python raises ValidationError with its message."""
     with pytest.raises(ValidationError) as excinfo:

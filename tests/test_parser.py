@@ -24,7 +24,7 @@ def test_heisenberg_source_parses():
     assert spec.name == "heisenberg1"
     assert spec.n == 3 and spec.ell == 2
     assert len(spec.hframe) == 2 and len(spec.vframe) == 1
-    assert spec.oneform is None
+    assert parse_document(H1).oneform is None
 
 
 def test_vector_field_components():
@@ -71,6 +71,9 @@ def test_round_trip_catalog(name):
 
 
 def test_round_trip_with_oneform_and_metric_rows():
+    """A document with a one-form and metric rows, and flat3 with a metric
+    entry holding an infinite literal, serialize and reparse to the same
+    document."""
     text = """\
 manifold demo
 dim 4
@@ -88,10 +91,13 @@ metric rows
   0, 0, 1
 oneform sin(x), y/2, 0
 """
-    doc = parse_document(text)
-    assert doc.spec.oneform is not None
-    out = serialize_document(doc)
-    assert parse_document(out).spec == doc.spec
+    infinite = builtin("flat3").source.replace("metric identity",
+                                               "metric rows\n  1 + 0*1e999*x, 0\n  0, 1")
+    for source in (text, infinite):
+        doc = parse_document(source)
+        assert (doc.oneform is not None) == (source is text)
+        out = serialize_document(doc)
+        assert parse_document(out) == doc
 
 
 CORRUPT_CASES = [

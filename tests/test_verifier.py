@@ -19,11 +19,11 @@ from srclab.curvature import (TENSORS, TWINS, Evaluation, characteristic_tensor,
                               curvature_raw, curvature_relation_terms,
                               projective_difference_formula, projective_tensor, s_tensor,
                               schouten_curvature)
-from srclab.manifold import FRAME_CHUNK, contract, sample_points, snapshot
+from srclab.manifold import contract, sample_points, snapshot
 from srclab.errors import RankTooSmall, ValidationError
-from srclab.verifier import (CHECKS, CHECK_IDS, QUALIFIER_TOL, SUP_ALONG_POINTS, SuiteConfig, _Pass,
-                             _c05, _c06, _c08, _passes, _worst, check_flatness_criterion,
-                             check_group_manifold, run_suite)
+from srclab.verifier import (CHECKS, CHECK_IDS, FRAME_CHUNK, QUALIFIER_TOL, SUP_ALONG_POINTS,
+                             SuiteConfig, _Pass, _c05, _c06, _c08, _passes, _worst,
+                             check_flatness_criterion, check_group_manifold, run_suite)
 from srclab.parser import parse_manifold, parse_scalar_expression
 
 
