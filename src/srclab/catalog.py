@@ -121,7 +121,7 @@ class PiVariant:
     expressions: tuple[str, ...]
 
     def build(self, spec: ManifoldSpec) -> OneFormData:
-        return parse_oneform([(text, 1, 0) for text in self.expressions], spec.coords, spec.n)
+        return parse_oneform([(text, 1, 0) for text in self.expressions], spec.coords)
 
 
 @dataclass

@@ -112,7 +112,7 @@ def _load_pi(arg: str | None, spec, default: OneFormData | None) -> OneFormData 
         if len(lines) != spec.ell:
             raise ValidationError(
                 f"--pi file needs {spec.ell} expressions, got {len(lines)}")
-        return parse_oneform(lines, spec.coords, spec.n)
+        return parse_oneform(lines, spec.coords)
     raise ValidationError("--pi must start with 'const:' or 'file:'")
 
 

@@ -58,8 +58,8 @@ class OneFormJets(NamedTuple):
 class OneFormData:
     """Horizontal coframe components pi_i of a one-form, as expressions on R^n.
 
-    ``program`` is their :class:`~srclab.jets.JetProgram` when a parse has
-    assembled it; without one, construction compiles them (DimensionMismatch)."""
+    ``program`` is their :class:`~srclab.jets.JetProgram` when a parse has assembled
+    it; without one, construction compiles them (:meth:`~srclab.jets.ValueTable.enter`)."""
 
     exprs: tuple[Expression, ...]
     n: int

@@ -1,13 +1,13 @@
 """Expression trees, their value table, and their truncated Taylor jets (orders 0..2).
 
-Ingestion takes one walk: as the parser reads a document it makes each node
-through a :class:`ValueTable`, whose one lookup hash-conses the node and gives
-its value, a folded constant or an op of one op DAG.  A :class:`JetProgram` is
-assembled from that DAG for a list of output nodes, and evaluates its ops on a
-whole (P, n) array of points, carrying the value, gradient and symmetric
-Hessian of every output with a leading point axis, along a basis (the identity
-by default); frame data and one-forms are evaluated through it.  Trees built in
-Python enter a table by one walk, keyed as the parser keys each node.  Exact
+Ingestion takes one walk: as the parser reads a document it makes each node through a
+:class:`ValueTable`, whose one lookup hash-conses the node and gives its value, a folded
+constant or an op of one op DAG.  A :class:`JetProgram` is assembled from that DAG for a
+list of output nodes, and evaluates its ops on a whole (P, n) array of points, carrying the
+value, gradient and symmetric Hessian of every output with a leading point axis, along a
+basis (the identity by default); frame data and one-forms are evaluated through it.  Trees
+built in Python enter a table by one walk, their one door (:meth:`ValueTable.enter`), which
+admits only what the parser reads and keys each node as the parser does.  Exact
 derivatives; finite differences serve only as cross-checks (:func:`fd_crosscheck`).
 Constant folding (:func:`_value`) computes each value as the values sweep does, so a
 folded constant is the swept value bit for bit.  Each library function is one row of
@@ -25,6 +25,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, ValidationError
 
+MAX_EXPONENT = 2 ** 53      # the largest magnitude up to which every integer is a float
+_INT_END = 2 ** 1024 - 2 ** 970     # the least int magnitude that rounds to an infinite float
 
 # --------------------------------------------------------------------------
 # Expression trees
@@ -263,6 +265,13 @@ def _value(node: Expression, args: list[float]) -> float:
     return _ARITHMETIC[type(node)](*args)
 
 
+def _shown(value) -> str:
+    """``value`` in a message: its repr cut to 40 characters, a long int by its size."""
+    if isinstance(value, int) and value.bit_length() > 128:     # no int over 4300 digits prints
+        return f"an int of {value.bit_length()} bits"
+    return f"{value!r:.40}"
+
+
 _CODES = {Add: "add", Sub: "sub", Mul: "mul"}
 _BINARY_CODES = frozenset(_UFUNCS)              # ops that read two slots
 _LEAF_CODES = frozenset(("coord", "const"))     # ops that read none
@@ -278,8 +287,8 @@ class ValueTable:
     that :meth:`_combine` folds, or the number of an op (code, x, y) whose
     operand slots are op numbers, an op equal to an earlier one being that one.
     The parser fills a table as it reads; :meth:`enter` walks trees built in
-    Python into one; :meth:`program` assembles a :class:`JetProgram` from the
-    op DAG alone.  Coordinate indices are checked by the spec, not here.
+    Python into one, checking them; :meth:`program` assembles a :class:`JetProgram`
+    from the op DAG alone.
     """
 
     def __init__(self):
@@ -321,16 +330,30 @@ class ValueTable:
         values.append(value)
         return len(nodes) - 1
 
-    def enter(self, exprs) -> list[int]:
-        """Node numbers of trees built outside the table: one post-order walk
-        over them all numbers each node object once (equal objects are not
-        merged; their ops are), keyed as :meth:`make` keys each node."""
+    def enter(self, exprs, n: int) -> list[int]:
+        """Node numbers of trees on R^n built outside the table: one post-order walk
+        over them all admits each node object only if the parser could read it (a Coord
+        index outside 0..n-1 is a DimensionMismatch, any other fault a ValidationError),
+        then numbers it once (equal objects are not merged; their ops are), keyed as
+        :meth:`make` keys each node."""
         exprs, numbers = list(exprs), {}
-        if bad := [e for e in exprs if not isinstance(e, Expression)]:
-            raise ValidationError(f"expected an expression, got {bad[0]!r}")
         for node in _postorder(*exprs):
-            key = (type(node), *(numbers[id(v)] if isinstance(v, Expression) else v
-                                 for v in map(node.__dict__.get, node.__match_args__)), None)
+            cls = type(node)
+            if not isinstance(node, Expression):
+                raise ValidationError(f"expected an expression, got {_shown(node)}")
+            if cls is Coord and not (type(k := node.index) is int and 0 <= k < n):
+                raise DimensionMismatch(
+                    f"coordinate index {_shown(k)} out of range for dimension {n}")
+            if cls is Call and node.fn not in FUNCTIONS:
+                raise ValidationError(f"Call.fn {_shown(node.fn)} is not a function of FUNCTIONS")
+            if cls is Pow and not (type(k := node.exponent) is int and abs(k) <= MAX_EXPONENT):
+                raise ValidationError(
+                    f"Pow.exponent {_shown(k)} does not read back as an int exponent")
+            if cls is Const and not (isinstance(v := node.value, float) and v == v
+                                     or isinstance(v, int) and abs(v) < _INT_END):
+                raise ValidationError(f"Const.value {_shown(v)} does not read back as a float")
+            key = (cls, *(numbers[id(x)] if isinstance(x, Expression) else x
+                          for x in map(node.__dict__.get, node.__match_args__)), None)
             numbers[id(node)] = self._new(key[:3], node)      # (cls, a, b), b None if unused
         return [numbers[id(expr)] for expr in exprs]
 
@@ -383,8 +406,6 @@ class ValueTable:
             return self._affine(x, -1.0, 0.0)
         if cls is Pow:
             return x if node.exponent == 1 else self._emit("pow", x, node.exponent)
-        if node.fn not in FUNCTIONS:
-            raise KeyError(node.fn)                # as _value's FUNCTIONS lookup does
         return self._emit("call", x, node.fn)
 
 
@@ -419,7 +440,7 @@ class JetProgram:
 
     def __init__(self, exprs, n: int, hessians=(), hdim: int | None = None):
         table = ValueTable()
-        self._assemble(table, table.enter(exprs), n, hessians, hdim)
+        self._assemble(table, table.enter(exprs, n), n, hessians, hdim)
 
     def _assemble(self, table: ValueTable, outputs, n: int, hessians, hdim):
         """The ops of ``table`` that the nodes ``outputs`` reach, in one walk of
@@ -452,8 +473,6 @@ class JetProgram:
                 x = place[x]
                 args.append((x,))
                 last_use[x] = len(codes)
-            elif code == "coord" and not 0 <= x < n:
-                raise DimensionMismatch(f"coordinate index {x} out of range for dimension {n}")
             else:
                 args.append(())
             codes.append(code)

@@ -85,7 +85,7 @@ class ManifoldSpec:
     from ``numbering``, the :class:`~srclab.jets.ValueTable` a parse filled and the
     node numbers of the frame components and metric entries in that order, then
     checks the rest.  A spec built in Python passes none; its trees enter a new
-    table, which rejects one that is no expression and checks indices.
+    table (:meth:`~srclab.jets.ValueTable.enter`), which admits only what a parse reads.
     """
 
     name: str
@@ -137,22 +137,16 @@ class ManifoldSpec:
             yield from row
 
     def _compile(self, numbering=None) -> None:
-        """Without ``numbering``, enter the expressions into a new table and check
-        its coordinate indices (0..n-1; a parse resolves only such), then store
-        the program ``_jet_program``: the frame components field by field, then
-        the metric row by row (its mirrored entries share one op), with Hessians
-        for the horizontal fields and the metric only, along the first ell
-        vectors of a basis."""
+        """Without ``numbering``, enter the expressions into a new table (which
+        admits only what a parse could read), then store the program
+        ``_jet_program``: the frame components field by field, then the metric
+        row by row (its mirrored entries share one op), with Hessians for the
+        horizontal fields and the metric only, along the first ell vectors of a
+        basis."""
         n, ell = self.n, self.ell
         if numbering is None:
             table = ValueTable()
-            numbering = table, table.enter(self._all_expressions())
-            indices = [x for code, x, _ in table.ops if code == "coord"]
-            lo, hi = min(indices, default=0), max(indices, default=0)
-            if lo < 0:
-                raise ValidationError(f"expression uses coordinate index {lo} < 0")
-            if hi >= n:
-                raise ValidationError(f"expression uses coordinate index {hi} >= dim {n}")
+            numbering = table, table.enter(self._all_expressions(), n)
         table, outputs = numbering
         m = n * n + ell * ell                   # the frame components, then the metric entries
         self.__dict__["_jet_program"] = table.program(

@@ -26,7 +26,8 @@ as ``x^2^3`` folds to one integer exponent, of magnitude at most MAX_EXPONENT.
 Metric rows and oneform entries are comma-separated; rows without commas may
 use whitespace separation when no entry contains spaces.  The serializer
 always emits commas.  Serializing a parsed document and reparsing yields a
-structurally identical document.  The ``oneform`` line is the document's
+structurally identical document; a document built in Python reads back with
+the same values (:func:`serialize_manifold`).  The ``oneform`` line is the document's
 default one-form, not part of its ManifoldSpec; :func:`parse_oneform` parses
 it, a one-form file (its lines read by :class:`_Lines`) and a catalog variant.
 """
@@ -39,10 +40,8 @@ from dataclasses import dataclass
 from .connections import OneFormData
 from .errors import ParseError, ValidationError
 from .jets import (Add, Call, Const, Coord, Div, Expression, Mul, Neg, Pow,
-                   Sub, FUNCTIONS, ValueTable)
+                   Sub, FUNCTIONS, MAX_EXPONENT, ValueTable)
 from .manifold import ManifoldSpec, VectorFieldSpec, check_coordinates
-
-MAX_EXPONENT = 2 ** 53      # the largest magnitude up to which every integer is a float
 
 # one token: an operator, a name or a number
 _TOKEN = r"[+\-*/^(),=]|[A-Za-z_][A-Za-z_0-9]*|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
@@ -274,14 +273,14 @@ def parse_scalar_expression(text: str, coords: tuple[str, ...],
     return parser.table.nodes[parser.start(text, line, col_offset).scalar()]
 
 
-def parse_oneform(lines, coords: tuple[str, ...], n: int) -> OneFormData:
-    """The one-form on R^n whose components are ``lines``, each (text, line,
-    column offset) of one scalar expression, parsed into one value table that
+def parse_oneform(lines, coords: tuple[str, ...]) -> OneFormData:
+    """The one-form on the chart ``coords`` whose components are ``lines``, each (text,
+    line, column offset) of one scalar expression, parsed into one value table that
     also assembles its program."""
     parser = _ExprParser(coords, ValueTable())
     numbers = [parser.start(text, line, offset).scalar() for text, line, offset in lines]
-    return OneFormData(tuple(parser.table.nodes[k] for k in numbers), n,
-                       parser.table.program(numbers, n))
+    return OneFormData(tuple(parser.table.nodes[k] for k in numbers), len(coords),
+                       parser.table.program(numbers, len(coords)))
 
 
 # --------------------------------------------------------------------------
@@ -462,7 +461,7 @@ def parse_document(text: str) -> SpecDocument:
     if item is not None:
         line_no, rest = _keyword_line(lines, "oneform")
         parts = _split_entries(rest, len(item[1]) - len(rest), line_no, ell, "oneform")
-        oneform = parse_oneform([(part, line_no, offset) for part, offset in parts], coords, n)
+        oneform = parse_oneform([(part, line_no, offset) for part, offset in parts], coords)
         if lines.peek() is not None:
             extra_line, body = lines.peek()
             raise ParseError(f"unexpected content {body.strip()!r}", extra_line, 1)
@@ -478,8 +477,9 @@ def parse_document(text: str) -> SpecDocument:
 
 
 def parse_manifold(text: str) -> ManifoldSpec:
-    """Parse manifold source text; structural invariants validated here,
-    pointwise ones (frame condition, positive Gram) at evaluation time."""
+    """Parse manifold source text; structural invariants validated here, pointwise ones
+    (frame condition, positive Gram) at evaluation time.  A ``oneform`` line is dropped:
+    :func:`parse_document` keeps it."""
     return parse_document(text).spec
 
 
@@ -491,9 +491,9 @@ _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
 def _fmt_const(value: float) -> str:
-    """An integral value as an integer, any other by ``repr``, but inf as 1e999 (it reads back)."""
+    """An integral value as an integer (-0.0 as -0), any other by ``repr``, inf as 1e999."""
     if abs(value) < 1e16 and value == int(value):
-        return str(int(value))
+        return f"{value:.0f}"
     return repr(value).replace("inf", "1e999")
 
 
@@ -512,8 +512,9 @@ def _print_expr(node: Expression, coords, prec: int = 0) -> str:
             out.append(item)
             continue
         node, prec = item
-        if isinstance(node, Const):
-            pieces, p = [_fmt_const(node.value)], _PREC_ATOM
+        if isinstance(node, Const):             # a negative one binds as a unary minus
+            pieces = [_fmt_const(node.value)]
+            p = _PREC_UNARY if pieces[0][0] == "-" else _PREC_ATOM
         elif isinstance(node, Coord):
             pieces, p = [coords[node.index]], _PREC_ATOM
         elif type(node) in _BINARY:
@@ -533,31 +534,20 @@ def _print_expr(node: Expression, coords, prec: int = 0) -> str:
 
 
 def _print_vf(vf: VectorFieldSpec, coords) -> str:
-    terms = []
+    """The terms ``[factor] d<coord>`` of the nonzero components joined by their signs (a
+    leading + dropped), or ``0 d<first coordinate>`` without one."""
+    out = ""
     for k, comp in enumerate(vf.components):
-        if comp == Const(0.0) or comp == Const(-0.0):
-            continue
-        sign = "+"
-        inner = comp
-        if isinstance(inner, Neg):
-            sign, inner = "-", inner.arg
-        if inner == Const(1.0):
-            body = f"d{coords[k]}"
-        else:
-            factor = _print_expr(inner, coords, _PREC_ATOM)
-            body = f"{factor} d{coords[k]}"
-        terms.append((sign, body))
-    if not terms:
-        return f"0 d{coords[0]}"
-    first_sign, first_body = terms[0]
-    out = first_body if first_sign == "+" else f"-{first_body}"
-    for sign, body in terms[1:]:
-        out += f" {sign} {body}"
-    return out
+        if comp != Const(0.0):                  # -0.0 is equal to it too
+            sign, inner = ("-", comp.arg) if isinstance(comp, Neg) else ("+", comp)
+            factor = "" if inner == Const(1.0) else _print_expr(inner, coords, _PREC_ATOM) + " "
+            out += (f" {sign} " if out else "" if sign == "+" else "-") + f"{factor}d{coords[k]}"
+    return out or f"0 d{coords[0]}"
 
 
 def serialize_manifold(spec: ManifoldSpec, hframe_names=None, vframe_names=None) -> str:
-    """Canonical source text; reparsing reproduces the same ManifoldSpec."""
+    """Canonical source text.  A parsed spec reads back structurally identical; one built in
+    Python with the same values (``Const(-1.0)`` comes back as ``Neg(Const(1.0))``)."""
     coords = spec.coords
     hnames = hframe_names or tuple(f"X{i + 1}" for i in range(spec.ell))
     vnames = vframe_names or tuple(f"V{i + 1}" for i in range(spec.n - spec.ell))
@@ -580,7 +570,7 @@ def serialize_manifold(spec: ManifoldSpec, hframe_names=None, vframe_names=None)
 
 
 def serialize_document(doc: SpecDocument) -> str:
-    """Canonical source text; reparsing reproduces the same SpecDocument."""
+    """Canonical source text, which reads back as :func:`serialize_manifold` says."""
     text = serialize_manifold(doc.spec, doc.hframe_names, doc.vframe_names)
     return text if doc.oneform is None else text + "oneform " + ", ".join(
         _print_expr(e, doc.spec.coords) for e in doc.oneform.exprs) + "\n"

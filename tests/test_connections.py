@@ -223,10 +223,10 @@ def test_semi_connection_dimension_checks():
         Evaluation(spec, OneFormData.constant([1.0, 0.0], 5), np.zeros((1, 5)))
 
 
-@pytest.mark.parametrize("index", [3, -1])
+@pytest.mark.parametrize("index", [3, -1, 1.5])
 def test_python_built_oneform_outside_its_chart_fails_at_construction(index):
     """A one-form built in Python compiles when it is made: a coordinate
-    index outside 0..n-1 is a DimensionMismatch there, before any batch."""
+    index that is not an int in 0..n-1 is a DimensionMismatch there, before any batch."""
     with pytest.raises(DimensionMismatch,
                        match=f"coordinate index {index} out of range for dimension 3"):
         OneFormData((Coord(0), Mul(Coord(index), Coord(1))), 3)

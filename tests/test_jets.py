@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from jet_reference import Jet, jet_eval
 
 from srclab.catalog import builtin, catalog_names
-from srclab.errors import DimensionMismatch, DomainError
+from srclab.errors import DimensionMismatch, DomainError, ValidationError
 from srclab.jets import (Add, Call, Const, Coord, Div, Expression, JetProgram, Mul, Neg, Pow,
                          Sub, FUNCTIONS, _operands, fd_crosscheck)
 from srclab.parser import parse_document, parse_manifold, parse_scalar_expression
@@ -395,7 +395,7 @@ def test_compiled_program_hessians_only_where_asked():
 def test_compiled_program_rejects_what_jet_eval_rejects():
     with pytest.raises(DimensionMismatch):
         JetProgram([Coord(3)], 2)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValidationError):
         JetProgram([Call("tan", Coord(0))], 1)
     with pytest.raises(DimensionMismatch):
         JetProgram([Coord(0)], 2).run(np.zeros((3, 3)))
@@ -704,7 +704,7 @@ def test_python_built_spec_compiles_like_its_parsed_text(tmp_path):
     path = tmp_path / "pi.txt"
     path.write_text(f"# pi\n  {texts[0]}  # first\n\n\t{texts[1]}#second\n", encoding="utf-8")
     read = [doc.oneform, _load_pi(f"file:{path}", spec, None),
-            parse_oneform([(t, 1, 0) for t in texts], spec.coords, spec.n)]
+            parse_oneform([(t, 1, 0) for t in texts], spec.coords)]
     assert all(r == pi for r in read) and len(pi._jet_program.ops) > 0
     assert all(r._jet_program.ops == pi._jet_program.ops for r in read)
 

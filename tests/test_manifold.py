@@ -12,8 +12,9 @@ from oracles import _bracket, _to_array, sym_manifold
 from srclab.catalog import builtin, catalog_names
 from srclab.connections import OneFormData
 from srclab.curvature import TENSORS, Evaluation
-from srclab.errors import DomainError, MetricNotSPD, SingularFrame, ValidationError
-from srclab.jets import Const, Coord, Mul
+from srclab.errors import (DimensionMismatch, DomainError, MetricNotSPD, SingularFrame,
+                           ValidationError)
+from srclab.jets import Call, Const, Coord, Mul, Pow
 from srclab.manifold import ManifoldSpec, VectorFieldSpec, permuted_sum, sample_points
 from srclab.parser import parse_manifold
 
@@ -264,7 +265,7 @@ def test_manifold_validation():
     with pytest.raises(ValidationError):
         ManifoldSpec("bad", ("x", "y", "z"), 2, frame2, vert,
                      ((c1, Coord(0)), (c0, c1)))                        # asymmetric
-    with pytest.raises(ValidationError):
+    with pytest.raises(DimensionMismatch):
         ManifoldSpec("bad", ("x", "y", "z"), 2, frame2, vert,
                      ((Coord(5), c0), (c0, c1)))                        # bad index
     with pytest.raises(ValidationError):
@@ -273,19 +274,20 @@ def test_manifold_validation():
 
 @pytest.mark.parametrize("place", ["frame", "metric"])
 @pytest.mark.parametrize("index,message", [
-    (-1, "expression uses coordinate index -1 < 0"),
-    (3, "expression uses coordinate index 3 >= dim 3")])
+    (-1, "coordinate index -1 out of range for dimension 3"),
+    (3, "coordinate index 3 out of range for dimension 3"),
+    (1.5, "coordinate index 1.5 out of range for dimension 3")])
 def test_coordinate_index_outside_the_chart_fails_at_construction(place, index, message):
-    """A coordinate index outside 0..n-1 anywhere in a spec built in Python is
-    a ValidationError when the spec is made, not an error at evaluation."""
+    """A coordinate index that is not an int in 0..n-1, anywhere in a spec built in
+    Python, is a DimensionMismatch when the spec is made, not an error at evaluation."""
     c1, c0, bad = Const(1.0), Const(0.0), Mul(Coord(index), Coord(0))
     frame2 = (VectorFieldSpec((c1, c0, bad if place == "frame" else c0)),
               VectorFieldSpec((c0, c1, c0)))
     vert = (VectorFieldSpec((c0, c0, c1)),)
     metric = ((Mul(c1, bad) if place == "metric" else c1, c0), (c0, c1))
-    with pytest.raises(ValidationError) as excinfo:
+    with pytest.raises(DimensionMismatch) as excinfo:
         ManifoldSpec("bad", ("x", "y", "z"), 2, frame2, vert, metric)
-    assert excinfo.value.message == message
+    assert str(excinfo.value) == message
 
 
 _C1, _C0 = Const(1.0), Const(0.0)
@@ -301,9 +303,21 @@ _FLAT3 = dict(name="bad", coords=("x", "y", "z"), ell=2,
     ({"vframe": (VectorFieldSpec((_C0, _C1)),)}, "vector field component count must equal dim"),
     ({"metric": ((_C1, _C0), (_C0,))}, "metric must be an hdim x hdim array"),
     ({"metric": ((_C1, _C0), (_C0, _C1), (_C0, _C0))}, "metric must be an hdim x hdim array"),
-    ({"metric": ((_C1, _C0), (Coord(0), _C1))}, "metric entry (1,0) is not symmetric")])
+    ({"metric": ((_C1, _C0), (Coord(0), _C1))}, "metric entry (1,0) is not symmetric"),
+    ({"metric": ((Call("tan", Coord(0)), _C0), (_C0, _C1))},
+     "Call.fn 'tan' is not a function of FUNCTIONS"),
+    ({"metric": ((Const("a"), _C0), (_C0, _C1))}, "Const.value 'a' does not read back as a float"),
+    ({"metric": ((Const(10 ** 400), _C0), (_C0, _C1))},
+     "Const.value an int of 1329 bits does not read back as a float"),
+    ({"metric": ((Const(float("nan")), _C0), (_C0, _C1))},
+     "Const.value nan does not read back as a float"),
+    ({"metric": ((Pow(Coord(0), 2.5), _C0), (_C0, _C1))},
+     "Pow.exponent 2.5 does not read back as an int exponent"),
+    ({"metric": ((Pow(Coord(0), 2 ** 60), _C0), (_C0, _C1))},
+     "Pow.exponent 1152921504606846976 does not read back as an int exponent")])
 def test_malformed_specs_built_in_python_raise_validation_errors(change, message):
-    """Each structural check of a spec built in Python raises ValidationError with its message."""
+    """Each structural check of a spec built in Python, and each grammar rule a metric
+    entry breaks, raises ValidationError with its message."""
     with pytest.raises(ValidationError) as excinfo:
         ManifoldSpec(**{**_FLAT3, **change})
     assert excinfo.value.message == message

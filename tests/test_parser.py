@@ -2,6 +2,7 @@ import math
 import os
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +11,10 @@ from jet_reference import jet_eval
 
 import srclab
 from srclab.catalog import builtin, catalog_names
-from srclab.errors import ParseError, ValidationError
+from srclab.connections import OneFormData
+from srclab.errors import ParseError, SrclabError, ValidationError
 from srclab.jets import Add, Call, Const, Coord, Div, Mul, Neg, Pow, Sub
-from srclab.parser import (parse_document, parse_manifold,
+from srclab.parser import (SpecDocument, parse_document, parse_manifold,
                            parse_scalar_expression, serialize_document,
                            serialize_manifold)
 
@@ -98,6 +100,58 @@ oneform sin(x), y/2, 0
         assert (doc.oneform is not None) == (source is text)
         out = serialize_document(doc)
         assert parse_document(out) == doc
+
+
+# Leaves and operators of trees built in Python, each marked True where the parser
+# could never read it back: the door (ValueTable.enter) must refuse exactly those.
+_LEAVES = ([(Coord(k), False) for k in range(3)]
+           + [(Const(v), False) for v in (0.0, -0.0, 1.0, -2.0, 0.5, 3, 1e300, -1e-300,
+                                           5e-324, math.inf, -math.inf)]
+           + [(Coord(-1), True), (Coord(3), True), (Coord(1.5), True),
+              (Const(math.nan), True), (Const(10 ** 400), True), (Const("a"), True)])
+_EXPONENTS = ([(k, False) for k in (0, 1, 2, 3, -1, -2, 2 ** 53)]
+              + [(2.5, True), (2 ** 60, True), (True, True)])
+_FNS = [(fn, False) for fn in ("sin", "cos", "exp", "log", "sqrt")] + [("tan", True)]
+
+
+def _grow(trees):
+    """A node over one or two trees, marked bad where a part is."""
+    binary = st.tuples(st.sampled_from([Add, Sub, Mul, Div]), trees, trees).map(
+        lambda t: (t[0](t[1][0], t[2][0]), t[1][1] or t[2][1]))
+    power = st.tuples(trees, st.sampled_from(_EXPONENTS)).map(
+        lambda t: (Pow(t[0][0], t[1][0]), t[0][1] or t[1][1]))
+    call = st.tuples(st.sampled_from(_FNS), trees).map(
+        lambda t: (Call(t[0][0], t[1][0]), t[0][1] or t[1][1]))
+    return st.one_of(binary, trees.map(lambda t: (Neg(t[0]), t[1])), power, call)
+
+
+_SWEEP_POINTS = [[0.5, -0.25, 2.0], [0.0, -0.0, 1.0], [-1.5, 1.0, 0.0], [2.0, 1e-3, -3.0]]
+
+
+@given(st.recursive(st.sampled_from(_LEAVES), _grow, max_leaves=6))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_every_tree_the_door_admits_reads_back(tree):
+    """A tree built in Python, as a metric entry and as a one-form component, is
+    refused with a SrclabError exactly when it holds a part the parser could never
+    read; otherwise its serialized document parses to a program whose values sweep
+    equals the original's bit for bit (NaNs and signed zeros too), with the same
+    failing points and messages."""
+    expr, bad = tree
+    flat = builtin("flat3").spec
+    builds = [lambda: SpecDocument(replace(flat, metric=((expr, Const(0.0)), (Const(0.0), Const(1.0)))),
+                                   ("X1", "X2"), ("V1",), None),
+              lambda: SpecDocument(flat, ("X1", "X2"), ("V1",), OneFormData((expr, Const(0.0)), 3))]
+    for place, build in enumerate(builds):
+        try:
+            doc = build()
+        except SrclabError:
+            assert bad
+            continue
+        assert not bad
+        again = parse_document(serialize_document(doc))
+        want, got = [(d.oneform if place else d.spec)._jet_program.sweep(_SWEEP_POINTS)
+                     for d in (doc, again)]
+        assert got.values.tobytes() == want.values.tobytes() and got.errors == want.errors
 
 
 CORRUPT_CASES = [
