@@ -99,9 +99,10 @@ class OneFormData:
         pts = np.asarray(points, dtype=float)
         run = self._jet_program.run(pts, basis)
         errors = {i: DomainError(message) for i, (_, message) in run.errors.items()}
-        finite = np.isfinite(run.values).all(axis=1) & np.isfinite(run.grads).all(axis=(1, 2))
-        for i in map(int, np.flatnonzero(~finite)):
-            errors.setdefault(i, DomainError(f"one-form not finite at {pts[i].tolist()}"))
+        if not (np.isfinite(run.values).all() and np.isfinite(run.grads).all()):
+            finite = np.isfinite(run.values).all(axis=1) & np.isfinite(run.grads).all(axis=(1, 2))
+            for i in map(int, np.flatnonzero(~finite)):
+                errors.setdefault(i, DomainError(f"one-form not finite at {pts[i].tolist()}"))
         return OneFormJets(run.values, run.grads, errors)
 
 

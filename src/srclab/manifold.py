@@ -81,11 +81,11 @@ class ManifoldSpec:
     transverse complement, ``metric`` is the ell x ell horizontal Gram in
     the hframe.
 
-    Construction checks the shapes, assembles the jet program (:meth:`_compile`)
-    from ``numbering``, the :class:`~srclab.jets.ValueTable` a parse filled and the
-    node numbers of the frame components and metric entries in that order, then
-    checks the rest.  A spec built in Python passes none; its trees enter a new
-    table (:meth:`~srclab.jets.ValueTable.enter`), which admits only what a parse reads.
+    The parser checks a parsed spec and construction a spec built in Python, each once.
+    A parse passes ``numbering`` (the :class:`~srclab.jets.ValueTable` it filled, the node
+    numbers of the frame components and metric entries), and construction only assembles
+    the jet program (:meth:`_compile`).  Without it, construction checks the shapes, the
+    trees as they enter a new table (:meth:`~srclab.jets.ValueTable.enter`) and symmetry.
     """
 
     name: str
@@ -101,6 +101,8 @@ class ManifoldSpec:
         return len(self.coords)
 
     def __post_init__(self, numbering):
+        if numbering is not None:       # the parser has made every check below, each at its line
+            return self._compile(numbering)
         n, ell = self.n, self.ell
         if not 2 <= ell < n:
             raise ValidationError(f"need 2 <= hdim < dim, got hdim={ell}, dim={n}")
@@ -116,7 +118,7 @@ class ManifoldSpec:
                 raise ValidationError("vector field component count must equal dim")
         if len(self.metric) != ell or any(len(row) != ell for row in self.metric):
             raise ValidationError("metric must be an hdim x hdim array")
-        self._compile(numbering)
+        self._compile()
         for i in range(ell):
             for j in range(i):
                 if self.metric[i][j] != self.metric[j][i]:
@@ -260,6 +262,7 @@ def frame_values(spec: ManifoldSpec, sweep: ValueSweep) -> FrameValues:
 
     A point is ruled out by the first of these that applies: frame
     expression, determinant, condition number, metric expression, Cholesky.
+    Their bookkeeping runs only for points ruled out or warned.
     """
     pts, ell = sweep.points, spec.ell
     (P, n), nn = pts.shape, pts.shape[1] ** 2
@@ -274,40 +277,43 @@ def frame_values(spec: ManifoldSpec, sweep: ValueSweep) -> FrameValues:
                 errors[int(i)] = make_error(i)
             bad[mask] = True
 
+    def rule_out_domain(metric: bool):          # the sweep's errors a frame (metric) output owns
+        for i, (owner, message) in sorted(sweep.errors.items()):
+            if (owner >= nn) == metric and not bad[i]:
+                errors[i], bad[i] = DomainError(message), True
+
     def usable(stack):
         """The stack with ruled-out points set to the identity, so LAPACK
         sees only valid matrices."""
-        return np.where(bad[:, None, None], np.eye(stack.shape[-1]), stack) \
-            if bad.any() else stack
+        return np.where(bad[:, None, None], np.eye(stack.shape[-1]), stack) if errors else stack
 
-    owned = np.zeros((2, P), dtype=bool)    # where a frame, and a metric, output owns the error
-    for i, (owner, _) in sweep.errors.items():
-        owned[int(owner >= nn), i] = True
-    rule_out(owned[0], lambda i: DomainError(sweep.errors[i][1]))
+    rule_out_domain(False)
     # column and Frobenius norms as np.linalg.norm computes them, without its overhead
     Eu = usable(E)
-    col_scale = np.prod(np.maximum(np.sqrt((Eu * Eu).sum(axis=1)), 1e-300), axis=-1)
+    col_scale = np.multiply.reduce(np.maximum(np.sqrt((Eu * Eu).sum(axis=1)), 1e-300), axis=-1)
     det = np.linalg.det(Eu)
     rule_out(~(np.abs(det) > SINGULAR_DET_FACTOR * col_scale), lambda i: SingularFrame(
         f"frame determinant {det[i]:.3e} below threshold at {pts[i].tolist()}"))
-    cond = np.ones(P)       # the SVD only where cond <= |E|_F^n / |det E| may warn
     frobenius = np.sqrt((E * E).sum(axis=(1, 2)))
     svd = ~bad & ~(frobenius ** n < 0.5 * CONDITION_WARN * np.abs(det))
+    warned = ()             # cond is 1 wherever cond <= |E|_F^n / |det E| cannot warn
     if svd.any():
+        cond = np.ones(P)
         cond[svd] = np.linalg.cond(E[svd])
-    rule_out(cond > CONDITION_FAIL, lambda i: SingularFrame(
-        f"frame condition number {cond[i]:.3e} at {pts[i].tolist()}"))
+        rule_out(cond > CONDITION_FAIL, lambda i: SingularFrame(
+            f"frame condition number {cond[i]:.3e} at {pts[i].tolist()}"))
+        warned = np.flatnonzero(cond > CONDITION_WARN)
     Ev = usable(E)
     Einv = np.linalg.inv(Ev)
 
     gv = sweep.values[:, nn:].reshape(P, ell, ell).copy(order="K")   # the sweep's values can go
-    rule_out(owned[1], lambda i: DomainError(sweep.errors[i][1]))
+    rule_out_domain(True)
     not_finite = ~np.isfinite(gv).all(axis=(1, 2))          # an entry overflowed
     rule_out(not_finite | _cholesky_fails(usable(gv)), lambda i: MetricNotSPD(
         f"Gram matrix not positive definite at {pts[i].tolist()}"))
     ginv = np.linalg.inv(usable(gv))
     warnings = {i: f"frame condition number {cond[i]:.3e} at {pts[i].tolist()}"
-                for i in map(int, np.flatnonzero(cond > CONDITION_WARN)) if i not in errors}
+                for i in map(int, warned) if i not in errors}
     return FrameValues(Ev, Einv, gv, ginv, errors, warnings)
 
 

@@ -33,6 +33,7 @@ it, a one-form file (its lines read by :class:`_Lines`) and a catalog variant.
 """
 from __future__ import annotations
 
+import math
 import re
 import string
 from dataclasses import dataclass
@@ -52,6 +53,7 @@ _OPERATORS = frozenset("+-*/^(),=")
 _STRAY = re.compile(r"[^A-Za-z0-9_.+\-*/^(),= ]")     # not in a token, nor a space
 _PRODUCTS = {"*": Mul, "/": Div}
 _SUMS = {"+": Add, "-": Sub}
+_EXPONENT_DIGITS = len(str(MAX_EXPONENT))      # a literal with more digits exceeds it
 
 
 def _tokenize(text: str, line: int, col_offset: int = 0) -> list[str]:
@@ -196,28 +198,33 @@ class _ExprParser:
     def exponent(self) -> int:
         """A tower of signed integer literals, ``^`` right-associative, folded
         from the top while every level is an integer of magnitude at most
-        MAX_EXPONENT; a level that is not raises at its literal."""
+        MAX_EXPONENT; a level that is not raises at its literal.  A literal with more
+        digits than MAX_EXPONENT (leading zeros aside) is not converted: the rules
+        need only know that it exceeds MAX_EXPONENT, and a message gives its length."""
         tower = []
         while not tower or self.accept("^"):
             sign = -1 if self.accept("-") else 1
             tok = self.tokens[self.pos]
             if not tok.isdecimal():
                 self.fail("expected an integer literal exponent")
-            tower.append((sign, int(tok), self.pos))
+            digits = tok.lstrip("0") or "0"
+            value = int(digits) if len(digits) <= _EXPONENT_DIGITS else MAX_EXPONENT + 1
+            shown = digits if len(digits) <= 40 else f"<{len(digits)} digits>"
+            tower.append((sign, value, shown, self.pos))
             self.pos += 1
         too_big = f"exceeds {MAX_EXPONENT} in magnitude"
-        sign, value, pos = tower.pop()
+        sign, value, shown, pos = tower.pop()
         if value > MAX_EXPONENT:
-            raise self.error(f"exponent {value} {too_big}", pos)
+            raise self.error(f"exponent {shown} {too_big}", pos)
         value *= sign
-        for sign, base, pos in reversed(tower):
+        for sign, base, shown, pos in reversed(tower):
             problem = ("divides by zero" if value < 0 and base == 0
                        else "is not an integer" if value < 0 and base != 1
                        else too_big if base > 1 and (value > MAX_EXPONENT.bit_length()
                                                      or base ** value > MAX_EXPONENT)
                        else None)
             if problem:
-                raise self.error(f"exponent {base}^{value} {problem}", pos)
+                raise self.error(f"exponent {shown}^{value} {problem}", pos)
             value = sign * base ** max(value, 0)         # 1 ** -k is the integer 1
         return value
 
@@ -533,12 +540,17 @@ def _print_expr(node: Expression, coords, prec: int = 0) -> str:
     return "".join(out)
 
 
+def _is_zero(expr: Expression) -> bool:
+    """Whether ``expr`` is the constant +0 (a -0.0 is printed, so that its sign reads back)."""
+    return expr == Const(0.0) and math.copysign(1.0, expr.value) > 0
+
+
 def _print_vf(vf: VectorFieldSpec, coords) -> str:
     """The terms ``[factor] d<coord>`` of the nonzero components joined by their signs (a
     leading + dropped), or ``0 d<first coordinate>`` without one."""
     out = ""
     for k, comp in enumerate(vf.components):
-        if comp != Const(0.0):                  # -0.0 is equal to it too
+        if not _is_zero(comp):
             sign, inner = ("-", comp.arg) if isinstance(comp, Neg) else ("+", comp)
             factor = "" if inner == Const(1.0) else _print_expr(inner, coords, _PREC_ATOM) + " "
             out += (f" {sign} " if out else "" if sign == "+" else "-") + f"{factor}d{coords[k]}"
@@ -558,7 +570,7 @@ def serialize_manifold(spec: ManifoldSpec, hframe_names=None, vframe_names=None)
     lines.append("vframe")
     for name, vf in zip(vnames, spec.vframe):
         lines.append(f"  {name} = {_print_vf(vf, coords)}")
-    identity = all(spec.metric[i][j] == (Const(1.0) if i == j else Const(0.0))
+    identity = all(spec.metric[i][j] == Const(1.0) if i == j else _is_zero(spec.metric[i][j])
                    for i in range(spec.ell) for j in range(spec.ell))
     if identity:
         lines.append("metric identity")

@@ -226,6 +226,19 @@ metric rows
         assert (type(got), str(got)) == (type(err), str(err)), p
         with pytest.raises(type(err), match=re.escape(str(err))):
             frame_at(spec, p)
+    # good points have neither errors nor warnings, and a point that only warns
+    # (condition number between CONDITION_WARN and CONDITION_FAIL) is not ruled out,
+    # each at one point and on a stack
+    good = np.array([(1, 1, 0.25), (0.5, 2, 1)], dtype=float)
+    for stack in (good[:1], good):
+        frame = Evaluation(spec, None, stack).frame
+        assert (frame.errors, frame.warnings) == ({}, {})
+    warns = np.array([(1e-10, 1, 0.25)])
+    warning = "frame condition number 1.000e+10 at [1e-10, 1.0, 0.25]"
+    for stack, errors in ((warns, {}), (np.concatenate([points, warns]), batch.errors)):
+        frame = Evaluation(spec, None, stack).frame
+        assert frame.warnings == {len(stack) - 1: warning}
+        assert frame.errors.keys() == errors.keys()
 
 
 def test_metric_not_spd_raises():

@@ -2,10 +2,11 @@ import math
 import os
 import random
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jet_reference import jet_eval
 
@@ -14,6 +15,7 @@ from srclab.catalog import builtin, catalog_names
 from srclab.connections import OneFormData
 from srclab.errors import ParseError, SrclabError, ValidationError
 from srclab.jets import Add, Call, Const, Coord, Div, Mul, Neg, Pow, Sub
+from srclab.manifold import ManifoldSpec, VectorFieldSpec
 from srclab.parser import (SpecDocument, parse_document, parse_manifold,
                            parse_scalar_expression, serialize_document,
                            serialize_manifold)
@@ -129,18 +131,25 @@ _SWEEP_POINTS = [[0.5, -0.25, 2.0], [0.0, -0.0, 1.0], [-1.5, 1.0, 0.0], [2.0, 1e
 
 
 @given(st.recursive(st.sampled_from(_LEAVES), _grow, max_leaves=6))
+@example((Const(-0.0), False))      # a term of a frame field, an entry of a metric not the identity
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_every_tree_the_door_admits_reads_back(tree):
-    """A tree built in Python, as a metric entry and as a one-form component, is
-    refused with a SrclabError exactly when it holds a part the parser could never
-    read; otherwise its serialized document parses to a program whose values sweep
-    equals the original's bit for bit (NaNs and signed zeros too), with the same
-    failing points and messages."""
+    """A tree built in Python, as a metric entry (on and off the diagonal), a one-form
+    component and a frame component, is refused with a SrclabError exactly when it
+    holds a part the parser could never read; otherwise its serialized document
+    parses to a spec that passes the checks of a spec built in Python, and to a
+    program whose values sweep equals the original's bit for bit (NaNs and signed
+    zeros too), with the same failing points and messages."""
     expr, bad = tree
     flat = builtin("flat3").spec
+    field = VectorFieldSpec((Const(1.0), expr, Const(0.0)))
     builds = [lambda: SpecDocument(replace(flat, metric=((expr, Const(0.0)), (Const(0.0), Const(1.0)))),
                                    ("X1", "X2"), ("V1",), None),
-              lambda: SpecDocument(flat, ("X1", "X2"), ("V1",), OneFormData((expr, Const(0.0)), 3))]
+              lambda: SpecDocument(flat, ("X1", "X2"), ("V1",), OneFormData((expr, Const(0.0)), 3)),
+              lambda: SpecDocument(replace(flat, hframe=(field, flat.hframe[1])),
+                                   ("X1", "X2"), ("V1",), None),
+              lambda: SpecDocument(replace(flat, metric=((Const(1.0), expr), (expr, Const(1.0)))),
+                                   ("X1", "X2"), ("V1",), None)]
     for place, build in enumerate(builds):
         try:
             doc = build()
@@ -149,9 +158,30 @@ def test_every_tree_the_door_admits_reads_back(tree):
             continue
         assert not bad
         again = parse_document(serialize_document(doc))
-        want, got = [(d.oneform if place else d.spec)._jet_program.sweep(_SWEEP_POINTS)
+        assert _rebuilt(again.spec) == again.spec
+        want, got = [(d.oneform if place == 1 else d.spec)._jet_program.sweep(_SWEEP_POINTS)
                      for d in (doc, again)]
         assert got.values.tobytes() == want.values.tobytes() and got.errors == want.errors
+
+
+def _rebuilt(spec):
+    """A parsed spec built again in Python from its fields, without the parse's numbering,
+    so that construction makes every check the parse path leaves to the parser."""
+    return ManifoldSpec(**{f.name: getattr(spec, f.name) for f in fields(spec)})
+
+
+def test_parsed_specs_pass_the_checks_of_specs_built_in_python(monkeypatch):
+    """Every catalog spec and the benchmark's four expression-heavy specs (seed 1),
+    rebuilt in Python, pass every constructor check and equal the parsed spec."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import inputs
+
+    sources = [builtin(name).source for name in catalog_names()]
+    sources += [case.text for case in inputs.expr_heavy_cases(1)]
+    assert len(sources) == len(catalog_names()) + 4
+    for source in sources:
+        spec = parse_manifold(source)
+        assert _rebuilt(spec) == spec
 
 
 CORRUPT_CASES = [
@@ -334,6 +364,9 @@ LOCATED_ERRORS = [
      ParseError, "exponent 99999999999999999999 exceeds 9007199254740992 in magnitude", 11, 13),
     (_PRE + _FRAME + "metric rows\n  sin x, 0\n  0, 1\n",
      ParseError, "expected '(', found 'x'", 11, 7),
+    # a literal over CPython's 4,300-digit int conversion limit, named by its length
+    (_PRE + _FRAME + "metric rows\n  1 + x^" + "9" * 5000 + ", 0\n  0, 1\n",
+     ParseError, "exponent <5000 digits> exceeds 9007199254740992 in magnitude", 11, 9),
 ]
 
 
@@ -361,20 +394,24 @@ def test_sign_runs_and_exponent_towers_parse_without_recursion():
     coords = ("x", "y")
     assert parse_scalar_expression("-+-x", coords) == Neg(Neg(Coord(0)))
     assert parse_scalar_expression("x^-2^3", coords) == Pow(Coord(0), -8)
+    assert parse_scalar_expression("x^" + "9" * 5000 + "^0", coords) == Pow(Coord(0), 1)
     deep = parse_scalar_expression("-" * 3000 + "x" + "^1" * 3000, coords)
     assert jet_eval(deep, [2.0, 0.0], 0).value == 2.0
 
 
 def test_bad_exponent_tower_exits_two(tmp_path, capsys):
     """A tower that is no bounded integer is a located ParseError at the
-    command line too, not an uncaught ZeroDivisionError."""
+    command line too, not an uncaught ZeroDivisionError, nor the ValueError of
+    converting a literal over 4,300 digits."""
     from srclab.cli import cli_main
 
     path = tmp_path / "tower.manifold"
-    path.write_text(_PRE + "  X = dx + x^0^-1 dz\n  Y = dy\nvframe\n  Z = dz\nmetric identity\n",
-                    encoding="utf-8")
-    assert cli_main(["parse", str(path)]) == 2
-    assert "exponent 0^-1 divides by zero" in capsys.readouterr().err
+    for tower, message in [("x^0^-1", "exponent 0^-1 divides by zero"),
+                           ("x^" + "9" * 5000, "exponent <5000 digits> exceeds")]:
+        path.write_text(_PRE + f"  X = dx + {tower} dz\n  Y = dy\nvframe\n  Z = dz\n"
+                        "metric identity\n", encoding="utf-8")
+        assert cli_main(["parse", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_deep_nesting_parses(tmp_path, capsys):
