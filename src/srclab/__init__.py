@@ -16,9 +16,8 @@ from .errors import (DimensionMismatch, DomainError, MetricNotSPD, ParseError,
                      ValidationError)
 from .jets import Expression, fd_crosscheck
 from .manifold import ManifoldSpec, VectorFieldSpec, sample_points
-from .parser import (SpecDocument, parse_document, parse_manifold,
-                     parse_scalar_expression, serialize_document,
-                     serialize_manifold)
+from .parser import (SpecDocument, parse_document, parse_scalar_expression,
+                     serialize_document, serialize_manifold)
 from .verifier import (CheckRecord, CheckSpec, Report, SuiteConfig,
                        check_flatness_criterion, check_group_manifold, run_suite)
 

@@ -27,7 +27,8 @@ from .verifier import CHECK_IDS, CHECKS, SuiteConfig, _quiet, run_suite
 
 @cache         # built once per process: argparse keeps no state between parse_args calls
 def _build_argparser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its subcommands' parsers by name."""
+    """The top-level parser and its subcommands' parsers by name; each
+    subcommand's ``run`` default is its handler."""
     top = argparse.ArgumentParser(prog="srclab",
                                   description="sub-Riemannian tensor calculus and "
                                               "identity verification")
@@ -48,19 +49,21 @@ def _build_argparser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argu
                         help="override every check tolerance")
     verify.add_argument("--json", help="write the JSON report here")
     verify.add_argument("--quiet", action="store_true")
+    verify.set_defaults(run=_cmd_verify)
 
     ev = sub.add_parser("eval", help="print one tensor at one point")
     add_spec_args(ev)
     ev.add_argument("--tensor", required=True, choices=tuple(TENSORS))
     ev.add_argument("--point", required=True, help="comma-separated coordinates")
+    ev.set_defaults(run=_cmd_eval)
 
-    catalog = sub.add_parser("catalog", help="list builtin entries")
-    checks = sub.add_parser("checks", help="enumerate the check table")
+    sub.add_parser("catalog", help="list builtin entries").set_defaults(run=_cmd_catalog)
+    sub.add_parser("checks", help="enumerate the check table").set_defaults(run=_cmd_checks)
 
     parse_cmd = sub.add_parser("parse", help="validate a manifold file")
     parse_cmd.add_argument("file")
-    return top, {"verify": verify, "eval": ev, "catalog": catalog, "checks": checks,
-                 "parse": parse_cmd}
+    parse_cmd.set_defaults(run=_cmd_parse)
+    return top, sub.choices
 
 
 def _read_text(path: str) -> str:
@@ -222,7 +225,7 @@ def _nesting(entry: str, width: int, shape: tuple[int, ...]) -> str:
     return nested
 
 
-def _cmd_catalog() -> int:
+def _cmd_catalog(_args) -> int:
     for name in catalog_names():
         entry = builtin(name)
         spec = entry.spec
@@ -240,7 +243,7 @@ def _cmd_catalog() -> int:
     return 0
 
 
-def _cmd_checks() -> int:
+def _cmd_checks(_args) -> int:
     for check in CHECKS:
         print(f"{check.id}  rank>={check.required_rank}  tol {check.tolerance:.1e}  "
               f"{check.description}")
@@ -290,15 +293,7 @@ def cli_main(argv) -> int:
     except SystemExit as exc:       # argparse exits 2 on usage errors
         return int(exc.code or 0)
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "catalog":
-            return _cmd_catalog()
-        if args.command == "checks":
-            return _cmd_checks()
-        return _cmd_parse(args)
+        return args.run(args)
     except (SrclabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

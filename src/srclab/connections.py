@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ValidationError
 from .jets import Const, Expression, JetProgram
 from .manifold import (Brackets, CoefficientJets, FrameDerivatives, FrameValues, ManifoldSpec,
                        contract, permuted_sum)
@@ -84,7 +84,11 @@ class OneFormData:
 
     @classmethod
     def constant(cls, values, n: int) -> "OneFormData":
-        return cls(tuple(Const(float(v)) for v in values), n)
+        try:
+            exprs = tuple(Const(float(v)) for v in values)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"a constant one-form needs numbers: {exc}") from None
+        return cls(exprs, n)
 
     @classmethod
     @cache

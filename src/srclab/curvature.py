@@ -39,7 +39,7 @@ import numpy as np
 from .connections import (ConnectionField, OneFormData, OneFormJets, covariant_oneform,
                           covariant_T, koszul_grads, koszul_sum, semi, semi_grads,
                           torsion_tensor)
-from .errors import DimensionMismatch, RankTooSmall
+from .errors import DimensionMismatch, RankTooSmall, ValidationError
 from .jets import Const
 from .manifold import (Brackets, FrameValues, ManifoldSpec, _mirror_pair_antisym, _points_last,
                        contract, frame_derivatives, frame_values, permuted_sum, structure_constants)
@@ -277,7 +277,11 @@ class Evaluation:
     zero's sign aside): it is that twin, and the Koszul side is built once."""
 
     def __init__(self, spec: ManifoldSpec, pi: OneFormData | None, points):
-        self.spec, self.ell, self.points = spec, spec.ell, np.asarray(points, dtype=float)
+        try:
+            self.points = np.asarray(points, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"points need rows of numbers: {exc}") from None
+        self.spec, self.ell = spec, spec.ell
         if pi is None:
             pi = OneFormData.zero(spec.ell, spec.n)
         elif pi.ell != spec.ell:

@@ -158,8 +158,10 @@ class ManifoldSpec:
 def sample_points(spec: ManifoldSpec, count: int, seed: int) -> np.ndarray:
     """Seeded uniform samples in DEFAULT_BOX on every coordinate; a longer run
     extends a shorter one point-for-point."""
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(size=(count, spec.n))
+    try:
+        u = np.random.default_rng(seed).uniform(size=(count, spec.n))
+    except (TypeError, ValueError):
+        raise ValidationError(f"need integers count, seed >= 0, got {count!r}, {seed!r}") from None
     lo, hi = DEFAULT_BOX
     return lo + u * (hi - lo)
 

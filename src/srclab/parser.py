@@ -404,7 +404,9 @@ def _split_entries(body: str, start: int, line_no: int, expected: int, what: str
 
 
 def parse_document(text: str) -> SpecDocument:
-    """Parse manifold source text into a SpecDocument (grammar in module docstring)."""
+    """Parse manifold source text into a SpecDocument (grammar in module docstring):
+    structural invariants are checked here, pointwise ones (frame condition,
+    positive Gram) at evaluation time."""
     lines = _Lines(text)
 
     line_no, name = _keyword_line(lines, "manifold")
@@ -481,13 +483,6 @@ def parse_document(text: str) -> SpecDocument:
         tuple(VectorFieldSpec(tuple(nodes[k] for k in field)) for field in vframe),
         tuple(tuple(nodes[k] for k in row) for row in metric), numbering=(parser.table, outputs))
     return SpecDocument(spec, hnames, vnames, oneform)
-
-
-def parse_manifold(text: str) -> ManifoldSpec:
-    """Parse manifold source text; structural invariants validated here, pointwise ones
-    (frame condition, positive Gram) at evaluation time.  A ``oneform`` line is dropped:
-    :func:`parse_document` keeps it."""
-    return parse_document(text).spec
 
 
 # --------------------------------------------------------------------------

@@ -41,8 +41,10 @@ from __future__ import annotations
 
 import ctypes
 import os
+from collections.abc import Collection
 from dataclasses import dataclass
 from functools import cache, cached_property, partial, reduce
+from numbers import Integral, Real
 from operator import attrgetter
 
 import numpy as np
@@ -73,6 +75,8 @@ def entries_per_point(n: int, ell: int) -> int:
 # heisenberg2 (n = 5, ell = 4), the catalog's largest footprint, runs 200 points in one
 PASS_ENTRIES = 200 * entries_per_point(5, 4)
 
+FLAGS = frozenset({"carnot"})   # the SuiteConfig flags: "carnot" runs C18's Carnot assertions
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -82,6 +86,17 @@ class SuiteConfig:
     flags: frozenset[str] = frozenset()
 
     def __post_init__(self):
+        for name in ("points", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValidationError(f"{name} needs an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))      # a report serializes an int
+        if self.tol is not None and (isinstance(self.tol, bool) or not isinstance(self.tol, Real)):
+            raise ValidationError(f"tol needs a real number or None, got {self.tol!r}")
+        if isinstance(self.flags, str) or not isinstance(self.flags, Collection) or not all(
+                isinstance(flag, str) and flag in FLAGS for flag in self.flags):
+            raise ValidationError(f"flags needs a collection of {sorted(FLAGS)}, "
+                                  f"got {self.flags!r}")
         if self.points < 1:
             raise ValidationError(f"need at least 1 sample point, got {self.points}")
         if self.seed < 0:
@@ -604,7 +619,8 @@ def check_group_manifold(spec: ManifoldSpec, pi: OneFormData | None = None,
     pi absent designates the Koszul connection, otherwise the transformed one.
     Numerical zero at every sample is evidence, not proof, hence the verdict
     wording "holds at samples".  An evaluation error or a non-finite value
-    at a sample makes the verdict "inconclusive".
+    at a sample makes the verdict "inconclusive".  Of ``config`` only
+    ``points`` and ``seed`` are read.
     """
     config = config or SuiteConfig()
     paths = ("Kb.curv", "DT_nab") if pi is None else ("Rb.curv", "DT_D")
@@ -631,7 +647,8 @@ def check_flatness_criterion(spec: ManifoldSpec, pi: OneFormData | None = None,
 
     A point where the frame or the one-form fails, or where a tensor read is
     not finite, gives an error (in ``check_group_manifold``'s form) instead
-    of a row, and any error makes the verdict False.
+    of a row, and any error makes the verdict False.  Of ``config`` only
+    ``points`` and ``seed`` are read.
     """
     if spec.ell < 3:
         raise RankTooSmall(f"flatness criterion needs rank >= 3, got {spec.ell}")

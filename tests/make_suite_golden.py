@@ -14,7 +14,7 @@ import json
 import sys
 
 from srclab.catalog import builtin, catalog_names
-from srclab.parser import parse_manifold
+from srclab.parser import parse_document
 from srclab.verifier import SuiteConfig, run_suite
 
 from test_verifier import MIXED, MIXED_ONEFORM, parsed_oneform
@@ -31,7 +31,7 @@ def cases():
             for points in POINTS:
                 yield (f"{name}/{variant}/{points}", entry.spec, entry.oneform(variant),
                        SuiteConfig(points=points, seed=SEED, flags=entry.flags))
-    spec = parse_manifold(MIXED)
+    spec = parse_document(MIXED).spec
     pi = parsed_oneform(spec, MIXED_ONEFORM)
     yield "mixed/errors/100", spec, pi, SuiteConfig(points=100, seed=3)
 

@@ -26,7 +26,7 @@ from srclab.curvature import (Evaluation, characteristic_tensor, conformal_diffe
 from srclab.errors import ParseError, ValidationError
 from srclab.jets import fd_crosscheck
 from srclab.manifold import sample_points
-from srclab.parser import parse_document, parse_manifold, serialize_document
+from srclab.parser import parse_document, serialize_document
 from srclab.verifier import SuiteConfig, run_suite
 
 from test_parser import CORRUPT_CASES
@@ -289,7 +289,7 @@ def test_a10_frontend_round_trip_verify_and_corrupt_corpus(tmp_path, capsys):
     assert len(CORRUPT_CASES) == 10
     for source, err, fragment in CORRUPT_CASES:
         with pytest.raises((ParseError, ValidationError)) as excinfo:
-            parse_manifold(source)
+            parse_document(source)
         assert isinstance(excinfo.value, err)
         assert fragment in str(excinfo.value)
         line = getattr(excinfo.value, "line", None)

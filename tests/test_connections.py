@@ -10,7 +10,7 @@ from srclab.curvature import Evaluation
 from srclab.errors import DimensionMismatch
 from srclab.jets import Const, Coord, Mul
 from srclab.manifold import sample_points
-from srclab.parser import parse_manifold
+from srclab.parser import parse_document
 
 RNG_SEED = 77
 
@@ -49,7 +49,7 @@ def metricity_residual(ev, co):
 
 
 def test_koszul_diagnostic_coefficient():
-    spec = parse_manifold(DIAGNOSTIC)
+    spec = parse_document(DIAGNOSTIC).spec
     xs = np.array([0.0, 0.4, -0.8])
     co = Evaluation(spec, None, [[x, 0.1, 0.2] for x in xs]).read("nab")
     want = np.zeros((3, 2, 2, 2))
@@ -129,7 +129,7 @@ def test_nabla_oneform_examples():
     want[0, 0] = 1.0
     assert abs(out - want).max() == 0.0
 
-    diag = parse_manifold(DIAGNOSTIC)
+    diag = parse_document(DIAGNOSTIC).spec
     pic = OneFormData.constant([1.0, 0.0], 3)
     x = 0.4
     out = nabla_oneform(diag, pic, np.array([x, 0.0, 0.0]))

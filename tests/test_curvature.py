@@ -14,7 +14,7 @@ from srclab.curvature import (TENSORS, Evaluation, conformal_difference_formula,
 from srclab.errors import RankTooSmall
 from srclab.jets import Add, Call, Const, Coord, Div, Mul, Neg, Pow
 from srclab.manifold import ManifoldSpec, VectorFieldSpec, sample_points
-from srclab.parser import parse_manifold, parse_scalar_expression
+from srclab.parser import parse_document, parse_scalar_expression
 
 RNG_SEED = 99
 RATIONAL_POINTS = {
@@ -306,7 +306,7 @@ def _rank_spec(ell: int):
     text = "\n".join([f"manifold rank{ell}", f"dim {ell + 1}", f"hdim {ell}",
                       "coords " + " ".join(xs) + " w", "hframe", *hframe, "vframe", "  W = dw",
                       "metric rows", *(f"  {row}" for row in rows)]) + "\n"
-    spec = parse_manifold(text)
+    spec = parse_document(text).spec
     exprs = tuple(parse_scalar_expression(f"sin({x})", spec.coords) for x in xs)
     return spec, OneFormData(exprs, spec.n)
 

@@ -19,7 +19,7 @@ from srclab.catalog import builtin, catalog_names
 from srclab.errors import DimensionMismatch, DomainError, ValidationError
 from srclab.jets import (Add, Call, Const, Coord, Div, Expression, JetProgram, Mul, Neg, Pow,
                          Sub, FUNCTIONS, _operands, fd_crosscheck)
-from srclab.parser import parse_document, parse_manifold, parse_scalar_expression
+from srclab.parser import parse_document, parse_scalar_expression
 
 
 def jets_close(a: Jet, b: Jet, ulps: int = 4) -> bool:
@@ -333,7 +333,7 @@ def test_compiled_program_matches_jet_eval(name, spec, exprs):
 
 
 BASIS_SPECS = [(name, builtin(name).spec) for name in catalog_names()] + [
-    (f"rank4-seed{seed}", parse_manifold(_free_step2_rank4_text(seed))) for seed in (11, 12)]
+    (f"rank4-seed{seed}", parse_document(_free_step2_rank4_text(seed)).spec) for seed in (11, 12)]
 
 
 @pytest.mark.parametrize("name,spec", BASIS_SPECS, ids=[name for name, _ in BASIS_SPECS])
@@ -374,7 +374,7 @@ def test_values_are_the_run_values():
     for bit, for the frame and metric program of a spec."""
     from srclab.manifold import sample_points
 
-    spec = parse_manifold(_free_step2_rank4_text(11))
+    spec = parse_document(_free_step2_rank4_text(11)).spec
     points = sample_points(spec, 30, 4)
     program = spec._jet_program
     assert np.array_equal(program.sweep(points).values, program.run(points).values)
@@ -606,7 +606,7 @@ def test_shared_subtrees_compile_like_separate_copies(name, tmp_path):
     from srclab.cli import _load_pi
 
     source = SHARED_CASES.get(name) or builtin(name).source
-    spec = parse_manifold(source)
+    spec = parse_document(source).spec
     if "metric rows" in source:
         assert spec.metric[0][1] is spec.metric[1][0]
     frame = [c for vf in spec.hframe + spec.vframe for c in vf.components]
@@ -631,7 +631,7 @@ def test_out_of_order_terms_fail_in_component_order():
     were read, with the owner and message the tree compiler gave."""
     from srclab.curvature import Evaluation
 
-    spec = parse_manifold(OUT_OF_ORDER_SOURCE)
+    spec = parse_document(OUT_OF_ORDER_SOURCE).spec
     frame_program = spec._jet_program
     assert [op[:4] for op in frame_program.ops] == [
         ("coord", 0, None, 0), ("call", 0, "log", 0), ("coord", 2, None, 1),
@@ -655,7 +655,7 @@ def test_signed_zero_constants_keep_their_sign():
         False, True]
     built = JetProgram([Mul(Const(0.0), Coord(0)), Mul(Const(-0.0), Coord(0))], 1)
     assert np.signbit(built.sweep([[1.0]]).values[0]).tolist() == [False, True]
-    spec = parse_manifold(_PRE_SIGNED)
+    spec = parse_document(_PRE_SIGNED).spec
     metric = spec._jet_program.sweep([[1.0, 0.0, 0.0]]).values[0, spec.n * spec.n:]
     assert np.signbit(metric).tolist() == [False, True, True, False]
 

@@ -16,7 +16,7 @@ from srclab.errors import (DimensionMismatch, DomainError, MetricNotSPD, Singula
                            ValidationError)
 from srclab.jets import Call, Const, Coord, Mul, Pow
 from srclab.manifold import ManifoldSpec, VectorFieldSpec, permuted_sum, sample_points
-from srclab.parser import parse_manifold
+from srclab.parser import parse_document
 
 RNG_SEED = 1234
 
@@ -177,7 +177,7 @@ vframe
   Z = dz
 metric identity
 """
-    spec = parse_manifold(text)
+    spec = parse_document(text).spec
     with pytest.raises(SingularFrame):
         frame_at(spec, [0.0, 0.2, 0.3])
     frame_at(spec, [0.5, 0.2, 0.3])
@@ -204,7 +204,7 @@ metric rows
   x + sqrt(z), 0
   0, 1
 """
-    spec = parse_manifold(text)
+    spec = parse_document(text).spec
     want = [
         ((0, -1, -1), DomainError("sqrt of negative value -1.0")),
         ((0, 1, -1), SingularFrame(
@@ -256,11 +256,11 @@ metric rows
   x, 0
   0, 1
 """
-    spec = parse_manifold(text)
+    spec = parse_document(text).spec
     with pytest.raises(MetricNotSPD):
         frame_at(spec, [-0.5, 0.0, 0.0])
     frame_at(spec, [0.5, 0.0, 0.0])
-    overflowing = parse_manifold(text.replace("  x, 0", "  exp(1000*x), 0"))
+    overflowing = parse_document(text.replace("  x, 0", "  exp(1000*x), 0")).spec
     with pytest.raises(MetricNotSPD):
         frame_at(overflowing, [0.9, 0.0, 0.0])
 

@@ -16,15 +16,14 @@ from srclab.connections import OneFormData
 from srclab.errors import ParseError, SrclabError, ValidationError
 from srclab.jets import Add, Call, Const, Coord, Div, Mul, Neg, Pow, Sub
 from srclab.manifold import ManifoldSpec, VectorFieldSpec
-from srclab.parser import (SpecDocument, parse_document, parse_manifold,
-                           parse_scalar_expression, serialize_document,
-                           serialize_manifold)
+from srclab.parser import (SpecDocument, parse_document, parse_scalar_expression,
+                           serialize_document, serialize_manifold)
 
 H1 = builtin("heisenberg1").source
 
 
 def test_heisenberg_source_parses():
-    spec = parse_manifold(H1)
+    spec = parse_document(H1).spec
     assert spec.name == "heisenberg1"
     assert spec.n == 3 and spec.ell == 2
     assert len(spec.hframe) == 2 and len(spec.vframe) == 1
@@ -32,7 +31,7 @@ def test_heisenberg_source_parses():
 
 
 def test_vector_field_components():
-    spec = parse_manifold(H1)
+    spec = parse_document(H1).spec
     assert spec.hframe[0].components == (Const(1.0), Const(0.0),
                                          Neg(Div(Coord(1), Const(2.0))))
     assert spec.hframe[1].components == (Const(0.0), Const(1.0),
@@ -180,7 +179,7 @@ def test_parsed_specs_pass_the_checks_of_specs_built_in_python(monkeypatch):
     sources += [case.text for case in inputs.expr_heavy_cases(1)]
     assert len(sources) == len(catalog_names()) + 4
     for source in sources:
-        spec = parse_manifold(source)
+        spec = parse_document(source).spec
         assert _rebuilt(spec) == spec
 
 
@@ -209,7 +208,7 @@ CORRUPT_CASES = [
 def test_corrupt_corpus_produces_located_errors(case):
     source, err, fragment = CORRUPT_CASES[case]
     with pytest.raises(err) as excinfo:
-        parse_manifold(source)
+        parse_document(source)
     assert fragment in str(excinfo.value)
     exc = excinfo.value
     if isinstance(exc, ParseError):
@@ -223,13 +222,13 @@ def test_error_locations_point_at_the_offending_line():
     source = ("manifold m\ndim 3\nhdim 2\ncoords x y z\nhframe\n  X = dx\n"
               "  Y = d!\nvframe\n  Z = dz\nmetric identity\n")
     with pytest.raises(ParseError) as excinfo:
-        parse_manifold(source)
+        parse_document(source)
     assert excinfo.value.line == 7
 
 
 def test_comments_and_blank_lines_ignored():
     text = H1.replace("hframe", "# a comment\n\nhframe")
-    assert parse_manifold(text) == parse_manifold(H1)
+    assert parse_document(text).spec == parse_document(H1).spec
 
 
 def test_whitespace_separated_metric_rows():
@@ -247,15 +246,15 @@ metric rows
   1 0
   0 1
 """
-    spec = parse_manifold(text)
+    spec = parse_document(text).spec
     assert spec.metric == ((Const(1.0), Const(0.0)), (Const(0.0), Const(1.0)))
 
 
 def test_serialize_fresh_names():
-    spec = parse_manifold(H1)
+    spec = parse_document(H1).spec
     text = serialize_manifold(spec)
     assert "X1 =" in text and "V1 =" in text
-    assert parse_manifold(text) == spec
+    assert parse_document(text).spec == spec
 
 
 def test_accumulating_duplicate_dcoord_terms():
@@ -270,7 +269,7 @@ def test_accumulating_duplicate_dcoord_terms():
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_parser_totality_random_text(text):
     try:
-        parse_manifold(text)
+        parse_document(text)
     except (ParseError, ValidationError):
         pass
 
@@ -280,7 +279,7 @@ def test_parser_totality_random_text(text):
 def test_parser_totality_grammar_like_text(text):
     preamble = "manifold f\ndim 3\nhdim 2\ncoords x y z\nhframe\n"
     try:
-        parse_manifold(preamble + text)
+        parse_document(preamble + text)
     except (ParseError, ValidationError):
         pass
 
@@ -374,7 +373,7 @@ LOCATED_ERRORS = [
 def test_error_messages_and_locations_pinned(case):
     source, err, message, line, col = LOCATED_ERRORS[case]
     with pytest.raises(err) as excinfo:
-        parse_manifold(source)
+        parse_document(source)
     exc = excinfo.value
     assert (exc.message, exc.line, getattr(exc, "col", None)) == (message, line, col)
 
@@ -469,7 +468,7 @@ def test_ingestion_calls_grow_linearly():
 
         sys.setprofile(profile)
         try:
-            parse_manifold(source)._jet_program
+            parse_document(source).spec._jet_program
         finally:
             sys.setprofile(None)
         return count

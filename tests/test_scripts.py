@@ -131,20 +131,6 @@ def test_report_digest_lists_its_reports(monkeypatch):
     assert sha == digest.sha256(digest.report(*item) for item in two)
 
 
-def test_stage_timing_ingest_prints_a_row_per_spec():
-    """scripts/stage_timing.py ingest times parse, validation and compile of the
-    six catalog specs and the four expression-heavy specs, one repeat here."""
-    from srclab.catalog import catalog_names
-
-    proc = run_script("scripts/stage_timing.py", "ingest", "--repeats", "1")
-    assert proc.returncode == 0, proc.stderr
-    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
-    assert [row[0] for row in rows] == [*catalog_names(), "expr-r3-a", "expr-r3-b",
-                                        "expr-r4-a", "expr-r4-b"]
-    assert [int(row[1]) for row in rows[-4:]] == [684, 684, 1604, 1604]
-    assert all(len(row) == 6 and min(map(float, row[2:])) >= 0.0 for row in rows)
-
-
 def test_stage_timing_eval_prints_a_row_per_stage():
     """scripts/stage_timing.py eval splits one round of the single-point-eval
     requests into its stages; the stage medians are non-negative and each is at

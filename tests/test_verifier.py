@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import srclab
-from srclab import curvature, verifier
+from srclab import curvature, jsonio, verifier
 from srclab.catalog import builtin, catalog_names
 from srclab.connections import (OneFormData, covariant_T, koszul_connection, koszul_grads,
                                 koszul_sum, semi, semi_connection, semi_grads, torsion,
@@ -24,7 +24,7 @@ from srclab.errors import RankTooSmall, ValidationError
 from srclab.verifier import (CHECKS, CHECK_IDS, FRAME_CHUNK, QUALIFIER_TOL, SUP_ALONG_POINTS,
                              SuiteConfig, _Pass, _c05, _c06, _c08, _passes, _worst,
                              check_flatness_criterion, check_group_manifold, run_suite)
-from srclab.parser import parse_manifold, parse_scalar_expression
+from srclab.parser import parse_document, parse_scalar_expression
 
 
 def parsed_oneform(spec, texts):
@@ -186,7 +186,7 @@ def test_evaluation_errors_mark_checks_failed_without_aborting():
                 "[-0.9669447289429418, 0.6265404784005448, 0.8255111545554434]",
     }
     for metric_row, first_warning in cases.items():
-        spec = parse_manifold(f"""\
+        spec = parse_document(f"""\
 manifold per-point-errors
 dim 3
 hdim 2
@@ -199,7 +199,7 @@ vframe
 metric rows
   {metric_row}
   0, 1
-""")
+""").spec
         report = run_suite(spec, None, SuiteConfig(points=10, seed=0))
         assert {r.id for r in report.checks if r.skipped} == {"C12", "C13", "C15"}
         for r in report.checks:
@@ -250,6 +250,39 @@ def test_points_below_one_rejected():
     for points in (0, -3):
         with pytest.raises(ValidationError):
             SuiteConfig(points=points)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("points", 2.5), ("points", True), ("points", "3"), ("seed", 1.5), ("seed", np.float64(2)),
+    ("tol", "1e-9"), ("tol", False), ("flags", frozenset({"carnto"})), ("flags", "xcarnotx"),
+    ("flags", "carnot"), ("flags", 1), ("flags", [["carnot"]]),
+])
+def test_suite_config_refuses_settings_it_cannot_run(field, value):
+    """A setting the suite cannot run is a ValidationError naming the field and
+    the value: a float count or seed, a bool, a text tolerance, an unknown flag,
+    a str for the flags."""
+    with pytest.raises(ValidationError, match=f"^{field} needs") as excinfo:
+        SuiteConfig(**{field: value})
+    assert repr(value) in str(excinfo.value)
+
+
+def test_suite_config_takes_numpy_integers():
+    config = SuiteConfig(points=np.int64(2), seed=np.uint8(1), flags=["carnot"])
+    assert (type(config.points), type(config.seed)) == (int, int)
+    report = run_suite(builtin("heisenberg1").spec, None, config)
+    assert jsonio.dumps(report.to_json_dict("t")).count('"points": 2') == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec: sample_points(spec, -1, 0), lambda spec: sample_points(spec, 2, -1),
+    lambda spec: Evaluation(spec, None, "abc"),
+    lambda spec: Evaluation(spec, None, [[0.0, 0.0, 0.0], [0.0, 0.0]]),
+    lambda spec: OneFormData.constant(["x", "0"], spec.n),
+])
+def test_library_doors_raise_a_typed_error(call):
+    """Points, seeds and constants numpy cannot convert are a ValidationError."""
+    with pytest.raises(ValidationError):
+        call(builtin("heisenberg1").spec)
 
 
 def test_group_manifold_verdicts():
@@ -327,7 +360,7 @@ vframe
   Z = dz
 metric identity
 """
-    spec = parse_manifold(text)
+    spec = parse_document(text).spec
     report = run_suite(spec, None, SuiteConfig(points=3, seed=0))
     assert any("condition number" in w for w in report.warnings)
 
@@ -353,7 +386,7 @@ def test_concurrent_evaluation_matches_serial():
     entry = builtin("curved-metric-l3")
     pts = sample_points(entry.spec, 24, 6)
     serial = [Evaluation(entry.spec, None, p[None]).read("Kb.curv") for p in pts]
-    spec = parse_manifold(entry.source)                     # compiled under the threads
+    spec = parse_document(entry.source).spec                # compiled under the threads
     with ThreadPoolExecutor(max_workers=8) as pool:
         parallel = list(pool.map(lambda p: Evaluation(spec, None, p[None]).read("Kb.curv"), pts))
     for a, b in zip(serial, parallel):
@@ -406,7 +439,7 @@ def test_mixed_frame_and_oneform_errors_pinned():
     every check, a one-form error every check that reads the one-form, and C04
     names the one-form's error first.  The 100 points run in one pass;
     test_pass_boundaries_do_not_change_reports splits them into several."""
-    spec = parse_manifold(MIXED)
+    spec = parse_document(MIXED).spec
     pi = parsed_oneform(spec, MIXED_ONEFORM)
     config = SuiteConfig(points=100, seed=3)
     assert config.points > FRAME_CHUNK
@@ -451,7 +484,7 @@ def test_pass_boundaries_do_not_change_reports(monkeypatch):
     condition warnings in every pass."""
     cases = {name: (builtin(name).spec, builtin(name).oneform(variant), builtin(name).flags)
              for name, variant in (("heisenberg1", "trig"), ("curved-metric-l3", "trig"))}
-    mixed = parse_manifold(MIXED)
+    mixed = parse_document(MIXED).spec
     cases["mixed"] = (mixed, parsed_oneform(mixed, MIXED_ONEFORM), frozenset())
     monkeypatch.setattr(verifier, "PASS_ENTRIES", 0)           # passes of FRAME_CHUNK points
     for name, (spec, pi, flags) in cases.items():
@@ -482,7 +515,7 @@ def test_ruled_out_points_do_not_reach_other_rows():
     derivative sweep equals, bit for bit and signs of zero included, the row
     of an Evaluation of the good points alone: the basis a ruled-out point
     seeds the sweep with never reaches another point's row."""
-    spec = parse_manifold(MIXED)
+    spec = parse_document(MIXED).spec
     pi = parsed_oneform(spec, MIXED_ONEFORM)
     ev = Evaluation(spec, pi, sample_points(spec, 100, 3))
     good = np.ones(100, dtype=bool)
@@ -501,7 +534,7 @@ def _expr_heavy_cases(monkeypatch):
     import inputs
 
     for case in inputs.expr_heavy_cases(1):
-        spec = parse_manifold(case.text)
+        spec = parse_document(case.text).spec
         yield case.name, spec, inputs.build_pi(spec, case.pi_lines), case.flags
 
 
